@@ -32,9 +32,12 @@ class NotSwitchable(TesgridError):
 
 
 class SolverDivergence(TesgridError):
-    def __init__(self, message: str, worst_residual: float):
+    """Carries the worst residual (pu) and the node where it was."""
+
+    def __init__(self, message: str, worst_residual: float, node: str):
         super().__init__(message)
         self.worst_residual = worst_residual
+        self.node = node
 
 
 class MissingPlayerData(TesgridError):

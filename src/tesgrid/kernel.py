@@ -495,7 +495,13 @@ class Engine:
 
     def _phase_powerflow(self, t: datetime) -> dict:
         injections, totals = self.build_load_injections(t)
-        state = solve_powerflow(self.index, injections, self.board.statuses)
+        state = solve_powerflow(
+            self.index,
+            injections,
+            self.board.statuses,
+            energized=self.board.energized(),
+            start=self.network_state,
+        )
         self.network_state = state
         self._pf_solves += 1
         self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)
@@ -625,6 +631,7 @@ class Engine:
             except SolverDivergence as exc:
                 complete = False
                 divergence = exc
+                divergence_time = t
                 break
             offset = k * dt
             for cfg in self.model.recorders:
@@ -656,6 +663,8 @@ class Engine:
         }
         if divergence is not None:
             summary["divergence"] = str(divergence)
+            summary["divergence_time"] = divergence_time.strftime("%Y-%m-%d %H:%M:%S")
+            summary["divergence_node"] = divergence.node
         metadata = {
             "steps": steps,
             "executed_steps": executed_steps,

@@ -2,8 +2,9 @@
 
 Built once after validation: rooted tree over the electrical nodes, the
 edge (line / transformer / zero-impedance parent link) feeding each node,
-and the point of attachment for every load-bearing object (houses,
-appliances, solar).
+the point of attachment for every load-bearing object (houses,
+appliances, solar), and the compiled tree the power-flow sweep iterates
+over.
 """
 
 from __future__ import annotations
@@ -26,16 +27,35 @@ class NetworkEdge:
     switchable: bool
 
 
+@dataclass(frozen=True)
+class SweepTree:
+    """The feeder as the power-flow sweep sees it.
+
+    Every node reached through a zero-impedance `parent:` link is merged
+    into its upstream node's supernode.  Supernodes are numbered in
+    topological order (the source's is 0), and position `s` of each list
+    describes supernode `s` and the edge feeding it.
+    """
+
+    names: list[str]  # representative: the supernode's topmost node
+    parent: list[int]  # parent supernode; -1 for the source
+    impedance: list[complex]  # feeding edge, secondary side
+    ratio: list[float]
+    nominal: list[float]  # representative's nominal voltage
+    edge: list[str]  # feeding edge's name; "" for the source
+    position: dict[str, int]  # every node -> its supernode, in index order
+
+
 @dataclass
 class NetworkIndex:
     source: str
     order: list[str]  # topological, source first
     parent_of: dict[str, str]
-    children: dict[str, list[str]]
     feed_edge: dict[str, NetworkEdge]  # node -> edge from its parent
     edges_by_name: dict[str, NetworkEdge]
     depth: dict[str, int]  # 1-based level, source = 1
     nominal_volts: dict[str, float]
+    tree: SweepTree
     attachments: dict[str, list[str]] = field(default_factory=dict)
     attach_node: dict[str, str] = field(default_factory=dict)  # object -> node
 
@@ -72,7 +92,7 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
             z = obj.get("impedance", 0j)
             edge = NetworkEdge(
                 name=obj.name,
-                cls=obj.cls if obj.cls == "transformer" else obj.cls,
+                cls=obj.cls,
                 parent=obj.ref("from"),
                 child=obj.ref("to"),
                 impedance=complex(z),
@@ -98,7 +118,6 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
 
     order = [source]
     parent_of: dict[str, str] = {}
-    children: dict[str, list[str]] = {n: [] for n in adjacency}
     feed_edge: dict[str, NetworkEdge] = {}
     depth = {source: 1}
     nominal = {source: float(names[source].get("nominal_voltage", DEFAULT_NOMINAL_VOLTS))}
@@ -117,7 +136,6 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
                         edge.name, edge.cls, node, other, edge.impedance, edge.ratio, edge.switchable
                     )
                 parent_of[other] = node
-                children[node].append(other)
                 feed_edge[other] = edge
                 edges_by_name[edge.name] = edge
                 depth[other] = depth[node] + 1
@@ -131,11 +149,11 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
         source=source,
         order=order,
         parent_of=parent_of,
-        children=children,
         feed_edge=feed_edge,
         edges_by_name=edges_by_name,
         depth=depth,
         nominal_volts=nominal,
+        tree=compile_sweep_tree(order, feed_edge, nominal),
         attachments={n: [] for n in order},
     )
     for obj in model.objects:
@@ -145,6 +163,27 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
                 index.attachments[node].append(obj.name)
                 index.attach_node[obj.name] = node
     return index
+
+
+def compile_sweep_tree(
+    order: list[str], feed_edge: dict[str, NetworkEdge], nominal: dict[str, float]
+) -> SweepTree:
+    """Merge `parent:` links into supernodes; `order` must be topological,
+    so a node's upstream supernode is numbered before the node is seen."""
+    tree = SweepTree([], [], [], [], [], [], {})
+    for node in order:
+        edge = feed_edge.get(node)
+        if edge is not None and edge.cls == "parent":
+            tree.position[node] = tree.position[edge.parent]
+            continue
+        tree.position[node] = len(tree.names)
+        tree.names.append(node)
+        tree.parent.append(tree.position[edge.parent] if edge else -1)
+        tree.impedance.append(edge.impedance if edge else 0j)
+        tree.ratio.append(edge.ratio if edge else 1.0)
+        tree.nominal.append(nominal[node])
+        tree.edge.append(edge.name if edge else "")
+    return tree
 
 
 def compute_islands(index: NetworkIndex, statuses: dict[str, str]) -> dict[str, bool]:

@@ -1,10 +1,23 @@
 """Steady-state radial power flow by repeated backward/forward sweeps.
 
-Backward pass accumulates branch currents from constant-power load
-injections; forward pass propagates voltage drops from the source.
-Transformers are an ideal turns ratio in series with an impedance on the
-secondary side, so for an edge with ratio n the child-side current I maps
-to I/n on the parent side and V_child = V_parent / n - Z * I.
+The ladder-iterative method (Kersting, *Distribution System Modeling and
+Analysis*): the backward pass accumulates branch currents from
+constant-power load injections; the forward pass propagates voltage
+drops from the source.  Transformers are an ideal turns ratio in series
+with an impedance on the secondary side, so for an edge with ratio n the
+child-side current I maps to I/n on the parent side and
+V_child = V_parent / n - Z * I.
+
+The sweep runs over the index's compiled `SweepTree`: flat per-supernode
+lists built once with the index, in which every node hung on a
+zero-impedance `parent:` link is merged into its upstream node.  Demand
+is summed per supernode, a merged node (a meter, say) reports its
+supernode's voltage, and a `parent:` link reports no current of its own.
+
+Each solve can start from an earlier `NetworkState` (warm start); a node
+that was dead there and is live now starts at its nominal voltage.  A
+warm-started solve of unchanged loads converges in one sweep, so the
+iteration counts of a run reflect how much the loads moved per step.
 
 De-energized subtrees (OPEN edge upstream) carry zero voltage, current,
 and load.  Results are steady-state only; switching transients are out of
@@ -13,7 +26,7 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotSwitchable, SolverDivergence
 from .network import NetworkIndex, compute_islands
@@ -87,80 +100,91 @@ def solve_powerflow(
     statuses: dict[str, str] | None = None,
     tolerance_pu: float = _INTERNAL_TOLERANCE_PU,
     max_iterations: int = MAX_ITERATIONS,
+    energized: dict[str, bool] | None = None,
+    start: NetworkState | None = None,
 ) -> NetworkState:
-    """Sweep until the largest per-node voltage change is below tolerance.
+    """Sweep until the largest per-supernode voltage change is below tolerance.
 
-    Raises SolverDivergence with the worst residual after `max_iterations`.
+    `energized` is the islanding of `statuses` when the caller already has
+    it (a LineStatusBoard caches it); otherwise it is computed here.
+    `start` is an earlier solution of the same network to iterate from.
+
+    Raises SolverDivergence with the worst residual, and the node where it
+    was, after `max_iterations`.
     """
     statuses = dict(statuses or {})
-    energized = compute_islands(index, statuses)
+    if energized is None:
+        energized = compute_islands(index, statuses)
+    tree = index.tree
+    names, parent, ratio, impedance, nominal = (
+        tree.names, tree.parent, tree.ratio, tree.impedance, tree.nominal
+    )
+    n = len(names)
+    live = [energized[name] for name in names]
 
-    demand: dict[str, complex] = {n: 0j for n in index.order}
+    demand = [0j] * n
     for load in loads:
-        if energized.get(load.node, False):
-            demand[load.node] += load.power_va
+        s = tree.position[load.node]
+        if live[s]:
+            demand[s] += load.power_va
 
-    # flat start at nominal magnitude, zero angle
-    voltages = {
-        n: complex(index.nominal_volts[n]) if energized[n] else 0j for n in index.order
-    }
-    currents: dict[str, complex] = {e: 0j for e in index.edges_by_name}
-    reverse_order = list(reversed(index.order))
+    # warm start from `start` where the node was live there; otherwise
+    # flat at nominal magnitude, zero angle
+    if start is None:
+        v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]
+    else:
+        before, was_live = start.voltages, start.energized
+        v = [
+            (before[names[s]] if was_live[names[s]] else complex(nominal[s])) if live[s] else 0j
+            for s in range(n)
+        ]
+    rows = [(s, parent[s], ratio[s], impedance[s], nominal[s]) for s in range(1, n) if live[s]]
+    rows_up = rows[::-1]
+    cur = [0j] * n  # child-side current of each supernode's feeding edge
 
-    worst = float("inf")
+    worst, worst_at = float("inf"), 0
     for iteration in range(1, max_iterations + 1):
-        # backward: child-side branch currents from the leaves up
-        into_node: dict[str, complex] = {}
-        for node in reverse_order:
-            if energized[node] and voltages[node] != 0:
-                total = (demand[node] / voltages[node]).conjugate()
-            else:
-                total = 0j
-            for child in index.children[node]:
-                edge = index.feed_edge[child]
-                total += currents[edge.name] / edge.ratio
-            into_node[node] = total
-            if node != index.source:
-                edge = index.feed_edge[node]
-                currents[edge.name] = total if energized[node] else 0j
+        # backward: feeding-edge currents from the leaves up
+        into = [0j] * n
+        for s, p, r, _, _ in rows_up:
+            d, vs = demand[s], v[s]
+            total = into[s] + (d / vs).conjugate() if d and vs else into[s]
+            cur[s] = total
+            into[p] += total / r
 
         # forward: voltage drops from the source down
         worst = 0.0
-        for node in index.order[1:]:
-            edge = index.feed_edge[node]
-            if not energized[node]:
-                new_v = 0j
-            else:
-                new_v = voltages[edge.parent] / edge.ratio - edge.impedance * currents[edge.name]
-            worst = max(worst, abs(new_v - voltages[node]) / index.nominal_volts[node])
-            voltages[node] = new_v
+        for s, p, r, z, nom in rows:
+            new_v = v[p] / r - z * cur[s]
+            step = abs(new_v - v[s]) / nom
+            if step > worst:
+                worst, worst_at = step, s
+            v[s] = new_v
         if worst < tolerance_pu:
             break
     else:
         raise SolverDivergence(
-            f"power flow did not converge in {max_iterations} iterations", worst
+            f"power flow did not converge in {max_iterations} iterations "
+            f"(worst at {names[worst_at]})",
+            worst,
+            names[worst_at],
         )
 
-    source_current = 0j
-    for child in index.children[index.source]:
-        edge = index.feed_edge[child]
-        source_current += currents[edge.name] / edge.ratio
-    source_power = voltages[index.source] * source_current.conjugate()
+    source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
+    source_power = v[0] * source_current.conjugate()
+    currents = dict.fromkeys(index.edges_by_name, 0j)  # `parent:` links stay 0
     losses = 0j
-    for edge in index.edges_by_name.values():
-        i = currents[edge.name]
-        losses += edge.impedance * (abs(i) ** 2)
-    served = sum(
-        (demand[n] for n in index.order if energized[n]),
-        0j,
-    )
+    for s in range(1, n):
+        i = cur[s]
+        currents[tree.edge[s]] = i
+        losses += impedance[s] * (abs(i) ** 2)
     return NetworkState(
-        voltages=voltages,
+        voltages={node: v[s] for node, s in tree.position.items()},
         currents=currents,
         statuses=statuses,
         energized=energized,
         iterations=iteration,
         source_power_va=source_power,
-        load_power_va=served,
+        load_power_va=sum(demand, 0j),
         loss_power_va=losses,
     )

@@ -229,8 +229,6 @@ def _check_attachments(model: ScenarioModel, errors):
             cap = obj.get("price_cap")
             if cap is not None and cap <= 0:
                 errors.append(Diagnostic(loc, "BAD_RANGE", "price_cap must be positive"))
-        elif obj.cls == "house":
-            pass
     for obj in model.of_class("house"):
         loc = obj.name or f"<house@{obj.line}>"
         for prop in ("thermal_capacitance", "ua", "deadband"):

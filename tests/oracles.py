@@ -57,7 +57,7 @@ def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
     for _ in range(iters):
         rhs = -np.conj(demand[others] / v[others]) - (B @ v[[src]]).ravel()
         new = np.linalg.solve(A, rhs)
-        delta = np.max(np.abs(new - v[others]))
+        delta = np.max(np.abs(new - v[others]), initial=0.0)  # no others: all merged
         v[others] = new
         if delta < tol:
             break

@@ -54,6 +54,15 @@ def test_run_missing_player_file_is_runtime_error(tmp_path, capsys):
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_run_divergence_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", fixture_path("two_bus_overload.glm"), "--out", str(out)]) == 3
+    assert "aborted" in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "divergence_time 2013-07-01 00:05:00" in summary
+    assert "divergence_node b" in summary
+
+
 def test_validate_ok(capsys):
     assert main(["validate", fixture_path("feeder_small.glm")]) == 0
     assert "runnable" in capsys.readouterr().out

@@ -5,12 +5,14 @@ import os
 from datetime import datetime, timedelta
 
 import pytest
+from conftest import load_fixture
 
 from tesgrid.errors import NotSwitchable, UnknownProperty
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine, Event, EventQueue, build_event_list
 from tesgrid.model import AttackConfig
 from tesgrid.recorder import write_results
+from tesgrid.validate import validate
 
 START = datetime(2013, 7, 1, 0, 0, 0)
 
@@ -152,6 +154,17 @@ def test_summary_has_no_wall_clock(small_text):
         "complete", "powerflow_solves", "powerflow_max_iterations",
         "powerflow_worst_mismatch_pu", "max_clearing_price",
     }
+
+
+def test_divergence_reports_time_and_node():
+    text = load_fixture("two_bus_overload.glm")
+    assert validate(parse_scenario(text)).runnable
+    _, result = run_small(text)
+    assert not result.complete
+    assert result.metadata["executed_steps"] == 4
+    assert result.summary["incomplete_reason"] == "solver_divergence"
+    assert result.summary["divergence_time"] == "2013-07-01 00:05:00"
+    assert result.summary["divergence_node"] == "b"
 
 
 def test_determinism_byte_identical(small_text, tmp_path):

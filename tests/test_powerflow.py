@@ -134,3 +134,75 @@ def test_contract_tolerance_iterations(small_model):
 
 def test_system_base():
     assert SYSTEM_BASE_VA == 100e3
+
+
+SMALL_LOADS = [
+    LoadInjection("tm1", complex(1200.0, 200.0)),
+    LoadInjection("tm3", complex(2500.0, 400.0)),
+    LoadInjection("tm4", complex(-900.0, 0.0)),
+]
+
+
+def _max_gap_pu(index, a, b):
+    return max(abs(a.voltages[n] - b.voltages[n]) / index.nominal_volts[n] for n in index.order)
+
+
+def test_warm_start_matches_cold_solve(small_model):
+    index = build_network_index(small_model)
+    earlier = solve_powerflow(index, [LoadInjection("tm2", complex(4000.0, 900.0))])
+    warm = solve_powerflow(index, SMALL_LOADS, start=earlier)
+    cold = solve_powerflow(index, SMALL_LOADS)
+    assert _max_gap_pu(index, warm, cold) < 1e-9
+    assert warm.power_mismatch_pu() < 1e-6
+    # from its own solution the sweep has nothing left to do
+    assert solve_powerflow(index, SMALL_LOADS, start=cold).iterations == 1
+
+
+def test_reenergized_subtree_starts_from_nominal(small_model):
+    index = build_network_index(small_model)
+    outage = solve_powerflow(index, SMALL_LOADS, {"UL1": "OPEN"})
+    assert outage.voltages["tm3"] == 0j
+    restored = solve_powerflow(index, SMALL_LOADS, {"UL1": "CLOSED"}, start=outage)
+    cold = solve_powerflow(index, SMALL_LOADS, {"UL1": "CLOSED"})
+    assert _max_gap_pu(index, restored, cold) < 1e-9
+    assert restored.power_mismatch_pu() < 1e-6
+    # After one sweep the re-energized leg equals a flat start's first sweep:
+    # its currents only depend on its own (nominal) start voltages.  From
+    # 0 V it would carry no current and still read nominal.
+    first = solve_powerflow(index, SMALL_LOADS, start=outage, tolerance_pu=1.0)
+    flat_first = solve_powerflow(index, SMALL_LOADS, tolerance_pu=1.0)
+    assert first.iterations == flat_first.iterations == 1
+    for node in ("n2", "tn2", "tm3", "tm4"):
+        assert first.voltages[node] == flat_first.voltages[node]
+    assert abs(first.voltages["tm3"]) < 240.0
+
+
+def test_islands_from_the_caller(small_model):
+    index = build_network_index(small_model)
+    board = LineStatusBoard(index, {"UL1": "OPEN"})
+    state = solve_powerflow(index, SMALL_LOADS, board.statuses, energized=board.energized())
+    assert state.energized is board.energized()
+    assert state.voltages == solve_powerflow(index, SMALL_LOADS, {"UL1": "OPEN"}).voltages
+
+
+def test_merged_meters_report_their_supernode(small_model):
+    index = build_network_index(small_model)
+    tree = index.tree
+    assert tree.names == ["n1", "n2", "tn1", "tn2"]
+    assert tree.parent == [-1, 0, 0, 1]
+    assert tree.edge == ["", "UL1", "T1", "T2"]
+    assert tree.ratio == [1.0, 1.0, 30.0, 30.0]
+    assert tree.position["tm3"] == tree.position["tm4"] == tree.position["tn2"] == 3
+    state = solve_powerflow(index, SMALL_LOADS)
+    assert state.voltages["tm3"] == state.voltages["tm4"] == state.voltages["tn2"]
+    assert list(state.voltages) == index.order
+    assert list(state.currents) == list(index.edges_by_name)
+    assert state.currents["parent:tm3"] == 0j
+
+
+def test_divergence_names_the_worst_node():
+    index = build_network_index(parse_scenario(TWO_BUS))
+    with pytest.raises(SolverDivergence) as err:
+        solve_powerflow(index, [LoadInjection("b", complex(1e9, 0.0))])
+    assert err.value.node == "b"
+    assert "worst at b" in str(err.value)

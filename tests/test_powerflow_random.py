@@ -1,0 +1,89 @@
+"""Randomized oracle checks on generated radial feeders.
+
+Hypothesis draws radial trees of lines, transformers (ratio != 1) and
+zero-impedance `parent:` links, with random loads and solar injections.
+The compiled sweep must agree with the dense nodal solve at every node,
+merged nodes included, and the islanding must agree with undirected
+reachability for random OPEN/CLOSED statuses.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_powerflow_oracle, reachability_oracle
+
+from tesgrid.glm import parse_scenario
+from tesgrid.network import build_network_index, compute_islands
+from tesgrid.powerflow import LoadInjection, solve_powerflow
+
+SOURCE_VOLTS = 7200.0
+BASE_VA = 100e3  # impedances and loads are drawn per unit of this base
+LINES = ("overhead_line", "underground_line")
+
+
+@st.composite
+def radial_feeders(draw):
+    """(scenario text, node names, nominal volts, loads, line names)."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    nodes = [f"n{i}" for i in range(n)]
+    nominal = [SOURCE_VOLTS]
+    objects = [f"object node {{ name n0; bustype SWING; nominal_voltage {SOURCE_VOLTS} V; }}"]
+    lines = []
+    for i in range(1, n):
+        up = draw(st.integers(min_value=0, max_value=i - 1))
+        kind = draw(st.sampled_from(LINES + ("transformer", "parent")))
+        ratio = draw(st.sampled_from([0.5, 2.0, 4.0, 30.0]))
+        if kind == "transformer" and not 100.0 <= nominal[up] / ratio <= 20000.0:
+            kind = LINES[0]  # keep every voltage level in a sane range
+        volts = nominal[up] / ratio if kind == "transformer" else nominal[up]
+        nominal.append(volts)
+        if kind == "parent":
+            objects.append(f"object meter {{ name n{i}; parent n{up}; }}")
+            continue
+        objects.append(f"object node {{ name n{i}; }}")
+        r = draw(st.floats(min_value=1e-3, max_value=1e-2))
+        x = draw(st.floats(min_value=1e-3, max_value=2e-2))
+        scale = volts * volts / BASE_VA
+        impedance = f"{r * scale:.10f}+{x * scale:.10f}j Ohm"
+        if kind == "transformer":
+            objects.append(
+                f"object transformer {{ name e{i}; from n{up}; to n{i}; ratio {ratio}; "
+                f"impedance {impedance}; }}"
+            )
+        else:
+            objects.append(
+                f"object {kind} {{ name e{i}; from n{up}; to n{i}; impedance {impedance}; }}"
+            )
+            lines.append(f"e{i}")
+    loads = []
+    for i in range(1, n):
+        # up to 3% of the base per node; negative values are solar injections
+        p = draw(st.floats(min_value=-0.01, max_value=0.03))
+        q = draw(st.floats(min_value=0.0, max_value=0.01))
+        if p or q:
+            loads.append(LoadInjection(nodes[i], complex(p, q) * BASE_VA))
+    return "\n".join(objects) + "\n", nodes, nominal, loads, lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_feeders())
+def test_compiled_sweep_matches_dense_oracle(feeder):
+    text, nodes, nominal, loads, _ = feeder
+    index = build_network_index(parse_scenario(text))
+    state = solve_powerflow(index, loads)
+    oracle = dense_powerflow_oracle(index, loads)
+    assert set(state.voltages) == set(nodes)
+    for i, node in enumerate(nodes):
+        assert index.nominal_volts[node] == nominal[i]
+        assert abs(state.voltages[node] - oracle[node]) / nominal[i] < 1e-6
+    assert state.power_mismatch_pu() < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_feeders(), st.data())
+def test_islands_match_reachability(feeder, data):
+    text, _, _, _, lines = feeder
+    index = build_network_index(parse_scenario(text))
+    statuses = {
+        name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines
+    }
+    assert compute_islands(index, statuses) == reachability_oracle(index, statuses)
