@@ -14,8 +14,10 @@ repeats.  Every applied event lands in an audit log.
 
 from __future__ import annotations
 
+import cmath
 import heapq
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .attack import CompiledAttack, compile_attack
@@ -32,9 +34,9 @@ from .market import (
     SellerAgent,
     seller_bids,
 )
-from .model import ScenarioModel, Schedule, Value
+from .model import EDGE_CLASSES, ScenarioModel, Schedule, Value
 from .network import build_network_index
-from .powerflow import LineStatusBoard, LoadInjection, solve_powerflow
+from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
     RecorderTable,
     WeatherSeries,
@@ -42,8 +44,28 @@ from .recorder import (
     read_player,
     read_weather,
 )
+from .validate import RECORDABLE
 
-import os
+DEENERGIZED = "DEENERGIZED"
+
+# Recorder reads that need only the object read, per property.
+_AUCTION_READS = {
+    "clearing_price": lambda market: market.last_clearing.price,
+    "cleared_quantity": lambda market: market.last_clearing.quantity,
+    "bid_count_buy": lambda market: market.last_bid_counts[0],
+    "bid_count_sell": lambda market: market.last_bid_counts[1],
+    "p_avg": lambda market: market.p_avg,
+    "p_std": lambda market: market.p_std,
+}
+_HOUSE_READS = {
+    "air_temperature": lambda house: house.t_in,
+    "cooling_setpoint": lambda house: house.t_set,
+    "hvac_mode": lambda house: house.mode,
+}
+_FEEDER_READS = {
+    "losses_kw": lambda state: state.loss_power_va.real / 1000.0,
+    "source_power_kw": lambda state: state.source_power_va.real / 1000.0,
+}
 
 
 @dataclass(frozen=True)
@@ -255,6 +277,15 @@ class Engine:
             c.house for ctls in self.controllers.values() for c in ctls
         }
 
+        # each load with the node it draws from, in model order; the
+        # per-step loops below walk these lists and nothing else
+        self._house_at = [(house, self.house_node[name]) for name, house in self.houses.items()]
+        self._uncontrolled_at = [
+            (house, node) for house, node in self._house_at if house.name not in self.controlled_houses
+        ]
+        self._appliance_at = [(app, app.node) for app in self.appliances.values()]
+        self._panel_at = [(panel, panel.node) for panel in self.solars.values()]
+
         # auxiliary bidders: one per seller (replication) and one per
         # controller (one-period-delayed estimation)
         self.seller_abs: dict[str, list[AuxiliaryBidder]] = {}
@@ -292,6 +323,12 @@ class Engine:
         self._pf_solves = 0
         self._pf_max_iterations = 0
         self._pf_worst_mismatch = 0.0
+
+        self._readers = {
+            (cfg.target, prop): self._bind_reader(names, cfg.target, prop)
+            for cfg in model.recorders
+            for prop in cfg.properties
+        }
 
     # -- event application --------------------------------------------------
 
@@ -375,22 +412,22 @@ class Engine:
         if first:
             return
         energized = self.board.energized()
-        for house in self.houses.values():
-            step_house(house, t_out, dt, powered=energized[self.house_node[house.name]])
+        for house, node in self._house_at:
+            step_house(house, t_out, dt, powered=energized[node])
 
     def _unresponsive_kw(self, t: datetime) -> float:
         """Appliances, uncontrolled HVAC, minus solar, over energized nodes."""
         energized = self.board.energized()
         total = 0.0
-        for app in self.appliances.values():
-            if energized[app.node]:
+        for app, node in self._appliance_at:
+            if energized[node]:
                 total += app.power_kw
-        for house in self.houses.values():
-            if house.name not in self.controlled_houses and energized[self.house_node[house.name]]:
+        for house, node in self._uncontrolled_at:
+            if energized[node]:
                 total += hvac_power(house)
         _, irradiance = self.weather.sample(t)
-        for panel in self.solars.values():
-            if energized[panel.node]:
+        for panel, node in self._panel_at:
+            if energized[node]:
                 total -= solar_output(panel.rating_kw, panel.efficiency, irradiance)
         return max(total, 0.0)
 
@@ -466,32 +503,31 @@ class Engine:
             if offset % market.period_seconds == 0:
                 self._market_round(market_name, t)
 
-    def build_load_injections(self, t: datetime) -> tuple[list[LoadInjection], dict]:
-        """Constant-power injections per node plus feeder totals (kW)."""
+    def build_load_injections(self, t: datetime) -> tuple[list[tuple[str, complex]], dict]:
+        """Constant-power (node, power_va) pairs plus feeder totals (kW).
+
+        Per node: houses, then appliances, then minus solar, summed in kW
+        before the scaling to VA; nodes come in the order first seen.
+        """
         energized = self.board.energized()
         per_node: dict[str, float] = {}
-        totals = {"load": 0.0, "hvac": 0.0}
-        for house in self.houses.values():
-            node = self.house_node[house.name]
-            if not energized[node]:
-                continue
-            kw = hvac_power(house)
-            per_node[node] = per_node.get(node, 0.0) + kw
-            totals["hvac"] += kw
-        for app in self.appliances.values():
-            if energized[app.node]:
-                per_node[app.node] = per_node.get(app.node, 0.0) + app.power_kw
+        hvac = 0.0
+        for house, node in self._house_at:
+            if energized[node]:
+                kw = hvac_power(house)
+                per_node[node] = per_node.get(node, 0.0) + kw
+                hvac += kw
+        for app, node in self._appliance_at:
+            if energized[node]:
+                per_node[node] = per_node.get(node, 0.0) + app.power_kw
         _, irradiance = self.weather.sample(t)
-        for panel in self.solars.values():
-            if energized[panel.node]:
-                per_node[panel.node] = per_node.get(panel.node, 0.0) - solar_output(
+        for panel, node in self._panel_at:
+            if energized[node]:
+                per_node[node] = per_node.get(node, 0.0) - solar_output(
                     panel.rating_kw, panel.efficiency, irradiance
                 )
-        totals["load"] = sum(per_node.values())
-        injections = [
-            LoadInjection(node, complex(kw * 1000.0, 0.0)) for node, kw in per_node.items()
-        ]
-        return injections, totals
+        totals = {"load": sum(per_node.values()), "hvac": hvac}
+        return [(node, complex(kw * 1000.0, 0.0)) for node, kw in per_node.items()], totals
 
     def _phase_powerflow(self, t: datetime) -> dict:
         injections, totals = self.build_load_injections(t)
@@ -511,92 +547,99 @@ class Engine:
     # -- recording ----------------------------------------------------------
 
     def read_property(self, target: str, prop: str, totals: dict):
-        """Recorder getter; returns (value, flag)."""
-        names = self.model.by_name()
-        obj = names[target]
-        energized = self.board.energized()
-        state = self.network_state
+        """Recorder getter for a recorded (target, property); returns (value, flag)."""
+        return self._readers[target, prop](totals)
 
-        if obj.cls == "auction":
-            market = self.markets[target]
-            value = {
-                "clearing_price": market.last_clearing.price,
-                "cleared_quantity": market.last_clearing.quantity,
-                "bid_count_buy": market.last_bid_counts[0],
-                "bid_count_sell": market.last_bid_counts[1],
-                "p_avg": market.p_avg,
-                "p_std": market.p_std,
-            }[prop]
-            return value, ""
+    def _bind_reader(self, names: dict, target: str, prop: str):
+        """Resolve one recorded (target, property) to a closure over the
+        object it reads.  The closure takes the step's feeder totals and
+        returns (value, flag) from the live run state."""
+        obj = names.get(target)
+        if obj is None:
+            raise UnknownTarget(target)
+        if prop not in RECORDABLE.get(obj.cls, ()):
+            raise UnknownProperty(f"{target}.{prop}")
+        live = self.board.energized  # called per read: switching replaces the islands
+        cls = obj.cls
 
-        if obj.cls == "house":
-            node = self.house_node[target]
-            house = self.houses[target]
-            dead = not energized[node]
-            if prop == "air_temperature":
-                return house.t_in, "DEENERGIZED" if dead else ""
-            if prop == "cooling_setpoint":
-                return house.t_set, "DEENERGIZED" if dead else ""
-            if prop == "hvac_mode":
-                return house.mode, "DEENERGIZED" if dead else ""
+        if cls == "auction":
+            market, get = self.markets[target], _AUCTION_READS.get(prop)
+            if get is not None:
+                return lambda totals: (get(market), "")
+        elif cls == "house":
+            house, node = self.houses[target], self.house_node[target]
             if prop == "hvac_load_kw":
-                return (0.0 if dead else hvac_power(house)), "DEENERGIZED" if dead else ""
-
-        if obj.cls in ("zipload", "waterheater"):
+                return lambda totals: (hvac_power(house), "") if live()[node] else (0.0, DEENERGIZED)
+            get = _HOUSE_READS.get(prop)
+            if get is not None:
+                return lambda totals: (get(house), "" if live()[node] else DEENERGIZED)
+        elif cls in ("zipload", "waterheater"):
             app = self.appliances[target]
-            dead = not energized[app.node]
-            return (0.0 if dead else app.power_kw), "DEENERGIZED" if dead else ""
-
-        if obj.cls == "solar":
+            return lambda totals: (app.power_kw, "") if live()[app.node] else (0.0, DEENERGIZED)
+        elif cls == "solar":
             panel = self.solars[target]
-            dead = not energized[panel.node]
-            _, irradiance = self.weather.sample(self._now)
-            value = 0.0 if dead else solar_output(panel.rating_kw, panel.efficiency, irradiance)
-            return value, "DEENERGIZED" if dead else ""
-
-        if target in self.index.edges_by_name:
-            edge = self.index.edges_by_name[target]
+            return lambda totals: (self._solar_kw(panel), "") if live()[panel.node] else (0.0, DEENERGIZED)
+        elif cls in EDGE_CLASSES:
             if prop == "status":
-                return self.board.statuses.get(target, "CLOSED"), ""
+                statuses = self.board.statuses
+                return lambda totals: (statuses.get(target, "CLOSED"), "")
             if prop == "current_mag":
-                return abs(state.currents[target]) if state else 0.0, ""
-
-        if target in self.index.order:
-            dead = not energized[target]
-            flag = "DEENERGIZED" if dead else ""
-            if prop == "voltage_mag":
-                return (abs(state.voltages[target]) if state and not dead else 0.0), flag
-            if prop == "voltage_ang":
-                import cmath
-
-                v = state.voltages[target] if state else 0j
-                return (0.0 if dead or v == 0 else cmath.phase(v) * 180.0 / 3.141592653589793), flag
-            if prop == "energized":
-                return (not dead), ""
-            if prop == "measured_power_kw":
-                if dead:
-                    return 0.0, flag
-                total = 0.0
-                _, irradiance = self.weather.sample(self._now)
-                for attached in self.index.attachments[target]:
-                    if attached in self.houses:
-                        total += hvac_power(self.houses[attached])
-                    elif attached in self.appliances:
-                        total += self.appliances[attached].power_kw
-                    elif attached in self.solars:
-                        panel = self.solars[attached]
-                        total -= solar_output(panel.rating_kw, panel.efficiency, irradiance)
-                return total, flag
-            if prop == "total_load_kw":
-                return totals.get("load", 0.0), ""
-            if prop == "total_hvac_kw":
-                return totals.get("hvac", 0.0), ""
-            if prop == "losses_kw":
-                return (state.loss_power_va.real / 1000.0 if state else 0.0), ""
-            if prop == "source_power_kw":
-                return (state.source_power_va.real / 1000.0 if state else 0.0), ""
-
+                def current_mag(totals):
+                    state = self.network_state
+                    return (abs(state.currents[target]) if state else 0.0), ""
+                return current_mag
+        elif target in self.index.depth:
+            return self._bind_node_reader(target, prop, live)
         raise UnknownProperty(f"{target}.{prop}")
+
+    def _bind_node_reader(self, node: str, prop: str, live):
+        if prop == "voltage_mag":
+            def voltage_mag(totals):
+                if not live()[node]:
+                    return 0.0, DEENERGIZED
+                state = self.network_state
+                return (abs(state.voltages[node]) if state else 0.0), ""
+            return voltage_mag
+        if prop == "voltage_ang":
+            def voltage_ang(totals):
+                if not live()[node]:
+                    return 0.0, DEENERGIZED
+                v = self.network_state.voltages[node] if self.network_state else 0j
+                return (0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi), ""
+            return voltage_ang
+        if prop == "energized":
+            return lambda totals: (live()[node], "")
+        if prop == "measured_power_kw":
+            # signed kW of each attached load, in attachment order
+            terms = []
+            for name in self.index.attachments[node]:
+                if name in self.houses:
+                    terms.append(lambda house=self.houses[name]: hvac_power(house))
+                elif name in self.appliances:
+                    terms.append(lambda app=self.appliances[name]: app.power_kw)
+                elif name in self.solars:
+                    terms.append(lambda panel=self.solars[name]: -self._solar_kw(panel))
+
+            def measured_power_kw(totals):
+                if not live()[node]:
+                    return 0.0, DEENERGIZED
+                total = 0.0
+                for term in terms:
+                    total += term()
+                return total, ""
+            return measured_power_kw
+        if prop == "total_load_kw":
+            return lambda totals: (totals.get("load", 0.0), "")
+        if prop == "total_hvac_kw":
+            return lambda totals: (totals.get("hvac", 0.0), "")
+        get = _FEEDER_READS.get(prop)
+        if get is not None:
+            return lambda totals: (get(self.network_state) if self.network_state else 0.0, "")
+        raise UnknownProperty(f"{node}.{prop}")
+
+    def _solar_kw(self, panel: _Solar) -> float:
+        _, irradiance = self.weather.sample(self._now)
+        return solar_output(panel.rating_kw, panel.efficiency, irradiance)
 
     # -- main loop ----------------------------------------------------------
 
@@ -613,6 +656,7 @@ class Engine:
                 cfg.name, cfg.file, ["time"] + cfg.properties + ["flags"]
             )
 
+        markets = list(self.markets.values()) + list(self.aux_markets.values())
         max_price = 0.0
         complete = True
         divergence = None
@@ -644,7 +688,7 @@ class Engine:
                             flags.append(flag)
                     tables[cfg.name].append(t, values, "|".join(sorted(set(flags))))
             executed_steps = k
-            for market in list(self.markets.values()) + list(self.aux_markets.values()):
+            for market in markets:
                 max_price = max(max_price, market.last_clearing.price)
 
         summary = {

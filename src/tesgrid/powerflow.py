@@ -26,7 +26,9 @@ scope.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotSwitchable, SolverDivergence
 from .network import NetworkIndex, compute_islands
@@ -37,8 +39,7 @@ MAX_ITERATIONS = 50
 SYSTEM_BASE_VA = 100e3  # per-unit base for power-balance accounting
 
 
-@dataclass(frozen=True)
-class LoadInjection:
+class LoadInjection(NamedTuple):
     node: str
     power_va: complex  # positive consumption, negative injection (solar)
 
@@ -96,7 +97,7 @@ class LineStatusBoard:
 
 def solve_powerflow(
     index: NetworkIndex,
-    loads: list[LoadInjection],
+    loads: Iterable[tuple[str, complex]],
     statuses: dict[str, str] | None = None,
     tolerance_pu: float = _INTERNAL_TOLERANCE_PU,
     max_iterations: int = MAX_ITERATIONS,
@@ -104,6 +105,11 @@ def solve_powerflow(
     start: NetworkState | None = None,
 ) -> NetworkState:
     """Sweep until the largest per-supernode voltage change is below tolerance.
+
+    `loads` is any iterable of (node, power_va) pairs, such as
+    `LoadInjection`s or plain tuples; power_va is positive for
+    consumption and negative for injection (solar).  Pairs on one
+    supernode add up in the order given; pairs on a dead node are ignored.
 
     `energized` is the islanding of `statuses` when the caller already has
     it (a LineStatusBoard caches it); otherwise it is computed here.
@@ -123,10 +129,11 @@ def solve_powerflow(
     live = [energized[name] for name in names]
 
     demand = [0j] * n
-    for load in loads:
-        s = tree.position[load.node]
+    position = tree.position
+    for node, power_va in loads:
+        s = position[node]
         if live[s]:
-            demand[s] += load.power_va
+            demand[s] += power_va
 
     # warm start from `start` where the node was live there; otherwise
     # flat at nominal magnitude, zero angle

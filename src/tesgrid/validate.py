@@ -17,6 +17,7 @@ from .model import (
     GridObject,
     ScenarioModel,
     ValidationReport,
+    Value,
 )
 
 # Recorder-visible properties per class (checked at configuration time).
@@ -64,6 +65,32 @@ SETTABLE = {
     "fuse": {"status"},
 }
 
+NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
+LINE_STATUSES = ("OPEN", "CLOSED")
+
+
+def _value_problem(prop: str, kind: str, value: Value) -> tuple[str, str] | None:
+    """(code, message) when `value` cannot be property `prop` of schema
+    kind `kind`; None when it can."""
+    if kind in NUMERIC_KINDS:
+        if kind == "IMPEDANCE":
+            if value.kind not in ("NUMBER", "COMPLEX"):
+                return "BAD_VALUE", f"property '{prop}' must be numeric"
+        elif value.kind != "NUMBER":
+            return "BAD_VALUE", f"property '{prop}' must be a real number"
+        if value.unit is not None and (kind == "number" or UNIT_TABLE[value.unit][0] != kind):
+            return "BAD_UNIT", f"property '{prop}' has unit {value.unit}, expected {kind}"
+    elif prop == "status" and value.value not in LINE_STATUSES:
+        return "BAD_VALUE", "property 'status' must be OPEN or CLOSED"
+    return None
+
+
+def _number(obj: GridObject, prop: str) -> float | None:
+    """Canonical value of a real-number property; None when it is absent
+    or not a number (`_check_objects` reports the latter)."""
+    v = obj.properties.get(prop)
+    return v.canonical() if v is not None and v.kind == "NUMBER" else None
+
 
 def _check_objects(model: ScenarioModel, errors, warnings):
     seen: dict[str, GridObject] = {}
@@ -84,17 +111,9 @@ def _check_objects(model: ScenarioModel, errors, warnings):
             if spec is None:
                 warnings.append(Diagnostic(loc, "UNKNOWN_PROP", f"property '{prop}' not known for class {obj.cls}"))
                 continue
-            kind = spec[0]
-            if kind in ("VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"):
-                if value.kind not in ("NUMBER", "COMPLEX"):
-                    errors.append(Diagnostic(loc, "BAD_VALUE", f"property '{prop}' must be numeric"))
-                elif value.unit is not None:
-                    unit_class = UNIT_TABLE[value.unit][0]
-                    want = kind if kind != "number" else None
-                    if want is None or unit_class != want:
-                        errors.append(
-                            Diagnostic(loc, "BAD_UNIT", f"property '{prop}' has unit {value.unit}, expected {kind}")
-                        )
+            problem = _value_problem(prop, spec[0], value)
+            if problem is not None:
+                errors.append(Diagnostic(loc, *problem))
 
 
 def _check_refs(model: ScenarioModel, errors):
@@ -215,26 +234,42 @@ def _check_attachments(model: ScenarioModel, errors):
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
                 errors.append(Diagnostic(loc, "BAD_REF", "controller 'market' must reference an auction"))
-            t_min, t_base, t_max = obj.get("t_min"), obj.get("t_base"), obj.get("t_max")
+            t_min, t_base, t_max = _number(obj, "t_min"), _number(obj, "t_base"), _number(obj, "t_max")
             if None not in (t_min, t_base, t_max) and not (t_min < t_base < t_max):
                 errors.append(Diagnostic(loc, "BAD_RANGE", "require t_min < t_base < t_max"))
-            k = obj.get("k_ramp")
+            k = _number(obj, "k_ramp")
             if k is not None and k <= 0:
                 errors.append(Diagnostic(loc, "BAD_RANGE", "k_ramp must be positive"))
         elif obj.cls == "generator_seller":
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
                 errors.append(Diagnostic(loc, "BAD_REF", "seller 'market' must reference an auction"))
+            capacity = _number(obj, "capacity")
+            if capacity is not None and capacity < 0:
+                errors.append(Diagnostic(loc, "BAD_RANGE", "capacity must be nonnegative"))
+        elif obj.cls == "solar":
+            rating = _number(obj, "rating")
+            if rating is not None and rating < 0:
+                errors.append(Diagnostic(loc, "BAD_RANGE", "rating must be nonnegative"))
         elif obj.cls == "auction":
-            cap = obj.get("price_cap")
+            cap = _number(obj, "price_cap")
             if cap is not None and cap <= 0:
                 errors.append(Diagnostic(loc, "BAD_RANGE", "price_cap must be positive"))
+            # a round runs when the period divides the offset since start
+            period, clock = _number(obj, "period"), model.clock
+            if period is not None and (period <= 0 or (clock is not None and period % clock.timestep != 0)):
+                errors.append(
+                    Diagnostic(loc, "BAD_PERIOD", "period must be a positive multiple of the clock timestep")
+                )
     for obj in model.of_class("house"):
         loc = obj.name or f"<house@{obj.line}>"
         for prop in ("thermal_capacitance", "ua", "deadband"):
-            v = obj.get(prop)
+            v = _number(obj, prop)
             if v is not None and v <= 0:
                 errors.append(Diagnostic(loc, "BAD_RANGE", f"{prop} must be positive"))
+        rating = _number(obj, "hvac_rating")
+        if rating is not None and rating < 0:
+            errors.append(Diagnostic(loc, "BAD_RANGE", "hvac_rating must be nonnegative"))
 
 
 def _check_blocks(model: ScenarioModel, errors):
@@ -257,10 +292,17 @@ def _check_blocks(model: ScenarioModel, errors):
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat period must be positive"))
         for e in sched.entries:
             target = names.get(e.target)
-            if target is not None and e.prop not in SETTABLE.get(target.cls, set()):
+            if target is None:
+                continue
+            if e.prop not in SETTABLE.get(target.cls, set()):
                 errors.append(
                     Diagnostic(sched.name, "UNKNOWN_PROPERTY", f"'{e.prop}' is not settable on {target.cls}")
                 )
+                continue
+            problem = _value_problem(e.prop, CLASS_SCHEMA[target.cls][e.prop][0], e.value)
+            if problem is not None:
+                code, message = problem
+                errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
     for a in model.attacks:
         if a.start >= a.end:
             errors.append(Diagnostic(a.name, "EMPTY_WINDOW", "attack window is empty"))
@@ -289,8 +331,14 @@ def _check_blocks(model: ScenarioModel, errors):
                     )
     for p in model.players:
         target = names.get(p.target)
-        if target is not None and p.prop not in SETTABLE.get(target.cls, set()):
+        if target is None:
+            continue
+        if p.prop not in SETTABLE.get(target.cls, set()):
             errors.append(Diagnostic(p.name, "UNKNOWN_PROPERTY", f"'{p.prop}' is not settable on {target.cls}"))
+        elif CLASS_SCHEMA[target.cls][p.prop][0] not in NUMERIC_KINDS:
+            errors.append(
+                Diagnostic(p.name, "BAD_VALUE", f"players yield numbers; '{p.prop}' is not numeric on {target.cls}")
+            )
 
 
 def validate(model: ScenarioModel) -> ValidationReport:

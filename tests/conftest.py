@@ -24,3 +24,27 @@ def small_text() -> str:
 @pytest.fixture()
 def small_model(small_text):
     return parse_scenario(small_text)
+
+
+# Edits of feeder_small.glm that validate must reject, each with the code
+# it reports.  Without the check each one either ran quietly wrong or
+# crashed the run with a traceback.
+UNRUNNABLE_EDITS = {
+    "schedule_bad_status": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" UL1 status BROKEN; }\n', "BAD_VALUE"),
+    "schedule_word_setpoint": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" h1 cooling_setpoint hot; }\n', "BAD_VALUE"),
+    "player_on_line_status": (
+        lambda t: t + "player { name p; target UL1; property status; file status.csv; }\n", "BAD_VALUE"),
+    "object_bad_status": (lambda t: t.replace("status CLOSED;", "status BROKEN;"), "BAD_VALUE"),
+    "complex_hvac_rating": (
+        lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating 1+2j kW;", 1), "BAD_VALUE"),
+    "period_not_timestep_multiple": (lambda t: t.replace("period 300 s;", "period 90 s;"), "BAD_PERIOD"),
+    "zero_period": (lambda t: t.replace("period 300 s;", "period 0 s;"), "BAD_PERIOD"),
+    "negative_seller_capacity": (
+        lambda t: t.replace("capacity 50 kW;", "capacity -50 kW;"), "BAD_RANGE"),
+    "negative_hvac_rating": (
+        lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating -1 kW;", 1), "BAD_RANGE"),
+    "negative_solar_rating": (
+        lambda t: t.replace("rating 1 kW;\n    efficiency", "rating -1 kW;\n    efficiency"), "BAD_RANGE"),
+}

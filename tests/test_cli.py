@@ -3,7 +3,8 @@
 import os
 import shutil
 
-from conftest import fixture_path
+import pytest
+from conftest import UNRUNNABLE_EDITS, fixture_path
 
 from tesgrid.cli import main
 from tesgrid.feedergen import gen_feeder, gen_weather
@@ -99,3 +100,14 @@ def test_generated_feeder_end_to_end(tmp_path):
     assert main(["run", str(out / "feeder.glm"), "--out", str(run_out)]) == 0
     assert os.path.exists(run_out / "market.csv")
     assert os.path.exists(run_out / "feeder.csv")
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_EDITS))
+def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
+    edit, code = UNRUNNABLE_EDITS[case]
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(edit(fh.read()))
+    (tmp_path / "status.csv").write_text("time,value\n2013-07-01 00:00:00,1\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert code in capsys.readouterr().err

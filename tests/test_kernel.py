@@ -7,12 +7,12 @@ from datetime import datetime, timedelta
 import pytest
 from conftest import load_fixture
 
-from tesgrid.errors import NotSwitchable, UnknownProperty
+from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine, Event, EventQueue, build_event_list
-from tesgrid.model import AttackConfig
+from tesgrid.model import AttackConfig, RecorderConfig
 from tesgrid.recorder import write_results
-from tesgrid.validate import validate
+from tesgrid.validate import RECORDABLE, validate
 
 START = datetime(2013, 7, 1, 0, 0, 0)
 
@@ -206,3 +206,67 @@ def test_market_attack_under_direct_topology_rejected(small_text):
     from tesgrid.errors import ConfigError
     with pytest.raises(ConfigError):
         Engine(model, topology="direct")
+
+
+# feeder_small plus one object of each recordable class it lacks
+EVERY_CLASS = """
+object meter { name m1; parent n2; }
+object overhead_line { name OL1; from n2; to n3; impedance 0.2+0.4j Ohm; }
+object node { name n3; nominal_voltage 7200 V; }
+object switch { name SW1; from n3; to n4; }
+object node { name n4; nominal_voltage 7200 V; }
+object fuse { name F1; from n4; to n5; }
+object node { name n5; nominal_voltage 7200 V; }
+"""
+
+
+def test_every_recordable_property_binds(small_text):
+    model = parse_scenario(small_text + EVERY_CLASS)
+    model.recorders = []
+    for cls, props in sorted(RECORDABLE.items()):
+        target = next(o.name for o in model.objects if o.cls == cls)
+        model.recorders.append(RecorderConfig(f"rec_{cls}", target, sorted(props), 60, f"{cls}.csv"))
+    assert validate(model).runnable
+    engine = Engine(model)
+    result = engine.run()
+    assert result.complete
+    for cfg in model.recorders:
+        rows = result.tables[cfg.name].rows
+        assert len(rows) == 61 and all(len(r) == len(cfg.properties) + 2 for r in rows)
+    # readers see the live state: the last row matches the house now
+    table = result.tables["rec_house"]
+    last = dict(zip(table.header, table.rows[-1]))
+    house = engine.houses["h1"]
+    assert float(last["air_temperature"]) == pytest.approx(house.t_in, rel=1e-5)
+    assert last["hvac_mode"] == house.mode
+
+
+@pytest.mark.parametrize(
+    "target, prop",
+    [("z1", "paint_color"), ("z1", "base_power"), ("s1", "rating"), ("T1", "status"),
+     ("tm3", "total_load_kw"), ("h1", "voltage_mag")],
+)
+def test_unbindable_recorder_fails_at_construction(small_text, target, prop):
+    model = parse_scenario(small_text)
+    model.recorders.append(RecorderConfig("bad", target, [prop], 60, "bad.csv"))
+    with pytest.raises(UnknownProperty):
+        Engine(model)
+
+
+def test_recorder_on_missing_target_fails_at_construction(small_text):
+    model = parse_scenario(small_text)
+    model.recorders.append(RecorderConfig("bad", "nowhere", ["voltage_mag"], 60, "bad.csv"))
+    with pytest.raises(UnknownTarget):
+        Engine(model)
+
+
+def test_load_injections_are_plain_pairs(small_text):
+    engine, _ = run_small(small_text)
+    injections, totals = engine.build_load_injections(engine.clock.stop)
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in injections)
+    assert [node for node, _ in injections] == ["tm1", "tm2", "tm3", "tm4"]
+    per_node = dict(injections)
+    # tm3 carries house h3 (1 kW, cooling all hour) and zipload z1 (1.2 kW)
+    assert engine.houses["h3"].mode == "COOL"
+    assert per_node["tm3"] == complex(2200.0, 0.0)
+    assert totals["load"] == pytest.approx(sum(p.real for p in per_node.values()) / 1000.0)

@@ -206,3 +206,10 @@ def test_divergence_names_the_worst_node():
         solve_powerflow(index, [LoadInjection("b", complex(1e9, 0.0))])
     assert err.value.node == "b"
     assert "worst at b" in str(err.value)
+
+
+def test_plain_pairs_solve_like_load_injections(small_model):
+    index = build_network_index(small_model)
+    named = solve_powerflow(index, SMALL_LOADS)
+    plain = solve_powerflow(index, iter([(load.node, load.power_va) for load in SMALL_LOADS]))
+    assert plain.voltages == named.voltages and plain.currents == named.currents

@@ -1,6 +1,9 @@
 """Validation-report tests: the fixture is clean, and each invariant
 violation produces the expected diagnostic without raising."""
 
+import pytest
+from conftest import UNRUNNABLE_EDITS
+
 from tesgrid.glm import parse_scenario
 from tesgrid.validate import validate
 
@@ -122,3 +125,36 @@ def test_report_is_deterministic(small_text):
     r1 = validate(parse_scenario(broken)).serialize()
     r2 = validate(parse_scenario(broken)).serialize()
     assert r1 == r2 and r1
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_EDITS))
+def test_rejects_what_the_engine_cannot_run(small_text, case):
+    edit, code = UNRUNNABLE_EDITS[case]
+    text = edit(small_text)
+    assert text != small_text
+    report = validate(parse_scenario(text))
+    assert not report.runnable
+    assert code in codes(report)
+
+
+def test_word_range_values_report_instead_of_raising(small_text):
+    text = small_text.replace("price_cap 0.63 $/kWh;", "price_cap high;")
+    report = validate(parse_scenario(text))
+    assert "BAD_VALUE" in codes(report)
+
+
+def test_schedule_value_unit_checked(small_text):
+    text = small_text + 'schedule { entry "2013-07-01 00:10:00" h1 cooling_setpoint 71 kW; }\n'
+    assert "BAD_UNIT" in codes(validate(parse_scenario(text)))
+
+
+def test_valid_schedule_values_pass(small_text):
+    text = small_text + (
+        'schedule {\n'
+        '  entry "2013-07-01 00:10:00" UL1 status OPEN;\n'
+        '  entry "2013-07-01 00:20:00" h1 cooling_setpoint 71 degF;\n'
+        '  entry "2013-07-01 00:30:00" z1 base_power 2 kW;\n'
+        '}\n'
+        "object auction { name A2; period 600 s; }\n"
+    )
+    assert validate(parse_scenario(text)).errors == []
