@@ -19,9 +19,10 @@ import heapq
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import Callable, NamedTuple
 
 from .attack import CompiledAttack, compile_attack
-from .errors import SolverDivergence, UnknownProperty, UnknownTarget
+from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownProperty, UnknownTarget
 from .loads import HouseState, hvac_power, init_mode, solar_output, step_house
 from .market import (
     DEFAULT_PRICE_CAP,
@@ -34,7 +35,7 @@ from .market import (
     SellerAgent,
     seller_bids,
 )
-from .model import EDGE_CLASSES, ScenarioModel, Schedule, Value
+from .model import EDGE_CLASSES, ScenarioModel, Schedule, Value, out_of_bounds
 from .network import build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
@@ -44,27 +45,185 @@ from .recorder import (
     read_player,
     read_weather,
 )
-from .validate import RECORDABLE
 
 DEENERGIZED = "DEENERGIZED"
 
-# Recorder reads that need only the object read, per property.
-_AUCTION_READS = {
-    "clearing_price": lambda market: market.last_clearing.price,
-    "cleared_quantity": lambda market: market.last_clearing.quantity,
-    "bid_count_buy": lambda market: market.last_bid_counts[0],
-    "bid_count_sell": lambda market: market.last_bid_counts[1],
-    "p_avg": lambda market: market.p_avg,
-    "p_std": lambda market: market.p_std,
+
+class Accessor(NamedTuple):
+    """How a run reads and sets one property of one class.
+
+    `read(engine, target)` binds the recorder read: a closure that takes the
+    step's feeder totals and returns (value, flag) from the live run state;
+    without it the property cannot be recorded.  `write(engine, target)`
+    binds the setter for schedules, players and attacks: a closure that
+    stores a value and returns the one it replaced."""
+
+    read: Callable | None = None
+    write: Callable | None = None
+
+
+def _attribute(objects: str, attr: str, cast=float):
+    """Setter of attribute `attr` of the engine's object `target` in `objects`."""
+    def bind(engine, target):
+        obj = getattr(engine, objects)[target]
+
+        def write(value):
+            old = getattr(obj, attr)
+            setattr(obj, attr, cast(value))
+            return old
+        return write
+    return bind
+
+
+def _market(get):
+    def bind(engine, target):
+        market = engine.markets[target]
+        return lambda totals: (get(market), "")
+    return bind
+
+
+def _house(attr: str):
+    """A house attribute, flagged while the house is unpowered."""
+    def bind(engine, target):
+        house, node, live = engine.houses[target], engine.index.attach_node[target], engine.board.energized
+        return lambda totals: (getattr(house, attr), "" if live()[node] else DEENERGIZED)
+    return bind
+
+
+def _hvac_load_kw(engine, target):
+    house, node, live = engine.houses[target], engine.index.attach_node[target], engine.board.energized
+    return lambda totals: (hvac_power(house), "") if live()[node] else (0.0, DEENERGIZED)
+
+
+def _appliance_kw(engine, target):
+    app, live = engine.appliances[target], engine.board.energized
+    return lambda totals: (app.power_kw, "") if live()[app.node] else (0.0, DEENERGIZED)
+
+
+def _panel_kw(engine, target):
+    panel, live = engine.solars[target], engine.board.energized
+    return lambda totals: (engine._solar_kw(panel), "") if live()[panel.node] else (0.0, DEENERGIZED)
+
+
+def _line_status(engine, target):
+    statuses = engine.board.statuses
+    return lambda totals: (statuses.get(target, "CLOSED"), "")
+
+
+def _set_line_status(engine, target):
+    return lambda value: engine.board.set(target, str(value))
+
+
+def _current_mag(engine, target):
+    def read(totals):
+        state = engine.network_state
+        return (abs(state.currents[target]) if state else 0.0), ""
+    return read
+
+
+def _voltage(angle: bool):
+    """A node's voltage magnitude, or angle in degrees; flagged while it is unpowered."""
+    def bind(engine, node):
+        live = engine.board.energized  # called per read: switching replaces the islands
+
+        def read(totals):
+            if not live()[node]:
+                return 0.0, DEENERGIZED
+            v = engine.network_state.voltages[node] if engine.network_state else 0j
+            if angle:
+                return (0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi), ""
+            return abs(v), ""
+        return read
+    return bind
+
+
+def _energized(engine, node):
+    live = engine.board.energized
+    return lambda totals: (live()[node], "")
+
+
+def _measured_power_kw(engine, node):
+    """Signed kW of each load attached to the node, in attachment order."""
+    live, terms = engine.board.energized, []
+    for name in engine.index.attachments[node]:
+        if name in engine.houses:
+            terms.append(lambda house=engine.houses[name]: hvac_power(house))
+        elif name in engine.appliances:
+            terms.append(lambda app=engine.appliances[name]: app.power_kw)
+        elif name in engine.solars:
+            terms.append(lambda panel=engine.solars[name]: -engine._solar_kw(panel))
+
+    def read(totals):
+        if not live()[node]:
+            return 0.0, DEENERGIZED
+        total = 0.0
+        for term in terms:
+            total += term()
+        return total, ""
+    return read
+
+
+def _total(key: str):
+    return lambda engine, node: lambda totals: (totals.get(key, 0.0), "")
+
+
+def _feeder(get):
+    def bind(engine, node):
+        return lambda totals: (get(engine.network_state) if engine.network_state else 0.0, "")
+    return bind
+
+
+_NODE = {
+    "voltage_mag": Accessor(_voltage(angle=False)),
+    "voltage_ang": Accessor(_voltage(angle=True)),
+    "energized": Accessor(_energized),
 }
-_HOUSE_READS = {
-    "air_temperature": lambda house: house.t_in,
-    "cooling_setpoint": lambda house: house.t_set,
-    "hvac_mode": lambda house: house.mode,
+_METER = {**_NODE, "measured_power_kw": Accessor(_measured_power_kw)}
+_APPLIANCE = {
+    "power_kw": Accessor(_appliance_kw),
+    "base_power": Accessor(write=_attribute("appliances", "power_kw")),
 }
-_FEEDER_READS = {
-    "losses_kw": lambda state: state.loss_power_va.real / 1000.0,
-    "source_power_kw": lambda state: state.source_power_va.real / 1000.0,
+_LINE = {"status": Accessor(_line_status, _set_line_status), "current_mag": Accessor(_current_mag)}
+
+# Every property a run can record or set, per class: the attack surface.
+# `validate` checks recorders, schedules and players against it.
+PROPERTIES: dict[str, dict[str, Accessor]] = {
+    "auction": {
+        "clearing_price": Accessor(_market(lambda market: market.last_clearing.price)),
+        "cleared_quantity": Accessor(_market(lambda market: market.last_clearing.quantity)),
+        "bid_count_buy": Accessor(_market(lambda market: market.last_bid_counts[0])),
+        "bid_count_sell": Accessor(_market(lambda market: market.last_bid_counts[1])),
+        "p_avg": Accessor(_market(lambda market: market.p_avg)),
+        "p_std": Accessor(_market(lambda market: market.p_std)),
+    },
+    "house": {
+        "air_temperature": Accessor(_house("t_in"), _attribute("houses", "t_in")),
+        "cooling_setpoint": Accessor(_house("t_set"), _attribute("houses", "t_set")),
+        "hvac_load_kw": Accessor(_hvac_load_kw),
+        "hvac_mode": Accessor(_house("mode")),
+        "deadband": Accessor(write=_attribute("houses", "deadband")),
+        "internal_gains": Accessor(write=_attribute("houses", "internal_gains")),
+    },
+    "meter": _METER,
+    "triplex_meter": _METER,
+    "triplex_node": _NODE,
+    "node": {
+        **_NODE,
+        "total_load_kw": Accessor(_total("load")),
+        "total_hvac_kw": Accessor(_total("hvac")),
+        "losses_kw": Accessor(_feeder(lambda state: state.loss_power_va.real / 1000.0)),
+        "source_power_kw": Accessor(_feeder(lambda state: state.source_power_va.real / 1000.0)),
+    },
+    "zipload": _APPLIANCE,
+    "waterheater": _APPLIANCE,
+    "solar": {"power_kw": Accessor(_panel_kw), "rating": Accessor(write=_attribute("solars", "rating_kw"))},
+    "underground_line": _LINE,
+    "overhead_line": _LINE,
+    "switch": _LINE,
+    "fuse": _LINE,
+    "transformer": {"current_mag": Accessor(_current_mag)},
+    # the pseudo-target `attack:NAME` that toggles a market attack's transform
+    "attack": {"active": Accessor(write=_attribute("transforms", "active", bool))},
 }
 
 
@@ -157,7 +316,6 @@ class SimulationResult:
 @dataclass
 class _Appliance:
     name: str
-    cls: str
     node: str
     power_kw: float
 
@@ -195,9 +353,7 @@ class Engine:
                     initial_statuses[obj.name] = str(obj.properties["status"].value)
         self.board = LineStatusBoard(self.index, initial_statuses)
 
-        names = model.by_name()
         self.houses: dict[str, HouseState] = {}
-        self.house_node: dict[str, str] = {}
         for obj in model.of_class("house"):
             house = HouseState(
                 name=obj.name,
@@ -212,12 +368,11 @@ class Engine:
             )
             init_mode(house)
             self.houses[obj.name] = house
-            self.house_node[obj.name] = self.index.attach_node[obj.name]
 
         self.appliances: dict[str, _Appliance] = {}
         for obj in model.of_class("zipload", "waterheater"):
             self.appliances[obj.name] = _Appliance(
-                obj.name, obj.cls, self.index.attach_node[obj.name], float(obj.get("base_power", 0.0))
+                obj.name, self.index.attach_node[obj.name], float(obj.get("base_power", 0.0))
             )
         self.solars: dict[str, _Solar] = {}
         for obj in model.of_class("solar"):
@@ -279,7 +434,7 @@ class Engine:
 
         # each load with the node it draws from, in model order; the
         # per-step loops below walk these lists and nothing else
-        self._house_at = [(house, self.house_node[name]) for name, house in self.houses.items()]
+        self._house_at = [(house, self.index.attach_node[name]) for name, house in self.houses.items()]
         self._uncontrolled_at = [
             (house, node) for house, node in self._house_at if house.name not in self.controlled_houses
         ]
@@ -287,17 +442,17 @@ class Engine:
         self._panel_at = [(panel, panel.node) for panel in self.solars.values()]
 
         # auxiliary bidders: one per seller (replication) and one per
-        # controller (one-period-delayed estimation)
+        # controller (one-period-delayed estimation), the latter by trader
         self.seller_abs: dict[str, list[AuxiliaryBidder]] = {}
-        self.buyer_abs: dict[str, list[AuxiliaryBidder]] = {}
+        self.buyer_abs: dict[str, dict[str, AuxiliaryBidder]] = {}
         if topology == "auxiliary":
             for market_name in self.markets:
                 self.seller_abs[market_name] = [
                     AuxiliaryBidder(a.name, "SELLER_SIDE") for a in self.sellers[market_name]
                 ]
-                self.buyer_abs[market_name] = [
-                    AuxiliaryBidder(c.name, "BUYER_SIDE") for c in self.controllers[market_name]
-                ]
+                self.buyer_abs[market_name] = {
+                    c.name: AuxiliaryBidder(c.name, "BUYER_SIDE") for c in self.controllers[market_name]
+                }
 
         seller_names = [a.name for agents in self.sellers.values() for a in agents]
         controller_names = [c.name for ctls in self.controllers.values() for c in ctls]
@@ -308,11 +463,29 @@ class Engine:
         self.transforms = {
             f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None
         }
+        self._price_overrides = [tr for tr in self.transforms.values() if tr.kind == "SELLER_PRICE_OVERRIDE"]
+        self._bid_scalers = [tr for tr in self.transforms.values() if tr.kind == "BUYER_BID_SCALE"]
 
+        # every (target, property) the run reads or sets, bound once here
+        self._classes = {name: obj.cls for name, obj in model.by_name().items()}
+        self._classes.update(dict.fromkeys(self.transforms, "attack"))
+        self._readers = {
+            (cfg.target, prop): self._bind(cfg.target, prop)
+            for cfg in model.recorders
+            for prop in cfg.properties
+        }
+        pairs = [(e.target, e.prop) for sched in model.schedules for e in sched.entries]
+        pairs += [(ev.target, ev.prop) for c in self.attacks for ev in c.events]
+        self._writers = {pair: self._bind(*pair, write=True) for pair in pairs}
         self.players = []
         for cfg in model.players:
+            write = self._bind(cfg.target, cfg.prop, write=True)
             series = read_player(os.path.join(base_dir, cfg.file))
-            self.players.append((cfg, series))
+            for _, value in series.rows:
+                problem = out_of_bounds(self._classes[cfg.target], cfg.prop, value)
+                if problem is not None:
+                    raise ConfigError(f"{cfg.name}: {cfg.file} holds {value:g}: {problem}")
+            self.players.append((cfg, series, write))
         if model.weather_source is not None:
             self.weather: WeatherSeries = read_weather(os.path.join(base_dir, model.weather_source))
         else:
@@ -324,88 +497,39 @@ class Engine:
         self._pf_max_iterations = 0
         self._pf_worst_mismatch = 0.0
 
-        self._readers = {
-            (cfg.target, prop): self._bind_reader(names, cfg.target, prop)
-            for cfg in model.recorders
-            for prop in cfg.properties
-        }
+    def _bind(self, target: str, prop: str, write: bool = False):
+        """Bind one (target, property) through `PROPERTIES`: its recorder
+        read, or with `write` its setter."""
+        cls = self._classes.get(target)
+        if cls is None:
+            raise UnknownTarget(target)
+        accessor = PROPERTIES.get(cls, {}).get(prop, Accessor())
+        bind = accessor.write if write else accessor.read
+        if bind is None:
+            if write and prop == "status" and cls in EDGE_CLASSES:
+                raise NotSwitchable(f"'{target}' is not a line, switch, or fuse")
+            raise UnknownProperty(f"{target}.{prop}")
+        return bind(self, target)
 
     # -- event application --------------------------------------------------
 
     def apply_event(self, event: Event) -> None:
         """Execute one property mutation; appends an audit record."""
-        old = self._set_property(event.target, event.prop, event.value)
-        self.audit.append(
-            AuditRow(event.time, event.target, event.prop, old, self._plain(event.value), event.origin)
-        )
-
-    @staticmethod
-    def _plain(value):
-        return value.canonical() if isinstance(value, Value) else value
-
-    def _set_property(self, target: str, prop: str, value):
-        value = self._plain(value)
-        if target in self.transforms:
-            transform = self.transforms[target]
-            if prop != "active":
-                raise UnknownProperty(f"{target}.{prop}")
-            old = transform.active
-            transform.active = bool(value)
-            return old
-        if target in self.index.edges_by_name and prop == "status":
-            old = self.board.statuses.get(target)
-            self.board.set(target, str(value))
-            return old
-        if target in self.houses:
-            house = self.houses[target]
-            attr = {
-                "cooling_setpoint": "t_set",
-                "air_temperature": "t_in",
-                "deadband": "deadband",
-                "internal_gains": "internal_gains",
-            }.get(prop)
-            if attr is None:
-                raise UnknownProperty(f"{target}.{prop}")
-            old = getattr(house, attr)
-            setattr(house, attr, float(value))
-            return old
-        if target in self.appliances and prop == "base_power":
-            old = self.appliances[target].power_kw
-            self.appliances[target].power_kw = float(value)
-            return old
-        if target in self.solars and prop == "rating":
-            old = self.solars[target].rating_kw
-            self.solars[target].rating_kw = float(value)
-            return old
-        if target not in self.model.by_name() and target not in self.transforms:
-            raise UnknownTarget(target)
-        raise UnknownProperty(f"{target}.{prop}")
+        write = self._writers.get((event.target, event.prop))
+        if write is None:  # an event queue built outside this engine
+            write = self._writers[event.target, event.prop] = self._bind(event.target, event.prop, write=True)
+        value = event.value.canonical() if isinstance(event.value, Value) else event.value
+        old = write(value)
+        self.audit.append(AuditRow(event.time, event.target, event.prop, old, value, event.origin))
 
     # -- per-step phases ----------------------------------------------------
 
     def _phase_players(self, t: datetime) -> None:
-        for cfg, series in self.players:
+        for cfg, series, write in self.players:
             value = series.sample(t)
-            current = self._peek_property(cfg.target, cfg.prop)
-            if current != value:
-                old = self._set_property(cfg.target, cfg.prop, value)
+            old = write(value)
+            if old != value:
                 self.audit.append(AuditRow(t, cfg.target, cfg.prop, old, value, "player"))
-
-    def _peek_property(self, target: str, prop: str):
-        if target in self.houses:
-            return {
-                "cooling_setpoint": self.houses[target].t_set,
-                "air_temperature": self.houses[target].t_in,
-                "deadband": self.houses[target].deadband,
-                "internal_gains": self.houses[target].internal_gains,
-            }.get(prop)
-        if target in self.appliances and prop == "base_power":
-            return self.appliances[target].power_kw
-        if target in self.solars and prop == "rating":
-            return self.solars[target].rating_kw
-        if target in self.index.edges_by_name and prop == "status":
-            return self.board.statuses.get(target)
-        return None
 
     def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
         t_out, _ = self.weather.sample(t)
@@ -436,7 +560,6 @@ class Engine:
         agents = self.sellers[market_name]
         ctls = self.controllers[market_name]
         unresp_kw = self._unresponsive_kw(t)
-        transforms = [tr for tr in self.transforms.values() if tr is not None]
 
         if self.topology == "direct":
             for bid in seller_bids(agents, market.current_period):
@@ -464,21 +587,19 @@ class Engine:
             replica = Bid(
                 ab.trader, "SELL", offers[ab.trader].price, offers[ab.trader].quantity, aux.current_period
             )
-            for tr in transforms:
-                if tr.kind == "SELLER_PRICE_OVERRIDE":
-                    replica = tr.apply(replica, market.last_price, aux.price_cap)
+            for tr in self._price_overrides:
+                replica = tr.apply(replica, market.last_price, aux.price_cap)
             aux.submit(replica)
         # buyer-side ABs forward last period's auxiliary bids to the main
         # market (bid-scaling attack point), then controllers bid afresh
-        for ab in self.buyer_abs[market_name]:
+        buyer_abs = self.buyer_abs[market_name]
+        for ab in buyer_abs.values():
             forwarded = ab.forwarded(market.current_period)
             if forwarded is None:
                 continue
-            for tr in transforms:
-                if tr.kind == "BUYER_BID_SCALE":
-                    forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
+            for tr in self._bid_scalers:
+                forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
             market.submit(forwarded)
-        buyer_abs = {ab.trader: ab for ab in self.buyer_abs[market_name]}
         for ctl in ctls:
             bid = ctl.make_bid(self.houses[ctl.house], aux)
             if bid is not None:
@@ -549,93 +670,6 @@ class Engine:
     def read_property(self, target: str, prop: str, totals: dict):
         """Recorder getter for a recorded (target, property); returns (value, flag)."""
         return self._readers[target, prop](totals)
-
-    def _bind_reader(self, names: dict, target: str, prop: str):
-        """Resolve one recorded (target, property) to a closure over the
-        object it reads.  The closure takes the step's feeder totals and
-        returns (value, flag) from the live run state."""
-        obj = names.get(target)
-        if obj is None:
-            raise UnknownTarget(target)
-        if prop not in RECORDABLE.get(obj.cls, ()):
-            raise UnknownProperty(f"{target}.{prop}")
-        live = self.board.energized  # called per read: switching replaces the islands
-        cls = obj.cls
-
-        if cls == "auction":
-            market, get = self.markets[target], _AUCTION_READS.get(prop)
-            if get is not None:
-                return lambda totals: (get(market), "")
-        elif cls == "house":
-            house, node = self.houses[target], self.house_node[target]
-            if prop == "hvac_load_kw":
-                return lambda totals: (hvac_power(house), "") if live()[node] else (0.0, DEENERGIZED)
-            get = _HOUSE_READS.get(prop)
-            if get is not None:
-                return lambda totals: (get(house), "" if live()[node] else DEENERGIZED)
-        elif cls in ("zipload", "waterheater"):
-            app = self.appliances[target]
-            return lambda totals: (app.power_kw, "") if live()[app.node] else (0.0, DEENERGIZED)
-        elif cls == "solar":
-            panel = self.solars[target]
-            return lambda totals: (self._solar_kw(panel), "") if live()[panel.node] else (0.0, DEENERGIZED)
-        elif cls in EDGE_CLASSES:
-            if prop == "status":
-                statuses = self.board.statuses
-                return lambda totals: (statuses.get(target, "CLOSED"), "")
-            if prop == "current_mag":
-                def current_mag(totals):
-                    state = self.network_state
-                    return (abs(state.currents[target]) if state else 0.0), ""
-                return current_mag
-        elif target in self.index.depth:
-            return self._bind_node_reader(target, prop, live)
-        raise UnknownProperty(f"{target}.{prop}")
-
-    def _bind_node_reader(self, node: str, prop: str, live):
-        if prop == "voltage_mag":
-            def voltage_mag(totals):
-                if not live()[node]:
-                    return 0.0, DEENERGIZED
-                state = self.network_state
-                return (abs(state.voltages[node]) if state else 0.0), ""
-            return voltage_mag
-        if prop == "voltage_ang":
-            def voltage_ang(totals):
-                if not live()[node]:
-                    return 0.0, DEENERGIZED
-                v = self.network_state.voltages[node] if self.network_state else 0j
-                return (0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi), ""
-            return voltage_ang
-        if prop == "energized":
-            return lambda totals: (live()[node], "")
-        if prop == "measured_power_kw":
-            # signed kW of each attached load, in attachment order
-            terms = []
-            for name in self.index.attachments[node]:
-                if name in self.houses:
-                    terms.append(lambda house=self.houses[name]: hvac_power(house))
-                elif name in self.appliances:
-                    terms.append(lambda app=self.appliances[name]: app.power_kw)
-                elif name in self.solars:
-                    terms.append(lambda panel=self.solars[name]: -self._solar_kw(panel))
-
-            def measured_power_kw(totals):
-                if not live()[node]:
-                    return 0.0, DEENERGIZED
-                total = 0.0
-                for term in terms:
-                    total += term()
-                return total, ""
-            return measured_power_kw
-        if prop == "total_load_kw":
-            return lambda totals: (totals.get("load", 0.0), "")
-        if prop == "total_hvac_kw":
-            return lambda totals: (totals.get("hvac", 0.0), "")
-        get = _FEEDER_READS.get(prop)
-        if get is not None:
-            return lambda totals: (get(self.network_state) if self.network_state else 0.0, "")
-        raise UnknownProperty(f"{node}.{prop}")
 
     def _solar_kw(self, panel: _Solar) -> float:
         _, irradiance = self.weather.sample(self._now)
@@ -709,16 +743,14 @@ class Engine:
             summary["divergence"] = str(divergence)
             summary["divergence_time"] = divergence_time.strftime("%Y-%m-%d %H:%M:%S")
             summary["divergence_node"] = divergence.node
+            summary["incomplete_reason"] = "solver_divergence"
         metadata = {
             "steps": steps,
             "executed_steps": executed_steps,
             "seed": self.seed,
             "event_warnings": list(queue.warnings),
         }
-        result = SimulationResult(tables, self.audit, summary, metadata, complete)
-        if divergence is not None:
-            result.summary["incomplete_reason"] = "solver_divergence"
-        return result
+        return SimulationResult(tables, self.audit, summary, metadata, complete)
 
 
 def run_simulation(

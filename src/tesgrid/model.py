@@ -262,6 +262,26 @@ CLASS_SCHEMA["switch"] = {
 }
 CLASS_SCHEMA["fuse"] = CLASS_SCHEMA["switch"]
 
+# Single-property bounds, per class: a value "positive" must be > 0, one
+# "nonnegative" >= 0.  They hold for object, schedule and player values.
+BOUNDS = {
+    "house": {"thermal_capacitance": "positive", "ua": "positive", "deadband": "positive",
+              "hvac_rating": "nonnegative"},
+    "controller": {"k_ramp": "positive"},
+    "auction": {"price_cap": "positive"},
+    "solar": {"rating": "nonnegative"},
+    "generator_seller": {"capacity": "nonnegative"},
+}
+
+
+def out_of_bounds(cls: str, prop: str, number: float) -> str | None:
+    """Why `number` cannot be property `prop` of class `cls`; None when it can."""
+    bound = BOUNDS.get(cls, {}).get(prop)
+    if bound == "positive" and not number > 0 or bound == "nonnegative" and not number >= 0:
+        return f"{prop} must be {bound}"
+    return None
+
+
 # Properties that name another object, per class.
 REF_PROPS = {
     cls: [p for p, (kind, _) in schema.items() if kind == "ref"]

@@ -73,15 +73,18 @@ class LineStatusBoard:
                 self.set(name, status)
         self._energized: dict[str, bool] | None = None
 
-    def set(self, line_name: str, status: str) -> None:
+    def set(self, line_name: str, status: str) -> str:
+        """Store `status`; returns the status it replaced."""
         edge = self._index.edges_by_name.get(line_name)
         if edge is None or not edge.switchable:
             raise NotSwitchable(f"'{line_name}' is not a line, switch, or fuse")
         if status not in ("OPEN", "CLOSED"):
             raise ValueError(f"bad status '{status}'")
-        if self.statuses[line_name] != status:
+        old = self.statuses[line_name]
+        if old != status:
             self.statuses[line_name] = status
             self._energized = None  # islands recomputed lazily before next solve
+        return old
 
     def get(self, line_name: str) -> str:
         edge = self._index.edges_by_name.get(line_name)

@@ -7,71 +7,35 @@ serialized report is stable for identical inputs.
 
 from __future__ import annotations
 
+from .kernel import PROPERTIES
 from .model import (
     CLASS_SCHEMA,
     EDGE_CLASSES,
     LINE_CLASSES,
     NODE_CLASSES,
+    REF_PROPS,
     UNIT_TABLE,
     Diagnostic,
     GridObject,
     ScenarioModel,
     ValidationReport,
     Value,
+    out_of_bounds,
 )
-
-# Recorder-visible properties per class (checked at configuration time).
-RECORDABLE = {
-    "auction": {
-        "clearing_price",
-        "cleared_quantity",
-        "bid_count_buy",
-        "bid_count_sell",
-        "p_avg",
-        "p_std",
-    },
-    "house": {"air_temperature", "cooling_setpoint", "hvac_load_kw", "hvac_mode"},
-    "meter": {"voltage_mag", "voltage_ang", "measured_power_kw", "energized"},
-    "triplex_meter": {"voltage_mag", "voltage_ang", "measured_power_kw", "energized"},
-    "triplex_node": {"voltage_mag", "voltage_ang", "energized"},
-    "node": {
-        "voltage_mag",
-        "voltage_ang",
-        "energized",
-        "total_load_kw",
-        "total_hvac_kw",
-        "losses_kw",
-        "source_power_kw",
-    },
-    "zipload": {"power_kw"},
-    "waterheater": {"power_kw"},
-    "solar": {"power_kw"},
-    "underground_line": {"status", "current_mag"},
-    "overhead_line": {"status", "current_mag"},
-    "switch": {"status", "current_mag"},
-    "fuse": {"status", "current_mag"},
-    "transformer": {"current_mag"},
-}
-
-# Writable properties per class, for events/players.
-SETTABLE = {
-    "house": {"cooling_setpoint", "air_temperature", "deadband", "internal_gains"},
-    "zipload": {"base_power"},
-    "waterheater": {"base_power"},
-    "solar": {"rating"},
-    "underground_line": {"status"},
-    "overhead_line": {"status"},
-    "switch": {"status"},
-    "fuse": {"status"},
-}
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
 LINE_STATUSES = ("OPEN", "CLOSED")
 
 
-def _value_problem(prop: str, kind: str, value: Value) -> tuple[str, str] | None:
-    """(code, message) when `value` cannot be property `prop` of schema
-    kind `kind`; None when it can."""
+def _can(cls: str, prop: str, how: str) -> bool:
+    """Whether a run can `read` (record) or `write` (set) `prop` on `cls`."""
+    return getattr(PROPERTIES.get(cls, {}).get(prop), how, None) is not None
+
+
+def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
+    """(code, message) when `value` cannot be property `prop` of class
+    `cls`; None when it can."""
+    kind = CLASS_SCHEMA[cls][prop][0]
     if kind in NUMERIC_KINDS:
         if kind == "IMPEDANCE":
             if value.kind not in ("NUMBER", "COMPLEX"):
@@ -80,6 +44,9 @@ def _value_problem(prop: str, kind: str, value: Value) -> tuple[str, str] | None
             return "BAD_VALUE", f"property '{prop}' must be a real number"
         if value.unit is not None and (kind == "number" or UNIT_TABLE[value.unit][0] != kind):
             return "BAD_UNIT", f"property '{prop}' has unit {value.unit}, expected {kind}"
+        problem = out_of_bounds(cls, prop, value.canonical())
+        if problem is not None:
+            return "BAD_RANGE", problem
     elif prop == "status" and value.value not in LINE_STATUSES:
         return "BAD_VALUE", "property 'status' must be OPEN or CLOSED"
     return None
@@ -111,7 +78,7 @@ def _check_objects(model: ScenarioModel, errors, warnings):
             if spec is None:
                 warnings.append(Diagnostic(loc, "UNKNOWN_PROP", f"property '{prop}' not known for class {obj.cls}"))
                 continue
-            problem = _value_problem(prop, spec[0], value)
+            problem = _value_problem(obj.cls, prop, value)
             if problem is not None:
                 errors.append(Diagnostic(loc, *problem))
 
@@ -122,8 +89,6 @@ def _check_refs(model: ScenarioModel, errors):
     def need(loc, ref, role):
         if ref not in names:
             errors.append(Diagnostic(loc, "DANGLING_REF", f"{role} '{ref}' does not resolve"))
-
-    from .model import REF_PROPS
 
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
@@ -237,39 +202,17 @@ def _check_attachments(model: ScenarioModel, errors):
             t_min, t_base, t_max = _number(obj, "t_min"), _number(obj, "t_base"), _number(obj, "t_max")
             if None not in (t_min, t_base, t_max) and not (t_min < t_base < t_max):
                 errors.append(Diagnostic(loc, "BAD_RANGE", "require t_min < t_base < t_max"))
-            k = _number(obj, "k_ramp")
-            if k is not None and k <= 0:
-                errors.append(Diagnostic(loc, "BAD_RANGE", "k_ramp must be positive"))
         elif obj.cls == "generator_seller":
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
                 errors.append(Diagnostic(loc, "BAD_REF", "seller 'market' must reference an auction"))
-            capacity = _number(obj, "capacity")
-            if capacity is not None and capacity < 0:
-                errors.append(Diagnostic(loc, "BAD_RANGE", "capacity must be nonnegative"))
-        elif obj.cls == "solar":
-            rating = _number(obj, "rating")
-            if rating is not None and rating < 0:
-                errors.append(Diagnostic(loc, "BAD_RANGE", "rating must be nonnegative"))
         elif obj.cls == "auction":
-            cap = _number(obj, "price_cap")
-            if cap is not None and cap <= 0:
-                errors.append(Diagnostic(loc, "BAD_RANGE", "price_cap must be positive"))
             # a round runs when the period divides the offset since start
             period, clock = _number(obj, "period"), model.clock
             if period is not None and (period <= 0 or (clock is not None and period % clock.timestep != 0)):
                 errors.append(
                     Diagnostic(loc, "BAD_PERIOD", "period must be a positive multiple of the clock timestep")
                 )
-    for obj in model.of_class("house"):
-        loc = obj.name or f"<house@{obj.line}>"
-        for prop in ("thermal_capacitance", "ua", "deadband"):
-            v = _number(obj, prop)
-            if v is not None and v <= 0:
-                errors.append(Diagnostic(loc, "BAD_RANGE", f"{prop} must be positive"))
-        rating = _number(obj, "hvac_rating")
-        if rating is not None and rating < 0:
-            errors.append(Diagnostic(loc, "BAD_RANGE", "hvac_rating must be nonnegative"))
 
 
 def _check_blocks(model: ScenarioModel, errors):
@@ -294,12 +237,12 @@ def _check_blocks(model: ScenarioModel, errors):
             target = names.get(e.target)
             if target is None:
                 continue
-            if e.prop not in SETTABLE.get(target.cls, set()):
+            if not _can(target.cls, e.prop, "write"):
                 errors.append(
                     Diagnostic(sched.name, "UNKNOWN_PROPERTY", f"'{e.prop}' is not settable on {target.cls}")
                 )
                 continue
-            problem = _value_problem(e.prop, CLASS_SCHEMA[target.cls][e.prop][0], e.value)
+            problem = _value_problem(target.cls, e.prop, e.value)
             if problem is not None:
                 code, message = problem
                 errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
@@ -323,9 +266,8 @@ def _check_blocks(model: ScenarioModel, errors):
             errors.append(Diagnostic(r.name, "BAD_INTERVAL", "interval must be a positive multiple of timestep"))
         target = names.get(r.target)
         if target is not None:
-            allowed = RECORDABLE.get(target.cls, set())
             for prop in r.properties:
-                if prop not in allowed:
+                if not _can(target.cls, prop, "read"):
                     errors.append(
                         Diagnostic(r.name, "UNKNOWN_PROPERTY", f"'{prop}' is not recordable on {target.cls}")
                     )
@@ -333,7 +275,7 @@ def _check_blocks(model: ScenarioModel, errors):
         target = names.get(p.target)
         if target is None:
             continue
-        if p.prop not in SETTABLE.get(target.cls, set()):
+        if not _can(target.cls, p.prop, "write"):
             errors.append(Diagnostic(p.name, "UNKNOWN_PROPERTY", f"'{p.prop}' is not settable on {target.cls}"))
         elif CLASS_SCHEMA[target.cls][p.prop][0] not in NUMERIC_KINDS:
             errors.append(

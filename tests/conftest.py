@@ -47,4 +47,8 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating -1 kW;", 1), "BAD_RANGE"),
     "negative_solar_rating": (
         lambda t: t.replace("rating 1 kW;\n    efficiency", "rating -1 kW;\n    efficiency"), "BAD_RANGE"),
+    "schedule_negative_deadband": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" h1 deadband -2 degF; }\n', "BAD_RANGE"),
+    "schedule_negative_solar_rating": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" s1 rating -3 kW; }\n', "BAD_RANGE"),
 }

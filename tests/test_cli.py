@@ -111,3 +111,12 @@ def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
     (tmp_path / "status.csv").write_text("time,value\n2013-07-01 00:00:00,1\n")
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert code in capsys.readouterr().err
+
+
+def test_run_rejects_out_of_range_player_value(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + "player { name p; target h1; property deadband; file db.csv; }\n")
+    (tmp_path / "db.csv").write_text("time,value\n2013-07-01 00:00:00,2\n2013-07-01 00:30:00,-1\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "deadband must be positive" in capsys.readouterr().err

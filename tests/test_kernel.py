@@ -9,10 +9,10 @@ from conftest import load_fixture
 
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
-from tesgrid.kernel import Engine, Event, EventQueue, build_event_list
-from tesgrid.model import AttackConfig, RecorderConfig
+from tesgrid.kernel import PROPERTIES, Engine, Event, EventQueue, build_event_list
+from tesgrid.model import AttackConfig, RecorderConfig, ScheduleEntry
 from tesgrid.recorder import write_results
-from tesgrid.validate import RECORDABLE, validate
+from tesgrid.validate import validate
 
 START = datetime(2013, 7, 1, 0, 0, 0)
 
@@ -223,9 +223,11 @@ object node { name n5; nominal_voltage 7200 V; }
 def test_every_recordable_property_binds(small_text):
     model = parse_scenario(small_text + EVERY_CLASS)
     model.recorders = []
-    for cls, props in sorted(RECORDABLE.items()):
-        target = next(o.name for o in model.objects if o.cls == cls)
-        model.recorders.append(RecorderConfig(f"rec_{cls}", target, sorted(props), 60, f"{cls}.csv"))
+    for cls, accessors in sorted(PROPERTIES.items()):
+        props = sorted(prop for prop, accessor in accessors.items() if accessor.read)
+        if props:
+            target = next(o.name for o in model.objects if o.cls == cls)
+            model.recorders.append(RecorderConfig(f"rec_{cls}", target, props, 60, f"{cls}.csv"))
     assert validate(model).runnable
     engine = Engine(model)
     result = engine.run()
@@ -239,6 +241,72 @@ def test_every_recordable_property_binds(small_text):
     house = engine.houses["h1"]
     assert float(last["air_temperature"]) == pytest.approx(house.t_in, rel=1e-5)
     assert last["hvac_mode"] == house.mode
+
+
+# per settable (class, property): the value a schedule sets, that value in
+# canonical units, and where the engine keeps it
+SET_TO = {
+    ("house", "air_temperature"): ("81 degF", 81.0, lambda e, t: e.houses[t].t_in),
+    ("house", "cooling_setpoint"): ("72 degF", 72.0, lambda e, t: e.houses[t].t_set),
+    ("house", "deadband"): ("3 degF", 3.0, lambda e, t: e.houses[t].deadband),
+    ("house", "internal_gains"): ("1500", 1500.0, lambda e, t: e.houses[t].internal_gains),
+    ("zipload", "base_power"): ("2000 W", 2.0, lambda e, t: e.appliances[t].power_kw),
+    ("waterheater", "base_power"): ("0.5 kW", 0.5, lambda e, t: e.appliances[t].power_kw),
+    ("solar", "rating"): ("2 kW", 2.0, lambda e, t: e.solars[t].rating_kw),
+    **{
+        (cls, "status"): ("OPEN", "OPEN", lambda e, t: e.board.statuses[t])
+        for cls in ("underground_line", "overhead_line", "switch", "fuse")
+    },
+    ("attack", "active"): (True, True, lambda e, t: e.transforms[t].active),
+}
+ATTACK = (
+    'attack { name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:30:00"; '
+    'end "2013-07-01 00:40:00"; price 0.5 $/kWh; }\n'
+)
+
+
+def test_every_settable_property_applies(small_text):
+    settable = {(cls, prop) for cls, props in PROPERTIES.items() for prop, a in props.items() if a.write}
+    assert settable == set(SET_TO)
+    model = parse_scenario(small_text + EVERY_CLASS + ATTACK)
+    targets = {o.cls: o.name for o in reversed(model.objects)}  # the first of each class
+    targets["attack"] = "attack:a"
+    when = START + timedelta(minutes=10)
+    text = "".join(
+        f'entry "2013-07-01 00:10:00" {targets[cls]} {prop} {value};'
+        for (cls, prop), (value, _, _) in sorted(SET_TO.items()) if cls != "attack"
+    )
+    model.schedules = parse_scenario(f"schedule {{ {text} }}").schedules
+    assert validate(model).runnable
+    # the attack pseudo-target has no object, so validate cannot name it
+    model.schedules[0].entries.append(ScheduleEntry(when, "attack:a", "active", True))
+    engine = Engine(model)
+    before = {pair: probe(engine, targets[pair[0]]) for pair, (_, _, probe) in SET_TO.items()}
+    for event in build_event_list(model.schedules, [], START, engine.clock.stop).pop_due(when):
+        engine.apply_event(event)
+    rows = {(row.target, row.prop): row for row in engine.audit if row.origin == "schedule"}
+    assert len(rows) == len(engine.audit) == len(SET_TO)
+    for (cls, prop), (_, new, probe) in SET_TO.items():
+        row = rows[targets[cls], prop]
+        assert (row.old_value, row.new_value) == (before[cls, prop], new)
+        assert type(row.old_value) is type(row.new_value)
+        assert probe(engine, targets[cls]) == new
+
+
+def test_schedule_on_unsettable_property_fails_at_construction(small_text):
+    model = parse_scenario(small_text + EVERY_CLASS)
+    targets = {o.cls: o.name for o in reversed(model.objects)}
+    unsettable = [
+        (targets[cls], prop) for cls, props in sorted(PROPERTIES.items()) if cls in targets
+        for prop, accessor in sorted(props.items()) if accessor.write is None
+    ]
+    assert ("h1", "hvac_mode") in unsettable and ("n1", "voltage_mag") in unsettable
+    for target, prop in unsettable:
+        model.schedules = [parse_scenario(
+            f'schedule {{ entry "2013-07-01 00:10:00" {target} {prop} 1; }}'
+        ).schedules[0]]
+        with pytest.raises(UnknownProperty):
+            Engine(model)
 
 
 @pytest.mark.parametrize(
