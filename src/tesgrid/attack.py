@@ -18,7 +18,7 @@ configuration error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, EmptyWindow, UnknownTarget
 from .market import Bid
@@ -34,11 +34,11 @@ def compromised_set(population: list[str], fraction: float, seed: int) -> frozen
 
 def scale_buyer_bid(bid: Bid, lam: float, market_price: float, price_cap: float) -> Bid:
     """p_hat = p + lambda * p_m, clamped to the market's price cap."""
-    return replace(bid, price=min(bid.price + lam * market_price, price_cap))
+    return bid._replace(price=min(bid.price + lam * market_price, price_cap))
 
 
 def seller_override(bid: Bid, price: float) -> Bid:
-    return replace(bid, price=price)
+    return bid._replace(price=price)
 
 
 @dataclass
@@ -53,6 +53,7 @@ class BidTransform:
     active: bool = False
 
     def apply(self, bid: Bid, market_price: float, price_cap: float) -> Bid:
+        """The rewritten bid, or `bid` itself when it is left alone."""
         if not self.active or bid.trader not in self.compromised:
             return bid
         if self.kind == "SELLER_PRICE_OVERRIDE":

@@ -18,6 +18,7 @@ identifiers, or comma-separated lists.  Every failure raises
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -173,12 +174,17 @@ class _Parser:
                 if unit not in UNIT_TABLE:
                     raise ParseError(f"unknown unit '{unit}'", toks[1].line, toks[1].col)
             if _NUMBER_RE.match(head):
-                return Value("NUMBER", float(head), unit)
-            if _COMPLEX_RE.match(head):
-                return Value("COMPLEX", complex(head), unit)
-            if unit is not None:
+                value = Value("NUMBER", float(head), unit)
+            elif _COMPLEX_RE.match(head):
+                value = Value("COMPLEX", complex(head), unit)
+            elif unit is not None:
                 raise ParseError(f"'{head}' is not a number", toks[0].line, toks[0].col)
-            return Value("REF", head)
+            else:
+                return Value("REF", head)
+            # a literal too large for a float parses to inf, also after unit scaling
+            if not cmath.isfinite(value.canonical()):
+                raise ParseError(f"'{' '.join(atoms)}' is not a finite number", toks[0].line, toks[0].col)
+            return value
         raise ParseError("malformed value", toks[0].line, toks[0].col)
 
     def _interpret(self, toks: list[_Token], line: int, col: int) -> Value:

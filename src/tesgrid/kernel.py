@@ -442,17 +442,21 @@ class Engine:
         self._panel_at = [(panel, panel.node) for panel in self.solars.values()]
 
         # auxiliary bidders: one per seller (replication) and one per
-        # controller (one-period-delayed estimation), the latter by trader
+        # controller (one-period-delayed estimation).  Each market's
+        # (controller, house, buyer-side bidder) list is walked by both
+        # wirings; the bidder is None under the direct topology.
+        auxiliary = topology == "auxiliary"
         self.seller_abs: dict[str, list[AuxiliaryBidder]] = {}
-        self.buyer_abs: dict[str, dict[str, AuxiliaryBidder]] = {}
-        if topology == "auxiliary":
-            for market_name in self.markets:
+        self._bidders: dict[str, list[tuple[Controller, HouseState, AuxiliaryBidder | None]]] = {}
+        for market_name, ctls in self.controllers.items():
+            if auxiliary:
                 self.seller_abs[market_name] = [
                     AuxiliaryBidder(a.name, "SELLER_SIDE") for a in self.sellers[market_name]
                 ]
-                self.buyer_abs[market_name] = {
-                    c.name: AuxiliaryBidder(c.name, "BUYER_SIDE") for c in self.controllers[market_name]
-                }
+            self._bidders[market_name] = [
+                (c, self.houses[c.house], AuxiliaryBidder(c.name, "BUYER_SIDE") if auxiliary else None)
+                for c in ctls
+            ]
 
         seller_names = [a.name for agents in self.sellers.values() for a in agents]
         controller_names = [c.name for ctls in self.controllers.values() for c in ctls]
@@ -558,14 +562,14 @@ class Engine:
     def _market_round(self, market_name: str, t: datetime) -> None:
         market = self.markets[market_name]
         agents = self.sellers[market_name]
-        ctls = self.controllers[market_name]
+        bidders = self._bidders[market_name]
         unresp_kw = self._unresponsive_kw(t)
 
         if self.topology == "direct":
             for bid in seller_bids(agents, market.current_period):
                 market.submit(bid)
-            for ctl in ctls:
-                bid = ctl.make_bid(self.houses[ctl.house], market)
+            for ctl, house, _ in bidders:
+                bid = ctl.make_bid(house, market)
                 if bid is not None:
                     market.submit(bid)
             if unresp_kw > 0:
@@ -573,8 +577,8 @@ class Engine:
                     Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period)
                 )
             clearing = market.clear()
-            for ctl in ctls:
-                ctl.apply_clearing(self.houses[ctl.house], market, clearing)
+            for ctl, house, _ in bidders:
+                ctl.apply_clearing(house, market, clearing)
             return
 
         aux = self.aux_markets[market_name]
@@ -592,19 +596,20 @@ class Engine:
             aux.submit(replica)
         # buyer-side ABs forward last period's auxiliary bids to the main
         # market (bid-scaling attack point), then controllers bid afresh
-        buyer_abs = self.buyer_abs[market_name]
-        for ab in buyer_abs.values():
-            forwarded = ab.forwarded(market.current_period)
-            if forwarded is None:
+        period = market.current_period
+        for _, _, ab in bidders:
+            held = ab.held_bid
+            if held is None:
                 continue
+            forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
             for tr in self._bid_scalers:
                 forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
             market.submit(forwarded)
-        for ctl in ctls:
-            bid = ctl.make_bid(self.houses[ctl.house], aux)
+        for ctl, house, ab in bidders:
+            bid = ctl.make_bid(house, aux)
             if bid is not None:
                 aux.submit(bid)
-            buyer_abs[ctl.name].observe(bid)
+            ab.held_bid = bid
         if unresp_kw > 0:
             market.submit(
                 Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period)
@@ -615,8 +620,8 @@ class Engine:
         market.clear()
         aux_clearing = aux.clear()
         # controllers trade in (and observe) the auxiliary market only
-        for ctl in ctls:
-            ctl.apply_clearing(self.houses[ctl.house], aux, aux_clearing)
+        for ctl, house, _ in bidders:
+            ctl.apply_clearing(house, aux, aux_clearing)
 
     def _phase_market(self, t: datetime) -> None:
         offset = int((t - self.clock.start).total_seconds())

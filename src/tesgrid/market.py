@@ -19,13 +19,19 @@ holds two samples the statistics fall back to warm-up seeds (the
 sellers' mean offer, and 10% of it).  Controllers apply a small floor to
 p_std so a long run of identical prices does not make the ramp formulas
 degenerate.
+
+Bids are immutable tuples (`Bid` is a `NamedTuple`): a forwarded or
+rewritten bid is a new tuple, never an edited one, and an attack
+transform that does not rewrite a bid returns the very object it was
+given.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PriceCapViolation, StalePeriod
 from .loads import HouseState
@@ -36,8 +42,7 @@ DEFAULT_SIGMA_FLOOR = 0.003  # $/kWh, keeps the setpoint ramp well-defined
 UNRESPONSIVE_TRADER = "feeder_unresponsive"
 
 
-@dataclass(frozen=True)
-class Bid:
+class Bid(NamedTuple):
     trader: str
     side: str  # BUY | SELL
     price: float  # $/kWh
@@ -168,14 +173,11 @@ class Controller:
     k_ramp: float
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
 
-    def _sigma(self, market: Market) -> float:
-        return max(market.p_std, self.sigma_floor)
-
     def make_bid(self, house: HouseState, market: Market) -> Bid | None:
         """Ramp bid around the market's mean price, or no bid when cold."""
         if house.t_in <= self.t_min:
             return None
-        sigma = self._sigma(market)
+        sigma = max(market.p_std, self.sigma_floor)
         price = market.p_avg + (house.t_in - self.t_base) * self.k_ramp * sigma / (
             self.t_max - self.t_base
         )
@@ -184,7 +186,7 @@ class Controller:
 
     def apply_clearing(self, house: HouseState, market: Market, clearing: Clearing) -> float:
         """Re-center the thermostat from the published price; returns T_set."""
-        sigma = self._sigma(market)
+        sigma = max(market.p_std, self.sigma_floor)
         t_set = self.t_base + (clearing.price - market.p_avg) * (self.t_max - self.t_base) / (
             self.k_ramp * sigma
         )
@@ -209,21 +211,14 @@ class AuxiliaryBidder:
 
     Seller side: replicates the represented seller's constant bid into the
     auxiliary market each period (exact, since the offers are constant).
-    Buyer side: forwards the represented controller's previous-period
-    auxiliary-market bid to the main market; precise bids are not
-    observable, so the estimate runs one period late.
+    Buyer side: `held_bid` is the represented controller's auxiliary-market
+    bid, which the kernel forwards to the main market the next period;
+    precise bids are not observable, so the estimate runs one period late.
     """
 
     def __init__(self, trader: str, direction: str):
-        assert direction in ("BUYER_SIDE", "SELLER_SIDE")
+        if direction not in ("BUYER_SIDE", "SELLER_SIDE"):
+            raise ValueError(f"unknown auxiliary bidder direction '{direction}'")
         self.trader = trader
         self.direction = direction
         self.held_bid: Bid | None = None
-
-    def observe(self, bid: Bid | None) -> None:
-        self.held_bid = bid
-
-    def forwarded(self, period: int) -> Bid | None:
-        if self.held_bid is None:
-            return None
-        return replace(self.held_bid, period=period)

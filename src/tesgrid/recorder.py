@@ -10,7 +10,9 @@ byte-identical across platforms.
 
 from __future__ import annotations
 
+import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -37,15 +39,7 @@ class TimeSeries:
         """Step-hold value at t; MissingPlayerData before the first row."""
         if not self.rows or t < self.rows[0][0]:
             raise MissingPlayerData(f"{self.name}: no sample at or before {t.strftime(TIME_FORMAT)}")
-        # linear scan from a cursor would be faster; bisect keeps it simple
-        lo, hi = 0, len(self.rows)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.rows[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        return self.rows[lo][1]
+        return self.rows[bisect_right(self.rows, t, key=lambda row: row[0]) - 1][1]
 
 
 def _parse_rows(path: str, expected_fields: int, name: str) -> list[list[str]]:
@@ -72,16 +66,24 @@ def _parse_time(text: str, name: str, lineno_hint: str) -> datetime:
         raise MalformedRow(f"{name} {lineno_hint}: bad timestamp '{text}'") from exc
 
 
+def _parse_number(text: str, name: str, row: int) -> float:
+    """A finite float: `nan`, `inf` and overflowing numbers are malformed."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise MalformedRow(f"{name} row {row}: bad number '{text}'") from exc
+    if not math.isfinite(value):
+        raise MalformedRow(f"{name} row {row}: '{text}' is not a finite number")
+    return value
+
+
 def read_player(path: str) -> TimeSeries:
     """Read a `time,value` CSV into a strictly-increasing series."""
     name = os.path.basename(path)
     rows: list[tuple[datetime, float]] = []
     for i, parts in enumerate(_parse_rows(path, 2, name)):
         t = _parse_time(parts[0], name, f"row {i + 1}")
-        try:
-            value = float(parts[1])
-        except ValueError as exc:
-            raise MalformedRow(f"{name} row {i + 1}: bad value '{parts[1]}'") from exc
+        value = _parse_number(parts[1], name, i + 1)
         if rows and t <= rows[-1][0]:
             raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
         rows.append((t, value))
@@ -106,11 +108,8 @@ def read_weather(path: str) -> WeatherSeries:
         t = _parse_time(parts[0], name, f"row {i + 1}")
         if temps and t <= temps[-1][0]:
             raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
-        try:
-            temps.append((t, float(parts[1])))
-            irr.append((t, float(parts[2])))
-        except ValueError as exc:
-            raise MalformedRow(f"{name} row {i + 1}: bad number") from exc
+        temps.append((t, _parse_number(parts[1], name, i + 1)))
+        irr.append((t, _parse_number(parts[2], name, i + 1)))
     return WeatherSeries(TimeSeries(name, temps), TimeSeries(name, irr))
 
 

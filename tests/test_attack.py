@@ -64,13 +64,18 @@ def test_seller_override():
 
 
 def test_transform_only_touches_compromised_when_active():
-    tr = BidTransform("a", "SELLER_PRICE_OVERRIDE", frozenset({"g1"}), price=0.63)
-    hit = Bid("g1", "SELL", 0.10, 5.0, 0)
-    miss = Bid("g2", "SELL", 0.10, 5.0, 0)
-    assert tr.apply(hit, 0.1, 0.63) == hit  # inactive
-    tr.active = True
-    assert tr.apply(hit, 0.1, 0.63).price == 0.63
-    assert tr.apply(miss, 0.1, 0.63) == miss
+    # a bid left alone comes back as the same object: callers count
+    # rewrites by identity
+    for kind, price in (("SELLER_PRICE_OVERRIDE", 0.63), ("BUYER_BID_SCALE", 0.10 + 0.5 * 0.1)):
+        tr = BidTransform("a", kind, frozenset({"t1"}), price=0.63, lam=0.5)
+        hit = Bid("t1", "SELL", 0.10, 5.0, 0)
+        miss = Bid("t2", "SELL", 0.10, 5.0, 0)
+        assert tr.apply(hit, 0.1, 0.63) is hit  # inactive
+        tr.active = True
+        rewritten = tr.apply(hit, 0.1, 0.63)
+        assert rewritten is not hit
+        assert rewritten == hit._replace(price=price)
+        assert tr.apply(miss, 0.1, 0.63) is miss
 
 
 def test_compile_market_attack_needs_auxiliary(small_model):

@@ -120,3 +120,34 @@ def test_run_rejects_out_of_range_player_value(tmp_path, capsys):
     (tmp_path / "db.csv").write_text("time,value\n2013-07-01 00:00:00,2\n2013-07-01 00:30:00,-1\n")
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert "deadband must be positive" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_player_value(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + "player { name p; target h1; property cooling_setpoint; file cs.csv; }\n")
+    (tmp_path / "cs.csv").write_text("time,value\n2013-07-01 00:00:00,75\n2013-07-01 00:20:00,nan\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
+    assert "cs.csv row 2: 'nan' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_non_finite_weather_value(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + "weather { file w.csv; }\n")
+    (tmp_path / "w.csv").write_text(
+        "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,nan,0.5\n"
+    )
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
+    assert "w.csv row 1: 'nan' is not a finite number" in capsys.readouterr().err
+
+
+def test_validate_rejects_overflowing_object_value(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read().replace("cooling_setpoint 70 degF;", "cooling_setpoint 1e999 degF;", 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(scenario)])
+    assert exc.value.code == 2
+    assert "'1e999 degF' is not a finite number" in capsys.readouterr().err

@@ -138,6 +138,15 @@ def test_schedule_with_repeat():
         ("clock { start \"2013-07-01 00:00:00\"; stop \"2013-07-01 01:00:00\"; }", "missing 'timestep'"),
         ("attack { kind BAD_KIND; start \"2013-07-01 00:00:00\"; end \"2013-07-01 01:00:00\"; }", "unknown attack kind"),
         ("frobnicate { }", "unknown block"),
+        ("object node { name n; nominal_voltage 1e999 V; }", "not a finite number"),
+        ("object node { name n; nominal_voltage 1e307 kV; }", "not a finite number"),  # inf once scaled
+        # int(inf) raised OverflowError from the parser before the finiteness check
+        ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 1e999 s; }',
+         "not a finite number"),
+        pytest.param(
+            "object overhead_line { name l; impedance 0.5+" + "9" * 400 + "j Ohm; }", "not a finite number",
+            id="complex_overflow",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

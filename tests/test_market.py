@@ -10,7 +10,16 @@ from oracles import auction_oracle
 
 from tesgrid.errors import PriceCapViolation, StalePeriod
 from tesgrid.loads import HouseState
-from tesgrid.market import Bid, Clearing, Controller, Market, SellerAgent, clear_book, seller_bids
+from tesgrid.market import (
+    AuxiliaryBidder,
+    Bid,
+    Clearing,
+    Controller,
+    Market,
+    SellerAgent,
+    clear_book,
+    seller_bids,
+)
 
 
 def B(price, qty, side="BUY", trader="t", period=0):
@@ -203,3 +212,8 @@ def test_seller_bids():
     bids = seller_bids(agents, 3)
     assert all(b.side == "SELL" and b.period == 3 for b in bids)
     assert [b.price for b in bids] == [0.10, 0.11]
+
+
+def test_auxiliary_bidder_rejects_unknown_direction():
+    with pytest.raises(ValueError, match="SIDEWAYS"):
+        AuxiliaryBidder("ctl", "SIDEWAYS")

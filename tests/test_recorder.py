@@ -3,7 +3,7 @@ number formatting, and result serialization."""
 
 import pytest
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 from tesgrid.errors import IoFailure, MalformedRow, MissingPlayerData, NonMonotonicTime
 from tesgrid.recorder import (
@@ -51,11 +51,34 @@ def test_player_non_monotonic(tmp_path):
         "time,value\n2013-07-01 01:00:00,1,extra\n",  # extra field
         "time,value\nyesterday,1\n",  # bad timestamp
         "time,value\n2013-07-01 01:00:00,one\n",  # bad number
+        "time,value\n2013-07-01 01:00:00,nan\n",  # not finite
+        "time,value\n2013-07-01 01:00:00,inf\n",
+        "time,value\n2013-07-01 01:00:00,-Infinity\n",
+        "time,value\n2013-07-01 01:00:00,1e999\n",  # overflows to inf
     ],
 )
 def test_player_malformed_rows(tmp_path, body):
     with pytest.raises(MalformedRow):
         read_player(write(tmp_path, body))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
+def test_step_hold_at_between_and_after_samples(tmp_path, count):
+    times = [T(f"{2 * k:02d}:00:00") for k in range(count)]
+    body = "".join(f"2013-07-01 {2 * k:02d}:00:00,{k + 0.5}\n" for k in range(count))
+    series = read_player(write(tmp_path, "time,value\n" + body))
+    queries = times + [T(f"{2 * k + 1:02d}:30:00") for k in range(count)]  # between and after
+    for t in queries:
+        assert series.sample(t) == [v for ts, v in series.rows if ts <= t][-1]
+    with pytest.raises(MissingPlayerData):
+        series.sample(times[0] - timedelta(seconds=1))
+
+
+def test_weather_rejects_non_finite_numbers(tmp_path):
+    head = "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,75.0,0.0\n"
+    for row in ("2013-07-01 01:00:00,nan,0.5\n", "2013-07-01 01:00:00,80,inf\n"):
+        with pytest.raises(MalformedRow, match="series.csv row 2: .* is not a finite number"):
+            read_weather(write(tmp_path, head + row))
 
 
 def test_player_missing_file():
