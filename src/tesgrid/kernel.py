@@ -7,6 +7,9 @@ runs the component phases in a fixed order:
 
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
+The loads phase samples the weather once per step and yields each
+house's kW, which the market round and the power flow both use.
+
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, queue, seed): outputs are byte-identical across
 repeats.  Every applied event lands in an audit log.
@@ -115,21 +118,20 @@ def _set_line_status(engine, target):
 
 
 def _current_mag(engine, target):
-    def read(totals):
-        state = engine.network_state
-        return (abs(state.currents[target]) if state else 0.0), ""
-    return read
+    s = engine.index.tree.position[engine.index.edges_by_name[target].child]  # fed by `target`
+    return lambda totals: (abs(engine.network_state.cur[s]) if engine.network_state else 0.0, "")
 
 
 def _voltage(angle: bool):
     """A node's voltage magnitude, or angle in degrees; flagged while it is unpowered."""
     def bind(engine, node):
         live = engine.board.energized  # called per read: switching replaces the islands
+        s = engine.index.tree.position[node]
 
         def read(totals):
             if not live()[node]:
                 return 0.0, DEENERGIZED
-            v = engine.network_state.voltages[node] if engine.network_state else 0j
+            v = engine.network_state.v[s] if engine.network_state else 0j
             if angle:
                 return (0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi), ""
             return abs(v), ""
@@ -428,18 +430,22 @@ class Engine:
                 sigma_floor=float(obj.get("sigma_floor", DEFAULT_SIGMA_FLOOR)),
             )
             self.controllers[ctl.market].append(ctl)
-        self.controlled_houses = {
-            c.house for ctls in self.controllers.values() for c in ctls
-        }
+        controlled = {c.house for ctls in self.controllers.values() for c in ctls}
 
-        # each load with the node it draws from, in model order; the
-        # per-step loops below walk these lists and nothing else
-        self._house_at = [(house, self.index.attach_node[name]) for name, house in self.houses.items()]
-        self._uncontrolled_at = [
-            (house, node) for house, node in self._house_at if house.name not in self.controlled_houses
+        # a slot per load node, in the order first seen over houses,
+        # appliances and panels; the per-step loops walk these lists
+        attach, slot_of = self.index.attach_node, {}
+        for name in [*self.houses, *self.appliances, *self.solars]:
+            slot_of.setdefault(attach[name], len(slot_of))
+        self._slot_nodes = list(slot_of)
+        self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
+        self._house_at = [(house, slot_of[attach[name]]) for name, house in self.houses.items()]
+        self._uncontrolled_at = [  # (position in `_house_at`, slot)
+            (i, slot) for i, (house, slot) in enumerate(self._house_at) if house.name not in controlled
         ]
-        self._appliance_at = [(app, app.node) for app in self.appliances.values()]
-        self._panel_at = [(panel, panel.node) for panel in self.solars.values()]
+        self._appliance_at = [(app, slot_of[app.node]) for app in self.appliances.values()]
+        self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
+        self._live_for: dict[str, bool] | None = None  # the islands `_live` was taken from
 
         # auxiliary bidders: one per seller (replication) and one per
         # controller (one-period-delayed estimation).  Each market's
@@ -494,6 +500,8 @@ class Engine:
             self.weather: WeatherSeries = read_weather(os.path.join(base_dir, model.weather_source))
         else:
             self.weather = constant_weather(self.clock.start)
+        # the loads at clock.start, for reads and market rounds before a step
+        self._phase_loads(self.clock.start, self.clock.timestep, first=True)
 
         self.audit: list[AuditRow] = []
         self.network_state = None
@@ -535,35 +543,49 @@ class Engine:
             if old != value:
                 self.audit.append(AuditRow(t, cfg.target, cfg.prop, old, value, "player"))
 
-    def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
-        t_out, _ = self.weather.sample(t)
-        if first:
-            return
+    def _live_slots(self) -> list[bool]:
+        """Whether each load slot is energized, cached per islands object."""
         energized = self.board.energized()
-        for house, node in self._house_at:
-            step_house(house, t_out, dt, powered=energized[node])
+        if self._live_for is not energized:
+            self._live_for, self._live = energized, [energized[node] for node in self._slot_nodes]
+        return self._live
 
-    def _unresponsive_kw(self, t: datetime) -> float:
+    def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
+        """Sample the weather and step the houses (the first step only reads
+        them); sum each live house's kW into its slot and the HVAC total."""
+        t_out, self._irradiance = self.weather.sample(t)
+        live = self._live_slots()
+        if first:
+            self._house_kws = [hvac_power(house) for house, _ in self._house_at]
+        else:
+            self._house_kws = [step_house(house, t_out, dt, live[slot]) for house, slot in self._house_at]
+        slot_kw, hvac = [0.0] * len(live), 0.0
+        for (_, slot), kw in zip(self._house_at, self._house_kws):
+            if live[slot]:
+                slot_kw[slot] += kw
+                hvac += kw
+        self._slot_house_kw, self._hvac_kw = slot_kw, hvac
+
+    def _unresponsive_kw(self) -> float:
         """Appliances, uncontrolled HVAC, minus solar, over energized nodes."""
-        energized = self.board.energized()
+        live = self._live_slots()
         total = 0.0
-        for app, node in self._appliance_at:
-            if energized[node]:
+        for app, slot in self._appliance_at:
+            if live[slot]:
                 total += app.power_kw
-        for house, node in self._uncontrolled_at:
-            if energized[node]:
-                total += hvac_power(house)
-        _, irradiance = self.weather.sample(t)
-        for panel, node in self._panel_at:
-            if energized[node]:
-                total -= solar_output(panel.rating_kw, panel.efficiency, irradiance)
+        for i, slot in self._uncontrolled_at:
+            if live[slot]:
+                total += self._house_kws[i]
+        for panel, slot in self._panel_at:
+            if live[slot]:
+                total -= self._solar_kw(panel)
         return max(total, 0.0)
 
-    def _market_round(self, market_name: str, t: datetime) -> None:
+    def _market_round(self, market_name: str) -> None:
         market = self.markets[market_name]
         agents = self.sellers[market_name]
         bidders = self._bidders[market_name]
-        unresp_kw = self._unresponsive_kw(t)
+        unresp_kw = self._unresponsive_kw()
 
         if self.topology == "direct":
             for bid in seller_bids(agents, market.current_period):
@@ -627,44 +649,34 @@ class Engine:
         offset = int((t - self.clock.start).total_seconds())
         for market_name, market in self.markets.items():
             if offset % market.period_seconds == 0:
-                self._market_round(market_name, t)
+                self._market_round(market_name)
 
-    def build_load_injections(self, t: datetime) -> tuple[list[tuple[str, complex]], dict]:
-        """Constant-power (node, power_va) pairs plus feeder totals (kW).
+    def build_load_injections(self) -> tuple[list[complex], dict]:
+        """Per-supernode demand (VA) of the step's loads, plus feeder totals (kW).
 
-        Per node: houses, then appliances, then minus solar, summed in kW
-        before the scaling to VA; nodes come in the order first seen.
-        """
-        energized = self.board.energized()
-        per_node: dict[str, float] = {}
-        hvac = 0.0
-        for house, node in self._house_at:
-            if energized[node]:
-                kw = hvac_power(house)
-                per_node[node] = per_node.get(node, 0.0) + kw
-                hvac += kw
-        for app, node in self._appliance_at:
-            if energized[node]:
-                per_node[node] = per_node.get(node, 0.0) + app.power_kw
-        _, irradiance = self.weather.sample(t)
-        for panel, node in self._panel_at:
-            if energized[node]:
-                per_node[node] = per_node.get(node, 0.0) - solar_output(
-                    panel.rating_kw, panel.efficiency, irradiance
-                )
-        totals = {"load": sum(per_node.values()), "hvac": hvac}
-        return [(node, complex(kw * 1000.0, 0.0)) for node, kw in per_node.items()], totals
+        Per live slot: houses, then appliances, then minus solar, summed in
+        kW before the scaling to VA; slots add into supernodes in order."""
+        live = self._live_slots()
+        kw = self._slot_house_kw.copy()
+        for app, slot in self._appliance_at:
+            if live[slot]:
+                kw[slot] += app.power_kw
+        for panel, slot in self._panel_at:
+            if live[slot]:
+                kw[slot] -= self._solar_kw(panel)
+        demand = [0j] * len(self.index.tree.names)
+        for slot, s in enumerate(self._slot_supernode):
+            if live[slot]:
+                demand[s] += complex(kw[slot] * 1000.0, 0.0)
+        totals = {"load": sum([k for k, on in zip(kw, live) if on]), "hvac": self._hvac_kw}
+        return demand, totals
 
-    def _phase_powerflow(self, t: datetime) -> dict:
-        injections, totals = self.build_load_injections(t)
-        state = solve_powerflow(
-            self.index,
-            injections,
-            self.board.statuses,
-            energized=self.board.energized(),
-            start=self.network_state,
+    def _phase_powerflow(self) -> dict:
+        demand, totals = self.build_load_injections()
+        self.network_state = state = solve_powerflow(
+            self.index, demand, self.board.statuses,
+            energized=self.board.energized(), start=self.network_state,
         )
-        self.network_state = state
         self._pf_solves += 1
         self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)
         self._pf_worst_mismatch = max(self._pf_worst_mismatch, state.power_mismatch_pu())
@@ -677,8 +689,7 @@ class Engine:
         return self._readers[target, prop](totals)
 
     def _solar_kw(self, panel: _Solar) -> float:
-        _, irradiance = self.weather.sample(self._now)
-        return solar_output(panel.rating_kw, panel.efficiency, irradiance)
+        return solar_output(panel.rating_kw, panel.efficiency, self._irradiance)
 
     # -- main loop ----------------------------------------------------------
 
@@ -702,7 +713,6 @@ class Engine:
         executed_steps = 0
         for k in range(steps + 1):
             t = clock.start + timedelta(seconds=k * dt)
-            self._now = t
             for event in queue.pop_due(t):
                 self.apply_event(event)
             self._phase_players(t)
@@ -710,7 +720,7 @@ class Engine:
             self._phase_loads(t, dt, first=(k == 0))
             self._phase_market(t)
             try:
-                totals = self._phase_powerflow(t)
+                totals = self._phase_powerflow()
             except SolverDivergence as exc:
                 complete = False
                 divergence = exc
@@ -756,13 +766,3 @@ class Engine:
             "event_warnings": list(queue.warnings),
         }
         return SimulationResult(tables, self.audit, summary, metadata, complete)
-
-
-def run_simulation(
-    model: ScenarioModel,
-    topology: str = "auxiliary",
-    seed: int = 0,
-    base_dir: str = ".",
-) -> SimulationResult:
-    """Convenience wrapper: build an engine and run the full window."""
-    return Engine(model, topology=topology, seed=seed, base_dir=base_dir).run()

@@ -38,8 +38,9 @@ class HouseState:
         return self.hvac_kw * self.cop * BTU_PER_KWH
 
 
-def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> None:
+def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> float:
     """Advance one timestep in place: Euler update, then thermostat.
+    Returns the electric demand in kW after the thermostat (`hvac_power`).
 
     An unpowered house (de-energized node) cannot run its HVAC: the mode
     is forced OFF and the mass drifts passively toward ambient.
@@ -50,13 +51,13 @@ def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool
     flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
     house.t_in += (dt_seconds / 3600.0) * flow / house.capacitance
     if not powered:
-        return
+        return 0.0
     if house.mode == "COOL":
         if house.t_in < house.t_set - house.deadband / 2.0:
             house.mode = "OFF"
-    else:
-        if house.t_in > house.t_set + house.deadband / 2.0:
-            house.mode = "COOL"
+    elif house.t_in > house.t_set + house.deadband / 2.0:
+        house.mode = "COOL"
+    return house.hvac_kw if house.mode == "COOL" else 0.0
 
 
 def hvac_power(house: HouseState) -> float:

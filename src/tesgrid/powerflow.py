@@ -10,12 +10,15 @@ V_child = V_parent / n - Z * I.
 
 The sweep runs over the index's compiled `SweepTree`: flat per-supernode
 lists built once with the index, in which every node hung on a
-zero-impedance `parent:` link is merged into its upstream node.  Demand
-is summed per supernode, a merged node (a meter, say) reports its
+zero-impedance `parent:` link is merged into its upstream node.  Its one
+input is a per-supernode demand list; dead entries are ignored.  A
+solution keeps per-supernode voltage and current lists and builds the
+name-keyed dicts only when read: a merged node (a meter, say) reports its
 supernode's voltage, and a `parent:` link reports no current of its own.
 
-Each solve can start from an earlier `NetworkState` (warm start); a node
-that was dead there and is live now starts at its nominal voltage.  A
+Each solve can start from an earlier `NetworkState` (warm start), whose
+voltage list is copied over the same islands; otherwise a node that was
+dead there and is live now starts at its nominal voltage.  A
 warm-started solve of unchanged loads converges in one sweep, so the
 iteration counts of a run reflect how much the loads moved per step.
 
@@ -26,9 +29,8 @@ scope.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotSwitchable, SolverDivergence
 from .network import NetworkIndex, compute_islands
@@ -39,21 +41,28 @@ MAX_ITERATIONS = 50
 SYSTEM_BASE_VA = 100e3  # per-unit base for power-balance accounting
 
 
-class LoadInjection(NamedTuple):
-    node: str
-    power_va: complex  # positive consumption, negative injection (solar)
-
-
 @dataclass
 class NetworkState:
-    voltages: dict[str, complex]
-    currents: dict[str, complex]  # edge name -> child-side current
-    statuses: dict[str, str]
+    index: NetworkIndex = field(repr=False)
+    v: list[complex]  # per supernode
+    cur: list[complex]  # per supernode: child-side current of its feeding edge
     energized: dict[str, bool]
     iterations: int
     source_power_va: complex = 0j
     load_power_va: complex = 0j
     loss_power_va: complex = 0j
+
+    @cached_property
+    def voltages(self) -> dict[str, complex]:
+        """Node name -> voltage, in index order; a merged node reads its supernode's."""
+        return {node: self.v[s] for node, s in self.index.tree.position.items()}
+
+    @cached_property
+    def currents(self) -> dict[str, complex]:
+        """Edge name -> child-side current; a `parent:` link carries 0."""
+        currents = dict.fromkeys(self.index.edges_by_name, 0j)
+        currents.update(zip(self.index.tree.edge[1:], self.cur[1:]))
+        return currents
 
     def power_mismatch_pu(self) -> float:
         return abs(self.source_power_va - self.load_power_va - self.loss_power_va) / SYSTEM_BASE_VA
@@ -100,7 +109,7 @@ class LineStatusBoard:
 
 def solve_powerflow(
     index: NetworkIndex,
-    loads: Iterable[tuple[str, complex]],
+    demand: list[complex],
     statuses: dict[str, str] | None = None,
     tolerance_pu: float = _INTERNAL_TOLERANCE_PU,
     max_iterations: int = MAX_ITERATIONS,
@@ -109,21 +118,19 @@ def solve_powerflow(
 ) -> NetworkState:
     """Sweep until the largest per-supernode voltage change is below tolerance.
 
-    `loads` is any iterable of (node, power_va) pairs, such as
-    `LoadInjection`s or plain tuples; power_va is positive for
-    consumption and negative for injection (solar).  Pairs on one
-    supernode add up in the order given; pairs on a dead node are ignored.
-
-    `energized` is the islanding of `statuses` when the caller already has
-    it (a LineStatusBoard caches it); otherwise it is computed here.
-    `start` is an earlier solution of the same network to iterate from.
+    `demand` holds one VA entry per supernode of `index.tree`, positive for
+    consumption and negative for injection (solar); dead entries are
+    ignored.  The state's name-keyed `voltages` and `currents` are built on
+    first read.  `energized` is the islanding of `statuses` when the caller
+    has it (a LineStatusBoard caches it); otherwise it is computed here.
+    `start` is an earlier solution to iterate from; over the same
+    `energized` object its voltage list is copied as is.
 
     Raises SolverDivergence with the worst residual, and the node where it
     was, after `max_iterations`.
     """
-    statuses = dict(statuses or {})
     if energized is None:
-        energized = compute_islands(index, statuses)
+        energized = compute_islands(index, statuses or {})
     tree = index.tree
     names, parent, ratio, impedance, nominal = (
         tree.names, tree.parent, tree.ratio, tree.impedance, tree.nominal
@@ -131,21 +138,16 @@ def solve_powerflow(
     n = len(names)
     live = [energized[name] for name in names]
 
-    demand = [0j] * n
-    position = tree.position
-    for node, power_va in loads:
-        s = position[node]
-        if live[s]:
-            demand[s] += power_va
-
     # warm start from `start` where the node was live there; otherwise
     # flat at nominal magnitude, zero angle
     if start is None:
         v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]
+    elif start.energized is energized:
+        v = start.v.copy()  # same islands: a dead entry is 0j there too
     else:
-        before, was_live = start.voltages, start.energized
+        before, was_live = start.v, start.energized
         v = [
-            (before[names[s]] if was_live[names[s]] else complex(nominal[s])) if live[s] else 0j
+            (before[s] if was_live[names[s]] else complex(nominal[s])) if live[s] else 0j
             for s in range(n)
         ]
     rows = [(s, parent[s], ratio[s], impedance[s], nominal[s]) for s in range(1, n) if live[s]]
@@ -182,19 +184,16 @@ def solve_powerflow(
 
     source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
     source_power = v[0] * source_current.conjugate()
-    currents = dict.fromkeys(index.edges_by_name, 0j)  # `parent:` links stay 0
     losses = 0j
     for s in range(1, n):
-        i = cur[s]
-        currents[tree.edge[s]] = i
-        losses += impedance[s] * (abs(i) ** 2)
+        losses += impedance[s] * (abs(cur[s]) ** 2)
     return NetworkState(
-        voltages={node: v[s] for node, s in tree.position.items()},
-        currents=currents,
-        statuses=statuses,
+        index=index,
+        v=v,
+        cur=cur,
         energized=energized,
         iterations=iteration,
         source_power_va=source_power,
-        load_power_va=sum(demand, 0j),
+        load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),
         loss_power_va=losses,
     )

@@ -4,7 +4,8 @@ Each is implemented from first principles with a different method than
 the code under test: dense nodal admittance solve vs. sweep power flow,
 unit-expansion greedy matching vs. merge-walk auction clearing, the
 closed-form exponential vs. Euler integration, and undirected DFS vs.
-path-product islanding.
+path-product islanding.  `demand_list` is no oracle: it turns
+(node, power_va) pairs into the solver's per-supernode input.
 """
 
 import math
@@ -12,11 +13,21 @@ import math
 import numpy as np
 
 
+def demand_list(index, loads):
+    """The solver's input for (node, power_va) pairs: one VA entry per
+    supernode of `index.tree`, pairs on one supernode added in the order
+    given."""
+    demand = [0j] * len(index.tree.names)
+    for node, power_va in loads:
+        demand[index.tree.position[node]] += power_va
+    return demand
+
+
 def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
-    """Direct nodal solve: merge zero-impedance parent links into
-    supernodes, stamp lines and ideal-ratio transformers into Y, and
-    fixed-point iterate the constant-power injections with a dense
-    linear solve each round."""
+    """Direct nodal solve of (node, power_va) pairs: merge zero-impedance
+    parent links into supernodes, stamp lines and ideal-ratio transformers
+    into Y, and fixed-point iterate the constant-power injections with a
+    dense linear solve each round."""
     rep = {n: n for n in index.order}
 
     def find(n):
@@ -46,8 +57,8 @@ def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
         Y[p, c] -= y / r
 
     demand = np.zeros(n, dtype=complex)
-    for load in loads:
-        demand[gi[find(load.node)]] += load.power_va
+    for node, power_va in loads:
+        demand[gi[find(node)]] += power_va
 
     v = np.array([complex(index.nominal_volts[g]) for g in groups])
     v[src] = complex(index.nominal_volts[index.source])

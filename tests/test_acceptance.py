@@ -13,7 +13,7 @@ from datetime import datetime
 
 import pytest
 from conftest import load_fixture
-from oracles import analytic_temperature, auction_oracle, dense_powerflow_oracle
+from oracles import analytic_temperature, auction_oracle, demand_list, dense_powerflow_oracle
 
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
@@ -22,7 +22,7 @@ from tesgrid.loads import HouseState, init_mode, step_house
 from tesgrid.market import clear_book, Bid
 from tesgrid.model import AttackConfig
 from tesgrid.network import build_network_index, compute_islands, deenergized_objects
-from tesgrid.powerflow import LoadInjection, solve_powerflow
+from tesgrid.powerflow import solve_powerflow
 from tesgrid.recorder import write_results
 from tesgrid.validate import validate
 
@@ -189,15 +189,15 @@ def test_6_powerflow_oracle(baseline, scenario1_full, scenario1_partial,
                 "object node { name b; nominal_voltage 7200 V; }\n"
                 "object overhead_line { name l; from s; to b; impedance 1+2j Ohm; }\n"
             ),
-            [LoadInjection("b", complex(400e3, 80e3))],
+            [("b", complex(400e3, 80e3))],
         ),
         "feeder_small": (
             parse_scenario(load_fixture("feeder_small.glm")),
             [
-                LoadInjection("tm1", complex(1100.0, 200.0)),
-                LoadInjection("tm2", complex(900.0, 150.0)),
-                LoadInjection("tm3", complex(2400.0, 300.0)),
-                LoadInjection("tm4", complex(1700.0, 250.0)),
+                ("tm1", complex(1100.0, 200.0)),
+                ("tm2", complex(900.0, 150.0)),
+                ("tm3", complex(2400.0, 300.0)),
+                ("tm4", complex(1700.0, 250.0)),
             ],
         ),
     }
@@ -205,7 +205,7 @@ def test_6_powerflow_oracle(baseline, scenario1_full, scenario1_partial,
     for name, (model, loads) in fixtures.items():
         index = build_network_index(model)
         assert len(index.order) <= 10
-        state = solve_powerflow(index, loads)
+        state = solve_powerflow(index, demand_list(index, loads))
         oracle = dense_powerflow_oracle(index, loads)
         for node in index.order:
             diff = abs(state.voltages[node] - oracle[node]) / index.nominal_volts[node]

@@ -328,13 +328,23 @@ def test_recorder_on_missing_target_fails_at_construction(small_text):
         Engine(model)
 
 
-def test_load_injections_are_plain_pairs(small_text):
+def test_load_injections_are_a_supernode_demand_list(small_text):
     engine, _ = run_small(small_text)
-    injections, totals = engine.build_load_injections(engine.clock.stop)
-    assert all(type(pair) is tuple and len(pair) == 2 for pair in injections)
-    assert [node for node, _ in injections] == ["tm1", "tm2", "tm3", "tm4"]
-    per_node = dict(injections)
-    # tm3 carries house h3 (1 kW, cooling all hour) and zipload z1 (1.2 kW)
-    assert engine.houses["h3"].mode == "COOL"
-    assert per_node["tm3"] == complex(2200.0, 0.0)
-    assert totals["load"] == pytest.approx(sum(p.real for p in per_node.values()) / 1000.0)
+    demand, totals = engine.build_load_injections()
+    tree = engine.index.tree
+    assert len(demand) == len(tree.names) and all(type(d) is complex for d in demand)
+    # tn1 carries h1 (1 kW) minus solar s1 (0.45 kW at irradiance 0.5) on
+    # tm1 plus h2 (1 kW) on tm2; tn2 carries h3 and z1 (2.2 kW) on tm3 plus
+    # h4 and w1 (1.8 kW) on tm4; every house cools all hour
+    assert all(house.mode == "COOL" for house in engine.houses.values())
+    assert demand == [0j, 0j, complex(1550.0, 0.0), complex(4000.0, 0.0)]
+    assert tree.position["tm1"] == tree.position["tm2"] == 2
+    assert totals == {"load": 5.55, "hvac": 4.0}
+    assert totals["load"] == pytest.approx(sum(d.real for d in demand) / 1000.0)
+
+
+def test_solar_read_before_the_first_step(small_text):
+    text = small_text + "recorder { name rec_s1; target s1; property power_kw; interval 60 s; file s1.csv; }\n"
+    engine = Engine(parse_scenario(text))
+    # constant weather: irradiance 0.5 on a 1 kW panel at efficiency 0.9
+    assert engine.read_property("s1", "power_kw", {}) == (0.45, "")

@@ -1,0 +1,189 @@
+"""The per-step load pass against the plain per-node build it replaced.
+
+The kernel compiles one slot per load node and hands the solver one
+per-supernode demand list.  Float order is part of the output contract,
+so at every step the list must equal, with ``==``, a reference built the
+plain way in this file: a per-node dict in first-seen order (houses,
+appliances, then minus solar, in kW), scaled by 1000 per node, added
+into supernodes.  Also checked: the lazily built ``voltages`` and
+``currents`` dicts, the warm start by list copy, and one weather sample
+per step.
+"""
+
+import pytest
+from conftest import load_fixture
+
+from tesgrid.feedergen import gen_feeder, gen_weather
+from tesgrid.glm import parse_scenario
+from tesgrid.kernel import Engine
+from tesgrid.loads import hvac_power, solar_output
+from tesgrid.powerflow import solve_powerflow
+from tesgrid.recorder import WeatherSeries
+
+# the feeder_small hour under changing irradiance, with UL1 open 00:20-00:40
+# and an appliance beside house h1 and panel s1, where (1 + 0.35) - solar
+# and (1 - solar) + 0.35 differ in the last bit
+SMALL_WEATHER = (
+    "time,temperature_degF,irradiance_fraction\n"
+    "2013-07-01 00:00:00,88.0,0.15\n"
+    "2013-07-01 00:13:00,91.5,0.62\n"
+    "2013-07-01 00:31:00,95.25,0.9\n"
+    "2013-07-01 00:47:00,93.0,0.37\n"
+)
+SMALL_EXTRA = (
+    "weather { file w.csv; }\n"
+    "object zipload { name z2; parent tm1; base_power 0.35 kW; }\n"
+    "schedule {\n"
+    '    entry "2013-07-01 00:10:00" h2 cooling_setpoint 81 degF;\n'
+    '    entry "2013-07-01 00:20:00" UL1 status OPEN;\n'
+    '    entry "2013-07-01 00:40:00" UL1 status CLOSED;\n'
+    "}\n"
+)
+# the generated 30-house day with its trunk open over the noon hour
+FEEDER_EXTRA = (
+    "schedule {\n"
+    '    entry "2013-07-01 12:00:00" trunk status OPEN;\n'
+    '    entry "2013-07-01 13:00:00" trunk status CLOSED;\n'
+    "}\n"
+)
+
+
+def reference_load_pass(engine, t):
+    """Demand and totals built the plain way from the engine's live state."""
+    energized = engine.board.energized()
+    attach = engine.index.attach_node
+    per_node: dict[str, float] = {}
+    hvac = 0.0
+    for name, house in engine.houses.items():
+        node = attach[name]
+        if energized[node]:
+            kw = hvac_power(house)
+            per_node[node] = per_node.get(node, 0.0) + kw
+            hvac += kw
+    for name, app in engine.appliances.items():
+        node = attach[name]
+        if energized[node]:
+            per_node[node] = per_node.get(node, 0.0) + app.power_kw
+    _, irradiance = engine.weather.sample(t)
+    for name, panel in engine.solars.items():
+        node = attach[name]
+        if energized[node]:
+            per_node[node] = per_node.get(node, 0.0) - solar_output(
+                panel.rating_kw, panel.efficiency, irradiance
+            )
+    demand = [0j] * len(engine.index.tree.names)
+    for node, kw in per_node.items():
+        demand[engine.index.tree.position[node]] += complex(kw * 1000.0, 0.0)
+    return demand, {"load": sum(per_node.values()), "hvac": hvac}
+
+
+def run_against_reference(engine, monkeypatch):
+    """Run `engine`, checking every step's load pass; returns the step count."""
+    checked = []
+    build = Engine.build_load_injections
+    loads = Engine._phase_loads
+
+    def phase_loads(self, t, dt, first):
+        self.step_time = t
+        return loads(self, t, dt, first)
+
+    def checked_build(self):
+        demand, totals = build(self)
+        want_demand, want_totals = reference_load_pass(self, self.step_time)
+        assert demand == want_demand, self.step_time
+        assert totals == want_totals, self.step_time
+        checked.append(not all(self.board.energized().values()))
+        return demand, totals
+
+    monkeypatch.setattr(Engine, "_phase_loads", phase_loads)
+    monkeypatch.setattr(Engine, "build_load_injections", checked_build)
+    result = engine.run()
+    assert result.complete
+    assert len(checked) == result.metadata["executed_steps"] + 1
+    assert any(checked) and not all(checked)  # steps with and without dead slots
+    return len(checked)
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_small_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology):
+    (tmp_path / "w.csv").write_text(SMALL_WEATHER)
+    model = parse_scenario(load_fixture("feeder_small.glm") + SMALL_EXTRA)
+    engine = Engine(model, topology=topology, base_dir=str(tmp_path))
+    assert run_against_reference(engine, monkeypatch) == 61
+    assert engine.houses["h2"].mode == "COOL" and engine.houses["h2"].t_set == 81.0
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_generated_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology):
+    (tmp_path / "weather.csv").write_text(gen_weather())
+    model = parse_scenario(gen_feeder(30, 0) + FEEDER_EXTRA)
+    engine = Engine(model, topology=topology, base_dir=str(tmp_path))
+    assert run_against_reference(engine, monkeypatch) == 1441
+
+
+@pytest.fixture()
+def outage_engine(small_text):
+    model = parse_scenario(small_text + SMALL_EXTRA.replace("weather { file w.csv; }\n", ""))
+    model.clock.stop = model.clock.start.replace(minute=30)  # ends inside the outage
+    engine = Engine(model)
+    engine.run()
+    return engine
+
+
+@pytest.mark.parametrize("outage", [True, False])
+def test_lazy_dicts_equal_an_eager_build(outage_engine, outage):
+    index, state = outage_engine.index, outage_engine.network_state
+    tree = index.tree
+    assert not state.energized["tm3"]
+    if not outage:
+        demand = [complex(1000.0 * s, 100.0) for s in range(len(tree.names))]
+        state = solve_powerflow(index, demand, {"UL1": "CLOSED"})
+        assert all(state.energized.values()) and all(state.cur[1:])
+    eager_v = {node: state.v[tree.position[node]] for node in index.order}
+    eager_i = {
+        name: 0j if edge.cls == "parent" else state.cur[tree.position[edge.child]]
+        for name, edge in index.edges_by_name.items()
+    }
+    assert list(state.voltages) == index.order
+    assert state.voltages == eager_v
+    assert list(state.currents) == list(index.edges_by_name)
+    assert state.currents == eager_i
+    assert (state.voltages["tm3"] == 0j) == (state.currents["T2"] == 0j) == outage
+    assert state.voltages is state.voltages  # built once
+
+
+@pytest.mark.parametrize("tolerance_pu", [1.0, 1e-10])
+def test_warm_start_copy_equals_name_keyed_start(outage_engine, tolerance_pu):
+    engine = outage_engine
+    start = engine.network_state
+    demand, _ = engine.build_load_injections()
+    demand = [d * 1.5 for d in demand]  # moved loads, so the sweep has work to do
+    energized = engine.board.energized()
+    assert start.energized is energized
+    copied = solve_powerflow(engine.index, demand, engine.board.statuses, tolerance_pu=tolerance_pu,
+                             energized=energized, start=start)
+    keyed = solve_powerflow(engine.index, demand, engine.board.statuses, tolerance_pu=tolerance_pu,
+                            energized=dict(energized), start=start)
+    assert keyed.energized is not start.energized
+    for field in ("v", "cur", "iterations", "source_power_va", "load_power_va", "loss_power_va"):
+        assert getattr(copied, field) == getattr(keyed, field), field
+    assert copied.v is not start.v
+
+
+def test_weather_is_sampled_once_per_step(small_text, monkeypatch):
+    text = small_text + (
+        "recorder { name rec_s1; target s1; property power_kw; interval 60 s; file s1.csv; }\n"
+    )
+    engine = Engine(parse_scenario(text))
+    calls = []
+    sample = WeatherSeries.sample
+
+    def counted(self, t):
+        calls.append(t)
+        return sample(self, t)
+
+    monkeypatch.setattr(WeatherSeries, "sample", counted)
+    result = engine.run()
+    executed = result.metadata["executed_steps"] + 1
+    assert executed == 61
+    assert len(calls) == executed and len(set(calls)) == executed

@@ -66,11 +66,11 @@ def transformed(engine, bid, kind, market_price, price_cap):
     return bid
 
 
-def reference_round(engine, held, market_name, t):
+def reference_round(engine, held, market_name):
     """One market round; `held` maps a controller to its last auxiliary bid."""
     market = engine.markets[market_name]
     ctls = engine.controllers[market_name]
-    unresp_kw = engine._unresponsive_kw(t)
+    unresp_kw = engine._unresponsive_kw()
     offers = seller_bids(engine.sellers[market_name], market.current_period)
     for bid in offers:
         market.submit(bid)
@@ -155,11 +155,10 @@ def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch
         submit(market, bid)
 
     monkeypatch.setattr(Market, "submit", recording_submit)
-    t = engine.clock.start
-    engine._market_round("market", t)
+    engine._market_round("market")
     assert not [bid for name, _, bid in submitted if name == "market" and bid.trader in controllers]
     submitted.clear()
-    engine._market_round("market", t)
+    engine._market_round("market")
     forwarded = [(period, bid) for name, period, bid in submitted if name == "market" and bid.trader in controllers]
     assert len(forwarded) == len(controllers)
     assert all(bid.period == period == 1 for period, bid in forwarded)
@@ -169,4 +168,4 @@ def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch
     _, _, bidder = engine._bidders["market"][0]
     bidder.held_bid = bidder.held_bid._replace(price=main.price_cap + 0.01)
     with pytest.raises(PriceCapViolation):
-        engine._market_round("market", t)
+        engine._market_round("market")

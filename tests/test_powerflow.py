@@ -11,13 +11,12 @@ from tesgrid.glm import parse_scenario
 from tesgrid.network import build_network_index, compute_islands
 from tesgrid.powerflow import (
     LineStatusBoard,
-    LoadInjection,
     SYSTEM_BASE_VA,
     VOLTAGE_TOLERANCE_PU,
     solve_powerflow,
 )
 
-from oracles import dense_powerflow_oracle as dense_oracle
+from oracles import demand_list, dense_powerflow_oracle as dense_oracle
 
 TWO_BUS = """
 object node { name s; bustype SWING; nominal_voltage 7200 V; }
@@ -29,7 +28,7 @@ object overhead_line { name l1; from s; to b; impedance 1+2j Ohm; }
 def test_two_bus_closed_form():
     index = build_network_index(parse_scenario(TWO_BUS))
     P, Q = 500e3, 100e3
-    state = solve_powerflow(index, [LoadInjection("b", complex(P, Q))])
+    state = solve_powerflow(index, demand_list(index, [("b", complex(P, Q))]))
     R, X = 1.0, 2.0
     vs = 7200.0
     z2 = R * R + X * X
@@ -42,15 +41,15 @@ def test_two_bus_closed_form():
 
 def test_two_bus_no_load_flat():
     index = build_network_index(parse_scenario(TWO_BUS))
-    state = solve_powerflow(index, [])
+    state = solve_powerflow(index, demand_list(index, []))
     assert state.voltages["b"] == pytest.approx(7200.0 + 0j)
     assert state.iterations <= 2
 
 
 def test_dense_oracle_two_bus():
     index = build_network_index(parse_scenario(TWO_BUS))
-    loads = [LoadInjection("b", complex(300e3, 60e3))]
-    state = solve_powerflow(index, loads)
+    loads = [("b", complex(300e3, 60e3))]
+    state = solve_powerflow(index, demand_list(index, loads))
     oracle = dense_oracle(index, loads)
     for node in index.order:
         assert abs(state.voltages[node] - oracle[node]) / index.nominal_volts[node] < 1e-6
@@ -60,12 +59,12 @@ def test_dense_oracle_small_fixture(small_model):
     """Eight-bus fixture with two transformer legs and parent links."""
     index = build_network_index(small_model)
     loads = [
-        LoadInjection("tm1", complex(1200.0, 200.0)),
-        LoadInjection("tm2", complex(900.0, 100.0)),
-        LoadInjection("tm3", complex(2500.0, 400.0)),
-        LoadInjection("tm4", complex(1800.0, 300.0)),
+        ("tm1", complex(1200.0, 200.0)),
+        ("tm2", complex(900.0, 100.0)),
+        ("tm3", complex(2500.0, 400.0)),
+        ("tm4", complex(1800.0, 300.0)),
     ]
-    state = solve_powerflow(index, loads)
+    state = solve_powerflow(index, demand_list(index, loads))
     oracle = dense_oracle(index, loads)
     for node in index.order:
         assert abs(state.voltages[node] - oracle[node]) / index.nominal_volts[node] < 1e-6
@@ -74,26 +73,26 @@ def test_dense_oracle_small_fixture(small_model):
 def test_power_balance(small_model):
     index = build_network_index(small_model)
     loads = [
-        LoadInjection("tm1", complex(3000.0, 500.0)),
-        LoadInjection("tm3", complex(4000.0, 800.0)),
-        LoadInjection("tm4", complex(-900.0, 0.0)),  # injection (solar)
+        ("tm1", complex(3000.0, 500.0)),
+        ("tm3", complex(4000.0, 800.0)),
+        ("tm4", complex(-900.0, 0.0)),  # injection (solar)
     ]
-    state = solve_powerflow(index, loads)
+    state = solve_powerflow(index, demand_list(index, loads))
     assert state.power_mismatch_pu() < 1e-6
     assert state.source_power_va.real > 0
 
 
 def test_transformer_secondary_voltage(small_model):
     index = build_network_index(small_model)
-    state = solve_powerflow(index, [])
+    state = solve_powerflow(index, demand_list(index, []))
     assert abs(state.voltages["tn1"]) == pytest.approx(240.0)
     assert state.voltages["tm1"] == state.voltages["tn1"]  # zero-impedance link
 
 
 def test_open_line_deenergizes(small_model):
     index = build_network_index(small_model)
-    loads = [LoadInjection("tm3", complex(2000.0, 0.0)), LoadInjection("tm1", complex(1000.0, 0.0))]
-    state = solve_powerflow(index, loads, {"UL1": "OPEN"})
+    loads = [("tm3", complex(2000.0, 0.0)), ("tm1", complex(1000.0, 0.0))]
+    state = solve_powerflow(index, demand_list(index, loads), {"UL1": "OPEN"})
     assert state.voltages["n2"] == 0j
     assert state.voltages["tm3"] == 0j
     assert abs(state.voltages["tm1"]) > 200.0
@@ -121,14 +120,14 @@ def test_status_board_semantics(small_model):
 def test_divergence_raises():
     index = build_network_index(parse_scenario(TWO_BUS))
     with pytest.raises(SolverDivergence) as err:
-        solve_powerflow(index, [LoadInjection("b", complex(1e9, 0.0))])
+        solve_powerflow(index, demand_list(index, [("b", complex(1e9, 0.0))]))
     assert err.value.worst_residual > VOLTAGE_TOLERANCE_PU
 
 
 def test_contract_tolerance_iterations(small_model):
     index = build_network_index(small_model)
-    loads = [LoadInjection("tm3", complex(5000.0, 1000.0))]
-    state = solve_powerflow(index, loads, tolerance_pu=VOLTAGE_TOLERANCE_PU)
+    loads = [("tm3", complex(5000.0, 1000.0))]
+    state = solve_powerflow(index, demand_list(index, loads), tolerance_pu=VOLTAGE_TOLERANCE_PU)
     assert state.iterations <= 50
 
 
@@ -137,9 +136,9 @@ def test_system_base():
 
 
 SMALL_LOADS = [
-    LoadInjection("tm1", complex(1200.0, 200.0)),
-    LoadInjection("tm3", complex(2500.0, 400.0)),
-    LoadInjection("tm4", complex(-900.0, 0.0)),
+    ("tm1", complex(1200.0, 200.0)),
+    ("tm3", complex(2500.0, 400.0)),
+    ("tm4", complex(-900.0, 0.0)),
 ]
 
 
@@ -149,28 +148,28 @@ def _max_gap_pu(index, a, b):
 
 def test_warm_start_matches_cold_solve(small_model):
     index = build_network_index(small_model)
-    earlier = solve_powerflow(index, [LoadInjection("tm2", complex(4000.0, 900.0))])
-    warm = solve_powerflow(index, SMALL_LOADS, start=earlier)
-    cold = solve_powerflow(index, SMALL_LOADS)
+    earlier = solve_powerflow(index, demand_list(index, [("tm2", complex(4000.0, 900.0))]))
+    warm = solve_powerflow(index, demand_list(index, SMALL_LOADS), start=earlier)
+    cold = solve_powerflow(index, demand_list(index, SMALL_LOADS))
     assert _max_gap_pu(index, warm, cold) < 1e-9
     assert warm.power_mismatch_pu() < 1e-6
     # from its own solution the sweep has nothing left to do
-    assert solve_powerflow(index, SMALL_LOADS, start=cold).iterations == 1
+    assert solve_powerflow(index, demand_list(index, SMALL_LOADS), start=cold).iterations == 1
 
 
 def test_reenergized_subtree_starts_from_nominal(small_model):
     index = build_network_index(small_model)
-    outage = solve_powerflow(index, SMALL_LOADS, {"UL1": "OPEN"})
+    outage = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "OPEN"})
     assert outage.voltages["tm3"] == 0j
-    restored = solve_powerflow(index, SMALL_LOADS, {"UL1": "CLOSED"}, start=outage)
-    cold = solve_powerflow(index, SMALL_LOADS, {"UL1": "CLOSED"})
+    restored = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "CLOSED"}, start=outage)
+    cold = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "CLOSED"})
     assert _max_gap_pu(index, restored, cold) < 1e-9
     assert restored.power_mismatch_pu() < 1e-6
     # After one sweep the re-energized leg equals a flat start's first sweep:
     # its currents only depend on its own (nominal) start voltages.  From
     # 0 V it would carry no current and still read nominal.
-    first = solve_powerflow(index, SMALL_LOADS, start=outage, tolerance_pu=1.0)
-    flat_first = solve_powerflow(index, SMALL_LOADS, tolerance_pu=1.0)
+    first = solve_powerflow(index, demand_list(index, SMALL_LOADS), start=outage, tolerance_pu=1.0)
+    flat_first = solve_powerflow(index, demand_list(index, SMALL_LOADS), tolerance_pu=1.0)
     assert first.iterations == flat_first.iterations == 1
     for node in ("n2", "tn2", "tm3", "tm4"):
         assert first.voltages[node] == flat_first.voltages[node]
@@ -180,9 +179,10 @@ def test_reenergized_subtree_starts_from_nominal(small_model):
 def test_islands_from_the_caller(small_model):
     index = build_network_index(small_model)
     board = LineStatusBoard(index, {"UL1": "OPEN"})
-    state = solve_powerflow(index, SMALL_LOADS, board.statuses, energized=board.energized())
+    demand = demand_list(index, SMALL_LOADS)
+    state = solve_powerflow(index, demand, board.statuses, energized=board.energized())
     assert state.energized is board.energized()
-    assert state.voltages == solve_powerflow(index, SMALL_LOADS, {"UL1": "OPEN"}).voltages
+    assert state.voltages == solve_powerflow(index, demand, {"UL1": "OPEN"}).voltages
 
 
 def test_merged_meters_report_their_supernode(small_model):
@@ -193,7 +193,7 @@ def test_merged_meters_report_their_supernode(small_model):
     assert tree.edge == ["", "UL1", "T1", "T2"]
     assert tree.ratio == [1.0, 1.0, 30.0, 30.0]
     assert tree.position["tm3"] == tree.position["tm4"] == tree.position["tn2"] == 3
-    state = solve_powerflow(index, SMALL_LOADS)
+    state = solve_powerflow(index, demand_list(index, SMALL_LOADS))
     assert state.voltages["tm3"] == state.voltages["tm4"] == state.voltages["tn2"]
     assert list(state.voltages) == index.order
     assert list(state.currents) == list(index.edges_by_name)
@@ -203,13 +203,7 @@ def test_merged_meters_report_their_supernode(small_model):
 def test_divergence_names_the_worst_node():
     index = build_network_index(parse_scenario(TWO_BUS))
     with pytest.raises(SolverDivergence) as err:
-        solve_powerflow(index, [LoadInjection("b", complex(1e9, 0.0))])
+        solve_powerflow(index, demand_list(index, [("b", complex(1e9, 0.0))]))
     assert err.value.node == "b"
     assert "worst at b" in str(err.value)
 
-
-def test_plain_pairs_solve_like_load_injections(small_model):
-    index = build_network_index(small_model)
-    named = solve_powerflow(index, SMALL_LOADS)
-    plain = solve_powerflow(index, iter([(load.node, load.power_va) for load in SMALL_LOADS]))
-    assert plain.voltages == named.voltages and plain.currents == named.currents

@@ -9,11 +9,11 @@ reachability for random OPEN/CLOSED statuses.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_powerflow_oracle, reachability_oracle
+from oracles import demand_list, dense_powerflow_oracle, reachability_oracle
 
 from tesgrid.glm import parse_scenario
 from tesgrid.network import build_network_index, compute_islands
-from tesgrid.powerflow import LoadInjection, solve_powerflow
+from tesgrid.powerflow import solve_powerflow
 
 SOURCE_VOLTS = 7200.0
 BASE_VA = 100e3  # impedances and loads are drawn per unit of this base
@@ -60,7 +60,7 @@ def radial_feeders(draw):
         p = draw(st.floats(min_value=-0.01, max_value=0.03))
         q = draw(st.floats(min_value=0.0, max_value=0.01))
         if p or q:
-            loads.append(LoadInjection(nodes[i], complex(p, q) * BASE_VA))
+            loads.append((nodes[i], complex(p, q) * BASE_VA))
     return "\n".join(objects) + "\n", nodes, nominal, loads, lines
 
 
@@ -69,7 +69,7 @@ def radial_feeders(draw):
 def test_compiled_sweep_matches_dense_oracle(feeder):
     text, nodes, nominal, loads, _ = feeder
     index = build_network_index(parse_scenario(text))
-    state = solve_powerflow(index, loads)
+    state = solve_powerflow(index, demand_list(index, loads))
     oracle = dense_powerflow_oracle(index, loads)
     assert set(state.voltages) == set(nodes)
     for i, node in enumerate(nodes):
