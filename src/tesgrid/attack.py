@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, EmptyWindow, UnknownTarget
 from .market import Bid
-from .model import AttackConfig, ScenarioModel
+from .model import AttackConfig, Event, ScenarioModel
 
 
 def compromised_set(population: list[str], fraction: float, seed: int) -> frozenset[str]:
@@ -62,19 +62,9 @@ class BidTransform:
 
 
 @dataclass
-class AttackEvent:
-    """Kernel-facing event payload emitted by compilation."""
-
-    time: object  # datetime
-    target: str
-    prop: str
-    value: object
-
-
-@dataclass
 class CompiledAttack:
     config: AttackConfig
-    events: list[AttackEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
     transform: BidTransform | None = None
 
 
@@ -98,8 +88,8 @@ def compile_attack(
             if line_name not in names:
                 raise UnknownTarget(f"{cfg.name}: no object named '{line_name}'")
             restored = "CLOSED" if cfg.status == "OPEN" else "OPEN"
-            compiled.events.append(AttackEvent(cfg.start, line_name, "status", cfg.status))
-            compiled.events.append(AttackEvent(cfg.end, line_name, "status", restored))
+            compiled.events.append(Event(cfg.start, line_name, "status", cfg.status, "attack"))
+            compiled.events.append(Event(cfg.end, line_name, "status", restored, "attack"))
         return compiled
 
     if topology != "auxiliary":
@@ -120,6 +110,6 @@ def compile_attack(
         lam=cfg.lam,
     )
     pseudo = f"attack:{cfg.name}"
-    compiled.events.append(AttackEvent(cfg.start, pseudo, "active", True))
-    compiled.events.append(AttackEvent(cfg.end, pseudo, "active", False))
+    compiled.events.append(Event(cfg.start, pseudo, "active", True, "attack"))
+    compiled.events.append(Event(cfg.end, pseudo, "active", False, "attack"))
     return compiled

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import ParseError
+from .kernel import OBJECT_CLASSES
 from .model import (
     TIME_FORMAT,
     UNIT_TABLE,
-    OBJECT_CLASSES,
     AttackConfig,
     ClockConfig,
     GridObject,

@@ -38,7 +38,7 @@ from .market import (
     SellerAgent,
     seller_bids,
 )
-from .model import EDGE_CLASSES, ScenarioModel, Schedule, Value, out_of_bounds
+from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value
 from .network import build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
@@ -52,8 +52,15 @@ from .recorder import (
 DEENERGIZED = "DEENERGIZED"
 
 
-class Accessor(NamedTuple):
-    """How a run reads and sets one property of one class.
+class Prop(NamedTuple):
+    """What one property of one class is, and how a run reads and sets it.
+
+    `kind` is the unit class of a scenario input ("VOLTAGE", "POWER", ...),
+    "ref" (an object name), "enum" (a bare word) or "number"
+    (dimensionless); without one the property is not a scenario input.
+    `default` is what `Engine` takes when an object leaves the property out;
+    a `required` one has none.  `bound` is "positive" (> 0) or
+    "nonnegative" (>= 0), for object, schedule and player values alike.
 
     `read(engine, target)` binds the recorder read: a closure that takes the
     step's feeder totals and returns (value, flag) from the live run state;
@@ -61,8 +68,15 @@ class Accessor(NamedTuple):
     binds the setter for schedules, players and attacks: a closure that
     stores a value and returns the one it replaced."""
 
+    kind: str | None = None
+    required: bool = False
+    default: object = None
+    bound: str | None = None
     read: Callable | None = None
     write: Callable | None = None
+
+
+NO_PROP = Prop()  # the entry of a property a class does not have
 
 
 def _attribute(objects: str, attr: str, cast=float):
@@ -175,67 +189,119 @@ def _feeder(get):
     return bind
 
 
+_REF = Prop("ref", required=True)
 _NODE = {
-    "voltage_mag": Accessor(_voltage(angle=False)),
-    "voltage_ang": Accessor(_voltage(angle=True)),
-    "energized": Accessor(_energized),
+    "nominal_voltage": Prop("VOLTAGE", bound="positive"),
+    "voltage_mag": Prop(read=_voltage(angle=False)),
+    "voltage_ang": Prop(read=_voltage(angle=True)),
+    "energized": Prop(read=_energized),
 }
-_METER = {**_NODE, "measured_power_kw": Accessor(_measured_power_kw)}
+_TRIPLEX = {**_NODE, "parent": Prop("ref")}
+_METER = {**_TRIPLEX, "measured_power_kw": Prop(read=_measured_power_kw)}
 _APPLIANCE = {
-    "power_kw": Accessor(_appliance_kw),
-    "base_power": Accessor(write=_attribute("appliances", "power_kw")),
+    "parent": _REF,
+    "base_power": Prop("POWER", default=0.0, write=_attribute("appliances", "power_kw")),
+    "power_kw": Prop(read=_appliance_kw),
 }
-_LINE = {"status": Accessor(_line_status, _set_line_status), "current_mag": Accessor(_current_mag)}
+_ENDS = {"from": _REF, "to": _REF}
+_LINE = {
+    **_ENDS,
+    "impedance": Prop("IMPEDANCE", required=True),
+    "status": Prop("enum", read=_line_status, write=_set_line_status),
+    "current_mag": Prop(read=_current_mag),
+}
+_SWITCH = {**_LINE, "impedance": Prop("IMPEDANCE")}
+_SETPOINT = Prop("TEMPERATURE", required=True)
 
-# Every property a run can record or set, per class: the attack surface.
-# `validate` checks recorders, schedules and players against it.
-PROPERTIES: dict[str, dict[str, Accessor]] = {
+# Every property of every class, the one place that says what a property
+# is: its kind, whether it is required, its default and bound, and how a
+# run records and sets it (the attack surface).  `validate` checks objects,
+# recorders, schedules and players against it; `Engine` takes its defaults
+# and binds its reads and writes from it.
+PROPERTIES: dict[str, dict[str, Prop]] = {
     "auction": {
-        "clearing_price": Accessor(_market(lambda market: market.last_clearing.price)),
-        "cleared_quantity": Accessor(_market(lambda market: market.last_clearing.quantity)),
-        "bid_count_buy": Accessor(_market(lambda market: market.last_bid_counts[0])),
-        "bid_count_sell": Accessor(_market(lambda market: market.last_bid_counts[1])),
-        "p_avg": Accessor(_market(lambda market: market.p_avg)),
-        "p_std": Accessor(_market(lambda market: market.p_std)),
+        "period": Prop("TIME", required=True),
+        "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive"),
+        "init_price": Prop("PRICE", default=0.10),
+        "clearing_price": Prop(read=_market(lambda market: market.last_clearing.price)),
+        "cleared_quantity": Prop(read=_market(lambda market: market.last_clearing.quantity)),
+        "bid_count_buy": Prop(read=_market(lambda market: market.last_bid_counts[0])),
+        "bid_count_sell": Prop(read=_market(lambda market: market.last_bid_counts[1])),
+        "p_avg": Prop(read=_market(lambda market: market.p_avg)),
+        "p_std": Prop(read=_market(lambda market: market.p_std)),
+    },
+    "controller": {
+        "house": _REF,
+        "market": _REF,
+        "t_min": _SETPOINT,
+        "t_base": _SETPOINT,
+        "t_max": _SETPOINT,
+        "k_ramp": Prop("number", required=True, bound="positive"),
+        "sigma_floor": Prop("PRICE", default=DEFAULT_SIGMA_FLOOR, bound="positive"),
+    },
+    "generator_seller": {
+        "market": _REF,
+        "price": Prop("PRICE", required=True),
+        "capacity": Prop("POWER", required=True, bound="nonnegative"),
     },
     "house": {
-        "air_temperature": Accessor(_house("t_in"), _attribute("houses", "t_in")),
-        "cooling_setpoint": Accessor(_house("t_set"), _attribute("houses", "t_set")),
-        "hvac_load_kw": Accessor(_hvac_load_kw),
-        "hvac_mode": Accessor(_house("mode")),
-        "deadband": Accessor(write=_attribute("houses", "deadband")),
-        "internal_gains": Accessor(write=_attribute("houses", "internal_gains")),
+        "parent": _REF,
+        "air_temperature": Prop(
+            "TEMPERATURE", default=75.0, read=_house("t_in"), write=_attribute("houses", "t_in")
+        ),
+        "cooling_setpoint": Prop(
+            "TEMPERATURE", default=75.0, read=_house("t_set"), write=_attribute("houses", "t_set")
+        ),
+        "deadband": Prop("TEMPERATURE", default=2.0, bound="positive", write=_attribute("houses", "deadband")),
+        "thermal_capacitance": Prop("number", default=2000.0, bound="positive"),  # Btu/degF
+        "ua": Prop("number", default=550.0, bound="positive"),  # Btu/(h*degF)
+        "internal_gains": Prop("number", default=1800.0, write=_attribute("houses", "internal_gains")),  # Btu/h
+        "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative"),
+        "cop": Prop("number", default=3.5),
+        "hvac_load_kw": Prop(read=_hvac_load_kw),
+        "hvac_mode": Prop(read=_house("mode")),
     },
     "meter": _METER,
     "triplex_meter": _METER,
-    "triplex_node": _NODE,
+    "triplex_node": _TRIPLEX,
     "node": {
         **_NODE,
-        "total_load_kw": Accessor(_total("load")),
-        "total_hvac_kw": Accessor(_total("hvac")),
-        "losses_kw": Accessor(_feeder(lambda state: state.loss_power_va.real / 1000.0)),
-        "source_power_kw": Accessor(_feeder(lambda state: state.source_power_va.real / 1000.0)),
+        "bustype": Prop("enum"),
+        "total_load_kw": Prop(read=_total("load")),
+        "total_hvac_kw": Prop(read=_total("hvac")),
+        "losses_kw": Prop(read=_feeder(lambda state: state.loss_power_va.real / 1000.0)),
+        "source_power_kw": Prop(read=_feeder(lambda state: state.source_power_va.real / 1000.0)),
     },
     "zipload": _APPLIANCE,
     "waterheater": _APPLIANCE,
-    "solar": {"power_kw": Accessor(_panel_kw), "rating": Accessor(write=_attribute("solars", "rating_kw"))},
+    "solar": {
+        "parent": _REF,
+        "rating": Prop("POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw")),
+        "efficiency": Prop("number", default=1.0),
+        "power_kw": Prop(read=_panel_kw),
+    },
     "underground_line": _LINE,
     "overhead_line": _LINE,
-    "switch": _LINE,
-    "fuse": _LINE,
-    "transformer": {"current_mag": Accessor(_current_mag)},
+    "switch": _SWITCH,
+    "fuse": _SWITCH,
+    "transformer": {
+        **_ENDS,
+        "ratio": Prop("number", required=True, bound="positive"),
+        "impedance": Prop("IMPEDANCE"),
+        "current_mag": Prop(read=_current_mag),
+    },
     # the pseudo-target `attack:NAME` that toggles a market attack's transform
-    "attack": {"active": Accessor(write=_attribute("transforms", "active", bool))},
+    "attack": {"active": Prop(write=_attribute("transforms", "active", bool))},
 }
+OBJECT_CLASSES = frozenset(PROPERTIES) - {"attack"}
 
 
-@dataclass(frozen=True)
-class Event:
-    time: datetime
-    target: str
-    prop: str
-    value: object
-    origin: str  # schedule | attack | player
+def out_of_bounds(cls: str, prop: str, number: float) -> str | None:
+    """Why `number` cannot be property `prop` of class `cls`; None when it can."""
+    bound = PROPERTIES[cls][prop].bound
+    if bound == "positive" and not number > 0 or bound == "nonnegative" and not number >= 0:
+        return f"{prop} must be {bound}"
+    return None
 
 
 @dataclass
@@ -282,27 +348,27 @@ def build_event_list(
     """
     queue = EventQueue()
 
-    def push(time: datetime, target: str, prop: str, value, origin: str) -> None:
-        if time < t0 or time > tf:
+    def push(event: Event) -> None:
+        if event.time < t0 or event.time > tf:
             queue.warnings.append(
-                f"OutOfWindow: {origin} event at {time} for {target}.{prop} dropped"
+                f"OutOfWindow: {event.origin} event at {event.time} for {event.target}.{event.prop} dropped"
             )
             return
-        queue.push(Event(time, target, prop, value, origin))
+        queue.push(event)
 
     for sched in schedules:
         for entry in sched.entries:
             if sched.repeat is None:
-                push(entry.time, entry.target, entry.prop, entry.value, "schedule")
+                push(Event(entry.time, entry.target, entry.prop, entry.value, "schedule"))
             else:
                 step = timedelta(seconds=sched.repeat)
                 t = entry.time
                 while t <= tf:
-                    push(t, entry.target, entry.prop, entry.value, "schedule")
+                    push(Event(t, entry.target, entry.prop, entry.value, "schedule"))
                     t = t + step
     for compiled in attacks:
-        for ev in compiled.events:
-            push(ev.time, ev.target, ev.prop, ev.value, "attack")
+        for event in compiled.events:
+            push(event)
     return queue
 
 
@@ -328,6 +394,11 @@ class _Solar:
     node: str
     rating_kw: float
     efficiency: float
+
+
+def _value(obj: GridObject, prop: str):
+    """Canonical value of `prop` on `obj`, or its class's default when left out."""
+    return obj.get(prop, PROPERTIES[obj.cls][prop].default)
 
 
 class Engine:
@@ -359,14 +430,14 @@ class Engine:
         for obj in model.of_class("house"):
             house = HouseState(
                 name=obj.name,
-                t_in=float(obj.get("air_temperature", 75.0)),
-                t_set=float(obj.get("cooling_setpoint", 75.0)),
-                deadband=float(obj.get("deadband", 2.0)),
-                capacitance=float(obj.get("thermal_capacitance", 2000.0)),
-                ua=float(obj.get("ua", 550.0)),
-                internal_gains=float(obj.get("internal_gains", 1800.0)),
-                hvac_kw=float(obj.get("hvac_rating", 4.0)),
-                cop=float(obj.get("cop", 3.5)),
+                t_in=float(_value(obj, "air_temperature")),
+                t_set=float(_value(obj, "cooling_setpoint")),
+                deadband=float(_value(obj, "deadband")),
+                capacitance=float(_value(obj, "thermal_capacitance")),
+                ua=float(_value(obj, "ua")),
+                internal_gains=float(_value(obj, "internal_gains")),
+                hvac_kw=float(_value(obj, "hvac_rating")),
+                cop=float(_value(obj, "cop")),
             )
             init_mode(house)
             self.houses[obj.name] = house
@@ -374,15 +445,15 @@ class Engine:
         self.appliances: dict[str, _Appliance] = {}
         for obj in model.of_class("zipload", "waterheater"):
             self.appliances[obj.name] = _Appliance(
-                obj.name, self.index.attach_node[obj.name], float(obj.get("base_power", 0.0))
+                obj.name, self.index.attach_node[obj.name], float(_value(obj, "base_power"))
             )
         self.solars: dict[str, _Solar] = {}
         for obj in model.of_class("solar"):
             self.solars[obj.name] = _Solar(
                 obj.name,
                 self.index.attach_node[obj.name],
-                float(obj.get("rating", 0.0)),
-                float(obj.get("efficiency", 1.0)),
+                float(obj.get("rating")),
+                float(_value(obj, "efficiency")),
             )
 
         # markets; under the auxiliary topology each auction gets a mirror
@@ -391,18 +462,14 @@ class Engine:
         for obj in model.of_class("auction"):
             market = Market(
                 obj.name,
-                period_seconds=int(obj.get("period", 300)),
-                price_cap=float(obj.get("price_cap", DEFAULT_PRICE_CAP)),
-                init_price=float(obj.get("init_price", 0.10)),
+                period_seconds=int(obj.get("period")),
+                price_cap=float(_value(obj, "price_cap")),
+                init_price=float(_value(obj, "init_price")),
             )
             self.markets[obj.name] = market
             if topology == "auxiliary":
                 self.aux_markets[obj.name] = Market(
-                    f"{obj.name}_aux",
-                    market.period_seconds,
-                    market.price_cap,
-                    market.last_price,
-                    role="AUXILIARY",
+                    f"{obj.name}_aux", market.period_seconds, market.price_cap, market.last_price
                 )
 
         self.sellers: dict[str, list[SellerAgent]] = {m: [] for m in self.markets}
@@ -427,7 +494,7 @@ class Engine:
                 t_base=float(obj.get("t_base")),
                 t_max=float(obj.get("t_max")),
                 k_ramp=float(obj.get("k_ramp")),
-                sigma_floor=float(obj.get("sigma_floor", DEFAULT_SIGMA_FLOOR)),
+                sigma_floor=float(_value(obj, "sigma_floor")),
             )
             self.controllers[ctl.market].append(ctl)
         controlled = {c.house for ctls in self.controllers.values() for c in ctls}
@@ -447,22 +514,14 @@ class Engine:
         self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
         self._live_for: dict[str, bool] | None = None  # the islands `_live` was taken from
 
-        # auxiliary bidders: one per seller (replication) and one per
-        # controller (one-period-delayed estimation).  Each market's
-        # (controller, house, buyer-side bidder) list is walked by both
+        # an auxiliary bidder per controller (one-period-delayed estimation).
+        # Each market's (controller, house, bidder) list is walked by both
         # wirings; the bidder is None under the direct topology.
         auxiliary = topology == "auxiliary"
-        self.seller_abs: dict[str, list[AuxiliaryBidder]] = {}
-        self._bidders: dict[str, list[tuple[Controller, HouseState, AuxiliaryBidder | None]]] = {}
-        for market_name, ctls in self.controllers.items():
-            if auxiliary:
-                self.seller_abs[market_name] = [
-                    AuxiliaryBidder(a.name, "SELLER_SIDE") for a in self.sellers[market_name]
-                ]
-            self._bidders[market_name] = [
-                (c, self.houses[c.house], AuxiliaryBidder(c.name, "BUYER_SIDE") if auxiliary else None)
-                for c in ctls
-            ]
+        self._bidders: dict[str, list[tuple[Controller, HouseState, AuxiliaryBidder | None]]] = {
+            market_name: [(c, self.houses[c.house], AuxiliaryBidder(c.name) if auxiliary else None) for c in ctls]
+            for market_name, ctls in self.controllers.items()
+        }
 
         seller_names = [a.name for agents in self.sellers.values() for a in agents]
         controller_names = [c.name for ctls in self.controllers.values() for c in ctls]
@@ -515,8 +574,8 @@ class Engine:
         cls = self._classes.get(target)
         if cls is None:
             raise UnknownTarget(target)
-        accessor = PROPERTIES.get(cls, {}).get(prop, Accessor())
-        bind = accessor.write if write else accessor.read
+        spec = PROPERTIES[cls].get(prop, NO_PROP)
+        bind = spec.write if write else spec.read
         if bind is None:
             if write and prop == "status" and cls in EDGE_CLASSES:
                 raise NotSwitchable(f"'{target}' is not a line, switch, or fuse")
@@ -604,19 +663,15 @@ class Engine:
             return
 
         aux = self.aux_markets[market_name]
-        # sellers bid into the main market; seller-side ABs replicate the
-        # constant offers into the auxiliary market (override attack point)
-        offers = {bid.trader: bid for bid in seller_bids(agents, market.current_period)}
-        for bid in offers.values():
+        # sellers bid into the main market, and their constant offers are
+        # replicated into the auxiliary market (override attack point)
+        for bid in seller_bids(agents, market.current_period):
             market.submit(bid)
-        for ab in self.seller_abs[market_name]:
-            replica = Bid(
-                ab.trader, "SELL", offers[ab.trader].price, offers[ab.trader].quantity, aux.current_period
-            )
+        for replica in seller_bids(agents, aux.current_period):
             for tr in self._price_overrides:
                 replica = tr.apply(replica, market.last_price, aux.price_cap)
             aux.submit(replica)
-        # buyer-side ABs forward last period's auxiliary bids to the main
+        # the auxiliary bidders forward last period's auxiliary bids to the main
         # market (bid-scaling attack point), then controllers bid afresh
         period = market.current_period
         for _, _, ab in bidders:

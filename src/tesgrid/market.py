@@ -96,10 +96,8 @@ class Market:
         period_seconds: int,
         price_cap: float = DEFAULT_PRICE_CAP,
         init_price: float = 0.10,
-        role: str = "MAIN",
     ):
         self.name = name
-        self.role = role
         self.period_seconds = period_seconds
         self.price_cap = price_cap
         self.current_period = 0
@@ -207,18 +205,15 @@ def seller_bids(sellers: list[SellerAgent], period: int) -> list[Bid]:
 
 
 class AuxiliaryBidder:
-    """Bridges one trader between the main and auxiliary markets.
+    """Bridges one controller between the main and auxiliary markets.
 
-    Seller side: replicates the represented seller's constant bid into the
-    auxiliary market each period (exact, since the offers are constant).
-    Buyer side: `held_bid` is the represented controller's auxiliary-market
-    bid, which the kernel forwards to the main market the next period;
-    precise bids are not observable, so the estimate runs one period late.
+    `held_bid` is the controller's auxiliary-market bid, which the kernel
+    forwards to the main market the next period; precise bids are not
+    observable, so the estimate runs one period late.  (Sellers need no
+    bidder: their constant offers are replicated into the auxiliary market
+    exactly.)
     """
 
-    def __init__(self, trader: str, direction: str):
-        if direction not in ("BUYER_SIDE", "SELLER_SIDE"):
-            raise ValueError(f"unknown auxiliary bidder direction '{direction}'")
+    def __init__(self, trader: str):
         self.trader = trader
-        self.direction = direction
         self.held_bid: Bid | None = None

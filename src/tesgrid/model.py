@@ -1,7 +1,9 @@
-"""In-memory scenario model: typed property values, grid objects, config blocks.
+"""In-memory scenario model: typed property values, grid objects, config
+blocks, and the events a run applies.
 
 The parser produces these structures without semantic checks; `validate`
-enforces the cross-object invariants.
+enforces the cross-object invariants.  What each class's properties are
+(kind, required, default, bound) is `PROPERTIES` in `kernel`.
 """
 
 from __future__ import annotations
@@ -26,26 +28,6 @@ UNIT_TABLE = {
     "$/kWh": ("PRICE", 1.0),
     "Ohm": ("IMPEDANCE", 1.0),
 }
-
-OBJECT_CLASSES = (
-    "node",
-    "underground_line",
-    "overhead_line",
-    "switch",
-    "fuse",
-    "transformer",
-    "triplex_node",
-    "triplex_meter",
-    "meter",
-    "house",
-    "zipload",
-    "waterheater",
-    "solar",
-    "inverter",
-    "auction",
-    "controller",
-    "generator_seller",
-)
 
 NODE_CLASSES = frozenset({"node", "triplex_node", "triplex_meter", "meter"})
 LINE_CLASSES = frozenset({"underground_line", "overhead_line", "switch", "fuse"})
@@ -90,6 +72,17 @@ class GridObject:
         if v is None:
             return None
         return str(v.value)
+
+
+@dataclass(frozen=True)
+class Event:
+    """One property change the run applies at `time`."""
+
+    time: datetime
+    target: str
+    prop: str
+    value: object
+    origin: str  # schedule | attack | player
 
 
 @dataclass
@@ -189,101 +182,3 @@ class ValidationReport:
             for d in diags:
                 out.append(f"{kind}: {d.location}: {d.code}: {d.message}")
         return "\n".join(out)
-
-
-# Per-class property schema: prop -> (unit class or special kind, required).
-# Special kinds: "ref" (object reference), "enum" (bare word), "number"
-# (dimensionless). Unknown properties produce warnings, not errors.
-CLASS_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "node": {
-        "bustype": ("enum", False),
-        "nominal_voltage": ("VOLTAGE", False),
-    },
-    "underground_line": {
-        "from": ("ref", True),
-        "to": ("ref", True),
-        "impedance": ("IMPEDANCE", True),
-        "status": ("enum", False),
-    },
-    "transformer": {
-        "from": ("ref", True),
-        "to": ("ref", True),
-        "ratio": ("number", True),
-        "impedance": ("IMPEDANCE", False),
-    },
-    "triplex_node": {"parent": ("ref", False), "nominal_voltage": ("VOLTAGE", False)},
-    "triplex_meter": {"parent": ("ref", False), "nominal_voltage": ("VOLTAGE", False)},
-    "meter": {"parent": ("ref", False), "nominal_voltage": ("VOLTAGE", False)},
-    "house": {
-        "parent": ("ref", True),
-        "air_temperature": ("TEMPERATURE", False),
-        "thermal_capacitance": ("number", False),  # Btu/degF
-        "ua": ("number", False),  # Btu/(h*degF)
-        "internal_gains": ("number", False),  # Btu/h
-        "hvac_rating": ("POWER", False),
-        "cop": ("number", False),
-        "cooling_setpoint": ("TEMPERATURE", False),
-        "deadband": ("TEMPERATURE", False),
-    },
-    "zipload": {"parent": ("ref", True), "base_power": ("POWER", False)},
-    "waterheater": {"parent": ("ref", True), "base_power": ("POWER", False)},
-    "solar": {
-        "parent": ("ref", True),
-        "rating": ("POWER", True),
-        "efficiency": ("number", False),
-    },
-    "inverter": {"parent": ("ref", True)},
-    "auction": {
-        "period": ("TIME", True),
-        "price_cap": ("PRICE", False),
-        "init_price": ("PRICE", False),
-    },
-    "controller": {
-        "house": ("ref", True),
-        "market": ("ref", True),
-        "t_min": ("TEMPERATURE", True),
-        "t_base": ("TEMPERATURE", True),
-        "t_max": ("TEMPERATURE", True),
-        "k_ramp": ("number", True),
-        "sigma_floor": ("PRICE", False),
-    },
-    "generator_seller": {
-        "market": ("ref", True),
-        "price": ("PRICE", True),
-        "capacity": ("POWER", True),
-    },
-}
-CLASS_SCHEMA["overhead_line"] = CLASS_SCHEMA["underground_line"]
-CLASS_SCHEMA["switch"] = {
-    "from": ("ref", True),
-    "to": ("ref", True),
-    "impedance": ("IMPEDANCE", False),
-    "status": ("enum", False),
-}
-CLASS_SCHEMA["fuse"] = CLASS_SCHEMA["switch"]
-
-# Single-property bounds, per class: a value "positive" must be > 0, one
-# "nonnegative" >= 0.  They hold for object, schedule and player values.
-BOUNDS = {
-    "house": {"thermal_capacitance": "positive", "ua": "positive", "deadband": "positive",
-              "hvac_rating": "nonnegative"},
-    "controller": {"k_ramp": "positive"},
-    "auction": {"price_cap": "positive"},
-    "solar": {"rating": "nonnegative"},
-    "generator_seller": {"capacity": "nonnegative"},
-}
-
-
-def out_of_bounds(cls: str, prop: str, number: float) -> str | None:
-    """Why `number` cannot be property `prop` of class `cls`; None when it can."""
-    bound = BOUNDS.get(cls, {}).get(prop)
-    if bound == "positive" and not number > 0 or bound == "nonnegative" and not number >= 0:
-        return f"{prop} must be {bound}"
-    return None
-
-
-# Properties that name another object, per class.
-REF_PROPS = {
-    cls: [p for p, (kind, _) in schema.items() if kind == "ref"]
-    for cls, schema in CLASS_SCHEMA.items()
-}

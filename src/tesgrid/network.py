@@ -157,7 +157,7 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
         attachments={n: [] for n in order},
     )
     for obj in model.objects:
-        if obj.cls in ("house", "zipload", "waterheater", "solar", "inverter"):
+        if obj.cls in ("house", "zipload", "waterheater", "solar"):
             node = _electrical_node_for(names, obj)
             if node is not None:
                 index.attachments[node].append(obj.name)

@@ -7,35 +7,31 @@ serialized report is stable for identical inputs.
 
 from __future__ import annotations
 
-from .kernel import PROPERTIES
+from .kernel import NO_PROP, PROPERTIES, out_of_bounds
 from .model import (
-    CLASS_SCHEMA,
     EDGE_CLASSES,
     LINE_CLASSES,
     NODE_CLASSES,
-    REF_PROPS,
     UNIT_TABLE,
     Diagnostic,
     GridObject,
     ScenarioModel,
     ValidationReport,
     Value,
-    out_of_bounds,
 )
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
 LINE_STATUSES = ("OPEN", "CLOSED")
 
-
-def _can(cls: str, prop: str, how: str) -> bool:
-    """Whether a run can `read` (record) or `write` (set) `prop` on `cls`."""
-    return getattr(PROPERTIES.get(cls, {}).get(prop), how, None) is not None
+# per class, the properties an object must carry, and those naming another object
+REQUIRED = {cls: [p for p, spec in props.items() if spec.required] for cls, props in PROPERTIES.items()}
+REFS = {cls: [p for p, spec in props.items() if spec.kind == "ref"] for cls, props in PROPERTIES.items()}
 
 
 def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
     """(code, message) when `value` cannot be property `prop` of class
     `cls`; None when it can."""
-    kind = CLASS_SCHEMA[cls][prop][0]
+    kind = PROPERTIES[cls][prop].kind
     if kind in NUMERIC_KINDS:
         if kind == "IMPEDANCE":
             if value.kind not in ("NUMBER", "COMPLEX"):
@@ -69,13 +65,12 @@ def _check_objects(model: ScenarioModel, errors, warnings):
             errors.append(Diagnostic(obj.name, "DUPLICATE_NAME", "object name is not unique"))
         else:
             seen[obj.name] = obj
-        schema = CLASS_SCHEMA.get(obj.cls, {})
-        for prop, (kind, required) in schema.items():
-            if required and prop not in obj.properties:
+        props = PROPERTIES[obj.cls]
+        for prop in REQUIRED[obj.cls]:
+            if prop not in obj.properties:
                 errors.append(Diagnostic(loc, "MISSING_PROPERTY", f"required property '{prop}' absent"))
         for prop, value in obj.properties.items():
-            spec = schema.get(prop)
-            if spec is None:
+            if props.get(prop, NO_PROP).kind is None:
                 warnings.append(Diagnostic(loc, "UNKNOWN_PROP", f"property '{prop}' not known for class {obj.cls}"))
                 continue
             problem = _value_problem(obj.cls, prop, value)
@@ -92,7 +87,7 @@ def _check_refs(model: ScenarioModel, errors):
 
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
-        for prop in REF_PROPS.get(obj.cls, ()):
+        for prop in REFS[obj.cls]:
             ref = obj.ref(prop)
             if ref is not None:
                 need(loc, ref, prop)
@@ -237,7 +232,7 @@ def _check_blocks(model: ScenarioModel, errors):
             target = names.get(e.target)
             if target is None:
                 continue
-            if not _can(target.cls, e.prop, "write"):
+            if PROPERTIES[target.cls].get(e.prop, NO_PROP).write is None:
                 errors.append(
                     Diagnostic(sched.name, "UNKNOWN_PROPERTY", f"'{e.prop}' is not settable on {target.cls}")
                 )
@@ -267,7 +262,7 @@ def _check_blocks(model: ScenarioModel, errors):
         target = names.get(r.target)
         if target is not None:
             for prop in r.properties:
-                if not _can(target.cls, prop, "read"):
+                if PROPERTIES[target.cls].get(prop, NO_PROP).read is None:
                     errors.append(
                         Diagnostic(r.name, "UNKNOWN_PROPERTY", f"'{prop}' is not recordable on {target.cls}")
                     )
@@ -275,9 +270,10 @@ def _check_blocks(model: ScenarioModel, errors):
         target = names.get(p.target)
         if target is None:
             continue
-        if not _can(target.cls, p.prop, "write"):
+        spec = PROPERTIES[target.cls].get(p.prop, NO_PROP)
+        if spec.write is None:
             errors.append(Diagnostic(p.name, "UNKNOWN_PROPERTY", f"'{p.prop}' is not settable on {target.cls}"))
-        elif CLASS_SCHEMA[target.cls][p.prop][0] not in NUMERIC_KINDS:
+        elif spec.kind not in NUMERIC_KINDS:
             errors.append(
                 Diagnostic(p.name, "BAD_VALUE", f"players yield numbers; '{p.prop}' is not numeric on {target.cls}")
             )

@@ -51,4 +51,16 @@ UNRUNNABLE_EDITS = {
         lambda t: t + 'schedule { entry "2013-07-01 00:10:00" h1 deadband -2 degF; }\n', "BAD_RANGE"),
     "schedule_negative_solar_rating": (
         lambda t: t + 'schedule { entry "2013-07-01 00:10:00" s1 rating -3 kW; }\n', "BAD_RANGE"),
+    # the power flow divides by these; a negative voltage passed the
+    # convergence test after one sweep and exited 0
+    "zero_transformer_ratio": (lambda t: t.replace("ratio 30;", "ratio 0;", 1), "BAD_RANGE"),
+    "zero_nominal_voltage": (
+        lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage 0 V;", 1), "BAD_RANGE"),
+    "negative_nominal_voltage": (
+        lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage -240 V;", 1), "BAD_RANGE"),
+    # the setpoint ramp divides by k_ramp * sigma, which a free seller lets reach the floor
+    "zero_sigma_floor": (
+        lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0 $/kWh;\n    capacity")
+        + "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF; t_max 80 degF;"
+        " k_ramp 2; sigma_floor 0 $/kWh; }\n", "BAD_RANGE"),
 }

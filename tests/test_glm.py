@@ -131,6 +131,8 @@ def test_schedule_with_repeat():
     "text, fragment",
     [
         ("object widget { name w; }", "unknown class"),
+        ("object inverter { name i; parent n1; }", "unknown class"),  # parsed but never simulated
+        ("object attack { name a; active true; }", "unknown class"),  # a pseudo-class, not an object
         ("object node { name n; name m; }", "duplicate property"),
         ("object node { name n; nominal_voltage 7200 Volts; }", "unknown unit"),
         ('weather { file "unterminated; }', "unterminated string"),

@@ -9,10 +9,10 @@ from conftest import load_fixture
 
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
-from tesgrid.kernel import PROPERTIES, Engine, Event, EventQueue, build_event_list
+from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, EventQueue, build_event_list, out_of_bounds
 from tesgrid.model import AttackConfig, RecorderConfig, ScheduleEntry
 from tesgrid.recorder import write_results
-from tesgrid.validate import validate
+from tesgrid.validate import NUMERIC_KINDS, validate
 
 START = datetime(2013, 7, 1, 0, 0, 0)
 
@@ -348,3 +348,45 @@ def test_solar_read_before_the_first_step(small_text):
     engine = Engine(parse_scenario(text))
     # constant weather: irradiance 0.5 on a 1 kW panel at efficiency 0.9
     assert engine.read_property("s1", "power_kw", {}) == (0.45, "")
+
+
+# one object of each class whose optional properties the engine falls back
+# on, carrying only what validate requires
+BARE = """
+clock { start "2013-07-01 00:00:00"; stop "2013-07-01 00:10:00"; timestep 60 s; }
+object node { name n1; bustype SWING; }
+object house { name h; parent n1; }
+object zipload { name z; parent n1; }
+object solar { name s; parent n1; rating 1 kW; }
+object auction { name a; period 300 s; }
+object controller { name c; house h; market a; t_min 65 degF; t_base 72 degF; t_max 80 degF; k_ramp 2; }
+"""
+
+
+@pytest.mark.parametrize("topology", ["direct", "auxiliary"])
+def test_defaults_of_bare_objects(topology):
+    model = parse_scenario(BARE)
+    assert validate(model).errors == []
+    engine = Engine(model, topology=topology)
+    house = engine.houses["h"]
+    assert (house.t_in, house.t_set, house.deadband, house.capacitance) == (75.0, 75.0, 2.0, 2000.0)
+    assert (house.ua, house.internal_gains, house.hvac_kw, house.cop) == (550.0, 1800.0, 4.0, 3.5)
+    assert engine.appliances["z"].power_kw == 0.0
+    assert engine.solars["s"].efficiency == 1.0
+    markets = [engine.markets["a"], *engine.aux_markets.values()]
+    assert len(markets) == (2 if topology == "auxiliary" else 1)
+    for market in markets:
+        assert (market.price_cap, market.last_price) == (0.63, 0.10)
+    assert [c.sigma_floor for c in engine.controllers["a"]] == [0.003]
+
+
+def test_property_table_is_consistent():
+    for cls in OBJECT_CLASSES:
+        for prop, spec in PROPERTIES[cls].items():
+            if spec.write is not None:  # schedule and player checks go by the kind
+                assert spec.kind in NUMERIC_KINDS or spec.kind == "enum", (cls, prop)
+            if spec.required:
+                assert spec.default is None, (cls, prop)
+            if spec.default is not None:
+                assert out_of_bounds(cls, prop, spec.default) is None, (cls, prop)
+            assert spec.bound in (None, "positive", "nonnegative"), (cls, prop)

@@ -11,7 +11,6 @@ from oracles import auction_oracle
 from tesgrid.errors import PriceCapViolation, StalePeriod
 from tesgrid.loads import HouseState
 from tesgrid.market import (
-    AuxiliaryBidder,
     Bid,
     Clearing,
     Controller,
@@ -212,8 +211,3 @@ def test_seller_bids():
     bids = seller_bids(agents, 3)
     assert all(b.side == "SELL" and b.period == 3 for b in bids)
     assert [b.price for b in bids] == [0.10, 0.11]
-
-
-def test_auxiliary_bidder_rejects_unknown_direction():
-    with pytest.raises(ValueError, match="SIDEWAYS"):
-        AuxiliaryBidder("ctl", "SIDEWAYS")
