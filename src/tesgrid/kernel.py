@@ -31,7 +31,6 @@ from .market import (
     DEFAULT_PRICE_CAP,
     DEFAULT_SIGMA_FLOOR,
     UNRESPONSIVE_TRADER,
-    AuxiliaryBidder,
     Bid,
     Controller,
     Market,
@@ -39,7 +38,7 @@ from .market import (
     seller_bids,
 )
 from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value
-from .network import build_network_index
+from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
     RecorderTable,
@@ -99,27 +98,35 @@ def _market(get):
     return bind
 
 
+def _powered(engine, target: str):
+    """Whether `target`, a node or a load on one, is energized now: the
+    supernode is bound here, the islands read per call (switching replaces them)."""
+    islands = engine.board.islands
+    s = engine.index.tree.position[engine.index.attach_node.get(target, target)]
+    return lambda: islands().live[s]
+
+
 def _house(attr: str):
     """A house attribute, flagged while the house is unpowered."""
     def bind(engine, target):
-        house, node, live = engine.houses[target], engine.index.attach_node[target], engine.board.energized
-        return lambda totals: (getattr(house, attr), "" if live()[node] else DEENERGIZED)
+        house, powered = engine.houses[target], _powered(engine, target)
+        return lambda totals: (getattr(house, attr), "" if powered() else DEENERGIZED)
     return bind
 
 
 def _hvac_load_kw(engine, target):
-    house, node, live = engine.houses[target], engine.index.attach_node[target], engine.board.energized
-    return lambda totals: (hvac_power(house), "") if live()[node] else (0.0, DEENERGIZED)
+    house, powered = engine.houses[target], _powered(engine, target)
+    return lambda totals: (hvac_power(house), "") if powered() else (0.0, DEENERGIZED)
 
 
 def _appliance_kw(engine, target):
-    app, live = engine.appliances[target], engine.board.energized
-    return lambda totals: (app.power_kw, "") if live()[app.node] else (0.0, DEENERGIZED)
+    app, powered = engine.appliances[target], _powered(engine, target)
+    return lambda totals: (app.power_kw, "") if powered() else (0.0, DEENERGIZED)
 
 
 def _panel_kw(engine, target):
-    panel, live = engine.solars[target], engine.board.energized
-    return lambda totals: (engine._solar_kw(panel), "") if live()[panel.node] else (0.0, DEENERGIZED)
+    panel, powered = engine.solars[target], _powered(engine, target)
+    return lambda totals: (engine._solar_kw(panel), "") if powered() else (0.0, DEENERGIZED)
 
 
 def _line_status(engine, target):
@@ -139,11 +146,10 @@ def _current_mag(engine, target):
 def _voltage(angle: bool):
     """A node's voltage magnitude, or angle in degrees; flagged while it is unpowered."""
     def bind(engine, node):
-        live = engine.board.energized  # called per read: switching replaces the islands
-        s = engine.index.tree.position[node]
+        islands, s = engine.board.islands, engine.index.tree.position[node]
 
         def read(totals):
-            if not live()[node]:
+            if not islands().live[s]:
                 return 0.0, DEENERGIZED
             v = engine.network_state.v[s] if engine.network_state else 0j
             if angle:
@@ -154,13 +160,13 @@ def _voltage(angle: bool):
 
 
 def _energized(engine, node):
-    live = engine.board.energized
-    return lambda totals: (live()[node], "")
+    powered = _powered(engine, node)
+    return lambda totals: (powered(), "")
 
 
 def _measured_power_kw(engine, node):
     """Signed kW of each load attached to the node, in attachment order."""
-    live, terms = engine.board.energized, []
+    powered, terms = _powered(engine, node), []
     for name in engine.index.attachments[node]:
         if name in engine.houses:
             terms.append(lambda house=engine.houses[name]: hvac_power(house))
@@ -170,7 +176,7 @@ def _measured_power_kw(engine, node):
             terms.append(lambda panel=engine.solars[name]: -engine._solar_kw(panel))
 
     def read(totals):
-        if not live()[node]:
+        if not powered():
             return 0.0, DEENERGIZED
         total = 0.0
         for term in terms:
@@ -241,7 +247,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     },
     "generator_seller": {
         "market": _REF,
-        "price": Prop("PRICE", required=True),
+        "price": Prop("PRICE", required=True, bound="nonnegative"),
         "capacity": Prop("POWER", required=True, bound="nonnegative"),
     },
     "house": {
@@ -257,7 +263,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "ua": Prop("number", default=550.0, bound="positive"),  # Btu/(h*degF)
         "internal_gains": Prop("number", default=1800.0, write=_attribute("houses", "internal_gains")),  # Btu/h
         "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative"),
-        "cop": Prop("number", default=3.5),
+        "cop": Prop("number", default=3.5, bound="positive"),
         "hvac_load_kw": Prop(read=_hvac_load_kw),
         "hvac_mode": Prop(read=_house("mode")),
     },
@@ -277,7 +283,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "solar": {
         "parent": _REF,
         "rating": Prop("POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw")),
-        "efficiency": Prop("number", default=1.0),
+        "efficiency": Prop("number", default=1.0, bound="nonnegative"),
         "power_kw": Prop(read=_panel_kw),
     },
     "underground_line": _LINE,
@@ -504,7 +510,6 @@ class Engine:
         attach, slot_of = self.index.attach_node, {}
         for name in [*self.houses, *self.appliances, *self.solars]:
             slot_of.setdefault(attach[name], len(slot_of))
-        self._slot_nodes = list(slot_of)
         self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
         self._house_at = [(house, slot_of[attach[name]]) for name, house in self.houses.items()]
         self._uncontrolled_at = [  # (position in `_house_at`, slot)
@@ -512,16 +517,15 @@ class Engine:
         ]
         self._appliance_at = [(app, slot_of[app.node]) for app in self.appliances.values()]
         self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
-        self._live_for: dict[str, bool] | None = None  # the islands `_live` was taken from
+        self._live_for: Islands | None = None  # the islands `_live` was taken from
 
-        # an auxiliary bidder per controller (one-period-delayed estimation).
-        # Each market's (controller, house, bidder) list is walked by both
-        # wirings; the bidder is None under the direct topology.
-        auxiliary = topology == "auxiliary"
-        self._bidders: dict[str, list[tuple[Controller, HouseState, AuxiliaryBidder | None]]] = {
-            market_name: [(c, self.houses[c.house], AuxiliaryBidder(c.name) if auxiliary else None) for c in ctls]
+        # each market's (controller, house) list, walked by both wirings, and
+        # its controllers' last auxiliary-market bids (auxiliary wiring only)
+        self._bidders: dict[str, list[tuple[Controller, HouseState]]] = {
+            market_name: [(c, self.houses[c.house]) for c in ctls]
             for market_name, ctls in self.controllers.items()
         }
+        self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
         seller_names = [a.name for agents in self.sellers.values() for a in agents]
         controller_names = [c.name for ctls in self.controllers.values() for c in ctls]
@@ -604,9 +608,9 @@ class Engine:
 
     def _live_slots(self) -> list[bool]:
         """Whether each load slot is energized, cached per islands object."""
-        energized = self.board.energized()
-        if self._live_for is not energized:
-            self._live_for, self._live = energized, [energized[node] for node in self._slot_nodes]
+        islands = self.board.islands()
+        if self._live_for is not islands:
+            self._live_for, self._live = islands, [islands.live[s] for s in self._slot_supernode]
         return self._live
 
     def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
@@ -649,55 +653,49 @@ class Engine:
         if self.topology == "direct":
             for bid in seller_bids(agents, market.current_period):
                 market.submit(bid)
-            for ctl, house, _ in bidders:
+            for ctl, house in bidders:
                 bid = ctl.make_bid(house, market)
                 if bid is not None:
                     market.submit(bid)
             if unresp_kw > 0:
-                market.submit(
-                    Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period)
-                )
+                market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
             clearing = market.clear()
-            for ctl, house, _ in bidders:
+            for ctl, house in bidders:
                 ctl.apply_clearing(house, market, clearing)
             return
 
         aux = self.aux_markets[market_name]
         # sellers bid into the main market, and their constant offers are
-        # replicated into the auxiliary market (override attack point)
+        # replicated into the auxiliary market (override attack point); they
+        # need no bidder, as their offers are known exactly
         for bid in seller_bids(agents, market.current_period):
             market.submit(bid)
         for replica in seller_bids(agents, aux.current_period):
             for tr in self._price_overrides:
                 replica = tr.apply(replica, market.last_price, aux.price_cap)
             aux.submit(replica)
-        # the auxiliary bidders forward last period's auxiliary bids to the main
-        # market (bid-scaling attack point), then controllers bid afresh
+        # last period's auxiliary bids are forwarded to the main market
+        # (bid-scaling attack point): precise bids are not observable, so the
+        # estimate runs one period late.  Then the controllers bid afresh.
         period = market.current_period
-        for _, _, ab in bidders:
-            held = ab.held_bid
-            if held is None:
-                continue
+        for held in self._held_bids[market_name]:
             forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
             for tr in self._bid_scalers:
                 forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
             market.submit(forwarded)
-        for ctl, house, ab in bidders:
+        held_bids = self._held_bids[market_name] = []
+        for ctl, house in bidders:
             bid = ctl.make_bid(house, aux)
             if bid is not None:
                 aux.submit(bid)
-            ab.held_bid = bid
+                held_bids.append(bid)
         if unresp_kw > 0:
-            market.submit(
-                Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period)
-            )
-            aux.submit(
-                Bid(UNRESPONSIVE_TRADER, "BUY", aux.price_cap, unresp_kw, aux.current_period)
-            )
+            market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
+            aux.submit(Bid(UNRESPONSIVE_TRADER, "BUY", aux.price_cap, unresp_kw, aux.current_period))
         market.clear()
         aux_clearing = aux.clear()
         # controllers trade in (and observe) the auxiliary market only
-        for ctl, house, _ in bidders:
+        for ctl, house in bidders:
             ctl.apply_clearing(house, aux, aux_clearing)
 
     def _phase_market(self, t: datetime) -> None:
@@ -729,8 +727,7 @@ class Engine:
     def _phase_powerflow(self) -> dict:
         demand, totals = self.build_load_injections()
         self.network_state = state = solve_powerflow(
-            self.index, demand, self.board.statuses,
-            energized=self.board.energized(), start=self.network_state,
+            self.index, demand, self.board.islands(), start=self.network_state
         )
         self._pf_solves += 1
         self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)

@@ -203,17 +203,3 @@ def seller_bids(sellers: list[SellerAgent], period: int) -> list[Bid]:
     """One SELL bid per generator at its constant price and capacity."""
     return [Bid(s.name, "SELL", s.price, s.capacity, period) for s in sellers]
 
-
-class AuxiliaryBidder:
-    """Bridges one controller between the main and auxiliary markets.
-
-    `held_bid` is the controller's auxiliary-market bid, which the kernel
-    forwards to the main market the next period; precise bids are not
-    observable, so the estimate runs one period late.  (Sellers need no
-    bidder: their constant offers are replicated into the auxiliary market
-    exactly.)
-    """
-
-    def __init__(self, trader: str):
-        self.trader = trader
-        self.held_bid: Bid | None = None

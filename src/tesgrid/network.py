@@ -1,15 +1,17 @@
 """Topology index for the radial feeder.
 
-Built once after validation: rooted tree over the electrical nodes, the
-edge (line / transformer / zero-impedance parent link) feeding each node,
-the point of attachment for every load-bearing object (houses,
-appliances, solar), and the compiled tree the power-flow sweep iterates
-over.
+Built once after validation: the electrical nodes in topological order,
+the edges oriented away from the source, the point of attachment for
+every load-bearing object (houses, appliances, solar), and the compiled
+tree the power-flow sweep iterates over.  The islands of one set of line
+statuses are per supernode of that tree, with the live supernodes' sweep
+rows; the line-status board computes them once per status change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import EDGE_CLASSES, LINE_CLASSES, NODE_CLASSES, ScenarioModel
 
@@ -50,10 +52,7 @@ class SweepTree:
 class NetworkIndex:
     source: str
     order: list[str]  # topological, source first
-    parent_of: dict[str, str]
-    feed_edge: dict[str, NetworkEdge]  # node -> edge from its parent
-    edges_by_name: dict[str, NetworkEdge]
-    depth: dict[str, int]  # 1-based level, source = 1
+    edges_by_name: dict[str, NetworkEdge]  # oriented away from the source
     nominal_volts: dict[str, float]
     tree: SweepTree
     attachments: dict[str, list[str]] = field(default_factory=dict)
@@ -117,9 +116,7 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
                 adjacency[obj.name].append(edge)
 
     order = [source]
-    parent_of: dict[str, str] = {}
-    feed_edge: dict[str, NetworkEdge] = {}
-    depth = {source: 1}
+    feed_edge: dict[str, NetworkEdge] = {}  # node -> edge from its parent
     nominal = {source: float(names[source].get("nominal_voltage", DEFAULT_NOMINAL_VOLTS))}
     edges_by_name: dict[str, NetworkEdge] = {}
     frontier = [source]
@@ -128,17 +125,15 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
         for node in frontier:
             for edge in adjacency[node]:
                 other = edge.child if edge.parent == node else edge.parent
-                if other in depth:
+                if other in nominal:  # reached already
                     continue
                 # orient the edge away from the source
                 if edge.parent != node:
                     edge = NetworkEdge(
                         edge.name, edge.cls, node, other, edge.impedance, edge.ratio, edge.switchable
                     )
-                parent_of[other] = node
                 feed_edge[other] = edge
                 edges_by_name[edge.name] = edge
-                depth[other] = depth[node] + 1
                 explicit = names[other].get("nominal_voltage")
                 nominal[other] = float(explicit) if explicit is not None else nominal[node] / edge.ratio
                 order.append(other)
@@ -148,10 +143,7 @@ def build_network_index(model: ScenarioModel) -> NetworkIndex:
     index = NetworkIndex(
         source=source,
         order=order,
-        parent_of=parent_of,
-        feed_edge=feed_edge,
         edges_by_name=edges_by_name,
-        depth=depth,
         nominal_volts=nominal,
         tree=compile_sweep_tree(order, feed_edge, nominal),
         attachments={n: [] for n in order},
@@ -186,30 +178,42 @@ def compile_sweep_tree(
     return tree
 
 
-def compute_islands(index: NetworkIndex, statuses: dict[str, str]) -> dict[str, bool]:
-    """Energized labeling: a node is live iff every edge on its path to the
-    source is CLOSED.  Non-switchable edges are always closed."""
-    energized = {n: False for n in index.order}
-    energized[index.source] = True
-    for node in index.order[1:]:
-        edge = index.feed_edge[node]
-        closed = statuses.get(edge.name, "CLOSED") == "CLOSED"
-        energized[node] = closed and energized[edge.parent]
-    return energized
+class Islands(NamedTuple):
+    """Under one set of line statuses: whether each supernode is energized,
+    and the sweep row of each live one but the source, in topological order."""
+
+    live: tuple[bool, ...]
+    rows: tuple[tuple[int, int, float, complex, float], ...]  # (s, parent, ratio, impedance, nominal)
 
 
-def deenergized_objects(model: ScenarioModel, index: NetworkIndex, energized: dict[str, bool]) -> set[str]:
+def compute_islands(index: NetworkIndex, statuses: dict[str, str]) -> Islands:
+    """A supernode is live iff every edge on its path to the source is
+    CLOSED.  Edges missing from `statuses` are closed; a `parent:` link is
+    never switchable, so the supernode's feeding edge decides."""
+    tree = index.tree
+    live, rows = [True], []
+    for s in range(1, len(tree.names)):
+        p = tree.parent[s]
+        on = live[p] and statuses.get(tree.edge[s], "CLOSED") == "CLOSED"
+        live.append(on)
+        if on:
+            rows.append((s, p, tree.ratio[s], tree.impedance[s], tree.nominal[s]))
+    return Islands(tuple(live), tuple(rows))
+
+
+def deenergized_objects(index: NetworkIndex, islands: Islands) -> set[str]:
     """Model objects whose every electrical attachment is de-energized.
 
     Edge objects count when both endpoints are dead; an OPEN boundary edge
     with a live parent therefore does not count.
     """
+    live, position = islands.live, index.tree.position
     dead: set[str] = set()
-    for node, live in energized.items():
-        if not live:
+    for node, s in position.items():
+        if not live[s]:
             dead.add(node)
             dead.update(index.attachments[node])
     for edge in index.edges_by_name.values():
-        if edge.cls != "parent" and not energized[edge.parent] and not energized[edge.child]:
+        if edge.cls != "parent" and not live[position[edge.parent]] and not live[position[edge.child]]:
             dead.add(edge.name)
     return dead

@@ -10,15 +10,19 @@ V_child = V_parent / n - Z * I.
 
 The sweep runs over the index's compiled `SweepTree`: flat per-supernode
 lists built once with the index, in which every node hung on a
-zero-impedance `parent:` link is merged into its upstream node.  Its one
-input is a per-supernode demand list; dead entries are ignored.  A
-solution keeps per-supernode voltage and current lists and builds the
-name-keyed dicts only when read: a merged node (a meter, say) reports its
-supernode's voltage, and a `parent:` link reports no current of its own.
+zero-impedance `parent:` link is merged into its upstream node.  Its
+inputs are a per-supernode demand list and the `Islands` of the line
+statuses, which the line-status board computes once per status change:
+the live flags, and the live supernodes' sweep rows in topological order
+(the backward pass walks them reversed).  Dead demand entries are
+ignored.  A solution keeps per-supernode voltage and current lists and
+builds the name-keyed dicts only when read: a merged node (a meter, say)
+reports its supernode's voltage, and a `parent:` link reports no current
+of its own.
 
 Each solve can start from an earlier `NetworkState` (warm start), whose
-voltage list is copied over the same islands; otherwise a node that was
-dead there and is live now starts at its nominal voltage.  A
+voltage list is copied over the same islands; otherwise a supernode that
+was dead there and is live now starts at its nominal voltage.  A
 warm-started solve of unchanged loads converges in one sweep, so the
 iteration counts of a run reflect how much the loads moved per step.
 
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotSwitchable, SolverDivergence
-from .network import NetworkIndex, compute_islands
+from .network import Islands, NetworkIndex, compute_islands
 
 VOLTAGE_TOLERANCE_PU = 1e-6  # contract: converged when max step change is below this
 _INTERNAL_TOLERANCE_PU = 1e-10  # iterate tighter so power balance holds at 1e-6 pu
@@ -46,7 +50,7 @@ class NetworkState:
     index: NetworkIndex = field(repr=False)
     v: list[complex]  # per supernode
     cur: list[complex]  # per supernode: child-side current of its feeding edge
-    energized: dict[str, bool]
+    islands: Islands
     iterations: int
     source_power_va: complex = 0j
     load_power_va: complex = 0j
@@ -73,14 +77,11 @@ class LineStatusBoard:
 
     def __init__(self, index: NetworkIndex, initial: dict[str, str] | None = None):
         self._index = index
-        self.statuses: dict[str, str] = {}
-        for edge in index.edges_by_name.values():
-            if edge.switchable:
-                self.statuses[edge.name] = "CLOSED"
+        self.statuses = {edge.name: "CLOSED" for edge in index.edges_by_name.values() if edge.switchable}
         if initial:
             for name, status in initial.items():
                 self.set(name, status)
-        self._energized: dict[str, bool] | None = None
+        self._islands: Islands | None = None
 
     def set(self, line_name: str, status: str) -> str:
         """Store `status`; returns the status it replaced."""
@@ -92,73 +93,61 @@ class LineStatusBoard:
         old = self.statuses[line_name]
         if old != status:
             self.statuses[line_name] = status
-            self._energized = None  # islands recomputed lazily before next solve
+            self._islands = None  # islands recomputed lazily before next use
         return old
 
-    def get(self, line_name: str) -> str:
-        edge = self._index.edges_by_name.get(line_name)
-        if edge is None or not edge.switchable:
-            raise NotSwitchable(f"'{line_name}' is not a line, switch, or fuse")
-        return self.statuses[line_name]
-
-    def energized(self) -> dict[str, bool]:
-        if self._energized is None:
-            self._energized = compute_islands(self._index, self.statuses)
-        return self._energized
+    def islands(self) -> Islands:
+        if self._islands is None:
+            self._islands = compute_islands(self._index, self.statuses)
+        return self._islands
 
 
 def solve_powerflow(
     index: NetworkIndex,
     demand: list[complex],
-    statuses: dict[str, str] | None = None,
+    islands: Islands | None = None,
     tolerance_pu: float = _INTERNAL_TOLERANCE_PU,
     max_iterations: int = MAX_ITERATIONS,
-    energized: dict[str, bool] | None = None,
     start: NetworkState | None = None,
 ) -> NetworkState:
     """Sweep until the largest per-supernode voltage change is below tolerance.
 
     `demand` holds one VA entry per supernode of `index.tree`, positive for
     consumption and negative for injection (solar); dead entries are
-    ignored.  The state's name-keyed `voltages` and `currents` are built on
-    first read.  `energized` is the islanding of `statuses` when the caller
-    has it (a LineStatusBoard caches it); otherwise it is computed here.
+    ignored.  `islands` is the islanding of the line statuses (a
+    LineStatusBoard caches it); None means every edge is closed.  The
+    state's name-keyed `voltages` and `currents` are built on first read.
     `start` is an earlier solution to iterate from; over the same
-    `energized` object its voltage list is copied as is.
+    `islands` object its voltage list is copied as is.
 
     Raises SolverDivergence with the worst residual, and the node where it
     was, after `max_iterations`.
     """
-    if energized is None:
-        energized = compute_islands(index, statuses or {})
-    tree = index.tree
-    names, parent, ratio, impedance, nominal = (
-        tree.names, tree.parent, tree.ratio, tree.impedance, tree.nominal
-    )
+    if islands is None:
+        islands = compute_islands(index, {})
+    live, rows = islands
+    names, nominal = index.tree.names, index.tree.nominal
     n = len(names)
-    live = [energized[name] for name in names]
 
-    # warm start from `start` where the node was live there; otherwise
+    # warm start from `start` where the supernode was live there; otherwise
     # flat at nominal magnitude, zero angle
     if start is None:
         v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]
-    elif start.energized is energized:
+    elif start.islands is islands:
         v = start.v.copy()  # same islands: a dead entry is 0j there too
     else:
-        before, was_live = start.v, start.energized
+        before, was_live = start.v, start.islands.live
         v = [
-            (before[s] if was_live[names[s]] else complex(nominal[s])) if live[s] else 0j
+            (before[s] if was_live[s] else complex(nominal[s])) if live[s] else 0j
             for s in range(n)
         ]
-    rows = [(s, parent[s], ratio[s], impedance[s], nominal[s]) for s in range(1, n) if live[s]]
-    rows_up = rows[::-1]
     cur = [0j] * n  # child-side current of each supernode's feeding edge
 
     worst, worst_at = float("inf"), 0
     for iteration in range(1, max_iterations + 1):
         # backward: feeding-edge currents from the leaves up
         into = [0j] * n
-        for s, p, r, _, _ in rows_up:
+        for s, p, r, _, _ in reversed(rows):
             d, vs = demand[s], v[s]
             total = into[s] + (d / vs).conjugate() if d and vs else into[s]
             cur[s] = total
@@ -185,13 +174,13 @@ def solve_powerflow(
     source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
     source_power = v[0] * source_current.conjugate()
     losses = 0j
-    for s in range(1, n):
-        losses += impedance[s] * (abs(cur[s]) ** 2)
+    for s, _, _, z, _ in rows:  # a dead edge carries no current
+        losses += z * (abs(cur[s]) ** 2)
     return NetworkState(
         index=index,
         v=v,
         cur=cur,
-        energized=energized,
+        islands=islands,
         iterations=iteration,
         source_power_va=source_power,
         load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),

@@ -55,6 +55,17 @@ def _number(obj: GridObject, prop: str) -> float | None:
     return v.canonical() if v is not None and v.kind == "NUMBER" else None
 
 
+def _seller_cap(names: dict[str, GridObject], seller: GridObject) -> float | None:
+    """The price cap of the auction `seller` offers into (the market refuses
+    any offer above it); None when either is malformed, as reported elsewhere."""
+    market = names.get(seller.ref("market") or "")
+    if market is None or market.cls != "auction":
+        return None
+    if "price_cap" not in market.properties:
+        return PROPERTIES["auction"]["price_cap"].default
+    return _number(market, "price_cap")
+
+
 def _check_objects(model: ScenarioModel, errors, warnings):
     seen: dict[str, GridObject] = {}
     for obj in model.objects:
@@ -201,6 +212,9 @@ def _check_attachments(model: ScenarioModel, errors):
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
                 errors.append(Diagnostic(loc, "BAD_REF", "seller 'market' must reference an auction"))
+            price, cap = _number(obj, "price"), _seller_cap(names, obj)
+            if None not in (price, cap) and price > cap:
+                errors.append(Diagnostic(loc, "BAD_RANGE", f"price {price:g} exceeds its auction's price_cap {cap:g}"))
         elif obj.cls == "auction":
             # a round runs when the period divides the offset since start
             period, clock = _number(obj, "period"), model.clock
@@ -241,6 +255,8 @@ def _check_blocks(model: ScenarioModel, errors):
             if problem is not None:
                 code, message = problem
                 errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
+    caps = [_seller_cap(names, obj) for obj in model.of_class("generator_seller")]
+    lowest_cap = min([cap for cap in caps if cap is not None], default=float("inf"))
     for a in model.attacks:
         if a.start >= a.end:
             errors.append(Diagnostic(a.name, "EMPTY_WINDOW", "attack window is empty"))
@@ -250,6 +266,10 @@ def _check_blocks(model: ScenarioModel, errors):
             errors.append(Diagnostic(a.name, "BAD_FRACTION", "fraction must be within [0, 1]"))
         if a.lam is not None and a.lam < 0:
             errors.append(Diagnostic(a.name, "BAD_PARAM", "lambda must be nonnegative"))
+        # an overridden offer goes to its seller's auxiliary market, which
+        # has the cap of the auction it mirrors
+        if a.kind == "SELLER_PRICE_OVERRIDE" and a.price is not None and a.price > lowest_cap:
+            errors.append(Diagnostic(a.name, "BAD_PARAM", f"price {a.price:g} exceeds a price_cap of {lowest_cap:g}"))
         for line_name in a.lines:
             target = names.get(line_name)
             if target is not None and target.cls not in LINE_CLASSES:

@@ -58,6 +58,18 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage 0 V;", 1), "BAD_RANGE"),
     "negative_nominal_voltage": (
         lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage -240 V;", 1), "BAD_RANGE"),
+    # a COP at or below zero heats the house it cools
+    "negative_cop": (lambda t: t.replace("cop 3;", "cop -3;", 1), "BAD_RANGE"),
+    "zero_cop": (lambda t: t.replace("cop 3;", "cop 0;", 1), "BAD_RANGE"),
+    "negative_solar_efficiency": (lambda t: t.replace("efficiency 0.9;", "efficiency -0.9;"), "BAD_RANGE"),
+    "negative_seller_price": (
+        lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price -0.10 $/kWh;\n    capacity"), "BAD_RANGE"),
+    # the market refuses these offers at the first round (exit 3)
+    "seller_price_above_cap": (
+        lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0.9 $/kWh;\n    capacity"), "BAD_RANGE"),
+    "override_price_above_cap": (
+        lambda t: t + 'attack { name a1; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; fraction 1; seed 1; price 0.9 $/kWh; }\n', "BAD_PARAM"),
     # the setpoint ramp divides by k_ramp * sigma, which a free seller lets reach the floor
     "zero_sigma_floor": (
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0 $/kWh;\n    capacity")

@@ -13,7 +13,13 @@ from datetime import datetime
 
 import pytest
 from conftest import load_fixture
-from oracles import analytic_temperature, auction_oracle, demand_list, dense_powerflow_oracle
+from oracles import (
+    analytic_temperature,
+    auction_oracle,
+    demand_list,
+    dense_powerflow_oracle,
+    reachability_oracle,
+)
 
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
@@ -237,8 +243,10 @@ def test_8_physical_attack():
     )
     model = parse_scenario(text)
     index = build_network_index(model)
-    energized = compute_islands(index, {"UL1": "OPEN"})
-    dead = deenergized_objects(model, index, energized)
+    islands = compute_islands(index, {"UL1": "OPEN"})
+    position = index.tree.position
+    assert {n: islands.live[position[n]] for n in index.order} == reachability_oracle(index, {"UL1": "OPEN"})
+    dead = deenergized_objects(index, islands)
     expected = {"n2", "T2", "tn2", "tm3", "tm4", "h3", "h4", "z1", "w1"}
     assert dead == expected
 

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta
 import pytest
 from conftest import load_fixture
 
+from tesgrid import powerflow
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, EventQueue, build_event_list, out_of_bounds
@@ -139,6 +140,28 @@ def test_deenergized_house_drifts_without_hvac(small_text):
     engine, _ = run_small(text)
     # h3 lost power for 40 min and warmed; h1 kept cooling
     assert engine.houses["h3"].t_in > engine.houses["h1"].t_in
+
+
+def test_islands_computed_once_per_status_change(small_text, monkeypatch):
+    calls = []
+    compute = powerflow.compute_islands
+
+    def counted(index, statuses):
+        calls.append(dict(statuses))
+        return compute(index, statuses)
+
+    monkeypatch.setattr(powerflow, "compute_islands", counted)
+    engine = Engine(parse_scenario(small_text + (
+        "schedule {\n"
+        '    entry "2013-07-01 00:20:00" UL1 status OPEN;\n'
+        '    entry "2013-07-01 00:30:00" UL1 status OPEN;\n'  # no change: islands kept
+        '    entry "2013-07-01 00:40:00" UL1 status CLOSED;\n'
+        "}\n"
+    )))
+    assert len(calls) == 1
+    result = engine.run()
+    assert result.complete
+    assert calls == [{"UL1": "CLOSED"}, {"UL1": "OPEN"}, {"UL1": "CLOSED"}]
 
 
 def test_power_balance_every_step(small_text):

@@ -17,6 +17,7 @@ from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
 from tesgrid.loads import hvac_power, solar_output
+from tesgrid.network import compute_islands
 from tesgrid.powerflow import solve_powerflow
 from tesgrid.recorder import WeatherSeries
 
@@ -50,7 +51,8 @@ FEEDER_EXTRA = (
 
 def reference_load_pass(engine, t):
     """Demand and totals built the plain way from the engine's live state."""
-    energized = engine.board.energized()
+    live, position = engine.board.islands().live, engine.index.tree.position
+    energized = {node: live[s] for node, s in position.items()}
     attach = engine.index.attach_node
     per_node: dict[str, float] = {}
     hvac = 0.0
@@ -92,7 +94,7 @@ def run_against_reference(engine, monkeypatch):
         want_demand, want_totals = reference_load_pass(self, self.step_time)
         assert demand == want_demand, self.step_time
         assert totals == want_totals, self.step_time
-        checked.append(not all(self.board.energized().values()))
+        checked.append(not all(self.board.islands().live))
         return demand, totals
 
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)
@@ -134,11 +136,11 @@ def outage_engine(small_text):
 def test_lazy_dicts_equal_an_eager_build(outage_engine, outage):
     index, state = outage_engine.index, outage_engine.network_state
     tree = index.tree
-    assert not state.energized["tm3"]
+    assert not state.islands.live[tree.position["tm3"]]
     if not outage:
         demand = [complex(1000.0 * s, 100.0) for s in range(len(tree.names))]
-        state = solve_powerflow(index, demand, {"UL1": "CLOSED"})
-        assert all(state.energized.values()) and all(state.cur[1:])
+        state = solve_powerflow(index, demand, compute_islands(index, {"UL1": "CLOSED"}))
+        assert all(state.islands.live) and all(state.cur[1:])
     eager_v = {node: state.v[tree.position[node]] for node in index.order}
     eager_i = {
         name: 0j if edge.cls == "parent" else state.cur[tree.position[edge.child]]
@@ -158,13 +160,13 @@ def test_warm_start_copy_equals_name_keyed_start(outage_engine, tolerance_pu):
     start = engine.network_state
     demand, _ = engine.build_load_injections()
     demand = [d * 1.5 for d in demand]  # moved loads, so the sweep has work to do
-    energized = engine.board.energized()
-    assert start.energized is energized
-    copied = solve_powerflow(engine.index, demand, engine.board.statuses, tolerance_pu=tolerance_pu,
-                             energized=energized, start=start)
-    keyed = solve_powerflow(engine.index, demand, engine.board.statuses, tolerance_pu=tolerance_pu,
-                            energized=dict(energized), start=start)
-    assert keyed.energized is not start.energized
+    islands = engine.board.islands()
+    assert start.islands is islands
+    copied = solve_powerflow(engine.index, demand, islands, tolerance_pu=tolerance_pu, start=start)
+    # equal islands in another object: the start is read per supernode
+    keyed = solve_powerflow(engine.index, demand, compute_islands(engine.index, engine.board.statuses),
+                            tolerance_pu=tolerance_pu, start=start)
+    assert keyed.islands is not start.islands and keyed.islands == islands
     for field in ("v", "cur", "iterations", "source_power_va", "load_power_va", "loss_power_va"):
         assert getattr(copied, field) == getattr(keyed, field), field
     assert copied.v is not start.v

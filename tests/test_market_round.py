@@ -165,7 +165,7 @@ def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch
 
     with pytest.raises(StalePeriod):
         main.submit(forwarded[0][1])  # the main market has moved on to period 2
-    _, _, bidder = engine._bidders["market"][0]
-    bidder.held_bid = bidder.held_bid._replace(price=main.price_cap + 0.01)
+    held = engine._held_bids["market"]
+    held[0] = held[0]._replace(price=main.price_cap + 0.01)
     with pytest.raises(PriceCapViolation):
         engine._market_round("market")

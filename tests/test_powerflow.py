@@ -92,7 +92,7 @@ def test_transformer_secondary_voltage(small_model):
 def test_open_line_deenergizes(small_model):
     index = build_network_index(small_model)
     loads = [("tm3", complex(2000.0, 0.0)), ("tm1", complex(1000.0, 0.0))]
-    state = solve_powerflow(index, demand_list(index, loads), {"UL1": "OPEN"})
+    state = solve_powerflow(index, demand_list(index, loads), compute_islands(index, {"UL1": "OPEN"}))
     assert state.voltages["n2"] == 0j
     assert state.voltages["tm3"] == 0j
     assert abs(state.voltages["tm1"]) > 200.0
@@ -102,17 +102,19 @@ def test_open_line_deenergizes(small_model):
 
 def test_status_board_semantics(small_model):
     index = build_network_index(small_model)
+    tm3 = index.tree.position["tm3"]
     board = LineStatusBoard(index)
-    assert board.get("UL1") == "CLOSED"
+    assert board.statuses == {"UL1": "CLOSED"}
     board.set("UL1", "OPEN")
     board.set("UL1", "OPEN")  # idempotent
-    assert board.energized()["tm3"] is False
+    assert board.islands().live[tm3] is False
+    assert board.islands() is board.islands()  # cached until a status changes
     board.set("UL1", "CLOSED")  # involution restores
-    assert board.energized()["tm3"] is True
+    assert board.islands().live[tm3] is True
     with pytest.raises(NotSwitchable):
         board.set("T1", "OPEN")
     with pytest.raises(NotSwitchable):
-        board.get("h1")
+        board.set("h1", "OPEN")
     with pytest.raises(NotSwitchable):
         board.set("no_such_edge", "OPEN")
 
@@ -159,10 +161,12 @@ def test_warm_start_matches_cold_solve(small_model):
 
 def test_reenergized_subtree_starts_from_nominal(small_model):
     index = build_network_index(small_model)
-    outage = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "OPEN"})
+    opened = compute_islands(index, {"UL1": "OPEN"})
+    closed = compute_islands(index, {"UL1": "CLOSED"})
+    outage = solve_powerflow(index, demand_list(index, SMALL_LOADS), opened)
     assert outage.voltages["tm3"] == 0j
-    restored = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "CLOSED"}, start=outage)
-    cold = solve_powerflow(index, demand_list(index, SMALL_LOADS), {"UL1": "CLOSED"})
+    restored = solve_powerflow(index, demand_list(index, SMALL_LOADS), closed, start=outage)
+    cold = solve_powerflow(index, demand_list(index, SMALL_LOADS), closed)
     assert _max_gap_pu(index, restored, cold) < 1e-9
     assert restored.power_mismatch_pu() < 1e-6
     # After one sweep the re-energized leg equals a flat start's first sweep:
@@ -180,9 +184,21 @@ def test_islands_from_the_caller(small_model):
     index = build_network_index(small_model)
     board = LineStatusBoard(index, {"UL1": "OPEN"})
     demand = demand_list(index, SMALL_LOADS)
-    state = solve_powerflow(index, demand, board.statuses, energized=board.energized())
-    assert state.energized is board.energized()
-    assert state.voltages == solve_powerflow(index, demand, {"UL1": "OPEN"}).voltages
+    state = solve_powerflow(index, demand, board.islands())
+    assert state.islands is board.islands()
+    assert state.voltages == solve_powerflow(index, demand, compute_islands(index, {"UL1": "OPEN"})).voltages
+
+
+def test_islands_carry_the_live_sweep_rows(small_model):
+    index = build_network_index(small_model)
+    islands = compute_islands(index, {"UL1": "OPEN"})
+    assert islands.live == (True, False, True, False)
+    assert [row[:2] for row in islands.rows] == [(2, 0)]  # T1 from n1 to tn1
+    first = solve_powerflow(index, demand_list(index, SMALL_LOADS), islands)
+    second = solve_powerflow(index, demand_list(index, SMALL_LOADS[:1]), islands, start=first)
+    assert first.islands is second.islands is islands
+    assert first.islands.rows is second.islands.rows  # no per-solve copy
+    assert solve_powerflow(index, demand_list(index, SMALL_LOADS)).islands.live == (True,) * 4
 
 
 def test_merged_meters_report_their_supernode(small_model):

@@ -86,4 +86,6 @@ def test_islands_match_reachability(feeder, data):
     statuses = {
         name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines
     }
-    assert compute_islands(index, statuses) == reachability_oracle(index, statuses)
+    islands = compute_islands(index, statuses)
+    position = index.tree.position
+    assert {n: islands.live[position[n]] for n in index.order} == reachability_oracle(index, statuses)
