@@ -228,7 +228,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "auction": {
         "period": Prop("TIME", required=True),
         "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive"),
-        "init_price": Prop("PRICE", default=0.10),
+        "init_price": Prop("PRICE", default=0.10, bound="nonnegative"),
         "clearing_price": Prop(read=_market(lambda market: market.last_clearing.price)),
         "cleared_quantity": Prop(read=_market(lambda market: market.last_clearing.quantity)),
         "bid_count_buy": Prop(read=_market(lambda market: market.last_bid_counts[0])),
@@ -261,7 +261,9 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "deadband": Prop("TEMPERATURE", default=2.0, bound="positive", write=_attribute("houses", "deadband")),
         "thermal_capacitance": Prop("number", default=2000.0, bound="positive"),  # Btu/degF
         "ua": Prop("number", default=550.0, bound="positive"),  # Btu/(h*degF)
-        "internal_gains": Prop("number", default=1800.0, write=_attribute("houses", "internal_gains")),  # Btu/h
+        "internal_gains": Prop(
+            "number", default=1800.0, bound="nonnegative", write=_attribute("houses", "internal_gains")
+        ),  # Btu/h
         "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative"),
         "cop": Prop("number", default=3.5, bound="positive"),
         "hvac_load_kw": Prop(read=_hvac_load_kw),
@@ -519,8 +521,8 @@ class Engine:
         self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
         self._live_for: Islands | None = None  # the islands `_live` was taken from
 
-        # each market's (controller, house) list, walked by both wirings, and
-        # its controllers' last auxiliary-market bids (auxiliary wiring only)
+        # each market's (controller, house) list, and its controllers' last
+        # bids, which the auxiliary wiring forwards to the main market
         self._bidders: dict[str, list[tuple[Controller, HouseState]]] = {
             market_name: [(c, self.houses[c.house]) for c in ctls]
             for market_name, ctls in self.controllers.items()
@@ -645,58 +647,44 @@ class Engine:
         return max(total, 0.0)
 
     def _market_round(self, market_name: str) -> None:
-        market = self.markets[market_name]
+        market, aux = self.markets[market_name], self.aux_markets.get(market_name)
+        local = aux or market  # where controllers trade: the main market under direct wiring
         agents = self.sellers[market_name]
-        bidders = self._bidders[market_name]
         unresp_kw = self._unresponsive_kw()
 
-        if self.topology == "direct":
-            for bid in seller_bids(agents, market.current_period):
-                market.submit(bid)
-            for ctl, house in bidders:
-                bid = ctl.make_bid(house, market)
-                if bid is not None:
-                    market.submit(bid)
-            if unresp_kw > 0:
-                market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
-            clearing = market.clear()
-            for ctl, house in bidders:
-                ctl.apply_clearing(house, market, clearing)
-            return
-
-        aux = self.aux_markets[market_name]
-        # sellers bid into the main market, and their constant offers are
-        # replicated into the auxiliary market (override attack point); they
-        # need no bidder, as their offers are known exactly
         for bid in seller_bids(agents, market.current_period):
             market.submit(bid)
-        for replica in seller_bids(agents, aux.current_period):
-            for tr in self._price_overrides:
-                replica = tr.apply(replica, market.last_price, aux.price_cap)
-            aux.submit(replica)
-        # last period's auxiliary bids are forwarded to the main market
-        # (bid-scaling attack point): precise bids are not observable, so the
-        # estimate runs one period late.  Then the controllers bid afresh.
-        period = market.current_period
-        for held in self._held_bids[market_name]:
-            forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
-            for tr in self._bid_scalers:
-                forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
-            market.submit(forwarded)
+        if aux:
+            # sellers' constant offers are replicated into the auxiliary
+            # market (override attack point); they need no bidder, as their
+            # offers are known exactly
+            for replica in seller_bids(agents, aux.current_period):
+                for tr in self._price_overrides:
+                    replica = tr.apply(replica, market.last_price, aux.price_cap)
+                aux.submit(replica)
+            # last period's auxiliary bids are forwarded to the main market
+            # (bid-scaling attack point): precise bids are not observable, so
+            # the estimate runs one period late
+            period = market.current_period
+            for held in self._held_bids[market_name]:
+                forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
+                for tr in self._bid_scalers:
+                    forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
+                market.submit(forwarded)
+        # then the controllers bid afresh
         held_bids = self._held_bids[market_name] = []
-        for ctl, house in bidders:
-            bid = ctl.make_bid(house, aux)
+        for ctl, house in self._bidders[market_name]:
+            bid = ctl.make_bid(house, local)
             if bid is not None:
-                aux.submit(bid)
+                local.submit(bid)
                 held_bids.append(bid)
-        if unresp_kw > 0:
-            market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
-            aux.submit(Bid(UNRESPONSIVE_TRADER, "BUY", aux.price_cap, unresp_kw, aux.current_period))
-        market.clear()
-        aux_clearing = aux.clear()
-        # controllers trade in (and observe) the auxiliary market only
-        for ctl, house in bidders:
-            ctl.apply_clearing(house, aux, aux_clearing)
+        for m in (market, aux) if aux else (market,):
+            if unresp_kw > 0:
+                m.submit(Bid(UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period))
+            clearing = m.clear()
+        # controllers observe only the market they trade in, cleared last
+        for ctl, house in self._bidders[market_name]:
+            ctl.apply_clearing(house, local, clearing)
 
     def _phase_market(self, t: datetime) -> None:
         offset = int((t - self.clock.start).total_seconds())

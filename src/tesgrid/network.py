@@ -1,9 +1,14 @@
 """Topology index for the radial feeder.
 
-Built once after validation: the electrical nodes in topological order,
-the edges oriented away from the source, the point of attachment for
-every load-bearing object (houses, appliances, solar), and the compiled
-tree the power-flow sweep iterates over.  The islands of one set of line
+One walk reads the topology (`walk_feeder`): the source, the nodes
+breadth first with the edge feeding each, the node each load hangs on,
+and every problem on the way.  `validate` reports the problems, and the
+index is built from the same walk of a valid model.
+
+The index holds the electrical nodes in topological order, the edges
+oriented away from the source, the point of attachment for every
+load-bearing object (houses, appliances, solar), and the compiled tree
+the power-flow sweep iterates over.  The islands of one set of line
 statuses are per supernode of that tree, with the live supernodes' sweep
 rows; the line-status board computes them once per status change.
 """
@@ -13,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import EDGE_CLASSES, LINE_CLASSES, NODE_CLASSES, ScenarioModel
+from .model import EDGE_CLASSES, LINE_CLASSES, NODE_CLASSES, GridObject, ScenarioModel
 
 DEFAULT_NOMINAL_VOLTS = 7200.0
+LOAD_CLASSES = frozenset({"house", "zipload", "waterheater", "solar"})
 
 
 @dataclass(frozen=True)
@@ -59,101 +65,132 @@ class NetworkIndex:
     attach_node: dict[str, str] = field(default_factory=dict)  # object -> node
 
 
-def _electrical_node_for(model_names, obj) -> str | None:
-    """Walk parent references until an electrical node is reached."""
-    current = obj
-    for _ in range(32):  # attachment chains are short; bound defends cycles
-        if current.cls in NODE_CLASSES:
-            return current.name
-        parent_name = current.ref("parent")
-        if parent_name is None:
-            return None
-        current = model_names.get(parent_name)
-        if current is None:
-            return None
-    return None
+class Feeder(NamedTuple):
+    """One reading of the feeder's topology, of a valid model or not."""
+
+    source: str | None  # the SWING node, when there is exactly one
+    order: list[str]  # the nodes reached from the source, breadth first
+    # node -> (edge name, upstream node, edge object or None on a `parent:` link)
+    feed: dict[str, tuple[str, str, GridObject | None]]
+    attach_node: dict[str, str]  # load -> its node
+    problems: list[tuple[str, str, str]]  # (location, code, message)
+
+
+def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
+    """Read the topology of `model` (whose `by_name()` is `names`); never raises.
+
+    A house hangs on a node; an appliance or solar panel on a node, or on a
+    house that hangs on one.  The network is every named node-class object,
+    joined by line and transformer edges and by each node's `parent:` link;
+    the walk reaches every node of a radial feeder once."""
+    problems: list[tuple[str, str, str]] = []
+    attach_node = {}
+    for obj in model.objects:
+        if obj.cls not in LOAD_CLASSES:
+            continue
+        parent = names.get(obj.ref("parent") or "")
+        if parent is None:  # absent or dangling, as reported elsewhere
+            continue
+        if parent.cls == "house" and obj.cls != "house":  # that house reports its own parent
+            parent = names.get(parent.ref("parent") or "")
+            if parent is None or parent.cls not in NODE_CLASSES:
+                continue
+        elif parent.cls not in NODE_CLASSES:
+            rule = "a meter" if obj.cls == "house" else "a house"
+            loc = obj.name or f"<{obj.cls}@{obj.line}>"
+            problems.append((loc, "BAD_PARENT", f"{obj.cls} parent must be {rule} or node"))
+            continue
+        attach_node[obj.name] = parent.name
+
+    unwalked = Feeder(None, [], {}, attach_node, problems)
+    nodes = [o.name for o in model.objects if o.cls in NODE_CLASSES and o.name]
+    if not nodes:
+        return unwalked
+    sources = [o.name for o in model.of_class("node") if o.name and o.ref("bustype") == "SWING"]
+    if not sources:
+        problems.append(("<network>", "NO_SOURCE", "no node with bustype SWING"))
+    elif len(sources) > 1:
+        problems.append(("<network>", "MULTI_SOURCE", f"{len(sources)} SWING nodes: {sorted(sources)}"))
+
+    # undirected: node -> (neighbour, edge name, edge object)
+    adjacency: dict[str, list[tuple[str, str, GridObject | None]]] = {n: [] for n in nodes}
+    edge_count = 0
+    for obj in model.objects:
+        if obj.name is None:
+            continue
+        if obj.cls in EDGE_CLASSES:
+            a, b = obj.ref("from"), obj.ref("to")
+            if a in adjacency and b in adjacency:
+                if a == b:
+                    problems.append((obj.name, "NOT_RADIAL", "self-loop edge"))
+                    continue
+                adjacency[a].append((b, obj.name, obj))
+                adjacency[b].append((a, obj.name, obj))
+                edge_count += 1
+            else:
+                for endpoint in (a, b):
+                    if endpoint in names and endpoint not in adjacency:
+                        problems.append((obj.name, "BAD_ENDPOINT", f"'{endpoint}' is not an electrical node"))
+        elif obj.cls in NODE_CLASSES:
+            parent = obj.ref("parent")
+            if parent in adjacency:
+                link = f"parent:{obj.name}"
+                adjacency[parent].append((obj.name, link, None))
+                adjacency[obj.name].append((parent, link, None))
+                edge_count += 1
+    if len(sources) != 1:
+        return unwalked
+
+    source = sources[0]
+    order, feed, cycle = [source], {}, False
+    for node in order:  # appended to as nodes are reached: breadth first
+        via = feed[node][0] if node in feed else None
+        for other, link, obj in adjacency[node]:
+            if link == via:
+                continue
+            if other in feed or other == source:
+                cycle = True
+                continue
+            feed[other] = (link, node, obj)
+            order.append(other)
+    if cycle or edge_count >= len(nodes):
+        problems.append(("<network>", "NOT_RADIAL", "electrical network contains a cycle"))
+    unreached = sorted(set(nodes) - set(order))
+    if unreached:
+        problems.append(("<network>", "NOT_RADIAL", f"nodes not connected to the source: {unreached}"))
+    return Feeder(source, order, feed, attach_node, problems)
+
+
+def _network_edge(child: str, link: str, upstream: str, obj: GridObject | None) -> NetworkEdge:
+    """The edge feeding `child`, from its `feed` entry."""
+    if obj is None:
+        return NetworkEdge(link, "parent", upstream, child, 0j, 1.0, False)
+    ratio = float(obj.get("ratio", 1.0)) if obj.cls == "transformer" else 1.0
+    impedance = complex(obj.get("impedance", 0j))
+    return NetworkEdge(link, obj.cls, upstream, child, impedance, ratio, obj.cls in LINE_CLASSES)
 
 
 def build_network_index(model: ScenarioModel) -> NetworkIndex:
     """Precondition: validate(model) reported no errors."""
     names = model.by_name()
-    source = next(
-        o.name
-        for o in model.of_class("node")
-        if "bustype" in o.properties and str(o.properties["bustype"].value) == "SWING"
-    )
-
-    adjacency: dict[str, list[NetworkEdge]] = {
-        o.name: [] for o in model.objects if o.cls in NODE_CLASSES
-    }
-    for obj in model.objects:
-        if obj.cls in EDGE_CLASSES:
-            z = obj.get("impedance", 0j)
-            edge = NetworkEdge(
-                name=obj.name,
-                cls=obj.cls,
-                parent=obj.ref("from"),
-                child=obj.ref("to"),
-                impedance=complex(z),
-                ratio=float(obj.get("ratio", 1.0)) if obj.cls == "transformer" else 1.0,
-                switchable=obj.cls in LINE_CLASSES,
-            )
-            adjacency[edge.parent].append(edge)
-            adjacency[edge.child].append(edge)
-        elif obj.cls in NODE_CLASSES:
-            parent = obj.ref("parent")
-            if parent is not None:
-                edge = NetworkEdge(
-                    name=f"parent:{obj.name}",
-                    cls="parent",
-                    parent=parent,
-                    child=obj.name,
-                    impedance=0j,
-                    ratio=1.0,
-                    switchable=False,
-                )
-                adjacency[parent].append(edge)
-                adjacency[obj.name].append(edge)
-
-    order = [source]
-    feed_edge: dict[str, NetworkEdge] = {}  # node -> edge from its parent
+    feeder = walk_feeder(model, names)
+    source = feeder.source
+    feed_edge = {node: _network_edge(node, *link) for node, link in feeder.feed.items()}
     nominal = {source: float(names[source].get("nominal_voltage", DEFAULT_NOMINAL_VOLTS))}
-    edges_by_name: dict[str, NetworkEdge] = {}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for edge in adjacency[node]:
-                other = edge.child if edge.parent == node else edge.parent
-                if other in nominal:  # reached already
-                    continue
-                # orient the edge away from the source
-                if edge.parent != node:
-                    edge = NetworkEdge(
-                        edge.name, edge.cls, node, other, edge.impedance, edge.ratio, edge.switchable
-                    )
-                feed_edge[other] = edge
-                edges_by_name[edge.name] = edge
-                explicit = names[other].get("nominal_voltage")
-                nominal[other] = float(explicit) if explicit is not None else nominal[node] / edge.ratio
-                order.append(other)
-                nxt.append(other)
-        frontier = nxt
-
+    for node, edge in feed_edge.items():  # in walk order, so upstream first
+        explicit = names[node].get("nominal_voltage")
+        nominal[node] = float(explicit) if explicit is not None else nominal[edge.parent] / edge.ratio
     index = NetworkIndex(
         source=source,
-        order=order,
-        edges_by_name=edges_by_name,
+        order=feeder.order,
+        edges_by_name={edge.name: edge for edge in feed_edge.values()},
         nominal_volts=nominal,
-        tree=compile_sweep_tree(order, feed_edge, nominal),
-        attachments={n: [] for n in order},
+        tree=compile_sweep_tree(feeder.order, feed_edge, nominal),
+        attachments={n: [] for n in feeder.order},
+        attach_node=feeder.attach_node,
     )
-    for obj in model.objects:
-        if obj.cls in ("house", "zipload", "waterheater", "solar"):
-            node = _electrical_node_for(names, obj)
-            if node is not None:
-                index.attachments[node].append(obj.name)
-                index.attach_node[obj.name] = node
+    for load, node in feeder.attach_node.items():
+        index.attachments[node].append(load)
     return index
 
 
@@ -199,21 +236,3 @@ def compute_islands(index: NetworkIndex, statuses: dict[str, str]) -> Islands:
         if on:
             rows.append((s, p, tree.ratio[s], tree.impedance[s], tree.nominal[s]))
     return Islands(tuple(live), tuple(rows))
-
-
-def deenergized_objects(index: NetworkIndex, islands: Islands) -> set[str]:
-    """Model objects whose every electrical attachment is de-energized.
-
-    Edge objects count when both endpoints are dead; an OPEN boundary edge
-    with a live parent therefore does not count.
-    """
-    live, position = islands.live, index.tree.position
-    dead: set[str] = set()
-    for node, s in position.items():
-        if not live[s]:
-            dead.add(node)
-            dead.update(index.attachments[node])
-    for edge in index.edges_by_name.values():
-        if edge.cls != "parent" and not live[position[edge.parent]] and not live[position[edge.child]]:
-            dead.add(edge.name)
-    return dead

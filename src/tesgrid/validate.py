@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from .kernel import NO_PROP, PROPERTIES, out_of_bounds
 from .model import (
-    EDGE_CLASSES,
     LINE_CLASSES,
-    NODE_CLASSES,
     UNIT_TABLE,
     Diagnostic,
     GridObject,
@@ -19,6 +17,7 @@ from .model import (
     ValidationReport,
     Value,
 )
+from .network import walk_feeder
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
 LINE_STATUSES = ("OPEN", "CLOSED")
@@ -89,9 +88,7 @@ def _check_objects(model: ScenarioModel, errors, warnings):
                 errors.append(Diagnostic(loc, *problem))
 
 
-def _check_refs(model: ScenarioModel, errors):
-    names = model.by_name()
-
+def _check_refs(model: ScenarioModel, names: dict[str, GridObject], errors):
     def need(loc, ref, role):
         if ref not in names:
             errors.append(Diagnostic(loc, "DANGLING_REF", f"{role} '{ref}' does not resolve"))
@@ -114,91 +111,10 @@ def _check_refs(model: ScenarioModel, errors):
         need(p.name, p.target, "player target")
 
 
-def _check_network(model: ScenarioModel, errors):
-    names = model.by_name()
-    node_names = [o.name for o in model.objects if o.cls in NODE_CLASSES and o.name]
-    if not node_names:
-        return
-    sources = [
-        o.name
-        for o in model.of_class("node")
-        if o.name and str(o.properties.get("bustype").value if "bustype" in o.properties else "") == "SWING"
-    ]
-    if not sources:
-        errors.append(Diagnostic("<network>", "NO_SOURCE", "no node with bustype SWING"))
-    elif len(sources) > 1:
-        errors.append(Diagnostic("<network>", "MULTI_SOURCE", f"{len(sources)} SWING nodes: {sorted(sources)}"))
-
-    # undirected adjacency over node-likes: explicit edges plus parent links
-    adjacency: dict[str, list[tuple[str, str]]] = {n: [] for n in node_names}
-    edge_count = 0
-    for obj in model.objects:
-        if obj.name is None:
-            continue
-        if obj.cls in EDGE_CLASSES:
-            a, b = obj.ref("from"), obj.ref("to")
-            if a in adjacency and b in adjacency:
-                if a == b:
-                    errors.append(Diagnostic(obj.name, "NOT_RADIAL", "self-loop edge"))
-                    continue
-                adjacency[a].append((b, obj.name))
-                adjacency[b].append((a, obj.name))
-                edge_count += 1
-            else:
-                for endpoint in (a, b):
-                    if endpoint in names and endpoint not in adjacency:
-                        errors.append(
-                            Diagnostic(obj.name, "BAD_ENDPOINT", f"'{endpoint}' is not an electrical node")
-                        )
-        elif obj.cls in NODE_CLASSES:
-            parent = obj.ref("parent")
-            if parent is not None and parent in adjacency and obj.name in adjacency:
-                adjacency[obj.name].append((parent, f"parent:{obj.name}"))
-                adjacency[parent].append((obj.name, f"parent:{obj.name}"))
-                edge_count += 1
-    if len(sources) != 1:
-        return
-    # BFS from the source; a radial tree visits every node exactly once.
-    root = sources[0]
-    visited = {root}
-    frontier = [root]
-    via: dict[str, str] = {}
-    cycle = False
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other, edge in adjacency[node]:
-                if edge == via.get(node):
-                    continue
-                if other in visited:
-                    cycle = True
-                    continue
-                visited.add(other)
-                via[other] = edge
-                nxt.append(other)
-        frontier = nxt
-    if cycle or edge_count >= len(node_names):
-        errors.append(Diagnostic("<network>", "NOT_RADIAL", "electrical network contains a cycle"))
-    unreached = sorted(set(node_names) - visited)
-    if unreached:
-        errors.append(
-            Diagnostic("<network>", "NOT_RADIAL", f"nodes not connected to the source: {unreached}")
-        )
-
-
-def _check_attachments(model: ScenarioModel, errors):
-    names = model.by_name()
+def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
-        if obj.cls == "house":
-            parent = names.get(obj.ref("parent") or "")
-            if parent is not None and parent.cls not in NODE_CLASSES:
-                errors.append(Diagnostic(loc, "BAD_PARENT", "house parent must be a meter or node"))
-        elif obj.cls in ("zipload", "waterheater"):
-            parent = names.get(obj.ref("parent") or "")
-            if parent is not None and parent.cls not in {"house"} | NODE_CLASSES:
-                errors.append(Diagnostic(loc, "BAD_PARENT", f"{obj.cls} parent must be a house or node"))
-        elif obj.cls == "controller":
+        if obj.cls == "controller":
             house = names.get(obj.ref("house") or "")
             if house is not None and house.cls != "house":
                 errors.append(Diagnostic(loc, "BAD_REF", "controller 'house' must reference a house"))
@@ -224,7 +140,7 @@ def _check_attachments(model: ScenarioModel, errors):
                 )
 
 
-def _check_blocks(model: ScenarioModel, errors):
+def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
     clock = model.clock
     if clock is None:
         errors.append(Diagnostic("<clock>", "NO_CLOCK", "scenario has no clock block"))
@@ -235,7 +151,6 @@ def _check_blocks(model: ScenarioModel, errors):
             span = int((clock.stop - clock.start).total_seconds())
             if span % clock.timestep != 0:
                 errors.append(Diagnostic("<clock>", "BAD_CLOCK", "timestep must divide the simulated window"))
-    names = model.by_name()
     for sched in model.schedules:
         times = [e.time for e in sched.entries]
         if times != sorted(times):
@@ -266,10 +181,15 @@ def _check_blocks(model: ScenarioModel, errors):
             errors.append(Diagnostic(a.name, "BAD_FRACTION", "fraction must be within [0, 1]"))
         if a.lam is not None and a.lam < 0:
             errors.append(Diagnostic(a.name, "BAD_PARAM", "lambda must be nonnegative"))
-        # an overridden offer goes to its seller's auxiliary market, which
-        # has the cap of the auction it mirrors
-        if a.kind == "SELLER_PRICE_OVERRIDE" and a.price is not None and a.price > lowest_cap:
-            errors.append(Diagnostic(a.name, "BAD_PARAM", f"price {a.price:g} exceeds a price_cap of {lowest_cap:g}"))
+        # an overridden offer replaces a seller's, so it obeys a seller price's
+        # bound and the cap of the auction its auxiliary market mirrors
+        if a.kind == "SELLER_PRICE_OVERRIDE" and a.price is not None:
+            if a.price < 0:
+                errors.append(Diagnostic(a.name, "BAD_PARAM", "price must be nonnegative"))
+            elif a.price > lowest_cap:
+                errors.append(
+                    Diagnostic(a.name, "BAD_PARAM", f"price {a.price:g} exceeds a price_cap of {lowest_cap:g}")
+                )
         for line_name in a.lines:
             target = names.get(line_name)
             if target is not None and target.cls not in LINE_CLASSES:
@@ -303,10 +223,11 @@ def validate(model: ScenarioModel) -> ValidationReport:
     """Check every model invariant; returns a deterministic report."""
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
+    names = model.by_name()
     _check_objects(model, errors, warnings)
-    _check_refs(model, errors)
-    _check_network(model, errors)
-    _check_attachments(model, errors)
-    _check_blocks(model, errors)
+    _check_refs(model, names, errors)
+    errors.extend(Diagnostic(*problem) for problem in walk_feeder(model, names).problems)
+    _check_agents(model, names, errors)
+    _check_blocks(model, names, errors)
     key = lambda d: (d.location, d.code, d.message)
     return ValidationReport(sorted(set(errors), key=key), sorted(set(warnings), key=key))

@@ -70,6 +70,17 @@ UNRUNNABLE_EDITS = {
     "override_price_above_cap": (
         lambda t: t + 'attack { name a1; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
         'end "2013-07-01 00:20:00"; fraction 1; seed 1; price 0.9 $/kWh; }\n', "BAD_PARAM"),
+    "negative_override_price": (
+        lambda t: t + 'attack { name a1; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; fraction 1; seed 1; price -5 $/kWh; }\n', "BAD_PARAM"),
+    # the prior price a round repeats when the curves do not cross
+    "negative_init_price": (
+        lambda t: t.replace("init_price 0.10 $/kWh;", "init_price -5 $/kWh;"), "BAD_RANGE"),
+    # a house that is a heat sink
+    "negative_internal_gains": (
+        lambda t: t.replace("internal_gains 1800;", "internal_gains -90000;", 1), "BAD_RANGE"),
+    # validated clean, then the run failed with KeyError building the engine
+    "solar_on_line": (lambda t: t + "object solar { name pv9; parent UL1; rating 2 kW; }\n", "BAD_PARENT"),
     # the setpoint ramp divides by k_ramp * sigma, which a free seller lets reach the floor
     "zero_sigma_floor": (
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0 $/kWh;\n    capacity")

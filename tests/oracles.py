@@ -5,7 +5,8 @@ the code under test: dense nodal admittance solve vs. sweep power flow,
 unit-expansion greedy matching vs. merge-walk auction clearing, the
 closed-form exponential vs. Euler integration, and undirected DFS vs.
 path-product islanding.  `demand_list` is no oracle: it turns
-(node, power_va) pairs into the solver's per-supernode input.
+(node, power_va) pairs into the solver's per-supernode input; nor is
+`deenergized_objects`, the outage set the tests read off the islands.
 """
 
 import math
@@ -21,6 +22,24 @@ def demand_list(index, loads):
     for node, power_va in loads:
         demand[index.tree.position[node]] += power_va
     return demand
+
+
+def deenergized_objects(index, islands):
+    """Model objects whose every electrical attachment is de-energized.
+
+    Edge objects count when both endpoints are dead; an OPEN boundary edge
+    with a live parent therefore does not count.
+    """
+    live, position = islands.live, index.tree.position
+    dead = set()
+    for node, s in position.items():
+        if not live[s]:
+            dead.add(node)
+            dead.update(index.attachments[node])
+    for edge in index.edges_by_name.values():
+        if edge.cls != "parent" and not live[position[edge.parent]] and not live[position[edge.child]]:
+            dead.add(edge.name)
+    return dead
 
 
 def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):

@@ -16,6 +16,7 @@ from conftest import load_fixture
 from oracles import (
     analytic_temperature,
     auction_oracle,
+    deenergized_objects,
     demand_list,
     dense_powerflow_oracle,
     reachability_oracle,
@@ -27,7 +28,7 @@ from tesgrid.kernel import Engine
 from tesgrid.loads import HouseState, init_mode, step_house
 from tesgrid.market import clear_book, Bid
 from tesgrid.model import AttackConfig
-from tesgrid.network import build_network_index, compute_islands, deenergized_objects
+from tesgrid.network import build_network_index, compute_islands
 from tesgrid.powerflow import solve_powerflow
 from tesgrid.recorder import write_results
 from tesgrid.validate import validate

@@ -1,9 +1,9 @@
 """Topology index tests: depths, orientation, islanding against an
 independent reachability oracle, and the hand-traced outage set."""
 
-from oracles import reachability_oracle
+from oracles import deenergized_objects, reachability_oracle
 
-from tesgrid.network import build_network_index, compute_islands, deenergized_objects
+from tesgrid.network import build_network_index, compute_islands
 
 
 def node_islands(index, islands):

@@ -5,6 +5,7 @@ import pytest
 from conftest import UNRUNNABLE_EDITS
 
 from tesgrid.glm import parse_scenario
+from tesgrid.network import build_network_index
 from tesgrid.validate import validate
 
 
@@ -158,3 +159,97 @@ def test_valid_schedule_values_pass(small_text):
         "object auction { name A2; period 600 s; }\n"
     )
     assert validate(parse_scenario(text)).errors == []
+
+
+_HOUSE = ("air_temperature 80 degF; cooling_setpoint 70 degF; deadband 2 degF; "
+          "thermal_capacitance 2000; ua 550; internal_gains 1800; hvac_rating 1 kW; cop 3;")
+_NO_NODES = ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 s; }\n'
+             "object auction { name A1; period 300 s; }\n")
+_CYCLE = "error: <network>: NOT_RADIAL: electrical network contains a cycle"
+_UNREACHED = "error: <network>: NOT_RADIAL: nodes not connected to the source: "
+
+# Topology and attachment edits of feeder_small.glm, each with its whole
+# serialized report: the feeder walk's diagnostics, byte for byte.
+PINNED_REPORTS = {
+    "self_loop_edge": (
+        lambda t: t + "object switch { name sl; from n2; to n2; }\n",
+        "error: sl: NOT_RADIAL: self-loop edge"),
+    "self_loop_on_house": (
+        lambda t: t + "object switch { name sl; from h1; to h1; }\n",
+        "error: sl: BAD_ENDPOINT: 'h1' is not an electrical node"),
+    "line_to_house": (
+        lambda t: t + "object overhead_line { name ol; from n2; to h1; impedance 1+1j Ohm; }\n",
+        "error: ol: BAD_ENDPOINT: 'h1' is not an electrical node"),
+    "parallel_switch": (lambda t: t + "object switch { name par; from n1; to n2; }\n", _CYCLE),
+    "tn1_tn2_cycle": (lambda t: t + "object switch { name loop; from tn1; to tn2; }\n", _CYCLE),
+    "isolated_node": (lambda t: t + "object node { name island; }\n", _UNREACHED + "['island']"),
+    "isolated_pair": (
+        lambda t: t + "object node { name i1; }\nobject node { name i2; }\n"
+        "object switch { name si; from i1; to i2; }\n",
+        _UNREACHED + "['i1', 'i2']"),
+    "two_swing": (
+        lambda t: t.replace("name n2;", "name n2;\n    bustype SWING;", 1),
+        "error: <network>: MULTI_SOURCE: 2 SWING nodes: ['n1', 'n2']"),
+    "no_swing": (
+        lambda t: t.replace("bustype SWING;", ""),
+        "error: <network>: NO_SOURCE: no node with bustype SWING"),
+    "unnamed_node": (
+        lambda t: t + "object node { nominal_voltage 240 V; }\n",
+        "error: <node@166>: MISSING_NAME: node object has no name"),
+    "house_on_line": (
+        lambda t: t.replace("name h1;\n    parent tm1;", "name h1;\n    parent UL1;"),
+        "error: h1: BAD_PARENT: house parent must be a meter or node"),
+    "house_on_itself": (
+        lambda t: t.replace("name h1;\n    parent tm1;", "name h1;\n    parent h1;"),
+        "error: h1: BAD_PARENT: house parent must be a meter or node"),
+    "house_on_missing": (
+        lambda t: t.replace("name h1;\n    parent tm1;", "name h1;\n    parent nowhere;"),
+        "error: h1: DANGLING_REF: parent 'nowhere' does not resolve"),
+    "zipload_on_zipload": (
+        lambda t: t + "object zipload { name z2; parent z1; base_power 1 kW; }\n",
+        "error: z2: BAD_PARENT: zipload parent must be a house or node"),
+    "zipload_on_house_on_line": (
+        lambda t: t + f"object house {{ name h5; parent UL1; {_HOUSE} }}\n"
+        "object zipload { name z2; parent h5; base_power 1 kW; }\n",
+        "error: h5: BAD_PARENT: house parent must be a meter or node"),
+    "meter_on_house": (
+        lambda t: t + "object triplex_meter { name tm5; parent h1; nominal_voltage 240 V; }\n",
+        _UNREACHED + "['tm5']"),
+    "meter_on_itself": (
+        lambda t: t + "object triplex_meter { name tm5; parent tm5; nominal_voltage 240 V; }\n",
+        _UNREACHED + "['tm5']"),
+    "reached_meter_on_itself": (
+        lambda t: t + "object triplex_meter { name tm5; parent tm5; nominal_voltage 240 V; }\n"
+        "object switch { name s5; from tn1; to tm5; }\n",
+        _CYCLE),
+    "meter_parent_cycle": (
+        lambda t: t + "object triplex_meter { name tm5; parent tm6; nominal_voltage 240 V; }\n"
+        "object triplex_meter { name tm6; parent tm5; nominal_voltage 240 V; }\n",
+        _UNREACHED + "['tm5', 'tm6']"),
+    "duplicate_edge_names": (
+        lambda t: t + "object node { name n3; }\nobject node { name n4; }\n"
+        "object switch { name s; from n2; to n3; }\nobject switch { name s; from n3; to n4; }\n",
+        _UNREACHED + "['n4']\nerror: s: DUPLICATE_NAME: object name is not unique"),
+    "switch_without_to": (
+        lambda t: t + "object switch { name st; from n2; }\n",
+        "error: st: MISSING_PROPERTY: required property 'to' absent"),
+    "no_nodes": (lambda t: _NO_NODES, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_pinned_topology_reports(small_text, case):
+    edit, expected = PINNED_REPORTS[case]
+    text = edit(small_text)
+    assert text != small_text
+    assert validate(parse_scenario(text)).serialize() == expected
+
+
+def test_solar_parent_rule(small_text):
+    """Solar shares the appliances' rule: on a node, or on a house on one."""
+    on_solar = small_text + "object solar { name s2; parent s1; rating 1 kW; }\n"
+    assert validate(parse_scenario(on_solar)).serialize() == (
+        "error: s2: BAD_PARENT: solar parent must be a house or node")
+    on_house = parse_scenario(small_text + "object solar { name s2; parent h1; rating 1 kW; }\n")
+    assert validate(on_house).errors == []
+    assert build_network_index(on_house).attach_node["s2"] == "tm1"
