@@ -10,17 +10,22 @@ Supported top-level blocks::
     player { name p1; target z1; property base_power; file zip.csv; }
     weather { file "weather.csv"; }
 
-`//` starts a line comment.  Values are numbers with optional units,
-complex impedances (``1+2j Ohm``), quoted strings, timestamps, bare
+Lexical rules: `//` starts a comment that runs to the end of the line;
+a string is double-quoted and ends on the line it starts; an atom runs up
+to whitespace, one of `{};,`, a quote or `//`; only a line feed ends a line, and
+a column counts code points from 1.  Values are numbers with optional
+units, complex impedances (``1+2j Ohm``), quoted strings, timestamps, bare
 identifiers, or comma-separated lists.  Every failure raises
 :class:`~tesgrid.errors.ParseError` with position information.
+
+The tokenizer is one compiled regex applied to each line; a token is a
+plain `(kind, text, line, col)` tuple.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import ParseError
@@ -43,72 +48,34 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)[+-](\d+\.?\d*|\.\d+)[jJ]$")
 _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$")
 
-_PUNCT = "{};,"
+# (kind, text, line, col); kind is 'atom', 'string' or one of "{};,"
+_Token = tuple[str, str, int, int]
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'atom' | 'string' | one of _PUNCT
-    text: str
-    line: int
-    col: int
+# One match per token, searched within a line: a comment (group 1), a
+# punctuation mark (2), a string (3, with 4 unmatched when the line ends
+# before the closing quote) or an atom (5).  `\s` matches exactly the
+# characters `str.isspace()` accepts.
+_TOKEN_RE = re.compile(r'(//.*)|([{};,])|"([^"]*)(")?|(?=\S)([^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*)')
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        # atom: run of non-space, non-punctuation characters
-        start_line, start_col = line, col
-        buf = []
-        while i < n:
-            c = text[i]
-            if c.isspace() or c in _PUNCT or c == '"':
-                break
-            if c == "/" and i + 1 < n and text[i + 1] == "/":
-                break
-            buf.append(c)
-            i += 1
-            col += 1
-        tokens.append(_Token("atom", "".join(buf), start_line, start_col))
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chars):
+            group = m.lastindex
+            if group == 5:
+                tokens.append(("atom", m[5], line, m.start() + 1))
+            elif group == 2:
+                tokens.append((m[2], m[2], line, m.start() + 1))
+            elif group == 4:
+                tokens.append(("string", m[3], line, m.start() + 1))
+            elif group == 3:
+                raise ParseError("unterminated string", line, m.start() + 1)
     return tokens
+
+
+def _error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
 
 
 class _Parser:
@@ -118,155 +85,149 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _end_of_input(self) -> ParseError:
+        return _error("unexpected end of input", self.tokens[-1])
 
     def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("atom", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        if self.pos == len(self.tokens):
+            raise self._end_of_input()
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def _expect(self, kind: str) -> _Token:
         tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(f"expected '{kind}', got '{tok.text}'", tok.line, tok.col)
+        if tok[0] != kind:
+            raise _error(f"expected '{kind}', got '{tok[1]}'", tok)
         return tok
 
     def _expect_atom(self) -> _Token:
         tok = self._next()
-        if tok.kind != "atom":
-            raise ParseError(f"expected identifier, got '{tok.text}'", tok.line, tok.col)
+        if tok[0] != "atom":
+            raise _error(f"expected identifier, got '{tok[1]}'", tok)
         return tok
 
     # -- value interpretation -----------------------------------------------
 
-    def _read_raw_value(self) -> list[_Token]:
-        """Tokens up to the terminating ';' (consumed)."""
-        toks = []
-        while True:
-            tok = self._next()
-            if tok.kind == ";":
-                return toks
-            if tok.kind in "{}":
-                raise ParseError(f"unexpected '{tok.text}' in value", tok.line, tok.col)
-            toks.append(tok)
+    def _read_raw_value(self) -> tuple[list[_Token], bool]:
+        """Tokens up to the terminating ';' (consumed), and whether one of
+        them is a ','."""
+        tokens, start, listed = self.tokens, self.pos, False
+        for i in range(start, len(tokens)):
+            kind = tokens[i][0]
+            if kind == ";":
+                self.pos = i + 1
+                return tokens[start:i], listed
+            if kind == ",":
+                listed = True
+            elif kind == "{" or kind == "}":
+                raise _error(f"unexpected '{kind}' in value", tokens[i])
+        raise self._end_of_input()
 
     @staticmethod
     def _scalar(toks: list[_Token]) -> Value:
-        if len(toks) == 1 and toks[0].kind == "string":
-            text = toks[0].text
+        if len(toks) == 1 and toks[0][0] == "string":
+            text = toks[0][1]
             if _TIMESTAMP_RE.match(text):
                 return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
             return Value("STRING", text)
-        atoms = [t.text for t in toks if t.kind == "atom"]
-        if len(atoms) != len(toks):
-            raise ParseError("malformed value", toks[0].line, toks[0].col)
-        if len(atoms) == 2 and _TIMESTAMP_RE.match(" ".join(atoms)):
-            return Value("TIMESTAMP", datetime.strptime(" ".join(atoms), TIME_FORMAT))
-        if len(atoms) in (1, 2):
-            head = atoms[0]
-            unit = None
-            if len(atoms) == 2:
-                unit = atoms[1]
-                if unit not in UNIT_TABLE:
-                    raise ParseError(f"unknown unit '{unit}'", toks[1].line, toks[1].col)
-            if _NUMBER_RE.match(head):
-                value = Value("NUMBER", float(head), unit)
-            elif _COMPLEX_RE.match(head):
-                value = Value("COMPLEX", complex(head), unit)
-            elif unit is not None:
-                raise ParseError(f"'{head}' is not a number", toks[0].line, toks[0].col)
-            else:
-                return Value("REF", head)
-            # a literal too large for a float parses to inf, also after unit scaling
-            if not cmath.isfinite(value.canonical()):
-                raise ParseError(f"'{' '.join(atoms)}' is not a finite number", toks[0].line, toks[0].col)
-            return value
-        raise ParseError("malformed value", toks[0].line, toks[0].col)
+        atoms = [text for kind, text, _, _ in toks if kind == "atom"]
+        if len(atoms) != len(toks) or len(atoms) > 2:
+            raise _error("malformed value", toks[0])
+        head, unit = atoms[0], None
+        if len(atoms) == 2:
+            unit = atoms[1]
+            stamp = f"{head} {unit}"
+            if _TIMESTAMP_RE.match(stamp):
+                return Value("TIMESTAMP", datetime.strptime(stamp, TIME_FORMAT))
+            if unit not in UNIT_TABLE:
+                raise _error(f"unknown unit '{unit}'", toks[1])
+        if _NUMBER_RE.match(head):
+            value = Value("NUMBER", float(head), unit)
+        elif _COMPLEX_RE.match(head):
+            value = Value("COMPLEX", complex(head), unit)
+        elif unit is not None:
+            raise _error(f"'{head}' is not a number", toks[0])
+        else:
+            return Value("REF", head)
+        # a literal too large for a float parses to inf, also after unit scaling
+        if not cmath.isfinite(value.canonical()):
+            raise _error(f"'{' '.join(atoms)}' is not a finite number", toks[0])
+        return value
 
-    def _interpret(self, toks: list[_Token], line: int, col: int) -> Value:
+    def _interpret(self, toks: list[_Token], listed: bool, key: _Token) -> Value:
+        """The value of `toks`, a list when `listed`; errors without a
+        token of their own are placed at the property name `key`."""
         if not toks:
-            raise ParseError("empty value", line, col)
-        if any(t.kind == "," for t in toks):
-            items, current = [], []
-            for t in toks:
-                if t.kind == ",":
-                    if not current:
-                        raise ParseError("empty list item", t.line, t.col)
-                    items.append(self._scalar(current))
-                    current = []
-                else:
-                    current.append(t)
-            if not current:
-                raise ParseError("trailing comma in list", toks[-1].line, toks[-1].col)
-            items.append(self._scalar(current))
-            return Value("LIST", tuple(items))
-        return self._scalar(toks)
+            raise _error("empty value", key)
+        if not listed:
+            return self._scalar(toks)
+        items, current = [], []
+        for t in toks:
+            if t[0] == ",":
+                if not current:
+                    raise _error("empty list item", t)
+                items.append(self._scalar(current))
+                current = []
+            else:
+                current.append(t)
+        if not current:
+            raise _error("trailing comma in list", toks[-1])
+        items.append(self._scalar(current))
+        return Value("LIST", tuple(items))
 
     # -- block parsing ------------------------------------------------------
 
-    def _read_props(self, allow_repeats: frozenset[str] = frozenset()):
-        """Parse `{ key value; ... }` into an ordered list of (key, Value, line)."""
+    def _read_props(self) -> dict[str, Value]:
+        """Parse `{ key value; ... }` into a dict in source order."""
         self._expect("{")
-        props: list[tuple[str, Value, int]] = []
-        seen: set[str] = set()
+        props: dict[str, Value] = {}
         while True:
             tok = self._next()
-            if tok.kind == "}":
+            if tok[0] == "}":
                 return props
-            if tok.kind != "atom":
-                raise ParseError(f"expected property name, got '{tok.text}'", tok.line, tok.col)
-            key = tok.text
-            if key in seen and key not in allow_repeats:
-                raise ParseError(f"duplicate property '{key}'", tok.line, tok.col)
-            seen.add(key)
-            value = self._interpret(self._read_raw_value(), tok.line, tok.col)
-            props.append((key, value, tok.line))
+            if tok[0] != "atom":
+                raise _error(f"expected property name, got '{tok[1]}'", tok)
+            if tok[1] in props:
+                raise _error(f"duplicate property '{tok[1]}'", tok)
+            props[tok[1]] = self._interpret(*self._read_raw_value(), tok)
 
     @staticmethod
-    def _prop_map(props) -> dict[str, Value]:
-        return {key: value for key, value, _ in props}
-
-    def _want(self, props: dict[str, Value], key: str, line: int, col: int) -> Value:
+    def _want(props: dict[str, Value], key: str, tok: _Token) -> Value:
         if key not in props:
-            raise ParseError(f"missing '{key}'", line, col)
+            raise _error(f"missing '{key}'", tok)
         return props[key]
 
     @staticmethod
-    def _as_time(v: Value, line: int, col: int) -> datetime:
+    def _as_time(v: Value, tok: _Token) -> datetime:
         if v.kind != "TIMESTAMP":
-            raise ParseError("expected timestamp 'YYYY-MM-DD HH:MM:SS'", line, col)
+            raise _error("expected timestamp 'YYYY-MM-DD HH:MM:SS'", tok)
         return v.value
 
     @staticmethod
-    def _as_number(v: Value, line: int, col: int) -> float:
+    def _as_number(v: Value, tok: _Token) -> float:
         if v.kind != "NUMBER":
-            raise ParseError("expected a number", line, col)
+            raise _error("expected a number", tok)
         return float(v.canonical())
 
     def _parse_object(self, model: ScenarioModel) -> None:
         cls_tok = self._expect_atom()
-        if cls_tok.text not in OBJECT_CLASSES:
-            raise ParseError(f"unknown class '{cls_tok.text}'", cls_tok.line, cls_tok.col)
+        cls = cls_tok[1]
+        if cls not in OBJECT_CLASSES:
+            raise _error(f"unknown class '{cls}'", cls_tok)
         props = self._read_props()
-        pmap = self._prop_map(props)
-        name_value = pmap.pop("name", None)
+        name_value = props.pop("name", None)
         name = str(name_value.value) if name_value is not None else None
-        model.objects.append(GridObject(cls_tok.text, name, pmap, cls_tok.line))
+        model.objects.append(GridObject(cls, name, props, cls_tok[2]))
 
     def _parse_clock(self, model: ScenarioModel, tok: _Token) -> None:
         if model.clock is not None:
-            raise ParseError("duplicate clock block", tok.line, tok.col)
-        pmap = self._prop_map(self._read_props())
-        start = self._as_time(self._want(pmap, "start", tok.line, tok.col), tok.line, tok.col)
-        stop = self._as_time(self._want(pmap, "stop", tok.line, tok.col), tok.line, tok.col)
-        step_v = self._want(pmap, "timestep", tok.line, tok.col)
-        step = self._as_number(step_v, tok.line, tok.col)
+            raise _error("duplicate clock block", tok)
+        pmap = self._read_props()
+        start = self._as_time(self._want(pmap, "start", tok), tok)
+        stop = self._as_time(self._want(pmap, "stop", tok), tok)
+        step = self._as_number(self._want(pmap, "timestep", tok), tok)
         if step != int(step) or int(step) <= 0:
-            raise ParseError("timestep must be a positive whole number of seconds", tok.line, tok.col)
+            raise _error("timestep must be a positive whole number of seconds", tok)
         model.clock = ClockConfig(start, stop, int(step))
 
     def _parse_schedule(self, model: ScenarioModel, tok: _Token) -> None:
@@ -276,114 +237,112 @@ class _Parser:
         repeat = None
         while True:
             key_tok = self._next()
-            if key_tok.kind == "}":
+            kind, key = key_tok[:2]
+            if kind == "}":
                 break
-            if key_tok.kind != "atom":
-                raise ParseError(f"expected property name, got '{key_tok.text}'", key_tok.line, key_tok.col)
-            if key_tok.text == "entry":
-                raw = self._read_raw_value()
+            if kind != "atom":
+                raise _error(f"expected property name, got '{key}'", key_tok)
+            if key == "entry":
+                raw, _ = self._read_raw_value()
                 if len(raw) < 3:
-                    raise ParseError("entry needs: \"time\" target property value", key_tok.line, key_tok.col)
-                when = self._as_time(self._scalar(raw[:1]), raw[0].line, raw[0].col)
-                target = raw[1].text
-                prop = raw[2].text
-                value = self._interpret(raw[3:], key_tok.line, key_tok.col)
-                entries.append(ScheduleEntry(when, target, prop, value))
-            elif key_tok.text == "name":
-                name = str(self._interpret(self._read_raw_value(), key_tok.line, key_tok.col).value)
-            elif key_tok.text == "repeat":
-                v = self._interpret(self._read_raw_value(), key_tok.line, key_tok.col)
-                repeat = int(self._as_number(v, key_tok.line, key_tok.col))
+                    raise _error("entry needs: \"time\" target property value", key_tok)
+                when = self._as_time(self._scalar(raw[:1]), raw[0])
+                value_toks = raw[3:]
+                value = self._interpret(value_toks, any(t[0] == "," for t in value_toks), key_tok)
+                entries.append(ScheduleEntry(when, raw[1][1], raw[2][1], value))
+            elif key == "name":
+                name = str(self._interpret(*self._read_raw_value(), key_tok).value)
+            elif key == "repeat":
+                v = self._interpret(*self._read_raw_value(), key_tok)
+                repeat = int(self._as_number(v, key_tok))
             else:
-                raise ParseError(f"unknown schedule field '{key_tok.text}'", key_tok.line, key_tok.col)
-        model.schedules.append(Schedule(name, entries, repeat, tok.line))
+                raise _error(f"unknown schedule field '{key}'", key_tok)
+        model.schedules.append(Schedule(name, entries, repeat, tok[2]))
 
     def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._prop_map(self._read_props())
-        kind_v = self._want(pmap, "kind", tok.line, tok.col)
-        kind = str(kind_v.value)
+        pmap = self._read_props()
+        kind = str(self._want(pmap, "kind", tok).value)
         if kind not in ("SELLER_PRICE_OVERRIDE", "BUYER_BID_SCALE", "LINE_STATUS"):
-            raise ParseError(f"unknown attack kind '{kind}'", tok.line, tok.col)
+            raise _error(f"unknown attack kind '{kind}'", tok)
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
-            start=self._as_time(self._want(pmap, "start", tok.line, tok.col), tok.line, tok.col),
-            end=self._as_time(self._want(pmap, "end", tok.line, tok.col), tok.line, tok.col),
-            line=tok.line,
+            start=self._as_time(self._want(pmap, "start", tok), tok),
+            end=self._as_time(self._want(pmap, "end", tok), tok),
+            line=tok[2],
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number(pmap["fraction"], tok.line, tok.col)
+            cfg.fraction = self._as_number(pmap["fraction"], tok)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number(pmap["seed"], tok.line, tok.col))
+            cfg.seed = int(self._as_number(pmap["seed"], tok))
         if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.price = self._as_number(self._want(pmap, "price", tok.line, tok.col), tok.line, tok.col)
+            cfg.price = self._as_number(self._want(pmap, "price", tok), tok)
         elif kind == "BUYER_BID_SCALE":
-            cfg.lam = self._as_number(self._want(pmap, "lambda", tok.line, tok.col), tok.line, tok.col)
+            cfg.lam = self._as_number(self._want(pmap, "lambda", tok), tok)
         else:
-            lines_v = self._want(pmap, "lines", tok.line, tok.col)
+            lines_v = self._want(pmap, "lines", tok)
             items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
             cfg.lines = [str(item.value) for item in items]
-            cfg.status = str(self._want(pmap, "status", tok.line, tok.col).value)
+            cfg.status = str(self._want(pmap, "status", tok).value)
             if cfg.status not in ("OPEN", "CLOSED"):
-                raise ParseError(f"bad line status '{cfg.status}'", tok.line, tok.col)
+                raise _error(f"bad line status '{cfg.status}'", tok)
         model.attacks.append(cfg)
 
     def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._prop_map(self._read_props())
-        props_v = self._want(pmap, "property", tok.line, tok.col)
+        pmap = self._read_props()
+        props_v = self._want(pmap, "property", tok)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
-                target=str(self._want(pmap, "target", tok.line, tok.col).value),
+                target=str(self._want(pmap, "target", tok).value),
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number(self._want(pmap, "interval", tok.line, tok.col), tok.line, tok.col)),
-                file=str(self._want(pmap, "file", tok.line, tok.col).value),
-                line=tok.line,
+                interval=int(self._as_number(self._want(pmap, "interval", tok), tok)),
+                file=str(self._want(pmap, "file", tok).value),
+                line=tok[2],
             )
         )
 
     def _parse_player(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._prop_map(self._read_props())
+        pmap = self._read_props()
         model.players.append(
             PlayerConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
-                target=str(self._want(pmap, "target", tok.line, tok.col).value),
-                prop=str(self._want(pmap, "property", tok.line, tok.col).value),
-                file=str(self._want(pmap, "file", tok.line, tok.col).value),
-                line=tok.line,
+                target=str(self._want(pmap, "target", tok).value),
+                prop=str(self._want(pmap, "property", tok).value),
+                file=str(self._want(pmap, "file", tok).value),
+                line=tok[2],
             )
         )
 
     def _parse_weather(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._prop_map(self._read_props())
-        model.weather_source = str(self._want(pmap, "file", tok.line, tok.col).value)
+        pmap = self._read_props()
+        model.weather_source = str(self._want(pmap, "file", tok).value)
 
     def parse(self) -> ScenarioModel:
         model = ScenarioModel()
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return model
-            self.pos += 1
-            if tok.kind != "atom":
-                raise ParseError(f"expected a block keyword, got '{tok.text}'", tok.line, tok.col)
-            if tok.text == "object":
+        while self.pos < len(self.tokens):
+            tok = self._next()
+            kind, block = tok[:2]
+            if kind != "atom":
+                raise _error(f"expected a block keyword, got '{block}'", tok)
+            if block == "object":
                 self._parse_object(model)
-            elif tok.text == "clock":
+            elif block == "clock":
                 self._parse_clock(model, tok)
-            elif tok.text == "schedule":
+            elif block == "schedule":
                 self._parse_schedule(model, tok)
-            elif tok.text == "attack":
+            elif block == "attack":
                 self._parse_attack(model, tok)
-            elif tok.text == "recorder":
+            elif block == "recorder":
                 self._parse_recorder(model, tok)
-            elif tok.text == "player":
+            elif block == "player":
                 self._parse_player(model, tok)
-            elif tok.text == "weather":
+            elif block == "weather":
                 self._parse_weather(model, tok)
             else:
-                raise ParseError(f"unknown block '{tok.text}'", tok.line, tok.col)
+                raise _error(f"unknown block '{block}'", tok)
+        return model
 
 
 def parse_scenario(text: str) -> ScenarioModel:

@@ -104,8 +104,6 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
 
     unwalked = Feeder(None, [], {}, attach_node, problems)
     nodes = [o.name for o in model.objects if o.cls in NODE_CLASSES and o.name]
-    if not nodes:
-        return unwalked
     sources = [o.name for o in model.of_class("node") if o.name and o.ref("bustype") == "SWING"]
     if not sources:
         problems.append(("<network>", "NO_SOURCE", "no node with bustype SWING"))
@@ -138,6 +136,8 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
                 adjacency[parent].append((obj.name, link, None))
                 adjacency[obj.name].append((parent, link, None))
                 edge_count += 1
+            elif parent in names:
+                problems.append((obj.name, "BAD_PARENT", f"{obj.cls} parent must be a node"))
     if len(sources) != 1:
         return unwalked
 

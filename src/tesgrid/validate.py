@@ -21,6 +21,7 @@ from .network import walk_feeder
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
 LINE_STATUSES = ("OPEN", "CLOSED")
+RUN_FILES = ("audit.csv", "summary.txt")  # what `write_results` writes beside the recorders
 
 # per class, the properties an object must carry, and those naming another object
 REQUIRED = {cls: [p for p, spec in props.items() if spec.required] for cls, props in PROPERTIES.items()}
@@ -196,7 +197,17 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                 errors.append(
                     Diagnostic(a.name, "NOT_SWITCHABLE", f"'{line_name}' is a {target.cls}, not a line/switch/fuse")
                 )
+    writers: dict[str, str] = {}  # output file -> the recorder writing it
     for r in model.recorders:
+        # a separator also covers every absolute path
+        if r.file in ("", ".", "..") or "/" in r.file or "\\" in r.file:
+            errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is not a bare file name"))
+        elif r.file in RUN_FILES:
+            errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is written by the run itself"))
+        elif r.file in writers:
+            errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is already written by {writers[r.file]}"))
+        else:
+            writers[r.file] = r.name
         if r.interval <= 0 or (clock is not None and r.interval % clock.timestep != 0):
             errors.append(Diagnostic(r.name, "BAD_INTERVAL", "interval must be a positive multiple of timestep"))
         target = names.get(r.target)

@@ -86,4 +86,17 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0 $/kWh;\n    capacity")
         + "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF; t_max 80 degF;"
         " k_ramp 2; sigma_floor 0 $/kWh; }\n", "BAD_RANGE"),
+    # validated clean, then the run failed with KeyError building the network index
+    "no_nodes": (
+        lambda t: t[: t.index("object")] + "object auction { name A1; period 300 s; }\n", "NO_SOURCE"),
+    # validated clean and ran with the meter's parent ignored
+    "fed_meter_on_house": (
+        lambda t: t + "object triplex_meter { name tm5; parent h1; nominal_voltage 240 V; }\n"
+        "object switch { name s5; from tn1; to tm5; }\n", "BAD_PARENT"),
+    # each ran to exit 0: a recorder wrote outside the output directory, or
+    # one output file overwrote another
+    "recorder_file_escapes": (lambda t: t.replace("file src.csv;", "file ../escape.csv;"), "BAD_FILE"),
+    "recorder_file_shared": (lambda t: t.replace("file tm3.csv;", "file src.csv;"), "BAD_FILE"),
+    "recorder_file_is_audit": (lambda t: t.replace("file tm3.csv;", "file audit.csv;"), "BAD_FILE"),
+    "recorder_file_is_summary": (lambda t: t.replace("file ul1.csv;", "file summary.txt;"), "BAD_FILE"),
 }

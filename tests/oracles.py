@@ -4,7 +4,8 @@ Each is implemented from first principles with a different method than
 the code under test: dense nodal admittance solve vs. sweep power flow,
 unit-expansion greedy matching vs. merge-walk auction clearing, the
 closed-form exponential vs. Euler integration, and undirected DFS vs.
-path-product islanding.  `demand_list` is no oracle: it turns
+path-product islanding, a character-at-a-time scanner vs. the per-line
+regex tokenizer.  `demand_list` is no oracle: it turns
 (node, power_va) pairs into the solver's per-supernode input; nor is
 `deenergized_objects`, the outage set the tests read off the islands.
 """
@@ -12,6 +13,8 @@ path-product islanding.  `demand_list` is no oracle: it turns
 import math
 
 import numpy as np
+
+from tesgrid.errors import ParseError
 
 
 def demand_list(index, loads):
@@ -147,3 +150,64 @@ def reachability_oracle(index, statuses):
         seen.add(node)
         stack.extend(adjacency[node])
     return {n: n in seen for n in index.order}
+
+
+def tokenize_oracle(text):
+    """Scenario tokens as (kind, text, line, col), scanned one character at
+    a time: `\\n` ends a line, any other `str.isspace()` character is a
+    column of blank, `//` comments out the rest of the line, a string ends
+    at the next quote on its line, and an atom runs to whitespace, one of
+    `{};,`, a quote or `//`."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in "{};,":
+            tokens.append((c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                buf.append(text[i])
+                i += 1
+                col += 1
+            if i >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            i += 1
+            col += 1
+            tokens.append(("string", "".join(buf), start_line, start_col))
+            continue
+        start_line, start_col = line, col
+        buf = []
+        while i < n:
+            c = text[i]
+            if c.isspace() or c in "{};," or c == '"':
+                break
+            if c == "/" and i + 1 < n and text[i + 1] == "/":
+                break
+            buf.append(c)
+            i += 1
+            col += 1
+        tokens.append(("atom", "".join(buf), start_line, start_col))
+    return tokens

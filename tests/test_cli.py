@@ -2,6 +2,8 @@
 
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from conftest import UNRUNNABLE_EDITS, fixture_path
@@ -25,6 +27,20 @@ def test_run_success(tmp_path, capsys):
     with open(out / "summary.txt") as fh:
         summary = fh.read()
     assert "complete 1" in summary
+
+
+def test_python_m_tesgrid(tmp_path):
+    """`python -m tesgrid` is the `tesgrid` command, with its exit codes."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.normpath(src)}
+    ok = subprocess.run([sys.executable, "-m", "tesgrid", "validate", fixture_path("feeder_small.glm")],
+                        capture_output=True, text=True, env=env)
+    assert (ok.returncode, ok.stdout) == (0, "runnable: 0 error(s), 0 warning(s)\n")
+    bad = tmp_path / "bad.glm"
+    bad.write_text("object node { name n; }\n")
+    rejected = subprocess.run([sys.executable, "-m", "tesgrid", "validate", str(bad)],
+                              capture_output=True, text=True, env=env)
+    assert rejected.returncode == 2
 
 
 def test_run_validation_failure(tmp_path, capsys):

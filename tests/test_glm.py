@@ -1,12 +1,16 @@
 """Parser tests: golden fixture content, round-tripping, error positions,
-and a totality fuzz (any input either parses or raises ParseError)."""
+a totality fuzz (any input either parses or raises ParseError), and the
+tokenizer against a character-at-a-time oracle."""
 
 import pytest
+from conftest import load_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tokenize_oracle
 
 from tesgrid.errors import ParseError
-from tesgrid.glm import parse_scenario, pretty_print
+from tesgrid.feedergen import gen_feeder
+from tesgrid.glm import _tokenize, parse_scenario, pretty_print
 from tesgrid.model import Value
 
 
@@ -201,3 +205,43 @@ def test_value_canonical_passthrough():
     assert Value("STRING", "abc").canonical() == "abc"
     assert Value("NUMBER", 2.0, "kW").canonical() == 2.0
     assert Value("NUMBER", 2.0, "MW").canonical() == 2000.0
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+# scenario pieces, plus the characters where a tokenizer's idea of a blank,
+# a line end, a comment or a string can part from the oracle's
+_LEXICAL_PIECES = [
+    "object", "node", "name n1", "{", "}", ";", ",", " ", "\n", "7200 V", "0.5+1j Ohm", "$/kWh",
+    '"2013-07-01 00:00:00"', "a/b", "// note", '"', "/", "//", "\r", "\t", "\x0b", "\x0c", "\x1c",
+    "\x85", "\xa0", "\u2028", "\u3000",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LEXICAL_PIECES), max_size=30).map("".join))
+def test_tokenizer_matches_oracle(text):
+    """Same (kind, text, line, col) tokens, or the same ParseError at the same place."""
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_oracle, text)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_feeder(30, 0),
+        lambda: gen_feeder(300, 2),
+        lambda: load_fixture("feeder_small.glm"),
+        lambda: load_fixture("two_bus_overload.glm"),
+    ],
+    ids=["gen30", "gen300", "feeder_small", "two_bus_overload"],
+)
+def test_tokenizer_matches_oracle_on_scenarios(make):
+    text = make()
+    tokens = _tokens_or_error(_tokenize, text)
+    assert isinstance(tokens, list) and tokens
+    assert tokens == tokenize_oracle(text)

@@ -214,7 +214,7 @@ PINNED_REPORTS = {
         "error: h5: BAD_PARENT: house parent must be a meter or node"),
     "meter_on_house": (
         lambda t: t + "object triplex_meter { name tm5; parent h1; nominal_voltage 240 V; }\n",
-        _UNREACHED + "['tm5']"),
+        _UNREACHED + "['tm5']\nerror: tm5: BAD_PARENT: triplex_meter parent must be a node"),
     "meter_on_itself": (
         lambda t: t + "object triplex_meter { name tm5; parent tm5; nominal_voltage 240 V; }\n",
         _UNREACHED + "['tm5']"),
@@ -233,7 +233,7 @@ PINNED_REPORTS = {
     "switch_without_to": (
         lambda t: t + "object switch { name st; from n2; }\n",
         "error: st: MISSING_PROPERTY: required property 'to' absent"),
-    "no_nodes": (lambda t: _NO_NODES, ""),
+    "no_nodes": (lambda t: _NO_NODES, "error: <network>: NO_SOURCE: no node with bustype SWING"),
 }
 
 
