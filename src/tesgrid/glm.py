@@ -78,6 +78,14 @@ def _error(message: str, tok: _Token) -> ParseError:
     return ParseError(message, tok[2], tok[3])
 
 
+def _timestamp(text: str, tok: _Token) -> Value:
+    """A timestamp-shaped `text` as a value, or an error when no such date exists."""
+    try:
+        return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
+    except ValueError:
+        raise _error(f"no such date '{text}'", tok) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -128,7 +136,7 @@ class _Parser:
         if len(toks) == 1 and toks[0][0] == "string":
             text = toks[0][1]
             if _TIMESTAMP_RE.match(text):
-                return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
+                return _timestamp(text, toks[0])
             return Value("STRING", text)
         atoms = [text for kind, text, _, _ in toks if kind == "atom"]
         if len(atoms) != len(toks) or len(atoms) > 2:
@@ -138,7 +146,7 @@ class _Parser:
             unit = atoms[1]
             stamp = f"{head} {unit}"
             if _TIMESTAMP_RE.match(stamp):
-                return Value("TIMESTAMP", datetime.strptime(stamp, TIME_FORMAT))
+                return _timestamp(stamp, toks[0])
             if unit not in UNIT_TABLE:
                 raise _error(f"unknown unit '{unit}'", toks[1])
         if _NUMBER_RE.match(head):
@@ -254,7 +262,7 @@ class _Parser:
                 name = str(self._interpret(*self._read_raw_value(), key_tok).value)
             elif key == "repeat":
                 v = self._interpret(*self._read_raw_value(), key_tok)
-                repeat = int(self._as_number(v, key_tok))
+                repeat = self._as_number(v, key_tok)  # as written; validate checks it
             else:
                 raise _error(f"unknown schedule field '{key}'", key_tok)
         model.schedules.append(Schedule(name, entries, repeat, tok[2]))
@@ -398,7 +406,7 @@ def pretty_print(model: ScenarioModel) -> str:
                 f'  entry "{e.time.strftime(TIME_FORMAT)}" {e.target} {e.prop} {_format_value(e.value)};'
             )
         if sched.repeat is not None:
-            lines.append(f"  repeat {sched.repeat} s;")
+            lines.append(f"  repeat {sched.repeat:g} s;")
         lines.append("}")
         out.append("\n".join(lines))
     for a in model.attacks:

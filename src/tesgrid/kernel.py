@@ -7,6 +7,9 @@ runs the component phases in a fixed order:
 
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
+Attack transforms are standing: events switch them on and off, and a
+market round applies only the transforms that are active then.
+
 The loads phase samples the weather once per step and yields each
 house's kW, which the market round and the power flow both use.
 
@@ -37,7 +40,7 @@ from .market import (
     SellerAgent,
     seller_bids,
 )
-from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value
+from .model import EDGE_CLASSES, TIME_FORMAT, Event, GridObject, ScenarioModel, Schedule, Value
 from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
@@ -620,13 +623,13 @@ class Engine:
         them); sum each live house's kW into its slot and the HVAC total."""
         t_out, self._irradiance = self.weather.sample(t)
         live = self._live_slots()
-        if first:
-            self._house_kws = [hvac_power(house) for house, _ in self._house_at]
-        else:
-            self._house_kws = [step_house(house, t_out, dt, live[slot]) for house, slot in self._house_at]
         slot_kw, hvac = [0.0] * len(live), 0.0
-        for (_, slot), kw in zip(self._house_at, self._house_kws):
-            if live[slot]:
+        self._house_kws = house_kws = []
+        for house, slot in self._house_at:
+            on = live[slot]
+            kw = hvac_power(house) if first else step_house(house, t_out, dt, on)
+            house_kws.append(kw)
+            if on:
                 slot_kw[slot] += kw
                 hvac += kw
         self._slot_house_kw, self._hvac_kw = slot_kw, hvac
@@ -655,11 +658,14 @@ class Engine:
         for bid in seller_bids(agents, market.current_period):
             market.submit(bid)
         if aux:
+            # an inactive transform leaves every bid alone: apply the active ones
+            overrides = [tr for tr in self._price_overrides if tr.active]
+            scalers = [tr for tr in self._bid_scalers if tr.active]
             # sellers' constant offers are replicated into the auxiliary
             # market (override attack point); they need no bidder, as their
             # offers are known exactly
             for replica in seller_bids(agents, aux.current_period):
-                for tr in self._price_overrides:
+                for tr in overrides:
                     replica = tr.apply(replica, market.last_price, aux.price_cap)
                 aux.submit(replica)
             # last period's auxiliary bids are forwarded to the main market
@@ -668,7 +674,7 @@ class Engine:
             period = market.current_period
             for held in self._held_bids[market_name]:
                 forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
-                for tr in self._bid_scalers:
+                for tr in scalers:
                     forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
                 market.submit(forwarded)
         # then the controllers bid afresh
@@ -705,12 +711,13 @@ class Engine:
         for panel, slot in self._panel_at:
             if live[slot]:
                 kw[slot] -= self._solar_kw(panel)
-        demand = [0j] * len(self.index.tree.names)
+        va, live_kw = [0.0] * len(self.index.tree.names), []
         for slot, s in enumerate(self._slot_supernode):
             if live[slot]:
-                demand[s] += complex(kw[slot] * 1000.0, 0.0)
-        totals = {"load": sum([k for k, on in zip(kw, live) if on]), "hvac": self._hvac_kw}
-        return demand, totals
+                live_kw.append(kw[slot])
+                va[s] += kw[slot] * 1000.0
+        # `sum` keeps the total bit-identical (it is compensated on 3.12+)
+        return list(map(complex, va)), {"load": sum(live_kw), "hvac": self._hvac_kw}
 
     def _phase_powerflow(self) -> dict:
         demand, totals = self.build_load_injections()
@@ -766,7 +773,7 @@ class Engine:
                 divergence = exc
                 divergence_time = t
                 break
-            offset = k * dt
+            offset, stamp = k * dt, None
             for cfg in self.model.recorders:
                 if offset % cfg.interval == 0:
                     values, flags = [], []
@@ -775,7 +782,8 @@ class Engine:
                         values.append(value)
                         if flag:
                             flags.append(flag)
-                    tables[cfg.name].append(t, values, "|".join(sorted(set(flags))))
+                    stamp = stamp or t.strftime(TIME_FORMAT)
+                    tables[cfg.name].append(stamp, values, "|".join(sorted(set(flags))))
             executed_steps = k
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)

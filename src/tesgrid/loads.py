@@ -19,7 +19,7 @@ from dataclasses import dataclass
 BTU_PER_KWH = 3412.142
 
 
-@dataclass
+@dataclass(slots=True)
 class HouseState:
     name: str
     t_in: float  # degF
@@ -47,7 +47,7 @@ def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool
     """
     if not powered:
         house.mode = "OFF"
-    cooling = house.q_hvac if house.mode == "COOL" else 0.0
+    cooling = house.hvac_kw * house.cop * BTU_PER_KWH if house.mode == "COOL" else 0.0  # q_hvac, inline
     flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
     house.t_in += (dt_seconds / 3600.0) * flow / house.capacitance
     if not powered:

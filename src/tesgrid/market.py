@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import PriceCapViolation, StalePeriod
@@ -63,8 +64,8 @@ def clear_book(
     buys: list[Bid], sells: list[Bid], prior_price: float, period: int
 ) -> Clearing:
     """Pure clearing of one order book (see module docstring for the rule)."""
-    b = sorted(buys, key=lambda bid: -bid.price)  # stable: FIFO within a price
-    s = sorted(sells, key=lambda bid: bid.price)
+    b = sorted(buys, key=itemgetter(2), reverse=True)  # stable: FIFO within a price
+    s = sorted(sells, key=itemgetter(2))
     i = j = 0
     remaining_b = b[0].quantity if b else 0.0
     remaining_s = s[0].quantity if s else 0.0
@@ -175,20 +176,23 @@ class Controller:
         """Ramp bid around the market's mean price, or no bid when cold."""
         if house.t_in <= self.t_min:
             return None
-        sigma = max(market.p_std, self.sigma_floor)
+        # max(p_std, floor) and min(max(price, 0.0), cap), the same operand on a tie
+        sigma = self.sigma_floor if self.sigma_floor > market.p_std else market.p_std
         price = market.p_avg + (house.t_in - self.t_base) * self.k_ramp * sigma / (
             self.t_max - self.t_base
         )
-        price = min(max(price, 0.0), market.price_cap)
+        price = 0.0 if 0.0 > price else price
+        price = market.price_cap if market.price_cap < price else price
         return Bid(self.name, "BUY", price, house.hvac_kw, market.current_period)
 
     def apply_clearing(self, house: HouseState, market: Market, clearing: Clearing) -> float:
         """Re-center the thermostat from the published price; returns T_set."""
-        sigma = max(market.p_std, self.sigma_floor)
+        sigma = self.sigma_floor if self.sigma_floor > market.p_std else market.p_std
         t_set = self.t_base + (clearing.price - market.p_avg) * (self.t_max - self.t_base) / (
             self.k_ramp * sigma
         )
-        house.t_set = min(max(t_set, self.t_min), self.t_max)
+        t_set = self.t_min if self.t_min > t_set else t_set
+        house.t_set = self.t_max if self.t_max < t_set else t_set
         return house.t_set
 
 

@@ -104,7 +104,7 @@ class ScheduleEntry:
 class Schedule:
     name: str
     entries: list[ScheduleEntry]
-    repeat: int | None = None  # seconds
+    repeat: float | None = None  # seconds
     line: int = 0
 
 

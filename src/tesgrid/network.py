@@ -81,8 +81,11 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
 
     A house hangs on a node; an appliance or solar panel on a node, or on a
     house that hangs on one.  The network is every named node-class object,
-    joined by line and transformer edges and by each node's `parent:` link;
-    the walk reaches every node of a radial feeder once."""
+    joined by line and transformer edges and by the `parent:` link of each
+    node whose class has a `parent` property (a `node` has none); the walk
+    reaches every node of a radial feeder once."""
+    from .kernel import PROPERTIES  # not at the top: kernel imports this module
+
     problems: list[tuple[str, str, str]] = []
     attach_node = {}
     for obj in model.objects:
@@ -129,7 +132,7 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
                 for endpoint in (a, b):
                     if endpoint in names and endpoint not in adjacency:
                         problems.append((obj.name, "BAD_ENDPOINT", f"'{endpoint}' is not an electrical node"))
-        elif obj.cls in NODE_CLASSES:
+        elif obj.cls in NODE_CLASSES and "parent" in PROPERTIES[obj.cls]:  # not `node`
             parent = obj.ref("parent")
             if parent in adjacency:
                 link = f"parent:{obj.name}"

@@ -21,6 +21,8 @@ from .model import TIME_FORMAT
 
 
 def format_number(x) -> str:
+    if type(x) is float:
+        return f"{x:.6g}"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, str):
@@ -132,8 +134,10 @@ class RecorderTable:
     header: list[str]  # time, props..., flags
     rows: list[list[str]] = field(default_factory=list)
 
-    def append(self, t: datetime, values: list, flags: str) -> None:
-        self.rows.append([t.strftime(TIME_FORMAT)] + [format_number(v) for v in values] + [flags])
+    def append(self, stamp: str, values: list, flags: str) -> None:
+        """Add one row: `stamp` is the step's time already formatted with
+        `TIME_FORMAT` (once per step, shared by every recorder that fires)."""
+        self.rows.append([stamp] + [format_number(v) for v in values] + [flags])
 
     def serialize(self) -> str:
         out = [",".join(self.header)]

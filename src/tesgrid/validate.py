@@ -156,8 +156,10 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
         times = [e.time for e in sched.entries]
         if times != sorted(times):
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entries must be sorted by time"))
-        if sched.repeat is not None and sched.repeat <= 0:
-            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat period must be positive"))
+        # a repeated event lands on a step only if the repeat is a whole number of steps
+        repeat = sched.repeat
+        if repeat is not None and (repeat <= 0 or (clock is not None and repeat % clock.timestep != 0)):
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat must be a positive multiple of timestep"))
         for e in sched.entries:
             target = names.get(e.target)
             if target is None:

@@ -99,4 +99,14 @@ UNRUNNABLE_EDITS = {
     "recorder_file_shared": (lambda t: t.replace("file tm3.csv;", "file src.csv;"), "BAD_FILE"),
     "recorder_file_is_audit": (lambda t: t.replace("file tm3.csv;", "file audit.csv;"), "BAD_FILE"),
     "recorder_file_is_summary": (lambda t: t.replace("file ul1.csv;", "file summary.txt;"), "BAD_FILE"),
+    # validated clean and linked into the feeder, though a `node` has no parent
+    "node_with_parent": (
+        lambda t: t + "object node { name n9; parent tn1; nominal_voltage 240 V; }\n", "NOT_RADIAL"),
+    # cut to 90 s, then applied off the step grid (audit rows at 00:01:30, ...)
+    "schedule_fractional_repeat": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 90.5 s; }\n',
+        "BAD_SCHEDULE"),
+    "schedule_repeat_off_step": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 90 s; }\n',
+        "BAD_SCHEDULE"),
 }

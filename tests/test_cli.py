@@ -167,3 +167,13 @@ def test_validate_rejects_overflowing_object_value(tmp_path, capsys):
         main(["validate", str(scenario)])
     assert exc.value.code == 2
     assert "'1e999 degF' is not a finite number" in capsys.readouterr().err
+
+
+def test_validate_rejects_no_such_date(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read().replace('start "2013-07-01', 'start "2013-13-01'))
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(scenario)])
+    assert exc.value.code == 2
+    assert "no such date '2013-13-01 00:00:00'" in capsys.readouterr().err

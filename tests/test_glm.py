@@ -153,6 +153,11 @@ def test_schedule_with_repeat():
             "object overhead_line { name l; impedance 0.5+" + "9" * 400 + "j Ohm; }", "not a finite number",
             id="complex_overflow",
         ),
+        # timestamp-shaped, so strptime raised ValueError out of the parser
+        ('clock { start "2013-13-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 s; }',
+         "no such date '2013-13-01 00:00:00'"),
+        ('schedule { entry "2013-02-30 00:10:00" h1 cooling_setpoint 78 degF; }', "no such date"),
+        ("attack { kind LINE_STATUS; start 2013-07-01 24:00:00; }", "no such date '2013-07-01 24:00:00'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -165,6 +170,17 @@ def test_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_scenario("object node {\n  name n;\n  name m;\n}")
     assert err.value.line == 3
+
+
+def test_no_such_date_is_placed_at_the_value():
+    with pytest.raises(ParseError) as err:
+        parse_scenario('clock {\n  start "2013-13-01 00:00:00";\n}')
+    assert (err.value.line, err.value.column) == (2, 9)
+
+
+def test_fractional_repeat_is_kept_as_written():
+    model = parse_scenario('schedule { entry "2013-07-01 00:10:00" h1 deadband 3 degF; repeat 90.5 s; }')
+    assert model.schedules[0].repeat == 90.5
 
 
 def test_comments_ignored():

@@ -366,6 +366,15 @@ def test_load_injections_are_a_supernode_demand_list(small_text):
     assert totals["load"] == pytest.approx(sum(d.real for d in demand) / 1000.0)
 
 
+def test_load_injections_leave_the_slot_loads_alone(small_text):
+    # appliances and solar add into a copy of the houses' slot kW
+    engine, _ = run_small(small_text)
+    slot_kw = list(engine._slot_house_kw)
+    first = engine.build_load_injections()
+    assert engine._slot_house_kw == slot_kw
+    assert engine.build_load_injections() == first
+
+
 def test_solar_read_before_the_first_step(small_text):
     text = small_text + "recorder { name rec_s1; target s1; property power_kw; interval 60 s; file s1.csv; }\n"
     engine = Engine(parse_scenario(text))

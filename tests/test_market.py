@@ -1,10 +1,12 @@
 """Double-auction tests: worked midpoint examples, random books against
 the unit-expansion oracle, rolling statistics, and controller formulas."""
 
+import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import auction_oracle
 
@@ -30,6 +32,14 @@ def test_midpoint_simple_cross():
     assert clearing.price == pytest.approx(0.15)
     assert clearing.quantity == 10
     assert (clearing.marginal_buy, clearing.marginal_sell) == (0.20, 0.10)
+
+
+def test_equal_price_buys_clear_in_arrival_order():
+    # float addition is not associative: the cleared quantity shows the order
+    buys = [B(0.20, 0.1, trader="a"), B(0.20, 0.2, trader="b"), B(0.20, 0.3, trader="c")]
+    clearing = clear_book(buys, [B(0.10, 50.0, "SELL")], 0.05, 0)
+    assert clearing.quantity == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+    assert clearing.quantity != (0.3 + 0.2) + 0.1
 
 
 def test_partial_cross_marginal_pair():
@@ -211,3 +221,66 @@ def test_seller_bids():
     bids = seller_bids(agents, 3)
     assert all(b.side == "SELL" and b.period == 3 for b in bids)
     assert [b.price for b in bids] == [0.10, 0.11]
+
+
+def _reference_bid_price(ctl, house, market):
+    """make_bid's price with the clamps written as max/min."""
+    sigma = max(market.p_std, ctl.sigma_floor)
+    price = market.p_avg + (house.t_in - ctl.t_base) * ctl.k_ramp * sigma / (ctl.t_max - ctl.t_base)
+    return min(max(price, 0.0), market.price_cap)
+
+
+def _reference_t_set(ctl, market, price):
+    """apply_clearing's setpoint with the clamps written as max/min."""
+    sigma = max(market.p_std, ctl.sigma_floor)
+    t_set = ctl.t_base + (price - market.p_avg) * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
+    return min(max(t_set, ctl.t_min), ctl.t_max)
+
+
+def _outcome(fn):
+    """The bits of fn()'s float (sign of zero included), or the error it raises."""
+    try:
+        x = fn()
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    if x is None:
+        return None
+    return struct.pack("<d", x), math.copysign(1.0, x)
+
+
+# ties with the clamp bounds and signed zeros, where max/min pick an operand
+_SPECIAL = st.sampled_from([0.0, -0.0, 0.003, 0.63, 70.0, 75.0, 85.0, -1.0])
+_NUMBER = st.one_of(_SPECIAL, st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_avg=_NUMBER, p_std=_NUMBER, floor=_NUMBER, cap=_NUMBER, price=_NUMBER, t_in=_NUMBER,
+       t_min=_NUMBER, t_base=_NUMBER, t_max=_NUMBER, k_ramp=_NUMBER)
+@example(p_avg=-0.0, p_std=0.003, floor=0.003, cap=0.0, price=0.0, t_in=-0.0, t_min=-1.0,
+         t_base=0.0, t_max=85.0, k_ramp=1.0)  # bid price -0.0 against 0.0 and a cap of 0.0
+@example(p_avg=0.0, p_std=0.003, floor=0.003, cap=0.63, price=-0.0, t_in=75.0, t_min=0.0,
+         t_base=-0.0, t_max=85.0, k_ramp=1.0)  # setpoint -0.0 against t_min 0.0
+@example(p_avg=0.0, p_std=0.003, floor=0.003, cap=0.63, price=-0.0, t_in=75.0, t_min=-1.0,
+         t_base=-0.0, t_max=0.0, k_ramp=1.0)  # setpoint -0.0 against t_max 0.0
+@example(p_avg=-0.0, p_std=-0.0, floor=0.0, cap=0.63, price=0.1, t_in=80.0, t_min=70.0,
+         t_base=75.0, t_max=85.0, k_ramp=1.0)  # p_std ties the floor: sigma keeps p_std's sign
+@example(p_avg=0.63, p_std=0.0, floor=0.003, cap=0.63, price=0.63, t_in=75.0, t_min=70.0,
+         t_base=75.0, t_max=85.0, k_ramp=1.0)  # bid price at the cap, setpoint at t_base
+def test_controller_clamps_match_max_min(p_avg, p_std, floor, cap, price, t_in, t_min, t_base, t_max, k_ramp):
+    market = Market("m", 300, price_cap=cap)
+    market.p_avg, market.p_std = p_avg, p_std
+    ctl = controller(t_min=t_min, t_base=t_base, t_max=t_max, k_ramp=k_ramp, sigma_floor=floor)
+    h = house(t_in)
+
+    def bid_price():
+        bid = ctl.make_bid(h, market)
+        return None if bid is None else bid.price
+
+    def reference_price():
+        return None if h.t_in <= ctl.t_min else _reference_bid_price(ctl, h, market)
+
+    assert _outcome(bid_price) == _outcome(reference_price)
+    clearing = Clearing(price, 0.0, None, None, 0)
+    assert _outcome(lambda: ctl.apply_clearing(h, market, clearing)) == _outcome(
+        lambda: _reference_t_set(ctl, market, price)
+    )

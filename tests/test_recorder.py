@@ -119,8 +119,8 @@ def test_format_number():
 
 def test_recorder_table_serialize():
     table = RecorderTable("r", "r.csv", ["time", "a", "flags"])
-    table.append(T("00:00:00"), [1.5], "")
-    table.append(T("00:01:00"), [0.0], "DEENERGIZED")
+    table.append("2013-07-01 00:00:00", [1.5], "")
+    table.append("2013-07-01 00:01:00", [0.0], "DEENERGIZED")
     assert table.serialize() == (
         "time,a,flags\n"
         "2013-07-01 00:00:00,1.5,\n"

@@ -253,3 +253,19 @@ def test_solar_parent_rule(small_text):
     on_house = parse_scenario(small_text + "object solar { name s2; parent h1; rating 1 kW; }\n")
     assert validate(on_house).errors == []
     assert build_network_index(on_house).attach_node["s2"] == "tm1"
+
+
+def test_node_parent_is_not_a_link(small_text):
+    text = small_text + "object node { name n9; parent tn1; nominal_voltage 240 V; }\n"
+    report = validate(parse_scenario(text))
+    assert "error: <network>: NOT_RADIAL: nodes not connected to the source: ['n9']" in report.serialize()
+    assert "UNKNOWN_PROP" in {d.code for d in report.warnings}
+
+
+@pytest.mark.parametrize("repeat, ok", [("90.5 s", False), ("120 s", True), ("0 s", False)])
+def test_schedule_repeat_is_a_whole_number_of_steps(small_text, repeat, ok):
+    text = small_text + f'schedule {{ name s; entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat {repeat}; }}\n'
+    report = validate(parse_scenario(text))
+    assert report.runnable is ok
+    if not ok:
+        assert report.serialize() == "error: s: BAD_SCHEDULE: repeat must be a positive multiple of timestep"
