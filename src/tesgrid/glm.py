@@ -14,9 +14,10 @@ Lexical rules: `//` starts a comment that runs to the end of the line;
 a string is double-quoted and ends on the line it starts; an atom runs up
 to whitespace, one of `{};,`, a quote or `//`; only a line feed ends a line, and
 a column counts code points from 1.  Values are numbers with optional
-units, complex impedances (``1+2j Ohm``), quoted strings, timestamps, bare
-identifiers, or comma-separated lists.  Every failure raises
-:class:`~tesgrid.errors.ParseError` with position information.
+units, complex impedances (``1+2j Ohm``, ``1e-07-2e+16j``), quoted strings,
+timestamps, bare identifiers, or comma-separated lists.  Every failure raises
+:class:`~tesgrid.errors.ParseError` with position information.  `pretty_print`
+writes each float as its `repr`, so it parses back bit for bit.
 
 The tokenizer is one compiled regex applied to each line; a token is a
 plain `(kind, text, line, col)` tuple.
@@ -45,7 +46,7 @@ from .model import (
 )
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)[+-](\d+\.?\d*|\.\d+)[jJ]$")
+_COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[+-](\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[jJ]$")
 _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$")
 
 # (kind, text, line, col); kind is 'atom', 'string' or one of "{};,"
@@ -362,12 +363,13 @@ def parse_scenario(text: str) -> ScenarioModel:
 
 
 def _format_value(v: Value) -> str:
+    # f"{x}" is repr(x) for a float: the shortest text that reads back as x
     if v.kind == "NUMBER":
-        base = f"{v.value:g}"
+        base = f"{v.value}"
         return f"{base} {v.unit}" if v.unit else base
     if v.kind == "COMPLEX":
         c = v.value
-        base = f"{c.real:g}{c.imag:+g}j"
+        base = f"{c.real}{c.imag:+}j"
         return f"{base} {v.unit}" if v.unit else base
     if v.kind == "TIMESTAMP":
         return f'"{v.value.strftime(TIME_FORMAT)}"'
@@ -406,7 +408,7 @@ def pretty_print(model: ScenarioModel) -> str:
                 f'  entry "{e.time.strftime(TIME_FORMAT)}" {e.target} {e.prop} {_format_value(e.value)};'
             )
         if sched.repeat is not None:
-            lines.append(f"  repeat {sched.repeat:g} s;")
+            lines.append(f"  repeat {sched.repeat} s;")
         lines.append("}")
         out.append("\n".join(lines))
     for a in model.attacks:
@@ -416,13 +418,13 @@ def pretty_print(model: ScenarioModel) -> str:
             f"  kind {a.kind};",
             f'  start "{a.start.strftime(TIME_FORMAT)}";',
             f'  end "{a.end.strftime(TIME_FORMAT)}";',
-            f"  fraction {a.fraction:g};",
+            f"  fraction {a.fraction};",
             f"  seed {a.seed};",
         ]
         if a.price is not None:
-            lines.append(f"  price {a.price:g} $/kWh;")
+            lines.append(f"  price {a.price} $/kWh;")
         if a.lam is not None:
-            lines.append(f"  lambda {a.lam:g};")
+            lines.append(f"  lambda {a.lam};")
         if a.lines:
             lines.append("  lines " + ",".join(a.lines) + ";")
         if a.status is not None:

@@ -655,7 +655,8 @@ class Engine:
         agents = self.sellers[market_name]
         unresp_kw = self._unresponsive_kw()
 
-        for bid in seller_bids(agents, market.current_period):
+        offers = seller_bids(agents, market.current_period)
+        for bid in offers:
             market.submit(bid)
         if aux:
             # an inactive transform leaves every bid alone: apply the active ones
@@ -663,17 +664,17 @@ class Engine:
             scalers = [tr for tr in self._bid_scalers if tr.active]
             # sellers' constant offers are replicated into the auxiliary
             # market (override attack point); they need no bidder, as their
-            # offers are known exactly
-            for replica in seller_bids(agents, aux.current_period):
+            # offers are known exactly (both books clear once a round: one period)
+            for replica in offers:
                 for tr in overrides:
                     replica = tr.apply(replica, market.last_price, aux.price_cap)
                 aux.submit(replica)
             # last period's auxiliary bids are forwarded to the main market
             # (bid-scaling attack point): precise bids are not observable, so
             # the estimate runs one period late
-            period = market.current_period
+            new_period, new = (market.current_period,), tuple.__new__
             for held in self._held_bids[market_name]:
-                forwarded = Bid(held.trader, held.side, held.price, held.quantity, period)
+                forwarded = new(Bid, held[:4] + new_period)
                 for tr in scalers:
                     forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
                 market.submit(forwarded)
@@ -783,7 +784,7 @@ class Engine:
                         if flag:
                             flags.append(flag)
                     stamp = stamp or t.strftime(TIME_FORMAT)
-                    tables[cfg.name].append(stamp, values, "|".join(sorted(set(flags))))
+                    tables[cfg.name].append(stamp, values, "|".join(sorted(set(flags))) if flags else "")
             executed_steps = k
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)

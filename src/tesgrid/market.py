@@ -23,7 +23,9 @@ degenerate.
 Bids are immutable tuples (`Bid` is a `NamedTuple`): a forwarded or
 rewritten bid is a new tuple, never an edited one, and an attack
 transform that does not rewrite a bid returns the very object it was
-given.
+given.  `make_bid`, `seller_bids` and forwarding build one with
+`tuple.__new__(Bid, fields)`, skipping the `NamedTuple`'s Python-level
+`__new__`; the book and the clearing walk read its fields by index.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import PriceCapViolation, StalePeriod
@@ -66,23 +69,28 @@ def clear_book(
     """Pure clearing of one order book (see module docstring for the rule)."""
     b = sorted(buys, key=itemgetter(2), reverse=True)  # stable: FIFO within a price
     s = sorted(sells, key=itemgetter(2))
+    nb, ns = len(b), len(s)
     i = j = 0
-    remaining_b = b[0].quantity if b else 0.0
-    remaining_s = s[0].quantity if s else 0.0
+    remaining_b = b[0][3] if b else 0.0
+    remaining_s = s[0][3] if s else 0.0
     quantity = 0.0
     marginal_buy = marginal_sell = None
-    while i < len(b) and j < len(s) and b[i].price >= s[j].price:
-        take = min(remaining_b, remaining_s)
+    while i < nb and j < ns:
+        buy_price, sell_price = b[i][2], s[j][2]
+        if not buy_price >= sell_price:  # `not`: a NaN price ends the walk too
+            break
+        # min(remaining_b, remaining_s), the same operand on a tie
+        take = remaining_s if remaining_s < remaining_b else remaining_b
         quantity += take
-        marginal_buy, marginal_sell = b[i].price, s[j].price
+        marginal_buy, marginal_sell = buy_price, sell_price
         remaining_b -= take
         remaining_s -= take
         if remaining_b <= 0.0:
             i += 1
-            remaining_b = b[i].quantity if i < len(b) else 0.0
+            remaining_b = b[i][3] if i < nb else 0.0
         if remaining_s <= 0.0:
             j += 1
-            remaining_s = s[j].quantity if j < len(s) else 0.0
+            remaining_s = s[j][3] if j < ns else 0.0
     if quantity <= 0.0:
         return Clearing(prior_price, 0.0, None, None, period)
     return Clearing((marginal_buy + marginal_sell) / 2.0, quantity, marginal_buy, marginal_sell, period)
@@ -123,15 +131,16 @@ class Market:
             self.p_std = self.seed_std
 
     def submit(self, bid: Bid) -> None:
-        if bid.price > self.price_cap:
+        _, side, price, _, period = bid
+        if price > self.price_cap:
             raise PriceCapViolation(
-                f"{self.name}: bid price {bid.price:g} exceeds cap {self.price_cap:g}"
+                f"{self.name}: bid price {price:g} exceeds cap {self.price_cap:g}"
             )
-        if bid.period != self.current_period:
+        if period != self.current_period:
             raise StalePeriod(
-                f"{self.name}: bid for period {bid.period}, current is {self.current_period}"
+                f"{self.name}: bid for period {period}, current is {self.current_period}"
             )
-        (self.buys if bid.side == "BUY" else self.sells).append(bid)
+        (self.buys if side == "BUY" else self.sells).append(bid)
 
     def clear(self) -> Clearing:
         """Clear the current book, publish the price, roll statistics."""
@@ -153,7 +162,8 @@ class Market:
             return
         n = len(self.history)
         mean = sum(self.history) / n
-        var = sum((p - mean) ** 2 for p in self.history) / n
+        # the terms (p - mean) ** 2 in window order, without a generator frame
+        var = sum(map(pow, map(sub, self.history, repeat(mean)), repeat(2))) / n
         self.p_avg = mean
         self.p_std = math.sqrt(var)
 
@@ -183,7 +193,7 @@ class Controller:
         )
         price = 0.0 if 0.0 > price else price
         price = market.price_cap if market.price_cap < price else price
-        return Bid(self.name, "BUY", price, house.hvac_kw, market.current_period)
+        return tuple.__new__(Bid, (self.name, "BUY", price, house.hvac_kw, market.current_period))
 
     def apply_clearing(self, house: HouseState, market: Market, clearing: Clearing) -> float:
         """Re-center the thermostat from the published price; returns T_set."""
@@ -205,5 +215,5 @@ class SellerAgent:
 
 def seller_bids(sellers: list[SellerAgent], period: int) -> list[Bid]:
     """One SELL bid per generator at its constant price and capacity."""
-    return [Bid(s.name, "SELL", s.price, s.capacity, period) for s in sellers]
+    return [tuple.__new__(Bid, (s.name, "SELL", s.price, s.capacity, period)) for s in sellers]
 

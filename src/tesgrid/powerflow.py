@@ -20,6 +20,11 @@ builds the name-keyed dicts only when read: a merged node (a meter, say)
 reports its supernode's voltage, and a `parent:` link reports no current
 of its own.
 
+A sweep has converged when no voltage step (per unit of nominal) reaches
+the tolerance; a NaN step never does.  Before the last allowed iteration
+the forward pass computes the steps only up to the first that reaches
+it; the last computes them all, so a divergence names the worst.
+
 Each solve can start from an earlier `NetworkState` (warm start), whose
 voltage list is copied over the same islands; otherwise a supernode that
 was dead there and is live now starts at its nominal voltage.  A
@@ -153,7 +158,21 @@ def solve_powerflow(
             cur[s] = total
             into[p] += total / r
 
-        # forward: voltage drops from the source down
+        # forward: voltage drops from the source down (a tolerance that is
+        # not positive is never met: then every pass computes every step)
+        if iteration < max_iterations and tolerance_pu > 0.0:
+            forward = iter(rows)
+            for s, p, r, z, nom in forward:
+                new_v = v[p] / r - z * cur[s]
+                far = abs(new_v - v[s]) / nom >= tolerance_pu
+                v[s] = new_v
+                if far:
+                    break
+            else:
+                break  # no step reached the tolerance: converged
+            for s, p, r, z, _ in forward:
+                v[s] = v[p] / r - z * cur[s]
+            continue
         worst = 0.0
         for s, p, r, z, nom in rows:
             new_v = v[p] / r - z * cur[s]

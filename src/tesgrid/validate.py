@@ -7,6 +7,8 @@ serialized report is stable for identical inputs.
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 from .kernel import NO_PROP, PROPERTIES, out_of_bounds
 from .model import (
     LINE_CLASSES,
@@ -156,7 +158,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
         times = [e.time for e in sched.entries]
         if times != sorted(times):
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entries must be sorted by time"))
-        # a repeated event lands on a step only if the repeat is a whole number of steps
+        # an event lands on a step only if its offset from the start and its repeat are whole steps
+        if clock is not None and any((t - clock.start) % timedelta(seconds=clock.timestep) for t in times):
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entry time must fall on a step"))
         repeat = sched.repeat
         if repeat is not None and (repeat <= 0 or (clock is not None and repeat % clock.timestep != 0)):
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat must be a positive multiple of timestep"))

@@ -109,4 +109,8 @@ UNRUNNABLE_EDITS = {
     "schedule_repeat_off_step": (
         lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 90 s; }\n',
         "BAD_SCHEDULE"),
+    # took effect at the 00:02:00 step, while its audit row read 00:01:30
+    "schedule_entry_off_step": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:01:30" h2 deadband 3 degF; }\n',
+        "BAD_SCHEDULE"),
 }

@@ -8,13 +8,22 @@ path-product islanding, a character-at-a-time scanner vs. the per-line
 regex tokenizer.  `demand_list` is no oracle: it turns
 (node, power_va) pairs into the solver's per-supernode input; nor is
 `deenergized_objects`, the outage set the tests read off the islands.
+
+Two are earlier versions kept as bit-for-bit references for rewrites
+that must not change a float: `sweep_reference`, the sweep that tracks
+the worst voltage step on every pass, and `clear_book_reference`, the
+clearing walk over bid attributes with `min`.
 """
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
-from tesgrid.errors import ParseError
+from tesgrid.errors import ParseError, SolverDivergence
+from tesgrid.market import Clearing
+from tesgrid.network import compute_islands
+from tesgrid.powerflow import _INTERNAL_TOLERANCE_PU, MAX_ITERATIONS, NetworkState
 
 
 def demand_list(index, loads):
@@ -211,3 +220,94 @@ def tokenize_oracle(text):
             col += 1
         tokens.append(("atom", "".join(buf), start_line, start_col))
     return tokens
+
+
+def sweep_reference(
+    index, demand, islands=None, tolerance_pu=_INTERNAL_TOLERANCE_PU, max_iterations=MAX_ITERATIONS, start=None
+):
+    """`solve_powerflow` as it was when every forward pass found the worst
+    step and its node."""
+    if islands is None:
+        islands = compute_islands(index, {})
+    live, rows = islands
+    names, nominal = index.tree.names, index.tree.nominal
+    n = len(names)
+    if start is None:
+        v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]
+    elif start.islands is islands:
+        v = start.v.copy()
+    else:
+        before, was_live = start.v, start.islands.live
+        v = [
+            (before[s] if was_live[s] else complex(nominal[s])) if live[s] else 0j
+            for s in range(n)
+        ]
+    cur = [0j] * n
+
+    worst, worst_at = float("inf"), 0
+    for iteration in range(1, max_iterations + 1):
+        into = [0j] * n
+        for s, p, r, _, _ in reversed(rows):
+            d, vs = demand[s], v[s]
+            total = into[s] + (d / vs).conjugate() if d and vs else into[s]
+            cur[s] = total
+            into[p] += total / r
+        worst = 0.0
+        for s, p, r, z, nom in rows:
+            new_v = v[p] / r - z * cur[s]
+            step = abs(new_v - v[s]) / nom
+            if step > worst:
+                worst, worst_at = step, s
+            v[s] = new_v
+        if worst < tolerance_pu:
+            break
+    else:
+        raise SolverDivergence(
+            f"power flow did not converge in {max_iterations} iterations "
+            f"(worst at {names[worst_at]})",
+            worst,
+            names[worst_at],
+        )
+
+    source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
+    source_power = v[0] * source_current.conjugate()
+    losses = 0j
+    for s, _, _, z, _ in rows:
+        losses += z * (abs(cur[s]) ** 2)
+    return NetworkState(
+        index=index,
+        v=v,
+        cur=cur,
+        islands=islands,
+        iterations=iteration,
+        source_power_va=source_power,
+        load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),
+        loss_power_va=losses,
+    )
+
+
+def clear_book_reference(buys, sells, prior_price, period):
+    """`clear_book` as it was when the walk read bid attributes and took
+    `min` of the remaining quantities."""
+    b = sorted(buys, key=itemgetter(2), reverse=True)
+    s = sorted(sells, key=itemgetter(2))
+    i = j = 0
+    remaining_b = b[0].quantity if b else 0.0
+    remaining_s = s[0].quantity if s else 0.0
+    quantity = 0.0
+    marginal_buy = marginal_sell = None
+    while i < len(b) and j < len(s) and b[i].price >= s[j].price:
+        take = min(remaining_b, remaining_s)
+        quantity += take
+        marginal_buy, marginal_sell = b[i].price, s[j].price
+        remaining_b -= take
+        remaining_s -= take
+        if remaining_b <= 0.0:
+            i += 1
+            remaining_b = b[i].quantity if i < len(b) else 0.0
+        if remaining_s <= 0.0:
+            j += 1
+            remaining_s = s[j].quantity if j < len(s) else 0.0
+    if quantity <= 0.0:
+        return Clearing(prior_price, 0.0, None, None, period)
+    return Clearing((marginal_buy + marginal_sell) / 2.0, quantity, marginal_buy, marginal_sell, period)

@@ -2,16 +2,27 @@
 a totality fuzz (any input either parses or raises ParseError), and the
 tokenizer against a character-at-a-time oracle."""
 
+import dataclasses
+from datetime import datetime
+
 import pytest
 from conftest import load_fixture
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import tokenize_oracle
 
 from tesgrid.errors import ParseError
 from tesgrid.feedergen import gen_feeder
 from tesgrid.glm import _tokenize, parse_scenario, pretty_print
-from tesgrid.model import Value
+from tesgrid.model import (
+    AttackConfig,
+    ClockConfig,
+    GridObject,
+    Schedule,
+    ScheduleEntry,
+    ScenarioModel,
+    Value,
+)
 
 
 def test_fixture_object_inventory(small_text, small_model):
@@ -85,6 +96,50 @@ def test_round_trip(small_model):
         }
     assert model2.clock == small_model.clock
     assert [r.properties for r in model2.recorders] == [r.properties for r in small_model.recorders]
+
+
+def _without_lines(model):
+    """`model` with every block's source line set to 0."""
+    def zero(items):
+        return [dataclasses.replace(item, line=0) for item in items]
+
+    return dataclasses.replace(
+        model, objects=zero(model.objects), schedules=zero(model.schedules), attacks=zero(model.attacks)
+    )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FINITE, FINITE, FINITE)
+@example(0.1234567, 1e-7, 1e16)
+@example(-0.0, -0.0, -0.0)
+@example(1e16, 0.1234567, 1e-7)
+@example(1e-7, 1e16, 0.1234567)
+def test_pretty_print_round_trips_every_float(x, y, z):
+    start = datetime(2013, 7, 1)
+    m = ScenarioModel(
+        clock=ClockConfig(start, datetime(2013, 7, 2), 60),
+        objects=[
+            GridObject("node", "n1", {
+                "nominal_voltage": Value("NUMBER", x),
+                "base_power": Value("NUMBER", y, "kW"),
+            }),
+            GridObject("overhead_line", "l1", {"impedance": Value("COMPLEX", complex(x, z), "Ohm")}),
+            GridObject("overhead_line", "l2", {"impedance": Value("COMPLEX", complex(z, y))}),
+        ],
+        schedules=[Schedule("s", [ScheduleEntry(start, "n1", "base_power", Value("NUMBER", z, "W"))], repeat=y)],
+        attacks=[
+            AttackConfig("a", "SELLER_PRICE_OVERRIDE", start, start, fraction=x, price=z),
+            AttackConfig("b", "BUYER_BID_SCALE", start, start, fraction=z, lam=y),
+        ],
+    )
+    text = pretty_print(m)
+    again = _without_lines(parse_scenario(text))
+    assert again == m
+    assert repr(again) == repr(m)  # signed zeros too
+    assert pretty_print(again) == text
 
 
 def test_attack_block_parses():

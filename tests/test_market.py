@@ -1,14 +1,16 @@
 """Double-auction tests: worked midpoint examples, random books against
-the unit-expansion oracle, rolling statistics, and controller formulas."""
+the unit-expansion oracle and, bit for bit, against the earlier clearing
+walk, rolling statistics, and controller formulas."""
 
 import math
 import random
 import struct
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import auction_oracle
+from oracles import auction_oracle, clear_book_reference
 
 from tesgrid.errors import PriceCapViolation, StalePeriod
 from tesgrid.loads import HouseState
@@ -105,6 +107,64 @@ def test_clearing_matches_oracle_property(buy_spec, sell_spec):
     price, qty = auction_oracle(buys, sells, 0.09)
     assert clearing.quantity == qty
     assert clearing.price == price
+
+
+# ties in price and in remaining quantity, signed zeros and NaN prices, where the
+# walk's comparisons and `min` pick one operand of two
+_BOOK_PRICE = st.sampled_from([0.05, 0.1, 0.1 + 1e-16, 0.2, 0.3, 0.63, math.nan])
+_BOOK_QUANTITY = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 2.0]), st.floats(-1.0, 50.0, allow_nan=False)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_BOOK_PRICE, _BOOK_QUANTITY), max_size=8),
+    st.lists(st.tuples(_BOOK_PRICE, _BOOK_QUANTITY), max_size=8),
+)
+@example([(0.2, 1.0), (0.2, -0.0)], [(0.1, 1.0), (0.1, 0.0)])
+@example([(0.2, -0.0), (0.2, 0.3)], [(0.1, 0.0), (0.1, 0.3)])
+@example([(0.3, 0.1), (0.2, 0.2)], [(0.1, 0.3), (0.2, 0.0)])
+def test_clearing_walk_matches_reference_bit_for_bit(buy_spec, sell_spec):
+    buys = [B(p, q, trader=f"b{i}") for i, (p, q) in enumerate(buy_spec)]
+    sells = [B(p, q, "SELL", trader=f"s{i}") for i, (p, q) in enumerate(sell_spec)]
+    got = clear_book(buys, sells, 0.09, 4)
+    assert repr(got) == repr(clear_book_reference(buys, sells, 0.09, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=300))
+@example([0.1, 0.1])
+@example([0.0, -0.0, 0.0])
+@example([1e308, 1e308, -1e308])
+def test_statistics_match_generator_formula(window):
+    market = Market("m", 300)
+    market.history = deque(window, maxlen=len(window))
+
+    def statistics():
+        market._recompute_statistics()
+        return market.p_avg, market.p_std
+
+    def reference():
+        n = len(window)
+        mean = sum(window) / n
+        return mean, math.sqrt(sum((p - mean) ** 2 for p in window) / n)
+
+    def outcome(fn):
+        try:
+            return repr(fn())
+        except OverflowError as exc:  # float ** 2 past the largest float
+            return repr(exc)
+
+    assert outcome(statistics) == outcome(reference)
+
+
+def test_built_bids_are_bids():
+    h = house(80.0)
+    bid = controller().make_bid(h, Market("m", 300))
+    assert type(bid) is Bid and bid == Bid("c", "BUY", bid.price, h.hvac_kw, 0)
+    (offer,) = seller_bids([SellerAgent("g1", 0.10, 5.0)], 3)
+    assert type(offer) is Bid and offer == Bid("g1", "SELL", 0.10, 5.0, 3)
 
 
 def test_market_submit_clear_cycle():

@@ -169,3 +169,35 @@ def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch
     held[0] = held[0]._replace(price=main.price_cap + 0.01)
     with pytest.raises(PriceCapViolation):
         engine._market_round("market")
+
+
+def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypatch):
+    model = parse_scenario(gen_feeder(5, 0))
+    model.attacks.append(ATTACKS["override"])
+    engine = Engine(model, topology="auxiliary", base_dir=str(feeder_dir))
+    override = engine.transforms["attack:ovr"]
+    books = {engine.markets["market"]: [], engine.aux_markets["market"]: []}
+    main, aux = books.values()
+    submit = Market.submit
+
+    def recording_submit(market, bid):
+        if bid.side == "SELL":
+            books[market].append(bid)
+        submit(market, bid)
+
+    monkeypatch.setattr(Market, "submit", recording_submit)
+    engine._market_round("market")
+    assert len(main) == len(aux) > 1
+    assert all(replica is offer for offer, replica in zip(main, aux))
+
+    override.active = True
+    assert 0 < len(override.compromised) < len(main)
+    main.clear()
+    aux.clear()
+    engine._market_round("market")
+    assert len(main) == len(aux)
+    for offer, replica in zip(main, aux):
+        if offer.trader in override.compromised:
+            assert replica == offer._replace(price=override.price) != offer
+        else:
+            assert replica is offer

@@ -4,13 +4,16 @@ Hypothesis draws radial trees of lines, transformers (ratio != 1) and
 zero-impedance `parent:` links, with random loads and solar injections.
 The compiled sweep must agree with the dense nodal solve at every node,
 merged nodes included, and the islanding must agree with undirected
-reachability for random OPEN/CLOSED statuses.
+reachability for random OPEN/CLOSED statuses.  The sweep must also
+repeat `sweep_reference`, the sweep that scans every step of every pass,
+bit for bit: cold and warm starts, converged or diverged.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import demand_list, dense_powerflow_oracle, reachability_oracle
+from oracles import demand_list, dense_powerflow_oracle, reachability_oracle, sweep_reference
 
+from tesgrid.errors import SolverDivergence
 from tesgrid.glm import parse_scenario
 from tesgrid.network import build_network_index, compute_islands
 from tesgrid.powerflow import solve_powerflow
@@ -89,3 +92,45 @@ def test_islands_match_reachability(feeder, data):
     islands = compute_islands(index, statuses)
     position = index.tree.position
     assert {n: islands.live[position[n]] for n in index.order} == reachability_oracle(index, statuses)
+
+
+def _outcome(solve, *args, **kwargs):
+    """(the solve's floats as reprs, or the divergence it raised; the state or None)"""
+    try:
+        state = solve(*args, **kwargs)
+    except SolverDivergence as exc:
+        return ("diverged", str(exc), repr(exc.worst_residual), exc.node), None
+    powers = (state.source_power_va, state.load_power_va, state.loss_power_va)
+    return (repr(state.v), repr(state.cur), repr(powers), state.iterations), state
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_feeders(), st.data())
+def test_sweep_matches_reference_bit_for_bit(feeder, data):
+    text, _, _, loads, lines = feeder
+    index = build_network_index(parse_scenario(text))
+    demand = demand_list(index, loads)
+    if data.draw(st.booleans(), label="nan load") and loads:
+        demand[index.tree.position[loads[0][0]]] = complex("nan")  # its steps read NaN
+    tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.0]), label="tolerance")
+    statuses = {name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines}
+    islands = compute_islands(index, statuses)
+    scale = data.draw(st.floats(min_value=0.5, max_value=1.5), label="load scale")
+    moved = [d * scale for d in demand]
+
+    def both(*args, **kwargs):
+        """The sweep's state, after checking it against the reference's."""
+        got, state = _outcome(solve_powerflow, *args, **kwargs)
+        assert got == _outcome(sweep_reference, *args, **kwargs)[0]
+        return state
+
+    state = both(index, demand, tolerance_pu=tol)
+    # too few iterations to converge from a flat start: the same worst step and node
+    both(index, demand, max_iterations=3)
+    if state is None:
+        return
+    # warm starts (both from the same, equal, state) over other islands,
+    # then over the same islands object
+    state = both(index, moved, islands, tol, start=state)
+    if state is not None:
+        both(index, demand, islands, tol, start=state)

@@ -269,3 +269,12 @@ def test_schedule_repeat_is_a_whole_number_of_steps(small_text, repeat, ok):
     assert report.runnable is ok
     if not ok:
         assert report.serialize() == "error: s: BAD_SCHEDULE: repeat must be a positive multiple of timestep"
+
+
+@pytest.mark.parametrize("time, ok", [("00:01:30", False), ("00:02:00", True), ("00:00:59", False)])
+def test_schedule_entry_time_is_on_a_step(small_text, time, ok):
+    text = small_text + f'schedule {{ name s; entry "2013-07-01 {time}" h2 deadband 3 degF; }}\n'
+    report = validate(parse_scenario(text))
+    assert report.runnable is ok
+    if not ok:
+        assert report.serialize() == "error: s: BAD_SCHEDULE: entry time must fall on a step"
