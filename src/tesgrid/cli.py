@@ -34,6 +34,9 @@ def _load(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc})", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
     try:
         return parse_scenario(text)
     except ParseError as exc:

@@ -56,6 +56,10 @@ class PriceCapViolation(TesgridError):
     pass
 
 
+class BadQuantity(TesgridError):
+    """A bid quantity that is NaN or negative."""
+
+
 class StalePeriod(TesgridError):
     pass
 

@@ -19,15 +19,22 @@ timestamps, bare identifiers, or comma-separated lists.  Every failure raises
 :class:`~tesgrid.errors.ParseError` with position information.  `pretty_print`
 writes each float as its `repr`, so it parses back bit for bit.
 
-The tokenizer is one compiled regex applied to each line; a token is a
-plain `(kind, text, line, col)` tuple.
+The tokenizer is one compiled regex, `findall` once per line.  A token is
+the string it matched; a string keeps its quotes, so the first character
+tells a token's kind and `"x"` (STRING) never equals `x` (REF).  Only an
+error or a block's source line needs a position: bisect the index of each
+line's first token, then rescan that line.  A value is interpreted once
+per parse; a failure is not kept, so every error is placed at its token.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
+from bisect import bisect_right
+from collections.abc import Iterator
 from datetime import datetime
+from itertools import islice
 
 from .errors import ParseError
 from .kernel import OBJECT_CLASSES
@@ -49,308 +56,301 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[+-](\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[jJ]$")
 _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$")
 
-# (kind, text, line, col); kind is 'atom', 'string' or one of "{};,"
-_Token = tuple[str, str, int, int]
+# One match per token, searched within a line: a comment, a punctuation
+# mark, a string (without its closing quote when the line ends first) or
+# an atom.  `\s` matches exactly the characters `str.isspace()` accepts.
+_TOKEN_RE = re.compile(r'//.*|[{};,]|"[^"]*"?|(?=\S)[^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*')
 
-# One match per token, searched within a line: a comment (group 1), a
-# punctuation mark (2), a string (3, with 4 unmatched when the line ends
-# before the closing quote) or an atom (5).  `\s` matches exactly the
-# characters `str.isspace()` accepts.
-_TOKEN_RE = re.compile(r'(//.*)|([{};,])|"([^"]*)(")?|(?=\S)([^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*)')
+_NOT_ATOM = '{};,"'  # the first characters of punctuation and strings
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for line, chars in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(chars):
-            group = m.lastindex
-            if group == 5:
-                tokens.append(("atom", m[5], line, m.start() + 1))
-            elif group == 2:
-                tokens.append((m[2], m[2], line, m.start() + 1))
-            elif group == 4:
-                tokens.append(("string", m[3], line, m.start() + 1))
-            elif group == 3:
-                raise ParseError("unterminated string", line, m.start() + 1)
-    return tokens
+def _text(tok: str) -> str:
+    """A token's text as an error message quotes it: a string without quotes."""
+    return tok[1:-1] if tok[0] == '"' else tok
 
 
-def _error(message: str, tok: _Token) -> ParseError:
-    return ParseError(message, tok[2], tok[3])
+def _tokenize(lines: list[str]) -> tuple[list[str], list[int]]:
+    """The tokens of `lines`, and the index of the first token of each line."""
+    tokens: list[str] = []
+    starts: list[int] = []
+    for line, chars in enumerate(lines, 1):
+        starts.append(len(tokens))
+        found = _TOKEN_RE.findall(chars)
+        if found:
+            last = found[-1]
+            if last[0] == '"' and (len(last) == 1 or last[-1] != '"'):
+                # an unterminated string runs to the end of its line
+                raise ParseError("unterminated string", line, len(chars) - len(last) + 1)
+            if last[:2] == "//":
+                found.pop()  # a comment runs to the end of its line
+            tokens += found
+    return tokens, starts
 
 
-def _timestamp(text: str, tok: _Token) -> Value:
-    """A timestamp-shaped `text` as a value, or an error when no such date exists."""
-    try:
-        return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
-    except ValueError:
-        raise _error(f"no such date '{text}'", tok) from None
+def _position(lines: list[str], starts: list[int], i: int) -> tuple[int, int]:
+    """The line and column of token `i`."""
+    line = bisect_right(starts, i)
+    match = next(islice(_TOKEN_RE.finditer(lines[line - 1]), i - starts[line - 1], None))
+    return line, match.start() + 1
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.lines = text.split("\n")
+        self.tokens, self.starts = _tokenize(self.lines)
         self.pos = 0
+        self.memo: dict[tuple[str, ...], Value] = {}
 
     # -- token helpers ------------------------------------------------------
 
-    def _end_of_input(self) -> ParseError:
-        return _error("unexpected end of input", self.tokens[-1])
+    def _error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *_position(self.lines, self.starts, i))
 
-    def _next(self) -> _Token:
+    def _next(self) -> str:
         if self.pos == len(self.tokens):
-            raise self._end_of_input()
+            raise self._error("unexpected end of input", len(self.tokens) - 1)
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._next()
-        if tok[0] != kind:
-            raise _error(f"expected '{kind}', got '{tok[1]}'", tok)
-        return tok
-
-    def _expect_atom(self) -> _Token:
-        tok = self._next()
-        if tok[0] != "atom":
-            raise _error(f"expected identifier, got '{tok[1]}'", tok)
-        return tok
-
     # -- value interpretation -----------------------------------------------
 
-    def _read_raw_value(self) -> tuple[list[_Token], bool]:
-        """Tokens up to the terminating ';' (consumed), and whether one of
-        them is a ','."""
-        tokens, start, listed = self.tokens, self.pos, False
-        for i in range(start, len(tokens)):
-            kind = tokens[i][0]
-            if kind == ";":
-                self.pos = i + 1
-                return tokens[start:i], listed
-            if kind == ",":
-                listed = True
-            elif kind == "{" or kind == "}":
-                raise _error(f"unexpected '{kind}' in value", tokens[i])
-        raise self._end_of_input()
+    def _read_raw_value(self) -> tuple[list[str], int]:
+        """The tokens before the next ';', which is consumed, and the first's index."""
+        tokens, start = self.tokens, self.pos
+        try:
+            end = tokens.index(";", start)
+        except ValueError:
+            end = len(tokens)
+        raw = tokens[start:end]
+        if "{" in raw or "}" in raw:
+            i = next(i for i, t in enumerate(raw) if t == "{" or t == "}")
+            raise self._error(f"unexpected '{raw[i]}' in value", start + i)
+        if end == len(tokens):
+            raise self._error("unexpected end of input", end - 1)
+        self.pos = end + 1
+        return raw, start
 
-    @staticmethod
-    def _scalar(toks: list[_Token]) -> Value:
-        if len(toks) == 1 and toks[0][0] == "string":
-            text = toks[0][1]
+    def _timestamp(self, text: str, at: int) -> Value:
+        """A timestamp-shaped `text` as a value, or an error when no such date exists."""
+        try:
+            return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
+        except ValueError:
+            raise self._error(f"no such date '{text}'", at) from None
+
+    def _scalar(self, start: int, end: int) -> Value:
+        head = self.tokens[start]
+        if end - start == 1 and head[0] == '"':
+            text = head[1:-1]
             if _TIMESTAMP_RE.match(text):
-                return _timestamp(text, toks[0])
+                return self._timestamp(text, start)
             return Value("STRING", text)
-        atoms = [text for kind, text, _, _ in toks if kind == "atom"]
-        if len(atoms) != len(toks) or len(atoms) > 2:
-            raise _error("malformed value", toks[0])
-        head, unit = atoms[0], None
-        if len(atoms) == 2:
-            unit = atoms[1]
+        unit = self.tokens[start + 1] if end - start == 2 else None
+        if end - start > 2 or head[0] in _NOT_ATOM or unit is not None and unit[0] in _NOT_ATOM:
+            raise self._error("malformed value", start)
+        if unit is not None:
             stamp = f"{head} {unit}"
             if _TIMESTAMP_RE.match(stamp):
-                return _timestamp(stamp, toks[0])
+                return self._timestamp(stamp, start)
             if unit not in UNIT_TABLE:
-                raise _error(f"unknown unit '{unit}'", toks[1])
+                raise self._error(f"unknown unit '{unit}'", start + 1)
         if _NUMBER_RE.match(head):
             value = Value("NUMBER", float(head), unit)
         elif _COMPLEX_RE.match(head):
             value = Value("COMPLEX", complex(head), unit)
         elif unit is not None:
-            raise _error(f"'{head}' is not a number", toks[0])
+            raise self._error(f"'{head}' is not a number", start)
         else:
             return Value("REF", head)
         # a literal too large for a float parses to inf, also after unit scaling
         if not cmath.isfinite(value.canonical()):
-            raise _error(f"'{' '.join(atoms)}' is not a finite number", toks[0])
+            raise self._error(f"'{' '.join(self.tokens[start:end])}' is not a finite number", start)
         return value
 
-    def _interpret(self, toks: list[_Token], listed: bool, key: _Token) -> Value:
-        """The value of `toks`, a list when `listed`; errors without a
-        token of their own are placed at the property name `key`."""
+    def _interpret(self, toks: list[str], start: int, key: int) -> Value:
+        """The value of `toks`, from token `start` on, a list when one is a ',';
+        an error without a token of its own is placed at the property name `key`."""
+        memo_key = tuple(toks)
+        value = self.memo.get(memo_key)
+        if value is not None:
+            return value
+        end = start + len(toks)
         if not toks:
-            raise _error("empty value", key)
-        if not listed:
-            return self._scalar(toks)
-        items, current = [], []
-        for t in toks:
-            if t[0] == ",":
-                if not current:
-                    raise _error("empty list item", t)
-                items.append(self._scalar(current))
-                current = []
-            else:
-                current.append(t)
-        if not current:
-            raise _error("trailing comma in list", toks[-1])
-        items.append(self._scalar(current))
-        return Value("LIST", tuple(items))
+            raise self._error("empty value", key)
+        if "," not in toks:
+            value = self._scalar(start, end)
+        else:
+            items, first = [], start
+            for i in range(start, end):
+                if self.tokens[i] == ",":
+                    if i == first:
+                        raise self._error("empty list item", i)
+                    items.append(self._scalar(first, i))
+                    first = i + 1
+            if first == end:
+                raise self._error("trailing comma in list", end - 1)
+            items.append(self._scalar(first, end))
+            value = Value("LIST", tuple(items))
+        self.memo[memo_key] = value
+        return value
 
     # -- block parsing ------------------------------------------------------
 
+    def _statements(self) -> Iterator[tuple[str, int]]:
+        """The name and token index of each statement of a `{ ... }` block;
+        the caller reads the value after each name."""
+        tok = self._next()
+        if tok != "{":
+            raise self._error(f"expected '{{', got '{_text(tok)}'", self.pos - 1)
+        while (key := self._next()) != "}":
+            at = self.pos - 1
+            if key[0] in _NOT_ATOM:
+                raise self._error(f"expected property name, got '{_text(key)}'", at)
+            yield key, at
+
     def _read_props(self) -> dict[str, Value]:
         """Parse `{ key value; ... }` into a dict in source order."""
-        self._expect("{")
         props: dict[str, Value] = {}
-        while True:
-            tok = self._next()
-            if tok[0] == "}":
-                return props
-            if tok[0] != "atom":
-                raise _error(f"expected property name, got '{tok[1]}'", tok)
-            if tok[1] in props:
-                raise _error(f"duplicate property '{tok[1]}'", tok)
-            props[tok[1]] = self._interpret(*self._read_raw_value(), tok)
+        for key, at in self._statements():
+            if key in props:
+                raise self._error(f"duplicate property '{key}'", at)
+            props[key] = self._interpret(*self._read_raw_value(), at)
+        return props
 
-    @staticmethod
-    def _want(props: dict[str, Value], key: str, tok: _Token) -> Value:
+    def _want(self, props: dict[str, Value], key: str, at: int) -> Value:
         if key not in props:
-            raise _error(f"missing '{key}'", tok)
+            raise self._error(f"missing '{key}'", at)
         return props[key]
 
-    @staticmethod
-    def _as_time(v: Value, tok: _Token) -> datetime:
+    def _as_time(self, v: Value, at: int) -> datetime:
         if v.kind != "TIMESTAMP":
-            raise _error("expected timestamp 'YYYY-MM-DD HH:MM:SS'", tok)
+            raise self._error("expected timestamp 'YYYY-MM-DD HH:MM:SS'", at)
         return v.value
 
-    @staticmethod
-    def _as_number(v: Value, tok: _Token) -> float:
+    def _as_number(self, v: Value, at: int) -> float:
         if v.kind != "NUMBER":
-            raise _error("expected a number", tok)
+            raise self._error("expected a number", at)
         return float(v.canonical())
 
-    def _parse_object(self, model: ScenarioModel) -> None:
-        cls_tok = self._expect_atom()
-        cls = cls_tok[1]
+    def _parse_object(self, model: ScenarioModel, at: int) -> None:
+        cls = self._next()
+        at += 1  # the class name follows the keyword
+        if cls[0] in _NOT_ATOM:
+            raise self._error(f"expected identifier, got '{_text(cls)}'", at)
         if cls not in OBJECT_CLASSES:
-            raise _error(f"unknown class '{cls}'", cls_tok)
+            raise self._error(f"unknown class '{cls}'", at)
         props = self._read_props()
         name_value = props.pop("name", None)
         name = str(name_value.value) if name_value is not None else None
-        model.objects.append(GridObject(cls, name, props, cls_tok[2]))
+        model.objects.append(GridObject(cls, name, props, bisect_right(self.starts, at)))
 
-    def _parse_clock(self, model: ScenarioModel, tok: _Token) -> None:
+    def _parse_clock(self, model: ScenarioModel, at: int) -> None:
         if model.clock is not None:
-            raise _error("duplicate clock block", tok)
+            raise self._error("duplicate clock block", at)
         pmap = self._read_props()
-        start = self._as_time(self._want(pmap, "start", tok), tok)
-        stop = self._as_time(self._want(pmap, "stop", tok), tok)
-        step = self._as_number(self._want(pmap, "timestep", tok), tok)
+        start = self._as_time(self._want(pmap, "start", at), at)
+        stop = self._as_time(self._want(pmap, "stop", at), at)
+        step = self._as_number(self._want(pmap, "timestep", at), at)
         if step != int(step) or int(step) <= 0:
-            raise _error("timestep must be a positive whole number of seconds", tok)
+            raise self._error("timestep must be a positive whole number of seconds", at)
         model.clock = ClockConfig(start, stop, int(step))
 
-    def _parse_schedule(self, model: ScenarioModel, tok: _Token) -> None:
-        self._expect("{")
+    def _parse_schedule(self, model: ScenarioModel, at: int) -> None:
         name = f"schedule_{len(model.schedules)}"
         entries: list[ScheduleEntry] = []
         repeat = None
-        while True:
-            key_tok = self._next()
-            kind, key = key_tok[:2]
-            if kind == "}":
-                break
-            if kind != "atom":
-                raise _error(f"expected property name, got '{key}'", key_tok)
+        for key, key_at in self._statements():
             if key == "entry":
-                raw, _ = self._read_raw_value()
+                raw, start = self._read_raw_value()
                 if len(raw) < 3:
-                    raise _error("entry needs: \"time\" target property value", key_tok)
-                when = self._as_time(self._scalar(raw[:1]), raw[0])
-                value_toks = raw[3:]
-                value = self._interpret(value_toks, any(t[0] == "," for t in value_toks), key_tok)
-                entries.append(ScheduleEntry(when, raw[1][1], raw[2][1], value))
+                    raise self._error("entry needs: \"time\" target property value", key_at)
+                when = self._as_time(self._scalar(start, start + 1), start)
+                value = self._interpret(raw[3:], start + 3, key_at)
+                entries.append(ScheduleEntry(when, _text(raw[1]), _text(raw[2]), value))
             elif key == "name":
-                name = str(self._interpret(*self._read_raw_value(), key_tok).value)
+                name = str(self._interpret(*self._read_raw_value(), key_at).value)
             elif key == "repeat":
-                v = self._interpret(*self._read_raw_value(), key_tok)
-                repeat = self._as_number(v, key_tok)  # as written; validate checks it
+                value = self._interpret(*self._read_raw_value(), key_at)
+                repeat = self._as_number(value, key_at)  # as written; validate checks it
             else:
-                raise _error(f"unknown schedule field '{key}'", key_tok)
-        model.schedules.append(Schedule(name, entries, repeat, tok[2]))
+                raise self._error(f"unknown schedule field '{key}'", key_at)
+        model.schedules.append(Schedule(name, entries, repeat, bisect_right(self.starts, at)))
 
-    def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
+    def _parse_attack(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
-        kind = str(self._want(pmap, "kind", tok).value)
+        kind = str(self._want(pmap, "kind", at).value)
         if kind not in ("SELLER_PRICE_OVERRIDE", "BUYER_BID_SCALE", "LINE_STATUS"):
-            raise _error(f"unknown attack kind '{kind}'", tok)
+            raise self._error(f"unknown attack kind '{kind}'", at)
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
-            start=self._as_time(self._want(pmap, "start", tok), tok),
-            end=self._as_time(self._want(pmap, "end", tok), tok),
-            line=tok[2],
+            start=self._as_time(self._want(pmap, "start", at), at),
+            end=self._as_time(self._want(pmap, "end", at), at),
+            line=bisect_right(self.starts, at),
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number(pmap["fraction"], tok)
+            cfg.fraction = self._as_number(pmap["fraction"], at)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number(pmap["seed"], tok))
+            cfg.seed = int(self._as_number(pmap["seed"], at))
         if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.price = self._as_number(self._want(pmap, "price", tok), tok)
+            cfg.price = self._as_number(self._want(pmap, "price", at), at)
         elif kind == "BUYER_BID_SCALE":
-            cfg.lam = self._as_number(self._want(pmap, "lambda", tok), tok)
+            cfg.lam = self._as_number(self._want(pmap, "lambda", at), at)
         else:
-            lines_v = self._want(pmap, "lines", tok)
+            lines_v = self._want(pmap, "lines", at)
             items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
             cfg.lines = [str(item.value) for item in items]
-            cfg.status = str(self._want(pmap, "status", tok).value)
+            cfg.status = str(self._want(pmap, "status", at).value)
             if cfg.status not in ("OPEN", "CLOSED"):
-                raise _error(f"bad line status '{cfg.status}'", tok)
+                raise self._error(f"bad line status '{cfg.status}'", at)
         model.attacks.append(cfg)
 
-    def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:
+    def _parse_recorder(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
-        props_v = self._want(pmap, "property", tok)
+        props_v = self._want(pmap, "property", at)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
-                target=str(self._want(pmap, "target", tok).value),
+                target=str(self._want(pmap, "target", at).value),
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number(self._want(pmap, "interval", tok), tok)),
-                file=str(self._want(pmap, "file", tok).value),
-                line=tok[2],
+                interval=int(self._as_number(self._want(pmap, "interval", at), at)),
+                file=str(self._want(pmap, "file", at).value),
+                line=bisect_right(self.starts, at),
             )
         )
 
-    def _parse_player(self, model: ScenarioModel, tok: _Token) -> None:
+    def _parse_player(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
         model.players.append(
             PlayerConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
-                target=str(self._want(pmap, "target", tok).value),
-                prop=str(self._want(pmap, "property", tok).value),
-                file=str(self._want(pmap, "file", tok).value),
-                line=tok[2],
+                target=str(self._want(pmap, "target", at).value),
+                prop=str(self._want(pmap, "property", at).value),
+                file=str(self._want(pmap, "file", at).value),
+                line=bisect_right(self.starts, at),
             )
         )
 
-    def _parse_weather(self, model: ScenarioModel, tok: _Token) -> None:
+    def _parse_weather(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
-        model.weather_source = str(self._want(pmap, "file", tok).value)
+        model.weather_source = str(self._want(pmap, "file", at).value)
 
     def parse(self) -> ScenarioModel:
         model = ScenarioModel()
+        blocks = {
+            "object": self._parse_object, "clock": self._parse_clock, "schedule": self._parse_schedule,
+            "attack": self._parse_attack, "recorder": self._parse_recorder, "player": self._parse_player,
+            "weather": self._parse_weather,
+        }
         while self.pos < len(self.tokens):
-            tok = self._next()
-            kind, block = tok[:2]
-            if kind != "atom":
-                raise _error(f"expected a block keyword, got '{block}'", tok)
-            if block == "object":
-                self._parse_object(model)
-            elif block == "clock":
-                self._parse_clock(model, tok)
-            elif block == "schedule":
-                self._parse_schedule(model, tok)
-            elif block == "attack":
-                self._parse_attack(model, tok)
-            elif block == "recorder":
-                self._parse_recorder(model, tok)
-            elif block == "player":
-                self._parse_player(model, tok)
-            elif block == "weather":
-                self._parse_weather(model, tok)
-            else:
-                raise _error(f"unknown block '{block}'", tok)
+            block = self._next()
+            at = self.pos - 1
+            if block[0] in _NOT_ATOM:
+                raise self._error(f"expected a block keyword, got '{_text(block)}'", at)
+            parse_block = blocks.get(block)
+            if parse_block is None:
+                raise self._error(f"unknown block '{block}'", at)
+            parse_block(model, at)
         return model
 
 

@@ -37,7 +37,7 @@ from itertools import repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .errors import PriceCapViolation, StalePeriod
+from .errors import BadQuantity, PriceCapViolation, StalePeriod
 from .loads import HouseState
 
 STATS_WINDOW_HOURS = 24.0
@@ -85,10 +85,11 @@ def clear_book(
         marginal_buy, marginal_sell = buy_price, sell_price
         remaining_b -= take
         remaining_s -= take
-        if remaining_b <= 0.0:
+        # `not ... > 0.0`: a NaN quantity is used up too, so the walk always ends
+        if not remaining_b > 0.0:
             i += 1
             remaining_b = b[i][3] if i < nb else 0.0
-        if remaining_s <= 0.0:
+        if not remaining_s > 0.0:
             j += 1
             remaining_s = s[j][3] if j < ns else 0.0
     if quantity <= 0.0:
@@ -131,11 +132,13 @@ class Market:
             self.p_std = self.seed_std
 
     def submit(self, bid: Bid) -> None:
-        _, side, price, _, period = bid
-        if price > self.price_cap:
+        _, side, price, quantity, period = bid
+        if not price <= self.price_cap:  # `not`: a NaN price is refused too
             raise PriceCapViolation(
                 f"{self.name}: bid price {price:g} exceeds cap {self.price_cap:g}"
             )
+        if not quantity >= 0.0:
+            raise BadQuantity(f"{self.name}: bid quantity {quantity:g} is not a number >= 0")
         if period != self.current_period:
             raise StalePeriod(
                 f"{self.name}: bid for period {period}, current is {self.current_period}"

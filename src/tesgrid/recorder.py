@@ -50,6 +50,8 @@ def _parse_rows(path: str, expected_fields: int, name: str) -> list[list[str]]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {path}: not UTF-8 text ({exc})") from exc
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 or not line.strip():

@@ -9,19 +9,39 @@ regex tokenizer.  `demand_list` is no oracle: it turns
 (node, power_va) pairs into the solver's per-supernode input; nor is
 `deenergized_objects`, the outage set the tests read off the islands.
 
-Two are earlier versions kept as bit-for-bit references for rewrites
-that must not change a float: `sweep_reference`, the sweep that tracks
-the worst voltage step on every pass, and `clear_book_reference`, the
-clearing walk over bid attributes with `min`.
+Three are earlier versions kept as references for rewrites that must
+not change a result: `sweep_reference`, the sweep that tracks the worst
+voltage step on every pass, and `clear_book_reference`, the clearing
+walk over bid attributes with `min`, each bit for bit; and
+`parse_oracle`, the parser whose tokens were `(kind, text, line, col)`
+tuples and which interpreted every value where it appeared, for an
+equal model or the same error at the same place.
 """
 
+import cmath
 import math
+import re
+from datetime import datetime
 from operator import itemgetter
 
 import numpy as np
 
 from tesgrid.errors import ParseError, SolverDivergence
+from tesgrid.kernel import OBJECT_CLASSES
 from tesgrid.market import Clearing
+from tesgrid.model import (
+    TIME_FORMAT,
+    UNIT_TABLE,
+    AttackConfig,
+    ClockConfig,
+    GridObject,
+    PlayerConfig,
+    RecorderConfig,
+    Schedule,
+    ScheduleEntry,
+    ScenarioModel,
+    Value,
+)
 from tesgrid.network import compute_islands
 from tesgrid.powerflow import _INTERNAL_TOLERANCE_PU, MAX_ITERATIONS, NetworkState
 
@@ -311,3 +331,320 @@ def clear_book_reference(buys, sells, prior_price, period):
     if quantity <= 0.0:
         return Clearing(prior_price, 0.0, None, None, period)
     return Clearing((marginal_buy + marginal_sell) / 2.0, quantity, marginal_buy, marginal_sell, period)
+
+
+# -- the parser with tuple tokens ---------------------------------------------
+
+_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[+-](\d+\.?\d*|\.\d+)([eE][+-]?\d+)?[jJ]$")
+_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}$")
+
+# (kind, text, line, col); kind is 'atom', 'string' or one of "{};,"
+_Token = tuple[str, str, int, int]
+
+# One match per token, searched within a line: a comment (group 1), a
+# punctuation mark (2), a string (3, with 4 unmatched when the line ends
+# before the closing quote) or an atom (5).  `\s` matches exactly the
+# characters `str.isspace()` accepts.
+_TOKEN_RE = re.compile(r'(//.*)|([{};,])|"([^"]*)(")?|(?=\S)([^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*)')
+
+
+def _tokenize_tuples(text: str) -> list[_Token]:
+    tokens = []
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chars):
+            group = m.lastindex
+            if group == 5:
+                tokens.append(("atom", m[5], line, m.start() + 1))
+            elif group == 2:
+                tokens.append((m[2], m[2], line, m.start() + 1))
+            elif group == 4:
+                tokens.append(("string", m[3], line, m.start() + 1))
+            elif group == 3:
+                raise ParseError("unterminated string", line, m.start() + 1)
+    return tokens
+
+
+def _oracle_error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
+
+
+def _oracle_timestamp(text: str, tok: _Token) -> Value:
+    """A timestamp-shaped `text` as a value, or an error when no such date exists."""
+    try:
+        return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
+    except ValueError:
+        raise _oracle_error(f"no such date '{text}'", tok) from None
+
+
+class _TupleParser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize_tuples(text)
+        self.pos = 0
+
+    # -- token helpers ------------------------------------------------------
+
+    def _end_of_input(self) -> ParseError:
+        return _oracle_error("unexpected end of input", self.tokens[-1])
+
+    def _next(self) -> _Token:
+        if self.pos == len(self.tokens):
+            raise self._end_of_input()
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _expect(self, kind: str) -> _Token:
+        tok = self._next()
+        if tok[0] != kind:
+            raise _oracle_error(f"expected '{kind}', got '{tok[1]}'", tok)
+        return tok
+
+    def _expect_atom(self) -> _Token:
+        tok = self._next()
+        if tok[0] != "atom":
+            raise _oracle_error(f"expected identifier, got '{tok[1]}'", tok)
+        return tok
+
+    # -- value interpretation -----------------------------------------------
+
+    def _read_raw_value(self) -> tuple[list[_Token], bool]:
+        """Tokens up to the terminating ';' (consumed), and whether one of
+        them is a ','."""
+        tokens, start, listed = self.tokens, self.pos, False
+        for i in range(start, len(tokens)):
+            kind = tokens[i][0]
+            if kind == ";":
+                self.pos = i + 1
+                return tokens[start:i], listed
+            if kind == ",":
+                listed = True
+            elif kind == "{" or kind == "}":
+                raise _oracle_error(f"unexpected '{kind}' in value", tokens[i])
+        raise self._end_of_input()
+
+    @staticmethod
+    def _scalar(toks: list[_Token]) -> Value:
+        if len(toks) == 1 and toks[0][0] == "string":
+            text = toks[0][1]
+            if _TIMESTAMP_RE.match(text):
+                return _oracle_timestamp(text, toks[0])
+            return Value("STRING", text)
+        atoms = [text for kind, text, _, _ in toks if kind == "atom"]
+        if len(atoms) != len(toks) or len(atoms) > 2:
+            raise _oracle_error("malformed value", toks[0])
+        head, unit = atoms[0], None
+        if len(atoms) == 2:
+            unit = atoms[1]
+            stamp = f"{head} {unit}"
+            if _TIMESTAMP_RE.match(stamp):
+                return _oracle_timestamp(stamp, toks[0])
+            if unit not in UNIT_TABLE:
+                raise _oracle_error(f"unknown unit '{unit}'", toks[1])
+        if _NUMBER_RE.match(head):
+            value = Value("NUMBER", float(head), unit)
+        elif _COMPLEX_RE.match(head):
+            value = Value("COMPLEX", complex(head), unit)
+        elif unit is not None:
+            raise _oracle_error(f"'{head}' is not a number", toks[0])
+        else:
+            return Value("REF", head)
+        # a literal too large for a float parses to inf, also after unit scaling
+        if not cmath.isfinite(value.canonical()):
+            raise _oracle_error(f"'{' '.join(atoms)}' is not a finite number", toks[0])
+        return value
+
+    def _interpret(self, toks: list[_Token], listed: bool, key: _Token) -> Value:
+        """The value of `toks`, a list when `listed`; errors without a
+        token of their own are placed at the property name `key`."""
+        if not toks:
+            raise _oracle_error("empty value", key)
+        if not listed:
+            return self._scalar(toks)
+        items, current = [], []
+        for t in toks:
+            if t[0] == ",":
+                if not current:
+                    raise _oracle_error("empty list item", t)
+                items.append(self._scalar(current))
+                current = []
+            else:
+                current.append(t)
+        if not current:
+            raise _oracle_error("trailing comma in list", toks[-1])
+        items.append(self._scalar(current))
+        return Value("LIST", tuple(items))
+
+    # -- block parsing ------------------------------------------------------
+
+    def _read_props(self) -> dict[str, Value]:
+        """Parse `{ key value; ... }` into a dict in source order."""
+        self._expect("{")
+        props: dict[str, Value] = {}
+        while True:
+            tok = self._next()
+            if tok[0] == "}":
+                return props
+            if tok[0] != "atom":
+                raise _oracle_error(f"expected property name, got '{tok[1]}'", tok)
+            if tok[1] in props:
+                raise _oracle_error(f"duplicate property '{tok[1]}'", tok)
+            props[tok[1]] = self._interpret(*self._read_raw_value(), tok)
+
+    @staticmethod
+    def _want(props: dict[str, Value], key: str, tok: _Token) -> Value:
+        if key not in props:
+            raise _oracle_error(f"missing '{key}'", tok)
+        return props[key]
+
+    @staticmethod
+    def _as_time(v: Value, tok: _Token) -> datetime:
+        if v.kind != "TIMESTAMP":
+            raise _oracle_error("expected timestamp 'YYYY-MM-DD HH:MM:SS'", tok)
+        return v.value
+
+    @staticmethod
+    def _as_number(v: Value, tok: _Token) -> float:
+        if v.kind != "NUMBER":
+            raise _oracle_error("expected a number", tok)
+        return float(v.canonical())
+
+    def _parse_object(self, model: ScenarioModel) -> None:
+        cls_tok = self._expect_atom()
+        cls = cls_tok[1]
+        if cls not in OBJECT_CLASSES:
+            raise _oracle_error(f"unknown class '{cls}'", cls_tok)
+        props = self._read_props()
+        name_value = props.pop("name", None)
+        name = str(name_value.value) if name_value is not None else None
+        model.objects.append(GridObject(cls, name, props, cls_tok[2]))
+
+    def _parse_clock(self, model: ScenarioModel, tok: _Token) -> None:
+        if model.clock is not None:
+            raise _oracle_error("duplicate clock block", tok)
+        pmap = self._read_props()
+        start = self._as_time(self._want(pmap, "start", tok), tok)
+        stop = self._as_time(self._want(pmap, "stop", tok), tok)
+        step = self._as_number(self._want(pmap, "timestep", tok), tok)
+        if step != int(step) or int(step) <= 0:
+            raise _oracle_error("timestep must be a positive whole number of seconds", tok)
+        model.clock = ClockConfig(start, stop, int(step))
+
+    def _parse_schedule(self, model: ScenarioModel, tok: _Token) -> None:
+        self._expect("{")
+        name = f"schedule_{len(model.schedules)}"
+        entries: list[ScheduleEntry] = []
+        repeat = None
+        while True:
+            key_tok = self._next()
+            kind, key = key_tok[:2]
+            if kind == "}":
+                break
+            if kind != "atom":
+                raise _oracle_error(f"expected property name, got '{key}'", key_tok)
+            if key == "entry":
+                raw, _ = self._read_raw_value()
+                if len(raw) < 3:
+                    raise _oracle_error("entry needs: \"time\" target property value", key_tok)
+                when = self._as_time(self._scalar(raw[:1]), raw[0])
+                value_toks = raw[3:]
+                value = self._interpret(value_toks, any(t[0] == "," for t in value_toks), key_tok)
+                entries.append(ScheduleEntry(when, raw[1][1], raw[2][1], value))
+            elif key == "name":
+                name = str(self._interpret(*self._read_raw_value(), key_tok).value)
+            elif key == "repeat":
+                v = self._interpret(*self._read_raw_value(), key_tok)
+                repeat = self._as_number(v, key_tok)  # as written; validate checks it
+            else:
+                raise _oracle_error(f"unknown schedule field '{key}'", key_tok)
+        model.schedules.append(Schedule(name, entries, repeat, tok[2]))
+
+    def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
+        pmap = self._read_props()
+        kind = str(self._want(pmap, "kind", tok).value)
+        if kind not in ("SELLER_PRICE_OVERRIDE", "BUYER_BID_SCALE", "LINE_STATUS"):
+            raise _oracle_error(f"unknown attack kind '{kind}'", tok)
+        cfg = AttackConfig(
+            name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
+            kind=kind,
+            start=self._as_time(self._want(pmap, "start", tok), tok),
+            end=self._as_time(self._want(pmap, "end", tok), tok),
+            line=tok[2],
+        )
+        if "fraction" in pmap:
+            cfg.fraction = self._as_number(pmap["fraction"], tok)
+        if "seed" in pmap:
+            cfg.seed = int(self._as_number(pmap["seed"], tok))
+        if kind == "SELLER_PRICE_OVERRIDE":
+            cfg.price = self._as_number(self._want(pmap, "price", tok), tok)
+        elif kind == "BUYER_BID_SCALE":
+            cfg.lam = self._as_number(self._want(pmap, "lambda", tok), tok)
+        else:
+            lines_v = self._want(pmap, "lines", tok)
+            items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
+            cfg.lines = [str(item.value) for item in items]
+            cfg.status = str(self._want(pmap, "status", tok).value)
+            if cfg.status not in ("OPEN", "CLOSED"):
+                raise _oracle_error(f"bad line status '{cfg.status}'", tok)
+        model.attacks.append(cfg)
+
+    def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:
+        pmap = self._read_props()
+        props_v = self._want(pmap, "property", tok)
+        items = props_v.value if props_v.kind == "LIST" else (props_v,)
+        model.recorders.append(
+            RecorderConfig(
+                name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
+                target=str(self._want(pmap, "target", tok).value),
+                properties=[str(item.value) for item in items],
+                interval=int(self._as_number(self._want(pmap, "interval", tok), tok)),
+                file=str(self._want(pmap, "file", tok).value),
+                line=tok[2],
+            )
+        )
+
+    def _parse_player(self, model: ScenarioModel, tok: _Token) -> None:
+        pmap = self._read_props()
+        model.players.append(
+            PlayerConfig(
+                name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
+                target=str(self._want(pmap, "target", tok).value),
+                prop=str(self._want(pmap, "property", tok).value),
+                file=str(self._want(pmap, "file", tok).value),
+                line=tok[2],
+            )
+        )
+
+    def _parse_weather(self, model: ScenarioModel, tok: _Token) -> None:
+        pmap = self._read_props()
+        model.weather_source = str(self._want(pmap, "file", tok).value)
+
+    def parse(self) -> ScenarioModel:
+        model = ScenarioModel()
+        while self.pos < len(self.tokens):
+            tok = self._next()
+            kind, block = tok[:2]
+            if kind != "atom":
+                raise _oracle_error(f"expected a block keyword, got '{block}'", tok)
+            if block == "object":
+                self._parse_object(model)
+            elif block == "clock":
+                self._parse_clock(model, tok)
+            elif block == "schedule":
+                self._parse_schedule(model, tok)
+            elif block == "attack":
+                self._parse_attack(model, tok)
+            elif block == "recorder":
+                self._parse_recorder(model, tok)
+            elif block == "player":
+                self._parse_player(model, tok)
+            elif block == "weather":
+                self._parse_weather(model, tok)
+            else:
+                raise _oracle_error(f"unknown block '{block}'", tok)
+        return model
+
+
+def parse_oracle(text):
+    """`parse_scenario` as it was when every token was a `(kind, text,
+    line, col)` tuple and every value was interpreted where it appeared."""
+    return _TupleParser(text).parse()

@@ -177,3 +177,30 @@ def test_validate_rejects_no_such_date(tmp_path, capsys):
         main(["validate", str(scenario)])
     assert exc.value.code == 2
     assert "no such date '2013-13-01 00:00:00'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_scenario_is_config_error(tmp_path, capsys, command):
+    scenario = tmp_path / "bad.glm"
+    scenario.write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(scenario)] + (["--out", str(tmp_path / "out")] if command == "run" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: not UTF-8 text (")
+
+
+def test_non_utf8_weather_file_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "feeder"
+    assert main(["gen-feeder", "--houses", "2", "--out", str(out)]) == 0
+    (out / "weather.csv").write_bytes(b"\xff\xfe" + b"time,temperature_degF,irradiance_fraction\n")
+    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 3
+    assert f"error: cannot read {out / 'weather.csv'}: not UTF-8 text (" in capsys.readouterr().err
+
+
+def test_non_utf8_player_file_is_runtime_error(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + "player { name p; target z1; property base_power; file zip.csv; }\n")
+    (tmp_path / "zip.csv").write_bytes(b"time,value\n2013-07-01 00:00:00,\xff\xfe\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
+    assert f"error: cannot read {tmp_path / 'zip.csv'}: not UTF-8 text (" in capsys.readouterr().err

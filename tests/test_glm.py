@@ -1,19 +1,24 @@
 """Parser tests: golden fixture content, round-tripping, error positions,
-a totality fuzz (any input either parses or raises ParseError), and the
-tokenizer against a character-at-a-time oracle."""
+a totality fuzz (any input either parses or raises ParseError), the
+tokenizer against a character-at-a-time oracle, and the parser against
+the earlier tuple-token parser on scenarios and mutations of them."""
 
 import dataclasses
+import functools
+import importlib.util
+import os
+import sys
 from datetime import datetime
 
 import pytest
 from conftest import load_fixture
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import tokenize_oracle
+from oracles import parse_oracle, tokenize_oracle
 
 from tesgrid.errors import ParseError
 from tesgrid.feedergen import gen_feeder
-from tesgrid.glm import _tokenize, parse_scenario, pretty_print
+from tesgrid.glm import _position, _tokenize, parse_scenario, pretty_print
 from tesgrid.model import (
     AttackConfig,
     ClockConfig,
@@ -278,6 +283,20 @@ def test_value_canonical_passthrough():
     assert Value("NUMBER", 2.0, "MW").canonical() == 2000.0
 
 
+def _positioned_tokens(text):
+    """`_tokenize`'s tokens as `(kind, text, line, col)`, each placed by `_position`."""
+    lines = text.split("\n")
+    tokens, starts = _tokenize(lines)
+    out = []
+    for i, tok in enumerate(tokens):
+        if tok[0] == '"':
+            kind, tok = "string", tok[1:-1]
+        else:
+            kind = tok if tok in ("{", "}", ";", ",") else "atom"
+        out.append((kind, tok, *_position(lines, starts, i)))
+    return out
+
+
 def _tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
@@ -298,21 +317,120 @@ _LEXICAL_PIECES = [
 @given(st.lists(st.sampled_from(_LEXICAL_PIECES), max_size=30).map("".join))
 def test_tokenizer_matches_oracle(text):
     """Same (kind, text, line, col) tokens, or the same ParseError at the same place."""
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_oracle, text)
+    assert _tokens_or_error(_positioned_tokens, text) == _tokens_or_error(tokenize_oracle, text)
+
+
+def _load_bench_scenarios():
+    """The benchmark's input generator, `bench/scenarios.py`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "scenarios.py")
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up while the class is made
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH = _load_bench_scenarios()
+
+# every text the parser tests run on whole: the fixtures, the generated
+# feeders and the benchmark's three workloads at seeds 0-3
+_SCENARIOS = {
+    "gen30": lambda: gen_feeder(30, 0),
+    "gen300": lambda: gen_feeder(300, 2),
+    "feeder_small": lambda: load_fixture("feeder_small.glm"),
+    "two_bus_overload": lambda: load_fixture("two_bus_overload.glm"),
+    **{
+        f"{name}-seed{seed}": functools.partial(workload.scenario, seed)
+        for name, workload in _BENCH.WORKLOADS.items()
+        for seed in range(4)
+    },
+}
+
+
+@functools.cache
+def _scenario(name):
+    return _SCENARIOS[name]()
+
+
+@pytest.mark.parametrize("name", ["gen30", "gen300", "feeder_small", "two_bus_overload"])
+def test_tokenizer_matches_oracle_on_scenarios(name):
+    text = _scenario(name)
+    tokens = _tokens_or_error(_positioned_tokens, text)
+    assert isinstance(tokens, list) and tokens
+    assert tokens == tokenize_oracle(text)
+
+
+def _parse_outcome(parse, text):
+    """The model `parse` gives for `text`, or its error's message, line and column."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.message, err.line, err.column
+
+
+def _assert_parses_as_oracle(text):
+    got, want = _parse_outcome(parse_scenario, text), _parse_outcome(parse_oracle, text)
+    assert got == want
+    assert repr(got) == repr(want)  # property order and signed zeros too
+    return got
+
+
+@pytest.mark.parametrize("name", list(_SCENARIOS))
+def test_parser_matches_oracle_on_scenarios(name):
+    assert isinstance(_assert_parses_as_oracle(_scenario(name)), ScenarioModel)
+
+
+# the characters that end, open or split a statement, a string or a line
+_MUTATION_PIECES = ["", " ", "\n", '"', "{", "}", ";", ",", "//", "x"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(_SCENARIOS)),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.sampled_from(_MUTATION_PIECES), st.integers(0, 2)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_parser_matches_oracle_on_mutations(name, edits):
+    """At a fraction of the text, replace up to two characters with a piece."""
+    text = _scenario(name)
+    for where, piece, cut in edits:
+        at = int(where * len(text))
+        text = text[:at] + piece + text[at + cut:]
+    _assert_parses_as_oracle(text)
+
+
+def test_memo_keeps_a_string_apart_from_a_word():
+    model = _assert_parses_as_oracle(
+        'object node { name a; bustype "x"; }\n'
+        "object node { name b; bustype x; }\n"
+        'object node { name c; bustype "x"; }\n'
+    )
+    assert [obj.properties["bustype"] for obj in model.objects] == [
+        Value("STRING", "x"), Value("REF", "x"), Value("STRING", "x")
+    ]
 
 
 @pytest.mark.parametrize(
-    "make",
+    "text, error",
     [
-        lambda: gen_feeder(30, 0),
-        lambda: gen_feeder(300, 2),
-        lambda: load_fixture("feeder_small.glm"),
-        lambda: load_fixture("two_bus_overload.glm"),
+        ("object node { name a; nominal_voltage 240 V; }\nobject node { name b; nominal_voltage 240 V V; }",
+         ("malformed value", 2, 39)),
+        ("object node { name a; nominal_voltage 240 V; }\nobject node { name b; nominal_voltage 240 Volts; }",
+         ("unknown unit 'Volts'", 2, 43)),
+        ("object node { name a; nominal_voltage 240 V; }\nobject node { name b; nominal_voltage 240 V {",
+         ("unexpected '{' in value", 2, 45)),
+        ("object node { name a; nominal_voltage 240 V; }\nobject node { name b; nominal_voltage 240 V",
+         ("unexpected end of input", 2, 43)),
+        ("object node { name a; nominal_voltage 240 V V; }\nobject node { name b; nominal_voltage 240 V V; }",
+         ("malformed value", 1, 39)),
+        ("object node { name a; tags a,b; }\nobject node { name b; tags a,,b; }", ("empty list item", 2, 30)),
+        ("object node { name a; tags a,b; }\nobject node { name b; tags a,b,; }", ("trailing comma in list", 2, 31)),
     ],
-    ids=["gen30", "gen300", "feeder_small", "two_bus_overload"],
+    ids=["extra_unit", "unknown_unit", "brace", "end_of_input", "bad_twice", "empty_item", "trailing_comma"],
 )
-def test_tokenizer_matches_oracle_on_scenarios(make):
-    text = make()
-    tokens = _tokens_or_error(_tokenize, text)
-    assert isinstance(tokens, list) and tokens
-    assert tokens == tokenize_oracle(text)
+def test_memo_places_each_error_at_its_own_token(text, error):
+    """A value that parsed once is no excuse later: each error is where it is."""
+    assert _assert_parses_as_oracle(text) == error

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import auction_oracle, clear_book_reference
 
-from tesgrid.errors import PriceCapViolation, StalePeriod
+from tesgrid.errors import BadQuantity, PriceCapViolation, StalePeriod
 from tesgrid.loads import HouseState
 from tesgrid.market import (
     Bid,
@@ -132,6 +132,20 @@ def test_clearing_walk_matches_reference_bit_for_bit(buy_spec, sell_spec):
     assert repr(got) == repr(clear_book_reference(buys, sells, 0.09, 4))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_BOOK_PRICE, st.one_of(_BOOK_QUANTITY, st.just(math.nan))), max_size=8),
+    st.lists(st.tuples(_BOOK_PRICE, st.one_of(_BOOK_QUANTITY, st.just(math.nan))), max_size=8),
+)
+@example([(0.2, math.nan)], [(0.1, 1.0)])
+@example([(0.2, 1.0)], [(0.1, math.nan)])
+def test_clearing_walk_ends_on_nan_quantities(buy_spec, sell_spec):
+    """A NaN quantity is used up like an empty one, so the walk moves on."""
+    buys = [B(p, q, trader=f"b{i}") for i, (p, q) in enumerate(buy_spec)]
+    sells = [B(p, q, "SELL", trader=f"s{i}") for i, (p, q) in enumerate(sell_spec)]
+    assert clear_book(buys, sells, 0.09, 4).period == 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=300))
 @example([0.1, 0.1])
@@ -184,6 +198,25 @@ def test_price_cap_enforced():
     with pytest.raises(PriceCapViolation):
         market.submit(B(0.64, 1, period=0))
     market.submit(B(0.63, 1, period=0))  # exactly at the cap is legal
+
+
+def test_nan_price_refused():
+    market = Market("m", 300, price_cap=0.63)
+    with pytest.raises(PriceCapViolation):
+        market.submit(B(math.nan, 1, period=0))
+    assert market.buys == []
+
+
+@pytest.mark.parametrize("quantity", [math.nan, -1.0, -1e-300])
+def test_nan_or_negative_quantity_refused(quantity):
+    market = Market("m", 300)
+    with pytest.raises(BadQuantity):
+        market.submit(B(0.10, quantity, period=0))
+    with pytest.raises(BadQuantity):
+        market.submit(B(0.10, quantity, "SELL", period=0))
+    assert market.buys == market.sells == []
+    market.submit(B(0.10, 0.0, period=0))  # an empty bid is legal
+    market.submit(B(0.10, -0.0, "SELL", period=0))
 
 
 def test_statistics_exact_recomputation():
