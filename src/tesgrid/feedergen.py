@@ -22,7 +22,7 @@ import math
 import random
 from datetime import datetime, timedelta
 
-from .model import TIME_FORMAT
+from .model import format_time
 
 CLUSTER_SIZE = 5
 SELLER_COUNT = 50
@@ -48,8 +48,8 @@ def gen_feeder(houses: int = 30, seed: int = 0, weather_file: str = "weather.csv
     w("// generated feeder: do not edit; regenerate with `tesgrid gen-feeder`")
     w(f"// houses={houses} seed={seed}")
     w("clock {")
-    w(f'    start "{start.strftime(TIME_FORMAT)}";')
-    w(f'    stop "{stop.strftime(TIME_FORMAT)}";')
+    w(f'    start "{format_time(start)}";')
+    w(f'    stop "{format_time(stop)}";')
     w("    timestep 60 s;")
     w("}")
     w(f"weather {{")
@@ -184,5 +184,5 @@ def gen_weather(start: datetime = DEFAULT_START, hours: int = 25) -> str:
             irr = math.sin(math.pi * (hod - 6.0) / 12.0)
         else:
             irr = 0.0
-        lines.append(f"{t.strftime(TIME_FORMAT)},{temp:.4f},{irr:.4f}")
+        lines.append(f"{format_time(t)},{temp:.4f},{irr:.4f}")
     return "\n".join(lines) + "\n"

@@ -39,7 +39,6 @@ from itertools import islice
 from .errors import ParseError
 from .kernel import OBJECT_CLASSES
 from .model import (
-    TIME_FORMAT,
     UNIT_TABLE,
     AttackConfig,
     ClockConfig,
@@ -50,6 +49,8 @@ from .model import (
     ScheduleEntry,
     ScenarioModel,
     Value,
+    format_time,
+    parse_time,
 )
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -133,7 +134,7 @@ class _Parser:
     def _timestamp(self, text: str, at: int) -> Value:
         """A timestamp-shaped `text` as a value, or an error when no such date exists."""
         try:
-            return Value("TIMESTAMP", datetime.strptime(text, TIME_FORMAT))
+            return Value("TIMESTAMP", parse_time(text))
         except ValueError:
             raise self._error(f"no such date '{text}'", at) from None
 
@@ -372,7 +373,7 @@ def _format_value(v: Value) -> str:
         base = f"{c.real}{c.imag:+}j"
         return f"{base} {v.unit}" if v.unit else base
     if v.kind == "TIMESTAMP":
-        return f'"{v.value.strftime(TIME_FORMAT)}"'
+        return f'"{format_time(v.value)}"'
     if v.kind == "STRING":
         return f'"{v.value}"'
     if v.kind == "LIST":
@@ -386,8 +387,8 @@ def pretty_print(model: ScenarioModel) -> str:
     if model.clock is not None:
         out.append(
             "clock {\n"
-            f'  start "{model.clock.start.strftime(TIME_FORMAT)}";\n'
-            f'  stop "{model.clock.stop.strftime(TIME_FORMAT)}";\n'
+            f'  start "{format_time(model.clock.start)}";\n'
+            f'  stop "{format_time(model.clock.stop)}";\n'
             f"  timestep {model.clock.timestep} s;\n"
             "}"
         )
@@ -405,7 +406,7 @@ def pretty_print(model: ScenarioModel) -> str:
         lines = [f"schedule {{", f"  name {sched.name};"]
         for e in sched.entries:
             lines.append(
-                f'  entry "{e.time.strftime(TIME_FORMAT)}" {e.target} {e.prop} {_format_value(e.value)};'
+                f'  entry "{format_time(e.time)}" {e.target} {e.prop} {_format_value(e.value)};'
             )
         if sched.repeat is not None:
             lines.append(f"  repeat {sched.repeat} s;")
@@ -416,8 +417,8 @@ def pretty_print(model: ScenarioModel) -> str:
             "attack {",
             f"  name {a.name};",
             f"  kind {a.kind};",
-            f'  start "{a.start.strftime(TIME_FORMAT)}";',
-            f'  end "{a.end.strftime(TIME_FORMAT)}";',
+            f'  start "{format_time(a.start)}";',
+            f'  end "{format_time(a.end)}";',
             f"  fraction {a.fraction};",
             f"  seed {a.seed};",
         ]

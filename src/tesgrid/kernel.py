@@ -40,7 +40,7 @@ from .market import (
     SellerAgent,
     seller_bids,
 )
-from .model import EDGE_CLASSES, TIME_FORMAT, Event, GridObject, ScenarioModel, Schedule, Value
+from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value, format_time
 from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
@@ -783,15 +783,15 @@ class Engine:
                         values.append(value)
                         if flag:
                             flags.append(flag)
-                    stamp = stamp or t.strftime(TIME_FORMAT)
+                    stamp = stamp or format_time(t)
                     tables[cfg.name].append(stamp, values, "|".join(sorted(set(flags))) if flags else "")
             executed_steps = k
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)
 
         summary = {
-            "start": clock.start.strftime("%Y-%m-%d %H:%M:%S"),
-            "stop": clock.stop.strftime("%Y-%m-%d %H:%M:%S"),
+            "start": format_time(clock.start),
+            "stop": format_time(clock.stop),
             "timestep_s": dt,
             "steps": steps,
             "seed": self.seed,
@@ -805,7 +805,7 @@ class Engine:
         }
         if divergence is not None:
             summary["divergence"] = str(divergence)
-            summary["divergence_time"] = divergence_time.strftime("%Y-%m-%d %H:%M:%S")
+            summary["divergence_time"] = format_time(divergence_time)
             summary["divergence_node"] = divergence.node
             summary["incomplete_reason"] = "solver_divergence"
         metadata = {

@@ -8,10 +8,36 @@ enforces the cross-object invariants.  What each class's properties are
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+# the regex CPython's `datetime` parser builds for TIME_FORMAT (the same on 3.10-3.13)
+_TIME_RE = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"\s+(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)",
+    re.IGNORECASE,
+)
+
+
+def parse_time(text: str) -> datetime:
+    """TIME_FORMAT text as a datetime, in the language of CPython's `datetime`
+    parser without importing its module: one- or two-digit fields, a space-padded
+    day, a whitespace run between date and time, Unicode digits.  ValueError where
+    that parser raises it: no match, trailing text, no such date or time."""
+    match = _TIME_RE.match(text)
+    if match is None or match.end() != len(text):
+        raise ValueError(f"time data {text!r} does not match format {TIME_FORMAT!r}")
+    return datetime(*map(int, match.groups()))
+
+
+def format_time(t: datetime) -> str:
+    """`t` as TIME_FORMAT text that `parse_time` reads back: four year digits
+    always (glibc's `strftime` writes year 999 as `999`), whole seconds."""
+    return t.isoformat(" ", "seconds")
+
 
 # unit symbol -> (unit class, factor to the canonical unit of that class)
 # canonical units: V, kW, degF, s, $/kWh, Ohm

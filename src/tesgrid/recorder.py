@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import IoFailure, MalformedRow, MissingPlayerData, NonMonotonicTime
-from .model import TIME_FORMAT
+from .model import format_time, parse_time
 
 
 def format_number(x) -> str:
@@ -40,7 +40,7 @@ class TimeSeries:
     def sample(self, t: datetime) -> float:
         """Step-hold value at t; MissingPlayerData before the first row."""
         if not self.rows or t < self.rows[0][0]:
-            raise MissingPlayerData(f"{self.name}: no sample at or before {t.strftime(TIME_FORMAT)}")
+            raise MissingPlayerData(f"{self.name}: no sample at or before {format_time(t)}")
         return self.rows[bisect_right(self.rows, t, key=lambda row: row[0]) - 1][1]
 
 
@@ -65,7 +65,7 @@ def _parse_rows(path: str, expected_fields: int, name: str) -> list[list[str]]:
 
 def _parse_time(text: str, name: str, lineno_hint: str) -> datetime:
     try:
-        return datetime.strptime(text, TIME_FORMAT)
+        return parse_time(text)
     except ValueError as exc:
         raise MalformedRow(f"{name} {lineno_hint}: bad timestamp '{text}'") from exc
 
@@ -104,7 +104,7 @@ class WeatherSeries:
 
 
 def read_weather(path: str) -> WeatherSeries:
-    """Read `time,temperature_degF,irradiance_fraction` CSV."""
+    """Read a `time,temperature_degF,irradiance_fraction` CSV (irradiance in [0, 1])."""
     name = os.path.basename(path)
     temps: list[tuple[datetime, float]] = []
     irr: list[tuple[datetime, float]] = []
@@ -113,7 +113,10 @@ def read_weather(path: str) -> WeatherSeries:
         if temps and t <= temps[-1][0]:
             raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
         temps.append((t, _parse_number(parts[1], name, i + 1)))
-        irr.append((t, _parse_number(parts[2], name, i + 1)))
+        fraction = _parse_number(parts[2], name, i + 1)
+        if not 0.0 <= fraction <= 1.0:
+            raise MalformedRow(f"{name} row {i + 1}: irradiance '{parts[2]}' is outside [0, 1]")
+        irr.append((t, fraction))
     return WeatherSeries(TimeSeries(name, temps), TimeSeries(name, irr))
 
 
@@ -137,8 +140,8 @@ class RecorderTable:
     rows: list[list[str]] = field(default_factory=list)
 
     def append(self, stamp: str, values: list, flags: str) -> None:
-        """Add one row: `stamp` is the step's time already formatted with
-        `TIME_FORMAT` (once per step, shared by every recorder that fires)."""
+        """Add one row: `stamp` is the step's time already formatted by
+        `format_time` (once per step, shared by every recorder that fires)."""
         self.rows.append([stamp] + [format_number(v) for v in values] + [flags])
 
     def serialize(self) -> str:
@@ -168,7 +171,7 @@ def write_results(result, out_dir: str) -> list[str]:
         audit_lines.append(
             ",".join(
                 [
-                    row.time.strftime(TIME_FORMAT),
+                    format_time(row.time),
                     row.target,
                     row.prop,
                     format_number(row.old_value),

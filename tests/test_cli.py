@@ -159,6 +159,18 @@ def test_run_rejects_non_finite_weather_value(tmp_path, capsys):
     assert "w.csv row 1: 'nan' is not a finite number" in capsys.readouterr().err
 
 
+def test_run_rejects_irradiance_above_one(tmp_path, capsys):
+    out = tmp_path / "feeder"
+    assert main(["gen-feeder", "--houses", "2", "--out", str(out)]) == 0
+    weather = out / "weather.csv"
+    text = weather.read_text()
+    assert text.count(",1.0000\n") == 1  # noon
+    weather.write_text(text.replace(",1.0000\n", ",1.5\n"))
+    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 3
+    assert "error: weather.csv row 13: irradiance '1.5' is outside [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_rejects_overflowing_object_value(tmp_path, capsys):
     scenario = tmp_path / "s.glm"
     with open(fixture_path("feeder_small.glm")) as fh:
@@ -204,3 +216,36 @@ def test_non_utf8_player_file_is_runtime_error(tmp_path, capsys):
     (tmp_path / "zip.csv").write_bytes(b"time,value\n2013-07-01 00:00:00,\xff\xfe\n")
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
     assert f"error: cannot read {tmp_path / 'zip.csv'}: not UTF-8 text (" in capsys.readouterr().err
+
+
+_RUN_IN_FRESH_PROCESS = """
+import os, sys
+import tesgrid.cli
+before = set(sys.modules)
+from tesgrid.feedergen import gen_weather
+from tesgrid.glm import parse_scenario
+from tesgrid.kernel import Engine
+from tesgrid.recorder import write_results
+from tesgrid.validate import validate
+scenario, work = sys.argv[1], sys.argv[2]
+with open(os.path.join(work, "w.csv"), "w", encoding="utf-8") as fh:
+    fh.write(gen_weather())
+with open(scenario, encoding="utf-8") as fh:
+    model = parse_scenario(fh.read() + "weather { file w.csv; }\\n")
+assert validate(model).runnable
+result = Engine(model, base_dir=work).run()
+write_results(result, os.path.join(work, "out"))
+assert result.complete
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_run_imports_nothing_after_the_cli(tmp_path):
+    """Every module a run needs is imported with `tesgrid.cli`: a module
+    imported lazily, on a first call, is paid inside every run's set-up."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.normpath(src)}
+    done = subprocess.run([sys.executable, "-c", _RUN_IN_FRESH_PROCESS, fixture_path("feeder_small.glm"),
+                           str(tmp_path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -81,6 +81,13 @@ def test_weather_rejects_non_finite_numbers(tmp_path):
             read_weather(write(tmp_path, head + row))
 
 
+@pytest.mark.parametrize("value", ["-0.5", "1.5", "-1e-9", "1.0000001"])
+def test_weather_rejects_irradiance_outside_unit_range(tmp_path, value):
+    head = "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,75.0,0.0\n"
+    with pytest.raises(MalformedRow, match=rf"series.csv row 2: irradiance '{value}' is outside \[0, 1\]"):
+        read_weather(write(tmp_path, head + f"2013-07-01 01:00:00,80,{value}\n"))
+
+
 def test_player_missing_file():
     with pytest.raises(IoFailure):
         read_player("/nonexistent/player.csv")
