@@ -8,10 +8,12 @@ runs the component phases in a fixed order:
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
 Attack transforms are standing: events switch them on and off, and a
-market round applies only the transforms that are active then.
+market round applies only the transforms that are active then; it binds
+each book's `submit` once and re-centers its controllers from one price.
 
 The loads phase samples the weather once per step and yields each
-house's kW, which the market round and the power flow both use.
+house's kW, which the market round and the power flow both use; they
+walk only the energized loads, in a plan made once per islands object.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, queue, seed): outputs are byte-identical across
@@ -38,6 +40,7 @@ from .market import (
     Controller,
     Market,
     SellerAgent,
+    respond_to_clearing,
     seller_bids,
 )
 from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value, format_time
@@ -407,6 +410,17 @@ class _Solar:
     efficiency: float
 
 
+class _LoadPlan(NamedTuple):
+    """The loads of one islands object, in the kernel's slot order."""
+
+    houses: list[tuple[HouseState, bool]]  # every house with its powered flag
+    powered: list[tuple[int, int]]  # (house index, slot) of each powered house
+    uncontrolled: list[int]  # house index of each powered house without a controller
+    appliances: list[tuple[_Appliance, int]]  # (appliance, slot), energized ones
+    panels: list[tuple[_Solar, int]]  # (panel, slot), energized ones
+    slots: list[tuple[int, int]]  # (slot, supernode) of each energized slot
+
+
 def _value(obj: GridObject, prop: str):
     """Canonical value of `prop` on `obj`, or its class's default when left out."""
     return obj.get(prop, PROPERTIES[obj.cls][prop].default)
@@ -522,7 +536,7 @@ class Engine:
         ]
         self._appliance_at = [(app, slot_of[app.node]) for app in self.appliances.values()]
         self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
-        self._live_for: Islands | None = None  # the islands `_live` was taken from
+        self._plan_for: Islands | None = None  # the islands `_plan` was made for
 
         # each market's (controller, house) list, and its controllers' last
         # bids, which the auxiliary wiring forwards to the main market
@@ -611,87 +625,94 @@ class Engine:
             if old != value:
                 self.audit.append(AuditRow(t, cfg.target, cfg.prop, old, value, "player"))
 
-    def _live_slots(self) -> list[bool]:
-        """Whether each load slot is energized, cached per islands object."""
+    def _load_plan(self) -> _LoadPlan:
+        """The energized loads of the current islands, made once per islands object."""
         islands = self.board.islands()
-        if self._live_for is not islands:
-            self._live_for, self._live = islands, [islands.live[s] for s in self._slot_supernode]
-        return self._live
+        if self._plan_for is not islands:
+            live = [islands.live[s] for s in self._slot_supernode]
+            self._plan_for, self._plan = islands, _LoadPlan(
+                [(house, live[slot]) for house, slot in self._house_at],
+                [(i, slot) for i, (_, slot) in enumerate(self._house_at) if live[slot]],
+                [i for i, slot in self._uncontrolled_at if live[slot]],
+                [(app, slot) for app, slot in self._appliance_at if live[slot]],
+                [(panel, slot) for panel, slot in self._panel_at if live[slot]],
+                [(slot, s) for slot, s in enumerate(self._slot_supernode) if live[slot]],
+            )
+        return self._plan
 
     def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
         """Sample the weather and step the houses (the first step only reads
         them); sum each live house's kW into its slot and the HVAC total."""
         t_out, self._irradiance = self.weather.sample(t)
-        live = self._live_slots()
-        slot_kw, hvac = [0.0] * len(live), 0.0
-        self._house_kws = house_kws = []
-        for house, slot in self._house_at:
-            on = live[slot]
-            kw = hvac_power(house) if first else step_house(house, t_out, dt, on)
-            house_kws.append(kw)
-            if on:
-                slot_kw[slot] += kw
-                hvac += kw
+        plan = self._load_plan()
+        if first:
+            self._house_kws = house_kws = [hvac_power(house) for house, _ in plan.houses]
+        else:
+            self._house_kws = house_kws = [step_house(house, t_out, dt, on) for house, on in plan.houses]
+        slot_kw, hvac = [0.0] * len(self._slot_supernode), 0.0
+        for i, slot in plan.powered:
+            kw = house_kws[i]
+            slot_kw[slot] += kw
+            hvac += kw
         self._slot_house_kw, self._hvac_kw = slot_kw, hvac
 
     def _unresponsive_kw(self) -> float:
         """Appliances, uncontrolled HVAC, minus solar, over energized nodes."""
-        live = self._live_slots()
+        plan, house_kws = self._load_plan(), self._house_kws
         total = 0.0
-        for app, slot in self._appliance_at:
-            if live[slot]:
-                total += app.power_kw
-        for i, slot in self._uncontrolled_at:
-            if live[slot]:
-                total += self._house_kws[i]
-        for panel, slot in self._panel_at:
-            if live[slot]:
-                total -= self._solar_kw(panel)
+        for app, _ in plan.appliances:
+            total += app.power_kw
+        for i in plan.uncontrolled:
+            total += house_kws[i]
+        for panel, _ in plan.panels:
+            total -= self._solar_kw(panel)
         return max(total, 0.0)
 
     def _market_round(self, market_name: str) -> None:
         market, aux = self.markets[market_name], self.aux_markets.get(market_name)
         local = aux or market  # where controllers trade: the main market under direct wiring
-        agents = self.sellers[market_name]
         unresp_kw = self._unresponsive_kw()
+        new, period, submit = tuple.__new__, market.current_period, market.submit  # once a round
 
-        offers = seller_bids(agents, market.current_period)
+        offers = seller_bids(self.sellers[market_name], period)
         for bid in offers:
-            market.submit(bid)
+            submit(bid)
         if aux:
-            # an inactive transform leaves every bid alone: apply the active ones
-            overrides = [tr for tr in self._price_overrides if tr.active]
-            scalers = [tr for tr in self._bid_scalers if tr.active]
             # sellers' constant offers are replicated into the auxiliary
             # market (override attack point); they need no bidder, as their
-            # offers are known exactly (both books clear once a round: one period)
-            for replica in offers:
-                for tr in overrides:
-                    replica = tr.apply(replica, market.last_price, aux.price_cap)
-                aux.submit(replica)
-            # last period's auxiliary bids are forwarded to the main market
-            # (bid-scaling attack point): precise bids are not observable, so
-            # the estimate runs one period late
-            new_period, new = (market.current_period,), tuple.__new__
-            for held in self._held_bids[market_name]:
-                forwarded = new(Bid, held[:4] + new_period)
-                for tr in scalers:
-                    forwarded = tr.apply(forwarded, market.last_price, market.price_cap)
-                market.submit(forwarded)
+            # offers are known exactly (both books clear once a round: one
+            # period).  Last period's auxiliary bids are forwarded to the main
+            # market (bid-scaling attack point): precise bids are not
+            # observable, so the estimate runs one period late
+            replicas, forwarded = offers, [
+                new(Bid, (trader, side, price, quantity, period))
+                for trader, side, price, quantity, _ in self._held_bids[market_name]
+            ]
+            # an inactive transform leaves every bid alone: apply the active ones
+            for tr in self._price_overrides:
+                if tr.active:
+                    replicas = [tr.apply(bid, market.last_price, aux.price_cap) for bid in replicas]
+            for tr in self._bid_scalers:
+                if tr.active:
+                    forwarded = [tr.apply(bid, market.last_price, market.price_cap) for bid in forwarded]
+            aux_submit = aux.submit
+            for bid in replicas:
+                aux_submit(bid)
+            for bid in forwarded:
+                submit(bid)
         # then the controllers bid afresh
-        held_bids = self._held_bids[market_name] = []
-        for ctl, house in self._bidders[market_name]:
-            bid = ctl.make_bid(house, local)
-            if bid is not None:
-                local.submit(bid)
-                held_bids.append(bid)
+        bidders, local_submit = self._bidders[market_name], local.submit
+        self._held_bids[market_name] = held_bids = [
+            bid for ctl, house in bidders if (bid := ctl.make_bid(house, local)) is not None
+        ]
+        for bid in held_bids:
+            local_submit(bid)
         for m in (market, aux) if aux else (market,):
             if unresp_kw > 0:
-                m.submit(Bid(UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period))
+                m.submit(new(Bid, (UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period)))
             clearing = m.clear()
         # controllers observe only the market they trade in, cleared last
-        for ctl, house in self._bidders[market_name]:
-            ctl.apply_clearing(house, local, clearing)
+        respond_to_clearing(bidders, local, clearing)
 
     def _phase_market(self, t: datetime) -> None:
         offset = int((t - self.clock.start).total_seconds())
@@ -704,19 +725,16 @@ class Engine:
 
         Per live slot: houses, then appliances, then minus solar, summed in
         kW before the scaling to VA; slots add into supernodes in order."""
-        live = self._live_slots()
+        plan = self._load_plan()
         kw = self._slot_house_kw.copy()
-        for app, slot in self._appliance_at:
-            if live[slot]:
-                kw[slot] += app.power_kw
-        for panel, slot in self._panel_at:
-            if live[slot]:
-                kw[slot] -= self._solar_kw(panel)
+        for app, slot in plan.appliances:
+            kw[slot] += app.power_kw
+        for panel, slot in plan.panels:
+            kw[slot] -= self._solar_kw(panel)
         va, live_kw = [0.0] * len(self.index.tree.names), []
-        for slot, s in enumerate(self._slot_supernode):
-            if live[slot]:
-                live_kw.append(kw[slot])
-                va[s] += kw[slot] * 1000.0
+        for slot, s in plan.slots:
+            live_kw.append(kw[slot])
+            va[s] += kw[slot] * 1000.0
         # `sum` keeps the total bit-identical (it is compensated on 3.12+)
         return list(map(complex, va)), {"load": sum(live_kw), "hvac": self._hvac_kw}
 

@@ -200,13 +200,20 @@ class Controller:
 
     def apply_clearing(self, house: HouseState, market: Market, clearing: Clearing) -> float:
         """Re-center the thermostat from the published price; returns T_set."""
-        sigma = self.sigma_floor if self.sigma_floor > market.p_std else market.p_std
-        t_set = self.t_base + (clearing.price - market.p_avg) * (self.t_max - self.t_base) / (
-            self.k_ramp * sigma
-        )
-        t_set = self.t_min if self.t_min > t_set else t_set
-        house.t_set = self.t_max if self.t_max < t_set else t_set
+        respond_to_clearing([(self, house)], market, clearing)
         return house.t_set
+
+
+def respond_to_clearing(
+    bidders: list[tuple[Controller, HouseState]], market: Market, clearing: Clearing
+) -> None:
+    """Re-center each controller's thermostat from the price `market` published."""
+    shift, p_std = clearing.price - market.p_avg, market.p_std
+    for ctl, house in bidders:  # max(p_std, floor), clamps: the same operand on a tie
+        sigma = ctl.sigma_floor if ctl.sigma_floor > p_std else p_std
+        t_set = ctl.t_base + shift * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
+        t_set = ctl.t_min if ctl.t_min > t_set else t_set
+        house.t_set = ctl.t_max if ctl.t_max < t_set else t_set
 
 
 @dataclass(frozen=True)

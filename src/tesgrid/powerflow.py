@@ -14,11 +14,15 @@ zero-impedance `parent:` link is merged into its upstream node.  Its
 inputs are a per-supernode demand list and the `Islands` of the line
 statuses, which the line-status board computes once per status change:
 the live flags, and the live supernodes' sweep rows in topological order
-(the backward pass walks them reversed).  Dead demand entries are
-ignored.  A solution keeps per-supernode voltage and current lists and
-builds the name-keyed dicts only when read: a merged node (a meter, say)
-reports its supernode's voltage, and a `parent:` link reports no current
-of its own.
+(the backward pass walks them reversed).  Consecutive rows that feed one
+parent share its terms: the forward pass computes V_parent / n once for
+a run of rows with the same parent and ratio, and the backward pass sums
+their currents into the parent in a local, written back before another
+row reads it, so every sum takes the same additions in the same order.
+Dead demand entries are ignored.  A solution keeps per-supernode voltage
+and current lists and builds the name-keyed dicts only when read: a
+merged node (a meter, say) reports its supernode's voltage, and a
+`parent:` link reports no current of its own.
 
 A sweep has converged when no voltage step (per unit of nominal) reaches
 the tolerance; a NaN step never does.  Before the last allowed iteration
@@ -150,20 +154,27 @@ def solve_powerflow(
 
     worst, worst_at = float("inf"), 0
     for iteration in range(1, max_iterations + 1):
-        # backward: feeding-edge currents from the leaves up
+        # backward: feeding-edge currents from the leaves up (`acc` is `into[held]`)
         into = [0j] * n
+        held, acc = 0, 0j
         for s, p, r, _, _ in reversed(rows):
+            if p != held:
+                into[held], held, acc = acc, p, into[p]
             d, vs = demand[s], v[s]
             total = into[s] + (d / vs).conjugate() if d and vs else into[s]
             cur[s] = total
-            into[p] += total / r
+            acc += total / r
+        into[held] = acc
 
-        # forward: voltage drops from the source down (a tolerance that is
-        # not positive is never met: then every pass computes every step)
+        # forward: voltage drops from the source down, `fed` is `v[held] / ratio` (a
+        # tolerance that is not positive is never met: then every pass computes every step)
+        held, ratio = -1, 0.0
         if iteration < max_iterations and tolerance_pu > 0.0:
             forward = iter(rows)
             for s, p, r, z, nom in forward:
-                new_v = v[p] / r - z * cur[s]
+                if p != held or r != ratio:
+                    held, ratio, fed = p, r, v[p] / r
+                new_v = fed - z * cur[s]
                 far = abs(new_v - v[s]) / nom >= tolerance_pu
                 v[s] = new_v
                 if far:
@@ -171,11 +182,15 @@ def solve_powerflow(
             else:
                 break  # no step reached the tolerance: converged
             for s, p, r, z, _ in forward:
-                v[s] = v[p] / r - z * cur[s]
+                if p != held or r != ratio:
+                    held, ratio, fed = p, r, v[p] / r
+                v[s] = fed - z * cur[s]
             continue
         worst = 0.0
         for s, p, r, z, nom in rows:
-            new_v = v[p] / r - z * cur[s]
+            if p != held or r != ratio:
+                held, ratio, fed = p, r, v[p] / r
+            new_v = fed - z * cur[s]
             step = abs(new_v - v[s]) / nom
             if step > worst:
                 worst, worst_at = step, s

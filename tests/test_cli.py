@@ -191,6 +191,28 @@ def test_validate_rejects_no_such_date(tmp_path, capsys):
     assert "no such date '2013-13-01 00:00:00'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('start "2013', 'start "\u0662\u0660\u0661\u0663', "expected timestamp 'YYYY-MM-DD HH:MM:SS'"),
+        ("timestep 60 s", "timestep \u0666\u0660 s", "'\u0666\u0660' is not a number"),
+    ],
+    ids=["arabic_indic_year", "arabic_indic_timestep"],
+)
+def test_validate_rejects_non_ascii_digits(tmp_path, old, new, message):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        text = fh.read()
+    assert old in text
+    scenario.write_text(text.replace(old, new, 1), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.normpath(src), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-m", "tesgrid", "validate", str(scenario)],
+                          capture_output=True, encoding="utf-8", env=env)
+    assert done.returncode == 2
+    assert message in done.stderr and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_utf8_scenario_is_config_error(tmp_path, capsys, command):
     scenario = tmp_path / "bad.glm"

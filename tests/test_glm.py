@@ -218,6 +218,12 @@ def test_schedule_with_repeat():
          "no such date '2013-13-01 00:00:00'"),
         ('schedule { entry "2013-02-30 00:10:00" h1 cooling_setpoint 78 degF; }', "no such date"),
         ("attack { kind LINE_STATUS; start 2013-07-01 24:00:00; }", "no such date '2013-07-01 24:00:00'"),
+        # digits are ASCII only: Arabic-Indic ones made a date and a number
+        ('clock { start "\u0662\u0660\u0661\u0663-07-01 00:00:00"; }', "expected timestamp"),
+        ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep \u0666\u0660 s; }',
+         "is not a number"),
+        ("object node { name n; nominal_voltage \uff17\uff12\uff10\uff10 V; }", "is not a number"),
+        ("object overhead_line { name l; impedance 0.5+\u0661j Ohm; }", "is not a number"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -5,9 +5,10 @@ per-supernode demand list.  Float order is part of the output contract,
 so at every step the list must equal, with ``==``, a reference built the
 plain way in this file: a per-node dict in first-seen order (houses,
 appliances, then minus solar, in kW), scaled by 1000 per node, added
-into supernodes.  Also checked: the lazily built ``voltages`` and
-``currents`` dicts, the warm start by list copy, and one weather sample
-per step.
+into supernodes; the market round's unresponsive kW must equal a plain
+sum too.  Also checked: a load plan made for each new islands object,
+the lazily built ``voltages`` and ``currents`` dicts, the warm start by
+list copy, and one weather sample per step.
 """
 
 import pytest
@@ -38,6 +39,25 @@ SMALL_EXTRA = (
     '    entry "2013-07-01 00:10:00" h2 cooling_setpoint 81 degF;\n'
     '    entry "2013-07-01 00:20:00" UL1 status OPEN;\n'
     '    entry "2013-07-01 00:40:00" UL1 status CLOSED;\n'
+    "}\n"
+)
+# houses h4 and h5 share meter tm4 and only h5 has no controller; z1's
+# base_power is written once.  UL1 opens at the first step, where h5 is
+# cooling but unpowered, closes at 00:20 and opens again at 00:40: new
+# islands with the live set of the first step's
+CONTROLLED_EXTRA = (
+    "weather { file w.csv; }\n"
+    "object house { name h5; parent tm4; air_temperature 77 degF; cooling_setpoint 74 degF; hvac_rating 2.5 kW; }\n"
+    + "".join(
+        f"object controller {{ name c{i}; house h{i}; market A1; t_min 66 degF; t_base 70 degF; "
+        "t_max 76 degF; k_ramp 2; }\n"
+        for i in range(1, 5)
+    )
+    + "schedule {\n"
+    '    entry "2013-07-01 00:00:00" UL1 status OPEN;\n'
+    '    entry "2013-07-01 00:20:00" UL1 status CLOSED;\n'
+    '    entry "2013-07-01 00:30:00" z1 base_power 0.45 kW;\n'
+    '    entry "2013-07-01 00:40:00" UL1 status OPEN;\n'
     "}\n"
 )
 # the generated 30-house day with its trunk open over the noon hour
@@ -79,11 +99,35 @@ def reference_load_pass(engine, t):
     return demand, {"load": sum(per_node.values()), "hvac": hvac}
 
 
+def reference_unresponsive_kw(engine):
+    """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
+    live, position, attach = engine.board.islands().live, engine.index.tree.position, engine.index.attach_node
+    controlled = {c.house for ctls in engine.controllers.values() for c in ctls}
+    total = 0.0
+    for name, app in engine.appliances.items():
+        if live[position[attach[name]]]:
+            total += app.power_kw
+    for name, house in engine.houses.items():
+        if name not in controlled and live[position[attach[name]]]:
+            total += hvac_power(house)
+    _, irradiance = engine.weather.sample(engine.step_time)
+    for name, panel in engine.solars.items():
+        if live[position[attach[name]]]:
+            total -= solar_output(panel.rating_kw, panel.efficiency, irradiance)
+    return max(total, 0.0)
+
+
 def run_against_reference(engine, monkeypatch):
     """Run `engine`, checking every step's load pass; returns the step count."""
     checked = []
     build = Engine.build_load_injections
     loads = Engine._phase_loads
+    unresponsive = Engine._unresponsive_kw
+
+    def checked_unresponsive(self):
+        total = unresponsive(self)
+        assert total == reference_unresponsive_kw(self), self.step_time
+        return total
 
     def phase_loads(self, t, dt, first):
         self.step_time = t
@@ -99,6 +143,7 @@ def run_against_reference(engine, monkeypatch):
 
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)
     monkeypatch.setattr(Engine, "build_load_injections", checked_build)
+    monkeypatch.setattr(Engine, "_unresponsive_kw", checked_unresponsive)
     result = engine.run()
     assert result.complete
     assert len(checked) == result.metadata["executed_steps"] + 1
@@ -113,6 +158,29 @@ def test_small_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology
     engine = Engine(model, topology=topology, base_dir=str(tmp_path))
     assert run_against_reference(engine, monkeypatch) == 61
     assert engine.houses["h2"].mode == "COOL" and engine.houses["h2"].t_set == 81.0
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topology):
+    (tmp_path / "w.csv").write_text(SMALL_WEATHER)
+    engine = Engine(parse_scenario(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA),
+                    topology=topology, base_dir=str(tmp_path))
+    plans = {}  # islands object -> the plan the step's load pass used
+    loads = Engine._phase_loads
+
+    def phase_loads(self, t, dt, first):
+        loads(self, t, dt, first)
+        islands = self.board.islands()
+        assert self._plan_for is islands
+        assert plans.setdefault(id(islands), (islands, self._plan))[1] is self._plan
+
+    monkeypatch.setattr(Engine, "_phase_loads", phase_loads)  # runs inside the check's wrapper
+    assert run_against_reference(engine, monkeypatch) == 61
+    opened, closed, reopened = [islands for islands, _ in plans.values()]
+    assert reopened is not opened and reopened == opened and closed != opened
+    assert len({id(plan) for _, plan in plans.values()}) == 3
+    assert engine.appliances["z1"].power_kw == 0.45
+    assert "h5" not in {c.house for c in engine.controllers["A1"]}
 
 
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])

@@ -134,3 +134,53 @@ def test_sweep_matches_reference_bit_for_bit(feeder, data):
     state = both(index, moved, islands, tol, start=state)
     if state is not None:
         both(index, demand, islands, tol, start=state)
+
+
+# One parent `p` feeding c1, c2, c3 and, through meter m (a `parent:` link
+# merged into p's supernode), c4, at ratios 30, 30, 2 and 30; c1 feeds g.
+# Breadth first, g's row falls between c3's and c4's, so the sweep meets
+# siblings with one ratio, then another, then p again after a grandchild.
+FAN_OUT = "".join(
+    f"object {obj} {{ {body} }}\n"
+    for obj, body in [
+        ("node", "name n0; bustype SWING; nominal_voltage 7200 V;"),
+        ("node", "name p;"),
+        ("overhead_line", "name l0; from n0; to p; impedance 0.3+0.6j Ohm;"),
+        ("node", "name c1;"),
+        ("node", "name c2;"),
+        ("node", "name c3;"),
+        ("transformer", "name t1; from p; to c1; ratio 30; impedance 0.01+0.02j Ohm;"),
+        ("transformer", "name t2; from p; to c2; ratio 30; impedance 0.012+0.025j Ohm;"),
+        ("transformer", "name t3; from p; to c3; ratio 2; impedance 1.5+3j Ohm;"),
+        ("meter", "name m; parent p;"),  # after t1-t3: the walk reaches m after c1-c3
+        ("node", "name g;"),
+        ("node", "name c4;"),
+        ("underground_line", "name lg; from c1; to g; impedance 0.004+0.002j Ohm;"),
+        ("transformer", "name t4; from m; to c4; ratio 30; impedance 0.011+0.021j Ohm;"),
+    ]
+)
+FAN_OUT_LOADS = [("p", 4e3 + 1e3j), ("c1", 9e3 + 2e3j), ("c2", 12e3 + 3e3j), ("c3", 30e3 + 8e3j),
+                 ("g", 6e3 + 1e3j), ("m", 2e3 + 0.5e3j), ("c4", 15e3 - 2e3j)]
+
+
+def test_fan_out_sweep_matches_reference_bit_for_bit():
+    index = build_network_index(parse_scenario(FAN_OUT))
+    names = index.tree.names
+    rows = compute_islands(index, {}).rows
+    assert [(names[s], names[p], r) for s, p, r, _, _ in rows] == [
+        ("p", "n0", 1.0), ("c1", "p", 30.0), ("c2", "p", 30.0), ("c3", "p", 2.0),
+        ("g", "c1", 1.0), ("c4", "p", 30.0),
+    ]
+    demand = demand_list(index, FAN_OUT_LOADS)
+
+    def both(*args, **kwargs):
+        got, state = _outcome(solve_powerflow, index, *args, **kwargs)
+        assert got == _outcome(sweep_reference, index, *args, **kwargs)[0]
+        return got, state
+
+    (_, _, _, iterations), state = both(demand)
+    assert 2 < iterations < 50
+    assert both(demand, tolerance_pu=0.0)[0][0] == "diverged"  # every pass scans every step
+    moved = [d * 1.3 for d in demand]
+    assert both(moved, state.islands, start=state)[0][3] > 1  # warm start over the same islands
+    both(moved, state.islands, tolerance_pu=0.0, start=state)
