@@ -1,28 +1,26 @@
-"""Compile declarative attack configurations into kernel events and
-standing bid transforms.
+"""The attack kinds, compiled into kernel events and standing bid transforms.
 
-LINE_STATUS becomes a pair of switching events at the window edges.
-Market attacks become activate/deactivate events that toggle a standing
-transform over a seeded compromised subset of auxiliary bidders:
-
-  SELLER_PRICE_OVERRIDE   replace compromised sellers' forwarded offers
-                          with a fixed price
-  BUYER_BID_SCALE         inflate compromised buyers' forwarded bids to
-                          p + lambda * p_m, clamped at the price cap
-
-Market attacks target the auxiliary bidders, so they require the
-auxiliary-market topology; compiling one under the direct topology is a
-configuration error.
+`ATTACKS` is the one table of attack kinds: a row gives the kind's
+parameters with their kinds and bounds, the class `fraction` draws the
+seeded compromised set from, and for a market attack the bids its
+transform rewrites and the rewrite of one bid.  SELLER_PRICE_OVERRIDE
+gives replicated seller offers a fixed `price`; BUYER_BID_SCALE moves
+forwarded controller bids to p + lambda * p_m, clamped at the price cap;
+LINE_STATUS sets the listed `lines` to `status`, and at the window's end
+back to their configured status (`CLOSED` when the object sets none).
+Market attacks act on the auxiliary bidders, so the direct topology
+rejects them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, EmptyWindow, UnknownTarget
 from .market import Bid
-from .model import AttackConfig, Event, ScenarioModel
+from .model import LINE_CLASSES, LINE_STATUSES, AttackConfig, Event, ScenarioModel
 
 
 def compromised_set(population: list[str], fraction: float, seed: int) -> frozenset[str]:
@@ -32,13 +30,39 @@ def compromised_set(population: list[str], fraction: float, seed: int) -> frozen
     return frozenset(rng.sample(sorted(population), count))
 
 
-def scale_buyer_bid(bid: Bid, lam: float, market_price: float, price_cap: float) -> Bid:
+def scale_buyer_bid(bid: Bid, params: dict, market_price: float, price_cap: float) -> Bid:
     """p_hat = p + lambda * p_m, clamped to the market's price cap."""
-    return bid._replace(price=min(bid.price + lam * market_price, price_cap))
+    return bid._replace(price=min(bid.price + params["lambda"] * market_price, price_cap))
 
 
-def seller_override(bid: Bid, price: float) -> Bid:
-    return bid._replace(price=price)
+def seller_override(bid: Bid, params: dict, market_price: float, price_cap: float) -> Bid:
+    return bid._replace(price=params["price"])
+
+
+class Param(NamedTuple):  # one parameter of an attack kind
+    kind: str  # a unit class ("PRICE"), "number" (dimensionless), "lines" or "status"
+    bound: object = None  # "nonnegative", the classes a listed line may be, or the words a status may be
+
+
+class AttackKind(NamedTuple):
+    params: dict[str, Param]  # by field name, in the order a block is printed
+    population: str | None  # the class `fraction` draws from; None: the listed lines
+    point: str | None = None  # the bids a market attack rewrites: "replicas" or "forwarded"
+    rewrite: Callable | None = None  # rewrite(bid, params, market_price, price_cap) -> Bid
+
+
+ATTACKS: dict[str, AttackKind] = {
+    "SELLER_PRICE_OVERRIDE": AttackKind(
+        {"price": Param("PRICE", "nonnegative")}, "generator_seller", "replicas", seller_override
+    ),
+    "BUYER_BID_SCALE": AttackKind(
+        {"lambda": Param("number", "nonnegative")}, "controller", "forwarded", scale_buyer_bid
+    ),
+    "LINE_STATUS": AttackKind(
+        {"lines": Param("lines", LINE_CLASSES), "status": Param("status", LINE_STATUSES)}, None
+    ),
+}
+ATTACK_FIELDS = ("name", "kind", "start", "end", "fraction", "seed")  # besides a kind's parameters
 
 
 @dataclass
@@ -46,19 +70,16 @@ class BidTransform:
     """Standing transform toggled by kernel events within the attack window."""
 
     name: str
-    kind: str  # SELLER_PRICE_OVERRIDE | BUYER_BID_SCALE
+    kind: str  # a market attack's key of ATTACKS
     compromised: frozenset[str]
-    price: float | None = None
-    lam: float | None = None
+    params: dict[str, object]
     active: bool = False
 
     def apply(self, bid: Bid, market_price: float, price_cap: float) -> Bid:
         """The rewritten bid, or `bid` itself when it is left alone."""
         if not self.active or bid.trader not in self.compromised:
             return bid
-        if self.kind == "SELLER_PRICE_OVERRIDE":
-            return seller_override(bid, self.price)
-        return scale_buyer_bid(bid, self.lam, market_price, price_cap)
+        return ATTACKS[self.kind].rewrite(bid, self.params, market_price, price_cap)
 
 
 @dataclass
@@ -68,48 +89,30 @@ class CompiledAttack:
     transform: BidTransform | None = None
 
 
-def compile_attack(
-    cfg: AttackConfig,
-    model: ScenarioModel,
-    seller_names: list[str],
-    controller_names: list[str],
-    topology: str,
-) -> CompiledAttack:
+def compile_attack(cfg: AttackConfig, model: ScenarioModel, topology: str) -> CompiledAttack:
     """Resolve targets, draw the compromised set, and emit window events."""
     if cfg.start >= cfg.end:
         raise EmptyWindow(f"{cfg.name}: attack window is empty")
-    compiled = CompiledAttack(cfg)
-    if cfg.kind == "LINE_STATUS":
-        names = model.by_name()
-        targets = cfg.lines
+    spec, compiled = ATTACKS[cfg.kind], CompiledAttack(cfg)
+    if spec.population is None:
+        names, lines, status = model.by_name(), cfg.params["lines"], cfg.params["status"]
         if cfg.fraction < 1.0:
-            targets = sorted(compromised_set(list(targets), cfg.fraction, cfg.seed))
-        for line_name in targets:
+            lines = sorted(compromised_set(lines, cfg.fraction, cfg.seed))
+        edges = []  # (target, property, value in the window, value after it)
+        for line_name in lines:
             if line_name not in names:
                 raise UnknownTarget(f"{cfg.name}: no object named '{line_name}'")
-            restored = "CLOSED" if cfg.status == "OPEN" else "OPEN"
-            compiled.events.append(Event(cfg.start, line_name, "status", cfg.status, "attack"))
-            compiled.events.append(Event(cfg.end, line_name, "status", restored, "attack"))
-        return compiled
-
-    if topology != "auxiliary":
-        raise ConfigError(
-            f"{cfg.name}: market attacks target auxiliary bidders; run with the auxiliary topology"
-        )
-    if cfg.kind == "SELLER_PRICE_OVERRIDE":
-        population = seller_names
+            edges.append((line_name, "status", status, names[line_name].get("status", "CLOSED")))
     else:
-        population = controller_names
-    if not population:
-        raise UnknownTarget(f"{cfg.name}: scenario has no {cfg.kind} targets")
-    compiled.transform = BidTransform(
-        name=cfg.name,
-        kind=cfg.kind,
-        compromised=compromised_set(population, cfg.fraction, cfg.seed),
-        price=cfg.price,
-        lam=cfg.lam,
-    )
-    pseudo = f"attack:{cfg.name}"
-    compiled.events.append(Event(cfg.start, pseudo, "active", True, "attack"))
-    compiled.events.append(Event(cfg.end, pseudo, "active", False, "attack"))
+        if topology != "auxiliary":
+            raise ConfigError(f"{cfg.name}: market attacks target auxiliary bidders; run with the auxiliary topology")
+        population = [obj.name for obj in model.of_class(spec.population)]
+        if not population:
+            raise UnknownTarget(f"{cfg.name}: scenario has no {cfg.kind} targets")
+        compromised = compromised_set(population, cfg.fraction, cfg.seed)
+        compiled.transform = BidTransform(cfg.name, cfg.kind, compromised, cfg.params)
+        edges = [(f"attack:{cfg.name}", "active", True, False)]
+    for target, prop, during, after in edges:
+        compiled.events.append(Event(cfg.start, target, prop, during, "attack"))
+        compiled.events.append(Event(cfg.end, target, prop, after, "attack"))
     return compiled

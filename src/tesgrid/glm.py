@@ -36,6 +36,7 @@ from collections.abc import Iterator
 from datetime import datetime
 from itertools import islice
 
+from .attack import ATTACK_FIELDS, ATTACKS, Param
 from .errors import ParseError
 from .kernel import OBJECT_CLASSES
 from .model import (
@@ -63,6 +64,8 @@ _TIMESTAMP_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]
 _TOKEN_RE = re.compile(r'//.*|[{};,]|"[^"]*"?|(?=\S)[^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*')
 
 _NOT_ATOM = '{};,"'  # the first characters of punctuation and strings
+# the unit each unit class is printed in: the one a value is converted to
+_CANONICAL_UNIT = {cls: unit for unit, (cls, factor) in UNIT_TABLE.items() if factor == 1.0}
 
 
 def _text(tok: str) -> str:
@@ -279,8 +282,12 @@ class _Parser:
     def _parse_attack(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
         kind = str(self._want(pmap, "kind", at).value)
-        if kind not in ("SELLER_PRICE_OVERRIDE", "BUYER_BID_SCALE", "LINE_STATUS"):
+        spec = ATTACKS.get(kind)
+        if spec is None:
             raise self._error(f"unknown attack kind '{kind}'", at)
+        for key in pmap:
+            if key not in ATTACK_FIELDS and key not in spec.params:
+                raise self._error(f"unknown attack field '{key}'", at)
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
@@ -289,21 +296,25 @@ class _Parser:
             line=bisect_right(self.starts, at),
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number(pmap["fraction"], at)
+            cfg.fraction = self._attack_param("fraction", Param("number"), pmap["fraction"], at)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number(pmap["seed"], at))
-        if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.price = self._as_number(self._want(pmap, "price", at), at)
-        elif kind == "BUYER_BID_SCALE":
-            cfg.lam = self._as_number(self._want(pmap, "lambda", at), at)
-        else:
-            lines_v = self._want(pmap, "lines", at)
-            items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
-            cfg.lines = [str(item.value) for item in items]
-            cfg.status = str(self._want(pmap, "status", at).value)
-            if cfg.status not in ("OPEN", "CLOSED"):
-                raise self._error(f"bad line status '{cfg.status}'", at)
+            cfg.seed = int(self._attack_param("seed", Param("number"), pmap["seed"], at))
+        for key, param in spec.params.items():
+            cfg.params[key] = self._attack_param(key, param, self._want(pmap, key, at), at)
         model.attacks.append(cfg)
+
+    def _attack_param(self, key: str, param: Param, v: Value, at: int) -> object:
+        """Attack field `key` as its kind reads it: line names, a line status or a canonical number."""
+        if param.kind == "lines":
+            return [str(item.value) for item in (v.value if v.kind == "LIST" else (v,))]
+        if param.kind == "status":
+            if str(v.value) not in param.bound:
+                raise self._error(f"bad line status '{v.value}'", at)
+            return str(v.value)
+        number = self._as_number(v, at)
+        if v.unit is not None and UNIT_TABLE[v.unit][0] != param.kind:
+            raise self._error(f"'{key}' has unit {v.unit}, expected {param.kind}", at)
+        return number
 
     def _parse_recorder(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_props()
@@ -422,14 +433,10 @@ def pretty_print(model: ScenarioModel) -> str:
             f"  fraction {a.fraction};",
             f"  seed {a.seed};",
         ]
-        if a.price is not None:
-            lines.append(f"  price {a.price} $/kWh;")
-        if a.lam is not None:
-            lines.append(f"  lambda {a.lam};")
-        if a.lines:
-            lines.append("  lines " + ",".join(a.lines) + ";")
-        if a.status is not None:
-            lines.append(f"  status {a.status};")
+        for key, param in ATTACKS[a.kind].params.items():
+            value, unit = a.params[key], _CANONICAL_UNIT.get(param.kind)
+            text = ",".join(value) if param.kind == "lines" else f"{value} {unit}" if unit else f"{value}"
+            lines.append(f"  {key} {text};")
         lines.append("}")
         out.append("\n".join(lines))
     for r in model.recorders:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, NamedTuple
 
-from .attack import CompiledAttack, compile_attack
+from .attack import ATTACKS, CompiledAttack, compile_attack
 from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownProperty, UnknownTarget
 from .loads import HouseState, hvac_power, init_mode, solar_output, step_house
 from .market import (
@@ -310,11 +310,10 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
 OBJECT_CLASSES = frozenset(PROPERTIES) - {"attack"}
 
 
-def out_of_bounds(cls: str, prop: str, number: float) -> str | None:
-    """Why `number` cannot be property `prop` of class `cls`; None when it can."""
-    bound = PROPERTIES[cls][prop].bound
+def out_of_bounds(name: str, bound: str | None, number: float) -> str | None:
+    """Why `number` cannot be `name`, a property or parameter with `bound`; None when it can."""
     if bound == "positive" and not number > 0 or bound == "nonnegative" and not number >= 0:
-        return f"{prop} must be {bound}"
+        return f"{name} must be {bound}"
     return None
 
 
@@ -546,17 +545,14 @@ class Engine:
         }
         self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
-        seller_names = [a.name for agents in self.sellers.values() for a in agents]
-        controller_names = [c.name for ctls in self.controllers.values() for c in ctls]
-        self.attacks: list[CompiledAttack] = [
-            compile_attack(cfg, model, seller_names, controller_names, topology)
-            for cfg in model.attacks
-        ]
+        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, topology) for cfg in model.attacks]
         self.transforms = {
             f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None
         }
-        self._price_overrides = [tr for tr in self.transforms.values() if tr.kind == "SELLER_PRICE_OVERRIDE"]
-        self._bid_scalers = [tr for tr in self.transforms.values() if tr.kind == "BUYER_BID_SCALE"]
+        # the transforms of each rewrite point, in attack order
+        self._rewriters = {spec.point: [] for spec in ATTACKS.values() if spec.point}
+        for tr in self.transforms.values():
+            self._rewriters[ATTACKS[tr.kind].point].append(tr)
 
         # every (target, property) the run reads or sets, bound once here
         self._classes = {name: obj.cls for name, obj in model.by_name().items()}
@@ -573,8 +569,9 @@ class Engine:
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
             series = read_player(os.path.join(base_dir, cfg.file))
+            bound = PROPERTIES[self._classes[cfg.target]][cfg.prop].bound
             for _, value in series.rows:
-                problem = out_of_bounds(self._classes[cfg.target], cfg.prop, value)
+                problem = out_of_bounds(cfg.prop, bound, value)
                 if problem is not None:
                     raise ConfigError(f"{cfg.name}: {cfg.file} holds {value:g}: {problem}")
             self.players.append((cfg, series, write))
@@ -678,21 +675,20 @@ class Engine:
         for bid in offers:
             submit(bid)
         if aux:
-            # sellers' constant offers are replicated into the auxiliary
-            # market (override attack point); they need no bidder, as their
-            # offers are known exactly (both books clear once a round: one
-            # period).  Last period's auxiliary bids are forwarded to the main
-            # market (bid-scaling attack point): precise bids are not
-            # observable, so the estimate runs one period late
+            # sellers' constant offers are replicated into the auxiliary market
+            # (the `replicas` rewrite point) with no bidder, as they are known
+            # exactly.  Last period's auxiliary bids are forwarded to the main
+            # market (the `forwarded` point): precise bids are not observable,
+            # so the estimate runs one period late
             replicas, forwarded = offers, [
                 new(Bid, (trader, side, price, quantity, period))
                 for trader, side, price, quantity, _ in self._held_bids[market_name]
             ]
             # an inactive transform leaves every bid alone: apply the active ones
-            for tr in self._price_overrides:
+            for tr in self._rewriters["replicas"]:
                 if tr.active:
                     replicas = [tr.apply(bid, market.last_price, aux.price_cap) for bid in replicas]
-            for tr in self._bid_scalers:
+            for tr in self._rewriters["forwarded"]:
                 if tr.active:
                     forwarded = [tr.apply(bid, market.last_price, market.price_cap) for bid in forwarded]
             aux_submit = aux.submit

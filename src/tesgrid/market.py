@@ -198,11 +198,6 @@ class Controller:
         price = market.price_cap if market.price_cap < price else price
         return tuple.__new__(Bid, (self.name, "BUY", price, house.hvac_kw, market.current_period))
 
-    def apply_clearing(self, house: HouseState, market: Market, clearing: Clearing) -> float:
-        """Re-center the thermostat from the published price; returns T_set."""
-        respond_to_clearing([(self, house)], market, clearing)
-        return house.t_set
-
 
 def respond_to_clearing(
     bidders: list[tuple[Controller, HouseState]], market: Market, clearing: Clearing

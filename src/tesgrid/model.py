@@ -58,6 +58,7 @@ UNIT_TABLE = {
 NODE_CLASSES = frozenset({"node", "triplex_node", "triplex_meter", "meter"})
 LINE_CLASSES = frozenset({"underground_line", "overhead_line", "switch", "fuse"})
 EDGE_CLASSES = LINE_CLASSES | {"transformer"}
+LINE_STATUSES = ("OPEN", "CLOSED")
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,12 @@ class Schedule:
 @dataclass
 class AttackConfig:
     name: str
-    kind: str  # SELLER_PRICE_OVERRIDE | BUYER_BID_SCALE | LINE_STATUS
+    kind: str  # a key of `attack.ATTACKS`
     start: datetime
     end: datetime
     fraction: float = 1.0
     seed: int = 0
-    price: float | None = None  # SELLER_PRICE_OVERRIDE
-    lam: float | None = None  # BUYER_BID_SCALE
-    lines: list[str] = field(default_factory=list)  # LINE_STATUS
-    status: str | None = None
+    params: dict[str, object] = field(default_factory=dict)  # the kind's parameters, by field name
     line: int = 0
 
 

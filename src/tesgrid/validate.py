@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from datetime import timedelta
 
+from .attack import ATTACKS
 from .kernel import NO_PROP, PROPERTIES, out_of_bounds
 from .model import (
-    LINE_CLASSES,
+    LINE_STATUSES,
     UNIT_TABLE,
     Diagnostic,
     GridObject,
@@ -22,7 +23,6 @@ from .model import (
 from .network import walk_feeder
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
-LINE_STATUSES = ("OPEN", "CLOSED")
 RUN_FILES = ("audit.csv", "summary.txt")  # what `write_results` writes beside the recorders
 
 # per class, the properties an object must carry, and those naming another object
@@ -42,7 +42,7 @@ def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
             return "BAD_VALUE", f"property '{prop}' must be a real number"
         if value.unit is not None and (kind == "number" or UNIT_TABLE[value.unit][0] != kind):
             return "BAD_UNIT", f"property '{prop}' has unit {value.unit}, expected {kind}"
-        problem = out_of_bounds(cls, prop, value.canonical())
+        problem = out_of_bounds(prop, PROPERTIES[cls][prop].bound, value.canonical())
         if problem is not None:
             return "BAD_RANGE", problem
     elif prop == "status" and value.value not in LINE_STATUSES:
@@ -105,9 +105,6 @@ def _check_refs(model: ScenarioModel, names: dict[str, GridObject], errors):
     for sched in model.schedules:
         for e in sched.entries:
             need(sched.name, e.target, "schedule target")
-    for a in model.attacks:
-        for line_name in a.lines:
-            need(a.name, line_name, "attacked line")
     for r in model.recorders:
         need(r.name, r.target, "recorder target")
     for p in model.players:
@@ -186,23 +183,26 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
             errors.append(Diagnostic(a.name, "BAD_WINDOW", "attack window outside the simulated window"))
         if not (0.0 <= a.fraction <= 1.0):
             errors.append(Diagnostic(a.name, "BAD_FRACTION", "fraction must be within [0, 1]"))
-        if a.lam is not None and a.lam < 0:
-            errors.append(Diagnostic(a.name, "BAD_PARAM", "lambda must be nonnegative"))
-        # an overridden offer replaces a seller's, so it obeys a seller price's
-        # bound and the cap of the auction its auxiliary market mirrors
-        if a.kind == "SELLER_PRICE_OVERRIDE" and a.price is not None:
-            if a.price < 0:
-                errors.append(Diagnostic(a.name, "BAD_PARAM", "price must be nonnegative"))
-            elif a.price > lowest_cap:
-                errors.append(
-                    Diagnostic(a.name, "BAD_PARAM", f"price {a.price:g} exceeds a price_cap of {lowest_cap:g}")
-                )
-        for line_name in a.lines:
-            target = names.get(line_name)
-            if target is not None and target.cls not in LINE_CLASSES:
-                errors.append(
-                    Diagnostic(a.name, "NOT_SWITCHABLE", f"'{line_name}' is a {target.cls}, not a line/switch/fuse")
-                )
+        spec = ATTACKS[a.kind]
+        if spec.population is not None and not model.of_class(spec.population):
+            errors.append(Diagnostic(a.name, "NO_TARGETS", f"scenario has no {spec.population} to compromise"))
+        for key, param in spec.params.items():
+            value = a.params[key]
+            if param.kind == "lines":
+                for line_name in value:
+                    target = names.get(line_name)
+                    if target is None:
+                        errors.append(Diagnostic(a.name, "DANGLING_REF", f"attacked line '{line_name}' does not resolve"))
+                    elif target.cls not in param.bound:
+                        message = f"'{line_name}' is a {target.cls}, not a line/switch/fuse"
+                        errors.append(Diagnostic(a.name, "NOT_SWITCHABLE", message))
+            elif param.kind in NUMERIC_KINDS:
+                # a price replaces an offer, so it obeys the cap of the auction it enters
+                problem = out_of_bounds(key, param.bound, value)
+                if problem is None and param.kind == "PRICE" and value > lowest_cap:
+                    problem = f"{key} {value:g} exceeds a price_cap of {lowest_cap:g}"
+                if problem is not None:
+                    errors.append(Diagnostic(a.name, "BAD_PARAM", problem))
     writers: dict[str, str] = {}  # output file -> the recorder writing it
     for r in model.recorders:
         # a separator also covers every absolute path

@@ -73,6 +73,10 @@ UNRUNNABLE_EDITS = {
     "negative_override_price": (
         lambda t: t + 'attack { name a1; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
         'end "2013-07-01 00:20:00"; fraction 1; seed 1; price -5 $/kWh; }\n', "BAD_PARAM"),
+    # validated clean, then the run exited 3 without a summary: the fixture has no controller
+    "bid_scale_without_controllers": (
+        lambda t: t + 'attack { name a1; kind BUYER_BID_SCALE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lambda 0.2; }\n', "NO_TARGETS"),
     # the prior price a round repeats when the curves do not cross
     "negative_init_price": (
         lambda t: t.replace("init_price 0.10 $/kWh;", "init_price -5 $/kWh;"), "BAD_RANGE"),

@@ -558,11 +558,24 @@ class _TupleParser:
                 raise _oracle_error(f"unknown schedule field '{key}'", key_tok)
         model.schedules.append(Schedule(name, entries, repeat, tok[2]))
 
+    def _attack_number(self, key: str, unit_class: str, v: Value, tok: _Token) -> float:
+        """A numeric attack field; a unit must be of `unit_class` ("number": none)."""
+        number = self._as_number(v, tok)
+        if v.unit is not None and UNIT_TABLE[v.unit][0] != unit_class:
+            raise _oracle_error(f"'{key}' has unit {v.unit}, expected {unit_class}", tok)
+        return number
+
     def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
         pmap = self._read_props()
         kind = str(self._want(pmap, "kind", tok).value)
-        if kind not in ("SELLER_PRICE_OVERRIDE", "BUYER_BID_SCALE", "LINE_STATUS"):
+        kind_fields = {
+            "SELLER_PRICE_OVERRIDE": ("price",), "BUYER_BID_SCALE": ("lambda",), "LINE_STATUS": ("lines", "status"),
+        }
+        if kind not in kind_fields:
             raise _oracle_error(f"unknown attack kind '{kind}'", tok)
+        for key in pmap:
+            if key not in ("name", "kind", "start", "end", "fraction", "seed") + kind_fields[kind]:
+                raise _oracle_error(f"unknown attack field '{key}'", tok)
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
@@ -571,20 +584,21 @@ class _TupleParser:
             line=tok[2],
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number(pmap["fraction"], tok)
+            cfg.fraction = self._attack_number("fraction", "number", pmap["fraction"], tok)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number(pmap["seed"], tok))
+            cfg.seed = int(self._attack_number("seed", "number", pmap["seed"], tok))
         if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.price = self._as_number(self._want(pmap, "price", tok), tok)
+            cfg.params["price"] = self._attack_number("price", "PRICE", self._want(pmap, "price", tok), tok)
         elif kind == "BUYER_BID_SCALE":
-            cfg.lam = self._as_number(self._want(pmap, "lambda", tok), tok)
+            cfg.params["lambda"] = self._attack_number("lambda", "number", self._want(pmap, "lambda", tok), tok)
         else:
             lines_v = self._want(pmap, "lines", tok)
             items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
-            cfg.lines = [str(item.value) for item in items]
-            cfg.status = str(self._want(pmap, "status", tok).value)
-            if cfg.status not in ("OPEN", "CLOSED"):
-                raise _oracle_error(f"bad line status '{cfg.status}'", tok)
+            cfg.params["lines"] = [str(item.value) for item in items]
+            status = str(self._want(pmap, "status", tok).value)
+            if status not in ("OPEN", "CLOSED"):
+                raise _oracle_error(f"bad line status '{status}'", tok)
+            cfg.params["status"] = status
         model.attacks.append(cfg)
 
     def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:

@@ -83,7 +83,7 @@ def scenario1_full(study_dir):
     atk = AttackConfig(
         "s1", "SELLER_PRICE_OVERRIDE",
         datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 12),
-        fraction=1.0, seed=ATTACK_SEED, price=0.63,
+        fraction=1.0, seed=ATTACK_SEED, params={"price": 0.63},
     )
     return run_study(study_dir, atk)
 
@@ -93,7 +93,7 @@ def scenario1_partial(study_dir):
     atk = AttackConfig(
         "s1p", "SELLER_PRICE_OVERRIDE",
         datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 12),
-        fraction=0.20, seed=ATTACK_SEED, price=0.63,
+        fraction=0.20, seed=ATTACK_SEED, params={"price": 0.63},
     )
     return run_study(study_dir, atk)
 
@@ -105,7 +105,7 @@ def scenario2_runs(study_dir):
         atk = AttackConfig(
             "s2", "BUYER_BID_SCALE",
             datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 13),
-            fraction=1.0, seed=ATTACK_SEED, lam=lam,
+            fraction=1.0, seed=ATTACK_SEED, params={"lambda": lam},
         )
         runs[lam] = run_study(study_dir, atk)
     return runs
@@ -271,7 +271,7 @@ def test_9_determinism(study_dir, tmp_path):
     atk = AttackConfig(
         "s1", "SELLER_PRICE_OVERRIDE",
         datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 12),
-        fraction=0.20, seed=ATTACK_SEED, price=0.63,
+        fraction=0.20, seed=ATTACK_SEED, params={"price": 0.63},
     )
     blobs = []
     for sub in ("first", "second"):

@@ -1,18 +1,23 @@
 """Attack-compilation tests: seeded compromise draws, bid transforms,
-window events, and topology requirements."""
+window events, topology requirements, and a run of each attack kind."""
 
 from datetime import datetime
 
 import pytest
+from conftest import load_fixture
 
 from tesgrid.attack import (
+    ATTACKS,
     BidTransform,
     compile_attack,
     compromised_set,
     scale_buyer_bid,
     seller_override,
 )
+from tesgrid.cli import main
 from tesgrid.errors import ConfigError, EmptyWindow, UnknownTarget
+from tesgrid.feedergen import gen_feeder, gen_weather
+from tesgrid.glm import parse_scenario
 from tesgrid.market import Bid
 from tesgrid.model import AttackConfig
 
@@ -43,31 +48,31 @@ def test_compromised_set_extremes():
 
 def test_scale_buyer_bid_formula():
     bid = Bid("b", "BUY", 0.10, 5.0, 0)
-    scaled = scale_buyer_bid(bid, lam=0.2, market_price=0.15, price_cap=0.63)
+    scaled = scale_buyer_bid(bid, {"lambda": 0.2}, market_price=0.15, price_cap=0.63)
     assert scaled.price == pytest.approx(0.10 + 0.2 * 0.15)
     assert (scaled.quantity, scaled.trader) == (5.0, "b")
 
 
 def test_scale_lambda_zero_is_identity():
     bid = Bid("b", "BUY", 0.10, 5.0, 0)
-    assert scale_buyer_bid(bid, 0.0, 0.99, 0.63) == bid
+    assert scale_buyer_bid(bid, {"lambda": 0.0}, 0.99, 0.63) == bid
 
 
 def test_scale_clamps_at_cap():
     bid = Bid("b", "BUY", 0.60, 5.0, 0)
-    assert scale_buyer_bid(bid, 1.0, 0.50, 0.63).price == 0.63
+    assert scale_buyer_bid(bid, {"lambda": 1.0}, 0.50, 0.63).price == 0.63
 
 
 def test_seller_override():
     bid = Bid("g", "SELL", 0.10, 5.0, 0)
-    assert seller_override(bid, 0.63).price == 0.63
+    assert seller_override(bid, {"price": 0.63}, 0.1, 0.63).price == 0.63
 
 
 def test_transform_only_touches_compromised_when_active():
     # a bid left alone comes back as the same object: callers count
     # rewrites by identity
     for kind, price in (("SELLER_PRICE_OVERRIDE", 0.63), ("BUYER_BID_SCALE", 0.10 + 0.5 * 0.1)):
-        tr = BidTransform("a", kind, frozenset({"t1"}), price=0.63, lam=0.5)
+        tr = BidTransform("a", kind, frozenset({"t1"}), {"price": 0.63, "lambda": 0.5})
         hit = Bid("t1", "SELL", 0.10, 5.0, 0)
         miss = Bid("t2", "SELL", 0.10, 5.0, 0)
         assert tr.apply(hit, 0.1, 0.63) is hit  # inactive
@@ -79,38 +84,84 @@ def test_transform_only_touches_compromised_when_active():
 
 
 def test_compile_market_attack_needs_auxiliary(small_model):
-    cfg = AttackConfig("a", "SELLER_PRICE_OVERRIDE", T0, T1, price=0.63)
+    cfg = AttackConfig("a", "SELLER_PRICE_OVERRIDE", T0, T1, params={"price": 0.63})
     with pytest.raises(ConfigError):
-        compile_attack(cfg, small_model, ["g1"], [], topology="direct")
-    compiled = compile_attack(cfg, small_model, ["g1"], [], topology="auxiliary")
+        compile_attack(cfg, small_model, topology="direct")
+    compiled = compile_attack(cfg, small_model, topology="auxiliary")
     assert compiled.transform.compromised == {"g1"}
     assert [(e.time, e.value) for e in compiled.events] == [(T0, True), (T1, False)]
     assert compiled.events[0].target == "attack:a"
 
 
 def test_compile_buyer_attack_targets_controllers(small_model):
-    cfg = AttackConfig("a", "BUYER_BID_SCALE", T0, T1, fraction=0.5, lam=0.1)
-    compiled = compile_attack(cfg, small_model, ["g1"], ["c1", "c2"], "auxiliary")
+    cfg = AttackConfig("a", "BUYER_BID_SCALE", T0, T1, fraction=0.5, params={"lambda": 0.1})
+    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)), "auxiliary")
     assert len(compiled.transform.compromised) == 1
-    with pytest.raises(UnknownTarget):
-        compile_attack(cfg, small_model, ["g1"], [], "auxiliary")
+    assert compiled.transform.compromised <= {"ctl_0_0", "ctl_0_1"}
+    with pytest.raises(UnknownTarget):  # the fixture has no controller
+        compile_attack(cfg, small_model, "auxiliary")
 
 
 def test_compile_line_status_window_events(small_model):
-    cfg = AttackConfig("a", "LINE_STATUS", T0, T1, lines=["UL1"], status="OPEN")
-    compiled = compile_attack(cfg, small_model, [], [], "direct")
+    cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["UL1"], "status": "OPEN"})
+    compiled = compile_attack(cfg, small_model, "direct")
     assert compiled.transform is None
     events = [(e.time, e.target, e.value) for e in compiled.events]
     assert events == [(T0, "UL1", "OPEN"), (T1, "UL1", "CLOSED")]
 
 
 def test_compile_line_status_unknown_line(small_model):
-    cfg = AttackConfig("a", "LINE_STATUS", T0, T1, lines=["nope"], status="OPEN")
+    cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["nope"], "status": "OPEN"})
     with pytest.raises(UnknownTarget):
-        compile_attack(cfg, small_model, [], [], "direct")
+        compile_attack(cfg, small_model, "direct")
 
 
 def test_compile_empty_window(small_model):
-    cfg = AttackConfig("a", "LINE_STATUS", T1, T0, lines=["UL1"], status="OPEN")
+    cfg = AttackConfig("a", "LINE_STATUS", T1, T0, params={"lines": ["UL1"], "status": "OPEN"})
     with pytest.raises(EmptyWindow):
-        compile_attack(cfg, small_model, [], [], "direct")
+        compile_attack(cfg, small_model, "direct")
+
+
+def _run(tmp_path, text: str) -> list[list[str]]:
+    """Run scenario `text` under the auxiliary topology; the rows of its audit.csv."""
+    (tmp_path / "s.glm").write_text(text)
+    assert main(["run", str(tmp_path / "s.glm"), "--out", str(tmp_path / "out")]) == 0
+    return [row.split(",") for row in (tmp_path / "out" / "audit.csv").read_text().splitlines()[1:]]
+
+
+# per kind: its parameters in a block, and the (target, property, value
+# before, value in the window) its two edges write; a kind added to
+# ATTACKS without an entry here fails the test below
+WINDOW_EDGES = {
+    "SELLER_PRICE_OVERRIDE": ("price 0.5 $/kWh;", ("attack:a", "active", "0", "1")),
+    "BUYER_BID_SCALE": ("lambda 0.2;", ("attack:a", "active", "0", "1")),
+    "LINE_STATUS": ("lines trunk; status OPEN;", ("trunk", "status", "CLOSED", "OPEN")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ATTACKS))
+def test_every_kind_runs_one_window(tmp_path, kind):
+    body, (target, prop, before, during) = WINDOW_EDGES[kind]
+    (tmp_path / "weather.csv").write_text(gen_weather())
+    text = gen_feeder(5).replace('stop "2013-07-02 00:00:00";', 'stop "2013-07-01 01:00:00";')
+    text += (f'attack {{ name a; kind {kind}; start "2013-07-01 00:10:00"; '
+             f'end "2013-07-01 00:20:00"; fraction 1; {body} }}\n')
+    assert _run(tmp_path, text) == [
+        ["2013-07-01 00:10:00", target, prop, before, during, "attack"],
+        ["2013-07-01 00:20:00", target, prop, during, before, "attack"],
+    ]
+
+
+def test_line_status_ends_at_the_configured_status(tmp_path):
+    """Closing a closed line for a window leaves it closed after the window;
+    the end used to write the opposite of the attack's status."""
+    text = load_fixture("feeder_small.glm")
+    assert "status CLOSED;" in text  # UL1's configured status
+    text += ('attack { name a; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+             'end "2013-07-01 00:20:00"; lines UL1; status CLOSED; }\n')
+    assert _run(tmp_path, text) == [
+        ["2013-07-01 00:10:00", "UL1", "status", "CLOSED", "CLOSED", "attack"],
+        ["2013-07-01 00:20:00", "UL1", "status", "CLOSED", "CLOSED", "attack"],
+    ]
+    statuses = [row.split(",")[1] for row in (tmp_path / "out" / "ul1.csv").read_text().splitlines()[1:]]
+    assert len(statuses) == 61 and set(statuses) == {"CLOSED"}

@@ -136,8 +136,10 @@ def test_pretty_print_round_trips_every_float(x, y, z):
         ],
         schedules=[Schedule("s", [ScheduleEntry(start, "n1", "base_power", Value("NUMBER", z, "W"))], repeat=y)],
         attacks=[
-            AttackConfig("a", "SELLER_PRICE_OVERRIDE", start, start, fraction=x, price=z),
-            AttackConfig("b", "BUYER_BID_SCALE", start, start, fraction=z, lam=y),
+            AttackConfig("a", "SELLER_PRICE_OVERRIDE", start, start, fraction=x, params={"price": z}),
+            AttackConfig("b", "BUYER_BID_SCALE", start, start, fraction=z, params={"lambda": y}),
+            AttackConfig("c", "LINE_STATUS", start, start, fraction=y,
+                         params={"lines": ["l1", "l2"], "status": "OPEN"}),
         ],
     )
     text = pretty_print(m)
@@ -169,8 +171,8 @@ def test_attack_block_parses():
         """
     )
     a1, a2 = model.attacks
-    assert (a1.kind, a1.fraction, a1.seed, a1.price) == ("SELLER_PRICE_OVERRIDE", 0.2, 42, 0.63)
-    assert a2.lines == ["UL1", "UL2"] and a2.status == "OPEN"
+    assert (a1.kind, a1.fraction, a1.seed, a1.params) == ("SELLER_PRICE_OVERRIDE", 0.2, 42, {"price": 0.63})
+    assert a2.params == {"lines": ["UL1", "UL2"], "status": "OPEN"}
 
 
 def test_schedule_with_repeat():
@@ -191,6 +193,9 @@ def test_schedule_with_repeat():
     assert sched.entries[0].value.canonical() == 78.0
 
 
+_ATTACK = 'attack {{ kind {}; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; {} }}'
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -203,6 +208,15 @@ def test_schedule_with_repeat():
         ("object node { name n; ", "unexpected end of input"),
         ("clock { start \"2013-07-01 00:00:00\"; stop \"2013-07-01 01:00:00\"; }", "missing 'timestep'"),
         ("attack { kind BAD_KIND; start \"2013-07-01 00:00:00\"; end \"2013-07-01 01:00:00\"; }", "unknown attack kind"),
+        # a misspelt or foreign field was dropped: `fraction` then defaulted to 1
+        (_ATTACK.format("SELLER_PRICE_OVERRIDE", "fracton 0.2; sed 7; price 0.5 $/kWh;"),
+         "unknown attack field 'fracton'"),
+        (_ATTACK.format("LINE_STATUS", "lines UL1; status OPEN; price 0.5 $/kWh;"), "unknown attack field 'price'"),
+        # a unit of another class was converted as if it were the right one
+        (_ATTACK.format("SELLER_PRICE_OVERRIDE", "price 0.5 kW;"), "'price' has unit kW, expected PRICE"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2 degF;"), "'lambda' has unit degF, expected number"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; fraction 0.5 kW;"), "'fraction' has unit kW, expected number"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 7 s;"), "'seed' has unit s, expected number"),
         ("frobnicate { }", "unknown block"),
         ("object node { name n; nominal_voltage 1e999 V; }", "not a finite number"),
         ("object node { name n; nominal_voltage 1e307 kV; }", "not a finite number"),  # inf once scaled

@@ -224,7 +224,7 @@ def test_market_attack_under_direct_topology_rejected(small_text):
     model = parse_scenario(small_text)
     model.attacks.append(
         AttackConfig("a", "SELLER_PRICE_OVERRIDE", START + timedelta(minutes=10),
-                     START + timedelta(minutes=20), price=0.63)
+                     START + timedelta(minutes=20), params={"price": 0.63})
     )
     from tesgrid.errors import ConfigError
     with pytest.raises(ConfigError):
@@ -420,5 +420,5 @@ def test_property_table_is_consistent():
             if spec.required:
                 assert spec.default is None, (cls, prop)
             if spec.default is not None:
-                assert out_of_bounds(cls, prop, spec.default) is None, (cls, prop)
+                assert out_of_bounds(prop, spec.bound, spec.default) is None, (cls, prop)
             assert spec.bound in (None, "positive", "nonnegative"), (cls, prop)

@@ -21,6 +21,7 @@ from tesgrid.market import (
     Market,
     SellerAgent,
     clear_book,
+    respond_to_clearing,
     seller_bids,
 )
 
@@ -294,18 +295,18 @@ def test_controller_sigma_floor():
     h = house(80.0)
     bid = ctl.make_bid(h, market)
     assert bid is not None  # the floor keeps the ramp well-defined
-    ctl.apply_clearing(h, market, Clearing(market.p_avg, 0.0, None, None, 0))
+    respond_to_clearing([(ctl, h)], market, Clearing(market.p_avg, 0.0, None, None, 0))
     assert h.t_set == pytest.approx(75.0)  # price at the mean -> base setpoint
 
 
-def test_apply_clearing_moves_setpoint():
+def test_respond_to_clearing_moves_setpoint():
     market = Market("m", 300)
     market.seed_statistics(0.10)
     ctl = controller()
     h = house(76.0)
-    ctl.apply_clearing(h, market, Clearing(0.63, 1.0, None, None, 0))
+    respond_to_clearing([(ctl, h)], market, Clearing(0.63, 1.0, None, None, 0))
     assert h.t_set == 85.0  # clamped at t_max for an extreme price
-    ctl.apply_clearing(h, market, Clearing(0.0, 1.0, None, None, 0))
+    respond_to_clearing([(ctl, h)], market, Clearing(0.0, 1.0, None, None, 0))
     assert h.t_set == 70.0  # clamped at t_min
 
 
@@ -324,7 +325,7 @@ def _reference_bid_price(ctl, house, market):
 
 
 def _reference_t_set(ctl, market, price):
-    """apply_clearing's setpoint with the clamps written as max/min."""
+    """respond_to_clearing's setpoint with the clamps written as max/min."""
     sigma = max(market.p_std, ctl.sigma_floor)
     t_set = ctl.t_base + (price - market.p_avg) * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
     return min(max(t_set, ctl.t_min), ctl.t_max)
@@ -374,6 +375,9 @@ def test_controller_clamps_match_max_min(p_avg, p_std, floor, cap, price, t_in, 
 
     assert _outcome(bid_price) == _outcome(reference_price)
     clearing = Clearing(price, 0.0, None, None, 0)
-    assert _outcome(lambda: ctl.apply_clearing(h, market, clearing)) == _outcome(
-        lambda: _reference_t_set(ctl, market, price)
-    )
+
+    def t_set():
+        respond_to_clearing([(ctl, h)], market, clearing)
+        return h.t_set
+
+    assert _outcome(t_set) == _outcome(lambda: _reference_t_set(ctl, market, price))

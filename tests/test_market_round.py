@@ -24,11 +24,11 @@ from tesgrid.model import AttackConfig
 ATTACKS = {
     "override": AttackConfig(
         "ovr", "SELLER_PRICE_OVERRIDE", datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 12),
-        fraction=0.5, seed=7, price=0.63,
+        fraction=0.5, seed=7, params={"price": 0.63},
     ),
     "bidscale": AttackConfig(
         "scale", "BUYER_BID_SCALE", datetime(2013, 7, 1, 10), datetime(2013, 7, 1, 13),
-        fraction=0.5, seed=7, lam=0.2,
+        fraction=0.5, seed=7, params={"lambda": 0.2},
     ),
 }
 
@@ -59,9 +59,9 @@ def transformed(engine, bid, kind, market_price, price_cap):
     for tr in engine.transforms.values():
         if tr.kind == kind and tr.active and bid.trader in tr.compromised:
             if kind == "SELLER_PRICE_OVERRIDE":
-                price = tr.price
+                price = tr.params["price"]
             else:
-                price = min(bid.price + tr.lam * market_price, price_cap)
+                price = min(bid.price + tr.params["lambda"] * market_price, price_cap)
             bid = Bid(bid.trader, bid.side, price, bid.quantity, bid.period)
     return bid
 
@@ -198,6 +198,6 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     assert len(main) == len(aux)
     for offer, replica in zip(main, aux):
         if offer.trader in override.compromised:
-            assert replica == offer._replace(price=override.price) != offer
+            assert replica == offer._replace(price=override.params["price"]) != offer
         else:
             assert replica is offer
