@@ -19,12 +19,17 @@ timestamps, bare identifiers, or comma-separated lists.  Every failure raises
 :class:`~tesgrid.errors.ParseError` with position information.  `pretty_print`
 writes each float as its `repr`, so it parses back bit for bit.
 
-The tokenizer is one compiled regex, `findall` once per line.  A token is
-the string it matched; a string keeps its quotes, so the first character
+The tokenizer is one compiled regex, `findall` once per distinct line: a
+line that occurs again reuses its first copy's tokens.  A token is the
+string it matched; a string keeps its quotes, so the first character
 tells a token's kind and `"x"` (STRING) never equals `x` (REF).  Only an
 error or a block's source line needs a position: bisect the index of each
-line's first token, then rescan that line.  A value is interpreted once
-per parse; a failure is not kept, so every error is placed at its token.
+line's first token, then rescan that line.  A block's statements are read
+in one loop over the token list, one statement at a time, so errors come
+in source order.  A value is interpreted once per parse; a failure is not
+kept, so every error is placed at its token.  The clock, schedule,
+recorder, player and weather blocks reject a field they do not have, and
+their time fields a unit that is not a time.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import cmath
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable
 from datetime import datetime
 from itertools import islice
 
@@ -64,6 +69,15 @@ _TIMESTAMP_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]
 _TOKEN_RE = re.compile(r'//.*|[{};,]|"[^"]*"?|(?=\S)[^\s{};,"/]*(?:/(?!/)[^\s{};,"/]*)*')
 
 _NOT_ATOM = '{};,"'  # the first characters of punctuation and strings
+# the fields each block may have; an object's are checked by `validate`, and
+# an attack's, which depend on its kind, once the block is read
+_FIELDS = {
+    "clock": ("start", "stop", "timestep"),
+    "schedule": ("entry", "name", "repeat"),
+    "recorder": ("name", "target", "property", "interval", "file"),
+    "player": ("name", "target", "property", "file"),
+    "weather": ("file",),
+}
 # the unit each unit class is printed in: the one a value is converted to
 _CANONICAL_UNIT = {cls: unit for unit, (cls, factor) in UNIT_TABLE.items() if factor == 1.0}
 
@@ -74,20 +88,28 @@ def _text(tok: str) -> str:
 
 
 def _tokenize(lines: list[str]) -> tuple[list[str], list[int]]:
-    """The tokens of `lines`, and the index of the first token of each line."""
+    """The tokens of `lines`, and the index of the first token of each line.
+
+    A line that occurs again reuses the token list of its first copy, so
+    its tokens are the same strings; an unterminated string raises at the
+    first copy, the first bad line."""
     tokens: list[str] = []
     starts: list[int] = []
+    seen: dict[str, list[str]] = {}
     for line, chars in enumerate(lines, 1):
         starts.append(len(tokens))
-        found = _TOKEN_RE.findall(chars)
-        if found:
-            last = found[-1]
-            if last[0] == '"' and (len(last) == 1 or last[-1] != '"'):
-                # an unterminated string runs to the end of its line
-                raise ParseError("unterminated string", line, len(chars) - len(last) + 1)
-            if last[:2] == "//":
-                found.pop()  # a comment runs to the end of its line
-            tokens += found
+        found = seen.get(chars)
+        if found is None:
+            found = _TOKEN_RE.findall(chars)
+            if found:
+                last = found[-1]
+                if last[0] == '"' and (len(last) == 1 or last[-1] != '"'):
+                    # an unterminated string runs to the end of its line
+                    raise ParseError("unterminated string", line, len(chars) - len(last) + 1)
+                if last[:2] == "//":
+                    found.pop()  # a comment runs to the end of its line
+            seen[chars] = found
+        tokens += found
     return tokens, starts
 
 
@@ -117,22 +139,6 @@ class _Parser:
         return self.tokens[self.pos - 1]
 
     # -- value interpretation -----------------------------------------------
-
-    def _read_raw_value(self) -> tuple[list[str], int]:
-        """The tokens before the next ';', which is consumed, and the first's index."""
-        tokens, start = self.tokens, self.pos
-        try:
-            end = tokens.index(";", start)
-        except ValueError:
-            end = len(tokens)
-        raw = tokens[start:end]
-        if "{" in raw or "}" in raw:
-            i = next(i for i, t in enumerate(raw) if t == "{" or t == "}")
-            raise self._error(f"unexpected '{raw[i]}' in value", start + i)
-        if end == len(tokens):
-            raise self._error("unexpected end of input", end - 1)
-        self.pos = end + 1
-        return raw, start
 
     def _timestamp(self, text: str, at: int) -> Value:
         """A timestamp-shaped `text` as a value, or an error when no such date exists."""
@@ -199,26 +205,51 @@ class _Parser:
 
     # -- block parsing ------------------------------------------------------
 
-    def _statements(self) -> Iterator[tuple[str, int]]:
-        """The name and token index of each statement of a `{ ... }` block;
-        the caller reads the value after each name."""
-        tok = self._next()
-        if tok != "{":
-            raise self._error(f"expected '{{', got '{_text(tok)}'", self.pos - 1)
-        while (key := self._next()) != "}":
-            at = self.pos - 1
-            if key[0] in _NOT_ATOM:
-                raise self._error(f"expected property name, got '{_text(key)}'", at)
-            yield key, at
-
-    def _read_props(self) -> dict[str, Value]:
-        """Parse `{ key value; ... }` into a dict in source order."""
+    def _read_block(
+        self, block: str, read: Callable[[str, int, list[str], int], None] | None = None
+    ) -> dict[str, Value]:
+        """Parse `{ key value; ... }` into a dict in source order, one statement
+        at a time.  A key outside the block's `_FIELDS`, when it has them, is an
+        unknown field.  With `read`, each statement goes to `read(key, at, raw,
+        start)` instead: its name's index, its value's tokens and their first
+        index; a key may then repeat."""
+        tokens, i = self.tokens, self.pos
+        n = len(tokens)
+        fields = _FIELDS.get(block)
+        if i == n:
+            raise self._error("unexpected end of input", n - 1)
+        if tokens[i] != "{":
+            raise self._error(f"expected '{{', got '{_text(tokens[i])}'", i)
         props: dict[str, Value] = {}
-        for key, at in self._statements():
-            if key in props:
-                raise self._error(f"duplicate property '{key}'", at)
-            props[key] = self._interpret(*self._read_raw_value(), at)
-        return props
+        while True:
+            i += 1
+            if i == n:
+                raise self._error("unexpected end of input", n - 1)
+            key = tokens[i]
+            if key == "}":
+                self.pos = i + 1
+                return props
+            if key[0] in _NOT_ATOM:
+                raise self._error(f"expected property name, got '{_text(key)}'", i)
+            if fields is not None and key not in fields:
+                raise self._error(f"unknown {block} field '{key}'", i)
+            if read is None and key in props:
+                raise self._error(f"duplicate property '{key}'", i)
+            try:
+                end = tokens.index(";", i + 1)
+            except ValueError:
+                end = n
+            raw = tokens[i + 1:end]
+            if "{" in raw or "}" in raw:
+                j = next(j for j, t in enumerate(raw) if t == "{" or t == "}")
+                raise self._error(f"unexpected '{raw[j]}' in value", i + 1 + j)
+            if end == n:
+                raise self._error("unexpected end of input", n - 1)
+            if read is None:
+                props[key] = self._interpret(raw, i + 1, i)
+            else:
+                read(key, i, raw, i + 1)
+            i = end
 
     def _want(self, props: dict[str, Value], key: str, at: int) -> Value:
         if key not in props:
@@ -230,9 +261,12 @@ class _Parser:
             raise self._error("expected timestamp 'YYYY-MM-DD HH:MM:SS'", at)
         return v.value
 
-    def _as_number(self, v: Value, at: int) -> float:
+    def _as_number(self, key: str, unit_class: str, v: Value, at: int) -> float:
+        """Field `key` as a canonical number; a unit must be of `unit_class` ("number": none)."""
         if v.kind != "NUMBER":
             raise self._error("expected a number", at)
+        if v.unit is not None and UNIT_TABLE[v.unit][0] != unit_class:
+            raise self._error(f"'{key}' has unit {v.unit}, expected {unit_class}", at)
         return float(v.canonical())
 
     def _parse_object(self, model: ScenarioModel, at: int) -> None:
@@ -242,7 +276,7 @@ class _Parser:
             raise self._error(f"expected identifier, got '{_text(cls)}'", at)
         if cls not in OBJECT_CLASSES:
             raise self._error(f"unknown class '{cls}'", at)
-        props = self._read_props()
+        props = self._read_block("object")
         name_value = props.pop("name", None)
         name = str(name_value.value) if name_value is not None else None
         model.objects.append(GridObject(cls, name, props, bisect_right(self.starts, at)))
@@ -250,37 +284,34 @@ class _Parser:
     def _parse_clock(self, model: ScenarioModel, at: int) -> None:
         if model.clock is not None:
             raise self._error("duplicate clock block", at)
-        pmap = self._read_props()
+        pmap = self._read_block("clock")
         start = self._as_time(self._want(pmap, "start", at), at)
         stop = self._as_time(self._want(pmap, "stop", at), at)
-        step = self._as_number(self._want(pmap, "timestep", at), at)
+        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", at), at)
         if step != int(step) or int(step) <= 0:
             raise self._error("timestep must be a positive whole number of seconds", at)
         model.clock = ClockConfig(start, stop, int(step))
 
     def _parse_schedule(self, model: ScenarioModel, at: int) -> None:
-        name = f"schedule_{len(model.schedules)}"
-        entries: list[ScheduleEntry] = []
-        repeat = None
-        for key, key_at in self._statements():
+        sched = Schedule(f"schedule_{len(model.schedules)}", [], None, bisect_right(self.starts, at))
+
+        def statement(key: str, key_at: int, raw: list[str], start: int) -> None:
             if key == "entry":
-                raw, start = self._read_raw_value()
                 if len(raw) < 3:
                     raise self._error("entry needs: \"time\" target property value", key_at)
                 when = self._as_time(self._scalar(start, start + 1), start)
                 value = self._interpret(raw[3:], start + 3, key_at)
-                entries.append(ScheduleEntry(when, _text(raw[1]), _text(raw[2]), value))
+                sched.entries.append(ScheduleEntry(when, _text(raw[1]), _text(raw[2]), value))
             elif key == "name":
-                name = str(self._interpret(*self._read_raw_value(), key_at).value)
-            elif key == "repeat":
-                value = self._interpret(*self._read_raw_value(), key_at)
-                repeat = self._as_number(value, key_at)  # as written; validate checks it
-            else:
-                raise self._error(f"unknown schedule field '{key}'", key_at)
-        model.schedules.append(Schedule(name, entries, repeat, bisect_right(self.starts, at)))
+                sched.name = str(self._interpret(raw, start, key_at).value)
+            else:  # repeat, kept as written; validate checks it
+                sched.repeat = self._as_number(key, "TIME", self._interpret(raw, start, key_at), key_at)
+
+        self._read_block("schedule", statement)
+        model.schedules.append(sched)
 
     def _parse_attack(self, model: ScenarioModel, at: int) -> None:
-        pmap = self._read_props()
+        pmap = self._read_block("attack")
         kind = str(self._want(pmap, "kind", at).value)
         spec = ATTACKS.get(kind)
         if spec is None:
@@ -296,9 +327,9 @@ class _Parser:
             line=bisect_right(self.starts, at),
         )
         if "fraction" in pmap:
-            cfg.fraction = self._attack_param("fraction", Param("number"), pmap["fraction"], at)
+            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], at)
         if "seed" in pmap:
-            cfg.seed = int(self._attack_param("seed", Param("number"), pmap["seed"], at))
+            cfg.seed = int(self._as_number("seed", "number", pmap["seed"], at))
         for key, param in spec.params.items():
             cfg.params[key] = self._attack_param(key, param, self._want(pmap, key, at), at)
         model.attacks.append(cfg)
@@ -311,13 +342,10 @@ class _Parser:
             if str(v.value) not in param.bound:
                 raise self._error(f"bad line status '{v.value}'", at)
             return str(v.value)
-        number = self._as_number(v, at)
-        if v.unit is not None and UNIT_TABLE[v.unit][0] != param.kind:
-            raise self._error(f"'{key}' has unit {v.unit}, expected {param.kind}", at)
-        return number
+        return self._as_number(key, param.kind, v, at)
 
     def _parse_recorder(self, model: ScenarioModel, at: int) -> None:
-        pmap = self._read_props()
+        pmap = self._read_block("recorder")
         props_v = self._want(pmap, "property", at)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         model.recorders.append(
@@ -325,14 +353,14 @@ class _Parser:
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
                 target=str(self._want(pmap, "target", at).value),
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number(self._want(pmap, "interval", at), at)),
+                interval=int(self._as_number("interval", "TIME", self._want(pmap, "interval", at), at)),
                 file=str(self._want(pmap, "file", at).value),
                 line=bisect_right(self.starts, at),
             )
         )
 
     def _parse_player(self, model: ScenarioModel, at: int) -> None:
-        pmap = self._read_props()
+        pmap = self._read_block("player")
         model.players.append(
             PlayerConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
@@ -344,7 +372,7 @@ class _Parser:
         )
 
     def _parse_weather(self, model: ScenarioModel, at: int) -> None:
-        pmap = self._read_props()
+        pmap = self._read_block("weather")
         model.weather_source = str(self._want(pmap, "file", at).value)
 
     def parse(self) -> ScenarioModel:

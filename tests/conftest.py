@@ -27,8 +27,8 @@ def small_model(small_text):
 
 
 # Edits of feeder_small.glm that validate must reject, each with the code
-# it reports.  Without the check each one either ran quietly wrong or
-# crashed the run with a traceback.
+# it reports, or for a parse error a piece of its message.  Without the
+# check each one either ran quietly wrong or crashed the run with a traceback.
 UNRUNNABLE_EDITS = {
     "schedule_bad_status": (
         lambda t: t + 'schedule { entry "2013-07-01 00:10:00" UL1 status BROKEN; }\n', "BAD_VALUE"),
@@ -117,4 +117,23 @@ UNRUNNABLE_EDITS = {
     "schedule_entry_off_step": (
         lambda t: t + 'schedule { entry "2013-07-01 00:01:30" h2 deadband 3 degF; }\n',
         "BAD_SCHEDULE"),
+    # each validated clean and ran with the number taken as seconds
+    "timestep_in_kw": (
+        lambda t: t.replace("timestep 60 s;", "timestep 60 kW;"), "'timestep' has unit kW, expected TIME"),
+    "recorder_interval_in_degf": (
+        lambda t: t.replace("interval 60 s;", "interval 60 degF;", 1), "'interval' has unit degF, expected TIME"),
+    "schedule_repeat_in_kw": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 60 kW; }\n',
+        "'repeat' has unit kW, expected TIME"),
+    # each validated clean with the misspelt field dropped
+    "recorder_unknown_field": (
+        lambda t: t.replace("interval 60 s;", "interval 60 s; intervall 300 s; nonsense 7;", 1),
+        "unknown recorder field 'intervall'"),
+    "clock_unknown_field": (
+        lambda t: t.replace("timestep 60 s;", "timestep 60 s; tiemstep 5 s;"), "unknown clock field 'tiemstep'"),
+    "player_unknown_field": (
+        lambda t: t + "player { name p; target h1; property deadband; file db.csv; fiel x.csv; }\n",
+        "unknown player field 'fiel'"),
+    "weather_unknown_field": (
+        lambda t: t + "weather { file w.csv; format csv; }\n", "unknown weather field 'format'"),
 }

@@ -476,8 +476,9 @@ class _TupleParser:
 
     # -- block parsing ------------------------------------------------------
 
-    def _read_props(self) -> dict[str, Value]:
-        """Parse `{ key value; ... }` into a dict in source order."""
+    def _read_props(self, block: str = "object", fields: tuple[str, ...] | None = None) -> dict[str, Value]:
+        """Parse `{ key value; ... }` into a dict in source order; a key
+        outside `fields`, when given, is an unknown `block` field."""
         self._expect("{")
         props: dict[str, Value] = {}
         while True:
@@ -486,6 +487,8 @@ class _TupleParser:
                 return props
             if tok[0] != "atom":
                 raise _oracle_error(f"expected property name, got '{tok[1]}'", tok)
+            if fields is not None and tok[1] not in fields:
+                raise _oracle_error(f"unknown {block} field '{tok[1]}'", tok)
             if tok[1] in props:
                 raise _oracle_error(f"duplicate property '{tok[1]}'", tok)
             props[tok[1]] = self._interpret(*self._read_raw_value(), tok)
@@ -503,9 +506,12 @@ class _TupleParser:
         return v.value
 
     @staticmethod
-    def _as_number(v: Value, tok: _Token) -> float:
+    def _as_number(key: str, unit_class: str, v: Value, tok: _Token) -> float:
+        """Field `key` as a number; a unit must be of `unit_class` ("number": none)."""
         if v.kind != "NUMBER":
             raise _oracle_error("expected a number", tok)
+        if v.unit is not None and UNIT_TABLE[v.unit][0] != unit_class:
+            raise _oracle_error(f"'{key}' has unit {v.unit}, expected {unit_class}", tok)
         return float(v.canonical())
 
     def _parse_object(self, model: ScenarioModel) -> None:
@@ -521,10 +527,10 @@ class _TupleParser:
     def _parse_clock(self, model: ScenarioModel, tok: _Token) -> None:
         if model.clock is not None:
             raise _oracle_error("duplicate clock block", tok)
-        pmap = self._read_props()
+        pmap = self._read_props("clock", ("start", "stop", "timestep"))
         start = self._as_time(self._want(pmap, "start", tok), tok)
         stop = self._as_time(self._want(pmap, "stop", tok), tok)
-        step = self._as_number(self._want(pmap, "timestep", tok), tok)
+        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", tok), tok)
         if step != int(step) or int(step) <= 0:
             raise _oracle_error("timestep must be a positive whole number of seconds", tok)
         model.clock = ClockConfig(start, stop, int(step))
@@ -553,17 +559,10 @@ class _TupleParser:
                 name = str(self._interpret(*self._read_raw_value(), key_tok).value)
             elif key == "repeat":
                 v = self._interpret(*self._read_raw_value(), key_tok)
-                repeat = self._as_number(v, key_tok)  # as written; validate checks it
+                repeat = self._as_number("repeat", "TIME", v, key_tok)  # as written; validate checks it
             else:
                 raise _oracle_error(f"unknown schedule field '{key}'", key_tok)
         model.schedules.append(Schedule(name, entries, repeat, tok[2]))
-
-    def _attack_number(self, key: str, unit_class: str, v: Value, tok: _Token) -> float:
-        """A numeric attack field; a unit must be of `unit_class` ("number": none)."""
-        number = self._as_number(v, tok)
-        if v.unit is not None and UNIT_TABLE[v.unit][0] != unit_class:
-            raise _oracle_error(f"'{key}' has unit {v.unit}, expected {unit_class}", tok)
-        return number
 
     def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
         pmap = self._read_props()
@@ -584,13 +583,13 @@ class _TupleParser:
             line=tok[2],
         )
         if "fraction" in pmap:
-            cfg.fraction = self._attack_number("fraction", "number", pmap["fraction"], tok)
+            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], tok)
         if "seed" in pmap:
-            cfg.seed = int(self._attack_number("seed", "number", pmap["seed"], tok))
+            cfg.seed = int(self._as_number("seed", "number", pmap["seed"], tok))
         if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.params["price"] = self._attack_number("price", "PRICE", self._want(pmap, "price", tok), tok)
+            cfg.params["price"] = self._as_number("price", "PRICE", self._want(pmap, "price", tok), tok)
         elif kind == "BUYER_BID_SCALE":
-            cfg.params["lambda"] = self._attack_number("lambda", "number", self._want(pmap, "lambda", tok), tok)
+            cfg.params["lambda"] = self._as_number("lambda", "number", self._want(pmap, "lambda", tok), tok)
         else:
             lines_v = self._want(pmap, "lines", tok)
             items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
@@ -602,7 +601,7 @@ class _TupleParser:
         model.attacks.append(cfg)
 
     def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props()
+        pmap = self._read_props("recorder", ("name", "target", "property", "interval", "file"))
         props_v = self._want(pmap, "property", tok)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         model.recorders.append(
@@ -610,14 +609,14 @@ class _TupleParser:
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
                 target=str(self._want(pmap, "target", tok).value),
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number(self._want(pmap, "interval", tok), tok)),
+                interval=int(self._as_number("interval", "TIME", self._want(pmap, "interval", tok), tok)),
                 file=str(self._want(pmap, "file", tok).value),
                 line=tok[2],
             )
         )
 
     def _parse_player(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props()
+        pmap = self._read_props("player", ("name", "target", "property", "file"))
         model.players.append(
             PlayerConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
@@ -629,7 +628,7 @@ class _TupleParser:
         )
 
     def _parse_weather(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props()
+        pmap = self._read_props("weather", ("file",))
         model.weather_source = str(self._want(pmap, "file", tok).value)
 
     def parse(self) -> ScenarioModel:

@@ -50,14 +50,18 @@ def test_run_validation_failure(tmp_path, capsys):
     assert "NO_CLOCK" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """`main`'s exit status, also when it exits by `SystemExit`, as on a parse error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_run_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.glm"
     bad.write_text("object widget { }\n")
-    try:
-        code = main(["run", str(bad), "--out", str(tmp_path / "out")])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
+    assert _exit_code(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "unknown class" in capsys.readouterr().err
 
 
@@ -125,7 +129,10 @@ def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
     with open(fixture_path("feeder_small.glm")) as fh:
         scenario.write_text(edit(fh.read()))
     (tmp_path / "status.csv").write_text("time,value\n2013-07-01 00:00:00,1\n")
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert _exit_code(["validate", str(scenario)]) == 2
+    reported = capsys.readouterr()
+    assert code in reported.out + reported.err
+    assert _exit_code(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert code in capsys.readouterr().err
 
 

@@ -217,6 +217,20 @@ _ATTACK = 'attack {{ kind {}; start "2013-07-01 00:10:00"; end "2013-07-01 00:20
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2 degF;"), "'lambda' has unit degF, expected number"),
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; fraction 0.5 kW;"), "'fraction' has unit kW, expected number"),
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 7 s;"), "'seed' has unit s, expected number"),
+        # a unit of another class was dropped and the number run as seconds
+        ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 kW; }',
+         "'timestep' has unit kW, expected TIME"),
+        ("recorder { target n1; property voltage_mag; interval 300 degF; file r.csv; }",
+         "'interval' has unit degF, expected TIME"),
+        ('schedule { entry "2013-07-01 00:10:00" h1 deadband 3 degF; repeat 3600 kW; }',
+         "'repeat' has unit kW, expected TIME"),
+        # a misspelt field was dropped
+        ("recorder { target n1; property voltage_mag; intervall 300 s; nonsense 7; interval 300 s; file r.csv; }",
+         "unknown recorder field 'intervall'"),
+        ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 s; tiemstep 5 s; }',
+         "unknown clock field 'tiemstep'"),
+        ("player { target z1; property base_power; file z.csv; fiel y.csv; }", "unknown player field 'fiel'"),
+        ("weather { file w.csv; name w; }", "unknown weather field 'name'"),
         ("frobnicate { }", "unknown block"),
         ("object node { name n; nominal_voltage 1e999 V; }", "not a finite number"),
         ("object node { name n; nominal_voltage 1e307 kV; }", "not a finite number"),  # inf once scaled
@@ -256,6 +270,15 @@ def test_no_such_date_is_placed_at_the_value():
     with pytest.raises(ParseError) as err:
         parse_scenario('clock {\n  start "2013-13-01 00:00:00";\n}')
     assert (err.value.line, err.value.column) == (2, 9)
+
+
+def test_time_fields_take_time_units_or_seconds():
+    model = parse_scenario(
+        'clock { start "2013-07-01 00:00:00"; stop "2013-07-02 00:00:00"; timestep 1 min; }\n'
+        "recorder { target n1; property voltage_mag; interval 300; file r.csv; }\n"
+        'schedule { entry "2013-07-01 00:10:00" h1 deadband 3 degF; repeat 1 h; }\n'
+    )
+    assert (model.clock.timestep, model.recorders[0].interval, model.schedules[0].repeat) == (60, 300, 3600.0)
 
 
 def test_fractional_repeat_is_kept_as_written():
@@ -333,10 +356,26 @@ _LEXICAL_PIECES = [
 ]
 
 
+_LEXICAL_TEXT = st.lists(st.sampled_from(_LEXICAL_PIECES), max_size=30).map("".join)
+
+
+def _lines_from(pool, picks):
+    """Lines of `pool` in the order `picks` names them, so most lines repeat."""
+    return "\n".join(pool[i % len(pool)] for i in picks)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(_LEXICAL_PIECES), max_size=30).map("".join))
+@given(
+    st.one_of(
+        _LEXICAL_TEXT,
+        st.builds(
+            _lines_from, st.lists(_LEXICAL_TEXT, min_size=1, max_size=4), st.lists(st.integers(0, 3), max_size=12)
+        ),
+    )
+)
 def test_tokenizer_matches_oracle(text):
-    """Same (kind, text, line, col) tokens, or the same ParseError at the same place."""
+    """Same (kind, text, line, col) tokens, or the same ParseError at the same place,
+    also where lines repeat and a line's tokens are read once."""
     assert _tokens_or_error(_positioned_tokens, text) == _tokens_or_error(tokenize_oracle, text)
 
 
@@ -448,9 +487,16 @@ def test_memo_keeps_a_string_apart_from_a_word():
          ("malformed value", 1, 39)),
         ("object node { name a; tags a,b; }\nobject node { name b; tags a,,b; }", ("empty list item", 2, 30)),
         ("object node { name a; tags a,b; }\nobject node { name b; tags a,b,; }", ("trailing comma in list", 2, 31)),
+        # the line memo: a bad line is reported at its first copy, a good one is placed at each
+        ('object node { name a; }\nobject node { name "b; }\nobject node { name "b; }',
+         ("unterminated string", 2, 20)),
+        ("object node {\n  name a;\n  name a;\n}", ("duplicate property 'name'", 3, 3)),
     ],
-    ids=["extra_unit", "unknown_unit", "brace", "end_of_input", "bad_twice", "empty_item", "trailing_comma"],
+    ids=[
+        "extra_unit", "unknown_unit", "brace", "end_of_input", "bad_twice", "empty_item", "trailing_comma",
+        "unterminated_line_twice", "duplicate_on_repeated_line",
+    ],
 )
 def test_memo_places_each_error_at_its_own_token(text, error):
-    """A value that parsed once is no excuse later: each error is where it is."""
+    """A value or line that was read once is no excuse later: each error is where it is."""
     assert _assert_parses_as_oracle(text) == error

@@ -4,6 +4,7 @@ violation produces the expected diagnostic without raising."""
 import pytest
 from conftest import UNRUNNABLE_EDITS
 
+from tesgrid.errors import ParseError
 from tesgrid.glm import parse_scenario
 from tesgrid.network import build_network_index
 from tesgrid.validate import validate
@@ -133,7 +134,12 @@ def test_rejects_what_the_engine_cannot_run(small_text, case):
     edit, code = UNRUNNABLE_EDITS[case]
     text = edit(small_text)
     assert text != small_text
-    report = validate(parse_scenario(text))
+    try:
+        model = parse_scenario(text)
+    except ParseError as err:
+        assert code in err.message
+        return
+    report = validate(model)
     assert not report.runnable
     assert code in codes(report)
 
