@@ -348,12 +348,16 @@ class _Parser:
         pmap = self._read_block("recorder")
         props_v = self._want(pmap, "property", at)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
+        target = str(self._want(pmap, "target", at).value)  # reported before the interval
+        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", at), at)
+        if interval != int(interval):
+            raise self._error("interval must be a whole number of seconds", at)
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
-                target=str(self._want(pmap, "target", at).value),
+                target=target,
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number("interval", "TIME", self._want(pmap, "interval", at), at)),
+                interval=int(interval),
                 file=str(self._want(pmap, "file", at).value),
                 line=bisect_right(self.starts, at),
             )

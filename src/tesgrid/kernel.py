@@ -1,9 +1,10 @@
-"""Simulation clock, event manager, and the per-step phase pipeline.
+"""Simulation clock, event stream, and the per-step phase pipeline.
 
 The main loop advances t from start to stop in timestep increments.  At
 every step boundary the kernel first applies all pending events with
-event time <= t (in queue order: time, then insertion sequence), then
-runs the component phases in a fixed order:
+event time <= t (in stream order: time, then schedule entries in file
+order, then attack events), then runs the component phases in a fixed
+order:
 
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
@@ -16,7 +17,7 @@ house's kW, which the market round and the power flow both use; they
 walk only the energized loads, in a plan made once per islands object.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
-function of (model, queue, seed): outputs are byte-identical across
+function of (model, events, seed): outputs are byte-identical across
 repeats.  Every applied event lands in an audit log.
 """
 
@@ -27,14 +28,16 @@ import heapq
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, NamedTuple
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .attack import ATTACKS, CompiledAttack, compile_attack
+from .attack import ATTACKS, CompiledAttack, Param, compile_attack
 from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownProperty, UnknownTarget
 from .loads import HouseState, hvac_power, init_mode, solar_output, step_house
 from .market import (
     DEFAULT_PRICE_CAP,
     DEFAULT_SIGMA_FLOOR,
+    MAX_PRICE,
     UNRESPONSIVE_TRADER,
     Bid,
     Controller,
@@ -43,7 +46,7 @@ from .market import (
     respond_to_clearing,
     seller_bids,
 )
-from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, Value, format_time
+from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
 from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import (
@@ -65,7 +68,8 @@ class Prop(NamedTuple):
     (dimensionless); without one the property is not a scenario input.
     `default` is what `Engine` takes when an object leaves the property out;
     a `required` one has none.  `bound` is "positive" (> 0) or
-    "nonnegative" (>= 0), for object, schedule and player values alike.
+    "nonnegative" (>= 0), for object, schedule and player values alike; a
+    "PRICE" is at most `MAX_PRICE` besides.
 
     `read(engine, target)` binds the recorder read: a closure that takes the
     step's feeder totals and returns (value, flag) from the live run state;
@@ -310,10 +314,14 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
 OBJECT_CLASSES = frozenset(PROPERTIES) - {"attack"}
 
 
-def out_of_bounds(name: str, bound: str | None, number: float) -> str | None:
-    """Why `number` cannot be `name`, a property or parameter with `bound`; None when it can."""
+def out_of_bounds(name: str, spec: Prop | Param, number: float) -> str | None:
+    """Why `number` cannot be `name`, a property or attack parameter of
+    `spec`'s kind and bound; None when it can."""
+    bound = spec.bound
     if bound == "positive" and not number > 0 or bound == "nonnegative" and not number >= 0:
         return f"{name} must be {bound}"
+    if spec.kind == "PRICE" and number > MAX_PRICE:
+        return f"{name} must be at most {MAX_PRICE:g}"
     return None
 
 
@@ -327,62 +335,58 @@ class AuditRow:
     origin: str
 
 
-class EventQueue:
-    """Time-ordered multiset; ties pop in insertion (FIFO) order."""
-
-    def __init__(self):
-        self._heap: list[tuple[datetime, int, Event]] = []
-        self._seq = 0
-        self.warnings: list[str] = []
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, self._seq, event))
-        self._seq += 1
-
-    def pop_due(self, t: datetime) -> list[Event]:
-        due = []
-        while self._heap and self._heap[0][0] <= t:
-            due.append(heapq.heappop(self._heap)[2])
-        return due
-
-    def __len__(self) -> int:
-        return len(self._heap)
+def _repeats(e: ScheduleEntry, step: timedelta, ks: range) -> Iterator[Event]:
+    for k in ks:
+        yield Event(e.time + k * step, e.target, e.prop, e.value, "schedule")
 
 
-def build_event_list(
+_time = attrgetter("time")
+
+
+def event_stream(
     schedules: list[Schedule],
     attacks: list[CompiledAttack],
     t0: datetime,
     tf: datetime,
-) -> EventQueue:
-    """Expand schedules (with repeats) and compiled attacks into a queue.
+    warnings: list[str],
+) -> Iterator[Event]:
+    """The events of schedules (with repeats) and compiled attacks within
+    [t0, tf], in time order, each made when the iterator reaches it.
 
-    Entries outside [t0, tf] are dropped with an OutOfWindow warning.
+    One stream per schedule entry, and one of the attack events, are merged
+    on time; the merge is stable, so events at one time come in schedule
+    entry (file) order, then attack events in compile order.  A repeating
+    entry's stream starts at its first occurrence at or after t0 and holds
+    only its next event.  Each event outside [t0, tf] is dropped with an
+    OutOfWindow warning in `warnings`, all added before this returns; the
+    repeats of an entry dated before t0 share one.
     """
-    queue = EventQueue()
+    def kept(event: Event) -> bool:
+        if t0 <= event.time <= tf:
+            return True
+        warnings.append(
+            f"OutOfWindow: {event.origin} event at {event.time} for {event.target}.{event.prop} dropped"
+        )
+        return False
 
-    def push(event: Event) -> None:
-        if event.time < t0 or event.time > tf:
-            queue.warnings.append(
-                f"OutOfWindow: {event.origin} event at {event.time} for {event.target}.{event.prop} dropped"
-            )
-            return
-        queue.push(event)
-
+    streams: list[Iterable[Event]] = []
     for sched in schedules:
-        for entry in sched.entries:
+        for e in sched.entries:
             if sched.repeat is None:
-                push(Event(entry.time, entry.target, entry.prop, entry.value, "schedule"))
-            else:
-                step = timedelta(seconds=sched.repeat)
-                t = entry.time
-                while t <= tf:
-                    push(Event(t, entry.target, entry.prop, entry.value, "schedule"))
-                    t = t + step
-    for compiled in attacks:
-        for event in compiled.events:
-            push(event)
-    return queue
+                event = Event(e.time, e.target, e.prop, e.value, "schedule")
+                streams.append([event] if kept(event) else [])
+                continue
+            step = timedelta(seconds=sched.repeat)
+            first = max(0, -((e.time - t0) // step))  # the repeats before t0
+            if first:
+                warnings.append(
+                    f"OutOfWindow: schedule event at {e.time} for {e.target}.{e.prop} "
+                    f"and its repeats before {t0} dropped ({first} events)"
+                )
+            streams.append(_repeats(e, step, range(first, (tf - e.time) // step + 1)))
+    # a stable sort: attack events at one time stay in compile order
+    streams.append(sorted(filter(kept, [ev for c in attacks for ev in c.events]), key=_time))
+    return heapq.merge(*streams, key=_time)
 
 
 @dataclass
@@ -569,9 +573,9 @@ class Engine:
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
             series = read_player(os.path.join(base_dir, cfg.file))
-            bound = PROPERTIES[self._classes[cfg.target]][cfg.prop].bound
+            spec = PROPERTIES[self._classes[cfg.target]][cfg.prop]
             for _, value in series.rows:
-                problem = out_of_bounds(cfg.prop, bound, value)
+                problem = out_of_bounds(cfg.prop, spec, value)
                 if problem is not None:
                     raise ConfigError(f"{cfg.name}: {cfg.file} holds {value:g}: {problem}")
             self.players.append((cfg, series, write))
@@ -607,7 +611,7 @@ class Engine:
     def apply_event(self, event: Event) -> None:
         """Execute one property mutation; appends an audit record."""
         write = self._writers.get((event.target, event.prop))
-        if write is None:  # an event queue built outside this engine
+        if write is None:  # an event stream passed to `run` from outside
             write = self._writers[event.target, event.prop] = self._bind(event.target, event.prop, write=True)
         value = event.value.canonical() if isinstance(event.value, Value) else event.value
         old = write(value)
@@ -755,11 +759,16 @@ class Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, queue: EventQueue | None = None) -> SimulationResult:
+    def run(self, events: Iterable[Event] | None = None) -> SimulationResult:
+        """Step the clock from start to stop.  `events`, any time-ordered
+        iterable of events, stands in for the scenario's schedules and attacks."""
         clock = self.clock
         dt = clock.timestep
-        if queue is None:
-            queue = build_event_list(self.model.schedules, self.attacks, clock.start, clock.stop)
+        warnings: list[str] = []
+        if events is None:
+            events = event_stream(self.model.schedules, self.attacks, clock.start, clock.stop, warnings)
+        events = iter(events)
+        event = next(events, None)  # the one pending event
         steps = int((clock.stop - clock.start).total_seconds()) // dt
 
         tables: dict[str, RecorderTable] = {}
@@ -775,8 +784,9 @@ class Engine:
         executed_steps = 0
         for k in range(steps + 1):
             t = clock.start + timedelta(seconds=k * dt)
-            for event in queue.pop_due(t):
+            while event is not None and event.time <= t:
                 self.apply_event(event)
+                event = next(events, None)
             self._phase_players(t)
             # attack transforms are standing; activation happened via events
             self._phase_loads(t, dt, first=(k == 0))
@@ -826,6 +836,6 @@ class Engine:
             "steps": steps,
             "executed_steps": executed_steps,
             "seed": self.seed,
-            "event_warnings": list(queue.warnings),
+            "event_warnings": warnings,
         }
         return SimulationResult(tables, self.audit, summary, metadata, complete)

@@ -43,6 +43,9 @@ from .loads import HouseState
 STATS_WINDOW_HOURS = 24.0
 DEFAULT_PRICE_CAP = 0.63  # $/kWh, maximum price the market accepts
 DEFAULT_SIGMA_FLOOR = 0.003  # $/kWh, keeps the setpoint ramp well-defined
+# $/kWh, the most any price may be: a 24 h window of 1 s periods then sums
+# its 86,400 squared deviations (each below MAX_PRICE ** 2) far below 1.8e308
+MAX_PRICE = 1e100
 UNRESPONSIVE_TRADER = "feeder_unresponsive"
 
 

@@ -27,7 +27,12 @@ merged node (a meter, say) reports its supernode's voltage, and a
 A sweep has converged when no voltage step (per unit of nominal) reaches
 the tolerance; a NaN step never does.  Before the last allowed iteration
 the forward pass computes the steps only up to the first that reaches
-it; the last computes them all, so a divergence names the worst.
+it; the last computes them all, so a divergence names the worst.  A
+converged state with a voltage or current that is not finite, or a
+source power that is not, is a divergence too, at the first such
+supernode in index order (at the source for its power); one sum over
+the voltages and the source power screens for it, so a finite solve
+pays no per-node check.
 
 Each solve can start from an earlier `NetworkState` (warm start), whose
 voltage list is copied over the same islands; otherwise a supernode that
@@ -42,6 +47,7 @@ scope.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,7 +136,8 @@ def solve_powerflow(
     `islands` object its voltage list is copied as is.
 
     Raises SolverDivergence with the worst residual, and the node where it
-    was, after `max_iterations`.
+    was, after `max_iterations`; and with a NaN residual, and the first
+    node that is not finite, when the state it reached is not.
     """
     if islands is None:
         islands = compute_islands(index, {})
@@ -207,6 +214,16 @@ def solve_powerflow(
 
     source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
     source_power = v[0] * source_current.conjugate()
+    # one C-level screen: a NaN or inf voltage makes the sum one, and so does
+    # a current, which the backward pass adds up into the source power; an
+    # overflow can too, so the scan decides
+    if not cmath.isfinite(sum(v, source_power)):
+        bad = [s for s in range(n) if not (cmath.isfinite(v[s]) and cmath.isfinite(cur[s]))]
+        if bad or not cmath.isfinite(source_power):
+            at = names[bad[0] if bad else 0]  # the source power is named at the source
+            raise SolverDivergence(
+                f"power flow reached a voltage or current that is not finite (at {at})", float("nan"), at
+            )
     losses = 0j
     for s, _, _, z, _ in rows:  # a dead edge carries no current
         losses += z * (abs(cur[s]) ** 2)

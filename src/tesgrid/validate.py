@@ -24,10 +24,12 @@ from .network import walk_feeder
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
 RUN_FILES = ("audit.csv", "summary.txt")  # what `write_results` writes beside the recorders
+LONGEST_REPEAT_S = timedelta.max.days * 86400  # a run steps a repeat as a `timedelta`
 
 # per class, the properties an object must carry, and those naming another object
 REQUIRED = {cls: [p for p, spec in props.items() if spec.required] for cls, props in PROPERTIES.items()}
 REFS = {cls: [p for p, spec in props.items() if spec.kind == "ref"] for cls, props in PROPERTIES.items()}
+_SIGMA_FLOOR = PROPERTIES["controller"]["sigma_floor"].default
 
 
 def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
@@ -42,7 +44,7 @@ def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
             return "BAD_VALUE", f"property '{prop}' must be a real number"
         if value.unit is not None and (kind == "number" or UNIT_TABLE[value.unit][0] != kind):
             return "BAD_UNIT", f"property '{prop}' has unit {value.unit}, expected {kind}"
-        problem = out_of_bounds(prop, PROPERTIES[cls][prop].bound, value.canonical())
+        problem = out_of_bounds(prop, PROPERTIES[cls][prop], value.canonical())
         if problem is not None:
             return "BAD_RANGE", problem
     elif prop == "status" and value.value not in LINE_STATUSES:
@@ -124,6 +126,11 @@ def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
             t_min, t_base, t_max = _number(obj, "t_min"), _number(obj, "t_base"), _number(obj, "t_max")
             if None not in (t_min, t_base, t_max) and not (t_min < t_base < t_max):
                 errors.append(Diagnostic(loc, "BAD_RANGE", "require t_min < t_base < t_max"))
+            # the setpoint ramp divides by k_ramp * max(p_std, sigma_floor)
+            k_ramp = _number(obj, "k_ramp")
+            floor = _number(obj, "sigma_floor") if "sigma_floor" in obj.properties else _SIGMA_FLOOR
+            if None not in (k_ramp, floor) and k_ramp > 0 and floor > 0 and not k_ramp * floor > 0:
+                errors.append(Diagnostic(loc, "BAD_RANGE", "k_ramp * sigma_floor underflows to 0"))
         elif obj.cls == "generator_seller":
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
@@ -161,6 +168,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
         repeat = sched.repeat
         if repeat is not None and (repeat <= 0 or (clock is not None and repeat % clock.timestep != 0)):
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat must be a positive multiple of timestep"))
+        if repeat is not None and repeat > LONGEST_REPEAT_S:
+            message = f"repeat must be at most {timedelta.max.days} days"
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", message))
         for e in sched.entries:
             target = names.get(e.target)
             if target is None:
@@ -198,7 +208,7 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                         errors.append(Diagnostic(a.name, "NOT_SWITCHABLE", message))
             elif param.kind in NUMERIC_KINDS:
                 # a price replaces an offer, so it obeys the cap of the auction it enters
-                problem = out_of_bounds(key, param.bound, value)
+                problem = out_of_bounds(key, param, value)
                 if problem is None and param.kind == "PRICE" and value > lowest_cap:
                     problem = f"{key} {value:g} exceeds a price_cap of {lowest_cap:g}"
                 if problem is not None:

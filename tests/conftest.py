@@ -113,6 +113,10 @@ UNRUNNABLE_EDITS = {
     "schedule_repeat_off_step": (
         lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 90 s; }\n',
         "BAD_SCHEDULE"),
+    # validated clean, then the run overflowed making the repeat a time span (a traceback)
+    "schedule_repeat_beyond_a_timedelta": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 86400000000000 s; }\n',
+        "BAD_SCHEDULE"),
     # took effect at the 00:02:00 step, while its audit row read 00:01:30
     "schedule_entry_off_step": (
         lambda t: t + 'schedule { entry "2013-07-01 00:01:30" h2 deadband 3 degF; }\n',
@@ -125,6 +129,16 @@ UNRUNNABLE_EDITS = {
     "schedule_repeat_in_kw": (
         lambda t: t + 'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 60 kW; }\n',
         "'repeat' has unit kW, expected TIME"),
+    # validated clean and recorded every 60 s
+    "recorder_fractional_interval": (
+        lambda t: t.replace("interval 60 s;", "interval 60.9 s;", 1), "interval must be a whole number of seconds"),
+    # validated clean, then the run's price statistics overflowed squaring a deviation (a traceback)
+    "price_cap_overflows_statistics": (
+        lambda t: t.replace("price_cap 0.63 $/kWh;", "price_cap 1e180 $/kWh;"), "BAD_RANGE"),
+    # validated clean, then the setpoint ramp divided by k_ramp * sigma, 0 after underflow (a traceback)
+    "k_ramp_times_sigma_underflows": (
+        lambda t: t + "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF;"
+        " t_max 80 degF; k_ramp 5e-324; }\n", "BAD_RANGE"),
     # each validated clean with the misspelt field dropped
     "recorder_unknown_field": (
         lambda t: t.replace("interval 60 s;", "interval 60 s; intervall 300 s; nonsense 7;", 1),

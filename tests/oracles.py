@@ -246,7 +246,8 @@ def sweep_reference(
     index, demand, islands=None, tolerance_pu=_INTERNAL_TOLERANCE_PU, max_iterations=MAX_ITERATIONS, start=None
 ):
     """`solve_powerflow` as it was when every forward pass found the worst
-    step and its node."""
+    step and its node, with its rule for a state that is not finite
+    checked node by node."""
     if islands is None:
         islands = compute_islands(index, {})
     live, rows = islands
@@ -291,6 +292,13 @@ def sweep_reference(
 
     source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
     source_power = v[0] * source_current.conjugate()
+    # a state that is not finite diverges at its first such supernode (the source for its power)
+    finite = [cmath.isfinite(v[s]) and cmath.isfinite(cur[s]) for s in range(n)]
+    if not all(finite) or not cmath.isfinite(source_power):
+        at = names[finite.index(False) if not all(finite) else 0]
+        raise SolverDivergence(
+            f"power flow reached a voltage or current that is not finite (at {at})", float("nan"), at
+        )
     losses = 0j
     for s, _, _, z, _ in rows:
         losses += z * (abs(cur[s]) ** 2)
@@ -604,12 +612,16 @@ class _TupleParser:
         pmap = self._read_props("recorder", ("name", "target", "property", "interval", "file"))
         props_v = self._want(pmap, "property", tok)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
+        target = str(self._want(pmap, "target", tok).value)  # reported before the interval
+        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", tok), tok)
+        if interval != int(interval):
+            raise _oracle_error("interval must be a whole number of seconds", tok)
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
-                target=str(self._want(pmap, "target", tok).value),
+                target=target,
                 properties=[str(item.value) for item in items],
-                interval=int(self._as_number("interval", "TIME", self._want(pmap, "interval", tok), tok)),
+                interval=int(interval),
                 file=str(self._want(pmap, "file", tok).value),
                 line=tok[2],
             )

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output files, and the feeder generator."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -82,6 +83,44 @@ def test_run_divergence_is_runtime_error(tmp_path, capsys):
     summary = (out / "summary.txt").read_text().splitlines()
     assert "divergence_time 2013-07-01 00:05:00" in summary
     assert "divergence_node b" in summary
+
+
+def _second_ratio(value):
+    return lambda t: f"ratio {value};".join(t.rsplit("ratio 30;", 1))  # T2, behind the line UL1
+
+
+# Single-number edits of feeder_small.glm that validate clean and used to run
+# to exit 0 with `nan` or `inf` cells: the power flow took a NaN voltage step
+# for a converged one.  A state that is not finite is now a divergence.
+NON_FINITE_EDITS = {
+    "ratio_1e-300": _second_ratio("1e-300"),
+    "ratio_3e-200": _second_ratio("3e-200"),
+    "ratio_5e-324": _second_ratio("5e-324"),
+    "nominal_voltage_5e-324": lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage 5e-324 V;", 1),
+    "line_impedance_1e308j": lambda t: t.replace("impedance 0.5+1j Ohm;", "impedance 0.5+1e308j Ohm;"),
+    "hvac_rating_1e308": lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating 1e308;", 1),
+    "base_power_1e308": lambda t: t.replace("base_power 1.2 kW;", "base_power 1e308;"),
+    "solar_rating_1e308": lambda t: t.replace("rating 1 kW;\n    efficiency", "rating 1e308;\n    efficiency"),
+    "solar_efficiency_1e308": lambda t: t.replace("efficiency 0.9;", "efficiency 1e308;"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_EDITS))
+def test_non_finite_sweep_is_a_divergence(tmp_path, capsys, case):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        text = fh.read()
+    scenario.write_text(NON_FINITE_EDITS[case](text))
+    assert scenario.read_text() != text
+    assert _exit_code(["validate", str(scenario)]) == 0
+    out = tmp_path / "out"
+    assert _exit_code(["run", str(scenario), "--out", str(out)]) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "complete 0" in summary and "incomplete_reason solver_divergence" in summary
+    assert "divergence_node" in summary
+    for name in os.listdir(out):
+        assert not re.search(r"\b(nan|inf)\b", (out / name).read_text()), name
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_ok(capsys):

@@ -2,7 +2,10 @@
 schedule application, outage/restore behavior, and determinism."""
 
 import os
+import tracemalloc
+from collections import deque
 from datetime import datetime, timedelta
+from itertools import islice
 
 import pytest
 from conftest import load_fixture
@@ -10,7 +13,7 @@ from conftest import load_fixture
 from tesgrid import powerflow
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
-from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, EventQueue, build_event_list, out_of_bounds
+from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, event_stream, out_of_bounds
 from tesgrid.model import AttackConfig, RecorderConfig, ScheduleEntry
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
@@ -38,15 +41,14 @@ def test_market_round_every_period(small_text):
     assert engine.markets["A1"].current_period == 13
 
 
-def test_event_queue_fifo_ties():
-    queue = EventQueue()
-    t = START
-    queue.push(Event(t, "h1", "cooling_setpoint", 71.0, "schedule"))
-    queue.push(Event(t, "h1", "cooling_setpoint", 72.0, "schedule"))
-    queue.push(Event(t + timedelta(60), "h1", "cooling_setpoint", 73.0, "schedule"))
-    due = queue.pop_due(t)
-    assert [e.value for e in due] == [71.0, 72.0]
-    assert len(queue) == 1
+def test_run_applies_passed_events_in_order(small_text):
+    engine = Engine(parse_scenario(small_text))
+    t = START + timedelta(minutes=10)
+    events = [Event(t, "h1", "cooling_setpoint", value, "schedule") for value in (71.0, 72.0)]
+    events.append(Event(t + timedelta(minutes=1), "h1", "cooling_setpoint", 73.0, "schedule"))
+    engine.run(iter(events))
+    rows = [(r.time, r.new_value) for r in engine.audit]
+    assert rows == [(t, 71.0), (t, 72.0), (t + timedelta(minutes=1), 73.0)]
 
 
 def test_same_time_events_last_wins(small_text):
@@ -67,36 +69,70 @@ def test_schedule_repeat_expansion():
     model = parse_scenario(
         'schedule { name s; entry "2013-07-01 00:05:00" h1 cooling_setpoint 71 degF; repeat 1200 s; }'
     )
-    queue = build_event_list(model.schedules, [], START, START + timedelta(hours=1))
-    times = []
-    while len(queue):
-        times.extend(e.time for e in queue.pop_due(START + timedelta(hours=2)))
-    assert times == [START + timedelta(minutes=m) for m in (5, 25, 45)]
+    events = event_stream(model.schedules, [], START, START + timedelta(hours=1), [])
+    assert [e.time for e in events] == [START + timedelta(minutes=m) for m in (5, 25, 45)]
 
 
 def test_out_of_window_warning():
     model = parse_scenario(
         'schedule { name s; entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }'
     )
-    queue = build_event_list(model.schedules, [], START, START + timedelta(hours=1))
-    assert len(queue) == 0
-    assert len(queue.warnings) == 1 and "OutOfWindow" in queue.warnings[0]
+    warnings = []
+    assert list(event_stream(model.schedules, [], START, START + timedelta(hours=1), warnings)) == []
+    assert warnings == ["OutOfWindow: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"]
+
+
+def test_ties_keep_schedule_file_order_then_attacks(small_text):
+    # the second schedule's repeat and the attack land at 00:10 too
+    text = small_text + (
+        'schedule { entry "2013-07-01 00:10:00" h1 cooling_setpoint 71 degF; }\n'
+        'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 600 s; }\n'
+        'attack { name a1; kind LINE_STATUS; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; '
+        'lines UL1; status OPEN; }\n'
+    )
+    _, result = run_small(text)
+    at_ten = [(r.target, r.prop, r.origin) for r in result.audit if r.time == START + timedelta(minutes=10)]
+    assert at_ten == [
+        ("h1", "cooling_setpoint", "schedule"), ("h2", "deadband", "schedule"), ("UL1", "status", "attack"),
+    ]
+
+
+def test_repeats_before_start_give_one_warning(small_text):
+    entry = 'schedule {{ entry "{}" h2 deadband 3 degF; repeat 60 s; }}\n'
+    _, early = run_small(small_text + entry.format("2012-07-01 00:00:00"))
+    _, at_start = run_small(small_text + entry.format("2013-07-01 00:00:00"))
+    assert early.metadata["event_warnings"] == [
+        "OutOfWindow: schedule event at 2012-07-01 00:00:00 for h2.deadband "
+        "and its repeats before 2013-07-01 00:00:00 dropped (525600 events)"
+    ]
+    assert at_start.metadata["event_warnings"] == []
+    assert early.audit == at_start.audit and len(early.audit) == 61
+
+
+def test_repeat_stream_holds_only_its_next_event():
+    # a 30-day clock at 1 s would need 2.6 million queued events made up front
+    model = parse_scenario('schedule { entry "2013-07-01 00:00:00" h1 deadband 3 degF; repeat 1 s; }')
+    tracemalloc.start()
+    try:
+        events = event_stream(model.schedules, [], START, START + timedelta(days=30), [])
+        last = deque(islice(events, 1000), maxlen=1)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last.time == START + timedelta(seconds=999)
+    assert peak < 64 * 1024
 
 
 def test_unknown_property_aborts(small_text):
     engine = Engine(parse_scenario(small_text))
-    queue = EventQueue()
-    queue.push(Event(START, "h1", "paint_color", 1.0, "schedule"))
     with pytest.raises(UnknownProperty):
-        engine.run(queue)
+        engine.run([Event(START, "h1", "paint_color", 1.0, "schedule")])
 
 
 def test_event_on_transformer_status_aborts(small_text):
     engine = Engine(parse_scenario(small_text))
-    queue = EventQueue()
-    queue.push(Event(START, "T1", "status", "OPEN", "schedule"))
     with pytest.raises(NotSwitchable):
-        engine.run(queue)
+        engine.run([Event(START, "T1", "status", "OPEN", "schedule")])
 
 
 def test_player_sets_property(small_text, tmp_path):
@@ -305,7 +341,7 @@ def test_every_settable_property_applies(small_text):
     model.schedules[0].entries.append(ScheduleEntry(when, "attack:a", "active", True))
     engine = Engine(model)
     before = {pair: probe(engine, targets[pair[0]]) for pair, (_, _, probe) in SET_TO.items()}
-    for event in build_event_list(model.schedules, [], START, engine.clock.stop).pop_due(when):
+    for event in event_stream(model.schedules, [], START, engine.clock.stop, []):  # all at `when`
         engine.apply_event(event)
     rows = {(row.target, row.prop): row for row in engine.audit if row.origin == "schedule"}
     assert len(rows) == len(engine.audit) == len(SET_TO)
@@ -420,5 +456,5 @@ def test_property_table_is_consistent():
             if spec.required:
                 assert spec.default is None, (cls, prop)
             if spec.default is not None:
-                assert out_of_bounds(prop, spec.bound, spec.default) is None, (cls, prop)
+                assert out_of_bounds(prop, spec, spec.default) is None, (cls, prop)
             assert spec.bound in (None, "positive", "nonnegative"), (cls, prop)

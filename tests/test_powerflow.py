@@ -223,3 +223,20 @@ def test_divergence_names_the_worst_node():
     assert err.value.node == "b"
     assert "worst at b" in str(err.value)
 
+
+
+def test_state_that_is_not_finite_is_a_divergence(small_text):
+    # ratio 1e-300 on T2: the sweep settles on NaN, which no voltage step counted as far
+    text = "ratio 1e-300;".join(small_text.rsplit("ratio 30;", 1))
+    index = build_network_index(parse_scenario(text))
+    with pytest.raises(SolverDivergence) as err:
+        solve_powerflow(index, demand_list(index, SMALL_LOADS))
+    assert err.value.node == "n2" and math.isnan(err.value.worst_residual)
+    assert "not finite (at n2)" in str(err.value)
+
+
+def test_finite_state_whose_sum_overflows_is_solved(small_text):
+    # each secondary sits at 1.44e308 V: finite, though the screening sum is not
+    index = build_network_index(parse_scenario(small_text.replace("ratio 30;", "ratio 5e-305;")))
+    state = solve_powerflow(index, [0j] * len(index.tree.names))
+    assert abs(state.voltages["tn1"]) == abs(state.voltages["tn2"]) == 7200 / 5e-305
