@@ -9,12 +9,16 @@ order:
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
 Attack transforms are standing: events switch them on and off, and a
-market round applies only the transforms that are active then; it binds
-each book's `submit` once and re-centers its controllers from one price.
+market round applies only the transforms that are active then.  The
+round books each list of bids (offers, replicas, forwarded bids, the
+controllers' bids) with one `submit_all` call and re-centers its
+controllers from one price.
 
-The loads phase samples the weather once per step and yields each
-house's kW, which the market round and the power flow both use; they
-walk only the energized loads, in a plan made once per islands object.
+The loads phase samples the weather once per step and steps the whole
+fleet with one `step_houses` call, which yields each house's kW, its
+slot sums and the HVAC total; the market round and the power flow use
+them.  All three walk only the energized loads, in a plan made once per
+islands object.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, events, seed): outputs are byte-identical across
@@ -33,7 +37,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .attack import ATTACKS, CompiledAttack, Param, compile_attack
 from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownProperty, UnknownTarget
-from .loads import HouseState, hvac_power, init_mode, solar_output, step_house
+from .loads import HouseState, hvac_power, init_mode, solar_output, step_houses
+from .loads import step_house  # noqa: F401  unused here: bench/tracer.py hooks `kernel.step_house`
 from .market import (
     DEFAULT_PRICE_CAP,
     DEFAULT_SIGMA_FLOOR,
@@ -43,6 +48,7 @@ from .market import (
     Controller,
     Market,
     SellerAgent,
+    controller_bids,
     respond_to_clearing,
     seller_bids,
 )
@@ -69,7 +75,8 @@ class Prop(NamedTuple):
     `default` is what `Engine` takes when an object leaves the property out;
     a `required` one has none.  `bound` is "positive" (> 0) or
     "nonnegative" (>= 0), for object, schedule and player values alike; a
-    "PRICE" is at most `MAX_PRICE` besides.
+    "PRICE" is at most `MAX_PRICE` besides, and a value with `limits`
+    (lowest, highest) lies in that closed range.
 
     `read(engine, target)` binds the recorder read: a closure that takes the
     step's feeder totals and returns (value, flag) from the live run state;
@@ -83,6 +90,7 @@ class Prop(NamedTuple):
     bound: str | None = None
     read: Callable | None = None
     write: Callable | None = None
+    limits: tuple[float, float] | None = None
 
 
 NO_PROP = Prop()  # the entry of a property a class does not have
@@ -206,8 +214,11 @@ def _feeder(get):
 
 
 _REF = Prop("ref", required=True)
+# the power flow scales voltages by a node's nominal voltage (1 V to 1 MV)
+# and a transformer's ratio (1:1000 to 1000:1); past those a feeder would
+# run "clean" at absurd voltages
 _NODE = {
-    "nominal_voltage": Prop("VOLTAGE", bound="positive"),
+    "nominal_voltage": Prop("VOLTAGE", bound="positive", limits=(1.0, 1e6)),
     "voltage_mag": Prop(read=_voltage(angle=False)),
     "voltage_ang": Prop(read=_voltage(angle=True)),
     "energized": Prop(read=_energized),
@@ -304,7 +315,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "fuse": _SWITCH,
     "transformer": {
         **_ENDS,
-        "ratio": Prop("number", required=True, bound="positive"),
+        "ratio": Prop("number", required=True, bound="positive", limits=(1e-3, 1e3)),
         "impedance": Prop("IMPEDANCE"),
         "current_mag": Prop(read=_current_mag),
     },
@@ -322,6 +333,9 @@ def out_of_bounds(name: str, spec: Prop | Param, number: float) -> str | None:
         return f"{name} must be {bound}"
     if spec.kind == "PRICE" and number > MAX_PRICE:
         return f"{name} must be at most {MAX_PRICE:g}"
+    limits = getattr(spec, "limits", None)  # an attack `Param` has none
+    if limits is not None and not limits[0] <= number <= limits[1]:
+        return f"{name} must be within [{limits[0]:g}, {limits[1]:g}]"
     return None
 
 
@@ -416,8 +430,7 @@ class _Solar:
 class _LoadPlan(NamedTuple):
     """The loads of one islands object, in the kernel's slot order."""
 
-    houses: list[tuple[HouseState, bool]]  # every house with its powered flag
-    powered: list[tuple[int, int]]  # (house index, slot) of each powered house
+    houses: list[tuple[HouseState, int]]  # every house with its slot, -1 when unpowered
     uncontrolled: list[int]  # house index of each powered house without a controller
     appliances: list[tuple[_Appliance, int]]  # (appliance, slot), energized ones
     panels: list[tuple[_Solar, int]]  # (panel, slot), energized ones
@@ -632,8 +645,7 @@ class Engine:
         if self._plan_for is not islands:
             live = [islands.live[s] for s in self._slot_supernode]
             self._plan_for, self._plan = islands, _LoadPlan(
-                [(house, live[slot]) for house, slot in self._house_at],
-                [(i, slot) for i, (_, slot) in enumerate(self._house_at) if live[slot]],
+                [(house, slot if live[slot] else -1) for house, slot in self._house_at],
                 [i for i, slot in self._uncontrolled_at if live[slot]],
                 [(app, slot) for app, slot in self._appliance_at if live[slot]],
                 [(panel, slot) for panel, slot in self._panel_at if live[slot]],
@@ -645,17 +657,16 @@ class Engine:
         """Sample the weather and step the houses (the first step only reads
         them); sum each live house's kW into its slot and the HVAC total."""
         t_out, self._irradiance = self.weather.sample(t)
-        plan = self._load_plan()
+        fleet, slot_kw = self._load_plan().houses, [0.0] * len(self._slot_supernode)
         if first:
-            self._house_kws = house_kws = [hvac_power(house) for house, _ in plan.houses]
+            house_kws, hvac = [hvac_power(house) for house, _ in fleet], 0.0
+            for kw, (_, slot) in zip(house_kws, fleet):
+                if slot >= 0:
+                    slot_kw[slot] += kw
+                    hvac += kw
         else:
-            self._house_kws = house_kws = [step_house(house, t_out, dt, on) for house, on in plan.houses]
-        slot_kw, hvac = [0.0] * len(self._slot_supernode), 0.0
-        for i, slot in plan.powered:
-            kw = house_kws[i]
-            slot_kw[slot] += kw
-            hvac += kw
-        self._slot_house_kw, self._hvac_kw = slot_kw, hvac
+            house_kws, hvac = step_houses(fleet, t_out, dt, slot_kw)
+        self._house_kws, self._slot_house_kw, self._hvac_kw = house_kws, slot_kw, hvac
 
     def _unresponsive_kw(self) -> float:
         """Appliances, uncontrolled HVAC, minus solar, over energized nodes."""
@@ -673,11 +684,10 @@ class Engine:
         market, aux = self.markets[market_name], self.aux_markets.get(market_name)
         local = aux or market  # where controllers trade: the main market under direct wiring
         unresp_kw = self._unresponsive_kw()
-        new, period, submit = tuple.__new__, market.current_period, market.submit  # once a round
+        new, period = tuple.__new__, market.current_period  # once a round
 
         offers = seller_bids(self.sellers[market_name], period)
-        for bid in offers:
-            submit(bid)
+        market.submit_all(offers)
         if aux:
             # sellers' constant offers are replicated into the auxiliary market
             # (the `replicas` rewrite point) with no bidder, as they are known
@@ -695,18 +705,12 @@ class Engine:
             for tr in self._rewriters["forwarded"]:
                 if tr.active:
                     forwarded = [tr.apply(bid, market.last_price, market.price_cap) for bid in forwarded]
-            aux_submit = aux.submit
-            for bid in replicas:
-                aux_submit(bid)
-            for bid in forwarded:
-                submit(bid)
+            aux.submit_all(replicas)
+            market.submit_all(forwarded)
         # then the controllers bid afresh
-        bidders, local_submit = self._bidders[market_name], local.submit
-        self._held_bids[market_name] = held_bids = [
-            bid for ctl, house in bidders if (bid := ctl.make_bid(house, local)) is not None
-        ]
-        for bid in held_bids:
-            local_submit(bid)
+        bidders = self._bidders[market_name]
+        self._held_bids[market_name] = held_bids = controller_bids(bidders, local)
+        local.submit_all(held_bids)
         for m in (market, aux) if aux else (market,):
             if unresp_kw > 0:
                 m.submit(new(Bid, (UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period)))
@@ -731,12 +735,13 @@ class Engine:
             kw[slot] += app.power_kw
         for panel, slot in plan.panels:
             kw[slot] -= self._solar_kw(panel)
-        va, live_kw = [0.0] * len(self.index.tree.names), []
+        va = [0.0] * len(self.index.tree.names)
         for slot, s in plan.slots:
-            live_kw.append(kw[slot])
             va[s] += kw[slot] * 1000.0
-        # `sum` keeps the total bit-identical (it is compensated on 3.12+)
-        return list(map(complex, va)), {"load": sum(live_kw), "hvac": self._hvac_kw}
+        # a dead slot holds exactly 0.0, which leaves the sum of the live
+        # slots as it is; `sum` keeps the total bit-identical (it is
+        # compensated on 3.12+)
+        return list(map(complex, va)), {"load": sum(kw), "hvac": self._hvac_kw}
 
     def _phase_powerflow(self) -> dict:
         demand, totals = self.build_load_injections()

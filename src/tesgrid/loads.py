@@ -10,6 +10,9 @@ explicit Euler step of
 followed by the thermostat: COOL engages above T_set + deadband/2 and
 releases below T_set - deadband/2, so the mode changes at most once per
 step.  Heating is not modeled (summer scenarios only).
+
+`step_houses` steps a whole fleet in one loop and sums its kW per load
+slot; `step_house` is its one-house case.
 """
 
 from __future__ import annotations
@@ -38,26 +41,49 @@ class HouseState:
         return self.hvac_kw * self.cop * BTU_PER_KWH
 
 
-def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> float:
-    """Advance one timestep in place: Euler update, then thermostat.
-    Returns the electric demand in kW after the thermostat (`hvac_power`).
+def step_houses(
+    fleet: list[tuple[HouseState, int]], t_out: float, dt_seconds: float, slot_kw: list[float]
+) -> tuple[list[float], float]:
+    """Advance every house of `fleet` one timestep in place: Euler update,
+    then thermostat.
 
-    An unpowered house (de-energized node) cannot run its HVAC: the mode
-    is forced OFF and the mass drifts passively toward ambient.
+    `fleet` pairs each house with the slot its kW adds into, or -1 for an
+    unpowered house (de-energized node), which cannot run its HVAC: its
+    mode is forced OFF and its mass drifts passively toward ambient.
+    Returns each house's electric demand in kW after the thermostat
+    (`hvac_power`, 0.0 when unpowered), in fleet order, and the HVAC total;
+    each powered house's kW adds into `slot_kw[slot]` (which starts at
+    0.0) and into the total, in fleet order.
     """
-    if not powered:
-        house.mode = "OFF"
-    cooling = house.hvac_kw * house.cop * BTU_PER_KWH if house.mode == "COOL" else 0.0  # q_hvac, inline
-    flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
-    house.t_in += (dt_seconds / 3600.0) * flow / house.capacitance
-    if not powered:
-        return 0.0
-    if house.mode == "COOL":
-        if house.t_in < house.t_set - house.deadband / 2.0:
+    kws, hvac, hours = [0.0] * len(fleet), 0.0, dt_seconds / 3600.0
+    for i, (house, slot) in enumerate(fleet):
+        if slot < 0:
             house.mode = "OFF"
-    elif house.t_in > house.t_set + house.deadband / 2.0:
-        house.mode = "COOL"
-    return house.hvac_kw if house.mode == "COOL" else 0.0
+        cool = house.mode == "COOL"
+        cooling = house.hvac_kw * house.cop * BTU_PER_KWH if cool else 0.0  # q_hvac, inline
+        flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
+        house.t_in = t_in = house.t_in + hours * flow / house.capacitance
+        if slot < 0:
+            continue
+        if cool:
+            if t_in < house.t_set - house.deadband / 2.0:
+                house.mode = "OFF"
+                continue
+        elif t_in > house.t_set + house.deadband / 2.0:
+            house.mode = "COOL"
+        else:
+            continue
+        # only a cooling house draws: a sum that starts at 0.0 is never -0.0,
+        # so adding an idle house's 0.0 would leave it as it is
+        kws[i] = kw = house.hvac_kw
+        slot_kw[slot] += kw
+        hvac += kw
+    return kws, hvac
+
+
+def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> float:
+    """`step_houses` for one house; returns its kW after the thermostat."""
+    return step_houses([(house, 0 if powered else -1)], t_out, dt_seconds, [0.0])[0][0]
 
 
 def hvac_power(house: HouseState) -> float:

@@ -23,9 +23,15 @@ degenerate.
 Bids are immutable tuples (`Bid` is a `NamedTuple`): a forwarded or
 rewritten bid is a new tuple, never an edited one, and an attack
 transform that does not rewrite a bid returns the very object it was
-given.  `make_bid`, `seller_bids` and forwarding build one with
+given.  `controller_bids`, `seller_bids` and forwarding build one with
 `tuple.__new__(Bid, fields)`, skipping the `NamedTuple`'s Python-level
 `__new__`; the book and the clearing walk read its fields by index.
+
+A round works a list at a time: `controller_bids` builds every
+controller's ramp bid in one loop, reading the market's statistics, cap
+and period once, and `Market.submit_all` books a list of bids with the
+cap, quantity and period checks of `submit`.  `Controller.make_bid` and
+`Market.submit` are their one-item cases.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, sub
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BadQuantity, PriceCapViolation, StalePeriod
 from .loads import HouseState
@@ -134,19 +140,23 @@ class Market:
             self.p_avg = self.seed_avg
             self.p_std = self.seed_std
 
+    def submit_all(self, bids: Iterable[Bid]) -> None:
+        """Book `bids` in order.  A bid priced above the cap (or NaN), with a
+        quantity that is not a number >= 0, or for another period is refused
+        with an error; the bids before it stay booked."""
+        cap, current, buy, sell = self.price_cap, self.current_period, self.buys.append, self.sells.append
+        for bid in bids:
+            _, side, price, quantity, period = bid
+            if not price <= cap:  # `not`: a NaN price is refused too
+                raise PriceCapViolation(f"{self.name}: bid price {price:g} exceeds cap {cap:g}")
+            if not quantity >= 0.0:
+                raise BadQuantity(f"{self.name}: bid quantity {quantity:g} is not a number >= 0")
+            if period != current:
+                raise StalePeriod(f"{self.name}: bid for period {period}, current is {current}")
+            (buy if side == "BUY" else sell)(bid)
+
     def submit(self, bid: Bid) -> None:
-        _, side, price, quantity, period = bid
-        if not price <= self.price_cap:  # `not`: a NaN price is refused too
-            raise PriceCapViolation(
-                f"{self.name}: bid price {price:g} exceeds cap {self.price_cap:g}"
-            )
-        if not quantity >= 0.0:
-            raise BadQuantity(f"{self.name}: bid quantity {quantity:g} is not a number >= 0")
-        if period != self.current_period:
-            raise StalePeriod(
-                f"{self.name}: bid for period {period}, current is {self.current_period}"
-            )
-        (self.buys if side == "BUY" else self.sells).append(bid)
+        self.submit_all((bid,))
 
     def clear(self) -> Clearing:
         """Clear the current book, publish the price, roll statistics."""
@@ -190,16 +200,26 @@ class Controller:
 
     def make_bid(self, house: HouseState, market: Market) -> Bid | None:
         """Ramp bid around the market's mean price, or no bid when cold."""
-        if house.t_in <= self.t_min:
-            return None
+        bids = controller_bids([(self, house)], market)
+        return bids[0] if bids else None
+
+
+def controller_bids(bidders: list[tuple[Controller, HouseState]], market: Market) -> list[Bid]:
+    """Each controller's ramp bid around `market`'s mean price, in bidder
+    order; a controller whose house is at or below its `t_min` does not bid."""
+    p_avg, p_std, cap, period = market.p_avg, market.p_std, market.price_cap, market.current_period
+    new, bids = tuple.__new__, []
+    for ctl, house in bidders:
+        t_in = house.t_in
+        if t_in <= ctl.t_min:
+            continue
         # max(p_std, floor) and min(max(price, 0.0), cap), the same operand on a tie
-        sigma = self.sigma_floor if self.sigma_floor > market.p_std else market.p_std
-        price = market.p_avg + (house.t_in - self.t_base) * self.k_ramp * sigma / (
-            self.t_max - self.t_base
-        )
+        sigma = ctl.sigma_floor if ctl.sigma_floor > p_std else p_std
+        price = p_avg + (t_in - ctl.t_base) * ctl.k_ramp * sigma / (ctl.t_max - ctl.t_base)
         price = 0.0 if 0.0 > price else price
-        price = market.price_cap if market.price_cap < price else price
-        return tuple.__new__(Bid, (self.name, "BUY", price, house.hvac_kw, market.current_period))
+        price = cap if cap < price else price
+        bids.append(new(Bid, (ctl.name, "BUY", price, house.hvac_kw, period)))
+    return bids
 
 
 def respond_to_clearing(

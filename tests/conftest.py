@@ -26,6 +26,10 @@ def small_model(small_text):
     return parse_scenario(small_text)
 
 
+def _second_ratio(text: str, value: str) -> str:
+    return f"ratio {value};".join(text.rsplit("ratio 30;", 1))  # T2, behind the line UL1
+
+
 # Edits of feeder_small.glm that validate must reject, each with the code
 # it reports, or for a parse error a piece of its message.  Without the
 # check each one either ran quietly wrong or crashed the run with a traceback.
@@ -58,6 +62,20 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage 0 V;", 1), "BAD_RANGE"),
     "negative_nominal_voltage": (
         lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage -240 V;", 1), "BAD_RANGE"),
+    # the power flow scales voltages by a transformer's ratio and a nominal
+    # voltage, so each has a range: the T2 ratios and the tiny voltage ran to
+    # a NaN state (exit 3), and the T1 ratios to exit 0 at 7.2e+303 and
+    # 7.2e+09 V on tm1
+    "ratio_1e-300": (lambda t: _second_ratio(t, "1e-300"), "BAD_RANGE"),
+    "ratio_3e-200": (lambda t: _second_ratio(t, "3e-200"), "BAD_RANGE"),
+    "ratio_5e-324": (lambda t: _second_ratio(t, "5e-324"), "BAD_RANGE"),
+    "nominal_voltage_5e-324": (
+        lambda t: t.replace("nominal_voltage 240 V;", "nominal_voltage 5e-324 V;", 1), "BAD_RANGE"),
+    "t1_ratio_1e-300": (lambda t: t.replace("ratio 30;", "ratio 1e-300;", 1), "BAD_RANGE"),
+    "t1_ratio_1e-6": (lambda t: t.replace("ratio 30;", "ratio 1e-6;", 1), "BAD_RANGE"),
+    "ratio_above_range": (lambda t: t.replace("ratio 30;", "ratio 1e4;", 1), "BAD_RANGE"),
+    "nominal_voltage_above_range": (
+        lambda t: t.replace("nominal_voltage 7200 V;", "nominal_voltage 2000 kV;", 1), "BAD_RANGE"),
     # a COP at or below zero heats the house it cools
     "negative_cop": (lambda t: t.replace("cop 3;", "cop -3;", 1), "BAD_RANGE"),
     "zero_cop": (lambda t: t.replace("cop 3;", "cop 0;", 1), "BAD_RANGE"),

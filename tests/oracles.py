@@ -9,13 +9,14 @@ regex tokenizer.  `demand_list` is no oracle: it turns
 (node, power_va) pairs into the solver's per-supernode input; nor is
 `deenergized_objects`, the outage set the tests read off the islands.
 
-Three are earlier versions kept as references for rewrites that must
+Four are earlier versions kept as references for rewrites that must
 not change a result: `sweep_reference`, the sweep that tracks the worst
-voltage step on every pass, and `clear_book_reference`, the clearing
-walk over bid attributes with `min`, each bit for bit; and
-`parse_oracle`, the parser whose tokens were `(kind, text, line, col)`
-tuples and which interpreted every value where it appeared, for an
-equal model or the same error at the same place.
+voltage step on every pass, `clear_book_reference`, the clearing walk
+over bid attributes with `min`, and `step_house_reference`, one house's
+step as its own call, each bit for bit; and `parse_oracle`, the parser
+whose tokens were `(kind, text, line, col)` tuples and which interpreted
+every value where it appeared, for an equal model or the same error at
+the same place.
 """
 
 import cmath
@@ -28,6 +29,7 @@ import numpy as np
 
 from tesgrid.errors import ParseError, SolverDivergence
 from tesgrid.kernel import OBJECT_CLASSES
+from tesgrid.loads import BTU_PER_KWH
 from tesgrid.market import Clearing
 from tesgrid.model import (
     TIME_FORMAT,
@@ -161,6 +163,24 @@ def analytic_temperature(t0, t_out, ua, c, gains, hours):
     """Closed form for dT/dt = (UA (T_out - T) + Q) / C with HVAC off."""
     t_eq = t_out + gains / ua
     return t_eq + (t0 - t_eq) * math.exp(-ua * hours / c)
+
+
+def step_house_reference(house, t_out, dt_seconds, powered=True):
+    """`step_house` as it was when the kernel stepped each house with its
+    own call: Euler update, then thermostat; returns the house's kW."""
+    if not powered:
+        house.mode = "OFF"
+    cooling = house.hvac_kw * house.cop * BTU_PER_KWH if house.mode == "COOL" else 0.0  # q_hvac, inline
+    flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
+    house.t_in += (dt_seconds / 3600.0) * flow / house.capacitance
+    if not powered:
+        return 0.0
+    if house.mode == "COOL":
+        if house.t_in < house.t_set - house.deadband / 2.0:
+            house.mode = "OFF"
+    elif house.t_in > house.t_set + house.deadband / 2.0:
+        house.mode = "COOL"
+    return house.hvac_kw if house.mode == "COOL" else 0.0
 
 
 def reachability_oracle(index, statuses):

@@ -1,10 +1,16 @@
 """House thermal-model tests against the closed-form exponential, plus
-thermostat hysteresis and unpowered-drift behavior."""
+thermostat hysteresis and unpowered-drift behavior, and the fleet step
+bit for bit against one house stepped at a time."""
+
+import dataclasses
+import struct
 
 import pytest
-from oracles import analytic_temperature
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import analytic_temperature, step_house_reference
 
-from tesgrid.loads import BTU_PER_KWH, HouseState, hvac_power, init_mode, solar_output, step_house
+from tesgrid.loads import BTU_PER_KWH, HouseState, hvac_power, init_mode, solar_output, step_house, step_houses
 
 
 def make_house(**overrides):
@@ -119,3 +125,56 @@ def test_init_mode():
 def test_solar_output():
     assert solar_output(3.0, 0.9, 0.5) == pytest.approx(1.35)
     assert solar_output(3.0, 0.9, 0.0) == 0.0
+
+
+def _bits(value):
+    """A float as its bytes, so that 0.0 and -0.0 differ and NaN equals itself."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _state(house):
+    return [_bits(v) for v in dataclasses.astuple(house)]
+
+
+@st.composite
+def _house_in_fleet(draw):
+    t_set = draw(st.one_of(st.sampled_from([75.0, 72.5]), st.floats(60.0, 90.0)))
+    deadband = draw(st.one_of(st.sampled_from([2.0, 0.5, 3.0]), st.floats(0.1, 5.0)))
+    # on either threshold, where the thermostat's strict comparisons decide
+    t_in = draw(st.one_of(
+        st.sampled_from([t_set + deadband / 2.0, t_set - deadband / 2.0]), st.floats(60.0, 100.0)
+    ))
+    house = HouseState(
+        "h", t_in, t_set, deadband,
+        capacitance=draw(st.one_of(st.just(2000.0), st.floats(100.0, 1e4))),
+        ua=draw(st.one_of(st.just(550.0), st.floats(10.0, 2000.0))),
+        internal_gains=draw(st.sampled_from([0.0, -0.0, 1800.0])),
+        hvac_kw=draw(st.sampled_from([0.0, -0.0, 4.0, 1.5])),
+        cop=draw(st.sampled_from([3.5, 2.0])),
+        mode=draw(st.sampled_from(["OFF", "COOL"])),
+    )
+    return house, draw(st.integers(-1, 2))  # slot, -1 unpowered; houses share slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fleet=st.lists(_house_in_fleet(), max_size=8),
+    t_out=st.one_of(st.sampled_from([95.0, 60.0, 0.0, -0.0]), st.floats(-20.0, 120.0)),
+    dt=st.sampled_from([0.0, 1.0, 60.0, 300.0]),  # 0: t_in stays on its threshold
+)
+def test_step_houses_matches_one_house_at_a_time(fleet, t_out, dt):
+    reference = [(dataclasses.replace(house), slot) for house, slot in fleet]
+    ref_kws, ref_slot_kw, ref_hvac = [], [0.0] * 3, 0.0
+    for house, slot in reference:
+        kw = step_house_reference(house, t_out, dt, powered=slot >= 0)
+        ref_kws.append(kw)
+        if slot >= 0:
+            ref_slot_kw[slot] += kw
+            ref_hvac += kw
+
+    slot_kw = [0.0] * 3
+    kws, hvac = step_houses(fleet, t_out, dt, slot_kw)
+    assert [_state(h) for h, _ in fleet] == [_state(h) for h, _ in reference]
+    assert list(map(_bits, kws)) == list(map(_bits, ref_kws))
+    assert list(map(_bits, slot_kw)) == list(map(_bits, ref_slot_kw))
+    assert _bits(hvac) == _bits(ref_hvac)

@@ -143,18 +143,26 @@ def test_round_matches_plain_reference(feeder_dir, monkeypatch, topology, attack
     assert any(c.quantity > 0 for _, c in clearings)
 
 
+def _record_books(monkeypatch, record):
+    """Call `record(market)` on each market's book just before it clears:
+    the round books its bids a list at a time, so the books are the place
+    to observe what it submitted."""
+    clear = Market.clear
+
+    def recording_clear(market):
+        record(market)
+        return clear(market)
+
+    monkeypatch.setattr(Market, "clear", recording_clear)
+
+
 def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch):
     engine = Engine(parse_scenario(gen_feeder(5, 0)), topology="auxiliary", base_dir=str(feeder_dir))
     main = engine.markets["market"]
     controllers = {ctl.name for ctl in engine.controllers["market"]}
     submitted = []
-    submit = Market.submit
-
-    def recording_submit(market, bid):
-        submitted.append((market.name, market.current_period, bid))
-        submit(market, bid)
-
-    monkeypatch.setattr(Market, "submit", recording_submit)
+    _record_books(monkeypatch, lambda market: submitted.extend(
+        (market.name, market.current_period, bid) for bid in market.buys + market.sells))
     engine._market_round("market")
     assert not [bid for name, _, bid in submitted if name == "market" and bid.trader in controllers]
     submitted.clear()
@@ -178,14 +186,7 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     override = engine.transforms["attack:ovr"]
     books = {engine.markets["market"]: [], engine.aux_markets["market"]: []}
     main, aux = books.values()
-    submit = Market.submit
-
-    def recording_submit(market, bid):
-        if bid.side == "SELL":
-            books[market].append(bid)
-        submit(market, bid)
-
-    monkeypatch.setattr(Market, "submit", recording_submit)
+    _record_books(monkeypatch, lambda market: books[market].extend(market.sells))
     engine._market_round("market")
     assert len(main) == len(aux) > 1
     assert all(replica is offer for offer, replica in zip(main, aux))
