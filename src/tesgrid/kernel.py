@@ -14,11 +14,14 @@ round books each list of bids (offers, replicas, forwarded bids, the
 controllers' bids) with one `submit_all` call and re-centers its
 controllers from one price.
 
-The loads phase samples the weather once per step and steps the whole
-fleet with one `step_houses` call, which yields each house's kW, its
-slot sums and the HVAC total; the market round and the power flow use
-them.  All three walk only the energized loads, in a plan made once per
-islands object.
+The loads phase is the one place a step's load kW is worked out.  It
+samples the weather once, steps the whole fleet with one `step_houses`
+call (each house's kW, its slot sums and the HVAC total), then adds each
+live appliance into its slot and subtracts each live panel's output,
+summing the unresponsive kW as it goes.  The market round bids that
+total, the power flow scales the slot sums into supernode demand, and
+the recorders read each load's kW as the phase left it.  The phase walks
+only the energized loads, in a plan made once per islands object.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, events, seed): outputs are byte-identical across
@@ -132,19 +135,19 @@ def _house(attr: str):
     return bind
 
 
-def _hvac_load_kw(engine, target):
-    house, powered = engine.houses[target], _powered(engine, target)
-    return lambda totals: (hvac_power(house), "") if powered() else (0.0, DEENERGIZED)
+def _kw_of(engine, name: str) -> Callable[[], float]:
+    """The getter of load `name`'s kW as the loads phase left it: a house's
+    HVAC draw, an appliance's power or a panel's output."""
+    if name in engine.houses:
+        i = list(engine.houses).index(name)  # its place in the fleet
+        return lambda: engine._house_kws[i]
+    load = engine.appliances.get(name) or engine.solars[name]
+    return lambda: load.power_kw
 
 
-def _appliance_kw(engine, target):
-    app, powered = engine.appliances[target], _powered(engine, target)
-    return lambda totals: (app.power_kw, "") if powered() else (0.0, DEENERGIZED)
-
-
-def _panel_kw(engine, target):
-    panel, powered = engine.solars[target], _powered(engine, target)
-    return lambda totals: (engine._solar_kw(panel), "") if powered() else (0.0, DEENERGIZED)
+def _load_kw(engine, target):
+    kw, powered = _kw_of(engine, target), _powered(engine, target)
+    return lambda totals: (kw(), "") if powered() else (0.0, DEENERGIZED)
 
 
 def _line_status(engine, target):
@@ -183,22 +186,18 @@ def _energized(engine, node):
 
 
 def _measured_power_kw(engine, node):
-    """Signed kW of each load attached to the node, in attachment order."""
-    powered, terms = _powered(engine, node), []
-    for name in engine.index.attachments[node]:
-        if name in engine.houses:
-            terms.append(lambda house=engine.houses[name]: hvac_power(house))
-        elif name in engine.appliances:
-            terms.append(lambda app=engine.appliances[name]: app.power_kw)
-        elif name in engine.solars:
-            terms.append(lambda panel=engine.solars[name]: -engine._solar_kw(panel))
+    """Signed kW of each load attached to the node, in attachment order: a
+    panel's output counts negative."""
+    powered = _powered(engine, node)
+    terms = [(-1.0 if name in engine.solars else 1.0, _kw_of(engine, name))
+             for name in engine.index.attachments[node]]
 
     def read(totals):
         if not powered():
             return 0.0, DEENERGIZED
         total = 0.0
-        for term in terms:
-            total += term()
+        for sign, kw in terms:
+            total += sign * kw()
         return total, ""
     return read
 
@@ -215,8 +214,9 @@ def _feeder(get):
 
 _REF = Prop("ref", required=True)
 # the power flow scales voltages by a node's nominal voltage (1 V to 1 MV)
-# and a transformer's ratio (1:1000 to 1000:1); past those a feeder would
-# run "clean" at absurd voltages
+# and a transformer's ratio (1:1000 to 1000:1), and loads by 1000 from kW
+# to VA (each load's kW is within 1 GW); past those a feeder would run
+# "clean" at absurd voltages, or overflow
 _NODE = {
     "nominal_voltage": Prop("VOLTAGE", bound="positive", limits=(1.0, 1e6)),
     "voltage_mag": Prop(read=_voltage(angle=False)),
@@ -227,8 +227,8 @@ _TRIPLEX = {**_NODE, "parent": Prop("ref")}
 _METER = {**_TRIPLEX, "measured_power_kw": Prop(read=_measured_power_kw)}
 _APPLIANCE = {
     "parent": _REF,
-    "base_power": Prop("POWER", default=0.0, write=_attribute("appliances", "power_kw")),
-    "power_kw": Prop(read=_appliance_kw),
+    "base_power": Prop("POWER", default=0.0, write=_attribute("appliances", "power_kw"), limits=(-1e6, 1e6)),
+    "power_kw": Prop(read=_load_kw),
 }
 _ENDS = {"from": _REF, "to": _REF}
 _LINE = {
@@ -285,9 +285,9 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "internal_gains": Prop(
             "number", default=1800.0, bound="nonnegative", write=_attribute("houses", "internal_gains")
         ),  # Btu/h
-        "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative"),
+        "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6)),
         "cop": Prop("number", default=3.5, bound="positive"),
-        "hvac_load_kw": Prop(read=_hvac_load_kw),
+        "hvac_load_kw": Prop(read=_load_kw),
         "hvac_mode": Prop(read=_house("mode")),
     },
     "meter": _METER,
@@ -305,9 +305,11 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "waterheater": _APPLIANCE,
     "solar": {
         "parent": _REF,
-        "rating": Prop("POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw")),
-        "efficiency": Prop("number", default=1.0, bound="nonnegative"),
-        "power_kw": Prop(read=_panel_kw),
+        "rating": Prop(
+            "POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw"), limits=(0.0, 1e6)
+        ),
+        "efficiency": Prop("number", default=1.0, bound="nonnegative", limits=(0.0, 1.0)),
+        "power_kw": Prop(read=_load_kw),
     },
     "underground_line": _LINE,
     "overhead_line": _LINE,
@@ -425,6 +427,7 @@ class _Solar:
     node: str
     rating_kw: float
     efficiency: float
+    power_kw: float = 0.0  # output at the step's irradiance, set by the loads phase while live
 
 
 class _LoadPlan(NamedTuple):
@@ -434,7 +437,6 @@ class _LoadPlan(NamedTuple):
     uncontrolled: list[int]  # house index of each powered house without a controller
     appliances: list[tuple[_Appliance, int]]  # (appliance, slot), energized ones
     panels: list[tuple[_Solar, int]]  # (panel, slot), energized ones
-    slots: list[tuple[int, int]]  # (slot, supernode) of each energized slot
 
 
 def _value(obj: GridObject, prop: str):
@@ -520,7 +522,10 @@ class Engine:
             )
         for market_name, agents in self.sellers.items():
             if agents:
-                mean_offer = sum(a.price for a in agents) / len(agents)
+                total = 0.0  # left to right, as builtin `sum` is compensated on 3.12+
+                for agent in agents:
+                    total += agent.price
+                mean_offer = total / len(agents)
                 self.markets[market_name].seed_statistics(mean_offer)
                 if market_name in self.aux_markets:
                     self.aux_markets[market_name].seed_statistics(mean_offer)
@@ -649,15 +654,21 @@ class Engine:
                 [i for i, slot in self._uncontrolled_at if live[slot]],
                 [(app, slot) for app, slot in self._appliance_at if live[slot]],
                 [(panel, slot) for panel, slot in self._panel_at if live[slot]],
-                [(slot, s) for slot, s in enumerate(self._slot_supernode) if live[slot]],
             )
         return self._plan
 
     def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
-        """Sample the weather and step the houses (the first step only reads
-        them); sum each live house's kW into its slot and the HVAC total."""
-        t_out, self._irradiance = self.weather.sample(t)
-        fleet, slot_kw = self._load_plan().houses, [0.0] * len(self._slot_supernode)
+        """Work out every load's kW for the step, once.
+
+        Sample the weather and step the houses (the first step only reads
+        them), summing each live house's kW into its slot and the HVAC
+        total; then add each live appliance into its slot and subtract each
+        live panel's output.  The same loops sum the unresponsive kW the
+        market bids: appliances, uncontrolled houses, minus panels, at
+        least 0.0.  A dead slot holds exactly 0.0."""
+        t_out, irradiance = self.weather.sample(t)
+        plan = self._load_plan()
+        fleet, slot_kw = plan.houses, [0.0] * len(self._slot_supernode)
         if first:
             house_kws, hvac = [hvac_power(house) for house, _ in fleet], 0.0
             for kw, (_, slot) in zip(house_kws, fleet):
@@ -666,24 +677,24 @@ class Engine:
                     hvac += kw
         else:
             house_kws, hvac = step_houses(fleet, t_out, dt, slot_kw)
-        self._house_kws, self._slot_house_kw, self._hvac_kw = house_kws, slot_kw, hvac
-
-    def _unresponsive_kw(self) -> float:
-        """Appliances, uncontrolled HVAC, minus solar, over energized nodes."""
-        plan, house_kws = self._load_plan(), self._house_kws
-        total = 0.0
-        for app, _ in plan.appliances:
-            total += app.power_kw
+        unresp = 0.0
+        for app, slot in plan.appliances:
+            kw = app.power_kw
+            slot_kw[slot] += kw
+            unresp += kw
         for i in plan.uncontrolled:
-            total += house_kws[i]
-        for panel, _ in plan.panels:
-            total -= self._solar_kw(panel)
-        return max(total, 0.0)
+            unresp += house_kws[i]
+        for panel, slot in plan.panels:
+            panel.power_kw = kw = solar_output(panel.rating_kw, panel.efficiency, irradiance)
+            slot_kw[slot] -= kw
+            unresp -= kw
+        self._house_kws, self._slot_kw, self._hvac_kw = house_kws, slot_kw, hvac
+        self._unresp_kw = max(unresp, 0.0)
 
     def _market_round(self, market_name: str) -> None:
         market, aux = self.markets[market_name], self.aux_markets.get(market_name)
         local = aux or market  # where controllers trade: the main market under direct wiring
-        unresp_kw = self._unresponsive_kw()
+        unresp_kw = self._unresp_kw
         new, period = tuple.__new__, market.current_period  # once a round
 
         offers = seller_bids(self.sellers[market_name], period)
@@ -727,21 +738,15 @@ class Engine:
     def build_load_injections(self) -> tuple[list[complex], dict]:
         """Per-supernode demand (VA) of the step's loads, plus feeder totals (kW).
 
-        Per live slot: houses, then appliances, then minus solar, summed in
-        kW before the scaling to VA; slots add into supernodes in order."""
-        plan = self._load_plan()
-        kw = self._slot_house_kw.copy()
-        for app, slot in plan.appliances:
-            kw[slot] += app.power_kw
-        for panel, slot in plan.panels:
-            kw[slot] -= self._solar_kw(panel)
-        va = [0.0] * len(self.index.tree.names)
-        for slot, s in plan.slots:
-            va[s] += kw[slot] * 1000.0
-        # a dead slot holds exactly 0.0, which leaves the sum of the live
-        # slots as it is; `sum` keeps the total bit-identical (it is
-        # compensated on 3.12+)
-        return list(map(complex, va)), {"load": sum(kw), "hvac": self._hvac_kw}
+        Each slot's kW from the loads phase is scaled to VA and added into
+        its supernode, in slot order; the load total sums the slots left to
+        right in the same loop.  A dead slot holds exactly 0.0, which leaves
+        its (dead) supernode and the total as they are."""
+        va, load = [0.0] * len(self.index.tree.names), 0.0
+        for kw, s in zip(self._slot_kw, self._slot_supernode):
+            va[s] += kw * 1000.0
+            load += kw
+        return list(map(complex, va)), {"load": load, "hvac": self._hvac_kw}
 
     def _phase_powerflow(self) -> dict:
         demand, totals = self.build_load_injections()
@@ -758,9 +763,6 @@ class Engine:
     def read_property(self, target: str, prop: str, totals: dict):
         """Recorder getter for a recorded (target, property); returns (value, flag)."""
         return self._readers[target, prop](totals)
-
-    def _solar_kw(self, panel: _Solar) -> float:
-        return solar_output(panel.rating_kw, panel.efficiency, self._irradiance)
 
     # -- main loop ----------------------------------------------------------
 

@@ -35,11 +35,6 @@ class HouseState:
     cop: float
     mode: str = "OFF"  # OFF | COOL
 
-    @property
-    def q_hvac(self) -> float:
-        """Thermal extraction rate while cooling, Btu/h."""
-        return self.hvac_kw * self.cop * BTU_PER_KWH
-
 
 def step_houses(
     fleet: list[tuple[HouseState, int]], t_out: float, dt_seconds: float, slot_kw: list[float]
@@ -60,7 +55,7 @@ def step_houses(
         if slot < 0:
             house.mode = "OFF"
         cool = house.mode == "COOL"
-        cooling = house.hvac_kw * house.cop * BTU_PER_KWH if cool else 0.0  # q_hvac, inline
+        cooling = house.hvac_kw * house.cop * BTU_PER_KWH if cool else 0.0  # extraction, Btu/h
         flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
         house.t_in = t_in = house.t_in + hours * flow / house.capacitance
         if slot < 0:

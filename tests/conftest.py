@@ -76,6 +76,16 @@ UNRUNNABLE_EDITS = {
     "ratio_above_range": (lambda t: t.replace("ratio 30;", "ratio 1e4;", 1), "BAD_RANGE"),
     "nominal_voltage_above_range": (
         lambda t: t.replace("nominal_voltage 7200 V;", "nominal_voltage 2000 kV;", 1), "BAD_RANGE"),
+    # a load's kW is scaled by 1000 to VA: these ran to a solver divergence
+    # (exit 3), and before that to exit 0 with `inf` and `nan` cells
+    "hvac_rating_1e308": (lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating 1e308;", 1), "BAD_RANGE"),
+    "base_power_1e308": (lambda t: t.replace("base_power 1.2 kW;", "base_power 1e308;"), "BAD_RANGE"),
+    "solar_rating_1e308": (
+        lambda t: t.replace("rating 1 kW;\n    efficiency", "rating 1e308;\n    efficiency"), "BAD_RANGE"),
+    "solar_efficiency_1e308": (lambda t: t.replace("efficiency 0.9;", "efficiency 1e308;"), "BAD_RANGE"),
+    "solar_efficiency_above_one": (lambda t: t.replace("efficiency 0.9;", "efficiency 1.5;"), "BAD_RANGE"),
+    "schedule_base_power_above_range": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" z1 base_power 2000 MW; }\n', "BAD_RANGE"),
     # a COP at or below zero heats the house it cools
     "negative_cop": (lambda t: t.replace("cop 3;", "cop -3;", 1), "BAD_RANGE"),
     "zero_cop": (lambda t: t.replace("cop 3;", "cop 0;", 1), "BAD_RANGE"),

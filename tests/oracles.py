@@ -170,7 +170,7 @@ def step_house_reference(house, t_out, dt_seconds, powered=True):
     own call: Euler update, then thermostat; returns the house's kW."""
     if not powered:
         house.mode = "OFF"
-    cooling = house.hvac_kw * house.cop * BTU_PER_KWH if house.mode == "COOL" else 0.0  # q_hvac, inline
+    cooling = house.hvac_kw * house.cop * BTU_PER_KWH if house.mode == "COOL" else 0.0  # extraction, Btu/h
     flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
     house.t_in += (dt_seconds / 3600.0) * flow / house.capacitance
     if not powered:

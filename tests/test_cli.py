@@ -88,14 +88,10 @@ def test_run_divergence_is_runtime_error(tmp_path, capsys):
 # Single-number edits of feeder_small.glm that validate clean and used to run
 # to exit 0 with `nan` or `inf` cells: the power flow took a NaN voltage step
 # for a converged one.  A state that is not finite is now a divergence.  (The
-# transformer ratio and nominal voltage edits that did the same are now
+# transformer ratio, nominal voltage and load edits that did the same are now
 # rejected by `validate`: see UNRUNNABLE_EDITS.)
 NON_FINITE_EDITS = {
     "line_impedance_1e308j": lambda t: t.replace("impedance 0.5+1j Ohm;", "impedance 0.5+1e308j Ohm;"),
-    "hvac_rating_1e308": lambda t: t.replace("hvac_rating 1 kW;", "hvac_rating 1e308;", 1),
-    "base_power_1e308": lambda t: t.replace("base_power 1.2 kW;", "base_power 1e308;"),
-    "solar_rating_1e308": lambda t: t.replace("rating 1 kW;\n    efficiency", "rating 1e308;\n    efficiency"),
-    "solar_efficiency_1e308": lambda t: t.replace("efficiency 0.9;", "efficiency 1e308;"),
 }
 
 

@@ -403,11 +403,11 @@ def test_load_injections_are_a_supernode_demand_list(small_text):
 
 
 def test_load_injections_leave_the_slot_loads_alone(small_text):
-    # appliances and solar add into a copy of the houses' slot kW
+    # the loads phase sums each slot once; the injections only read them
     engine, _ = run_small(small_text)
-    slot_kw = list(engine._slot_house_kw)
+    slot_kw = list(engine._slot_kw)
     first = engine.build_load_injections()
-    assert engine._slot_house_kw == slot_kw
+    assert engine._slot_kw == slot_kw
     assert engine.build_load_injections() == first
 
 

@@ -1,14 +1,23 @@
 """The per-step load pass against the plain per-node build it replaced.
 
-The kernel compiles one slot per load node and hands the solver one
-per-supernode demand list.  Float order is part of the output contract,
-so at every step the list must equal, with ``==``, a reference built the
-plain way in this file: a per-node dict in first-seen order (houses,
-appliances, then minus solar, in kW), scaled by 1000 per node, added
-into supernodes; the market round's unresponsive kW must equal a plain
-sum too.  Also checked: a load plan made for each new islands object,
-the lazily built ``voltages`` and ``currents`` dicts, the warm start by
-list copy, and one weather sample per step.
+The kernel works out every load's kW once per step, in its loads phase,
+and the solver's demand, the market round's unresponsive kW and the
+recorders all read that.  Float order is part of the output contract,
+so at every step each of them must equal, with ``==``, a reference built
+the plain way in this file from the loads' own state:
+
+- the per-supernode demand list: a per-node dict in first-seen order
+  (houses, appliances, then minus solar, in kW), scaled by 1000 per
+  node, added into supernodes;
+- the unresponsive kW: appliances, uncontrolled houses, minus solar;
+- each recorded load kW (``hvac_load_kw``, ``power_kw``), and each
+  meter's ``measured_power_kw``, its loads summed in attachment order
+  (which on tm1 of the small feeder is not the slot order), powered and
+  unpowered.
+
+Also checked: a load plan made for each new islands object, the lazily
+built ``voltages`` and ``currents`` dicts, the warm start by list copy,
+and one weather sample per step.
 """
 
 import pytest
@@ -99,6 +108,54 @@ def reference_load_pass(engine, t):
     return demand, {"load": sum(per_node.values()), "hvac": hvac}
 
 
+# the kW each load and meter records, the classes the reader oracle covers
+LOAD_READS = {
+    "house": "hvac_load_kw",
+    "zipload": "power_kw",
+    "waterheater": "power_kw",
+    "solar": "power_kw",
+    "triplex_meter": "measured_power_kw",
+    "meter": "measured_power_kw",
+}
+
+
+def with_load_recorders(text, part=""):
+    """`text` plus a recorder at every step on the kW of each load and meter
+    whose name, or whose parent's, holds `part`."""
+    model = parse_scenario(text)
+    return text + "".join(
+        f"recorder {{ name oracle_{obj.name}; target {obj.name}; property {LOAD_READS[obj.cls]}; "
+        f"interval {model.clock.timestep} s; file oracle_{obj.name}.csv; }}\n"
+        for obj in model.objects
+        if obj.cls in LOAD_READS and part in obj.name + str(obj.get("parent"))
+    )
+
+
+def reference_signed_kw(engine, name, irradiance):
+    """Load `name`'s kW from its own state; a panel's output counts negative."""
+    if name in engine.houses:
+        return hvac_power(engine.houses[name])
+    if name in engine.appliances:
+        return engine.appliances[name].power_kw
+    panel = engine.solars[name]
+    return -solar_output(panel.rating_kw, panel.efficiency, irradiance)
+
+
+def reference_load_read(engine, target, prop, irradiance):
+    """(value, flag) of a load's or meter's recorded kW, the plain way: the
+    load's own kW, or a meter's signed loads summed in attachment order."""
+    node = engine.index.attach_node.get(target, target)
+    if not engine.board.islands().live[engine.index.tree.position[node]]:
+        return 0.0, "DEENERGIZED"
+    if prop == "measured_power_kw":
+        total = 0.0
+        for name in engine.index.attachments[node]:
+            total += reference_signed_kw(engine, name, irradiance)
+        return total, ""
+    kw = reference_signed_kw(engine, target, irradiance)
+    return (-kw if target in engine.solars else kw), ""
+
+
 def reference_unresponsive_kw(engine):
     """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
     live, position, attach = engine.board.islands().live, engine.index.tree.position, engine.index.attach_node
@@ -118,20 +175,26 @@ def reference_unresponsive_kw(engine):
 
 
 def run_against_reference(engine, monkeypatch):
-    """Run `engine`, checking every step's load pass; returns the step count."""
-    checked = []
+    """Run `engine`, checking every step's load pass, unresponsive kW and
+    load reads; returns the step count.  Every class of `LOAD_READS` in
+    the scenario must be read, and some reads must be unpowered."""
+    checked, reads = [], {}
     build = Engine.build_load_injections
     loads = Engine._phase_loads
-    unresponsive = Engine._unresponsive_kw
-
-    def checked_unresponsive(self):
-        total = unresponsive(self)
-        assert total == reference_unresponsive_kw(self), self.step_time
-        return total
+    read = Engine.read_property
 
     def phase_loads(self, t, dt, first):
-        self.step_time = t
-        return loads(self, t, dt, first)
+        self.step_time, (_, self.step_irradiance) = t, self.weather.sample(t)
+        loads(self, t, dt, first)
+        assert self._unresp_kw == reference_unresponsive_kw(self), t
+
+    def checked_read(self, target, prop, totals):
+        got = read(self, target, prop, totals)
+        cls = self._classes[target]
+        if cls in LOAD_READS and prop == LOAD_READS[cls]:
+            assert got == reference_load_read(self, target, prop, self.step_irradiance), (self.step_time, target)
+            reads.setdefault(self.step_time, set()).add((cls, got[1]))
+        return got
 
     def checked_build(self):
         demand, totals = build(self)
@@ -143,18 +206,21 @@ def run_against_reference(engine, monkeypatch):
 
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)
     monkeypatch.setattr(Engine, "build_load_injections", checked_build)
-    monkeypatch.setattr(Engine, "_unresponsive_kw", checked_unresponsive)
+    monkeypatch.setattr(Engine, "read_property", checked_read)
     result = engine.run()
     assert result.complete
-    assert len(checked) == result.metadata["executed_steps"] + 1
+    assert len(checked) == len(reads) == result.metadata["executed_steps"] + 1
     assert any(checked) and not all(checked)  # steps with and without dead slots
+    seen = set().union(*reads.values())
+    assert {cls for cls, _ in seen} == {obj.cls for obj in engine.model.objects if obj.cls in LOAD_READS}
+    assert {flag for _, flag in seen} == {"", "DEENERGIZED"}
     return len(checked)
 
 
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])
 def test_small_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology):
     (tmp_path / "w.csv").write_text(SMALL_WEATHER)
-    model = parse_scenario(load_fixture("feeder_small.glm") + SMALL_EXTRA)
+    model = parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + SMALL_EXTRA))
     engine = Engine(model, topology=topology, base_dir=str(tmp_path))
     assert run_against_reference(engine, monkeypatch) == 61
     assert engine.houses["h2"].mode == "COOL" and engine.houses["h2"].t_set == 81.0
@@ -163,7 +229,7 @@ def test_small_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])
 def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topology):
     (tmp_path / "w.csv").write_text(SMALL_WEATHER)
-    engine = Engine(parse_scenario(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA),
+    engine = Engine(parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA)),
                     topology=topology, base_dir=str(tmp_path))
     plans = {}  # islands object -> the plan the step's load pass used
     loads = Engine._phase_loads
@@ -186,7 +252,9 @@ def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topolo
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])
 def test_generated_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology):
     (tmp_path / "weather.csv").write_text(gen_weather())
-    model = parse_scenario(gen_feeder(30, 0) + FEEDER_EXTRA)
+    # the first lateral's loads and meters, the panel's among them: the
+    # reads of all 91 would make this test five times as long
+    model = parse_scenario(with_load_recorders(gen_feeder(30, 0) + FEEDER_EXTRA, part="_0_"))
     engine = Engine(model, topology=topology, base_dir=str(tmp_path))
     assert run_against_reference(engine, monkeypatch) == 1441
 

@@ -51,11 +51,6 @@ def test_cooling_toward_ambient():
     assert abs(house.t_in - exact) / abs(exact) < 1e-3
 
 
-def test_q_hvac_units():
-    house = make_house()
-    assert house.q_hvac == pytest.approx(4.0 * 3.5 * BTU_PER_KWH)
-
-
 def test_thermostat_hysteresis():
     house = make_house(t_in=75.0)
     init_mode(house)
@@ -90,7 +85,7 @@ def test_duty_cycle_matches_heat_balance():
         step_house(house, 95.0, 60.0)
         on += house.mode == "COOL"
     gain = house.ua * (95.0 - 75.0) + house.internal_gains
-    expected = gain / house.q_hvac
+    expected = gain / (house.hvac_kw * house.cop * BTU_PER_KWH)  # extraction, Btu/h
     assert on / steps == pytest.approx(expected, rel=0.05)
 
 

@@ -70,7 +70,7 @@ def reference_round(engine, held, market_name):
     """One market round; `held` maps a controller to its last auxiliary bid."""
     market = engine.markets[market_name]
     ctls = engine.controllers[market_name]
-    unresp_kw = engine._unresponsive_kw()
+    unresp_kw = engine._unresp_kw  # the loads phase's sum, checked in test_load_pass.py
     offers = seller_bids(engine.sellers[market_name], market.current_period)
     for bid in offers:
         market.submit(bid)
