@@ -139,7 +139,7 @@ def _kw_of(engine, name: str) -> Callable[[], float]:
     """The getter of load `name`'s kW as the loads phase left it: a house's
     HVAC draw, an appliance's power or a panel's output."""
     if name in engine.houses:
-        i = list(engine.houses).index(name)  # its place in the fleet
+        i = engine._fleet_position[name]
         return lambda: engine._house_kws[i]
     load = engine.appliances.get(name) or engine.solars[name]
     return lambda: load.power_kw
@@ -552,6 +552,7 @@ class Engine:
             slot_of.setdefault(attach[name], len(slot_of))
         self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
         self._house_at = [(house, slot_of[attach[name]]) for name, house in self.houses.items()]
+        self._fleet_position = {name: i for i, name in enumerate(self.houses)}  # in `_house_at`
         self._uncontrolled_at = [  # (position in `_house_at`, slot)
             (i, slot) for i, (house, slot) in enumerate(self._house_at) if house.name not in controlled
         ]

@@ -105,7 +105,11 @@ def reference_load_pass(engine, t):
     demand = [0j] * len(engine.index.tree.names)
     for node, kw in per_node.items():
         demand[engine.index.tree.position[node]] += complex(kw * 1000.0, 0.0)
-    return demand, {"load": sum(per_node.values()), "hvac": hvac}
+    # left to right: builtin sum compensates on Python 3.12+, the kernel does not
+    load = 0.0
+    for kw in per_node.values():
+        load += kw
+    return demand, {"load": load, "hvac": hvac}
 
 
 # the kW each load and meter records, the classes the reader oracle covers
