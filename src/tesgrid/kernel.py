@@ -43,6 +43,7 @@ from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownPropert
 from .loads import HouseState, hvac_power, init_mode, solar_output, step_houses
 from .loads import step_house  # noqa: F401  unused here: bench/tracer.py hooks `kernel.step_house`
 from .market import (
+    DEFAULT_INIT_PRICE,
     DEFAULT_PRICE_CAP,
     DEFAULT_SIGMA_FLOOR,
     MAX_PRICE,
@@ -58,13 +59,7 @@ from .market import (
 from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
 from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
-from .recorder import (
-    RecorderTable,
-    WeatherSeries,
-    constant_weather,
-    read_player,
-    read_weather,
-)
+from .recorder import RecorderTable, TimeSeries, constant_weather, read_player, read_weather
 
 DEENERGIZED = "DEENERGIZED"
 
@@ -75,8 +70,11 @@ class Prop(NamedTuple):
     `kind` is the unit class of a scenario input ("VOLTAGE", "POWER", ...),
     "ref" (an object name), "enum" (a bare word) or "number"
     (dimensionless); without one the property is not a scenario input.
-    `default` is what `Engine` takes when an object leaves the property out;
-    a `required` one has none.  `bound` is "positive" (> 0) or
+    `field` is the attribute of the run object (`HouseState`, `Market`,
+    ...) that `Engine` fills with an object's value of the property: a
+    number as a float, a "TIME" as an int and a ref as the name it holds;
+    `default` is what it takes when an object leaves the property out; a
+    `required` one has none.  `bound` is "positive" (> 0) or
     "nonnegative" (>= 0), for object, schedule and player values alike; a
     "PRICE" is at most `MAX_PRICE` besides, and a value with `limits`
     (lowest, highest) lies in that closed range.
@@ -94,6 +92,7 @@ class Prop(NamedTuple):
     read: Callable | None = None
     write: Callable | None = None
     limits: tuple[float, float] | None = None
+    field: str | None = None
 
 
 NO_PROP = Prop()  # the entry of a property a class does not have
@@ -227,7 +226,9 @@ _TRIPLEX = {**_NODE, "parent": Prop("ref")}
 _METER = {**_TRIPLEX, "measured_power_kw": Prop(read=_measured_power_kw)}
 _APPLIANCE = {
     "parent": _REF,
-    "base_power": Prop("POWER", default=0.0, write=_attribute("appliances", "power_kw"), limits=(-1e6, 1e6)),
+    "base_power": Prop(
+        "POWER", default=0.0, write=_attribute("appliances", "power_kw"), limits=(-1e6, 1e6), field="power_kw"
+    ),
     "power_kw": Prop(read=_load_kw),
 }
 _ENDS = {"from": _REF, "to": _REF}
@@ -238,18 +239,18 @@ _LINE = {
     "current_mag": Prop(read=_current_mag),
 }
 _SWITCH = {**_LINE, "impedance": Prop("IMPEDANCE")}
-_SETPOINT = Prop("TEMPERATURE", required=True)
 
 # Every property of every class, the one place that says what a property
-# is: its kind, whether it is required, its default and bound, and how a
-# run records and sets it (the attack surface).  `validate` checks objects,
-# recorders, schedules and players against it; `Engine` takes its defaults
-# and binds its reads and writes from it.
+# is: its kind, whether it is required, its default and bound, which field
+# of the run object it fills, and how a run records and sets it (the
+# attack surface).  `validate` checks objects, recorders, schedules and
+# players against it; `Engine` builds every run object from it and binds
+# its reads and writes from it.
 PROPERTIES: dict[str, dict[str, Prop]] = {
     "auction": {
-        "period": Prop("TIME", required=True),
-        "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive"),
-        "init_price": Prop("PRICE", default=0.10, bound="nonnegative"),
+        "period": Prop("TIME", required=True, field="period_seconds"),
+        "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive", field="price_cap"),
+        "init_price": Prop("PRICE", default=DEFAULT_INIT_PRICE, bound="nonnegative", field="init_price"),
         "clearing_price": Prop(read=_market(lambda market: market.last_clearing.price)),
         "cleared_quantity": Prop(read=_market(lambda market: market.last_clearing.quantity)),
         "bid_count_buy": Prop(read=_market(lambda market: market.last_bid_counts[0])),
@@ -258,35 +259,38 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "p_std": Prop(read=_market(lambda market: market.p_std)),
     },
     "controller": {
-        "house": _REF,
-        "market": _REF,
-        "t_min": _SETPOINT,
-        "t_base": _SETPOINT,
-        "t_max": _SETPOINT,
-        "k_ramp": Prop("number", required=True, bound="positive"),
-        "sigma_floor": Prop("PRICE", default=DEFAULT_SIGMA_FLOOR, bound="positive"),
+        "house": Prop("ref", required=True, field="house"),
+        "market": Prop("ref", required=True, field="market"),
+        "t_min": Prop("TEMPERATURE", required=True, field="t_min"),
+        "t_base": Prop("TEMPERATURE", required=True, field="t_base"),
+        "t_max": Prop("TEMPERATURE", required=True, field="t_max"),
+        "k_ramp": Prop("number", required=True, bound="positive", field="k_ramp"),
+        "sigma_floor": Prop("PRICE", default=DEFAULT_SIGMA_FLOOR, bound="positive", field="sigma_floor"),
     },
     "generator_seller": {
         "market": _REF,
-        "price": Prop("PRICE", required=True, bound="nonnegative"),
-        "capacity": Prop("POWER", required=True, bound="nonnegative"),
+        "price": Prop("PRICE", required=True, bound="nonnegative", field="price"),
+        "capacity": Prop("POWER", required=True, bound="nonnegative", field="capacity"),
     },
     "house": {
         "parent": _REF,
         "air_temperature": Prop(
-            "TEMPERATURE", default=75.0, read=_house("t_in"), write=_attribute("houses", "t_in")
+            "TEMPERATURE", default=75.0, read=_house("t_in"), write=_attribute("houses", "t_in"), field="t_in"
         ),
         "cooling_setpoint": Prop(
-            "TEMPERATURE", default=75.0, read=_house("t_set"), write=_attribute("houses", "t_set")
+            "TEMPERATURE", default=75.0, read=_house("t_set"), write=_attribute("houses", "t_set"), field="t_set"
         ),
-        "deadband": Prop("TEMPERATURE", default=2.0, bound="positive", write=_attribute("houses", "deadband")),
-        "thermal_capacitance": Prop("number", default=2000.0, bound="positive"),  # Btu/degF
-        "ua": Prop("number", default=550.0, bound="positive"),  # Btu/(h*degF)
+        "deadband": Prop(
+            "TEMPERATURE", default=2.0, bound="positive", write=_attribute("houses", "deadband"), field="deadband"
+        ),
+        "thermal_capacitance": Prop("number", default=2000.0, bound="positive", field="capacitance"),  # Btu/degF
+        "ua": Prop("number", default=550.0, bound="positive", field="ua"),  # Btu/(h*degF)
         "internal_gains": Prop(
-            "number", default=1800.0, bound="nonnegative", write=_attribute("houses", "internal_gains")
+            "number", default=1800.0, bound="nonnegative", write=_attribute("houses", "internal_gains"),
+            field="internal_gains",
         ),  # Btu/h
-        "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6)),
-        "cop": Prop("number", default=3.5, bound="positive"),
+        "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6), field="hvac_kw"),
+        "cop": Prop("number", default=3.5, bound="positive", field="cop"),
         "hvac_load_kw": Prop(read=_load_kw),
         "hvac_mode": Prop(read=_house("mode")),
     },
@@ -306,9 +310,10 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "solar": {
         "parent": _REF,
         "rating": Prop(
-            "POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw"), limits=(0.0, 1e6)
+            "POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw"), limits=(0.0, 1e6),
+            field="rating_kw",
         ),
-        "efficiency": Prop("number", default=1.0, bound="nonnegative", limits=(0.0, 1.0)),
+        "efficiency": Prop("number", default=1.0, bound="nonnegative", limits=(0.0, 1.0), field="efficiency"),
         "power_kw": Prop(read=_load_kw),
     },
     "underground_line": _LINE,
@@ -325,6 +330,32 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "attack": {"active": Prop(write=_attribute("transforms", "active", bool))},
 }
 OBJECT_CLASSES = frozenset(PROPERTIES) - {"attack"}
+
+
+def _cast(kind: str) -> Callable[[Value], object]:
+    """How a scenario value of `kind` fills its field: a number as a
+    float, a "TIME" as an int, a ref as the name it holds."""
+    if kind == "ref":
+        return lambda value: str(value.value)
+    number = int if kind == "TIME" else float
+    return lambda value: number(value.canonical())
+
+
+# per class, each (property, field, default, cast) that fills a run object
+_FIELDS = {
+    cls: [(prop, spec.field, spec.default, _cast(spec.kind)) for prop, spec in props.items() if spec.field]
+    for cls, props in PROPERTIES.items()
+}
+
+
+def _fields(obj: GridObject) -> dict[str, object]:
+    """The run object's fields of `obj`: each property's value, or its
+    default when `obj` leaves it out."""
+    values, given = {}, obj.properties
+    for prop, field, default, cast in _FIELDS[obj.cls]:
+        value = given.get(prop)
+        values[field] = default if value is None else cast(value)
+    return values
 
 
 def out_of_bounds(name: str, spec: Prop | Param, number: float) -> str | None:
@@ -439,11 +470,6 @@ class _LoadPlan(NamedTuple):
     panels: list[tuple[_Solar, int]]  # (panel, slot), energized ones
 
 
-def _value(obj: GridObject, prop: str):
-    """Canonical value of `prop` on `obj`, or its class's default when left out."""
-    return obj.get(prop, PROPERTIES[obj.cls][prop].default)
-
-
 class Engine:
     """One simulation run over a validated scenario model."""
 
@@ -469,47 +495,22 @@ class Engine:
                     initial_statuses[obj.name] = str(obj.properties["status"].value)
         self.board = LineStatusBoard(self.index, initial_statuses)
 
-        self.houses: dict[str, HouseState] = {}
-        for obj in model.of_class("house"):
-            house = HouseState(
-                name=obj.name,
-                t_in=float(_value(obj, "air_temperature")),
-                t_set=float(_value(obj, "cooling_setpoint")),
-                deadband=float(_value(obj, "deadband")),
-                capacitance=float(_value(obj, "thermal_capacitance")),
-                ua=float(_value(obj, "ua")),
-                internal_gains=float(_value(obj, "internal_gains")),
-                hvac_kw=float(_value(obj, "hvac_rating")),
-                cop=float(_value(obj, "cop")),
-            )
+        # every run object is built from its scenario object through `PROPERTIES`
+        attach = self.index.attach_node
+        self.houses = {obj.name: HouseState(obj.name, **_fields(obj)) for obj in model.of_class("house")}
+        for house in self.houses.values():
             init_mode(house)
-            self.houses[obj.name] = house
-
-        self.appliances: dict[str, _Appliance] = {}
-        for obj in model.of_class("zipload", "waterheater"):
-            self.appliances[obj.name] = _Appliance(
-                obj.name, self.index.attach_node[obj.name], float(_value(obj, "base_power"))
-            )
-        self.solars: dict[str, _Solar] = {}
-        for obj in model.of_class("solar"):
-            self.solars[obj.name] = _Solar(
-                obj.name,
-                self.index.attach_node[obj.name],
-                float(obj.get("rating")),
-                float(_value(obj, "efficiency")),
-            )
+        self.appliances = {
+            obj.name: _Appliance(obj.name, attach[obj.name], **_fields(obj))
+            for obj in model.of_class("zipload", "waterheater")
+        }
+        self.solars = {obj.name: _Solar(obj.name, attach[obj.name], **_fields(obj)) for obj in model.of_class("solar")}
 
         # markets; under the auxiliary topology each auction gets a mirror
         self.markets: dict[str, Market] = {}
         self.aux_markets: dict[str, Market] = {}
         for obj in model.of_class("auction"):
-            market = Market(
-                obj.name,
-                period_seconds=int(obj.get("period")),
-                price_cap=float(_value(obj, "price_cap")),
-                init_price=float(_value(obj, "init_price")),
-            )
-            self.markets[obj.name] = market
+            self.markets[obj.name] = market = Market(obj.name, **_fields(obj))
             if topology == "auxiliary":
                 self.aux_markets[obj.name] = Market(
                     f"{obj.name}_aux", market.period_seconds, market.price_cap, market.last_price
@@ -517,9 +518,7 @@ class Engine:
 
         self.sellers: dict[str, list[SellerAgent]] = {m: [] for m in self.markets}
         for obj in model.of_class("generator_seller"):
-            self.sellers[obj.ref("market")].append(
-                SellerAgent(obj.name, float(obj.get("price")), float(obj.get("capacity")))
-            )
+            self.sellers[obj.ref("market")].append(SellerAgent(obj.name, **_fields(obj)))
         for market_name, agents in self.sellers.items():
             if agents:
                 total = 0.0  # left to right, as builtin `sum` is compensated on 3.12+
@@ -532,22 +531,13 @@ class Engine:
 
         self.controllers: dict[str, list[Controller]] = {m: [] for m in self.markets}
         for obj in model.of_class("controller"):
-            ctl = Controller(
-                name=obj.name,
-                house=obj.ref("house"),
-                market=obj.ref("market"),
-                t_min=float(obj.get("t_min")),
-                t_base=float(obj.get("t_base")),
-                t_max=float(obj.get("t_max")),
-                k_ramp=float(obj.get("k_ramp")),
-                sigma_floor=float(_value(obj, "sigma_floor")),
-            )
+            ctl = Controller(obj.name, **_fields(obj))
             self.controllers[ctl.market].append(ctl)
         controlled = {c.house for ctls in self.controllers.values() for c in ctls}
 
         # a slot per load node, in the order first seen over houses,
         # appliances and panels; the per-step loops walk these lists
-        attach, slot_of = self.index.attach_node, {}
+        slot_of = {}
         for name in [*self.houses, *self.appliances, *self.solars]:
             slot_of.setdefault(attach[name], len(slot_of))
         self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
@@ -599,7 +589,7 @@ class Engine:
                     raise ConfigError(f"{cfg.name}: {cfg.file} holds {value:g}: {problem}")
             self.players.append((cfg, series, write))
         if model.weather_source is not None:
-            self.weather: WeatherSeries = read_weather(os.path.join(base_dir, model.weather_source))
+            self.weather: TimeSeries = read_weather(os.path.join(base_dir, model.weather_source))
         else:
             self.weather = constant_weather(self.clock.start)
         # the loads at clock.start, for reads and market rounds before a step

@@ -48,6 +48,7 @@ from .loads import HouseState
 
 STATS_WINDOW_HOURS = 24.0
 DEFAULT_PRICE_CAP = 0.63  # $/kWh, maximum price the market accepts
+DEFAULT_INIT_PRICE = 0.10  # $/kWh, the prior price of the first round
 DEFAULT_SIGMA_FLOOR = 0.003  # $/kWh, keeps the setpoint ramp well-defined
 # $/kWh, the most any price may be: a 24 h window of 1 s periods then sums
 # its 86,400 squared deviations (each below MAX_PRICE ** 2) far below 1.8e308
@@ -114,7 +115,7 @@ class Market:
         name: str,
         period_seconds: int,
         price_cap: float = DEFAULT_PRICE_CAP,
-        init_price: float = 0.10,
+        init_price: float = DEFAULT_INIT_PRICE,
     ):
         self.name = name
         self.period_seconds = period_seconds

@@ -35,9 +35,9 @@ def format_number(x) -> str:
 @dataclass
 class TimeSeries:
     name: str
-    rows: list[tuple[datetime, float]]  # strictly increasing timestamps
+    rows: list[tuple[datetime, object]]  # strictly increasing timestamps
 
-    def sample(self, t: datetime) -> float:
+    def sample(self, t: datetime):
         """Step-hold value at t; MissingPlayerData before the first row."""
         if not self.rows or t < self.rows[0][0]:
             raise MissingPlayerData(f"{self.name}: no sample at or before {format_time(t)}")
@@ -94,42 +94,30 @@ def read_player(path: str) -> TimeSeries:
     return TimeSeries(name, rows)
 
 
-@dataclass
-class WeatherSeries:
-    temperature: TimeSeries
-    irradiance: TimeSeries
-
-    def sample(self, t: datetime) -> tuple[float, float]:
-        return self.temperature.sample(t), self.irradiance.sample(t)
-
-
-def read_weather(path: str) -> WeatherSeries:
-    """Read a `time,temperature_degF,irradiance_fraction` CSV (irradiance in [0, 1])."""
+def read_weather(path: str) -> TimeSeries:
+    """Read a `time,temperature_degF,irradiance_fraction` CSV (irradiance in
+    [0, 1]) into one series of (temperature, irradiance) pairs."""
     name = os.path.basename(path)
-    temps: list[tuple[datetime, float]] = []
-    irr: list[tuple[datetime, float]] = []
+    rows: list[tuple[datetime, tuple[float, float]]] = []
     for i, parts in enumerate(_parse_rows(path, 3, name)):
         t = _parse_time(parts[0], name, f"row {i + 1}")
-        if temps and t <= temps[-1][0]:
+        if rows and t <= rows[-1][0]:
             raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
-        temps.append((t, _parse_number(parts[1], name, i + 1)))
+        temperature = _parse_number(parts[1], name, i + 1)
         fraction = _parse_number(parts[2], name, i + 1)
         if not 0.0 <= fraction <= 1.0:
             raise MalformedRow(f"{name} row {i + 1}: irradiance '{parts[2]}' is outside [0, 1]")
-        irr.append((t, fraction))
-    return WeatherSeries(TimeSeries(name, temps), TimeSeries(name, irr))
+        rows.append((t, (temperature, fraction)))
+    return TimeSeries(name, rows)
 
 
 DEFAULT_WEATHER_DEGF = 90.0
 DEFAULT_IRRADIANCE = 0.5
 
 
-def constant_weather(t0: datetime) -> WeatherSeries:
+def constant_weather(t0: datetime) -> TimeSeries:
     """Fallback when a scenario names no weather file."""
-    return WeatherSeries(
-        TimeSeries("<constant>", [(t0, DEFAULT_WEATHER_DEGF)]),
-        TimeSeries("<constant>", [(t0, DEFAULT_IRRADIANCE)]),
-    )
+    return TimeSeries("<constant>", [(t0, (DEFAULT_WEATHER_DEGF, DEFAULT_IRRADIANCE))])
 
 
 @dataclass

@@ -29,7 +29,6 @@ LONGEST_REPEAT_S = timedelta.max.days * 86400  # a run steps a repeat as a `time
 # per class, the properties an object must carry, and those naming another object
 REQUIRED = {cls: [p for p, spec in props.items() if spec.required] for cls, props in PROPERTIES.items()}
 REFS = {cls: [p for p, spec in props.items() if spec.kind == "ref"] for cls, props in PROPERTIES.items()}
-_SIGMA_FLOOR = PROPERTIES["controller"]["sigma_floor"].default
 
 
 def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
@@ -53,10 +52,13 @@ def _value_problem(cls: str, prop: str, value: Value) -> tuple[str, str] | None:
 
 
 def _number(obj: GridObject, prop: str) -> float | None:
-    """Canonical value of a real-number property; None when it is absent
-    or not a number (`_check_objects` reports the latter)."""
+    """Canonical value of a real-number property, or its default when `obj`
+    leaves it out; None when it is required and absent, or not a number
+    (`_check_objects` reports both)."""
     v = obj.properties.get(prop)
-    return v.canonical() if v is not None and v.kind == "NUMBER" else None
+    if v is None:
+        return PROPERTIES[obj.cls][prop].default
+    return v.canonical() if v.kind == "NUMBER" else None
 
 
 def _seller_cap(names: dict[str, GridObject], seller: GridObject) -> float | None:
@@ -65,8 +67,6 @@ def _seller_cap(names: dict[str, GridObject], seller: GridObject) -> float | Non
     market = names.get(seller.ref("market") or "")
     if market is None or market.cls != "auction":
         return None
-    if "price_cap" not in market.properties:
-        return PROPERTIES["auction"]["price_cap"].default
     return _number(market, "price_cap")
 
 
@@ -116,7 +116,16 @@ def _check_refs(model: ScenarioModel, names: dict[str, GridObject], errors):
 def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
-        if obj.cls == "controller":
+        if obj.cls == "house" and model.clock is not None:
+            # the Euler step multiplies the gap to equilibrium by 1 - dt * ua / C:
+            # above 1 the house overshoots every step, above 2 it blows up
+            ua, capacitance = _number(obj, "ua"), _number(obj, "thermal_capacitance")
+            if None not in (ua, capacitance) and ua > 0 and capacitance > 0:
+                ratio = model.clock.timestep / 3600.0 * ua / capacitance
+                if not ratio <= 1.0:
+                    message = f"timestep (h) * ua / thermal_capacitance is {ratio:g}, above 1"
+                    errors.append(Diagnostic(loc, "BAD_RANGE", message))
+        elif obj.cls == "controller":
             house = names.get(obj.ref("house") or "")
             if house is not None and house.cls != "house":
                 errors.append(Diagnostic(loc, "BAD_REF", "controller 'house' must reference a house"))
@@ -128,7 +137,7 @@ def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
                 errors.append(Diagnostic(loc, "BAD_RANGE", "require t_min < t_base < t_max"))
             # the setpoint ramp divides by k_ramp * max(p_std, sigma_floor)
             k_ramp = _number(obj, "k_ramp")
-            floor = _number(obj, "sigma_floor") if "sigma_floor" in obj.properties else _SIGMA_FLOOR
+            floor = _number(obj, "sigma_floor")
             if None not in (k_ramp, floor) and k_ramp > 0 and floor > 0 and not k_ramp * floor > 0:
                 errors.append(Diagnostic(loc, "BAD_RANGE", "k_ramp * sigma_floor underflows to 0"))
         elif obj.cls == "generator_seller":

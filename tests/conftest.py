@@ -111,6 +111,13 @@ UNRUNNABLE_EDITS = {
     # a house that is a heat sink
     "negative_internal_gains": (
         lambda t: t.replace("internal_gains 1800;", "internal_gains -90000;", 1), "BAD_RANGE"),
+    # the Euler step multiplies h1's gap to equilibrium by 1 - dt * ua / C:
+    # these ran to exit 0 with h1 at `inf` and `nan`, or at 2.27e+34 degF
+    "ua_1e308": (lambda t: t.replace("ua 550;", "ua 1e308;", 1), "BAD_RANGE"),
+    "thermal_capacitance_5e-324": (
+        lambda t: t.replace("thermal_capacitance 2000;", "thermal_capacitance 5e-324;", 1), "BAD_RANGE"),
+    "thermal_capacitance_2": (
+        lambda t: t.replace("thermal_capacitance 2000;", "thermal_capacitance 2;", 1), "BAD_RANGE"),
     # validated clean, then the run failed with KeyError building the engine
     "solar_on_line": (lambda t: t + "object solar { name pv9; parent UL1; rating 2 kW; }\n", "BAD_PARENT"),
     # the setpoint ramp divides by k_ramp * sigma, which a free seller lets reach the floor

@@ -1,6 +1,7 @@
 """Kernel tests: step fenceposts, event ordering, audit log, player and
 schedule application, outage/restore behavior, and determinism."""
 
+import inspect
 import os
 import tracemalloc
 from collections import deque
@@ -10,10 +11,12 @@ from itertools import islice
 import pytest
 from conftest import load_fixture
 
-from tesgrid import powerflow
+from tesgrid import kernel, powerflow
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, event_stream, out_of_bounds
+from tesgrid.loads import HouseState
+from tesgrid.market import Controller, Market, SellerAgent
 from tesgrid.model import AttackConfig, RecorderConfig, ScheduleEntry
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
@@ -448,9 +451,61 @@ def test_defaults_of_bare_objects(topology):
     assert [c.sigma_floor for c in engine.controllers["a"]] == [0.003]
 
 
+# the run object each class's properties fill, by `Prop.field`
+RUN_OBJECTS = {
+    "house": HouseState,
+    "zipload": kernel._Appliance,
+    "waterheater": kernel._Appliance,
+    "solar": kernel._Solar,
+    "auction": Market,
+    "controller": Controller,
+    "generator_seller": SellerAgent,
+}
+
+
+def test_every_field_reaches_the_engine(monkeypatch):
+    # what `Engine` passes to each run object's constructor, for objects that
+    # carry only their required properties, plus `hvac_rating 4000 W` and
+    # `period 5 min`, which arrive canonical (4.0 kW, 300 s) and typed
+    text = BARE.replace("parent n1; }", "parent n1; hvac_rating 4000 W; }", 1).replace("period 300 s", "period 5 min")
+    text += "object waterheater { name w; parent n1; }\n"
+    text += "object generator_seller { name g; market a; price 0.1 $/kWh; capacity 5 kW; }\n"
+    given = {  # every other field takes its default
+        "h": {"hvac_kw": 4.0},
+        "z": {},
+        "w": {},
+        "s": {"rating_kw": 1.0},
+        "a": {"period_seconds": 300},
+        "c": {"house": "h", "market": "a", "t_min": 65.0, "t_base": 72.0, "t_max": 80.0, "k_ramp": 2.0},
+        "g": {"price": 0.1, "capacity": 5.0},
+    }
+    made = {}
+
+    def record(run_class):
+        def make(name, *args, **fields):
+            made[name] = fields
+            return run_class(name, *args, **fields)
+        return make
+
+    for run_class in set(RUN_OBJECTS.values()):
+        monkeypatch.setattr(kernel, run_class.__name__, record(run_class))
+    model = parse_scenario(text)
+    assert validate(model).errors == []
+    Engine(model, topology="direct")
+    for obj in model.objects:
+        if obj.cls in RUN_OBJECTS:
+            specs = PROPERTIES[obj.cls].values()
+            expected = {spec.field: spec.default for spec in specs if spec.field and not spec.required}
+            expected.update(given[obj.name])
+            assert made[obj.name] == expected, obj.name
+            assert {f: type(v) for f, v in made[obj.name].items()} == {f: type(v) for f, v in expected.items()}
+
+
 def test_property_table_is_consistent():
     for cls in OBJECT_CLASSES:
         for prop, spec in PROPERTIES[cls].items():
+            if spec.field is not None:  # `Engine` passes it by name to the run object
+                assert spec.field in inspect.signature(RUN_OBJECTS[cls]).parameters, (cls, prop)
             if spec.write is not None:  # schedule and player checks go by the kind
                 assert spec.kind in NUMERIC_KINDS or spec.kind == "enum", (cls, prop)
             if spec.required:

@@ -29,7 +29,6 @@ from tesgrid.kernel import Engine
 from tesgrid.loads import hvac_power, solar_output
 from tesgrid.network import compute_islands
 from tesgrid.powerflow import solve_powerflow
-from tesgrid.recorder import WeatherSeries
 
 # the feeder_small hour under changing irradiance, with UL1 open 00:20-00:40
 # and an appliance beside house h1 and panel s1, where (1 + 0.35) - solar
@@ -318,13 +317,13 @@ def test_weather_is_sampled_once_per_step(small_text, monkeypatch):
     )
     engine = Engine(parse_scenario(text))
     calls = []
-    sample = WeatherSeries.sample
+    sample = engine.weather.sample
 
-    def counted(self, t):
+    def counted(t):
         calls.append(t)
-        return sample(self, t)
+        return sample(t)
 
-    monkeypatch.setattr(WeatherSeries, "sample", counted)
+    monkeypatch.setattr(engine.weather, "sample", counted)
     result = engine.run()
     executed = result.metadata["executed_steps"] + 1
     assert executed == 61

@@ -284,3 +284,16 @@ def test_schedule_entry_time_is_on_a_step(small_text, time, ok):
     assert report.runnable is ok
     if not ok:
         assert report.serialize() == "error: s: BAD_SCHEDULE: entry time must fall on a step"
+
+
+@pytest.mark.parametrize("timestep, ok", [("3 h", True), ("4 h", False)])
+def test_house_euler_step_takes_the_defaults(timestep, ok):
+    # ua 550 and thermal_capacitance 2000 by default: the step may be at most 2000 / 550 h
+    text = (
+        f'clock {{ start "2013-07-01 00:00:00"; stop "2013-07-01 12:00:00"; timestep {timestep}; }}\n'
+        "object node { name n1; bustype SWING; }\nobject house { name h; parent n1; }\n"
+    )
+    report = validate(parse_scenario(text))
+    assert report.runnable is ok
+    if not ok:
+        assert report.serialize() == "error: h: BAD_RANGE: timestep (h) * ua / thermal_capacitance is 1.1, above 1"
