@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 
 from .errors import IoFailure, MalformedRow, MissingPlayerData, NonMonotonicTime
 from .model import format_time, parse_time
@@ -125,17 +127,24 @@ class RecorderTable:
     name: str
     file: str
     header: list[str]  # time, props..., flags
-    rows: list[list[str]] = field(default_factory=list)
+    # one CSV line per row: no recorded field holds a comma (numbers, modes and
+    # statuses are fixed words, and flags join with `|`), so a line splits back exactly
+    lines: list[str] = field(default_factory=list)
 
     def append(self, stamp: str, values: list, flags: str) -> None:
         """Add one row: `stamp` is the step's time already formatted by
         `format_time` (once per step, shared by every recorder that fires)."""
-        self.rows.append([stamp] + [format_number(v) for v in values] + [flags])
+        self.lines.append(",".join([stamp, *map(format_number, values), flags]))
 
-    def serialize(self) -> str:
-        out = [",".join(self.header)]
-        out.extend(",".join(row) for row in self.rows)
-        return "\n".join(out) + "\n"
+    @property
+    def rows(self) -> list[list[str]]:
+        """Every row as its fields, split from `lines` on each read."""
+        return [line.split(",") for line in self.lines]
+
+
+AUDIT_FILE = "audit.csv"
+SUMMARY_FILE = "summary.txt"
+RUN_FILES = (AUDIT_FILE, SUMMARY_FILE)  # what `write_results` writes beside the recorders
 
 
 def write_results(result, out_dir: str) -> list[str]:
@@ -151,35 +160,37 @@ def write_results(result, out_dir: str) -> list[str]:
     manifest = []
 
     for table in result.tables.values():
-        _write_text(os.path.join(out_dir, table.file), table.serialize())
+        _write_lines(os.path.join(out_dir, table.file), chain([",".join(table.header)], table.lines))
         manifest.append(table.file)
 
-    audit_lines = ["time,target,property,old_value,new_value,origin"]
-    for row in result.audit:
-        audit_lines.append(
-            ",".join(
-                [
-                    format_time(row.time),
-                    row.target,
-                    row.prop,
-                    format_number(row.old_value),
-                    format_number(row.new_value),
-                    row.origin,
-                ]
-            )
+    audit_header = "time,target,property,old_value,new_value,origin"
+    audit_lines = (
+        ",".join(
+            [
+                format_time(row.time),
+                row.target,
+                row.prop,
+                format_number(row.old_value),
+                format_number(row.new_value),
+                row.origin,
+            ]
         )
-    _write_text(os.path.join(out_dir, "audit.csv"), "\n".join(audit_lines) + "\n")
-    manifest.append("audit.csv")
+        for row in result.audit
+    )
+    _write_lines(os.path.join(out_dir, AUDIT_FILE), chain([audit_header], audit_lines))
+    manifest.append(AUDIT_FILE)
 
     summary_lines = [f"{key} {format_number(value)}" for key, value in result.summary.items()]
-    _write_text(os.path.join(out_dir, "summary.txt"), "\n".join(summary_lines) + "\n")
-    manifest.append("summary.txt")
+    _write_lines(os.path.join(out_dir, SUMMARY_FILE), summary_lines)
+    manifest.append(SUMMARY_FILE)
     return sorted(manifest)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a line feed, one line at a time, so no whole
+    file is ever joined into one string."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

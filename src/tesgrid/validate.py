@@ -21,9 +21,9 @@ from .model import (
     Value,
 )
 from .network import walk_feeder
+from .recorder import RUN_FILES
 
 NUMERIC_KINDS = frozenset({"VOLTAGE", "POWER", "TEMPERATURE", "TIME", "PRICE", "IMPEDANCE", "number"})
-RUN_FILES = ("audit.csv", "summary.txt")  # what `write_results` writes beside the recorders
 LONGEST_REPEAT_S = timedelta.max.days * 86400  # a run steps a repeat as a `timedelta`
 
 # per class, the properties an object must carry, and those naming another object
@@ -222,17 +222,21 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                     problem = f"{key} {value:g} exceeds a price_cap of {lowest_cap:g}"
                 if problem is not None:
                     errors.append(Diagnostic(a.name, "BAD_PARAM", problem))
-    writers: dict[str, str] = {}  # output file -> the recorder writing it
+    # names compare case-folded: on a case-insensitive filesystem (the macOS and
+    # Windows defaults) `A.csv` and `a.csv` are one file, and the later write wins
+    run_files = {name.casefold() for name in RUN_FILES}
+    writers: dict[str, str] = {}  # case-folded output file -> the recorder writing it
     for r in model.recorders:
+        key = r.file.casefold()
         # a separator also covers every absolute path
         if r.file in ("", ".", "..") or "/" in r.file or "\\" in r.file:
             errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is not a bare file name"))
-        elif r.file in RUN_FILES:
+        elif key in run_files:
             errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is written by the run itself"))
-        elif r.file in writers:
-            errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is already written by {writers[r.file]}"))
+        elif key in writers:
+            errors.append(Diagnostic(r.name, "BAD_FILE", f"file '{r.file}' is already written by {writers[key]}"))
         else:
-            writers[r.file] = r.name
+            writers[key] = r.name
         if r.interval <= 0 or (clock is not None and r.interval % clock.timestep != 0):
             errors.append(Diagnostic(r.name, "BAD_INTERVAL", "interval must be a positive multiple of timestep"))
         target = names.get(r.target)

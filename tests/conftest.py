@@ -138,6 +138,10 @@ UNRUNNABLE_EDITS = {
     "recorder_file_shared": (lambda t: t.replace("file tm3.csv;", "file src.csv;"), "BAD_FILE"),
     "recorder_file_is_audit": (lambda t: t.replace("file tm3.csv;", "file audit.csv;"), "BAD_FILE"),
     "recorder_file_is_summary": (lambda t: t.replace("file ul1.csv;", "file summary.txt;"), "BAD_FILE"),
+    # validated clean, then on a case-insensitive filesystem (the macOS and
+    # Windows defaults) one file overwrote the other
+    "recorder_file_is_audit_in_upper_case": (lambda t: t.replace("file tm3.csv;", "file Audit.csv;"), "BAD_FILE"),
+    "recorder_files_differ_in_case": (lambda t: t.replace("file tm3.csv;", "file SRC.csv;"), "BAD_FILE"),
     # validated clean and linked into the feeder, though a `node` has no parent
     "node_with_parent": (
         lambda t: t + "object node { name n9; parent tn1; nominal_voltage 240 V; }\n", "NOT_RADIAL"),
