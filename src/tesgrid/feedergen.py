@@ -22,6 +22,7 @@ import math
 import random
 from datetime import datetime, timedelta
 
+from .glm import write_block
 from .model import format_time
 
 CLUSTER_SIZE = 5
@@ -43,132 +44,71 @@ def gen_feeder(houses: int = 30, seed: int = 0, weather_file: str = "weather.csv
     start = DEFAULT_START
     stop = start + timedelta(days=1)
 
-    out: list[str] = []
-    w = out.append
-    w("// generated feeder: do not edit; regenerate with `tesgrid gen-feeder`")
-    w(f"// houses={houses} seed={seed}")
-    w("clock {")
-    w(f'    start "{format_time(start)}";')
-    w(f'    stop "{format_time(stop)}";')
-    w("    timestep 60 s;")
-    w("}")
-    w(f"weather {{")
-    w(f"    file {weather_file};")
-    w("}")
+    out = ["// generated feeder: do not edit; regenerate with `tesgrid gen-feeder`", f"// houses={houses} seed={seed}"]
 
-    w("object node {")
-    w("    name n_src;")
-    w("    bustype SWING;")
-    w("    nominal_voltage 7200 V;")
-    w("}")
-    w("object node {")
-    w("    name n_dist;")
-    w("    nominal_voltage 7200 V;")
-    w("}")
-    w("object overhead_line {")
-    w("    name trunk;")
-    w("    from n_src;")
-    w("    to n_dist;")
-    w("    impedance 0.3+0.7j Ohm;")
-    w("    status CLOSED;")
-    w("}")
+    def block(head: str, *fields: tuple[str, str]) -> None:
+        out.append(write_block(head, fields))
+
+    block("clock", ("start", f'"{format_time(start)}"'), ("stop", f'"{format_time(stop)}"'), ("timestep", "60 s"))
+    block("weather", ("file", weather_file))
+    block("object node", ("name", "n_src"), ("bustype", "SWING"), ("nominal_voltage", "7200 V"))
+    block("object node", ("name", "n_dist"), ("nominal_voltage", "7200 V"))
+    block(
+        "object overhead_line",
+        ("name", "trunk"), ("from", "n_src"), ("to", "n_dist"), ("impedance", "0.3+0.7j Ohm"), ("status", "CLOSED"),
+    )
 
     house_index = 0
     for c in range(clusters):
-        w("object transformer {")
-        w(f"    name xf_{c};")
-        w(f"    from n_dist;")
-        w(f"    to tn_{c};")
-        w("    ratio 30;")
-        w("    impedance 0.01+0.02j Ohm;")
-        w("}")
-        w("object triplex_node {")
-        w(f"    name tn_{c};")
-        w("    nominal_voltage 240 V;")
-        w("}")
+        block(
+            "object transformer",
+            ("name", f"xf_{c}"), ("from", "n_dist"), ("to", f"tn_{c}"), ("ratio", "30"),
+            ("impedance", "0.01+0.02j Ohm"),
+        )
+        block("object triplex_node", ("name", f"tn_{c}"), ("nominal_voltage", "240 V"))
         for k in range(CLUSTER_SIZE):
             if house_index >= houses:
                 break
             hname = f"house_{c}_{k}"
             mname = f"tm_{c}_{k}"
             t0 = 74.0 + 2.0 * rng.random()  # stagger thermostat phases
-            w("object triplex_meter {")
-            w(f"    name {mname};")
-            w(f"    parent tn_{c};")
-            w("    nominal_voltage 240 V;")
-            w("}")
-            w("object house {")
-            w(f"    name {hname};")
-            w(f"    parent {mname};")
-            w(f"    air_temperature {t0:.4f} degF;")
-            w("    cooling_setpoint 75 degF;")
-            w("    deadband 2 degF;")
-            w("    thermal_capacitance 2000;")
-            w("    ua 550;")
-            w("    internal_gains 1800;")
-            w(f"    hvac_rating {HVAC_KW:g} kW;")
-            w("    cop 3.5;")
-            w("}")
-            w("object zipload {")
-            w(f"    name zl_{c}_{k};")
-            w(f"    parent {mname};")
-            w(f"    base_power {APPLIANCE_KW:g} kW;")
-            w("}")
-            w("object controller {")
-            w(f"    name ctl_{c}_{k};")
-            w(f"    house {hname};")
-            w("    market market;")
-            w("    t_min 70 degF;")
-            w("    t_base 75 degF;")
-            w("    t_max 85 degF;")
-            w("    k_ramp 1;")
-            w("    sigma_floor 0.003 $/kWh;")
-            w("}")
+            block("object triplex_meter", ("name", mname), ("parent", f"tn_{c}"), ("nominal_voltage", "240 V"))
+            block(
+                "object house",
+                ("name", hname), ("parent", mname), ("air_temperature", f"{t0:.4f} degF"),
+                ("cooling_setpoint", "75 degF"), ("deadband", "2 degF"), ("thermal_capacitance", "2000"),
+                ("ua", "550"), ("internal_gains", "1800"), ("hvac_rating", f"{HVAC_KW:g} kW"), ("cop", "3.5"),
+            )
+            block("object zipload", ("name", f"zl_{c}_{k}"), ("parent", mname), ("base_power", f"{APPLIANCE_KW:g} kW"))
+            block(
+                "object controller",
+                ("name", f"ctl_{c}_{k}"), ("house", hname), ("market", "market"), ("t_min", "70 degF"),
+                ("t_base", "75 degF"), ("t_max", "85 degF"), ("k_ramp", "1"), ("sigma_floor", "0.003 $/kWh"),
+            )
             house_index += 1
 
-    w("object solar {")
-    w("    name roof_pv;")
-    w("    parent tm_0_0;")
-    w("    rating 3 kW;")
-    w("    efficiency 0.9;")
-    w("}")
-
-    w("object auction {")
-    w("    name market;")
-    w("    period 300 s;")
-    w("    price_cap 0.63 $/kWh;")
-    w("    init_price 0.10 $/kWh;")
-    w("}")
+    block("object solar", ("name", "roof_pv"), ("parent", "tm_0_0"), ("rating", "3 kW"), ("efficiency", "0.9"))
+    block(
+        "object auction",
+        ("name", "market"), ("period", "300 s"), ("price_cap", "0.63 $/kWh"), ("init_price", "0.10 $/kWh"),
+    )
     capacity = CAPACITY_PER_HOUSE * houses / SELLER_COUNT
     for i in range(SELLER_COUNT):
-        w("object generator_seller {")
-        w(f"    name gen_{i:02d};")
-        w("    market market;")
-        w(f"    price {BASE_OFFER + TIER_STEP * i:.6f} $/kWh;")
-        w(f"    capacity {capacity:g} kW;")
-        w("}")
+        block(
+            "object generator_seller",
+            ("name", f"gen_{i:02d}"), ("market", "market"), ("price", f"{BASE_OFFER + TIER_STEP * i:.6f} $/kWh"),
+            ("capacity", f"{capacity:g} kW"),
+        )
 
-    w("recorder {")
-    w("    name rec_market;")
-    w("    target market;")
-    w("    property clearing_price, cleared_quantity, p_avg, p_std;")
-    w("    interval 300 s;")
-    w("    file market.csv;")
-    w("}")
-    w("recorder {")
-    w("    name rec_feeder;")
-    w("    target n_src;")
-    w("    property total_load_kw, total_hvac_kw, source_power_kw, losses_kw;")
-    w("    interval 60 s;")
-    w("    file feeder.csv;")
-    w("}")
-    w("recorder {")
-    w("    name rec_house;")
-    w("    target house_0_0;")
-    w("    property air_temperature, cooling_setpoint, hvac_load_kw;")
-    w("    interval 60 s;")
-    w("    file house.csv;")
-    w("}")
+    for name, target, properties, interval, file in (
+        ("rec_market", "market", "clearing_price, cleared_quantity, p_avg, p_std", 300, "market.csv"),
+        ("rec_feeder", "n_src", "total_load_kw, total_hvac_kw, source_power_kw, losses_kw", 60, "feeder.csv"),
+        ("rec_house", "house_0_0", "air_temperature, cooling_setpoint, hvac_load_kw", 60, "house.csv"),
+    ):
+        block(
+            "recorder",
+            ("name", name), ("target", target), ("property", properties), ("interval", f"{interval} s"), ("file", file),
+        )
     return "\n".join(out) + "\n"
 
 

@@ -17,7 +17,9 @@ a column counts code points from 1.  Values are numbers with optional
 units, complex impedances (``1+2j Ohm``, ``1e-07-2e+16j``), quoted strings,
 timestamps, bare identifiers, or comma-separated lists.  Every failure raises
 :class:`~tesgrid.errors.ParseError` with position information.  `pretty_print`
-writes each float as its `repr`, so it parses back bit for bit.
+writes each float as its `repr`, so it parses back bit for bit, and each
+name, target, property name and file as a string, which reads back exactly.
+`write_block` writes every block, here and in `feedergen`.
 
 The tokenizer is one compiled regex, `findall` once per distinct line: a
 line that occurs again reuses its first copy's tokens.  A token is the
@@ -37,7 +39,7 @@ from __future__ import annotations
 import cmath
 import re
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from datetime import datetime
 from itertools import islice
 
@@ -406,6 +408,16 @@ def parse_scenario(text: str) -> ScenarioModel:
 # -- pretty printing --------------------------------------------------------
 
 
+def _quoted(text: str) -> str:
+    """`text` as a string token, which reads back exactly: no parsed name,
+    target, property or file holds a `"` or a line feed."""
+    return f'"{text}"'
+
+
+def _stamp(t: datetime) -> str:
+    return _quoted(format_time(t))
+
+
 def _format_value(v: Value) -> str:
     # f"{x}" is repr(x) for a float: the shortest text that reads back as x
     if v.kind == "NUMBER":
@@ -416,78 +428,59 @@ def _format_value(v: Value) -> str:
         base = f"{c.real}{c.imag:+}j"
         return f"{base} {v.unit}" if v.unit else base
     if v.kind == "TIMESTAMP":
-        return f'"{format_time(v.value)}"'
+        return _stamp(v.value)
     if v.kind == "STRING":
-        return f'"{v.value}"'
+        return _quoted(v.value)
     if v.kind == "LIST":
         return ",".join(_format_value(item) for item in v.value)
     return str(v.value)
 
 
+def write_block(head: str, fields: Iterable[tuple[str, str]]) -> str:
+    """One block as scenario text, the inverse of `_read_block`: the head
+    line, one `    key value;` line per (key, value) pair, then `}`."""
+    return "\n".join([f"{head} {{", *(f"    {key} {value};" for key, value in fields), "}"])
+
+
 def pretty_print(model: ScenarioModel) -> str:
-    """Render a model back to scenario text that reparses to an equal model."""
-    out = []
+    """Render a model back to scenario text that reparses to an equal model,
+    each block's `line` aside."""
+    blocks = []
     if model.clock is not None:
-        out.append(
-            "clock {\n"
-            f'  start "{format_time(model.clock.start)}";\n'
-            f'  stop "{format_time(model.clock.stop)}";\n'
-            f"  timestep {model.clock.timestep} s;\n"
-            "}"
-        )
+        clock = model.clock
+        times = [("start", _stamp(clock.start)), ("stop", _stamp(clock.stop)), ("timestep", f"{clock.timestep} s")]
+        blocks.append(write_block("clock", times))
     if model.weather_source is not None:
-        out.append(f'weather {{ file "{model.weather_source}"; }}')
+        blocks.append(write_block("weather", [("file", _quoted(model.weather_source))]))
     for obj in model.objects:
-        lines = [f"object {obj.cls} {{"]
-        if obj.name is not None:
-            lines.append(f"  name {obj.name};")
-        for key, value in obj.properties.items():
-            lines.append(f"  {key} {_format_value(value)};")
-        lines.append("}")
-        out.append("\n".join(lines))
+        fields = [] if obj.name is None else [("name", _quoted(obj.name))]
+        fields += [(key, _format_value(value)) for key, value in obj.properties.items()]
+        blocks.append(write_block(f"object {obj.cls}", fields))
     for sched in model.schedules:
-        lines = [f"schedule {{", f"  name {sched.name};"]
+        fields = [("name", _quoted(sched.name))]
         for e in sched.entries:
-            lines.append(
-                f'  entry "{format_time(e.time)}" {e.target} {e.prop} {_format_value(e.value)};'
-            )
+            fields.append(("entry", f"{_stamp(e.time)} {_quoted(e.target)} {_quoted(e.prop)} {_format_value(e.value)}"))
         if sched.repeat is not None:
-            lines.append(f"  repeat {sched.repeat} s;")
-        lines.append("}")
-        out.append("\n".join(lines))
+            fields.append(("repeat", f"{sched.repeat} s"))
+        blocks.append(write_block("schedule", fields))
     for a in model.attacks:
-        lines = [
-            "attack {",
-            f"  name {a.name};",
-            f"  kind {a.kind};",
-            f'  start "{format_time(a.start)}";',
-            f'  end "{format_time(a.end)}";',
-            f"  fraction {a.fraction};",
-            f"  seed {a.seed};",
+        fields = [
+            ("name", _quoted(a.name)), ("kind", a.kind), ("start", _stamp(a.start)), ("end", _stamp(a.end)),
+            ("fraction", f"{a.fraction}"), ("seed", f"{a.seed}"),
         ]
         for key, param in ATTACKS[a.kind].params.items():
             value, unit = a.params[key], _CANONICAL_UNIT.get(param.kind)
-            text = ",".join(value) if param.kind == "lines" else f"{value} {unit}" if unit else f"{value}"
-            lines.append(f"  {key} {text};")
-        lines.append("}")
-        out.append("\n".join(lines))
+            text = ",".join(map(_quoted, value)) if param.kind == "lines" else f"{value} {unit}" if unit else f"{value}"
+            fields.append((key, text))
+        blocks.append(write_block("attack", fields))
     for r in model.recorders:
-        out.append(
-            "recorder {\n"
-            f"  name {r.name};\n"
-            f"  target {r.target};\n"
-            f"  property {','.join(r.properties)};\n"
-            f"  interval {r.interval} s;\n"
-            f'  file "{r.file}";\n'
-            "}"
-        )
+        blocks.append(write_block("recorder", [
+            ("name", _quoted(r.name)), ("target", _quoted(r.target)),
+            ("property", ",".join(map(_quoted, r.properties))), ("interval", f"{r.interval} s"), ("file", _quoted(r.file)),
+        ]))
     for p in model.players:
-        out.append(
-            "player {\n"
-            f"  name {p.name};\n"
-            f"  target {p.target};\n"
-            f"  property {p.prop};\n"
-            f'  file "{p.file}";\n'
-            "}"
-        )
-    return "\n\n".join(out) + "\n"
+        blocks.append(write_block("player", [
+            ("name", _quoted(p.name)), ("target", _quoted(p.target)), ("property", _quoted(p.prop)),
+            ("file", _quoted(p.file)),
+        ]))
+    return "\n\n".join(blocks) + "\n"

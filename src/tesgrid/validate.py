@@ -114,6 +114,7 @@ def _check_refs(model: ScenarioModel, names: dict[str, GridObject], errors):
 
 
 def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
+    controller_of: dict[str, str] = {}  # house -> its controller: a second one would bid its load again
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
         if obj.cls == "house" and model.clock is not None:
@@ -129,6 +130,11 @@ def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
             house = names.get(obj.ref("house") or "")
             if house is not None and house.cls != "house":
                 errors.append(Diagnostic(loc, "BAD_REF", "controller 'house' must reference a house"))
+            elif house is not None and house.name in controller_of:
+                message = f"house '{house.name}' already has controller '{controller_of[house.name]}'"
+                errors.append(Diagnostic(loc, "BAD_REF", message))
+            elif house is not None:
+                controller_of[house.name] = loc
             market = names.get(obj.ref("market") or "")
             if market is not None and market.cls != "auction":
                 errors.append(Diagnostic(loc, "BAD_REF", "controller 'market' must reference an auction"))
@@ -195,6 +201,13 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                 errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
     caps = [_seller_cap(names, obj) for obj in model.of_class("generator_seller")]
     lowest_cap = min([cap for cap in caps if cap is not None], default=float("inf"))
+    # a run keys each attack's transform and each recorder's table by name
+    for blocks, kind in ((model.attacks, "attack"), (model.recorders, "recorder")):
+        seen = set()
+        for block in blocks:
+            if block.name in seen:
+                errors.append(Diagnostic(block.name, "DUPLICATE_NAME", f"{kind} name is not unique"))
+            seen.add(block.name)
     for a in model.attacks:
         if a.start >= a.end:
             errors.append(Diagnostic(a.name, "EMPTY_WINDOW", "attack window is empty"))

@@ -142,6 +142,21 @@ UNRUNNABLE_EDITS = {
     # Windows defaults) one file overwrote the other
     "recorder_file_is_audit_in_upper_case": (lambda t: t.replace("file tm3.csv;", "file Audit.csv;"), "BAD_FILE"),
     "recorder_files_differ_in_case": (lambda t: t.replace("file tm3.csv;", "file SRC.csv;"), "BAD_FILE"),
+    # each validated clean: both recorders appended their rows to one table,
+    # written to the second file only; of the two attacks only the second's
+    # transform was kept, so the first window offered its price
+    "recorder_name_shared": (lambda t: t.replace("name rec_tm3;", "name rec_src;"), "DUPLICATE_NAME"),
+    "attack_name_shared": (
+        lambda t: t + "".join(
+            f'attack {{ name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:{start}:00"; '
+            f'end "2013-07-01 00:{start + 10}:00"; price {price} $/kWh; }}\n'
+            for start, price in ((10, 0.5), (30, 0.3))), "DUPLICATE_NAME"),
+    # validated clean, then h1's rated kW was bid twice every round and its
+    # setpoint re-centered twice
+    "second_controller_on_house": (
+        lambda t: t + "".join(
+            f"object controller {{ name {name}; house h1; market A1; t_min 65 degF; t_base 72 degF;"
+            " t_max 80 degF; k_ramp 2; }\n" for name in ("c1", "c2")), "BAD_REF"),
     # validated clean and linked into the feeder, though a `node` has no parent
     "node_with_parent": (
         lambda t: t + "object node { name n9; parent tn1; nominal_voltage 240 V; }\n", "NOT_RADIAL"),

@@ -18,15 +18,18 @@ from oracles import parse_oracle, tokenize_oracle
 
 from tesgrid.errors import ParseError
 from tesgrid.feedergen import gen_feeder
-from tesgrid.glm import _position, _tokenize, parse_scenario, pretty_print
+from tesgrid.glm import _TIMESTAMP_RE, _position, _tokenize, parse_scenario, pretty_print
 from tesgrid.model import (
     AttackConfig,
     ClockConfig,
     GridObject,
+    PlayerConfig,
+    RecorderConfig,
     Schedule,
     ScheduleEntry,
     ScenarioModel,
     Value,
+    parse_time,
 )
 
 
@@ -109,7 +112,8 @@ def _without_lines(model):
         return [dataclasses.replace(item, line=0) for item in items]
 
     return dataclasses.replace(
-        model, objects=zero(model.objects), schedules=zero(model.schedules), attacks=zero(model.attacks)
+        model, objects=zero(model.objects), schedules=zero(model.schedules), attacks=zero(model.attacks),
+        recorders=zero(model.recorders), players=zero(model.players),
     )
 
 
@@ -146,6 +150,101 @@ def test_pretty_print_round_trips_every_float(x, y, z):
     again = _without_lines(parse_scenario(text))
     assert again == m
     assert repr(again) == repr(m)  # signed zeros too
+    assert pretty_print(again) == text
+
+
+def _readme_attack_example():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    after = readme[readme.index("An attack block looks like:"):]
+    return after.split("```")[1]
+
+
+ROUND_TRIP_SCENARIOS = {
+    "feeder_small": lambda: load_fixture("feeder_small.glm"),
+    "two_bus_overload": lambda: load_fixture("two_bus_overload.glm"),
+    "gen_feeder_30_0": lambda: gen_feeder(30, 0),
+    "gen_feeder_300_2": lambda: gen_feeder(300, 2),
+    "readme_attack": _readme_attack_example,
+    # names that an unquoted name, target or file misreads: a blank, a `;`
+    # and a number each printed text that failed to parse or read back as
+    # another name
+    "object_name_with_blank": lambda: 'object node { name "a b"; }',
+    "object_name_with_semicolon": lambda: 'object node { name "x;y"; }',
+    "object_name_is_a_number": lambda: 'object node { name "123"; }',
+    "attack_name_with_blank": lambda: (
+        'attack { name "a b"; kind BUYER_BID_SCALE; start "2013-07-01 10:00:00"; '
+        'end "2013-07-01 12:00:00"; lambda 0.2; }'),
+    "entry_target_with_blank": lambda: (
+        'schedule { name s; entry "2013-07-01 10:00:00" "h 1" cooling_setpoint 78 degF; }'),
+    "recorder_target_with_blank": lambda: (
+        'recorder { name r; target "m 1"; property voltage_mag; interval 60 s; file m.csv; }'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_SCENARIOS))
+def test_pretty_print_round_trips_parsed_scenarios(case):
+    model = _without_lines(parse_scenario(ROUND_TRIP_SCENARIOS[case]()))
+    text = pretty_print(model)
+    again = _without_lines(parse_scenario(text))
+    assert again == model
+    assert pretty_print(again) == text
+
+
+def _reads_as_text(text):
+    """False for timestamp-shaped text that names no date: no parsed name is that."""
+    if not _TIMESTAMP_RE.match(text):
+        return True
+    try:
+        parse_time(text)
+    except ValueError:
+        return False
+    return True
+
+
+# any text a string token can hold, and the shapes that an atom would split or misread
+NAMES = st.one_of(
+    st.text(st.characters(exclude_characters='"\n'), max_size=12),
+    st.sampled_from([
+        "", " ", "a b", "\t\r", ";", "x;y", ",", "a,b", "//", "a // b", "{", "}", "123", "-1.5e3", "1+2j", "5 kW",
+        "2013-07-01 00:00:00", "0999-07-01 00:00:00",
+    ]),
+).filter(_reads_as_text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pretty_print_round_trips_any_names(data):
+    def name():
+        return data.draw(NAMES)
+
+    def names():
+        return data.draw(st.lists(NAMES, min_size=1, max_size=3))
+
+    start = datetime(2013, 7, 1)
+    m = ScenarioModel(
+        clock=ClockConfig(start, datetime(2013, 7, 2), 60),
+        objects=[
+            GridObject("node", name(), {"nominal_voltage": Value("NUMBER", 240.0, "V")}),
+            GridObject("triplex_meter", name(), {"parent": Value("REF", "n1")}),
+            GridObject("node", None, {}),
+        ],
+        schedules=[Schedule(name(), [
+            ScheduleEntry(start, name(), name(), Value("NUMBER", 78.0, "degF")),
+            ScheduleEntry(start, name(), name(), Value("REF", "OPEN")),
+        ], repeat=3600.0)],
+        attacks=[
+            AttackConfig(name(), "SELLER_PRICE_OVERRIDE", start, start, fraction=0.5, params={"price": 0.5}),
+            AttackConfig(name(), "BUYER_BID_SCALE", start, start, seed=3, params={"lambda": 0.2}),
+            AttackConfig(name(), "LINE_STATUS", start, start, params={"lines": names(), "status": "CLOSED"}),
+        ],
+        recorders=[RecorderConfig(name(), name(), names(), 300, name())],
+        players=[PlayerConfig(name(), name(), name(), name())],
+        weather_source=name(),
+    )
+    text = pretty_print(m)
+    again = _without_lines(parse_scenario(text))
+    assert again == m
     assert pretty_print(again) == text
 
 

@@ -61,6 +61,19 @@ def test_duplicate_names(small_text):
     assert "DUPLICATE_NAME" in codes(report)
 
 
+@pytest.mark.parametrize("case", ["recorder_name_shared", "attack_name_shared", "second_controller_on_house"])
+def test_run_keyed_duplicates_are_reported_once(small_text, case):
+    """The second recorder or attack of a name, or the second controller of
+    a house, is the one error of its scenario."""
+    expected = {
+        "recorder_name_shared": "error: rec_src: DUPLICATE_NAME: recorder name is not unique",
+        "attack_name_shared": "error: a: DUPLICATE_NAME: attack name is not unique",
+        "second_controller_on_house": "error: c2: BAD_REF: house 'h1' already has controller 'c1'",
+    }[case]
+    edit, _ = UNRUNNABLE_EDITS[case]
+    assert validate(parse_scenario(edit(small_text))).serialize() == expected
+
+
 def test_missing_required_property():
     report = validate(parse_scenario("object generator_seller { name g; market m; }"))
     assert "MISSING_PROPERTY" in codes(report)
