@@ -45,7 +45,7 @@ from itertools import islice
 
 from .attack import ATTACK_FIELDS, ATTACKS, Param
 from .errors import ParseError
-from .kernel import OBJECT_CLASSES
+from .kernel import PROPERTIES
 from .model import (
     UNIT_TABLE,
     AttackConfig,
@@ -276,7 +276,7 @@ class _Parser:
         at += 1  # the class name follows the keyword
         if cls[0] in _NOT_ATOM:
             raise self._error(f"expected identifier, got '{_text(cls)}'", at)
-        if cls not in OBJECT_CLASSES:
+        if cls not in PROPERTIES:
             raise self._error(f"unknown class '{cls}'", at)
         props = self._read_block("object")
         name_value = props.pop("name", None)

@@ -16,15 +16,15 @@ controllers from one price.
 
 The loads phase is the one place a step's load kW is worked out.  It
 samples the weather once, steps the whole fleet with one `step_houses`
-call (each house's kW, its slot sums and the HVAC total), then adds each
-live appliance into its slot and subtracts each live panel's output,
-summing the unresponsive kW as it goes.  The market round bids that
-total, the power flow scales the slot sums into supernode demand, and
-the recorders read each load's kW as the phase left it.  The phase walks
-only the energized loads, in a plan made once per islands object.
+call (its slot sums and the HVAC total), then adds each live appliance
+into its slot and subtracts each live panel's output, summing the
+unresponsive kW as it goes.  The market round bids that total, the power
+flow scales the slot sums into supernode demand, and the recorders read
+each load's kW as the phase left it, a house's from its HVAC mode.  It
+walks only the energized loads, in a plan made once per islands object.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
-function of (model, events, seed): outputs are byte-identical across
+function of (model, seed): outputs are byte-identical across
 repeats.  Every applied event lands in an audit log.
 """
 
@@ -35,6 +35,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -79,11 +80,11 @@ class Prop(NamedTuple):
     "PRICE" is at most `MAX_PRICE` besides, and a value with `limits`
     (lowest, highest) lies in that closed range.
 
-    `read(engine, target)` binds the recorder read: a closure that takes the
-    step's feeder totals and returns (value, flag) from the live run state;
-    without it the property cannot be recorded.  `write(engine, target)`
-    binds the setter for schedules, players and attacks: a closure that
-    stores a value and returns the one it replaced."""
+    `read(engine, target)` binds the recorder read: a closure that returns
+    (value, flag) from the live run state; without it the property cannot
+    be recorded.  `write(engine, target)` binds the setter for schedules,
+    players and attacks: a closure that stores a value and returns the one
+    it replaced."""
 
     kind: str | None = None
     required: bool = False
@@ -114,7 +115,7 @@ def _attribute(objects: str, attr: str, cast=float):
 def _market(get):
     def bind(engine, target):
         market = engine.markets[target]
-        return lambda totals: (get(market), "")
+        return lambda: (get(market), "")
     return bind
 
 
@@ -130,7 +131,7 @@ def _house(attr: str):
     """A house attribute, flagged while the house is unpowered."""
     def bind(engine, target):
         house, powered = engine.houses[target], _powered(engine, target)
-        return lambda totals: (getattr(house, attr), "" if powered() else DEENERGIZED)
+        return lambda: (getattr(house, attr), "" if powered() else DEENERGIZED)
     return bind
 
 
@@ -138,20 +139,19 @@ def _kw_of(engine, name: str) -> Callable[[], float]:
     """The getter of load `name`'s kW as the loads phase left it: a house's
     HVAC draw, an appliance's power or a panel's output."""
     if name in engine.houses:
-        i = engine._fleet_position[name]
-        return lambda: engine._house_kws[i]
+        return partial(hvac_power, engine.houses[name])
     load = engine.appliances.get(name) or engine.solars[name]
     return lambda: load.power_kw
 
 
-def _load_kw(engine, target):
+def _load_read(engine, target):
     kw, powered = _kw_of(engine, target), _powered(engine, target)
-    return lambda totals: (kw(), "") if powered() else (0.0, DEENERGIZED)
+    return lambda: (kw(), "") if powered() else (0.0, DEENERGIZED)
 
 
 def _line_status(engine, target):
     statuses = engine.board.statuses
-    return lambda totals: (statuses.get(target, "CLOSED"), "")
+    return lambda: (statuses.get(target, "CLOSED"), "")
 
 
 def _set_line_status(engine, target):
@@ -160,7 +160,7 @@ def _set_line_status(engine, target):
 
 def _current_mag(engine, target):
     s = engine.index.tree.position[engine.index.edges_by_name[target].child]  # fed by `target`
-    return lambda totals: (abs(engine.network_state.cur[s]) if engine.network_state else 0.0, "")
+    return lambda: (abs(engine.network_state.cur[s]) if engine.network_state else 0.0, "")
 
 
 def _voltage(angle: bool):
@@ -168,7 +168,7 @@ def _voltage(angle: bool):
     def bind(engine, node):
         islands, s = engine.board.islands, engine.index.tree.position[node]
 
-        def read(totals):
+        def read():
             if not islands().live[s]:
                 return 0.0, DEENERGIZED
             v = engine.network_state.v[s] if engine.network_state else 0j
@@ -181,7 +181,7 @@ def _voltage(angle: bool):
 
 def _energized(engine, node):
     powered = _powered(engine, node)
-    return lambda totals: (powered(), "")
+    return lambda: (powered(), "")
 
 
 def _measured_power_kw(engine, node):
@@ -191,7 +191,7 @@ def _measured_power_kw(engine, node):
     terms = [(-1.0 if name in engine.solars else 1.0, _kw_of(engine, name))
              for name in engine.index.attachments[node]]
 
-    def read(totals):
+    def read():
         if not powered():
             return 0.0, DEENERGIZED
         total = 0.0
@@ -201,13 +201,13 @@ def _measured_power_kw(engine, node):
     return read
 
 
-def _total(key: str):
-    return lambda engine, node: lambda totals: (totals.get(key, 0.0), "")
+def _total(attr: str):  # a feeder total (kW) the engine keeps for the step
+    return lambda engine, node: lambda: (getattr(engine, attr), "")
 
 
 def _feeder(get):
     def bind(engine, node):
-        return lambda totals: (get(engine.network_state) if engine.network_state else 0.0, "")
+        return lambda: (get(engine.network_state) if engine.network_state else 0.0, "")
     return bind
 
 
@@ -229,7 +229,7 @@ _APPLIANCE = {
     "base_power": Prop(
         "POWER", default=0.0, write=_attribute("appliances", "power_kw"), limits=(-1e6, 1e6), field="power_kw"
     ),
-    "power_kw": Prop(read=_load_kw),
+    "power_kw": Prop(read=_load_read),
 }
 _ENDS = {"from": _REF, "to": _REF}
 _LINE = {
@@ -291,7 +291,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         ),  # Btu/h
         "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6), field="hvac_kw"),
         "cop": Prop("number", default=3.5, bound="positive", field="cop"),
-        "hvac_load_kw": Prop(read=_load_kw),
+        "hvac_load_kw": Prop(read=_load_read),
         "hvac_mode": Prop(read=_house("mode")),
     },
     "meter": _METER,
@@ -300,8 +300,8 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "node": {
         **_NODE,
         "bustype": Prop("enum"),
-        "total_load_kw": Prop(read=_total("load")),
-        "total_hvac_kw": Prop(read=_total("hvac")),
+        "total_load_kw": Prop(read=_total("_load_kw")),
+        "total_hvac_kw": Prop(read=_total("_hvac_kw")),
         "losses_kw": Prop(read=_feeder(lambda state: state.loss_power_va.real / 1000.0)),
         "source_power_kw": Prop(read=_feeder(lambda state: state.source_power_va.real / 1000.0)),
     },
@@ -314,7 +314,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
             field="rating_kw",
         ),
         "efficiency": Prop("number", default=1.0, bound="nonnegative", limits=(0.0, 1.0), field="efficiency"),
-        "power_kw": Prop(read=_load_kw),
+        "power_kw": Prop(read=_load_read),
     },
     "underground_line": _LINE,
     "overhead_line": _LINE,
@@ -326,10 +326,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "impedance": Prop("IMPEDANCE"),
         "current_mag": Prop(read=_current_mag),
     },
-    # the pseudo-target `attack:NAME` that toggles a market attack's transform
-    "attack": {"active": Prop(write=_attribute("transforms", "active", bool))},
 }
-OBJECT_CLASSES = frozenset(PROPERTIES) - {"attack"}
 
 
 def _cast(kind: str) -> Callable[[Value], object]:
@@ -448,14 +445,12 @@ class SimulationResult:
 @dataclass
 class _Appliance:
     name: str
-    node: str
     power_kw: float
 
 
 @dataclass
 class _Solar:
     name: str
-    node: str
     rating_kw: float
     efficiency: float
     power_kw: float = 0.0  # output at the step's irradiance, set by the loads phase while live
@@ -465,7 +460,7 @@ class _LoadPlan(NamedTuple):
     """The loads of one islands object, in the kernel's slot order."""
 
     houses: list[tuple[HouseState, int]]  # every house with its slot, -1 when unpowered
-    uncontrolled: list[int]  # house index of each powered house without a controller
+    uncontrolled: list[HouseState]  # each powered house without a controller
     appliances: list[tuple[_Appliance, int]]  # (appliance, slot), energized ones
     panels: list[tuple[_Solar, int]]  # (panel, slot), energized ones
 
@@ -501,10 +496,9 @@ class Engine:
         for house in self.houses.values():
             init_mode(house)
         self.appliances = {
-            obj.name: _Appliance(obj.name, attach[obj.name], **_fields(obj))
-            for obj in model.of_class("zipload", "waterheater")
+            obj.name: _Appliance(obj.name, **_fields(obj)) for obj in model.of_class("zipload", "waterheater")
         }
-        self.solars = {obj.name: _Solar(obj.name, attach[obj.name], **_fields(obj)) for obj in model.of_class("solar")}
+        self.solars = {obj.name: _Solar(obj.name, **_fields(obj)) for obj in model.of_class("solar")}
 
         # markets; under the auxiliary topology each auction gets a mirror
         self.markets: dict[str, Market] = {}
@@ -513,7 +507,7 @@ class Engine:
             self.markets[obj.name] = market = Market(obj.name, **_fields(obj))
             if topology == "auxiliary":
                 self.aux_markets[obj.name] = Market(
-                    f"{obj.name}_aux", market.period_seconds, market.price_cap, market.last_price
+                    f"{obj.name}_aux", market.period_seconds, market.price_cap, market.last_clearing.price
                 )
 
         self.sellers: dict[str, list[SellerAgent]] = {m: [] for m in self.markets}
@@ -542,12 +536,9 @@ class Engine:
             slot_of.setdefault(attach[name], len(slot_of))
         self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
         self._house_at = [(house, slot_of[attach[name]]) for name, house in self.houses.items()]
-        self._fleet_position = {name: i for i, name in enumerate(self.houses)}  # in `_house_at`
-        self._uncontrolled_at = [  # (position in `_house_at`, slot)
-            (i, slot) for i, (house, slot) in enumerate(self._house_at) if house.name not in controlled
-        ]
-        self._appliance_at = [(app, slot_of[app.node]) for app in self.appliances.values()]
-        self._panel_at = [(panel, slot_of[panel.node]) for panel in self.solars.values()]
+        self._uncontrolled_at = [(house, slot) for house, slot in self._house_at if house.name not in controlled]
+        self._appliance_at = [(app, slot_of[attach[name]]) for name, app in self.appliances.items()]
+        self._panel_at = [(panel, slot_of[attach[name]]) for name, panel in self.solars.items()]
         self._plan_for: Islands | None = None  # the islands `_plan` was made for
 
         # each market's (controller, house) list, and its controllers' last
@@ -559,25 +550,24 @@ class Engine:
         self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
         self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, topology) for cfg in model.attacks]
-        self.transforms = {
-            f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None
-        }
+        self.transforms = {f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None}
         # the transforms of each rewrite point, in attack order
         self._rewriters = {spec.point: [] for spec in ATTACKS.values() if spec.point}
         for tr in self.transforms.values():
             self._rewriters[ATTACKS[tr.kind].point].append(tr)
 
-        # every (target, property) the run reads or sets, bound once here
+        # every (target, property) the run reads or sets, bound once here: a
+        # market attack's switch `(attack:NAME, "active")` to its transform,
+        # the rest to scenario objects through `PROPERTIES`
         self._classes = {name: obj.cls for name, obj in model.by_name().items()}
-        self._classes.update(dict.fromkeys(self.transforms, "attack"))
         self._readers = {
-            (cfg.target, prop): self._bind(cfg.target, prop)
-            for cfg in model.recorders
-            for prop in cfg.properties
+            (cfg.target, prop): self._bind(cfg.target, prop) for cfg in model.recorders for prop in cfg.properties
         }
+        switch = _attribute("transforms", "active", bool)
+        self._writers = {(name, "active"): switch(self, name) for name in self.transforms}
         pairs = [(e.target, e.prop) for sched in model.schedules for e in sched.entries]
-        pairs += [(ev.target, ev.prop) for c in self.attacks for ev in c.events]
-        self._writers = {pair: self._bind(*pair, write=True) for pair in pairs}
+        pairs += [(ev.target, ev.prop) for c in self.attacks if c.transform is None for ev in c.events]
+        self._writers.update((pair, self._bind(*pair, write=True)) for pair in pairs)
         self.players = []
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
@@ -597,6 +587,7 @@ class Engine:
 
         self.audit: list[AuditRow] = []
         self.network_state = None
+        self._load_kw = 0.0  # the feeder's load total, set by each step's `build_load_injections`
         self._pf_solves = 0
         self._pf_max_iterations = 0
         self._pf_worst_mismatch = 0.0
@@ -619,11 +610,8 @@ class Engine:
 
     def apply_event(self, event: Event) -> None:
         """Execute one property mutation; appends an audit record."""
-        write = self._writers.get((event.target, event.prop))
-        if write is None:  # an event stream passed to `run` from outside
-            write = self._writers[event.target, event.prop] = self._bind(event.target, event.prop, write=True)
         value = event.value.canonical() if isinstance(event.value, Value) else event.value
-        old = write(value)
+        old = self._writers[event.target, event.prop](value)
         self.audit.append(AuditRow(event.time, event.target, event.prop, old, value, event.origin))
 
     # -- per-step phases ----------------------------------------------------
@@ -642,7 +630,7 @@ class Engine:
             live = [islands.live[s] for s in self._slot_supernode]
             self._plan_for, self._plan = islands, _LoadPlan(
                 [(house, slot if live[slot] else -1) for house, slot in self._house_at],
-                [i for i, slot in self._uncontrolled_at if live[slot]],
+                [house for house, slot in self._uncontrolled_at if live[slot]],
                 [(app, slot) for app, slot in self._appliance_at if live[slot]],
                 [(panel, slot) for panel, slot in self._panel_at if live[slot]],
             )
@@ -661,32 +649,33 @@ class Engine:
         plan = self._load_plan()
         fleet, slot_kw = plan.houses, [0.0] * len(self._slot_supernode)
         if first:
-            house_kws, hvac = [hvac_power(house) for house, _ in fleet], 0.0
-            for kw, (_, slot) in zip(house_kws, fleet):
+            hvac = 0.0
+            for house, slot in fleet:
                 if slot >= 0:
+                    kw = hvac_power(house)
                     slot_kw[slot] += kw
                     hvac += kw
         else:
-            house_kws, hvac = step_houses(fleet, t_out, dt, slot_kw)
+            hvac = step_houses(fleet, t_out, dt, slot_kw)
         unresp = 0.0
         for app, slot in plan.appliances:
             kw = app.power_kw
             slot_kw[slot] += kw
             unresp += kw
-        for i in plan.uncontrolled:
-            unresp += house_kws[i]
+        for house in plan.uncontrolled:
+            unresp += hvac_power(house)
         for panel, slot in plan.panels:
             panel.power_kw = kw = solar_output(panel.rating_kw, panel.efficiency, irradiance)
             slot_kw[slot] -= kw
             unresp -= kw
-        self._house_kws, self._slot_kw, self._hvac_kw = house_kws, slot_kw, hvac
+        self._slot_kw, self._hvac_kw = slot_kw, hvac
         self._unresp_kw = max(unresp, 0.0)
 
     def _market_round(self, market_name: str) -> None:
         market, aux = self.markets[market_name], self.aux_markets.get(market_name)
         local = aux or market  # where controllers trade: the main market under direct wiring
         unresp_kw = self._unresp_kw
-        new, period = tuple.__new__, market.current_period  # once a round
+        new, period, price = tuple.__new__, market.current_period, market.last_clearing.price  # once a round
 
         offers = seller_bids(self.sellers[market_name], period)
         market.submit_all(offers)
@@ -703,10 +692,10 @@ class Engine:
             # an inactive transform leaves every bid alone: apply the active ones
             for tr in self._rewriters["replicas"]:
                 if tr.active:
-                    replicas = [tr.apply(bid, market.last_price, aux.price_cap) for bid in replicas]
+                    replicas = [tr.apply(bid, price, aux.price_cap) for bid in replicas]
             for tr in self._rewriters["forwarded"]:
                 if tr.active:
-                    forwarded = [tr.apply(bid, market.last_price, market.price_cap) for bid in forwarded]
+                    forwarded = [tr.apply(bid, price, market.price_cap) for bid in forwarded]
             aux.submit_all(replicas)
             market.submit_all(forwarded)
         # then the controllers bid afresh
@@ -726,54 +715,51 @@ class Engine:
             if offset % market.period_seconds == 0:
                 self._market_round(market_name)
 
-    def build_load_injections(self) -> tuple[list[complex], dict]:
-        """Per-supernode demand (VA) of the step's loads, plus feeder totals (kW).
+    def build_load_injections(self) -> list[complex]:
+        """Per-supernode demand (VA) of the step's loads.
 
         Each slot's kW from the loads phase is scaled to VA and added into
-        its supernode, in slot order; the load total sums the slots left to
-        right in the same loop.  A dead slot holds exactly 0.0, which leaves
-        its (dead) supernode and the total as they are."""
+        its supernode, in slot order; the load total `_load_kw` sums the
+        slots left to right in the same loop.  A dead slot holds exactly
+        0.0, which leaves its (dead) supernode and the total as they are."""
         va, load = [0.0] * len(self.index.tree.names), 0.0
         for kw, s in zip(self._slot_kw, self._slot_supernode):
             va[s] += kw * 1000.0
             load += kw
-        return list(map(complex, va)), {"load": load, "hvac": self._hvac_kw}
+        self._load_kw = load
+        return list(map(complex, va))
 
-    def _phase_powerflow(self) -> dict:
-        demand, totals = self.build_load_injections()
+    def _phase_powerflow(self) -> None:
+        demand = self.build_load_injections()
         self.network_state = state = solve_powerflow(
             self.index, demand, self.board.islands(), start=self.network_state
         )
         self._pf_solves += 1
         self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)
         self._pf_worst_mismatch = max(self._pf_worst_mismatch, state.power_mismatch_pu())
-        return totals
 
     # -- recording ----------------------------------------------------------
 
-    def read_property(self, target: str, prop: str, totals: dict):
+    def read_property(self, target: str, prop: str):
         """Recorder getter for a recorded (target, property); returns (value, flag)."""
-        return self._readers[target, prop](totals)
+        return self._readers[target, prop]()
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, events: Iterable[Event] | None = None) -> SimulationResult:
-        """Step the clock from start to stop.  `events`, any time-ordered
-        iterable of events, stands in for the scenario's schedules and attacks."""
+    def run(self) -> SimulationResult:
+        """Step the clock from start to stop, applying the scenario's
+        schedules and attacks as their events fall due."""
         clock = self.clock
         dt = clock.timestep
         warnings: list[str] = []
-        if events is None:
-            events = event_stream(self.model.schedules, self.attacks, clock.start, clock.stop, warnings)
-        events = iter(events)
+        events = event_stream(self.model.schedules, self.attacks, clock.start, clock.stop, warnings)
         event = next(events, None)  # the one pending event
         steps = int((clock.stop - clock.start).total_seconds()) // dt
 
-        tables: dict[str, RecorderTable] = {}
-        for cfg in self.model.recorders:
-            tables[cfg.name] = RecorderTable(
-                cfg.name, cfg.file, ["time"] + cfg.properties + ["flags"]
-            )
+        tables = {
+            cfg.name: RecorderTable(cfg.name, cfg.file, ["time", *cfg.properties, "flags"])
+            for cfg in self.model.recorders
+        }
 
         markets = list(self.markets.values()) + list(self.aux_markets.values())
         max_price = 0.0
@@ -790,7 +776,7 @@ class Engine:
             self._phase_loads(t, dt, first=(k == 0))
             self._phase_market(t)
             try:
-                totals = self._phase_powerflow()
+                self._phase_powerflow()
             except SolverDivergence as exc:
                 complete = False
                 divergence = exc
@@ -801,7 +787,7 @@ class Engine:
                 if offset % cfg.interval == 0:
                     values, flags = [], []
                     for prop in cfg.properties:
-                        value, flag = self.read_property(cfg.target, prop, totals)
+                        value, flag = self.read_property(cfg.target, prop)
                         values.append(value)
                         if flag:
                             flags.append(flag)
@@ -830,10 +816,5 @@ class Engine:
             summary["divergence_time"] = format_time(divergence_time)
             summary["divergence_node"] = divergence.node
             summary["incomplete_reason"] = "solver_divergence"
-        metadata = {
-            "steps": steps,
-            "executed_steps": executed_steps,
-            "seed": self.seed,
-            "event_warnings": warnings,
-        }
+        metadata = {"executed_steps": executed_steps, "event_warnings": warnings}
         return SimulationResult(tables, self.audit, summary, metadata, complete)

@@ -12,7 +12,8 @@ releases below T_set - deadband/2, so the mode changes at most once per
 step.  Heating is not modeled (summer scenarios only).
 
 `step_houses` steps a whole fleet in one loop and sums its kW per load
-slot; `step_house` is its one-house case.
+slot; `step_house` is its one-house case.  A house's kW is `hvac_power`
+of its state: nothing else holds it.
 """
 
 from __future__ import annotations
@@ -38,20 +39,19 @@ class HouseState:
 
 def step_houses(
     fleet: list[tuple[HouseState, int]], t_out: float, dt_seconds: float, slot_kw: list[float]
-) -> tuple[list[float], float]:
+) -> float:
     """Advance every house of `fleet` one timestep in place: Euler update,
     then thermostat.
 
     `fleet` pairs each house with the slot its kW adds into, or -1 for an
     unpowered house (de-energized node), which cannot run its HVAC: its
     mode is forced OFF and its mass drifts passively toward ambient.
-    Returns each house's electric demand in kW after the thermostat
-    (`hvac_power`, 0.0 when unpowered), in fleet order, and the HVAC total;
-    each powered house's kW adds into `slot_kw[slot]` (which starts at
-    0.0) and into the total, in fleet order.
+    Returns the HVAC total in kW: each powered house's electric demand
+    after the thermostat (`hvac_power`) adds into `slot_kw[slot]` (which
+    starts at 0.0) and into the total, in fleet order.
     """
-    kws, hvac, hours = [0.0] * len(fleet), 0.0, dt_seconds / 3600.0
-    for i, (house, slot) in enumerate(fleet):
+    hvac, hours = 0.0, dt_seconds / 3600.0
+    for house, slot in fleet:
         if slot < 0:
             house.mode = "OFF"
         cool = house.mode == "COOL"
@@ -70,15 +70,15 @@ def step_houses(
             continue
         # only a cooling house draws: a sum that starts at 0.0 is never -0.0,
         # so adding an idle house's 0.0 would leave it as it is
-        kws[i] = kw = house.hvac_kw
+        kw = house.hvac_kw
         slot_kw[slot] += kw
         hvac += kw
-    return kws, hvac
+    return hvac
 
 
 def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> float:
     """`step_houses` for one house; returns its kW after the thermostat."""
-    return step_houses([(house, 0 if powered else -1)], t_out, dt_seconds, [0.0])[0][0]
+    return step_houses([(house, 0 if powered else -1)], t_out, dt_seconds, [0.0])
 
 
 def hvac_power(house: HouseState) -> float:

@@ -15,10 +15,10 @@ curve; without it a supply-side price manipulation could never clear.
 
 Price statistics: a rolling 24 h window of clearing prices gives p_avg
 and p_std, recomputed exactly after every clearing.  Until the window
-holds two samples the statistics fall back to warm-up seeds (the
-sellers' mean offer, and 10% of it).  Controllers apply a small floor to
-p_std so a long run of identical prices does not make the ramp formulas
-degenerate.
+holds two samples they hold warm-up seeds (the sellers' mean offer, and
+10% of it); the window never holds fewer again.  Controllers apply a
+small floor to p_std so a long run of identical prices does not make the
+ramp formulas degenerate.
 
 Bids are immutable tuples (`Bid` is a `NamedTuple`): a forwarded or
 rewritten bid is a new tuple, never an edited one, and an attack
@@ -123,23 +123,19 @@ class Market:
         self.current_period = 0
         window = max(2, int(STATS_WINDOW_HOURS * 3600 / period_seconds))
         self.history: deque[float] = deque(maxlen=window)
-        self.last_price = init_price
-        self.seed_avg = init_price
-        self.seed_std = 0.1 * init_price
-        self.p_avg = self.seed_avg
-        self.p_std = self.seed_std
+        self.p_avg = init_price
+        self.p_std = 0.1 * init_price
         self.buys: list[Bid] = []
         self.sells: list[Bid] = []
         self.last_clearing = Clearing(init_price, 0.0, None, None, -1)
         self.last_bid_counts = (0, 0)
 
     def seed_statistics(self, mean_offer: float) -> None:
-        """Warm-up seeds from the attached sellers' constant offers."""
-        self.seed_avg = mean_offer
-        self.seed_std = 0.1 * mean_offer
+        """Warm-up seeds from the attached sellers' constant offers, kept
+        until the window holds two prices."""
         if len(self.history) < 2:
-            self.p_avg = self.seed_avg
-            self.p_std = self.seed_std
+            self.p_avg = mean_offer
+            self.p_std = 0.1 * mean_offer
 
     def submit_all(self, bids: Iterable[Bid]) -> None:
         """Book `bids` in order.  A bid priced above the cap (or NaN), with a
@@ -161,11 +157,10 @@ class Market:
 
     def clear(self) -> Clearing:
         """Clear the current book, publish the price, roll statistics."""
-        clearing = clear_book(self.buys, self.sells, self.last_price, self.current_period)
+        clearing = clear_book(self.buys, self.sells, self.last_clearing.price, self.current_period)
         self.last_bid_counts = (len(self.buys), len(self.sells))
         self.buys = []
         self.sells = []
-        self.last_price = clearing.price
         self.last_clearing = clearing
         self.history.append(clearing.price)
         self._recompute_statistics()
@@ -173,11 +168,9 @@ class Market:
         return clearing
 
     def _recompute_statistics(self) -> None:
-        if len(self.history) < 2:
-            self.p_avg = self.seed_avg
-            self.p_std = self.seed_std
-            return
         n = len(self.history)
+        if n < 2:  # the warm-up seeds stand
+            return
         mean = sum(self.history) / n
         # the terms (p - mean) ** 2 in window order, without a generator frame
         var = sum(map(pow, map(sub, self.history, repeat(mean)), repeat(2))) / n

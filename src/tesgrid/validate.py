@@ -80,6 +80,8 @@ def _check_objects(model: ScenarioModel, errors, warnings):
             errors.append(Diagnostic(obj.name, "DUPLICATE_NAME", "object name is not unique"))
         else:
             seen[obj.name] = obj
+        if obj.name is not None and "," in obj.name:  # a run writes it into an `audit.csv` field
+            errors.append(Diagnostic(obj.name, "BAD_NAME", "object name holds ',', which splits a field"))
         props = PROPERTIES[obj.cls]
         for prop in REQUIRED[obj.cls]:
             if prop not in obj.properties:
@@ -209,6 +211,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                 errors.append(Diagnostic(block.name, "DUPLICATE_NAME", f"{kind} name is not unique"))
             seen.add(block.name)
     for a in model.attacks:
+        for sep in ",;":  # a run splits `audit.csv` fields on ',' and `summary.txt`'s attack list on ';'
+            if sep in a.name:
+                errors.append(Diagnostic(a.name, "BAD_NAME", f"attack name holds '{sep}', which splits a field"))
         if a.start >= a.end:
             errors.append(Diagnostic(a.name, "EMPTY_WINDOW", "attack window is empty"))
         if clock is not None and (a.start < clock.start or a.end > clock.stop):

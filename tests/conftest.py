@@ -204,4 +204,16 @@ UNRUNNABLE_EDITS = {
         "unknown player field 'fiel'"),
     "weather_unknown_field": (
         lambda t: t + "weather { file w.csv; format csv; }\n", "unknown weather field 'format'"),
+    # each validated clean, then wrote an `audit.csv` row of 7 fields under
+    # the 6-field header (`...,attack:a,b,active,0,1,attack`)
+    "attack_name_with_comma": (
+        lambda t: t + 'attack { name "a,b"; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; price 0.5 $/kWh; }\n', "BAD_NAME"),
+    "house_name_with_comma": (
+        lambda t: t + 'object house { name "h,1"; parent tm1; }\n'
+        'schedule { entry "2013-07-01 00:10:00" "h,1" cooling_setpoint 71 degF; }\n', "BAD_NAME"),
+    # validated clean, then `summary.txt` listed it as two attacks (`attacks x;y`)
+    "attack_name_with_semicolon": (
+        lambda t: t + 'attack { name "x;y"; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; price 0.5 $/kWh; }\n', "BAD_NAME"),
 }

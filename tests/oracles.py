@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from tesgrid.errors import ParseError, SolverDivergence
-from tesgrid.kernel import OBJECT_CLASSES
+from tesgrid.kernel import PROPERTIES
 from tesgrid.loads import BTU_PER_KWH
 from tesgrid.market import Clearing
 from tesgrid.model import (
@@ -545,7 +545,7 @@ class _TupleParser:
     def _parse_object(self, model: ScenarioModel) -> None:
         cls_tok = self._expect_atom()
         cls = cls_tok[1]
-        if cls not in OBJECT_CLASSES:
+        if cls not in PROPERTIES:
             raise _oracle_error(f"unknown class '{cls}'", cls_tok)
         props = self._read_props()
         name_value = props.pop("name", None)

@@ -165,6 +165,35 @@ def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
     assert code in capsys.readouterr().err
 
 
+# an object named like an attack's switch, recorded, beside that attack
+ATTACK_SWITCH_NAMESAKE = (
+    "object triplex_meter { name attack:a; parent tn1; nominal_voltage 240 V; }\n"
+    "recorder { name rx; target attack:a; property voltage_mag; interval 60 s; file rx.csv; }\n"
+    'attack { name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; '
+    "price 0.5 $/kWh; }\n"
+)
+
+
+def test_object_named_like_an_attack_switch_runs(tmp_path, capsys):
+    """The switch of attack `a` is its transform, not a scenario object, so
+    an object named `attack:a` keeps its class and its recorder."""
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + ATTACK_SWITCH_NAMESAKE)
+    assert _exit_code(["validate", str(scenario)]) == 0
+    out = tmp_path / "out"
+    assert _exit_code(["run", str(scenario), "--out", str(out)]) == 0
+    assert "complete 1" in (out / "summary.txt").read_text().splitlines()
+    rx = (out / "rx.csv").read_text().splitlines()
+    assert rx[0] == "time,voltage_mag,flags" and len(rx) == 62
+    audit = (out / "audit.csv").read_text().splitlines()
+    assert [line for line in audit if ",attack:a," in line] == [
+        "2013-07-01 00:10:00,attack:a,active,0,1,attack",
+        "2013-07-01 00:20:00,attack:a,active,1,0,attack",
+    ]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_run_rejects_out_of_range_player_value(tmp_path, capsys):
     scenario = tmp_path / "s.glm"
     with open(fixture_path("feeder_small.glm")) as fh:

@@ -14,10 +14,10 @@ from conftest import load_fixture
 from tesgrid import kernel, powerflow
 from tesgrid.errors import NotSwitchable, UnknownProperty, UnknownTarget
 from tesgrid.glm import parse_scenario
-from tesgrid.kernel import OBJECT_CLASSES, PROPERTIES, Engine, Event, event_stream, out_of_bounds
+from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
 from tesgrid.market import Controller, Market, SellerAgent
-from tesgrid.model import AttackConfig, RecorderConfig, ScheduleEntry
+from tesgrid.model import AttackConfig, RecorderConfig
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
 
@@ -35,7 +35,7 @@ def test_fencepost_row_count(small_text):
     # one hour at 60 s: boundaries at 00:00 .. 01:00 inclusive = 61 rows
     for table in result.tables.values():
         assert len(table.rows) == 61
-    assert result.metadata["steps"] == 60
+    assert result.summary["steps"] == 60
 
 
 def test_market_round_every_period(small_text):
@@ -45,11 +45,16 @@ def test_market_round_every_period(small_text):
 
 
 def test_run_applies_passed_events_in_order(small_text):
-    engine = Engine(parse_scenario(small_text))
+    # a run's events come from its scenario's schedules and attacks
+    text = small_text + (
+        'schedule {\n'
+        '  entry "2013-07-01 00:10:00" h1 cooling_setpoint 71 degF;\n'
+        '  entry "2013-07-01 00:10:00" h1 cooling_setpoint 72 degF;\n'
+        '  entry "2013-07-01 00:11:00" h1 cooling_setpoint 73 degF;\n'
+        '}\n'
+    )
+    engine, _ = run_small(text)
     t = START + timedelta(minutes=10)
-    events = [Event(t, "h1", "cooling_setpoint", value, "schedule") for value in (71.0, 72.0)]
-    events.append(Event(t + timedelta(minutes=1), "h1", "cooling_setpoint", 73.0, "schedule"))
-    engine.run(iter(events))
     rows = [(r.time, r.new_value) for r in engine.audit]
     assert rows == [(t, 71.0), (t, 72.0), (t + timedelta(minutes=1), 73.0)]
 
@@ -127,15 +132,15 @@ def test_repeat_stream_holds_only_its_next_event():
 
 
 def test_unknown_property_aborts(small_text):
-    engine = Engine(parse_scenario(small_text))
+    model = parse_scenario(small_text + 'schedule { entry "2013-07-01 00:00:00" h1 paint_color 1; }\n')
     with pytest.raises(UnknownProperty):
-        engine.run([Event(START, "h1", "paint_color", 1.0, "schedule")])
+        Engine(model)
 
 
 def test_event_on_transformer_status_aborts(small_text):
-    engine = Engine(parse_scenario(small_text))
+    model = parse_scenario(small_text + 'schedule { entry "2013-07-01 00:00:00" T1 status OPEN; }\n')
     with pytest.raises(NotSwitchable):
-        engine.run([Event(START, "T1", "status", "OPEN", "schedule")])
+        Engine(model)
 
 
 def test_player_sets_property(small_text, tmp_path):
@@ -319,7 +324,6 @@ SET_TO = {
         (cls, "status"): ("OPEN", "OPEN", lambda e, t: e.board.statuses[t])
         for cls in ("underground_line", "overhead_line", "switch", "fuse")
     },
-    ("attack", "active"): (True, True, lambda e, t: e.transforms[t].active),
 }
 ATTACK = (
     'attack { name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:30:00"; '
@@ -332,19 +336,15 @@ def test_every_settable_property_applies(small_text):
     assert settable == set(SET_TO)
     model = parse_scenario(small_text + EVERY_CLASS + ATTACK)
     targets = {o.cls: o.name for o in reversed(model.objects)}  # the first of each class
-    targets["attack"] = "attack:a"
-    when = START + timedelta(minutes=10)
     text = "".join(
         f'entry "2013-07-01 00:10:00" {targets[cls]} {prop} {value};'
-        for (cls, prop), (value, _, _) in sorted(SET_TO.items()) if cls != "attack"
+        for (cls, prop), (value, _, _) in sorted(SET_TO.items())
     )
     model.schedules = parse_scenario(f"schedule {{ {text} }}").schedules
     assert validate(model).runnable
-    # the attack pseudo-target has no object, so validate cannot name it
-    model.schedules[0].entries.append(ScheduleEntry(when, "attack:a", "active", True))
     engine = Engine(model)
     before = {pair: probe(engine, targets[pair[0]]) for pair, (_, _, probe) in SET_TO.items()}
-    for event in event_stream(model.schedules, [], START, engine.clock.stop, []):  # all at `when`
+    for event in event_stream(model.schedules, [], START, engine.clock.stop, []):  # all at 00:10
         engine.apply_event(event)
     rows = {(row.target, row.prop): row for row in engine.audit if row.origin == "schedule"}
     assert len(rows) == len(engine.audit) == len(SET_TO)
@@ -353,6 +353,14 @@ def test_every_settable_property_applies(small_text):
         assert (row.old_value, row.new_value) == (before[cls, prop], new)
         assert type(row.old_value) is type(row.new_value)
         assert probe(engine, targets[cls]) == new
+    # a market attack's switch is its transform, set by the attack's own events
+    switch = engine.transforms["attack:a"]
+    for event, active in zip(engine.attacks[0].events, (True, False)):
+        engine.apply_event(event)
+        assert switch.active is active
+    assert [(r.target, r.prop, r.old_value, r.new_value, r.origin) for r in engine.audit[-2:]] == [
+        ("attack:a", "active", False, True, "attack"), ("attack:a", "active", True, False, "attack"),
+    ]
 
 
 def test_schedule_on_unsettable_property_fails_at_construction(small_text):
@@ -392,7 +400,7 @@ def test_recorder_on_missing_target_fails_at_construction(small_text):
 
 def test_load_injections_are_a_supernode_demand_list(small_text):
     engine, _ = run_small(small_text)
-    demand, totals = engine.build_load_injections()
+    demand = engine.build_load_injections()
     tree = engine.index.tree
     assert len(demand) == len(tree.names) and all(type(d) is complex for d in demand)
     # tn1 carries h1 (1 kW) minus solar s1 (0.45 kW at irradiance 0.5) on
@@ -401,8 +409,9 @@ def test_load_injections_are_a_supernode_demand_list(small_text):
     assert all(house.mode == "COOL" for house in engine.houses.values())
     assert demand == [0j, 0j, complex(1550.0, 0.0), complex(4000.0, 0.0)]
     assert tree.position["tm1"] == tree.position["tm2"] == 2
-    assert totals == {"load": 5.55, "hvac": 4.0}
-    assert totals["load"] == pytest.approx(sum(d.real for d in demand) / 1000.0)
+    assert engine.read_property("n1", "total_load_kw") == (5.55, "")
+    assert engine.read_property("n1", "total_hvac_kw") == (4.0, "")
+    assert engine._load_kw == pytest.approx(sum(d.real for d in demand) / 1000.0)
 
 
 def test_load_injections_leave_the_slot_loads_alone(small_text):
@@ -418,7 +427,7 @@ def test_solar_read_before_the_first_step(small_text):
     text = small_text + "recorder { name rec_s1; target s1; property power_kw; interval 60 s; file s1.csv; }\n"
     engine = Engine(parse_scenario(text))
     # constant weather: irradiance 0.5 on a 1 kW panel at efficiency 0.9
-    assert engine.read_property("s1", "power_kw", {}) == (0.45, "")
+    assert engine.read_property("s1", "power_kw") == (0.45, "")
 
 
 # one object of each class whose optional properties the engine falls back
@@ -447,7 +456,7 @@ def test_defaults_of_bare_objects(topology):
     markets = [engine.markets["a"], *engine.aux_markets.values()]
     assert len(markets) == (2 if topology == "auxiliary" else 1)
     for market in markets:
-        assert (market.price_cap, market.last_price) == (0.63, 0.10)
+        assert (market.price_cap, market.last_clearing.price) == (0.63, 0.10)
     assert [c.sigma_floor for c in engine.controllers["a"]] == [0.003]
 
 
@@ -502,7 +511,7 @@ def test_every_field_reaches_the_engine(monkeypatch):
 
 
 def test_property_table_is_consistent():
-    for cls in OBJECT_CLASSES:
+    for cls in PROPERTIES:
         for prop, spec in PROPERTIES[cls].items():
             if spec.field is not None:  # `Engine` passes it by name to the run object
                 assert spec.field in inspect.signature(RUN_OBJECTS[cls]).parameters, (cls, prop)

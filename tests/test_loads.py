@@ -168,8 +168,9 @@ def test_step_houses_matches_one_house_at_a_time(fleet, t_out, dt):
             ref_hvac += kw
 
     slot_kw = [0.0] * 3
-    kws, hvac = step_houses(fleet, t_out, dt, slot_kw)
+    hvac = step_houses(fleet, t_out, dt, slot_kw)
     assert [_state(h) for h, _ in fleet] == [_state(h) for h, _ in reference]
-    assert list(map(_bits, kws)) == list(map(_bits, ref_kws))
+    # each house's kW is `hvac_power` of its state
+    assert [_bits(hvac_power(h)) for h, _ in fleet] == list(map(_bits, ref_kws))
     assert list(map(_bits, slot_kw)) == list(map(_bits, ref_slot_kw))
     assert _bits(hvac) == _bits(ref_hvac)

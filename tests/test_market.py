@@ -256,6 +256,23 @@ def test_warmup_seeds_until_two_samples():
     assert market.p_avg == 0.10
 
 
+def test_seeds_after_two_clearings_change_nothing():
+    # once the window holds two prices it never holds fewer, so late seeds
+    # would never be read: `seed_statistics` leaves the statistics alone
+    market = Market("m", 300, init_price=0.12)
+    market.seed_statistics(0.10)
+    for p in (0.11, 0.15):
+        market.submit(B(p, 1, period=market.current_period))
+        market.submit(B(p, 1, "SELL", period=market.current_period))
+        market.clear()
+    statistics = (market.p_avg, market.p_std)
+    assert statistics == pytest.approx((0.13, 0.02))
+    market.seed_statistics(0.50)
+    assert (market.p_avg, market.p_std) == statistics
+    market.clear()  # a third (no-cross) price keeps the window above two
+    assert len(market.history) == 3 and market.p_avg != 0.50
+
+
 def house(t_in):
     return HouseState("h", t_in, 75.0, 2.0, 2000.0, 550.0, 1800.0, 5.0, 3.5)
 

@@ -89,12 +89,14 @@ def reference_round(engine, held, market_name):
     aux = engine.aux_markets[market_name]
     for offer in offers:
         replica = Bid(offer.trader, "SELL", offer.price, offer.quantity, aux.current_period)
-        aux.submit(transformed(engine, replica, "SELLER_PRICE_OVERRIDE", market.last_price, aux.price_cap))
+        aux.submit(transformed(engine, replica, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap))
     for ctl in ctls:
         last = held.get(ctl.name)
         if last is not None:
             forwarded = Bid(last.trader, last.side, last.price, last.quantity, market.current_period)
-            market.submit(transformed(engine, forwarded, "BUYER_BID_SCALE", market.last_price, market.price_cap))
+            market.submit(
+                transformed(engine, forwarded, "BUYER_BID_SCALE", market.last_clearing.price, market.price_cap)
+            )
     for ctl in ctls:
         bid = ramp_bid(ctl, engine.houses[ctl.house], aux)
         if bid is not None:
