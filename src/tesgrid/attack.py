@@ -30,6 +30,12 @@ def compromised_set(population: list[str], fraction: float, seed: int) -> frozen
     return frozenset(rng.sample(sorted(population), count))
 
 
+def attacked_lines(cfg: AttackConfig) -> list[str]:
+    """The lines a LINE_STATUS attack sets: those listed, or below a `fraction` of 1 a seeded draw."""
+    lines = cfg.params["lines"]
+    return sorted(compromised_set(lines, cfg.fraction, cfg.seed)) if cfg.fraction < 1.0 else lines
+
+
 def scale_buyer_bid(bid: Bid, params: dict, market_price: float, price_cap: float) -> Bid:
     """p_hat = p + lambda * p_m, clamped to the market's price cap."""
     return bid._replace(price=min(bid.price + params["lambda"] * market_price, price_cap))
@@ -95,11 +101,9 @@ def compile_attack(cfg: AttackConfig, model: ScenarioModel, topology: str) -> Co
         raise EmptyWindow(f"{cfg.name}: attack window is empty")
     spec, compiled = ATTACKS[cfg.kind], CompiledAttack(cfg)
     if spec.population is None:
-        names, lines, status = model.by_name(), cfg.params["lines"], cfg.params["status"]
-        if cfg.fraction < 1.0:
-            lines = sorted(compromised_set(lines, cfg.fraction, cfg.seed))
+        names, status = model.by_name(), cfg.params["status"]
         edges = []  # (target, property, value in the window, value after it)
-        for line_name in lines:
+        for line_name in attacked_lines(cfg):
             if line_name not in names:
                 raise UnknownTarget(f"{cfg.name}: no object named '{line_name}'")
             edges.append((line_name, "status", status, names[line_name].get("status", "CLOSED")))

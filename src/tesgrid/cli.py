@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import ConfigError, ParseError, TesgridError
-from .feedergen import gen_feeder, gen_weather
+from .feedergen import WEATHER_FILE, gen_feeder, gen_weather
 from .glm import parse_scenario
 from .kernel import Engine
 from .recorder import write_results
@@ -93,13 +93,13 @@ def _cmd_gen_feeder(args) -> int:
         scenario = gen_feeder(houses=args.houses, seed=args.seed)
         with open(os.path.join(args.out, "feeder.glm"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(scenario)
-        with open(os.path.join(args.out, "weather.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        with open(os.path.join(args.out, WEATHER_FILE), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(gen_weather())
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(os.path.join(args.out, "feeder.glm"))
-    print(os.path.join(args.out, "weather.csv"))
+    print(os.path.join(args.out, WEATHER_FILE))
     return EXIT_OK
 
 

@@ -33,9 +33,10 @@ CAPACITY_PER_HOUSE = 4.0  # kW of fleet capacity per house
 APPLIANCE_KW = 3.5
 HVAC_KW = 5.0
 DEFAULT_START = datetime(2013, 7, 1, 0, 0, 0)
+WEATHER_FILE = "weather.csv"  # the scenario's weather file, written beside it
 
 
-def gen_feeder(houses: int = 30, seed: int = 0, weather_file: str = "weather.csv") -> str:
+def gen_feeder(houses: int = 30, seed: int = 0) -> str:
     """Scenario text for an `houses`-house feeder with market and recorders."""
     if houses < 1:
         raise ValueError("need at least one house")
@@ -50,7 +51,7 @@ def gen_feeder(houses: int = 30, seed: int = 0, weather_file: str = "weather.csv
         out.append(write_block(head, fields))
 
     block("clock", ("start", f'"{format_time(start)}"'), ("stop", f'"{format_time(stop)}"'), ("timestep", "60 s"))
-    block("weather", ("file", weather_file))
+    block("weather", ("file", WEATHER_FILE))
     block("object node", ("name", "n_src"), ("bustype", "SWING"), ("nominal_voltage", "7200 V"))
     block("object node", ("name", "n_dist"), ("nominal_voltage", "7200 V"))
     block(

@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .attack import ATTACKS, CompiledAttack, Param, compile_attack
@@ -80,11 +80,12 @@ class Prop(NamedTuple):
     "PRICE" is at most `MAX_PRICE` besides, and a value with `limits`
     (lowest, highest) lies in that closed range.
 
-    `read(engine, target)` binds the recorder read: a closure that returns
-    (value, flag) from the live run state; without it the property cannot
-    be recorded.  `write(engine, target)` binds the setter for schedules,
-    players and attacks: a closure that stores a value and returns the one
-    it replaced."""
+    `read(engine, target)` binds the recorder read of one value; without it
+    the property cannot be recorded.  A `flagged` read is of the target's
+    own state, so its recorder row is flagged DEENERGIZED while the target
+    is unpowered.  `write(engine, target)` binds the setter for schedules,
+    players and attacks, which returns the value it replaced.  Both bind a
+    `functools.partial` over run objects, which a deep copy copies."""
 
     kind: str | None = None
     required: bool = False
@@ -94,45 +95,31 @@ class Prop(NamedTuple):
     write: Callable | None = None
     limits: tuple[float, float] | None = None
     field: str | None = None
+    flagged: bool = False
 
 
 NO_PROP = Prop()  # the entry of a property a class does not have
 
 
-def _attribute(objects: str, attr: str, cast=float):
-    """Setter of attribute `attr` of the engine's object `target` in `objects`."""
-    def bind(engine, target):
-        obj = getattr(engine, objects)[target]
-
-        def write(value):
-            old = getattr(obj, attr)
-            setattr(obj, attr, cast(value))
-            return old
-        return write
-    return bind
+def _set(obj, attr: str, cast, value):
+    """Store `value` as `obj.attr`; returns the value it replaced."""
+    old = getattr(obj, attr)
+    setattr(obj, attr, cast(value))
+    return old
 
 
-def _market(get):
-    def bind(engine, target):
-        market = engine.markets[target]
-        return lambda: (get(market), "")
-    return bind
+def _of(objects: str, func: Callable, *args):
+    """Binds `func(obj, *args)` for the engine's object `target` in `objects`."""
+    return lambda engine, target: partial(func, getattr(engine, objects)[target], *args)
+
+
+def _live(board: LineStatusBoard, s: int) -> bool:
+    return board.islands().live[s]  # switching replaces the islands
 
 
 def _powered(engine, target: str):
-    """Whether `target`, a node or a load on one, is energized now: the
-    supernode is bound here, the islands read per call (switching replaces them)."""
-    islands = engine.board.islands
-    s = engine.index.tree.position[engine.index.attach_node.get(target, target)]
-    return lambda: islands().live[s]
-
-
-def _house(attr: str):
-    """A house attribute, flagged while the house is unpowered."""
-    def bind(engine, target):
-        house, powered = engine.houses[target], _powered(engine, target)
-        return lambda: (getattr(house, attr), "" if powered() else DEENERGIZED)
-    return bind
+    """Whether `target`, a node or a load on one, is energized now."""
+    return partial(_live, engine.board, engine.index.tree.position[engine.index.attach_node.get(target, target)])
 
 
 def _kw_of(engine, name: str) -> Callable[[], float]:
@@ -140,75 +127,63 @@ def _kw_of(engine, name: str) -> Callable[[], float]:
     HVAC draw, an appliance's power or a panel's output."""
     if name in engine.houses:
         return partial(hvac_power, engine.houses[name])
-    load = engine.appliances.get(name) or engine.solars[name]
-    return lambda: load.power_kw
+    return partial(getattr, engine.appliances.get(name) or engine.solars[name], "power_kw")
+
+
+def _if_powered(powered, kw) -> float:
+    return kw() if powered() else 0.0
 
 
 def _load_read(engine, target):
-    kw, powered = _kw_of(engine, target), _powered(engine, target)
-    return lambda: (kw(), "") if powered() else (0.0, DEENERGIZED)
+    return partial(_if_powered, _powered(engine, target), _kw_of(engine, target))
 
 
-def _line_status(engine, target):
-    statuses = engine.board.statuses
-    return lambda: (statuses.get(target, "CLOSED"), "")
-
-
-def _set_line_status(engine, target):
-    return lambda value: engine.board.set(target, str(value))
-
-
-def _current_mag(engine, target):
-    s = engine.index.tree.position[engine.index.edges_by_name[target].child]  # fed by `target`
-    return lambda: (abs(engine.network_state.cur[s]) if engine.network_state else 0.0, "")
-
-
-def _voltage(angle: bool):
-    """A node's voltage magnitude, or angle in degrees; flagged while it is unpowered."""
-    def bind(engine, node):
-        islands, s = engine.board.islands, engine.index.tree.position[node]
-
-        def read():
-            if not islands().live[s]:
-                return 0.0, DEENERGIZED
-            v = engine.network_state.v[s] if engine.network_state else 0j
-            if angle:
-                return (0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi), ""
-            return abs(v), ""
-        return read
-    return bind
-
-
-def _energized(engine, node):
-    powered = _powered(engine, node)
-    return lambda: (powered(), "")
+def _signed_sum(powered, terms) -> float:
+    if not powered():
+        return 0.0
+    total = 0.0
+    for sign, kw in terms:
+        total += sign * kw()
+    return total
 
 
 def _measured_power_kw(engine, node):
     """Signed kW of each load attached to the node, in attachment order: a
     panel's output counts negative."""
-    powered = _powered(engine, node)
-    terms = [(-1.0 if name in engine.solars else 1.0, _kw_of(engine, name))
-             for name in engine.index.attachments[node]]
-
-    def read():
-        if not powered():
-            return 0.0, DEENERGIZED
-        total = 0.0
-        for sign, kw in terms:
-            total += sign * kw()
-        return total, ""
-    return read
+    terms = [(-1.0 if name in engine.solars else 1.0, _kw_of(engine, name)) for name in engine.index.attachments[node]]
+    return partial(_signed_sum, _powered(engine, node), terms)
 
 
-def _total(attr: str):  # a feeder total (kW) the engine keeps for the step
-    return lambda engine, node: lambda: (getattr(engine, attr), "")
+def _flow(engine, get) -> float:
+    """`get(state)` of the last power flow, 0.0 before the first."""
+    return get(engine.network_state) if engine.network_state else 0.0
 
 
-def _feeder(get):
-    def bind(engine, node):
-        return lambda: (get(engine.network_state) if engine.network_state else 0.0, "")
-    return bind
+def _voltage(engine, s: int, angle: bool) -> float:
+    """Supernode `s`'s voltage magnitude, or angle in degrees; the sweep
+    holds a dead supernode at 0j."""
+    v = engine.network_state.v[s] if engine.network_state else 0j
+    if angle:
+        return 0.0 if v == 0 else cmath.phase(v) * 180.0 / cmath.pi
+    return abs(v)
+
+
+def _at_node(angle: bool, engine, node):
+    return partial(_voltage, engine, engine.index.tree.position[node], angle)
+
+
+def _current(engine, s: int) -> float:
+    return abs(engine.network_state.cur[s]) if engine.network_state else 0.0
+
+
+def _current_mag(engine, edge):
+    s = engine.index.tree.position[engine.index.edges_by_name[edge].child]  # fed by `edge`
+    return partial(_current, engine, s)
+
+
+def _engine(func, *args):
+    """Binds `func(engine, *args)`, the same for every target."""
+    return lambda engine, target: partial(func, engine, *args)
 
 
 _REF = Prop("ref", required=True)
@@ -218,24 +193,27 @@ _REF = Prop("ref", required=True)
 # "clean" at absurd voltages, or overflow
 _NODE = {
     "nominal_voltage": Prop("VOLTAGE", bound="positive", limits=(1.0, 1e6)),
-    "voltage_mag": Prop(read=_voltage(angle=False)),
-    "voltage_ang": Prop(read=_voltage(angle=True)),
-    "energized": Prop(read=_energized),
+    "voltage_mag": Prop(read=partial(_at_node, False), flagged=True),
+    "voltage_ang": Prop(read=partial(_at_node, True), flagged=True),
+    "energized": Prop(read=_powered),
 }
 _TRIPLEX = {**_NODE, "parent": Prop("ref")}
-_METER = {**_TRIPLEX, "measured_power_kw": Prop(read=_measured_power_kw)}
+_METER = {**_TRIPLEX, "measured_power_kw": Prop(read=_measured_power_kw, flagged=True)}
 _APPLIANCE = {
     "parent": _REF,
     "base_power": Prop(
-        "POWER", default=0.0, write=_attribute("appliances", "power_kw"), limits=(-1e6, 1e6), field="power_kw"
+        "POWER", default=0.0, write=_of("appliances", _set, "power_kw", float), limits=(-1e6, 1e6), field="power_kw"
     ),
-    "power_kw": Prop(read=_load_read),
+    "power_kw": Prop(read=_load_read, flagged=True),
 }
 _ENDS = {"from": _REF, "to": _REF}
 _LINE = {
     **_ENDS,
     "impedance": Prop("IMPEDANCE", required=True),
-    "status": Prop("enum", read=_line_status, write=_set_line_status),
+    "status": Prop(
+        "enum", read=lambda engine, line: partial(getitem, engine.board.statuses, line),
+        write=lambda engine, line: partial(engine.board.set, line),
+    ),
     "current_mag": Prop(read=_current_mag),
 }
 _SWITCH = {**_LINE, "impedance": Prop("IMPEDANCE")}
@@ -251,12 +229,12 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "period": Prop("TIME", required=True, field="period_seconds"),
         "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive", field="price_cap"),
         "init_price": Prop("PRICE", default=DEFAULT_INIT_PRICE, bound="nonnegative", field="init_price"),
-        "clearing_price": Prop(read=_market(lambda market: market.last_clearing.price)),
-        "cleared_quantity": Prop(read=_market(lambda market: market.last_clearing.quantity)),
-        "bid_count_buy": Prop(read=_market(lambda market: market.last_bid_counts[0])),
-        "bid_count_sell": Prop(read=_market(lambda market: market.last_bid_counts[1])),
-        "p_avg": Prop(read=_market(lambda market: market.p_avg)),
-        "p_std": Prop(read=_market(lambda market: market.p_std)),
+        "clearing_price": Prop(read=_of("markets", attrgetter("last_clearing.price"))),
+        "cleared_quantity": Prop(read=_of("markets", attrgetter("last_clearing.quantity"))),
+        "bid_count_buy": Prop(read=_of("markets", lambda market: market.last_bid_counts[0])),
+        "bid_count_sell": Prop(read=_of("markets", lambda market: market.last_bid_counts[1])),
+        "p_avg": Prop(read=_of("markets", getattr, "p_avg")),
+        "p_std": Prop(read=_of("markets", getattr, "p_std")),
     },
     "controller": {
         "house": Prop("ref", required=True, field="house"),
@@ -275,24 +253,26 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "house": {
         "parent": _REF,
         "air_temperature": Prop(
-            "TEMPERATURE", default=75.0, read=_house("t_in"), write=_attribute("houses", "t_in"), field="t_in"
+            "TEMPERATURE", default=75.0, field="t_in", flagged=True,
+            read=_of("houses", getattr, "t_in"), write=_of("houses", _set, "t_in", float),
         ),
         "cooling_setpoint": Prop(
-            "TEMPERATURE", default=75.0, read=_house("t_set"), write=_attribute("houses", "t_set"), field="t_set"
+            "TEMPERATURE", default=75.0, field="t_set", flagged=True,
+            read=_of("houses", getattr, "t_set"), write=_of("houses", _set, "t_set", float),
         ),
         "deadband": Prop(
-            "TEMPERATURE", default=2.0, bound="positive", write=_attribute("houses", "deadband"), field="deadband"
+            "TEMPERATURE", default=2.0, bound="positive", write=_of("houses", _set, "deadband", float), field="deadband"
         ),
         "thermal_capacitance": Prop("number", default=2000.0, bound="positive", field="capacitance"),  # Btu/degF
         "ua": Prop("number", default=550.0, bound="positive", field="ua"),  # Btu/(h*degF)
         "internal_gains": Prop(
-            "number", default=1800.0, bound="nonnegative", write=_attribute("houses", "internal_gains"),
+            "number", default=1800.0, bound="nonnegative", write=_of("houses", _set, "internal_gains", float),
             field="internal_gains",
         ),  # Btu/h
         "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6), field="hvac_kw"),
         "cop": Prop("number", default=3.5, bound="positive", field="cop"),
-        "hvac_load_kw": Prop(read=_load_read),
-        "hvac_mode": Prop(read=_house("mode")),
+        "hvac_load_kw": Prop(read=_load_read, flagged=True),
+        "hvac_mode": Prop(read=_of("houses", getattr, "mode"), flagged=True),
     },
     "meter": _METER,
     "triplex_meter": _METER,
@@ -300,21 +280,21 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "node": {
         **_NODE,
         "bustype": Prop("enum"),
-        "total_load_kw": Prop(read=_total("_load_kw")),
-        "total_hvac_kw": Prop(read=_total("_hvac_kw")),
-        "losses_kw": Prop(read=_feeder(lambda state: state.loss_power_va.real / 1000.0)),
-        "source_power_kw": Prop(read=_feeder(lambda state: state.source_power_va.real / 1000.0)),
+        "total_load_kw": Prop(read=_engine(getattr, "_load_kw")),
+        "total_hvac_kw": Prop(read=_engine(getattr, "_hvac_kw")),
+        "losses_kw": Prop(read=_engine(_flow, lambda state: state.loss_power_va.real / 1000.0)),
+        "source_power_kw": Prop(read=_engine(_flow, lambda state: state.source_power_va.real / 1000.0)),
     },
     "zipload": _APPLIANCE,
     "waterheater": _APPLIANCE,
     "solar": {
         "parent": _REF,
         "rating": Prop(
-            "POWER", required=True, bound="nonnegative", write=_attribute("solars", "rating_kw"), limits=(0.0, 1e6),
-            field="rating_kw",
+            "POWER", required=True, bound="nonnegative", limits=(0.0, 1e6), field="rating_kw",
+            write=_of("solars", _set, "rating_kw", float),
         ),
         "efficiency": Prop("number", default=1.0, bound="nonnegative", limits=(0.0, 1.0), field="efficiency"),
-        "power_kw": Prop(read=_load_read),
+        "power_kw": Prop(read=_load_read, flagged=True),
     },
     "underground_line": _LINE,
     "overhead_line": _LINE,
@@ -563,7 +543,10 @@ class Engine:
         self._readers = {
             (cfg.target, prop): self._bind(cfg.target, prop) for cfg in model.recorders for prop in cfg.properties
         }
-        switch = _attribute("transforms", "active", bool)
+        # each recorder, with its target's power check if it records a flagged property
+        flagged = lambda cfg: any(PROPERTIES[self._classes[cfg.target]][p].flagged for p in cfg.properties)
+        self._recorders = [(cfg, flagged(cfg) and _powered(self, cfg.target)) for cfg in model.recorders]
+        switch = _of("transforms", _set, "active", bool)
         self._writers = {(name, "active"): switch(self, name) for name in self.transforms}
         pairs = [(e.target, e.prop) for sched in model.schedules for e in sched.entries]
         pairs += [(ev.target, ev.prop) for c in self.attacks if c.transform is None for ev in c.events]
@@ -741,7 +724,7 @@ class Engine:
     # -- recording ----------------------------------------------------------
 
     def read_property(self, target: str, prop: str):
-        """Recorder getter for a recorded (target, property); returns (value, flag)."""
+        """Recorder getter for a recorded (target, property)."""
         return self._readers[target, prop]()
 
     # -- main loop ----------------------------------------------------------
@@ -783,16 +766,11 @@ class Engine:
                 divergence_time = t
                 break
             offset, stamp = k * dt, None
-            for cfg in self.model.recorders:
+            for cfg, powered in self._recorders:
                 if offset % cfg.interval == 0:
-                    values, flags = [], []
-                    for prop in cfg.properties:
-                        value, flag = self.read_property(cfg.target, prop)
-                        values.append(value)
-                        if flag:
-                            flags.append(flag)
+                    values = [self.read_property(cfg.target, prop) for prop in cfg.properties]
                     stamp = stamp or format_time(t)
-                    tables[cfg.name].append(stamp, values, "|".join(sorted(set(flags))) if flags else "")
+                    tables[cfg.name].append(stamp, values, DEENERGIZED if powered and not powered() else "")
             executed_steps = k
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotSwitchable, SolverDivergence
+from .model import LINE_STATUSES
 from .network import Islands, NetworkIndex, compute_islands
 
 VOLTAGE_TOLERANCE_PU = 1e-6  # contract: converged when max step change is below this
@@ -103,7 +104,7 @@ class LineStatusBoard:
         edge = self._index.edges_by_name.get(line_name)
         if edge is None or not edge.switchable:
             raise NotSwitchable(f"'{line_name}' is not a line, switch, or fuse")
-        if status not in ("OPEN", "CLOSED"):
+        if status not in LINE_STATUSES:
             raise ValueError(f"bad status '{status}'")
         old = self.statuses[line_name]
         if old != status:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from datetime import timedelta
 
-from .attack import ATTACKS
+from .attack import ATTACKS, attacked_lines
 from .kernel import NO_PROP, PROPERTIES, out_of_bounds
 from .model import (
     LINE_STATUSES,
@@ -210,6 +210,7 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
             if block.name in seen:
                 errors.append(Diagnostic(block.name, "DUPLICATE_NAME", f"{kind} name is not unique"))
             seen.add(block.name)
+    line_attacks = []  # each earlier LINE_STATUS attack with the lines it sets
     for a in model.attacks:
         for sep in ",;":  # a run splits `audit.csv` fields on ',' and `summary.txt`'s attack list on ';'
             if sep in a.name:
@@ -220,6 +221,16 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
             errors.append(Diagnostic(a.name, "BAD_WINDOW", "attack window outside the simulated window"))
         if not (0.0 <= a.fraction <= 1.0):
             errors.append(Diagnostic(a.name, "BAD_FRACTION", "fraction must be within [0, 1]"))
+        elif a.kind == "LINE_STATUS":
+            # an attack's end writes back the configured status, so it would cut
+            # short another attack on the line, or undo one that starts then
+            lines = attacked_lines(a)
+            for other, other_lines in line_attacks:
+                shared = [line for line in lines if line in other_lines]
+                if shared and a.start <= other.end and other.start <= a.end:
+                    message = f"window meets attack '{other.name}' on line '{shared[0]}'"
+                    errors.append(Diagnostic(a.name, "BAD_WINDOW", message))
+            line_attacks.append((a, set(lines)))
         spec = ATTACKS[a.kind]
         if spec.population is not None and not model.of_class(spec.population):
             errors.append(Diagnostic(a.name, "NO_TARGETS", f"scenario has no {spec.population} to compromise"))

@@ -216,4 +216,17 @@ UNRUNNABLE_EDITS = {
     "attack_name_with_semicolon": (
         lambda t: t + 'attack { name "x;y"; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
         'end "2013-07-01 00:20:00"; price 0.5 $/kWh; }\n', "BAD_NAME"),
+    # each validated clean and ran to exit 0 with one attack cutting the other
+    # short, as an attack's end writes back UL1's configured status: UL1
+    # closed at 00:20, 20 minutes early, or `later` never opened it
+    "line_attack_inside_another": (
+        lambda t: t + 'attack { name a2; kind LINE_STATUS; start "2013-07-01 00:05:00"; '
+        'end "2013-07-01 00:40:00"; lines UL1; status OPEN; }\n'
+        'attack { name a1; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lines UL1; status OPEN; }\n', "BAD_WINDOW"),
+    "line_attacks_back_to_back": (
+        lambda t: t + 'attack { name later; kind LINE_STATUS; start "2013-07-01 00:20:00"; '
+        'end "2013-07-01 00:30:00"; lines UL1; status OPEN; }\n'
+        'attack { name earlier; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lines UL1; status OPEN; }\n', "BAD_WINDOW"),
 }

@@ -1,12 +1,15 @@
 """Kernel tests: step fenceposts, event ordering, audit log, player and
 schedule application, outage/restore behavior, and determinism."""
 
+import copy
 import inspect
 import os
 import tracemalloc
 from collections import deque
 from datetime import datetime, timedelta
+from functools import partial
 from itertools import islice
+from types import MethodType
 
 import pytest
 from conftest import load_fixture
@@ -287,14 +290,20 @@ object node { name n5; nominal_voltage 7200 V; }
 """
 
 
-def test_every_recordable_property_binds(small_text):
-    model = parse_scenario(small_text + EVERY_CLASS)
+def record_every_property(model):
+    """Replace `model`'s recorders by one per class, on the first object of
+    the class, recording every recordable property."""
     model.recorders = []
     for cls, accessors in sorted(PROPERTIES.items()):
         props = sorted(prop for prop, accessor in accessors.items() if accessor.read)
         if props:
             target = next(o.name for o in model.objects if o.cls == cls)
             model.recorders.append(RecorderConfig(f"rec_{cls}", target, props, 60, f"{cls}.csv"))
+
+
+def test_every_recordable_property_binds(small_text):
+    model = parse_scenario(small_text + EVERY_CLASS)
+    record_every_property(model)
     assert validate(model).runnable
     engine = Engine(model)
     result = engine.run()
@@ -409,8 +418,8 @@ def test_load_injections_are_a_supernode_demand_list(small_text):
     assert all(house.mode == "COOL" for house in engine.houses.values())
     assert demand == [0j, 0j, complex(1550.0, 0.0), complex(4000.0, 0.0)]
     assert tree.position["tm1"] == tree.position["tm2"] == 2
-    assert engine.read_property("n1", "total_load_kw") == (5.55, "")
-    assert engine.read_property("n1", "total_hvac_kw") == (4.0, "")
+    assert engine.read_property("n1", "total_load_kw") == 5.55
+    assert engine.read_property("n1", "total_hvac_kw") == 4.0
     assert engine._load_kw == pytest.approx(sum(d.real for d in demand) / 1000.0)
 
 
@@ -427,7 +436,7 @@ def test_solar_read_before_the_first_step(small_text):
     text = small_text + "recorder { name rec_s1; target s1; property power_kw; interval 60 s; file s1.csv; }\n"
     engine = Engine(parse_scenario(text))
     # constant weather: irradiance 0.5 on a 1 kW panel at efficiency 0.9
-    assert engine.read_property("s1", "power_kw") == (0.45, "")
+    assert engine.read_property("s1", "power_kw") == 0.45
 
 
 # one object of each class whose optional properties the engine falls back
@@ -522,3 +531,99 @@ def test_property_table_is_consistent():
             if spec.default is not None:
                 assert out_of_bounds(prop, spec, spec.default) is None, (cls, prop)
             assert spec.bound in (None, "positive", "nonnegative"), (cls, prop)
+            if spec.flagged:  # a flagged property is recorded
+                assert spec.read is not None, (cls, prop)
+
+
+def callables_in(bound):
+    """Every callable in `bound`, also within a partial's function and
+    arguments and within lists and tuples."""
+    if isinstance(bound, (list, tuple)):
+        return [f for item in bound for f in callables_in(item)]
+    if isinstance(bound, partial):
+        return [bound, *callables_in(bound.func), *callables_in(bound.args)]
+    return [bound] if callable(bound) else []
+
+
+def test_readers_and_writers_are_partials_over_run_objects(small_text, tmp_path):
+    # a closure is copied as itself by `copy.deepcopy`, so a copied engine
+    # would read and set the original's objects through it
+    (tmp_path / "zip.csv").write_text("time,value\n2013-07-01 00:00:00,1.5\n")
+    model = parse_scenario(
+        small_text + EVERY_CLASS + ATTACK
+        + 'attack { name cut; kind LINE_STATUS; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; '
+        'lines UL1; status OPEN; }\n'
+        + "player { name p1; target z1; property base_power; file zip.csv; }\n"
+    )
+    record_every_property(model)
+    targets = {o.cls: o.name for o in reversed(model.objects)}
+    text = "".join(
+        f'entry "2013-07-01 00:10:00" {targets[cls]} {prop} {value};'
+        for (cls, prop), (value, _, _) in SET_TO.items()
+    )
+    model.schedules = parse_scenario(f"schedule {{ {text} }}").schedules
+    assert validate(model).runnable
+    engine = Engine(model, base_dir=str(tmp_path))
+    bound = [*engine._readers.values(), *engine._writers.values(), *(write for _, _, write in engine.players)]
+    assert len(engine._readers) == sum(len(cfg.properties) for cfg in model.recorders)
+    # the schedule and attack `cut` share UL1's status writer; `a` has its switch
+    assert len(bound) == len(engine._readers) + len(SET_TO) + 1 + len(model.players)
+    for f in bound:
+        assert isinstance(f, (partial, MethodType)), f
+        assert all(getattr(g, "__closure__", None) is None for g in callables_in(f)), f
+
+
+# feeder_small plus a recorder on h1, schedule entries on h2 and UL1, and a market attack
+FORKED = (
+    "recorder { name rh; target h1; property air_temperature, hvac_mode; interval 60 s; file rh.csv; }\n"
+    'schedule { entry "2013-07-01 00:10:00" h2 cooling_setpoint 76 degF; '
+    'entry "2013-07-01 00:20:00" UL1 status OPEN; entry "2013-07-01 00:40:00" UL1 status CLOSED; }\n'
+    + ATTACK
+)
+
+
+def test_deep_copied_engine_runs_on_its_own_objects(small_text, tmp_path):
+    engine = Engine(parse_scenario(small_text + FORKED))
+    twin, probe = copy.deepcopy(engine), copy.deepcopy(engine)
+    # the original runs first: a copy that set or read its objects would
+    # start where the original ended
+    outputs = []
+    for run in (engine, twin):
+        out = tmp_path / str(len(outputs))
+        manifest = write_results(run.run(), str(out))
+        outputs.append({name: (out / name).read_bytes() for name in manifest})
+    assert sorted(outputs[0]) == ["audit.csv", "rh.csv", "src.csv", "summary.txt", "tm3.csv", "ul1.csv"]
+    assert outputs[0] == outputs[1]
+    assert twin.houses["h2"].t_set == engine.houses["h2"].t_set == 76.0
+    probe.houses["h1"].t_in = 99.0
+    assert probe.read_property("h1", "air_temperature") == 99.0
+    assert engine.houses["h1"].t_in != 99.0
+
+
+def test_flags_mark_the_rows_that_read_a_dead_targets_own_state(small_text):
+    # UL1 is open all hour, so tn2 and everything behind it is dead
+    recorders = {
+        "alive": ("tn2", "energized"),
+        "volts": ("tn2", "energized, voltage_mag"),
+        "line": ("UL1", "status, current_mag"),
+        "zip": ("z1", "power_kw"),
+        "house": ("h3", "hvac_mode, air_temperature"),
+    }
+    text = small_text.replace("status CLOSED;", "status OPEN;") + "".join(
+        f"recorder {{ name {name}; target {target}; property {props}; interval 60 s; file {name}.csv; }}\n"
+        for name, (target, props) in recorders.items()
+    )
+    engine, result = run_small(text)
+    rows = {name: result.tables[name].rows for name in recorders}
+    assert all(len(table) == 61 for table in rows.values())
+    assert {tuple(r[1:]) for r in rows["alive"]} == {("0", "")}
+    assert {tuple(r[1:]) for r in rows["volts"]} == {("0", "0", "DEENERGIZED")}
+    assert {tuple(r[1:]) for r in rows["line"]} == {("OPEN", "0", "")}
+    assert {tuple(r[1:]) for r in rows["zip"]} == {("0", "DEENERGIZED")}
+    assert engine.appliances["z1"].power_kw == 1.2  # a dead appliance keeps its base power
+    # a dead house reads its own state: it starts cooling, then drifts without HVAC
+    house = rows["house"]
+    assert {r[-1] for r in house} == {"DEENERGIZED"}
+    assert house[0][1:3] == ["COOL", "80"]
+    assert house[-1][1] == engine.houses["h3"].mode
+    assert float(house[-1][2]) == pytest.approx(engine.houses["h3"].t_in, rel=1e-5) and float(house[-1][2]) > 80.0

@@ -26,6 +26,7 @@ from conftest import load_fixture
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
+from tesgrid.model import format_time
 from tesgrid.loads import hvac_power, solar_output
 from tesgrid.network import compute_islands
 from tesgrid.powerflow import solve_powerflow
@@ -179,9 +180,10 @@ def reference_unresponsive_kw(engine):
 
 def run_against_reference(engine, monkeypatch):
     """Run `engine`, checking every step's load pass, unresponsive kW and
-    load reads; returns the step count.  Every class of `LOAD_READS` in
-    the scenario must be read, and some reads must be unpowered."""
-    checked, reads = [], {}
+    load reads, and after the run each `oracle_*` row's flag; returns the
+    step count.  Every class of `LOAD_READS` in the scenario must be read,
+    and some reads must be unpowered."""
+    checked, reads, flags = [], {}, {}
     build = Engine.build_load_injections
     loads = Engine._phase_loads
     read = Engine.read_property
@@ -195,8 +197,10 @@ def run_against_reference(engine, monkeypatch):
         got = read(self, target, prop)
         cls = self._classes[target]
         if cls in LOAD_READS and prop == LOAD_READS[cls]:
-            assert got == reference_load_read(self, target, prop, self.step_irradiance), (self.step_time, target)
-            reads.setdefault(self.step_time, set()).add((cls, got[1]))
+            value, flag = reference_load_read(self, target, prop, self.step_irradiance)
+            assert got == value, (self.step_time, target)
+            flags[format_time(self.step_time), target] = flag
+            reads.setdefault(self.step_time, set()).add((cls, flag))
         return got
 
     def checked_build(self):
@@ -217,6 +221,11 @@ def run_against_reference(engine, monkeypatch):
     seen = set().union(*reads.values())
     assert {cls for cls, _ in seen} == {obj.cls for obj in engine.model.objects if obj.cls in LOAD_READS}
     assert {flag for _, flag in seen} == {"", "DEENERGIZED"}
+    oracles = [cfg for cfg in engine.model.recorders if cfg.name.startswith("oracle_")]
+    for cfg in oracles:
+        for row in result.tables[cfg.name].rows:
+            assert row[-1] == flags[row[0], cfg.target], (cfg.name, row[0])
+    assert oracles
     return len(checked)
 
 
