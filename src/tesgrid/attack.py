@@ -8,8 +8,8 @@ gives replicated seller offers a fixed `price`; BUYER_BID_SCALE moves
 forwarded controller bids to p + lambda * p_m, clamped at the price cap;
 LINE_STATUS sets the listed `lines` to `status`, and at the window's end
 back to their configured status (`CLOSED` when the object sets none).
-Market attacks act on the auxiliary bidders, so the direct topology
-rejects them.
+Market attacks act on the auxiliary bidders, so `validate` rejects them
+under the direct topology.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, EmptyWindow, UnknownTarget
 from .market import Bid
 from .model import LINE_CLASSES, LINE_STATUSES, AttackConfig, Event, ScenarioModel
 
@@ -95,24 +94,16 @@ class CompiledAttack:
     transform: BidTransform | None = None
 
 
-def compile_attack(cfg: AttackConfig, model: ScenarioModel, topology: str) -> CompiledAttack:
-    """Resolve targets, draw the compromised set, and emit window events."""
-    if cfg.start >= cfg.end:
-        raise EmptyWindow(f"{cfg.name}: attack window is empty")
+def compile_attack(cfg: AttackConfig, model: ScenarioModel) -> CompiledAttack:
+    """Draw the compromised set and emit window events for an attack of a
+    model that `validate` reports runnable under the run's topology."""
     spec, compiled = ATTACKS[cfg.kind], CompiledAttack(cfg)
     if spec.population is None:
         names, status = model.by_name(), cfg.params["status"]
-        edges = []  # (target, property, value in the window, value after it)
-        for line_name in attacked_lines(cfg):
-            if line_name not in names:
-                raise UnknownTarget(f"{cfg.name}: no object named '{line_name}'")
-            edges.append((line_name, "status", status, names[line_name].get("status", "CLOSED")))
+        # (target, property, value in the window, value after it)
+        edges = [(line, "status", status, names[line].get("status", "CLOSED")) for line in attacked_lines(cfg)]
     else:
-        if topology != "auxiliary":
-            raise ConfigError(f"{cfg.name}: market attacks target auxiliary bidders; run with the auxiliary topology")
         population = [obj.name for obj in model.of_class(spec.population)]
-        if not population:
-            raise UnknownTarget(f"{cfg.name}: scenario has no {cfg.kind} targets")
         compromised = compromised_set(population, cfg.fraction, cfg.seed)
         compiled.transform = BidTransform(cfg.name, cfg.kind, compromised, cfg.params)
         edges = [(f"attack:{cfg.name}", "active", True, False)]

@@ -2,11 +2,14 @@
 
 Subcommands:
     run         simulate a scenario file and write results to a directory
-    validate    parse + validate a scenario file and print the report
+    validate    compile a scenario file as `run` does and print the report
     gen-feeder  write the generated study feeder and its weather file
 
-Exit codes: 0 success, 2 configuration error (parse/validation), 3
-runtime failure (solver divergence, missing input data, I/O).
+Both compile alike: parse, validate for the topology (`validate` checks
+the default, auxiliary) and build the engine, which reads the input
+files relative to the scenario.  Exit codes: 0 success; 2 a problem with
+the scenario or an input file it names; 3 solver divergence or outputs
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import ConfigError, ParseError, TesgridError
 from .feedergen import WEATHER_FILE, gen_feeder, gen_weather
 from .glm import parse_scenario
 from .kernel import Engine
+from .model import Diagnostic, ValidationReport
 from .recorder import write_results
 from .validate import validate
 
@@ -44,22 +48,27 @@ def _load(path: str):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _cmd_run(args) -> int:
+def _compile(args) -> tuple[ValidationReport, Engine | None]:
+    """The scenario's report under `args.topology`, and its engine when it
+    is runnable; an input file the engine cannot use is one more error."""
     model = _load(args.scenario)
-    report = validate(model)
-    if report.serialize():
-        print(report.serialize(), file=sys.stderr)
+    report = validate(model, args.topology)
     if not report.runnable:
-        return EXIT_CONFIG
+        return report, None
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     try:
-        engine = Engine(model, topology=args.topology, seed=args.seed, base_dir=base_dir)
+        return report, Engine(model, topology=args.topology, seed=args.seed, base_dir=base_dir)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report.errors.append(Diagnostic(exc.location, exc.code, exc.message))
+        return report, None
+
+
+def _cmd_run(args) -> int:
+    report, engine = _compile(args)
+    if report.serialize():
+        print(report.serialize(), file=sys.stderr)
+    if engine is None:
         return EXIT_CONFIG
-    except TesgridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     try:
         result = engine.run()
         manifest = write_results(result, args.out)
@@ -77,8 +86,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    model = _load(args.scenario)
-    report = validate(model)
+    report, _ = _compile(args)
     text = report.serialize()
     if text:
         print(text)
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a scenario without running it")
     p_val.add_argument("scenario", help="scenario (.glm) file")
-    p_val.set_defaults(func=_cmd_validate)
+    p_val.set_defaults(func=_cmd_validate, topology="auxiliary", seed=0)  # as `run` compiles by default
 
     p_gen = sub.add_parser("gen-feeder", help="generate the study feeder")
     p_gen.add_argument("--houses", type=int, default=30)

@@ -16,15 +16,13 @@ class ParseError(TesgridError):
 
 
 class ConfigError(TesgridError):
-    """Scenario is syntactically fine but cannot be run as configured."""
+    """An input file the scenario names is unusable; carries the report line
+    it makes: the file, the message and the code (`BAD_RANGE` for a player
+    value out of its property's range)."""
 
-
-class UnknownProperty(TesgridError):
-    pass
-
-
-class UnknownTarget(TesgridError):
-    pass
+    def __init__(self, location: str, message: str, code: str = "BAD_FILE"):
+        super().__init__(f"{location}: {message}")
+        self.location, self.message, self.code = location, message, code
 
 
 class NotSwitchable(TesgridError):
@@ -40,18 +38,6 @@ class SolverDivergence(TesgridError):
         self.node = node
 
 
-class MissingPlayerData(TesgridError):
-    pass
-
-
-class NonMonotonicTime(TesgridError):
-    pass
-
-
-class MalformedRow(TesgridError):
-    pass
-
-
 class PriceCapViolation(TesgridError):
     pass
 
@@ -64,9 +50,5 @@ class StalePeriod(TesgridError):
     pass
 
 
-class EmptyWindow(TesgridError):
-    pass
-
-
 class IoFailure(TesgridError):
-    pass
+    """An output file or directory cannot be written."""

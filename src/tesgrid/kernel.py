@@ -40,7 +40,7 @@ from operator import attrgetter, getitem
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .attack import ATTACKS, CompiledAttack, Param, compile_attack
-from .errors import ConfigError, NotSwitchable, SolverDivergence, UnknownProperty, UnknownTarget
+from .errors import ConfigError, SolverDivergence
 from .loads import HouseState, hvac_power, init_mode, solar_output, step_houses
 from .loads import step_house  # noqa: F401  unused here: bench/tracer.py hooks `kernel.step_house`
 from .market import (
@@ -57,7 +57,7 @@ from .market import (
     respond_to_clearing,
     seller_bids,
 )
-from .model import EDGE_CLASSES, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
+from .model import Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
 from .network import Islands, build_network_index
 from .powerflow import LineStatusBoard, solve_powerflow
 from .recorder import RecorderTable, TimeSeries, constant_weather, read_player, read_weather
@@ -217,6 +217,8 @@ _LINE = {
     "current_mag": Prop(read=_current_mag),
 }
 _SWITCH = {**_LINE, "impedance": Prop("IMPEDANCE")}
+# a house's temperatures, in degF: the Euler step of one at 1e308 overflows
+_HOUSE_DEGF = (-100.0, 200.0)
 
 # Every property of every class, the one place that says what a property
 # is: its kind, whether it is required, its default and bound, which field
@@ -253,11 +255,11 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "house": {
         "parent": _REF,
         "air_temperature": Prop(
-            "TEMPERATURE", default=75.0, field="t_in", flagged=True,
+            "TEMPERATURE", default=75.0, limits=_HOUSE_DEGF, field="t_in", flagged=True,
             read=_of("houses", getattr, "t_in"), write=_of("houses", _set, "t_in", float),
         ),
         "cooling_setpoint": Prop(
-            "TEMPERATURE", default=75.0, field="t_set", flagged=True,
+            "TEMPERATURE", default=75.0, limits=_HOUSE_DEGF, field="t_set", flagged=True,
             read=_of("houses", getattr, "t_set"), write=_of("houses", _set, "t_set", float),
         ),
         "deadband": Prop(
@@ -446,7 +448,11 @@ class _LoadPlan(NamedTuple):
 
 
 class Engine:
-    """One simulation run over a validated scenario model."""
+    """One simulation run of a scenario model that `validate(model, topology)`
+    reports runnable: each target, property and attack is bound as given.
+    The input files are read here, once, relative to `base_dir`; a file the
+    run cannot use, or a player value out of its property's range, raises
+    `ConfigError`."""
 
     def __init__(
         self,
@@ -529,7 +535,7 @@ class Engine:
         }
         self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
-        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, topology) for cfg in model.attacks]
+        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model) for cfg in model.attacks]
         self.transforms = {f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None}
         # the transforms of each rewrite point, in attack order
         self._rewriters = {spec.point: [] for spec in ATTACKS.values() if spec.point}
@@ -554,15 +560,15 @@ class Engine:
         self.players = []
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
-            series = read_player(os.path.join(base_dir, cfg.file))
+            series = read_player(os.path.join(base_dir, cfg.file), self.clock.start)
             spec = PROPERTIES[self._classes[cfg.target]][cfg.prop]
-            for _, value in series.rows:
+            for row, (_, value) in enumerate(series.rows, start=1):
                 problem = out_of_bounds(cfg.prop, spec, value)
                 if problem is not None:
-                    raise ConfigError(f"{cfg.name}: {cfg.file} holds {value:g}: {problem}")
+                    raise ConfigError(series.name, f"row {row} holds {value:g}: {problem}", "BAD_RANGE")
             self.players.append((cfg, series, write))
         if model.weather_source is not None:
-            self.weather: TimeSeries = read_weather(os.path.join(base_dir, model.weather_source))
+            self.weather: TimeSeries = read_weather(os.path.join(base_dir, model.weather_source), self.clock.start)
         else:
             self.weather = constant_weather(self.clock.start)
         # the loads at clock.start, for reads and market rounds before a step
@@ -578,16 +584,8 @@ class Engine:
     def _bind(self, target: str, prop: str, write: bool = False):
         """Bind one (target, property) through `PROPERTIES`: its recorder
         read, or with `write` its setter."""
-        cls = self._classes.get(target)
-        if cls is None:
-            raise UnknownTarget(target)
-        spec = PROPERTIES[cls].get(prop, NO_PROP)
-        bind = spec.write if write else spec.read
-        if bind is None:
-            if write and prop == "status" and cls in EDGE_CLASSES:
-                raise NotSwitchable(f"'{target}' is not a line, switch, or fuse")
-            raise UnknownProperty(f"{target}.{prop}")
-        return bind(self, target)
+        spec = PROPERTIES[self._classes[target]][prop]
+        return (spec.write if write else spec.read)(self, target)
 
     # -- event application --------------------------------------------------
 

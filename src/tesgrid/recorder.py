@@ -2,7 +2,8 @@
 
 Player files are `time,value` CSVs; weather files add an irradiance
 column.  All lookups are step-hold: the value at t is the last sample at
-or before t, and querying before the first sample is an error.
+or before t.  A reader returns only a series a run can sample from its
+start on, and raises `ConfigError` for any other file.
 
 Output CSVs print numbers with six significant digits so reruns are
 byte-identical across platforms.
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
 
-from .errors import IoFailure, MalformedRow, MissingPlayerData, NonMonotonicTime
+from .errors import ConfigError, IoFailure
 from .model import format_time, parse_time
 
 
@@ -37,80 +38,73 @@ def format_number(x) -> str:
 @dataclass
 class TimeSeries:
     name: str
-    rows: list[tuple[datetime, object]]  # strictly increasing timestamps
+    rows: list[tuple[datetime, object]]  # strictly increasing timestamps, the first at or before the run's start
 
     def sample(self, t: datetime):
-        """Step-hold value at t; MissingPlayerData before the first row."""
-        if not self.rows or t < self.rows[0][0]:
-            raise MissingPlayerData(f"{self.name}: no sample at or before {format_time(t)}")
+        """Step-hold value at t, which is at or after the first row."""
         return self.rows[bisect_right(self.rows, t, key=lambda row: row[0]) - 1][1]
 
 
-def _parse_rows(path: str, expected_fields: int, name: str) -> list[list[str]]:
+def _read_series(path: str, start: datetime, fields: int, value: Callable) -> TimeSeries:
+    """The series of a CSV of `fields` fields, a time and then what
+    `value(name, row, texts)` makes of the rest; its times strictly
+    increase from one at or before `start`."""
+    name = os.path.basename(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(name, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+        raise ConfigError(name, f"cannot read {path}: not UTF-8 text ({exc})") from exc
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 or not line.strip():
             continue  # header
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != expected_fields:
-            raise MalformedRow(f"{name} line {lineno}: expected {expected_fields} fields")
-        rows.append(parts)
-    return rows
+        if len(parts) != fields:
+            raise ConfigError(name, f"line {lineno}: expected {fields} fields")
+        row = len(rows) + 1
+        try:
+            t = parse_time(parts[0])
+        except ValueError as exc:
+            raise ConfigError(name, f"row {row}: bad timestamp '{parts[0]}'") from exc
+        if rows and t <= rows[-1][0]:
+            raise ConfigError(name, f"row {row}: timestamps must strictly increase")
+        rows.append((t, value(name, row, parts[1:])))
+    if not rows or rows[0][0] > start:
+        raise ConfigError(name, f"no sample at or before {format_time(start)}")
+    return TimeSeries(name, rows)
 
 
-def _parse_time(text: str, name: str, lineno_hint: str) -> datetime:
-    try:
-        return parse_time(text)
-    except ValueError as exc:
-        raise MalformedRow(f"{name} {lineno_hint}: bad timestamp '{text}'") from exc
-
-
-def _parse_number(text: str, name: str, row: int) -> float:
+def _parse_number(name: str, row: int, text: str) -> float:
     """A finite float: `nan`, `inf` and overflowing numbers are malformed."""
     try:
         value = float(text)
     except ValueError as exc:
-        raise MalformedRow(f"{name} row {row}: bad number '{text}'") from exc
+        raise ConfigError(name, f"row {row}: bad number '{text}'") from exc
     if not math.isfinite(value):
-        raise MalformedRow(f"{name} row {row}: '{text}' is not a finite number")
+        raise ConfigError(name, f"row {row}: '{text}' is not a finite number")
     return value
 
 
-def read_player(path: str) -> TimeSeries:
-    """Read a `time,value` CSV into a strictly-increasing series."""
-    name = os.path.basename(path)
-    rows: list[tuple[datetime, float]] = []
-    for i, parts in enumerate(_parse_rows(path, 2, name)):
-        t = _parse_time(parts[0], name, f"row {i + 1}")
-        value = _parse_number(parts[1], name, i + 1)
-        if rows and t <= rows[-1][0]:
-            raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
-        rows.append((t, value))
-    return TimeSeries(name, rows)
+def _weather_value(name: str, row: int, texts: list[str]) -> tuple[float, float]:
+    temperature, fraction = (_parse_number(name, row, text) for text in texts)
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(name, f"row {row}: irradiance '{texts[1]}' is outside [0, 1]")
+    return temperature, fraction
 
 
-def read_weather(path: str) -> TimeSeries:
+def read_player(path: str, start: datetime) -> TimeSeries:
+    """Read a `time,value` CSV into a series a run from `start` can sample."""
+    return _read_series(path, start, 2, lambda name, row, texts: _parse_number(name, row, texts[0]))
+
+
+def read_weather(path: str, start: datetime) -> TimeSeries:
     """Read a `time,temperature_degF,irradiance_fraction` CSV (irradiance in
-    [0, 1]) into one series of (temperature, irradiance) pairs."""
-    name = os.path.basename(path)
-    rows: list[tuple[datetime, tuple[float, float]]] = []
-    for i, parts in enumerate(_parse_rows(path, 3, name)):
-        t = _parse_time(parts[0], name, f"row {i + 1}")
-        if rows and t <= rows[-1][0]:
-            raise NonMonotonicTime(f"{name} row {i + 1}: timestamps must strictly increase")
-        temperature = _parse_number(parts[1], name, i + 1)
-        fraction = _parse_number(parts[2], name, i + 1)
-        if not 0.0 <= fraction <= 1.0:
-            raise MalformedRow(f"{name} row {i + 1}: irradiance '{parts[2]}' is outside [0, 1]")
-        rows.append((t, (temperature, fraction)))
-    return TimeSeries(name, rows)
+    [0, 1]) into one series of (temperature, irradiance) pairs, which a run
+    from `start` can sample."""
+    return _read_series(path, start, 3, _weather_value)
 
 
 DEFAULT_WEATHER_DEGF = 90.0

@@ -19,6 +19,7 @@ from .model import (
     ScenarioModel,
     ValidationReport,
     Value,
+    format_time,
 )
 from .network import walk_feeder
 from .recorder import RUN_FILES
@@ -164,7 +165,7 @@ def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
                 )
 
 
-def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
+def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: str, errors):
     clock = model.clock
     if clock is None:
         errors.append(Diagnostic("<clock>", "NO_CLOCK", "scenario has no clock block"))
@@ -232,6 +233,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                     errors.append(Diagnostic(a.name, "BAD_WINDOW", message))
             line_attacks.append((a, set(lines)))
         spec = ATTACKS[a.kind]
+        if spec.point is not None and topology != "auxiliary":
+            message = "a market attack rewrites auxiliary bids; run with the auxiliary topology"
+            errors.append(Diagnostic(a.name, "BAD_TOPOLOGY", message))
         if spec.population is not None and not model.of_class(spec.population):
             errors.append(Diagnostic(a.name, "NO_TARGETS", f"scenario has no {spec.population} to compromise"))
         for key, param in spec.params.items():
@@ -251,6 +255,17 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
                     problem = f"{key} {value:g} exceeds a price_cap of {lowest_cap:g}"
                 if problem is not None:
                     errors.append(Diagnostic(a.name, "BAD_PARAM", problem))
+    # the same write-back undoes a schedule's status entry on the line, or
+    # the first repeat of it, that the run applies at or before the attack's end
+    for sched in model.schedules if clock is not None else ():
+        for e in sched.entries:
+            offset = e.time - clock.start  # a run drops an entry before the start, but not its repeats
+            if offset < timedelta(0) and sched.repeat is not None and 0 < sched.repeat <= LONGEST_REPEAT_S:
+                offset %= timedelta(seconds=sched.repeat)
+            for a, lines in line_attacks:
+                if e.prop == "status" and e.target in lines and timedelta(0) <= offset <= a.end - clock.start:
+                    message = f"entry at {format_time(e.time)} on '{e.target}' is undone as attack '{a.name}' ends"
+                    errors.append(Diagnostic(sched.name, "BAD_WINDOW", message))
     # names compare case-folded: on a case-insensitive filesystem (the macOS and
     # Windows defaults) `A.csv` and `a.csv` are one file, and the later write wins
     run_files = {name.casefold() for name in RUN_FILES}
@@ -288,8 +303,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], errors):
             )
 
 
-def validate(model: ScenarioModel) -> ValidationReport:
-    """Check every model invariant; returns a deterministic report."""
+def validate(model: ScenarioModel, topology: str = "auxiliary") -> ValidationReport:
+    """Check every model invariant for a run under `topology`; returns a
+    deterministic report."""
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
     names = model.by_name()
@@ -297,6 +313,6 @@ def validate(model: ScenarioModel) -> ValidationReport:
     _check_refs(model, names, errors)
     errors.extend(Diagnostic(*problem) for problem in walk_feeder(model, names).problems)
     _check_agents(model, names, errors)
-    _check_blocks(model, names, errors)
+    _check_blocks(model, names, topology, errors)
     key = lambda d: (d.location, d.code, d.message)
     return ValidationReport(sorted(set(errors), key=key), sorted(set(warnings), key=key))

@@ -1,4 +1,5 @@
 import os
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -28,6 +29,15 @@ def small_model(small_text):
 
 def _second_ratio(text: str, value: str) -> str:
     return f"ratio {value};".join(text.rsplit("ratio 30;", 1))  # T2, behind the line UL1
+
+
+_CUT_UL1 = ('attack { name cut; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+            'end "2013-07-01 00:30:00"; lines UL1; status OPEN; }\n')
+_RECORD_H1 = "recorder { name rh; target h1; property air_temperature; interval 60 s; file rh.csv; }\n"
+
+
+def _ul1_entry(time: str) -> str:
+    return f'schedule {{ entry "2013-07-01 {time}" UL1 status OPEN; }}\n'
 
 
 # Edits of feeder_small.glm that validate must reject, each with the code
@@ -229,4 +239,58 @@ UNRUNNABLE_EDITS = {
         'end "2013-07-01 00:30:00"; lines UL1; status OPEN; }\n'
         'attack { name earlier; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
         'end "2013-07-01 00:20:00"; lines UL1; status OPEN; }\n', "BAD_WINDOW"),
+    # each validated clean and ran to exit 0 with UL1 closed from 00:30: the
+    # attack's end wrote back the configured status over the schedule's entry
+    "schedule_status_inside_line_attack": (lambda t: t + _CUT_UL1 + _ul1_entry("00:20:00"), "BAD_WINDOW"),
+    "schedule_status_before_line_attack": (lambda t: t + _CUT_UL1 + _ul1_entry("00:05:00"), "BAD_WINDOW"),
+    # validated clean and ran to exit 0; h1's recorder wrote 1e+308, then -inf, then nan
+    "air_temperature_1e308": (
+        lambda t: t.replace("air_temperature 80 degF;", "air_temperature 1e308 degF;", 1) + _RECORD_H1, "BAD_RANGE"),
+}
+
+
+class UnrunnableInput(NamedTuple):
+    edit: Callable[[str], str]  # of feeder_small.glm
+    files: dict[str, bytes]  # written beside the scenario
+    code: str  # the error both `tesgrid validate` and `tesgrid run` report
+    topology: str = "auxiliary"  # the one `tesgrid run` is given
+
+
+_PLAYER = "player { name p; target h1; property deadband; file p.csv; }\n"
+_WEATHER = "weather { file w.csv; }\n"
+_WEATHER_HEAD = b"time,temperature_degF,irradiance_fraction\n"
+
+
+def _player_rows(*values: bytes) -> dict[str, bytes]:
+    """p.csv holding `values` every 10 minutes from the fixture's start."""
+    rows = b"".join(b"2013-07-01 00:%d0:00,%s\n" % (k, value) for k, value in enumerate(values))
+    return {"p.csv": b"time,value\n" + rows}
+
+
+# Scenarios that validate clean as models, each with input files the run
+# cannot use.  Each one used to pass `tesgrid validate` (exit 0) and then
+# fail `tesgrid run` before its first step, most with exit 3.
+UNRUNNABLE_INPUTS = {
+    "player_file_missing": UnrunnableInput(lambda t: t + _PLAYER, {}, "BAD_FILE"),
+    "weather_file_missing": UnrunnableInput(lambda t: t + _WEATHER, {}, "BAD_FILE"),
+    "player_starts_after_clock_start": UnrunnableInput(
+        lambda t: t + _PLAYER, {"p.csv": b"time,value\n2013-07-01 00:01:00,2\n"}, "BAD_FILE"),
+    "weather_starts_after_clock_start": UnrunnableInput(
+        lambda t: t + _WEATHER, {"w.csv": _WEATHER_HEAD + b"2013-07-01 00:01:00,80,0.5\n"}, "BAD_FILE"),
+    "player_header_only": UnrunnableInput(lambda t: t + _PLAYER, {"p.csv": b"time,value\n"}, "BAD_FILE"),
+    "player_nan": UnrunnableInput(lambda t: t + _PLAYER, _player_rows(b"2", b"nan"), "BAD_FILE"),
+    "player_1e999": UnrunnableInput(lambda t: t + _PLAYER, _player_rows(b"2", b"1e999"), "BAD_FILE"),
+    "player_not_utf8": UnrunnableInput(lambda t: t + _PLAYER, _player_rows(b"2", b"\xff\xfe"), "BAD_FILE"),
+    "weather_irradiance_above_one": UnrunnableInput(
+        lambda t: t + _WEATHER, {"w.csv": _WEATHER_HEAD + b"2013-07-01 00:00:00,80,1.5\n"}, "BAD_FILE"),
+    "player_repeated_timestamp": UnrunnableInput(
+        lambda t: t + _PLAYER, {"p.csv": b"time,value\n2013-07-01 00:00:00,2\n2013-07-01 00:00:00,3\n"},
+        "BAD_FILE"),
+    "player_deadband_-500": UnrunnableInput(lambda t: t + _PLAYER, _player_rows(b"2", b"-500"), "BAD_RANGE"),
+    "player_air_temperature_1e308": UnrunnableInput(
+        lambda t: t + _PLAYER.replace("deadband", "air_temperature"), _player_rows(b"80", b"1e308"), "BAD_RANGE"),
+    # `tesgrid validate` checks the default (auxiliary) topology, under which this one runs
+    "market_attack_under_direct": UnrunnableInput(
+        lambda t: t + 'attack { name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; price 0.5 $/kWh; }\n', {}, "BAD_TOPOLOGY", "direct"),
 }

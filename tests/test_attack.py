@@ -15,11 +15,11 @@ from tesgrid.attack import (
     seller_override,
 )
 from tesgrid.cli import main
-from tesgrid.errors import ConfigError, EmptyWindow, UnknownTarget
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.market import Bid
 from tesgrid.model import AttackConfig
+from tesgrid.validate import validate
 
 T0 = datetime(2013, 7, 1, 10, 0, 0)
 T1 = datetime(2013, 7, 1, 12, 0, 0)
@@ -83,11 +83,18 @@ def test_transform_only_touches_compromised_when_active():
         assert tr.apply(miss, 0.1, 0.63) is miss
 
 
+def _codes(model, cfg, topology="auxiliary"):
+    """The codes of the errors `validate` reports at attack `cfg`, added to `model`."""
+    if cfg not in model.attacks:
+        model.attacks.append(cfg)
+    return {d.code for d in validate(model, topology).errors if d.location == cfg.name}
+
+
 def test_compile_market_attack_needs_auxiliary(small_model):
     cfg = AttackConfig("a", "SELLER_PRICE_OVERRIDE", T0, T1, params={"price": 0.63})
-    with pytest.raises(ConfigError):
-        compile_attack(cfg, small_model, topology="direct")
-    compiled = compile_attack(cfg, small_model, topology="auxiliary")
+    assert "BAD_TOPOLOGY" in _codes(small_model, cfg, "direct")
+    assert "BAD_TOPOLOGY" not in _codes(small_model, cfg, "auxiliary")
+    compiled = compile_attack(cfg, small_model)
     assert compiled.transform.compromised == {"g1"}
     assert [(e.time, e.value) for e in compiled.events] == [(T0, True), (T1, False)]
     assert compiled.events[0].target == "attack:a"
@@ -95,16 +102,15 @@ def test_compile_market_attack_needs_auxiliary(small_model):
 
 def test_compile_buyer_attack_targets_controllers(small_model):
     cfg = AttackConfig("a", "BUYER_BID_SCALE", T0, T1, fraction=0.5, params={"lambda": 0.1})
-    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)), "auxiliary")
+    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)))
     assert len(compiled.transform.compromised) == 1
     assert compiled.transform.compromised <= {"ctl_0_0", "ctl_0_1"}
-    with pytest.raises(UnknownTarget):  # the fixture has no controller
-        compile_attack(cfg, small_model, "auxiliary")
+    assert "NO_TARGETS" in _codes(small_model, cfg)  # the fixture has no controller
 
 
 def test_compile_line_status_window_events(small_model):
     cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["UL1"], "status": "OPEN"})
-    compiled = compile_attack(cfg, small_model, "direct")
+    compiled = compile_attack(cfg, small_model)
     assert compiled.transform is None
     events = [(e.time, e.target, e.value) for e in compiled.events]
     assert events == [(T0, "UL1", "OPEN"), (T1, "UL1", "CLOSED")]
@@ -112,14 +118,12 @@ def test_compile_line_status_window_events(small_model):
 
 def test_compile_line_status_unknown_line(small_model):
     cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["nope"], "status": "OPEN"})
-    with pytest.raises(UnknownTarget):
-        compile_attack(cfg, small_model, "direct")
+    assert "DANGLING_REF" in _codes(small_model, cfg, "direct")
 
 
 def test_compile_empty_window(small_model):
     cfg = AttackConfig("a", "LINE_STATUS", T1, T0, params={"lines": ["UL1"], "status": "OPEN"})
-    with pytest.raises(EmptyWindow):
-        compile_attack(cfg, small_model, "direct")
+    assert "EMPTY_WINDOW" in _codes(small_model, cfg, "direct")
 
 
 def _run(tmp_path, text: str) -> list[list[str]]:

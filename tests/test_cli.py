@@ -5,13 +5,18 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from datetime import datetime, timedelta
 
 import pytest
-from conftest import UNRUNNABLE_EDITS, fixture_path
+from conftest import UNRUNNABLE_EDITS, UNRUNNABLE_INPUTS, fixture_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tesgrid.cli import main
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
+from tesgrid.model import format_time
 from tesgrid.validate import validate
 
 
@@ -66,14 +71,16 @@ def test_run_parse_failure(tmp_path, capsys):
     assert "unknown class" in capsys.readouterr().err
 
 
-def test_run_missing_player_file_is_runtime_error(tmp_path, capsys):
+def test_run_missing_player_file_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "s.glm"
     with open(fixture_path("feeder_small.glm")) as fh:
         text = fh.read()
     scenario.write_text(
         text + "player { name p; target z1; property base_power; file missing.csv; }\n"
     )
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: missing.csv: BAD_FILE: cannot read {tmp_path / 'missing.csv'}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_divergence_is_runtime_error(tmp_path, capsys):
@@ -165,6 +172,62 @@ def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
     assert code in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_INPUTS))
+def test_unusable_inputs_exit_2_through_validate_and_run(tmp_path, capsys, case):
+    edit, files, code, topology = UNRUNNABLE_INPUTS[case]
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(edit(fh.read()))
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    validated = _exit_code(["validate", str(scenario)])
+    reported = capsys.readouterr()
+    if topology == "auxiliary":
+        assert validated == 2 and code in reported.out
+    else:  # `tesgrid validate` compiles under the default topology, where this scenario runs
+        assert validated == 0
+        assert code in {d.code for d in validate(parse_scenario(scenario.read_text()), topology).errors}
+    out = tmp_path / "out"
+    assert _exit_code(["run", str(scenario), "--out", str(out), "--topology", topology]) == 2
+    err = capsys.readouterr().err
+    assert code in err
+    assert "Traceback" not in reported.err + err
+    assert not out.exists()
+
+
+# a deadband player value, as a player file spells it: in range, out of it, or not a number
+_DEADBAND_TEXT = st.one_of(
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["0", "-0.0", "1e308", "-500", "nan", "inf", "-inf", "1e999", "warm", ""]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=st.sampled_from([-60, 0, 60]), values=st.lists(_DEADBAND_TEXT, min_size=1, max_size=3))
+def test_validate_and_run_agree_on_drawn_player_files(first, values):
+    """`tesgrid validate` rejects exactly the player files `tesgrid run`
+    rejects, and a run it accepts writes only finite numbers."""
+    with tempfile.TemporaryDirectory() as work:
+        scenario = os.path.join(work, "s.glm")
+        with open(fixture_path("feeder_small.glm")) as fh, open(scenario, "w") as out:
+            out.write(fh.read() + "player { name p; target h1; property deadband; file p.csv; }\n")
+        start = datetime(2013, 7, 1) + timedelta(seconds=first)
+        rows = "".join(f"{format_time(start + timedelta(minutes=10 * k))},{v}\n" for k, v in enumerate(values))
+        with open(os.path.join(work, "p.csv"), "w") as fh:
+            fh.write("time,value\n" + rows)
+        out_dir = os.path.join(work, "out")
+        validated = _exit_code(["validate", scenario])
+        ran = _exit_code(["run", scenario, "--out", out_dir])
+        assert ran in (0, 2)
+        assert (validated == 2) == (ran == 2)
+        if ran == 0:
+            with open(os.path.join(out_dir, "summary.txt")) as fh:
+                assert "complete 1" in fh.read().splitlines()
+            for name in os.listdir(out_dir):
+                with open(os.path.join(out_dir, name)) as fh:
+                    assert not re.search(r"\b(nan|inf)\b", fh.read()), name
+
+
 # an object named like an attack's switch, recorded, beside that attack
 ATTACK_SWITCH_NAMESAKE = (
     "object triplex_meter { name attack:a; parent tn1; nominal_voltage 240 V; }\n"
@@ -208,8 +271,8 @@ def test_run_rejects_non_finite_player_value(tmp_path, capsys):
     with open(fixture_path("feeder_small.glm")) as fh:
         scenario.write_text(fh.read() + "player { name p; target h1; property cooling_setpoint; file cs.csv; }\n")
     (tmp_path / "cs.csv").write_text("time,value\n2013-07-01 00:00:00,75\n2013-07-01 00:20:00,nan\n")
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
-    assert "cs.csv row 2: 'nan' is not a finite number" in capsys.readouterr().err
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "error: cs.csv: BAD_FILE: row 2: 'nan' is not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -220,8 +283,8 @@ def test_run_rejects_non_finite_weather_value(tmp_path, capsys):
     (tmp_path / "w.csv").write_text(
         "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,nan,0.5\n"
     )
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
-    assert "w.csv row 1: 'nan' is not a finite number" in capsys.readouterr().err
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "error: w.csv: BAD_FILE: row 1: 'nan' is not a finite number" in capsys.readouterr().err
 
 
 def test_run_rejects_irradiance_above_one(tmp_path, capsys):
@@ -231,8 +294,8 @@ def test_run_rejects_irradiance_above_one(tmp_path, capsys):
     text = weather.read_text()
     assert text.count(",1.0000\n") == 1  # noon
     weather.write_text(text.replace(",1.0000\n", ",1.5\n"))
-    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 3
-    assert "error: weather.csv row 13: irradiance '1.5' is outside [0, 1]" in capsys.readouterr().err
+    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 2
+    assert "error: weather.csv: BAD_FILE: row 13: irradiance '1.5' is outside [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -288,21 +351,21 @@ def test_non_utf8_scenario_is_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(f"error: {scenario}: not UTF-8 text (")
 
 
-def test_non_utf8_weather_file_is_runtime_error(tmp_path, capsys):
+def test_non_utf8_weather_file_is_config_error(tmp_path, capsys):
     out = tmp_path / "feeder"
     assert main(["gen-feeder", "--houses", "2", "--out", str(out)]) == 0
     (out / "weather.csv").write_bytes(b"\xff\xfe" + b"time,temperature_degF,irradiance_fraction\n")
-    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 3
-    assert f"error: cannot read {out / 'weather.csv'}: not UTF-8 text (" in capsys.readouterr().err
+    assert main(["run", str(out / "feeder.glm"), "--out", str(tmp_path / "run")]) == 2
+    assert f"error: weather.csv: BAD_FILE: cannot read {out / 'weather.csv'}: not UTF-8 text (" in capsys.readouterr().err
 
 
-def test_non_utf8_player_file_is_runtime_error(tmp_path, capsys):
+def test_non_utf8_player_file_is_config_error(tmp_path, capsys):
     scenario = tmp_path / "s.glm"
     with open(fixture_path("feeder_small.glm")) as fh:
         scenario.write_text(fh.read() + "player { name p; target z1; property base_power; file zip.csv; }\n")
     (tmp_path / "zip.csv").write_bytes(b"time,value\n2013-07-01 00:00:00,\xff\xfe\n")
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 3
-    assert f"error: cannot read {tmp_path / 'zip.csv'}: not UTF-8 text (" in capsys.readouterr().err
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: zip.csv: BAD_FILE: cannot read {tmp_path / 'zip.csv'}: not UTF-8 text (" in capsys.readouterr().err
 
 
 _RUN_IN_FRESH_PROCESS = """
@@ -311,6 +374,7 @@ import tesgrid.cli
 before = set(sys.modules)
 from tesgrid.feedergen import gen_weather
 from tesgrid.glm import parse_scenario
+from tesgrid.model import format_time
 from tesgrid.kernel import Engine
 from tesgrid.recorder import write_results
 from tesgrid.validate import validate

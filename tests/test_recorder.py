@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from test_golden import CASES, FEEDER
 
-from tesgrid.errors import IoFailure, MalformedRow, MissingPlayerData, NonMonotonicTime
+from tesgrid.errors import ConfigError
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
 from tesgrid.recorder import (
@@ -34,7 +34,7 @@ def write(tmp_path, text, name="series.csv"):
 
 def test_player_step_hold(tmp_path):
     path = write(tmp_path, "time,value\n2013-07-01 00:00:00,1.0\n2013-07-01 00:30:00,2.0\n")
-    series = read_player(path)
+    series = read_player(path, T("00:00:00"))
     assert series.sample(T("00:00:00")) == 1.0
     assert series.sample(T("00:29:59")) == 1.0
     assert series.sample(T("00:30:00")) == 2.0
@@ -43,14 +43,23 @@ def test_player_step_hold(tmp_path):
 
 def test_player_before_first_sample(tmp_path):
     path = write(tmp_path, "time,value\n2013-07-01 01:00:00,1.0\n")
-    with pytest.raises(MissingPlayerData):
-        read_player(path).sample(T("00:59:59"))
+    with pytest.raises(ConfigError, match="series.csv: no sample at or before 2013-07-01 00:59:59"):
+        read_player(path, T("00:59:59"))
+    assert read_player(path, T("01:00:00")).sample(T("01:00:00")) == 1.0
+
+
+@pytest.mark.parametrize("reader, header", [(read_player, "time,value"),
+                                            (read_weather, "time,temperature_degF,irradiance_fraction")])
+def test_file_with_only_a_header_has_no_first_sample(tmp_path, reader, header):
+    with pytest.raises(ConfigError, match="series.csv: no sample at or before 2013-07-01 00:00:00") as exc:
+        reader(write(tmp_path, header + "\n\n"), T("00:00:00"))
+    assert (exc.value.location, exc.value.code) == ("series.csv", "BAD_FILE")
 
 
 def test_player_non_monotonic(tmp_path):
     path = write(tmp_path, "time,value\n2013-07-01 01:00:00,1\n2013-07-01 01:00:00,2\n")
-    with pytest.raises(NonMonotonicTime):
-        read_player(path)
+    with pytest.raises(ConfigError, match="series.csv: row 2: timestamps must strictly increase"):
+        read_player(path, T("01:00:00"))
 
 
 @pytest.mark.parametrize(
@@ -67,39 +76,39 @@ def test_player_non_monotonic(tmp_path):
     ],
 )
 def test_player_malformed_rows(tmp_path, body):
-    with pytest.raises(MalformedRow):
-        read_player(write(tmp_path, body))
+    with pytest.raises(ConfigError, match="series.csv: (row|line) "):
+        read_player(write(tmp_path, body), T("01:00:00"))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
 def test_step_hold_at_between_and_after_samples(tmp_path, count):
     times = [T(f"{2 * k:02d}:00:00") for k in range(count)]
     body = "".join(f"2013-07-01 {2 * k:02d}:00:00,{k + 0.5}\n" for k in range(count))
-    series = read_player(write(tmp_path, "time,value\n" + body))
+    series = read_player(write(tmp_path, "time,value\n" + body), times[0])
     queries = times + [T(f"{2 * k + 1:02d}:30:00") for k in range(count)]  # between and after
     for t in queries:
         assert series.sample(t) == [v for ts, v in series.rows if ts <= t][-1]
-    with pytest.raises(MissingPlayerData):
-        series.sample(times[0] - timedelta(seconds=1))
+    with pytest.raises(ConfigError, match="no sample at or before"):
+        read_player(write(tmp_path, "time,value\n" + body), times[0] - timedelta(seconds=1))
 
 
 def test_weather_rejects_non_finite_numbers(tmp_path):
     head = "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,75.0,0.0\n"
     for row in ("2013-07-01 01:00:00,nan,0.5\n", "2013-07-01 01:00:00,80,inf\n"):
-        with pytest.raises(MalformedRow, match="series.csv row 2: .* is not a finite number"):
-            read_weather(write(tmp_path, head + row))
+        with pytest.raises(ConfigError, match="series.csv: row 2: .* is not a finite number"):
+            read_weather(write(tmp_path, head + row), T("00:00:00"))
 
 
 @pytest.mark.parametrize("value", ["-0.5", "1.5", "-1e-9", "1.0000001"])
 def test_weather_rejects_irradiance_outside_unit_range(tmp_path, value):
     head = "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,75.0,0.0\n"
-    with pytest.raises(MalformedRow, match=rf"series.csv row 2: irradiance '{value}' is outside \[0, 1\]"):
-        read_weather(write(tmp_path, head + f"2013-07-01 01:00:00,80,{value}\n"))
+    with pytest.raises(ConfigError, match=rf"series.csv: row 2: irradiance '{value}' is outside \[0, 1\]"):
+        read_weather(write(tmp_path, head + f"2013-07-01 01:00:00,80,{value}\n"), T("00:00:00"))
 
 
 def test_player_missing_file():
-    with pytest.raises(IoFailure):
-        read_player("/nonexistent/player.csv")
+    with pytest.raises(ConfigError, match="player.csv: cannot read /nonexistent/player.csv: "):
+        read_player("/nonexistent/player.csv", T("00:00:00"))
 
 
 def test_weather_two_columns(tmp_path):
@@ -109,7 +118,7 @@ def test_weather_two_columns(tmp_path):
         "2013-07-01 00:00:00,75.0,0.0\n"
         "2013-07-01 12:00:00,95.0,1.0\n",
     )
-    weather = read_weather(path)
+    weather = read_weather(path, T("00:00:00"))
     assert weather.sample(T("06:00:00")) == (75.0, 0.0)
     assert weather.sample(T("12:00:00")) == (95.0, 1.0)
 
@@ -121,7 +130,7 @@ def test_constant_weather():
 
 def test_blank_lines_skipped(tmp_path):
     path = write(tmp_path, "time,value\n\n2013-07-01 00:00:00,1.0\n\n")
-    assert read_player(path).sample(T("00:00:00")) == 1.0
+    assert read_player(path, T("00:00:00")).sample(T("00:00:00")) == 1.0
 
 
 def test_format_number():

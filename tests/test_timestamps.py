@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tesgrid.cli import main
-from tesgrid.errors import MissingPlayerData
+from tesgrid.errors import ConfigError
 from tesgrid.feedergen import gen_weather
 from tesgrid.glm import parse_scenario, pretty_print
 from tesgrid.model import TIME_FORMAT, format_time, parse_time
-from tesgrid.recorder import TimeSeries, read_player
+from tesgrid.recorder import read_player
 
 
 def _outcome(parse, text):
@@ -104,7 +104,7 @@ def test_year_999_run_writes_four_digit_stamps(tmp_path):
     # the run's own player reader takes back the stamps it wrote
     player = tmp_path / "p.csv"
     player.write_text("\n".join(",".join(row.split(",")[:2]) for row in rows) + "\n")
-    series = read_player(str(player))
+    series = read_player(str(player), datetime(999, 7, 1))
     assert len(series.rows) == 61
     assert series.rows[0][0] == datetime(999, 7, 1)
 
@@ -118,7 +118,8 @@ def test_year_999_pretty_print_round_trips():
     assert again.schedules[0].entries == model.schedules[0].entries
 
 
-def test_missing_sample_message_has_four_digit_year():
-    series = TimeSeries("p.csv", [(datetime(999, 7, 1), 1.0)])
-    with pytest.raises(MissingPlayerData, match="no sample at or before 0999-06-30 23:59:00"):
-        series.sample(datetime(999, 6, 30, 23, 59))
+def test_missing_sample_message_has_four_digit_year(tmp_path):
+    player = tmp_path / "p.csv"
+    player.write_text("time,value\n0999-07-01 00:00:00,1\n")
+    with pytest.raises(ConfigError, match="p.csv: no sample at or before 0999-06-30 23:59:00"):
+        read_player(str(player), datetime(999, 6, 30, 23, 59))

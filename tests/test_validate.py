@@ -111,6 +111,25 @@ def test_attack_window_checks(small_text):
     assert "EMPTY_WINDOW" in codes(report)
 
 
+@pytest.mark.parametrize(
+    "entry, repeat, undone",
+    [
+        ("2013-07-01 00:30:00", "", True),  # at the end: applied before the write-back
+        ("2013-07-01 00:31:00", "", False),
+        ("2013-06-30 23:50:00", "", False),  # before the start: dropped
+        ("2013-06-30 23:50:00", "repeat 1200 s;", True),  # its repeat at 00:10 is applied
+        ("2013-06-30 23:50:00", "repeat 3600 s;", False),  # its first applied repeat is at 00:50
+    ],
+)
+def test_schedule_status_entry_undone_by_line_attack(small_text, entry, repeat, undone):
+    extra = (
+        'attack { name cut; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:30:00"; lines UL1; status OPEN; }\n'
+        f'schedule {{ entry "{entry}" UL1 status OPEN; {repeat} }}\n'
+    )
+    assert ("BAD_WINDOW" in codes(validate(parse_scenario(small_text + extra)))) == undone
+
+
 def test_bad_fraction(small_text):
     extra = (
         'attack { kind LINE_STATUS; start "2013-07-01 00:10:00"; '
