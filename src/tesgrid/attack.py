@@ -94,14 +94,16 @@ class CompiledAttack:
     transform: BidTransform | None = None
 
 
-def compile_attack(cfg: AttackConfig, model: ScenarioModel) -> CompiledAttack:
+def compile_attack(cfg: AttackConfig, model: ScenarioModel, configured: dict[str, str]) -> CompiledAttack:
     """Draw the compromised set and emit window events for an attack of a
-    model that `validate` reports runnable under the run's topology."""
+    model that `validate` reports runnable under the run's topology.  A
+    LINE_STATUS attack's end writes back each line's status in
+    `configured`, the network index's `switchable` map."""
     spec, compiled = ATTACKS[cfg.kind], CompiledAttack(cfg)
     if spec.population is None:
-        names, status = model.by_name(), cfg.params["status"]
+        status = cfg.params["status"]
         # (target, property, value in the window, value after it)
-        edges = [(line, "status", status, names[line].get("status", "CLOSED")) for line in attacked_lines(cfg)]
+        edges = [(line, "status", status, configured[line]) for line in attacked_lines(cfg)]
     else:
         population = [obj.name for obj in model.of_class(spec.population)]
         compromised = compromised_set(population, cfg.fraction, cfg.seed)

@@ -119,7 +119,7 @@ def _live(board: LineStatusBoard, s: int) -> bool:
 
 def _powered(engine, target: str):
     """Whether `target`, a node or a load on one, is energized now."""
-    return partial(_live, engine.board, engine.index.tree.position[engine.index.attach_node.get(target, target)])
+    return partial(_live, engine.board, engine.index.position[engine.index.attach_node.get(target, target)])
 
 
 def _kw_of(engine, name: str) -> Callable[[], float]:
@@ -169,7 +169,7 @@ def _voltage(engine, s: int, angle: bool) -> float:
 
 
 def _at_node(angle: bool, engine, node):
-    return partial(_voltage, engine, engine.index.tree.position[node], angle)
+    return partial(_voltage, engine, engine.index.position[node], angle)
 
 
 def _current(engine, s: int) -> float:
@@ -177,8 +177,7 @@ def _current(engine, s: int) -> float:
 
 
 def _current_mag(engine, edge):
-    s = engine.index.tree.position[engine.index.edges_by_name[edge].child]  # fed by `edge`
-    return partial(_current, engine, s)
+    return partial(_current, engine, engine.index.edge.index(edge))  # the supernode `edge` feeds
 
 
 def _engine(func, *args):
@@ -468,13 +467,7 @@ class Engine:
         self.seed = seed
         self.clock = model.clock
         self.index = build_network_index(model)
-
-        initial_statuses = {}
-        for obj in model.objects:
-            if obj.name in self.index.edges_by_name and "status" in obj.properties:
-                if self.index.edges_by_name[obj.name].switchable:
-                    initial_statuses[obj.name] = str(obj.properties["status"].value)
-        self.board = LineStatusBoard(self.index, initial_statuses)
+        self.board = LineStatusBoard(self.index)
 
         # every run object is built from its scenario object through `PROPERTIES`
         attach = self.index.attach_node
@@ -520,7 +513,7 @@ class Engine:
         slot_of = {}
         for name in [*self.houses, *self.appliances, *self.solars]:
             slot_of.setdefault(attach[name], len(slot_of))
-        self._slot_supernode = [self.index.tree.position[node] for node in slot_of]
+        self._slot_supernode = [self.index.position[node] for node in slot_of]
         self._house_at = [(house, slot_of[attach[name]]) for name, house in self.houses.items()]
         self._uncontrolled_at = [(house, slot) for house, slot in self._house_at if house.name not in controlled]
         self._appliance_at = [(app, slot_of[attach[name]]) for name, app in self.appliances.items()]
@@ -535,7 +528,8 @@ class Engine:
         }
         self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
-        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model) for cfg in model.attacks]
+        configured = self.index.switchable
+        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, configured) for cfg in model.attacks]
         self.transforms = {f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None}
         # the transforms of each rewrite point, in attack order
         self._rewriters = {spec.point: [] for spec in ATTACKS.values() if spec.point}
@@ -703,7 +697,7 @@ class Engine:
         its supernode, in slot order; the load total `_load_kw` sums the
         slots left to right in the same loop.  A dead slot holds exactly
         0.0, which leaves its (dead) supernode and the total as they are."""
-        va, load = [0.0] * len(self.index.tree.names), 0.0
+        va, load = [0.0] * len(self.index.names), 0.0
         for kw, s in zip(self._slot_kw, self._slot_supernode):
             va[s] += kw * 1000.0
             load += kw

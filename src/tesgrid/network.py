@@ -5,17 +5,19 @@ breadth first with the edge feeding each, the node each load hangs on,
 and every problem on the way.  `validate` reports the problems, and the
 index is built from the same walk of a valid model.
 
-The index holds the electrical nodes in topological order, the edges
-oriented away from the source, the point of attachment for every
-load-bearing object (houses, appliances, solar), and the compiled tree
-the power-flow sweep iterates over.  The islands of one set of line
-statuses are per supernode of that tree, with the live supernodes' sweep
-rows; the line-status board computes them once per status change.
+The index is the feeder compiled once for a run: per-supernode lists the
+power-flow sweep iterates over, built in walk order, plus the name maps a
+run reads (each node's supernode, each load's node, each line's
+configured status).  A line is orientation-free; a transformer's `from`
+end must be the one nearer the source, since its ratio steps the voltage
+down from there.  The islands of one set of line statuses are per
+supernode, with the live supernodes' sweep rows; the line-status board
+computes them once per status change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import EDGE_CLASSES, LINE_CLASSES, NODE_CLASSES, GridObject, ScenarioModel
@@ -24,20 +26,10 @@ DEFAULT_NOMINAL_VOLTS = 7200.0
 LOAD_CLASSES = frozenset({"house", "zipload", "waterheater", "solar"})
 
 
-@dataclass(frozen=True)
-class NetworkEdge:
-    name: str
-    cls: str  # line class, "transformer", or "parent"
-    parent: str
-    child: str
-    impedance: complex
-    ratio: float  # primary/secondary turns ratio; 1.0 for lines
-    switchable: bool
-
-
-@dataclass(frozen=True)
-class SweepTree:
-    """The feeder as the power-flow sweep sees it.
+@dataclass
+class NetworkIndex:
+    """The feeder compiled for a run: the tree the power-flow sweep
+    iterates over, and the name maps a run reads.
 
     Every node reached through a zero-impedance `parent:` link is merged
     into its upstream node's supernode.  Supernodes are numbered in
@@ -51,18 +43,10 @@ class SweepTree:
     ratio: list[float]
     nominal: list[float]  # representative's nominal voltage
     edge: list[str]  # feeding edge's name; "" for the source
-    position: dict[str, int]  # every node -> its supernode, in index order
-
-
-@dataclass
-class NetworkIndex:
-    source: str
-    order: list[str]  # topological, source first
-    edges_by_name: dict[str, NetworkEdge]  # oriented away from the source
-    nominal_volts: dict[str, float]
-    tree: SweepTree
-    attachments: dict[str, list[str]] = field(default_factory=dict)
-    attach_node: dict[str, str] = field(default_factory=dict)  # object -> node
+    position: dict[str, int]  # every node -> its supernode, in walk order
+    attach_node: dict[str, str]  # load -> its node
+    attachments: dict[str, list[str]]  # node -> its loads, in model order
+    switchable: dict[str, str]  # line, switch or fuse -> its configured status, in walk order
 
 
 class Feeder(NamedTuple):
@@ -156,6 +140,9 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
                 continue
             feed[other] = (link, node, obj)
             order.append(other)
+            if obj is not None and obj.cls == "transformer" and obj.ref("from") != node:
+                ends = f"its 'to' end '{node}': 'from' must be the end nearer the source, not '{other}'"
+                problems.append((link, "BAD_ENDPOINT", f"transformer fed from {ends}"))
     if cycle or edge_count >= len(nodes):
         problems.append(("<network>", "NOT_RADIAL", "electrical network contains a cycle"))
     unreached = sorted(set(nodes) - set(order))
@@ -164,58 +151,35 @@ def walk_feeder(model: ScenarioModel, names: dict[str, GridObject]) -> Feeder:
     return Feeder(source, order, feed, attach_node, problems)
 
 
-def _network_edge(child: str, link: str, upstream: str, obj: GridObject | None) -> NetworkEdge:
-    """The edge feeding `child`, from its `feed` entry."""
-    if obj is None:
-        return NetworkEdge(link, "parent", upstream, child, 0j, 1.0, False)
-    ratio = float(obj.get("ratio", 1.0)) if obj.cls == "transformer" else 1.0
-    impedance = complex(obj.get("impedance", 0j))
-    return NetworkEdge(link, obj.cls, upstream, child, impedance, ratio, obj.cls in LINE_CLASSES)
-
-
 def build_network_index(model: ScenarioModel) -> NetworkIndex:
     """Precondition: validate(model) reported no errors."""
     names = model.by_name()
     feeder = walk_feeder(model, names)
-    source = feeder.source
-    feed_edge = {node: _network_edge(node, *link) for node, link in feeder.feed.items()}
-    nominal = {source: float(names[source].get("nominal_voltage", DEFAULT_NOMINAL_VOLTS))}
-    for node, edge in feed_edge.items():  # in walk order, so upstream first
+    index = NetworkIndex([], [], [], [], [], [], {}, feeder.attach_node, {n: [] for n in feeder.order}, {})
+    volts = {}  # every node's nominal voltage; the walk reaches a node's upstream node first
+    for node in feeder.order:
+        link, upstream, obj = feeder.feed.get(node, ("", None, None))
+        ratio = float(obj.get("ratio", 1.0)) if obj is not None and obj.cls == "transformer" else 1.0
         explicit = names[node].get("nominal_voltage")
-        nominal[node] = float(explicit) if explicit is not None else nominal[edge.parent] / edge.ratio
-    index = NetworkIndex(
-        source=source,
-        order=feeder.order,
-        edges_by_name={edge.name: edge for edge in feed_edge.values()},
-        nominal_volts=nominal,
-        tree=compile_sweep_tree(feeder.order, feed_edge, nominal),
-        attachments={n: [] for n in feeder.order},
-        attach_node=feeder.attach_node,
-    )
+        if explicit is not None:
+            volts[node] = float(explicit)
+        else:
+            volts[node] = volts[upstream] / ratio if upstream else DEFAULT_NOMINAL_VOLTS
+        if upstream is not None and obj is None:  # a `parent:` link
+            index.position[node] = index.position[upstream]
+            continue
+        index.position[node] = len(index.names)
+        index.names.append(node)
+        index.parent.append(index.position[upstream] if upstream else -1)
+        index.impedance.append(complex(obj.get("impedance", 0j)) if obj else 0j)
+        index.ratio.append(ratio)
+        index.nominal.append(volts[node])
+        index.edge.append(link)
+        if obj is not None and obj.cls in LINE_CLASSES:
+            index.switchable[link] = obj.ref("status") or "CLOSED"
     for load, node in feeder.attach_node.items():
         index.attachments[node].append(load)
     return index
-
-
-def compile_sweep_tree(
-    order: list[str], feed_edge: dict[str, NetworkEdge], nominal: dict[str, float]
-) -> SweepTree:
-    """Merge `parent:` links into supernodes; `order` must be topological,
-    so a node's upstream supernode is numbered before the node is seen."""
-    tree = SweepTree([], [], [], [], [], [], {})
-    for node in order:
-        edge = feed_edge.get(node)
-        if edge is not None and edge.cls == "parent":
-            tree.position[node] = tree.position[edge.parent]
-            continue
-        tree.position[node] = len(tree.names)
-        tree.names.append(node)
-        tree.parent.append(tree.position[edge.parent] if edge else -1)
-        tree.impedance.append(edge.impedance if edge else 0j)
-        tree.ratio.append(edge.ratio if edge else 1.0)
-        tree.nominal.append(nominal[node])
-        tree.edge.append(edge.name if edge else "")
-    return tree
 
 
 class Islands(NamedTuple):
@@ -230,12 +194,11 @@ def compute_islands(index: NetworkIndex, statuses: dict[str, str]) -> Islands:
     """A supernode is live iff every edge on its path to the source is
     CLOSED.  Edges missing from `statuses` are closed; a `parent:` link is
     never switchable, so the supernode's feeding edge decides."""
-    tree = index.tree
     live, rows = [True], []
-    for s in range(1, len(tree.names)):
-        p = tree.parent[s]
-        on = live[p] and statuses.get(tree.edge[s], "CLOSED") == "CLOSED"
+    for s in range(1, len(index.names)):
+        p = index.parent[s]
+        on = live[p] and statuses.get(index.edge[s], "CLOSED") == "CLOSED"
         live.append(on)
         if on:
-            rows.append((s, p, tree.ratio[s], tree.impedance[s], tree.nominal[s]))
+            rows.append((s, p, index.ratio[s], index.impedance[s], index.nominal[s]))
     return Islands(tuple(live), tuple(rows))

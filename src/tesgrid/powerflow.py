@@ -8,9 +8,9 @@ with an impedance on the secondary side, so for an edge with ratio n the
 child-side current I maps to I/n on the parent side and
 V_child = V_parent / n - Z * I.
 
-The sweep runs over the index's compiled `SweepTree`: flat per-supernode
-lists built once with the index, in which every node hung on a
-zero-impedance `parent:` link is merged into its upstream node.  Its
+The sweep runs over the `NetworkIndex`, the feeder compiled once: flat
+per-supernode lists in which every node hung on a zero-impedance
+`parent:` link is merged into its upstream node.  Its
 inputs are a per-supernode demand list and the `Islands` of the line
 statuses, which the line-status board computes once per status change:
 the live flags, and the live supernodes' sweep rows in topological order
@@ -20,9 +20,8 @@ a run of rows with the same parent and ratio, and the backward pass sums
 their currents into the parent in a local, written back before another
 row reads it, so every sum takes the same additions in the same order.
 Dead demand entries are ignored.  A solution keeps per-supernode voltage
-and current lists and builds the name-keyed dicts only when read: a
-merged node (a meter, say) reports its supernode's voltage, and a
-`parent:` link reports no current of its own.
+and current lists and builds the name-keyed voltages only when read: a
+merged node (a meter, say) reports its supernode's voltage.
 
 A sweep has converged when no voltage step (per unit of nominal) reaches
 the tolerance; a NaN step never does.  Before the last allowed iteration
@@ -74,35 +73,25 @@ class NetworkState:
 
     @cached_property
     def voltages(self) -> dict[str, complex]:
-        """Node name -> voltage, in index order; a merged node reads its supernode's."""
-        return {node: self.v[s] for node, s in self.index.tree.position.items()}
-
-    @cached_property
-    def currents(self) -> dict[str, complex]:
-        """Edge name -> child-side current; a `parent:` link carries 0."""
-        currents = dict.fromkeys(self.index.edges_by_name, 0j)
-        currents.update(zip(self.index.tree.edge[1:], self.cur[1:]))
-        return currents
+        """Node name -> voltage, in walk order; a merged node reads its supernode's."""
+        return {node: self.v[s] for node, s in self.index.position.items()}
 
     def power_mismatch_pu(self) -> float:
         return abs(self.source_power_va - self.load_power_va - self.loss_power_va) / SYSTEM_BASE_VA
 
 
 class LineStatusBoard:
-    """Mutable OPEN/CLOSED board over the switchable edges of one network."""
+    """Mutable OPEN/CLOSED board over the switchable edges of one network,
+    set to their configured statuses at the start."""
 
-    def __init__(self, index: NetworkIndex, initial: dict[str, str] | None = None):
+    def __init__(self, index: NetworkIndex):
         self._index = index
-        self.statuses = {edge.name: "CLOSED" for edge in index.edges_by_name.values() if edge.switchable}
-        if initial:
-            for name, status in initial.items():
-                self.set(name, status)
+        self.statuses = dict(index.switchable)
         self._islands: Islands | None = None
 
     def set(self, line_name: str, status: str) -> str:
         """Store `status`; returns the status it replaced."""
-        edge = self._index.edges_by_name.get(line_name)
-        if edge is None or not edge.switchable:
+        if line_name not in self.statuses:
             raise NotSwitchable(f"'{line_name}' is not a line, switch, or fuse")
         if status not in LINE_STATUSES:
             raise ValueError(f"bad status '{status}'")
@@ -128,11 +117,11 @@ def solve_powerflow(
 ) -> NetworkState:
     """Sweep until the largest per-supernode voltage change is below tolerance.
 
-    `demand` holds one VA entry per supernode of `index.tree`, positive for
+    `demand` holds one VA entry per supernode of `index`, positive for
     consumption and negative for injection (solar); dead entries are
     ignored.  `islands` is the islanding of the line statuses (a
     LineStatusBoard caches it); None means every edge is closed.  The
-    state's name-keyed `voltages` and `currents` are built on first read.
+    state's name-keyed `voltages` are built on first read.
     `start` is an earlier solution to iterate from; over the same
     `islands` object its voltage list is copied as is.
 
@@ -143,7 +132,7 @@ def solve_powerflow(
     if islands is None:
         islands = compute_islands(index, {})
     live, rows = islands
-    names, nominal = index.tree.names, index.tree.nominal
+    names, nominal = index.names, index.nominal
     n = len(names)
 
     # warm start from `start` where the supernode was live there; otherwise

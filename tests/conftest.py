@@ -135,6 +135,9 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0 $/kWh;\n    capacity")
         + "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF; t_max 80 degF;"
         " k_ramp 2; sigma_floor 0 $/kWh; }\n", "BAD_RANGE"),
+    # validated clean and ran to exit 0 with T1's ratio applied from n1 down
+    # to tn1 as before: the walk ignored a transformer's `from` and `to`
+    "reversed_transformer": (lambda t: t.replace("from n1;\n    to tn1;", "from tn1;\n    to n1;"), "BAD_ENDPOINT"),
     # validated clean, then the run failed with KeyError building the network index
     "no_nodes": (
         lambda t: t[: t.index("object")] + "object auction { name A1; period 300 s; }\n", "NO_SOURCE"),

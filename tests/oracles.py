@@ -8,6 +8,9 @@ path-product islanding, a character-at-a-time scanner vs. the per-line
 regex tokenizer.  `demand_list` is no oracle: it turns
 (node, power_va) pairs into the solver's per-supernode input; nor is
 `deenergized_objects`, the outage set the tests read off the islands.
+The feeder oracles and `deenergized_objects` take the model and read its
+edges from the feeder walk (each edge object's impedance and ratio), not
+from the network index under test.
 
 Four are earlier versions kept as references for rewrites that must
 not change a result: `sweep_reference`, the sweep that tracks the worst
@@ -44,44 +47,56 @@ from tesgrid.model import (
     ScenarioModel,
     Value,
 )
-from tesgrid.network import compute_islands
+from tesgrid.network import DEFAULT_NOMINAL_VOLTS, compute_islands, walk_feeder
 from tesgrid.powerflow import _INTERNAL_TOLERANCE_PU, MAX_ITERATIONS, NetworkState
 
 
 def demand_list(index, loads):
     """The solver's input for (node, power_va) pairs: one VA entry per
-    supernode of `index.tree`, pairs on one supernode added in the order
+    supernode of `index`, pairs on one supernode added in the order
     given."""
-    demand = [0j] * len(index.tree.names)
+    demand = [0j] * len(index.names)
     for node, power_va in loads:
-        demand[index.tree.position[node]] += power_va
+        demand[index.position[node]] += power_va
     return demand
 
 
-def deenergized_objects(index, islands):
-    """Model objects whose every electrical attachment is de-energized.
+def _walk(model):
+    """The feeder walk of `model`, and its edges as (name, upstream node,
+    downstream node, edge object), the object None on a `parent:` link."""
+    feeder = walk_feeder(model, model.by_name())
+    return feeder, [(link, up, node, obj) for node, (link, up, obj) in feeder.feed.items()]
+
+
+def _ratio(obj):
+    """An edge object's turns ratio; 1.0 for a line or a `parent:` link (None)."""
+    return float(obj.get("ratio", 1.0)) if obj is not None and obj.cls == "transformer" else 1.0
+
+
+def deenergized_objects(model, index, islands):
+    """Model objects whose every electrical attachment is de-energized,
+    read off `islands` of `index`.
 
     Edge objects count when both endpoints are dead; an OPEN boundary edge
     with a live parent therefore does not count.
     """
-    live, position = islands.live, index.tree.position
-    dead = set()
-    for node, s in position.items():
-        if not live[s]:
-            dead.add(node)
-            dead.update(index.attachments[node])
-    for edge in index.edges_by_name.values():
-        if edge.cls != "parent" and not live[position[edge.parent]] and not live[position[edge.child]]:
-            dead.add(edge.name)
+    feeder, edges = _walk(model)
+    dead = {node for node, s in index.position.items() if not islands.live[s]}
+    dead.update(load for load, node in feeder.attach_node.items() if node in dead)
+    for link, up, node, obj in edges:
+        if obj is not None and up in dead and node in dead:
+            dead.add(link)
     return dead
 
 
-def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
+def dense_powerflow_oracle(model, loads, tol=1e-12, iters=200):
     """Direct nodal solve of (node, power_va) pairs: merge zero-impedance
     parent links into supernodes, stamp lines and ideal-ratio transformers
     into Y, and fixed-point iterate the constant-power injections with a
     dense linear solve each round."""
-    rep = {n: n for n in index.order}
+    feeder, edges = _walk(model)
+    source, order = feeder.source, feeder.order
+    rep = {n: n for n in order}
 
     def find(n):
         while rep[n] != n:
@@ -89,21 +104,34 @@ def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
             n = rep[n]
         return n
 
-    for edge in index.edges_by_name.values():
-        if edge.cls == "parent":
-            rep[find(edge.child)] = find(edge.parent)
-    groups = sorted({find(n) for n in index.order}, key=index.order.index)
+    for _, up, node, obj in edges:
+        if obj is None:
+            rep[find(node)] = find(up)
+    groups = sorted({find(n) for n in order}, key=order.index)
     gi = {g: i for i, g in enumerate(groups)}
-    src = gi[find(index.source)]
+    src = gi[find(source)]
+
+    # each node's nominal voltage: its own, or its upstream node's over the ratio
+    names, feed = model.by_name(), {node: (up, obj) for _, up, node, obj in edges}
+    nominal = {}
+    for node in order:
+        explicit = names[node].get("nominal_voltage")
+        if explicit is not None:
+            nominal[node] = float(explicit)
+        elif node == source:
+            nominal[node] = DEFAULT_NOMINAL_VOLTS
+        else:
+            up, obj = feed[node]
+            nominal[node] = nominal[up] / _ratio(obj)
 
     n = len(groups)
     Y = np.zeros((n, n), dtype=complex)
-    for edge in index.edges_by_name.values():
-        if edge.cls == "parent":
+    for _, up, node, obj in edges:
+        if obj is None:
             continue
-        p, c = gi[find(edge.parent)], gi[find(edge.child)]
-        y = 1.0 / edge.impedance
-        r = edge.ratio
+        p, c = gi[find(up)], gi[find(node)]
+        y = 1.0 / complex(obj.get("impedance", 0j))
+        r = _ratio(obj)
         Y[c, c] += y
         Y[c, p] -= y / r
         Y[p, p] += y / (r * r)
@@ -113,8 +141,8 @@ def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
     for node, power_va in loads:
         demand[gi[find(node)]] += power_va
 
-    v = np.array([complex(index.nominal_volts[g]) for g in groups])
-    v[src] = complex(index.nominal_volts[index.source])
+    v = np.array([complex(nominal[g]) for g in groups])
+    v[src] = complex(nominal[source])
     others = [i for i in range(n) if i != src]
     A = Y[np.ix_(others, others)]
     B = Y[np.ix_(others, [src])]
@@ -125,7 +153,7 @@ def dense_powerflow_oracle(index, loads, tol=1e-12, iters=200):
         v[others] = new
         if delta < tol:
             break
-    return {node: v[gi[find(node)]] for node in index.order}
+    return {node: v[gi[find(node)]] for node in order}
 
 
 def auction_oracle(buys, sells, prior_price):
@@ -183,22 +211,23 @@ def step_house_reference(house, t_out, dt_seconds, powered=True):
     return house.hvac_kw if house.mode == "COOL" else 0.0
 
 
-def reachability_oracle(index, statuses):
+def reachability_oracle(model, statuses):
     """Undirected DFS over CLOSED edges from the source."""
-    adjacency = {n: [] for n in index.order}
-    for edge in index.edges_by_name.values():
-        if statuses.get(edge.name, "CLOSED") == "CLOSED":
-            adjacency[edge.parent].append(edge.child)
-            adjacency[edge.child].append(edge.parent)
+    feeder, edges = _walk(model)
+    adjacency = {n: [] for n in feeder.order}
+    for link, up, node, _ in edges:
+        if statuses.get(link, "CLOSED") == "CLOSED":
+            adjacency[up].append(node)
+            adjacency[node].append(up)
     seen = set()
-    stack = [index.source]
+    stack = [feeder.source]
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
         stack.extend(adjacency[node])
-    return {n: n in seen for n in index.order}
+    return {n: n in seen for n in feeder.order}
 
 
 def tokenize_oracle(text):
@@ -271,7 +300,7 @@ def sweep_reference(
     if islands is None:
         islands = compute_islands(index, {})
     live, rows = islands
-    names, nominal = index.tree.names, index.tree.nominal
+    names, nominal = index.names, index.nominal
     n = len(names)
     if start is None:
         v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]

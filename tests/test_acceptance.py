@@ -211,11 +211,11 @@ def test_6_powerflow_oracle(baseline, scenario1_full, scenario1_partial,
     worst_v = 0.0
     for name, (model, loads) in fixtures.items():
         index = build_network_index(model)
-        assert len(index.order) <= 10
+        assert len(index.position) <= 10
         state = solve_powerflow(index, demand_list(index, loads))
-        oracle = dense_powerflow_oracle(index, loads)
-        for node in index.order:
-            diff = abs(state.voltages[node] - oracle[node]) / index.nominal_volts[node]
+        oracle = dense_powerflow_oracle(model, loads)
+        for node, s in index.position.items():
+            diff = abs(state.voltages[node] - oracle[node]) / index.nominal[s]
             worst_v = max(worst_v, diff)
     assert worst_v < 1e-6
 
@@ -245,9 +245,9 @@ def test_8_physical_attack():
     model = parse_scenario(text)
     index = build_network_index(model)
     islands = compute_islands(index, {"UL1": "OPEN"})
-    position = index.tree.position
-    assert {n: islands.live[position[n]] for n in index.order} == reachability_oracle(index, {"UL1": "OPEN"})
-    dead = deenergized_objects(index, islands)
+    live = {n: islands.live[s] for n, s in index.position.items()}
+    assert live == reachability_oracle(model, {"UL1": "OPEN"})
+    dead = deenergized_objects(model, index, islands)
     expected = {"n2", "T2", "tn2", "tm3", "tm4", "h3", "h4", "z1", "w1"}
     assert dead == expected
 

@@ -19,6 +19,7 @@ from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.market import Bid
 from tesgrid.model import AttackConfig
+from tesgrid.network import build_network_index
 from tesgrid.validate import validate
 
 T0 = datetime(2013, 7, 1, 10, 0, 0)
@@ -94,7 +95,7 @@ def test_compile_market_attack_needs_auxiliary(small_model):
     cfg = AttackConfig("a", "SELLER_PRICE_OVERRIDE", T0, T1, params={"price": 0.63})
     assert "BAD_TOPOLOGY" in _codes(small_model, cfg, "direct")
     assert "BAD_TOPOLOGY" not in _codes(small_model, cfg, "auxiliary")
-    compiled = compile_attack(cfg, small_model)
+    compiled = compile_attack(cfg, small_model, {})
     assert compiled.transform.compromised == {"g1"}
     assert [(e.time, e.value) for e in compiled.events] == [(T0, True), (T1, False)]
     assert compiled.events[0].target == "attack:a"
@@ -102,7 +103,7 @@ def test_compile_market_attack_needs_auxiliary(small_model):
 
 def test_compile_buyer_attack_targets_controllers(small_model):
     cfg = AttackConfig("a", "BUYER_BID_SCALE", T0, T1, fraction=0.5, params={"lambda": 0.1})
-    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)))
+    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)), {})
     assert len(compiled.transform.compromised) == 1
     assert compiled.transform.compromised <= {"ctl_0_0", "ctl_0_1"}
     assert "NO_TARGETS" in _codes(small_model, cfg)  # the fixture has no controller
@@ -110,7 +111,7 @@ def test_compile_buyer_attack_targets_controllers(small_model):
 
 def test_compile_line_status_window_events(small_model):
     cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["UL1"], "status": "OPEN"})
-    compiled = compile_attack(cfg, small_model)
+    compiled = compile_attack(cfg, small_model, build_network_index(small_model).switchable)
     assert compiled.transform is None
     events = [(e.time, e.target, e.value) for e in compiled.events]
     assert events == [(T0, "UL1", "OPEN"), (T1, "UL1", "CLOSED")]
@@ -169,3 +170,19 @@ def test_line_status_ends_at_the_configured_status(tmp_path):
     ]
     statuses = [row.split(",")[1] for row in (tmp_path / "out" / "ul1.csv").read_text().splitlines()[1:]]
     assert len(statuses) == 61 and set(statuses) == {"CLOSED"}
+
+
+def test_line_status_ends_at_a_configured_open(tmp_path):
+    """Closing a line configured OPEN for a window opens it again at the end."""
+    text = load_fixture("feeder_small.glm").replace("status CLOSED;", "status OPEN;")
+    text += ('attack { name a; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+             'end "2013-07-01 00:20:00"; lines UL1; status CLOSED; }\n')
+    assert _run(tmp_path, text) == [
+        ["2013-07-01 00:10:00", "UL1", "status", "OPEN", "CLOSED", "attack"],
+        ["2013-07-01 00:20:00", "UL1", "status", "CLOSED", "OPEN", "attack"],
+    ]
+    rows = [row.split(",") for row in (tmp_path / "out" / "ul1.csv").read_text().splitlines()[1:]]
+    statuses = {time[-8:-3]: status for time, status, *_ in rows}
+    assert len(rows) == 61
+    assert {statuses[minute] for minute in ("00:00", "00:09", "00:20", "00:30", "01:00")} == {"OPEN"}
+    assert {statuses[f"00:{m}"] for m in range(10, 20)} == {"CLOSED"}

@@ -408,14 +408,14 @@ def test_recorder_on_missing_target_fails_at_construction(small_text):
 def test_load_injections_are_a_supernode_demand_list(small_text):
     engine, _ = run_small(small_text)
     demand = engine.build_load_injections()
-    tree = engine.index.tree
-    assert len(demand) == len(tree.names) and all(type(d) is complex for d in demand)
+    index = engine.index
+    assert len(demand) == len(index.names) and all(type(d) is complex for d in demand)
     # tn1 carries h1 (1 kW) minus solar s1 (0.45 kW at irradiance 0.5) on
     # tm1 plus h2 (1 kW) on tm2; tn2 carries h3 and z1 (2.2 kW) on tm3 plus
     # h4 and w1 (1.8 kW) on tm4; every house cools all hour
     assert all(house.mode == "COOL" for house in engine.houses.values())
     assert demand == [0j, 0j, complex(1550.0, 0.0), complex(4000.0, 0.0)]
-    assert tree.position["tm1"] == tree.position["tm2"] == 2
+    assert index.position["tm1"] == index.position["tm2"] == 2
     assert engine.read_property("n1", "total_load_kw") == 5.55
     assert engine.read_property("n1", "total_hvac_kw") == 4.0
     assert engine._load_kw == pytest.approx(sum(d.real for d in demand) / 1000.0)

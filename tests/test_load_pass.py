@@ -80,7 +80,7 @@ FEEDER_EXTRA = (
 
 def reference_load_pass(engine, t):
     """Demand and totals built the plain way from the engine's live state."""
-    live, position = engine.board.islands().live, engine.index.tree.position
+    live, position = engine.board.islands().live, engine.index.position
     energized = {node: live[s] for node, s in position.items()}
     attach = engine.index.attach_node
     per_node: dict[str, float] = {}
@@ -102,9 +102,9 @@ def reference_load_pass(engine, t):
             per_node[node] = per_node.get(node, 0.0) - solar_output(
                 panel.rating_kw, panel.efficiency, irradiance
             )
-    demand = [0j] * len(engine.index.tree.names)
+    demand = [0j] * len(engine.index.names)
     for node, kw in per_node.items():
-        demand[engine.index.tree.position[node]] += complex(kw * 1000.0, 0.0)
+        demand[engine.index.position[node]] += complex(kw * 1000.0, 0.0)
     # left to right: builtin sum compensates on Python 3.12+, the kernel does not
     load = 0.0
     for kw in per_node.values():
@@ -149,7 +149,7 @@ def reference_load_read(engine, target, prop, irradiance):
     """(value, flag) of a load's or meter's recorded kW, the plain way: the
     load's own kW, or a meter's signed loads summed in attachment order."""
     node = engine.index.attach_node.get(target, target)
-    if not engine.board.islands().live[engine.index.tree.position[node]]:
+    if not engine.board.islands().live[engine.index.position[node]]:
         return 0.0, "DEENERGIZED"
     if prop == "measured_power_kw":
         total = 0.0
@@ -162,7 +162,7 @@ def reference_load_read(engine, target, prop, irradiance):
 
 def reference_unresponsive_kw(engine):
     """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
-    live, position, attach = engine.board.islands().live, engine.index.tree.position, engine.index.attach_node
+    live, position, attach = engine.board.islands().live, engine.index.position, engine.index.attach_node
     controlled = {c.house for ctls in engine.controllers.values() for c in ctls}
     total = 0.0
     for name, app in engine.appliances.items():
@@ -283,22 +283,16 @@ def outage_engine(small_text):
 @pytest.mark.parametrize("outage", [True, False])
 def test_lazy_dicts_equal_an_eager_build(outage_engine, outage):
     index, state = outage_engine.index, outage_engine.network_state
-    tree = index.tree
-    assert not state.islands.live[tree.position["tm3"]]
+    position = index.position
+    assert not state.islands.live[position["tm3"]]
     if not outage:
-        demand = [complex(1000.0 * s, 100.0) for s in range(len(tree.names))]
+        demand = [complex(1000.0 * s, 100.0) for s in range(len(index.names))]
         state = solve_powerflow(index, demand, compute_islands(index, {"UL1": "CLOSED"}))
         assert all(state.islands.live) and all(state.cur[1:])
-    eager_v = {node: state.v[tree.position[node]] for node in index.order}
-    eager_i = {
-        name: 0j if edge.cls == "parent" else state.cur[tree.position[edge.child]]
-        for name, edge in index.edges_by_name.items()
-    }
-    assert list(state.voltages) == index.order
+    eager_v = {node: state.v[s] for node, s in position.items()}
+    assert list(state.voltages) == list(position)
     assert state.voltages == eager_v
-    assert list(state.currents) == list(index.edges_by_name)
-    assert state.currents == eager_i
-    assert (state.voltages["tm3"] == 0j) == (state.currents["T2"] == 0j) == outage
+    assert (state.voltages["tm3"] == 0j) == (state.cur[position["tn2"]] == 0j) == outage  # T2 feeds tn2
     assert state.voltages is state.voltages  # built once
 
 

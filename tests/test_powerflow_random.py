@@ -1,10 +1,12 @@
 """Randomized oracle checks on generated radial feeders.
 
-Hypothesis draws radial trees of lines, transformers (ratio != 1) and
-zero-impedance `parent:` links, with random loads and solar injections.
-The compiled sweep must agree with the dense nodal solve at every node,
-merged nodes included, and the islanding must agree with undirected
-reachability for random OPEN/CLOSED statuses.  The sweep must also
+Hypothesis draws radial trees of lines, switches and fuses (each with a
+configured status or none), transformers (ratio != 1) and zero-impedance
+`parent:` links, with random loads and solar injections.  The compiled
+sweep must agree with the dense nodal solve at every node, merged nodes
+included, the islanding must agree with undirected reachability for
+random OPEN/CLOSED statuses, and the index must hold each line's
+configured status, which the line-status board starts from.  The sweep must also
 repeat `sweep_reference`, the sweep that scans every step of every pass,
 bit for bit: cold and warm starts, converged or diverged.
 """
@@ -15,22 +17,23 @@ from oracles import demand_list, dense_powerflow_oracle, reachability_oracle, sw
 
 from tesgrid.errors import SolverDivergence
 from tesgrid.glm import parse_scenario
-from tesgrid.network import build_network_index, compute_islands
-from tesgrid.powerflow import solve_powerflow
+from tesgrid.network import build_network_index, compute_islands, walk_feeder
+from tesgrid.powerflow import LineStatusBoard, solve_powerflow
 
 SOURCE_VOLTS = 7200.0
 BASE_VA = 100e3  # impedances and loads are drawn per unit of this base
-LINES = ("overhead_line", "underground_line")
+LINES = ("overhead_line", "underground_line", "switch", "fuse")
 
 
 @st.composite
 def radial_feeders(draw):
-    """(scenario text, node names, nominal volts, loads, line names)."""
+    """(scenario text, node names, nominal volts, loads, each line's drawn
+    status: OPEN, CLOSED or None where the line sets none)."""
     n = draw(st.integers(min_value=2, max_value=24))
     nodes = [f"n{i}" for i in range(n)]
     nominal = [SOURCE_VOLTS]
     objects = [f"object node {{ name n0; bustype SWING; nominal_voltage {SOURCE_VOLTS} V; }}"]
-    lines = []
+    lines = {}
     for i in range(1, n):
         up = draw(st.integers(min_value=0, max_value=i - 1))
         kind = draw(st.sampled_from(LINES + ("transformer", "parent")))
@@ -53,10 +56,11 @@ def radial_feeders(draw):
                 f"impedance {impedance}; }}"
             )
         else:
+            status = lines[f"e{i}"] = draw(st.sampled_from(["OPEN", "CLOSED", None]))
+            set_status = f" status {status};" if status else ""
             objects.append(
-                f"object {kind} {{ name e{i}; from n{up}; to n{i}; impedance {impedance}; }}"
+                f"object {kind} {{ name e{i}; from n{up}; to n{i}; impedance {impedance};{set_status} }}"
             )
-            lines.append(f"e{i}")
     loads = []
     for i in range(1, n):
         # up to 3% of the base per node; negative values are solar injections
@@ -71,12 +75,13 @@ def radial_feeders(draw):
 @given(radial_feeders())
 def test_compiled_sweep_matches_dense_oracle(feeder):
     text, nodes, nominal, loads, _ = feeder
-    index = build_network_index(parse_scenario(text))
+    model = parse_scenario(text)
+    index = build_network_index(model)
     state = solve_powerflow(index, demand_list(index, loads))
-    oracle = dense_powerflow_oracle(index, loads)
+    oracle = dense_powerflow_oracle(model, loads)
     assert set(state.voltages) == set(nodes)
     for i, node in enumerate(nodes):
-        assert index.nominal_volts[node] == nominal[i]
+        assert index.nominal[index.position[node]] == nominal[i]
         assert abs(state.voltages[node] - oracle[node]) / nominal[i] < 1e-6
     assert state.power_mismatch_pu() < 1e-6
 
@@ -85,13 +90,26 @@ def test_compiled_sweep_matches_dense_oracle(feeder):
 @given(radial_feeders(), st.data())
 def test_islands_match_reachability(feeder, data):
     text, _, _, _, lines = feeder
-    index = build_network_index(parse_scenario(text))
+    model = parse_scenario(text)
+    index = build_network_index(model)
     statuses = {
         name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines
     }
     islands = compute_islands(index, statuses)
-    position = index.tree.position
-    assert {n: islands.live[position[n]] for n in index.order} == reachability_oracle(index, statuses)
+    live = {n: islands.live[s] for n, s in index.position.items()}
+    assert live == reachability_oracle(model, statuses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radial_feeders())
+def test_switchable_holds_each_line_configured_status(feeder):
+    text, _, _, _, lines = feeder
+    model = parse_scenario(text)
+    index = build_network_index(model)
+    walked = [link for link, _, _ in walk_feeder(model, model.by_name()).feed.values()]
+    assert list(index.switchable) == [link for link in walked if link in lines]
+    assert index.switchable == {name: status or "CLOSED" for name, status in lines.items()}
+    assert LineStatusBoard(index).statuses == index.switchable
 
 
 def _outcome(solve, *args, **kwargs):
@@ -111,7 +129,7 @@ def test_sweep_matches_reference_bit_for_bit(feeder, data):
     index = build_network_index(parse_scenario(text))
     demand = demand_list(index, loads)
     if data.draw(st.booleans(), label="nan load") and loads:
-        demand[index.tree.position[loads[0][0]]] = complex("nan")  # its steps read NaN
+        demand[index.position[loads[0][0]]] = complex("nan")  # its steps read NaN
     tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.0]), label="tolerance")
     statuses = {name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines}
     islands = compute_islands(index, statuses)
@@ -165,7 +183,7 @@ FAN_OUT_LOADS = [("p", 4e3 + 1e3j), ("c1", 9e3 + 2e3j), ("c2", 12e3 + 3e3j), ("c
 
 def test_fan_out_sweep_matches_reference_bit_for_bit():
     index = build_network_index(parse_scenario(FAN_OUT))
-    names = index.tree.names
+    names = index.names
     rows = compute_islands(index, {}).rows
     assert [(names[s], names[p], r) for s, p, r, _, _ in rows] == [
         ("p", "n0", 1.0), ("c1", "p", 30.0), ("c2", "p", 30.0), ("c3", "p", 2.0),

@@ -218,6 +218,11 @@ PINNED_REPORTS = {
     "line_to_house": (
         lambda t: t + "object overhead_line { name ol; from n2; to h1; impedance 1+1j Ohm; }\n",
         "error: ol: BAD_ENDPOINT: 'h1' is not an electrical node"),
+    "reversed_transformer": (
+        lambda t: t.replace("from n1;\n    to tn1;", "from tn1;\n    to n1;"),
+        "error: T1: BAD_ENDPOINT: transformer fed from its 'to' end 'n1': "
+        "'from' must be the end nearer the source, not 'tn1'"),
+    "reversed_line": (lambda t: t.replace("from n1;\n    to n2;", "from n2;\n    to n1;"), ""),
     "parallel_switch": (lambda t: t + "object switch { name par; from n1; to n2; }\n", _CYCLE),
     "tn1_tn2_cycle": (lambda t: t + "object switch { name loop; from tn1; to tn2; }\n", _CYCLE),
     "isolated_node": (lambda t: t + "object node { name island; }\n", _UNREACHED + "['island']"),
