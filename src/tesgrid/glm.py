@@ -25,7 +25,7 @@ The tokenizer is one compiled regex, `findall` once per distinct line: a
 line that occurs again reuses its first copy's tokens.  A token is the
 string it matched; a string keeps its quotes, so the first character
 tells a token's kind and `"x"` (STRING) never equals `x` (REF).  Only an
-error or a block's source line needs a position: bisect the index of each
+error or an object's source line needs a position: bisect the index of each
 line's first token, then rescan that line.  A block's statements are read
 in one loop over the token list, one statement at a time, so errors come
 in source order.  A value is interpreted once per parse; a failure is not
@@ -295,7 +295,7 @@ class _Parser:
         model.clock = ClockConfig(start, stop, int(step))
 
     def _parse_schedule(self, model: ScenarioModel, at: int) -> None:
-        sched = Schedule(f"schedule_{len(model.schedules)}", [], None, bisect_right(self.starts, at))
+        sched = Schedule(f"schedule_{len(model.schedules)}", [])
 
         def statement(key: str, key_at: int, raw: list[str], start: int) -> None:
             if key == "entry":
@@ -326,12 +326,14 @@ class _Parser:
             kind=kind,
             start=self._as_time(self._want(pmap, "start", at), at),
             end=self._as_time(self._want(pmap, "end", at), at),
-            line=bisect_right(self.starts, at),
         )
         if "fraction" in pmap:
             cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], at)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number("seed", "number", pmap["seed"], at))
+            seed = self._as_number("seed", "number", pmap["seed"], at)
+            if seed != int(seed) or seed < 0:
+                raise self._error("seed must be a nonnegative whole number", at)
+            cfg.seed = int(seed)
         for key, param in spec.params.items():
             cfg.params[key] = self._attack_param(key, param, self._want(pmap, key, at), at)
         model.attacks.append(cfg)
@@ -361,7 +363,6 @@ class _Parser:
                 properties=[str(item.value) for item in items],
                 interval=int(interval),
                 file=str(self._want(pmap, "file", at).value),
-                line=bisect_right(self.starts, at),
             )
         )
 
@@ -373,7 +374,6 @@ class _Parser:
                 target=str(self._want(pmap, "target", at).value),
                 prop=str(self._want(pmap, "property", at).value),
                 file=str(self._want(pmap, "file", at).value),
-                line=bisect_right(self.starts, at),
             )
         )
 
@@ -444,7 +444,7 @@ def write_block(head: str, fields: Iterable[tuple[str, str]]) -> str:
 
 def pretty_print(model: ScenarioModel) -> str:
     """Render a model back to scenario text that reparses to an equal model,
-    each block's `line` aside."""
+    each object's `line` aside."""
     blocks = []
     if model.clock is not None:
         clock = model.clock

@@ -132,7 +132,6 @@ class Schedule:
     name: str
     entries: list[ScheduleEntry]
     repeat: float | None = None  # seconds
-    line: int = 0
 
 
 @dataclass
@@ -144,7 +143,6 @@ class AttackConfig:
     fraction: float = 1.0
     seed: int = 0
     params: dict[str, object] = field(default_factory=dict)  # the kind's parameters, by field name
-    line: int = 0
 
 
 @dataclass
@@ -154,7 +152,6 @@ class RecorderConfig:
     properties: list[str]
     interval: int  # seconds
     file: str
-    line: int = 0
 
 
 @dataclass
@@ -163,7 +160,6 @@ class PlayerConfig:
     target: str
     prop: str
     file: str
-    line: int = 0
 
 
 @dataclass

@@ -71,8 +71,11 @@ def _seller_cap(names: dict[str, GridObject], seller: GridObject) -> float | Non
     return _number(market, "price_cap")
 
 
-def _check_objects(model: ScenarioModel, errors, warnings):
-    seen: dict[str, GridObject] = {}
+def _check_objects(model: ScenarioModel, names: dict[str, GridObject], errors, warnings):
+    """Each object's name, properties and references, then its class's rules."""
+    clock = model.clock
+    seen: set[str] = set()
+    controller_of: dict[str, str] = {}  # house -> its controller: a second one would bid its load again
     for obj in model.objects:
         loc = obj.name or f"<{obj.cls}@{obj.line}>"
         if obj.name is None:
@@ -80,7 +83,7 @@ def _check_objects(model: ScenarioModel, errors, warnings):
         elif obj.name in seen:
             errors.append(Diagnostic(obj.name, "DUPLICATE_NAME", "object name is not unique"))
         else:
-            seen[obj.name] = obj
+            seen.add(obj.name)
         if obj.name is not None and "," in obj.name:  # a run writes it into an `audit.csv` field
             errors.append(Diagnostic(obj.name, "BAD_NAME", "object name holds ',', which splits a field"))
         props = PROPERTIES[obj.cls]
@@ -94,38 +97,16 @@ def _check_objects(model: ScenarioModel, errors, warnings):
             problem = _value_problem(obj.cls, prop, value)
             if problem is not None:
                 errors.append(Diagnostic(loc, *problem))
-
-
-def _check_refs(model: ScenarioModel, names: dict[str, GridObject], errors):
-    def need(loc, ref, role):
-        if ref not in names:
-            errors.append(Diagnostic(loc, "DANGLING_REF", f"{role} '{ref}' does not resolve"))
-
-    for obj in model.objects:
-        loc = obj.name or f"<{obj.cls}@{obj.line}>"
         for prop in REFS[obj.cls]:
             ref = obj.ref(prop)
-            if ref is not None:
-                need(loc, ref, prop)
-    for sched in model.schedules:
-        for e in sched.entries:
-            need(sched.name, e.target, "schedule target")
-    for r in model.recorders:
-        need(r.name, r.target, "recorder target")
-    for p in model.players:
-        need(p.name, p.target, "player target")
-
-
-def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
-    controller_of: dict[str, str] = {}  # house -> its controller: a second one would bid its load again
-    for obj in model.objects:
-        loc = obj.name or f"<{obj.cls}@{obj.line}>"
-        if obj.cls == "house" and model.clock is not None:
+            if ref is not None and ref not in names:
+                errors.append(Diagnostic(loc, "DANGLING_REF", f"{prop} '{ref}' does not resolve"))
+        if obj.cls == "house" and clock is not None:
             # the Euler step multiplies the gap to equilibrium by 1 - dt * ua / C:
             # above 1 the house overshoots every step, above 2 it blows up
             ua, capacitance = _number(obj, "ua"), _number(obj, "thermal_capacitance")
             if None not in (ua, capacitance) and ua > 0 and capacitance > 0:
-                ratio = model.clock.timestep / 3600.0 * ua / capacitance
+                ratio = clock.timestep / 3600.0 * ua / capacitance
                 if not ratio <= 1.0:
                     message = f"timestep (h) * ua / thermal_capacitance is {ratio:g}, above 1"
                     errors.append(Diagnostic(loc, "BAD_RANGE", message))
@@ -158,14 +139,14 @@ def _check_agents(model: ScenarioModel, names: dict[str, GridObject], errors):
                 errors.append(Diagnostic(loc, "BAD_RANGE", f"price {price:g} exceeds its auction's price_cap {cap:g}"))
         elif obj.cls == "auction":
             # a round runs when the period divides the offset since start
-            period, clock = _number(obj, "period"), model.clock
+            period = _number(obj, "period")
             if period is not None and (period <= 0 or (clock is not None and period % clock.timestep != 0)):
-                errors.append(
-                    Diagnostic(loc, "BAD_PERIOD", "period must be a positive multiple of the clock timestep")
-                )
+                errors.append(Diagnostic(loc, "BAD_PERIOD", "period must be a positive multiple of the clock timestep"))
 
 
 def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: str, errors):
+    """The clock, then each attack, schedule, recorder and player, each one
+    with its target where it is read."""
     clock = model.clock
     if clock is None:
         errors.append(Diagnostic("<clock>", "NO_CLOCK", "scenario has no clock block"))
@@ -176,32 +157,7 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
             span = int((clock.stop - clock.start).total_seconds())
             if span % clock.timestep != 0:
                 errors.append(Diagnostic("<clock>", "BAD_CLOCK", "timestep must divide the simulated window"))
-    for sched in model.schedules:
-        times = [e.time for e in sched.entries]
-        if times != sorted(times):
-            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entries must be sorted by time"))
-        # an event lands on a step only if its offset from the start and its repeat are whole steps
-        if clock is not None and any((t - clock.start) % timedelta(seconds=clock.timestep) for t in times):
-            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entry time must fall on a step"))
-        repeat = sched.repeat
-        if repeat is not None and (repeat <= 0 or (clock is not None and repeat % clock.timestep != 0)):
-            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat must be a positive multiple of timestep"))
-        if repeat is not None and repeat > LONGEST_REPEAT_S:
-            message = f"repeat must be at most {timedelta.max.days} days"
-            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", message))
-        for e in sched.entries:
-            target = names.get(e.target)
-            if target is None:
-                continue
-            if PROPERTIES[target.cls].get(e.prop, NO_PROP).write is None:
-                errors.append(
-                    Diagnostic(sched.name, "UNKNOWN_PROPERTY", f"'{e.prop}' is not settable on {target.cls}")
-                )
-                continue
-            problem = _value_problem(target.cls, e.prop, e.value)
-            if problem is not None:
-                code, message = problem
-                errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
+    step = timedelta(seconds=clock.timestep) if clock is not None else None
     caps = [_seller_cap(names, obj) for obj in model.of_class("generator_seller")]
     lowest_cap = min([cap for cap in caps if cap is not None], default=float("inf"))
     # a run keys each attack's transform and each recorder's table by name
@@ -220,6 +176,9 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
             errors.append(Diagnostic(a.name, "EMPTY_WINDOW", "attack window is empty"))
         if clock is not None and (a.start < clock.start or a.end > clock.stop):
             errors.append(Diagnostic(a.name, "BAD_WINDOW", "attack window outside the simulated window"))
+        # a run applies an event at the first step at or after it, while `audit.csv` reads its own time
+        if clock is not None and any((t - clock.start) % step for t in (a.start, a.end)):
+            errors.append(Diagnostic(a.name, "BAD_WINDOW", "attack window must start and end on a step"))
         if not (0.0 <= a.fraction <= 1.0):
             errors.append(Diagnostic(a.name, "BAD_FRACTION", "fraction must be within [0, 1]"))
         elif a.kind == "LINE_STATUS":
@@ -255,17 +214,41 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
                     problem = f"{key} {value:g} exceeds a price_cap of {lowest_cap:g}"
                 if problem is not None:
                     errors.append(Diagnostic(a.name, "BAD_PARAM", problem))
-    # the same write-back undoes a schedule's status entry on the line, or
-    # the first repeat of it, that the run applies at or before the attack's end
-    for sched in model.schedules if clock is not None else ():
+    for sched in model.schedules:
+        times = [e.time for e in sched.entries]
+        if times != sorted(times):
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entries must be sorted by time"))
+        # an event lands on a step only if its offset from the start and its repeat are whole steps
+        if clock is not None and any((t - clock.start) % step for t in times):
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "entry time must fall on a step"))
+        repeat = sched.repeat
+        if repeat is not None and (repeat <= 0 or (clock is not None and repeat % clock.timestep != 0)):
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", "repeat must be a positive multiple of timestep"))
+        if repeat is not None and repeat > LONGEST_REPEAT_S:
+            message = f"repeat must be at most {timedelta.max.days} days"
+            errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", message))
         for e in sched.entries:
-            offset = e.time - clock.start  # a run drops an entry before the start, but not its repeats
-            if offset < timedelta(0) and sched.repeat is not None and 0 < sched.repeat <= LONGEST_REPEAT_S:
-                offset %= timedelta(seconds=sched.repeat)
-            for a, lines in line_attacks:
-                if e.prop == "status" and e.target in lines and timedelta(0) <= offset <= a.end - clock.start:
-                    message = f"entry at {format_time(e.time)} on '{e.target}' is undone as attack '{a.name}' ends"
-                    errors.append(Diagnostic(sched.name, "BAD_WINDOW", message))
+            if clock is not None and e.prop == "status":
+                # an attack's end writes back the configured status too, so it undoes
+                # a status entry on its line, or the first repeat of it, applied by then
+                offset = e.time - clock.start  # a run drops an entry before the start, but not its repeats
+                if offset < timedelta(0) and repeat is not None and 0 < repeat <= LONGEST_REPEAT_S:
+                    offset %= timedelta(seconds=repeat)
+                for a, lines in line_attacks:
+                    if e.target in lines and timedelta(0) <= offset <= a.end - clock.start:
+                        message = f"entry at {format_time(e.time)} on '{e.target}' is undone as attack '{a.name}' ends"
+                        errors.append(Diagnostic(sched.name, "BAD_WINDOW", message))
+            target = names.get(e.target)
+            if target is None:
+                errors.append(Diagnostic(sched.name, "DANGLING_REF", f"schedule target '{e.target}' does not resolve"))
+                continue
+            if PROPERTIES[target.cls].get(e.prop, NO_PROP).write is None:
+                errors.append(Diagnostic(sched.name, "UNKNOWN_PROPERTY", f"'{e.prop}' is not settable on {target.cls}"))
+                continue
+            problem = _value_problem(target.cls, e.prop, e.value)
+            if problem is not None:
+                code, message = problem
+                errors.append(Diagnostic(sched.name, code, f"{e.target}: {message}"))
     # names compare case-folded: on a case-insensitive filesystem (the macOS and
     # Windows defaults) `A.csv` and `a.csv` are one file, and the later write wins
     run_files = {name.casefold() for name in RUN_FILES}
@@ -284,23 +267,23 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
         if r.interval <= 0 or (clock is not None and r.interval % clock.timestep != 0):
             errors.append(Diagnostic(r.name, "BAD_INTERVAL", "interval must be a positive multiple of timestep"))
         target = names.get(r.target)
-        if target is not None:
-            for prop in r.properties:
-                if PROPERTIES[target.cls].get(prop, NO_PROP).read is None:
-                    errors.append(
-                        Diagnostic(r.name, "UNKNOWN_PROPERTY", f"'{prop}' is not recordable on {target.cls}")
-                    )
+        if target is None:
+            errors.append(Diagnostic(r.name, "DANGLING_REF", f"recorder target '{r.target}' does not resolve"))
+            continue
+        for prop in r.properties:
+            if PROPERTIES[target.cls].get(prop, NO_PROP).read is None:
+                errors.append(Diagnostic(r.name, "UNKNOWN_PROPERTY", f"'{prop}' is not recordable on {target.cls}"))
     for p in model.players:
         target = names.get(p.target)
         if target is None:
+            errors.append(Diagnostic(p.name, "DANGLING_REF", f"player target '{p.target}' does not resolve"))
             continue
         spec = PROPERTIES[target.cls].get(p.prop, NO_PROP)
         if spec.write is None:
             errors.append(Diagnostic(p.name, "UNKNOWN_PROPERTY", f"'{p.prop}' is not settable on {target.cls}"))
         elif spec.kind not in NUMERIC_KINDS:
-            errors.append(
-                Diagnostic(p.name, "BAD_VALUE", f"players yield numbers; '{p.prop}' is not numeric on {target.cls}")
-            )
+            message = f"players yield numbers; '{p.prop}' is not numeric on {target.cls}"
+            errors.append(Diagnostic(p.name, "BAD_VALUE", message))
 
 
 def validate(model: ScenarioModel, topology: str = "auxiliary") -> ValidationReport:
@@ -309,10 +292,8 @@ def validate(model: ScenarioModel, topology: str = "auxiliary") -> ValidationRep
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
     names = model.by_name()
-    _check_objects(model, errors, warnings)
-    _check_refs(model, names, errors)
+    _check_objects(model, names, errors, warnings)
     errors.extend(Diagnostic(*problem) for problem in walk_feeder(model, names).problems)
-    _check_agents(model, names, errors)
     _check_blocks(model, names, topology, errors)
     key = lambda d: (d.location, d.code, d.message)
     return ValidationReport(sorted(set(errors), key=key), sorted(set(warnings), key=key))

@@ -33,6 +33,8 @@ def _second_ratio(text: str, value: str) -> str:
 
 _CUT_UL1 = ('attack { name cut; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
             'end "2013-07-01 00:30:00"; lines UL1; status OPEN; }\n')
+OFF_STEP_ATTACK = ('attack { name a; kind LINE_STATUS; start "2013-07-01 00:10:30"; '
+                   'end "2013-07-01 00:20:30"; lines UL1; status OPEN; }\n')
 _RECORD_H1 = "recorder { name rh; target h1; property air_temperature; interval 60 s; file rh.csv; }\n"
 
 
@@ -246,6 +248,9 @@ UNRUNNABLE_EDITS = {
     # attack's end wrote back the configured status over the schedule's entry
     "schedule_status_inside_line_attack": (lambda t: t + _CUT_UL1 + _ul1_entry("00:20:00"), "BAD_WINDOW"),
     "schedule_status_before_line_attack": (lambda t: t + _CUT_UL1 + _ul1_entry("00:05:00"), "BAD_WINDOW"),
+    # validated clean and ran to exit 0 with UL1 opened at the 00:11 step, while
+    # its `audit.csv` row read 00:10:30
+    "attack_window_off_step": (lambda t: t + OFF_STEP_ATTACK, "BAD_WINDOW"),
     # validated clean and ran to exit 0; h1's recorder wrote 1e+308, then -inf, then nan
     "air_temperature_1e308": (
         lambda t: t.replace("air_temperature 80 degF;", "air_temperature 1e308 degF;", 1) + _RECORD_H1, "BAD_RANGE"),

@@ -619,7 +619,7 @@ class _TupleParser:
                 repeat = self._as_number("repeat", "TIME", v, key_tok)  # as written; validate checks it
             else:
                 raise _oracle_error(f"unknown schedule field '{key}'", key_tok)
-        model.schedules.append(Schedule(name, entries, repeat, tok[2]))
+        model.schedules.append(Schedule(name, entries, repeat))
 
     def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
         pmap = self._read_props()
@@ -637,12 +637,14 @@ class _TupleParser:
             kind=kind,
             start=self._as_time(self._want(pmap, "start", tok), tok),
             end=self._as_time(self._want(pmap, "end", tok), tok),
-            line=tok[2],
         )
         if "fraction" in pmap:
             cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], tok)
         if "seed" in pmap:
-            cfg.seed = int(self._as_number("seed", "number", pmap["seed"], tok))
+            seed = self._as_number("seed", "number", pmap["seed"], tok)
+            if seed != int(seed) or seed < 0:
+                raise _oracle_error("seed must be a nonnegative whole number", tok)
+            cfg.seed = int(seed)
         if kind == "SELLER_PRICE_OVERRIDE":
             cfg.params["price"] = self._as_number("price", "PRICE", self._want(pmap, "price", tok), tok)
         elif kind == "BUYER_BID_SCALE":
@@ -672,7 +674,6 @@ class _TupleParser:
                 properties=[str(item.value) for item in items],
                 interval=int(interval),
                 file=str(self._want(pmap, "file", tok).value),
-                line=tok[2],
             )
         )
 
@@ -684,7 +685,6 @@ class _TupleParser:
                 target=str(self._want(pmap, "target", tok).value),
                 prop=str(self._want(pmap, "property", tok).value),
                 file=str(self._want(pmap, "file", tok).value),
-                line=tok[2],
             )
         )
 

@@ -107,14 +107,8 @@ def test_round_trip(small_model):
 
 
 def _without_lines(model):
-    """`model` with every block's source line set to 0."""
-    def zero(items):
-        return [dataclasses.replace(item, line=0) for item in items]
-
-    return dataclasses.replace(
-        model, objects=zero(model.objects), schedules=zero(model.schedules), attacks=zero(model.attacks),
-        recorders=zero(model.recorders), players=zero(model.players),
-    )
+    """`model` with every object's source line set to 0."""
+    return dataclasses.replace(model, objects=[dataclasses.replace(obj, line=0) for obj in model.objects])
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -316,6 +310,10 @@ _ATTACK = 'attack {{ kind {}; start "2013-07-01 00:10:00"; end "2013-07-01 00:20
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2 degF;"), "'lambda' has unit degF, expected number"),
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; fraction 0.5 kW;"), "'fraction' has unit kW, expected number"),
         (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 7 s;"), "'seed' has unit s, expected number"),
+        # a fraction was cut to a whole seed, and a negative one drew as its absolute value
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 0.999;"), "seed must be a nonnegative whole number"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 1.5;"), "seed must be a nonnegative whole number"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed -2;"), "seed must be a nonnegative whole number"),
         # a unit of another class was dropped and the number run as seconds
         ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 kW; }',
          "'timestep' has unit kW, expected TIME"),

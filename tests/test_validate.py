@@ -2,7 +2,7 @@
 violation produces the expected diagnostic without raising."""
 
 import pytest
-from conftest import UNRUNNABLE_EDITS
+from conftest import OFF_STEP_ATTACK, UNRUNNABLE_EDITS
 
 from tesgrid.errors import ParseError
 from tesgrid.glm import parse_scenario
@@ -206,8 +206,9 @@ _NO_NODES = ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; t
 _CYCLE = "error: <network>: NOT_RADIAL: electrical network contains a cycle"
 _UNREACHED = "error: <network>: NOT_RADIAL: nodes not connected to the source: "
 
-# Topology and attachment edits of feeder_small.glm, each with its whole
-# serialized report: the feeder walk's diagnostics, byte for byte.
+# Edits of feeder_small.glm, each with its whole serialized report, byte for
+# byte: topology and attachment edits (the feeder walk's diagnostics), then
+# edits of the other blocks.
 PINNED_REPORTS = {
     "self_loop_edge": (
         lambda t: t + "object switch { name sl; from n2; to n2; }\n",
@@ -277,6 +278,26 @@ PINNED_REPORTS = {
         lambda t: t + "object switch { name st; from n2; }\n",
         "error: st: MISSING_PROPERTY: required property 'to' absent"),
     "no_nodes": (lambda t: _NO_NODES, "error: <network>: NO_SOURCE: no node with bustype SWING"),
+    "attack_window_off_step": (
+        lambda t: t + OFF_STEP_ATTACK, "error: a: BAD_WINDOW: attack window must start and end on a step"),
+    # one diagnostic each, none dropped or doubled: the status entry on the
+    # unresolved `ghost` is both dangling and undone as `cut` ends
+    "faulty_blocks": (
+        lambda t: t + 'attack { name cut; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:30:00"; lines ghost; status OPEN; }\n'
+        'attack { name late; kind LINE_STATUS; start "2013-07-01 00:10:30"; '
+        'end "2013-07-01 00:20:30"; lines UL1; status OPEN; }\n'
+        'schedule { name s; entry "2013-07-01 00:20:00" ghost status OPEN; '
+        'entry "2013-07-01 00:30:00" phantom deadband 3 degF; }\n'
+        "recorder { name rg; target nowhere; property voltage_mag; interval 60 s; file rg.csv; }\n"
+        "player { name pg; target nobody; property deadband; file pg.csv; }\n",
+        "error: cut: DANGLING_REF: attacked line 'ghost' does not resolve\n"
+        "error: late: BAD_WINDOW: attack window must start and end on a step\n"
+        "error: pg: DANGLING_REF: player target 'nobody' does not resolve\n"
+        "error: rg: DANGLING_REF: recorder target 'nowhere' does not resolve\n"
+        "error: s: BAD_WINDOW: entry at 2013-07-01 00:20:00 on 'ghost' is undone as attack 'cut' ends\n"
+        "error: s: DANGLING_REF: schedule target 'ghost' does not resolve\n"
+        "error: s: DANGLING_REF: schedule target 'phantom' does not resolve"),
 }
 
 
