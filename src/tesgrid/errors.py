@@ -25,10 +25,6 @@ class ConfigError(TesgridError):
         self.location, self.message, self.code = location, message, code
 
 
-class NotSwitchable(TesgridError):
-    pass
-
-
 class SolverDivergence(TesgridError):
     """Carries the worst residual (pu) and the node where it was."""
 

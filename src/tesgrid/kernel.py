@@ -21,7 +21,8 @@ into its slot and subtracts each live panel's output, summing the
 unresponsive kW as it goes.  The market round bids that total, the power
 flow scales the slot sums into supernode demand, and the recorders read
 each load's kW as the phase left it, a house's from its HVAC mode.  It
-walks only the energized loads, in a plan made once per islands object.
+walks only the energized loads, in a plan that a line's `status` writer,
+the one place switching happens, remakes with the islands on each change.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, seed): outputs are byte-identical across
@@ -57,9 +58,9 @@ from .market import (
     respond_to_clearing,
     seller_bids,
 )
-from .model import Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
-from .network import Islands, build_network_index
-from .powerflow import LineStatusBoard, solve_powerflow
+from .model import DEGF_LIMITS, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
+from .network import build_network_index, compute_islands
+from .powerflow import solve_powerflow
 from .recorder import RecorderTable, TimeSeries, constant_weather, read_player, read_weather
 
 DEENERGIZED = "DEENERGIZED"
@@ -113,13 +114,13 @@ def _of(objects: str, func: Callable, *args):
     return lambda engine, target: partial(func, getattr(engine, objects)[target], *args)
 
 
-def _live(board: LineStatusBoard, s: int) -> bool:
-    return board.islands().live[s]  # switching replaces the islands
+def _live(engine, s: int) -> bool:
+    return engine.islands.live[s]  # switching replaces the islands
 
 
 def _powered(engine, target: str):
     """Whether `target`, a node or a load on one, is energized now."""
-    return partial(_live, engine.board, engine.index.position[engine.index.attach_node.get(target, target)])
+    return partial(_live, engine, engine.index.position[engine.index.attach_node.get(target, target)])
 
 
 def _kw_of(engine, name: str) -> Callable[[], float]:
@@ -210,14 +211,12 @@ _LINE = {
     **_ENDS,
     "impedance": Prop("IMPEDANCE", required=True),
     "status": Prop(
-        "enum", read=lambda engine, line: partial(getitem, engine.board.statuses, line),
-        write=lambda engine, line: partial(engine.board.set, line),
+        "enum", read=lambda engine, line: partial(getitem, engine.statuses, line),
+        write=lambda engine, line: partial(engine._set_status, line),
     ),
     "current_mag": Prop(read=_current_mag),
 }
 _SWITCH = {**_LINE, "impedance": Prop("IMPEDANCE")}
-# a house's temperatures, in degF: the Euler step of one at 1e308 overflows
-_HOUSE_DEGF = (-100.0, 200.0)
 
 # Every property of every class, the one place that says what a property
 # is: its kind, whether it is required, its default and bound, which field
@@ -254,11 +253,11 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "house": {
         "parent": _REF,
         "air_temperature": Prop(
-            "TEMPERATURE", default=75.0, limits=_HOUSE_DEGF, field="t_in", flagged=True,
+            "TEMPERATURE", default=75.0, limits=DEGF_LIMITS, field="t_in", flagged=True,
             read=_of("houses", getattr, "t_in"), write=_of("houses", _set, "t_in", float),
         ),
         "cooling_setpoint": Prop(
-            "TEMPERATURE", default=75.0, limits=_HOUSE_DEGF, field="t_set", flagged=True,
+            "TEMPERATURE", default=75.0, limits=DEGF_LIMITS, field="t_set", flagged=True,
             read=_of("houses", getattr, "t_set"), write=_of("houses", _set, "t_set", float),
         ),
         "deadband": Prop(
@@ -438,7 +437,7 @@ class _Solar:
 
 
 class _LoadPlan(NamedTuple):
-    """The loads of one islands object, in the kernel's slot order."""
+    """The loads of one set of islands, in the kernel's slot order."""
 
     houses: list[tuple[HouseState, int]]  # every house with its slot, -1 when unpowered
     uncontrolled: list[HouseState]  # each powered house without a controller
@@ -467,7 +466,7 @@ class Engine:
         self.seed = seed
         self.clock = model.clock
         self.index = build_network_index(model)
-        self.board = LineStatusBoard(self.index)
+        self.statuses = dict(self.index.switchable)  # each line's status now
 
         # every run object is built from its scenario object through `PROPERTIES`
         attach = self.index.attach_node
@@ -518,7 +517,7 @@ class Engine:
         self._uncontrolled_at = [(house, slot) for house, slot in self._house_at if house.name not in controlled]
         self._appliance_at = [(app, slot_of[attach[name]]) for name, app in self.appliances.items()]
         self._panel_at = [(panel, slot_of[attach[name]]) for name, panel in self.solars.items()]
-        self._plan_for: Islands | None = None  # the islands `_plan` was made for
+        self._energize()
 
         # each market's (controller, house) list, and its controllers' last
         # bids, which the auxiliary wiring forwards to the main market
@@ -598,18 +597,25 @@ class Engine:
             if old != value:
                 self.audit.append(AuditRow(t, cfg.target, cfg.prop, old, value, "player"))
 
-    def _load_plan(self) -> _LoadPlan:
-        """The energized loads of the current islands, made once per islands object."""
-        islands = self.board.islands()
-        if self._plan_for is not islands:
-            live = [islands.live[s] for s in self._slot_supernode]
-            self._plan_for, self._plan = islands, _LoadPlan(
-                [(house, slot if live[slot] else -1) for house, slot in self._house_at],
-                [house for house, slot in self._uncontrolled_at if live[slot]],
-                [(app, slot) for app, slot in self._appliance_at if live[slot]],
-                [(panel, slot) for panel, slot in self._panel_at if live[slot]],
-            )
-        return self._plan
+    def _energize(self) -> None:
+        """Compute the islands of the line statuses, and the loads they energize."""
+        self.islands = islands = compute_islands(self.index, self.statuses)
+        live = [islands.live[s] for s in self._slot_supernode]
+        self._plan = _LoadPlan(
+            [(house, slot if live[slot] else -1) for house, slot in self._house_at],
+            [house for house, slot in self._uncontrolled_at if live[slot]],
+            [(app, slot) for app, slot in self._appliance_at if live[slot]],
+            [(panel, slot) for panel, slot in self._panel_at if live[slot]],
+        )
+
+    def _set_status(self, line: str, status: str) -> str:
+        """Store `status` as `line`'s; returns the status it replaced.  Only a
+        change recomputes the islands and the load plan."""
+        old = self.statuses[line]
+        if status != old:
+            self.statuses[line] = status
+            self._energize()
+        return old
 
     def _phase_loads(self, t: datetime, dt: int, first: bool) -> None:
         """Work out every load's kW for the step, once.
@@ -621,7 +627,7 @@ class Engine:
         market bids: appliances, uncontrolled houses, minus panels, at
         least 0.0.  A dead slot holds exactly 0.0."""
         t_out, irradiance = self.weather.sample(t)
-        plan = self._load_plan()
+        plan = self._plan
         fleet, slot_kw = plan.houses, [0.0] * len(self._slot_supernode)
         if first:
             hvac = 0.0
@@ -707,7 +713,7 @@ class Engine:
     def _phase_powerflow(self) -> None:
         demand = self.build_load_injections()
         self.network_state = state = solve_powerflow(
-            self.index, demand, self.board.islands(), start=self.network_state
+            self.index, demand, self.islands, start=self.network_state
         )
         self._pf_solves += 1
         self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)

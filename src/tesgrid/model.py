@@ -59,6 +59,8 @@ NODE_CLASSES = frozenset({"node", "triplex_node", "triplex_meter", "meter"})
 LINE_CLASSES = frozenset({"underground_line", "overhead_line", "switch", "fuse"})
 EDGE_CLASSES = LINE_CLASSES | {"transformer"}
 LINE_STATUSES = ("OPEN", "CLOSED")
+# what a temperature a run holds or reads can be, in degF: a house's Euler step from 1e308 overflows
+DEGF_LIMITS = (-100.0, 200.0)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ run reads (each node's supernode, each load's node, each line's
 configured status).  A line is orientation-free; a transformer's `from`
 end must be the one nearer the source, since its ratio steps the voltage
 down from there.  The islands of one set of line statuses are per
-supernode, with the live supernodes' sweep rows; the line-status board
-computes them once per status change.
+supernode, with the live supernodes' sweep rows; the engine's line
+`status` writer computes them once per status change.
 """
 
 from __future__ import annotations

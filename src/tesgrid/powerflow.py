@@ -12,7 +12,7 @@ The sweep runs over the `NetworkIndex`, the feeder compiled once: flat
 per-supernode lists in which every node hung on a zero-impedance
 `parent:` link is merged into its upstream node.  Its
 inputs are a per-supernode demand list and the `Islands` of the line
-statuses, which the line-status board computes once per status change:
+statuses, which the engine's status writer computes once per change:
 the live flags, and the live supernodes' sweep rows in topological order
 (the backward pass walks them reversed).  Consecutive rows that feed one
 parent share its terms: the forward pass computes V_parent / n once for
@@ -50,8 +50,7 @@ import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotSwitchable, SolverDivergence
-from .model import LINE_STATUSES
+from .errors import SolverDivergence
 from .network import Islands, NetworkIndex, compute_islands
 
 VOLTAGE_TOLERANCE_PU = 1e-6  # contract: converged when max step change is below this
@@ -80,33 +79,6 @@ class NetworkState:
         return abs(self.source_power_va - self.load_power_va - self.loss_power_va) / SYSTEM_BASE_VA
 
 
-class LineStatusBoard:
-    """Mutable OPEN/CLOSED board over the switchable edges of one network,
-    set to their configured statuses at the start."""
-
-    def __init__(self, index: NetworkIndex):
-        self._index = index
-        self.statuses = dict(index.switchable)
-        self._islands: Islands | None = None
-
-    def set(self, line_name: str, status: str) -> str:
-        """Store `status`; returns the status it replaced."""
-        if line_name not in self.statuses:
-            raise NotSwitchable(f"'{line_name}' is not a line, switch, or fuse")
-        if status not in LINE_STATUSES:
-            raise ValueError(f"bad status '{status}'")
-        old = self.statuses[line_name]
-        if old != status:
-            self.statuses[line_name] = status
-            self._islands = None  # islands recomputed lazily before next use
-        return old
-
-    def islands(self) -> Islands:
-        if self._islands is None:
-            self._islands = compute_islands(self._index, self.statuses)
-        return self._islands
-
-
 def solve_powerflow(
     index: NetworkIndex,
     demand: list[complex],
@@ -119,8 +91,8 @@ def solve_powerflow(
 
     `demand` holds one VA entry per supernode of `index`, positive for
     consumption and negative for injection (solar); dead entries are
-    ignored.  `islands` is the islanding of the line statuses (a
-    LineStatusBoard caches it); None means every edge is closed.  The
+    ignored.  `islands` is the islanding of the line statuses (the
+    engine keeps its current one); None means every edge is closed.  The
     state's name-keyed `voltages` are built on first read.
     `start` is an earlier solution to iterate from; over the same
     `islands` object its voltage list is copied as is.

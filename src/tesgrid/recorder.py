@@ -20,7 +20,7 @@ from datetime import datetime
 from itertools import chain
 
 from .errors import ConfigError, IoFailure
-from .model import format_time, parse_time
+from .model import DEGF_LIMITS, format_time, parse_time
 
 
 def format_number(x) -> str:
@@ -90,6 +90,9 @@ def _parse_number(name: str, row: int, text: str) -> float:
 
 def _weather_value(name: str, row: int, texts: list[str]) -> tuple[float, float]:
     temperature, fraction = (_parse_number(name, row, text) for text in texts)
+    low, high = DEGF_LIMITS
+    if not low <= temperature <= high:
+        raise ConfigError(name, f"row {row}: temperature '{texts[0]}' is outside [{low:g}, {high:g}] degF")
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(name, f"row {row}: irradiance '{texts[1]}' is outside [0, 1]")
     return temperature, fraction
@@ -101,9 +104,9 @@ def read_player(path: str, start: datetime) -> TimeSeries:
 
 
 def read_weather(path: str, start: datetime) -> TimeSeries:
-    """Read a `time,temperature_degF,irradiance_fraction` CSV (irradiance in
-    [0, 1]) into one series of (temperature, irradiance) pairs, which a run
-    from `start` can sample."""
+    """Read a `time,temperature_degF,irradiance_fraction` CSV (temperature
+    within `DEGF_LIMITS`, irradiance in [0, 1]) into one series of
+    (temperature, irradiance) pairs, which a run from `start` can sample."""
     return _read_series(path, start, 3, _weather_value)
 
 

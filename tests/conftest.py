@@ -291,6 +291,8 @@ UNRUNNABLE_INPUTS = {
     "player_not_utf8": UnrunnableInput(lambda t: t + _PLAYER, _player_rows(b"2", b"\xff\xfe"), "BAD_FILE"),
     "weather_irradiance_above_one": UnrunnableInput(
         lambda t: t + _WEATHER, {"w.csv": _WEATHER_HEAD + b"2013-07-01 00:00:00,80,1.5\n"}, "BAD_FILE"),
+    "weather_temperature_1e308": UnrunnableInput(
+        lambda t: t + _WEATHER, {"w.csv": _WEATHER_HEAD + b"2013-07-01 00:00:00,1e308,0.5\n"}, "BAD_FILE"),
     "player_repeated_timestamp": UnrunnableInput(
         lambda t: t + _PLAYER, {"p.csv": b"time,value\n2013-07-01 00:00:00,2\n2013-07-01 00:00:00,3\n"},
         "BAD_FILE"),

@@ -14,7 +14,7 @@ from types import MethodType
 import pytest
 from conftest import load_fixture
 
-from tesgrid import kernel, powerflow
+from tesgrid import kernel
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
@@ -193,24 +193,45 @@ def test_deenergized_house_drifts_without_hvac(small_text):
 
 def test_islands_computed_once_per_status_change(small_text, monkeypatch):
     calls = []
-    compute = powerflow.compute_islands
+    compute = kernel.compute_islands
 
     def counted(index, statuses):
-        calls.append(dict(statuses))
+        calls.append({line: status for line, status in statuses.items() if status == "OPEN"})
         return compute(index, statuses)
 
-    monkeypatch.setattr(powerflow, "compute_islands", counted)
-    engine = Engine(parse_scenario(small_text + (
+    monkeypatch.setattr(kernel, "compute_islands", counted)
+    engine = Engine(parse_scenario(small_text + EVERY_CLASS + (
         "schedule {\n"
         '    entry "2013-07-01 00:20:00" UL1 status OPEN;\n'
         '    entry "2013-07-01 00:30:00" UL1 status OPEN;\n'  # no change: islands kept
         '    entry "2013-07-01 00:40:00" UL1 status CLOSED;\n'
         "}\n"
+        'attack { name cut; kind LINE_STATUS; start "2013-07-01 00:50:00"; end "2013-07-01 00:55:00"; '
+        "lines OL1, SW1; status OPEN; }\n"
     )))
     assert len(calls) == 1
     result = engine.run()
     assert result.complete
-    assert calls == [{"UL1": "CLOSED"}, {"UL1": "OPEN"}, {"UL1": "CLOSED"}]
+    # the attack opens, then closes, each of its two lines: one computation per line
+    assert calls == [
+        {}, {"UL1": "OPEN"}, {}, {"OL1": "OPEN"}, {"OL1": "OPEN", "SW1": "OPEN"}, {"SW1": "OPEN"}, {},
+    ]
+
+
+def test_status_writer_keeps_the_islands_until_a_status_changes(small_text):
+    engine = Engine(parse_scenario(small_text))
+    write, tm3 = engine._bind("UL1", "status", write=True), engine.index.position["tm3"]
+    closed, plan = engine.islands, engine._plan
+    assert engine.statuses == {"UL1": "CLOSED"} and closed.live[tm3] is True
+    assert write("CLOSED") == "CLOSED"  # a repeated write keeps both objects
+    assert engine.islands is closed and engine._plan is plan
+    assert write("OPEN") == "CLOSED"
+    opened, dead = engine.islands, engine._plan
+    assert engine.statuses == {"UL1": "OPEN"} and opened.live[tm3] is False and dead is not plan
+    assert write("OPEN") == "OPEN"
+    assert engine.islands is opened and engine._plan is dead
+    assert write("CLOSED") == "OPEN"  # closing restores the live flags and the plan
+    assert engine.islands is not closed and engine.islands == closed and engine._plan == plan
 
 
 def test_power_balance_every_step(small_text):
@@ -331,7 +352,7 @@ SET_TO = {
     ("waterheater", "base_power"): ("0.5 kW", 0.5, lambda e, t: e.appliances[t].power_kw),
     ("solar", "rating"): ("2 kW", 2.0, lambda e, t: e.solars[t].rating_kw),
     **{
-        (cls, "status"): ("OPEN", "OPEN", lambda e, t: e.board.statuses[t])
+        (cls, "status"): ("OPEN", "OPEN", lambda e, t: e.statuses[t])
         for cls in ("underground_line", "overhead_line", "switch", "fuse")
     },
 }
@@ -597,6 +618,12 @@ def test_deep_copied_engine_runs_on_its_own_objects(small_text, tmp_path):
     probe.houses["h1"].t_in = 99.0
     assert probe.read_property("h1", "air_temperature") == 99.0
     assert engine.houses["h1"].t_in != 99.0
+    # the run's last power flow is over the engine's own islands
+    assert engine.network_state.islands is engine.islands and twin.network_state.islands is twin.islands
+    islands, tm3 = twin.islands, twin.index.position["tm3"]
+    assert probe._writers["UL1", "status"]("OPEN") == "CLOSED"
+    assert probe.islands.live[tm3] is False
+    assert twin.islands is islands and islands.live[tm3] and engine.islands.live[tm3]
 
 
 def test_flags_mark_the_rows_that_read_a_dead_targets_own_state(small_text):

@@ -80,7 +80,7 @@ FEEDER_EXTRA = (
 
 def reference_load_pass(engine, t):
     """Demand and totals built the plain way from the engine's live state."""
-    live, position = engine.board.islands().live, engine.index.position
+    live, position = engine.islands.live, engine.index.position
     energized = {node: live[s] for node, s in position.items()}
     attach = engine.index.attach_node
     per_node: dict[str, float] = {}
@@ -149,7 +149,7 @@ def reference_load_read(engine, target, prop, irradiance):
     """(value, flag) of a load's or meter's recorded kW, the plain way: the
     load's own kW, or a meter's signed loads summed in attachment order."""
     node = engine.index.attach_node.get(target, target)
-    if not engine.board.islands().live[engine.index.position[node]]:
+    if not engine.islands.live[engine.index.position[node]]:
         return 0.0, "DEENERGIZED"
     if prop == "measured_power_kw":
         total = 0.0
@@ -162,7 +162,7 @@ def reference_load_read(engine, target, prop, irradiance):
 
 def reference_unresponsive_kw(engine):
     """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
-    live, position, attach = engine.board.islands().live, engine.index.position, engine.index.attach_node
+    live, position, attach = engine.islands.live, engine.index.position, engine.index.attach_node
     controlled = {c.house for ctls in engine.controllers.values() for c in ctls}
     total = 0.0
     for name, app in engine.appliances.items():
@@ -208,7 +208,7 @@ def run_against_reference(engine, monkeypatch):
         want_demand, want_totals = reference_load_pass(self, self.step_time)
         assert demand == want_demand, self.step_time
         assert {"load": self._load_kw, "hvac": self._hvac_kw} == want_totals, self.step_time
-        checked.append(not all(self.board.islands().live))
+        checked.append(not all(self.islands.live))
         return demand
 
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)
@@ -244,16 +244,25 @@ def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topolo
     engine = Engine(parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA)),
                     topology=topology, base_dir=str(tmp_path))
     plans = {}  # islands object -> the plan the step's load pass used
-    loads = Engine._phase_loads
+    remade = []  # per applied event: (whether it changed a line's status, whether the plan was remade)
+    loads, apply = Engine._phase_loads, Engine.apply_event
 
     def phase_loads(self, t, dt, first):
         loads(self, t, dt, first)
-        islands = self.board.islands()
-        assert self._plan_for is islands
+        islands = self.islands
         assert plans.setdefault(id(islands), (islands, self._plan))[1] is self._plan
 
+    def apply_event(self, event):
+        plan = self._plan
+        apply(self, event)
+        row = self.audit[-1]
+        remade.append((row.prop == "status" and row.old_value != row.new_value, self._plan is not plan))
+
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)  # runs inside the check's wrapper
+    monkeypatch.setattr(Engine, "apply_event", apply_event)
     assert run_against_reference(engine, monkeypatch) == 61
+    # UL1 opens, closes, z1 changes, UL1 opens again: remade at each status change only
+    assert remade == [(True, True), (True, True), (False, False), (True, True)]
     opened, closed, reopened = [islands for islands, _ in plans.values()]
     assert reopened is not opened and reopened == opened and closed != opened
     assert len({id(plan) for _, plan in plans.values()}) == 3
@@ -302,11 +311,11 @@ def test_warm_start_copy_equals_name_keyed_start(outage_engine, tolerance_pu):
     start = engine.network_state
     demand = engine.build_load_injections()
     demand = [d * 1.5 for d in demand]  # moved loads, so the sweep has work to do
-    islands = engine.board.islands()
+    islands = engine.islands
     assert start.islands is islands
     copied = solve_powerflow(engine.index, demand, islands, tolerance_pu=tolerance_pu, start=start)
     # equal islands in another object: the start is read per supernode
-    keyed = solve_powerflow(engine.index, demand, compute_islands(engine.index, engine.board.statuses),
+    keyed = solve_powerflow(engine.index, demand, compute_islands(engine.index, engine.statuses),
                             tolerance_pu=tolerance_pu, start=start)
     assert keyed.islands is not start.islands and keyed.islands == islands
     for field in ("v", "cur", "iterations", "source_power_va", "load_power_va", "loss_power_va"):

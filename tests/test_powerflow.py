@@ -6,15 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from tesgrid.errors import NotSwitchable, SolverDivergence
+from tesgrid.errors import SolverDivergence
 from tesgrid.glm import parse_scenario
 from tesgrid.network import build_network_index, compute_islands
-from tesgrid.powerflow import (
-    LineStatusBoard,
-    SYSTEM_BASE_VA,
-    VOLTAGE_TOLERANCE_PU,
-    solve_powerflow,
-)
+from tesgrid.powerflow import SYSTEM_BASE_VA, VOLTAGE_TOLERANCE_PU, solve_powerflow
 
 from oracles import demand_list, dense_powerflow_oracle as dense_oracle
 
@@ -101,25 +96,6 @@ def test_open_line_deenergizes(small_model):
     assert state.power_mismatch_pu() < 1e-6
 
 
-def test_status_board_semantics(small_model):
-    index = build_network_index(small_model)
-    tm3 = index.position["tm3"]
-    board = LineStatusBoard(index)
-    assert board.statuses == {"UL1": "CLOSED"}
-    board.set("UL1", "OPEN")
-    board.set("UL1", "OPEN")  # idempotent
-    assert board.islands().live[tm3] is False
-    assert board.islands() is board.islands()  # cached until a status changes
-    board.set("UL1", "CLOSED")  # involution restores
-    assert board.islands().live[tm3] is True
-    with pytest.raises(NotSwitchable):
-        board.set("T1", "OPEN")
-    with pytest.raises(NotSwitchable):
-        board.set("h1", "OPEN")
-    with pytest.raises(NotSwitchable):
-        board.set("no_such_edge", "OPEN")
-
-
 def test_divergence_raises():
     index = build_network_index(parse_scenario(TWO_BUS))
     with pytest.raises(SolverDivergence) as err:
@@ -183,11 +159,10 @@ def test_reenergized_subtree_starts_from_nominal(small_model):
 
 def test_islands_from_the_caller(small_model):
     index = build_network_index(small_model)
-    board = LineStatusBoard(index)
-    board.set("UL1", "OPEN")
+    islands = compute_islands(index, {"UL1": "OPEN"})
     demand = demand_list(index, SMALL_LOADS)
-    state = solve_powerflow(index, demand, board.islands())
-    assert state.islands is board.islands()
+    state = solve_powerflow(index, demand, islands)
+    assert state.islands is islands
     assert state.voltages == solve_powerflow(index, demand, compute_islands(index, {"UL1": "OPEN"})).voltages
 
 

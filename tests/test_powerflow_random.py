@@ -6,19 +6,27 @@ configured status or none), transformers (ratio != 1) and zero-impedance
 sweep must agree with the dense nodal solve at every node, merged nodes
 included, the islanding must agree with undirected reachability for
 random OPEN/CLOSED statuses, and the index must hold each line's
-configured status, which the line-status board starts from.  The sweep must also
-repeat `sweep_reference`, the sweep that scans every step of every pass,
-bit for bit: cold and warm starts, converged or diverged.
+configured status, which a run's statuses start from.  After each of a
+run's status writes its islands and load plan must be those of its
+statuses.  The sweep must also repeat `sweep_reference`, the sweep that
+scans every step of every pass, bit for bit: cold and warm starts,
+converged or diverged.
 """
+
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import demand_list, dense_powerflow_oracle, reachability_oracle, sweep_reference
 
+from tesgrid import kernel
 from tesgrid.errors import SolverDivergence
 from tesgrid.glm import parse_scenario
+from tesgrid.kernel import Engine
+from tesgrid.model import Value
 from tesgrid.network import build_network_index, compute_islands, walk_feeder
-from tesgrid.powerflow import LineStatusBoard, solve_powerflow
+from tesgrid.powerflow import solve_powerflow
+from tesgrid.validate import validate
 
 SOURCE_VOLTS = 7200.0
 BASE_VA = 100e3  # impedances and loads are drawn per unit of this base
@@ -109,7 +117,57 @@ def test_switchable_holds_each_line_configured_status(feeder):
     walked = [link for link, _, _ in walk_feeder(model, model.by_name()).feed.values()]
     assert list(index.switchable) == [link for link in walked if link in lines]
     assert index.switchable == {name: status or "CLOSED" for name, status in lines.items()}
-    assert LineStatusBoard(index).statuses == index.switchable
+
+
+CLOCK = 'clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 s; }\n'
+
+
+def with_loads(text, loads):
+    """`text` plus a clock and, on each loaded node, a house beside a
+    zipload, or beside a panel where the load is an injection."""
+    return text + CLOCK + "".join(
+        f"object house {{ name h_{node}; parent {node}; }}\n"
+        + (f"object zipload {{ name z_{node}; parent {node}; base_power {va.real / 1e3:.3f} kW; }}\n"
+           if va.real >= 0 else f"object solar {{ name pv_{node}; parent {node}; rating {-va.real / 1e3:.3f} kW; }}\n")
+        for node, va in loads
+    )
+
+
+def plan_by_name(engine):
+    """The engine's load plan, each load by its name."""
+    houses, uncontrolled, appliances, panels = engine._plan
+    return (
+        [(house.name, slot) for house, slot in houses], [house.name for house in uncontrolled],
+        [(app.name, slot) for app, slot in appliances], [(panel.name, slot) for panel, slot in panels],
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(radial_feeders(), st.data())
+def test_status_writes_keep_the_islands_and_plan_current(feeder, data):
+    text, _, _, loads, lines = feeder
+    text = with_loads(text, loads)
+    model, scratch = parse_scenario(text), parse_scenario(text)
+    assert validate(model).runnable
+    engine = Engine(model)
+    assert engine.statuses == engine.index.switchable
+    writers = {line: engine._bind(line, "status", write=True) for line in lines}
+    writes = data.draw(
+        st.lists(st.tuples(st.sampled_from(sorted(lines)), st.sampled_from(["OPEN", "CLOSED"])), max_size=8)
+        if lines else st.just([])
+    )
+    computed = changed = 0
+    for line, new in writes:
+        with patch.object(kernel, "compute_islands", wraps=compute_islands) as compute:
+            changed += writers[line](new) != new
+        computed += compute.call_count
+        assert computed == changed
+        assert engine.islands == compute_islands(engine.index, engine.statuses)
+        # a plan built from scratch: a run whose lines are configured as the statuses are now
+        for obj in scratch.objects:
+            if obj.name in lines:
+                obj.properties["status"] = Value("REF", engine.statuses[obj.name])
+        assert plan_by_name(Engine(scratch)) == plan_by_name(engine)
 
 
 def _outcome(solve, *args, **kwargs):

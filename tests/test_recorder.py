@@ -106,6 +106,13 @@ def test_weather_rejects_irradiance_outside_unit_range(tmp_path, value):
         read_weather(write(tmp_path, head + f"2013-07-01 01:00:00,80,{value}\n"), T("00:00:00"))
 
 
+@pytest.mark.parametrize("value", ["1e308", "-100.5", "200.001"])
+def test_weather_rejects_temperature_outside_house_limits(tmp_path, value):
+    head = "time,temperature_degF,irradiance_fraction\n2013-07-01 00:00:00,-100,0.0\n2013-07-01 00:30:00,200,0.0\n"
+    with pytest.raises(ConfigError, match=rf"series.csv: row 3: temperature '{value}' is outside \[-100, 200\] degF"):
+        read_weather(write(tmp_path, head + f"2013-07-01 01:00:00,{value},0.5\n"), T("00:00:00"))
+
+
 def test_player_missing_file():
     with pytest.raises(ConfigError, match="player.csv: cannot read /nonexistent/player.csv: "):
         read_player("/nonexistent/player.csv", T("00:00:00"))
