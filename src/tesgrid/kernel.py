@@ -9,8 +9,9 @@ order:
     players -> attack transforms -> thermal loads -> market -> power flow -> recorders
 
 Attack transforms are standing: events switch them on and off, and a
-market round applies only the transforms that are active then.  The
-round books each list of bids (offers, replicas, forwarded bids, the
+market round applies only the transforms that are active then.  A round
+reads one `Auction` record (market, mirror, sellers, bidders, held bids),
+books each list of bids (offers, replicas, forwarded bids, the
 controllers' bids) with one `submit_all` call and re-centers its
 controllers from one price.
 
@@ -229,19 +230,19 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "period": Prop("TIME", required=True, field="period_seconds"),
         "price_cap": Prop("PRICE", default=DEFAULT_PRICE_CAP, bound="positive", field="price_cap"),
         "init_price": Prop("PRICE", default=DEFAULT_INIT_PRICE, bound="nonnegative", field="init_price"),
-        "clearing_price": Prop(read=_of("markets", attrgetter("last_clearing.price"))),
-        "cleared_quantity": Prop(read=_of("markets", attrgetter("last_clearing.quantity"))),
-        "bid_count_buy": Prop(read=_of("markets", lambda market: market.last_bid_counts[0])),
-        "bid_count_sell": Prop(read=_of("markets", lambda market: market.last_bid_counts[1])),
-        "p_avg": Prop(read=_of("markets", getattr, "p_avg")),
-        "p_std": Prop(read=_of("markets", getattr, "p_std")),
+        "clearing_price": Prop(read=_of("auctions", attrgetter("market.last_clearing.price"))),
+        "cleared_quantity": Prop(read=_of("auctions", attrgetter("market.last_clearing.quantity"))),
+        "bid_count_buy": Prop(read=_of("auctions", lambda auction: auction.market.last_bid_counts[0])),
+        "bid_count_sell": Prop(read=_of("auctions", lambda auction: auction.market.last_bid_counts[1])),
+        "p_avg": Prop(read=_of("auctions", attrgetter("market.p_avg"))),
+        "p_std": Prop(read=_of("auctions", attrgetter("market.p_std"))),
     },
     "controller": {
         "house": Prop("ref", required=True, field="house"),
         "market": Prop("ref", required=True, field="market"),
-        "t_min": Prop("TEMPERATURE", required=True, field="t_min"),
-        "t_base": Prop("TEMPERATURE", required=True, field="t_base"),
-        "t_max": Prop("TEMPERATURE", required=True, field="t_max"),
+        "t_min": Prop("TEMPERATURE", required=True, limits=DEGF_LIMITS, field="t_min"),
+        "t_base": Prop("TEMPERATURE", required=True, limits=DEGF_LIMITS, field="t_base"),
+        "t_max": Prop("TEMPERATURE", required=True, limits=DEGF_LIMITS, field="t_max"),
         "k_ramp": Prop("number", required=True, bound="positive", field="k_ramp"),
         "sigma_floor": Prop("PRICE", default=DEFAULT_SIGMA_FLOOR, bound="positive", field="sigma_floor"),
     },
@@ -263,14 +264,16 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
         "deadband": Prop(
             "TEMPERATURE", default=2.0, bound="positive", write=_of("houses", _set, "deadband", float), field="deadband"
         ),
-        "thermal_capacitance": Prop("number", default=2000.0, bound="positive", field="capacitance"),  # Btu/degF
-        "ua": Prop("number", default=550.0, bound="positive", field="ua"),  # Btu/(h*degF)
+        # Btu/degF, Btu/(h*degF) and Btu/h; with the limits of `hvac_rating` and
+        # `cop`, these keep a house's drift over any clock below about 3e19 degF
+        "thermal_capacitance": Prop("number", default=2000.0, bound="positive", limits=(1.0, 1e9), field="capacitance"),
+        "ua": Prop("number", default=550.0, bound="positive", field="ua"),
         "internal_gains": Prop(
-            "number", default=1800.0, bound="nonnegative", write=_of("houses", _set, "internal_gains", float),
-            field="internal_gains",
-        ),  # Btu/h
+            "number", default=1800.0, bound="nonnegative", limits=(0.0, 1e7),
+            write=_of("houses", _set, "internal_gains", float), field="internal_gains",
+        ),
         "hvac_rating": Prop("POWER", default=4.0, bound="nonnegative", limits=(0.0, 1e6), field="hvac_kw"),
-        "cop": Prop("number", default=3.5, bound="positive", field="cop"),
+        "cop": Prop("number", default=3.5, bound="positive", limits=(0.0, 100.0), field="cop"),
         "hvac_load_kw": Prop(read=_load_read, flagged=True),
         "hvac_mode": Prop(read=_of("houses", getattr, "mode"), flagged=True),
     },
@@ -436,6 +439,17 @@ class _Solar:
     power_kw: float = 0.0  # output at the step's irradiance, set by the loads phase while live
 
 
+@dataclass
+class Auction:
+    """One auction's run state: what its market round reads and leaves."""
+
+    market: Market
+    mirror: Market | None  # the auxiliary market its controllers trade in; None under direct wiring
+    sellers: list[SellerAgent]
+    bidders: list[tuple[Controller, HouseState]]  # (controller, its house)
+    held_bids: list[Bid]  # the controllers' last bids, which the auxiliary wiring forwards a round late
+
+
 class _LoadPlan(NamedTuple):
     """The loads of one set of islands, in the kernel's slot order."""
 
@@ -478,34 +492,20 @@ class Engine:
         }
         self.solars = {obj.name: _Solar(obj.name, **_fields(obj)) for obj in model.of_class("solar")}
 
-        # markets; under the auxiliary topology each auction gets a mirror
-        self.markets: dict[str, Market] = {}
-        self.aux_markets: dict[str, Market] = {}
-        for obj in model.of_class("auction"):
-            self.markets[obj.name] = market = Market(obj.name, **_fields(obj))
-            if topology == "auxiliary":
-                self.aux_markets[obj.name] = Market(
-                    f"{obj.name}_aux", market.period_seconds, market.price_cap, market.last_clearing.price
-                )
-
-        self.sellers: dict[str, list[SellerAgent]] = {m: [] for m in self.markets}
+        # one record per auction; under the auxiliary topology each gets a mirror
+        sellers = {obj.name: [] for obj in model.of_class("auction")}
         for obj in model.of_class("generator_seller"):
-            self.sellers[obj.ref("market")].append(SellerAgent(obj.name, **_fields(obj)))
-        for market_name, agents in self.sellers.items():
-            if agents:
-                total = 0.0  # left to right, as builtin `sum` is compensated on 3.12+
-                for agent in agents:
-                    total += agent.price
-                mean_offer = total / len(agents)
-                self.markets[market_name].seed_statistics(mean_offer)
-                if market_name in self.aux_markets:
-                    self.aux_markets[market_name].seed_statistics(mean_offer)
-
-        self.controllers: dict[str, list[Controller]] = {m: [] for m in self.markets}
+            sellers[obj.ref("market")].append(SellerAgent(obj.name, **_fields(obj)))
+        bidders = {name: [] for name in sellers}
         for obj in model.of_class("controller"):
             ctl = Controller(obj.name, **_fields(obj))
-            self.controllers[ctl.market].append(ctl)
-        controlled = {c.house for ctls in self.controllers.values() for c in ctls}
+            bidders[ctl.market].append((ctl, self.houses[ctl.house]))
+        self.auctions: dict[str, Auction] = {}
+        for obj in model.of_class("auction"):
+            name, fields, offers = obj.name, _fields(obj), sellers[obj.name]
+            mirror = Market(f"{name}_aux", **fields, offers=offers) if topology == "auxiliary" else None
+            self.auctions[name] = Auction(Market(name, **fields, offers=offers), mirror, offers, bidders[name], [])
+        controlled = {ctl.house for auction in self.auctions.values() for ctl, _ in auction.bidders}
 
         # a slot per load node, in the order first seen over houses,
         # appliances and panels; the per-step loops walk these lists
@@ -518,14 +518,6 @@ class Engine:
         self._appliance_at = [(app, slot_of[attach[name]]) for name, app in self.appliances.items()]
         self._panel_at = [(panel, slot_of[attach[name]]) for name, panel in self.solars.items()]
         self._energize()
-
-        # each market's (controller, house) list, and its controllers' last
-        # bids, which the auxiliary wiring forwards to the main market
-        self._bidders: dict[str, list[tuple[Controller, HouseState]]] = {
-            market_name: [(c, self.houses[c.house]) for c in ctls]
-            for market_name, ctls in self.controllers.items()
-        }
-        self._held_bids: dict[str, list[Bid]] = {market_name: [] for market_name in self.markets}
 
         configured = self.index.switchable
         self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, configured) for cfg in model.attacks]
@@ -652,13 +644,13 @@ class Engine:
         self._slot_kw, self._hvac_kw = slot_kw, hvac
         self._unresp_kw = max(unresp, 0.0)
 
-    def _market_round(self, market_name: str) -> None:
-        market, aux = self.markets[market_name], self.aux_markets.get(market_name)
+    def _market_round(self, auction: Auction) -> None:
+        market, aux = auction.market, auction.mirror
         local = aux or market  # where controllers trade: the main market under direct wiring
         unresp_kw = self._unresp_kw
         new, period, price = tuple.__new__, market.current_period, market.last_clearing.price  # once a round
 
-        offers = seller_bids(self.sellers[market_name], period)
+        offers = seller_bids(auction.sellers, period)
         market.submit_all(offers)
         if aux:
             # sellers' constant offers are replicated into the auxiliary market
@@ -668,7 +660,7 @@ class Engine:
             # so the estimate runs one period late
             replicas, forwarded = offers, [
                 new(Bid, (trader, side, price, quantity, period))
-                for trader, side, price, quantity, _ in self._held_bids[market_name]
+                for trader, side, price, quantity, _ in auction.held_bids
             ]
             # an inactive transform leaves every bid alone: apply the active ones
             for tr in self._rewriters["replicas"]:
@@ -680,21 +672,20 @@ class Engine:
             aux.submit_all(replicas)
             market.submit_all(forwarded)
         # then the controllers bid afresh
-        bidders = self._bidders[market_name]
-        self._held_bids[market_name] = held_bids = controller_bids(bidders, local)
+        auction.held_bids = held_bids = controller_bids(auction.bidders, local)
         local.submit_all(held_bids)
         for m in (market, aux) if aux else (market,):
             if unresp_kw > 0:
                 m.submit(new(Bid, (UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period)))
             clearing = m.clear()
         # controllers observe only the market they trade in, cleared last
-        respond_to_clearing(bidders, local, clearing)
+        respond_to_clearing(auction.bidders, local, clearing)
 
     def _phase_market(self, t: datetime) -> None:
         offset = int((t - self.clock.start).total_seconds())
-        for market_name, market in self.markets.items():
-            if offset % market.period_seconds == 0:
-                self._market_round(market_name)
+        for auction in self.auctions.values():
+            if offset % auction.market.period_seconds == 0:
+                self._market_round(auction)
 
     def build_load_injections(self) -> list[complex]:
         """Per-supernode demand (VA) of the step's loads.
@@ -742,7 +733,7 @@ class Engine:
             for cfg in self.model.recorders
         }
 
-        markets = list(self.markets.values()) + list(self.aux_markets.values())
+        markets = [m for auction in self.auctions.values() for m in (auction.market, auction.mirror) if m]
         max_price = 0.0
         complete = True
         divergence = None

@@ -14,9 +14,12 @@ do not bid), mirroring how retail double auctions anchor the demand
 curve; without it a supply-side price manipulation could never clear.
 
 Price statistics: a rolling 24 h window of clearing prices gives p_avg
-and p_std, recomputed exactly after every clearing.  Until the window
-holds two samples they hold warm-up seeds (the sellers' mean offer, and
-10% of it); the window never holds fewer again.  Controllers apply a
+and p_std, recomputed after every clearing from correctly rounded sums
+(`math.fsum`), so every interpreter computes the same floats.  Until the
+window holds two samples they hold warm-up seeds, which a market works
+out when it is built from the sellers it is given: their mean offer and
+10% of it, or without sellers its initial price and 10% of that; the
+window never holds fewer than two samples again.  Controllers apply a
 small floor to p_std so a long run of identical prices does not make the
 ramp formulas degenerate.
 
@@ -40,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple
 
 from .errors import BadQuantity, PriceCapViolation, StalePeriod
@@ -108,7 +111,8 @@ def clear_book(
 
 
 class Market:
-    """Order book, clearing history, and rolling price statistics."""
+    """Order book, clearing history, and rolling price statistics, seeded
+    from the constant offers of `offers`, the sellers attached to it."""
 
     def __init__(
         self,
@@ -116,6 +120,7 @@ class Market:
         period_seconds: int,
         price_cap: float = DEFAULT_PRICE_CAP,
         init_price: float = DEFAULT_INIT_PRICE,
+        offers: Iterable[SellerAgent] = (),
     ):
         self.name = name
         self.period_seconds = period_seconds
@@ -123,19 +128,16 @@ class Market:
         self.current_period = 0
         window = max(2, int(STATS_WINDOW_HOURS * 3600 / period_seconds))
         self.history: deque[float] = deque(maxlen=window)
-        self.p_avg = init_price
-        self.p_std = 0.1 * init_price
+        total, n = 0.0, 0
+        for seller in offers:  # left to right, as builtin `sum` is compensated on 3.12+
+            total += seller.price
+            n += 1
+        self.p_avg = seed = total / n if n else init_price
+        self.p_std = 0.1 * seed
         self.buys: list[Bid] = []
         self.sells: list[Bid] = []
         self.last_clearing = Clearing(init_price, 0.0, None, None, -1)
         self.last_bid_counts = (0, 0)
-
-    def seed_statistics(self, mean_offer: float) -> None:
-        """Warm-up seeds from the attached sellers' constant offers, kept
-        until the window holds two prices."""
-        if len(self.history) < 2:
-            self.p_avg = mean_offer
-            self.p_std = 0.1 * mean_offer
 
     def submit_all(self, bids: Iterable[Bid]) -> None:
         """Book `bids` in order.  A bid priced above the cap (or NaN), with a
@@ -171,9 +173,9 @@ class Market:
         n = len(self.history)
         if n < 2:  # the warm-up seeds stand
             return
-        mean = sum(self.history) / n
-        # the terms (p - mean) ** 2 in window order, without a generator frame
-        var = sum(map(pow, map(sub, self.history, repeat(mean)), repeat(2))) / n
+        mean = math.fsum(self.history) / n
+        deviations = list(map(sub, self.history, repeat(mean)))  # without a generator frame
+        var = math.fsum(map(mul, deviations, deviations)) / n
         self.p_avg = mean
         self.p_std = math.sqrt(var)
 

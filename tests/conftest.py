@@ -38,6 +38,25 @@ OFF_STEP_ATTACK = ('attack { name a; kind LINE_STATUS; start "2013-07-01 00:10:3
 _RECORD_H1 = "recorder { name rh; target h1; property air_temperature; interval 60 s; file rh.csv; }\n"
 
 
+def _two_hour_steps(text: str) -> str:
+    """`text` over six hours at a 7200 s step, with every auction round and
+    recorder row on it."""
+    text = text.replace('stop "2013-07-01 01:00:00";', 'stop "2013-07-01 06:00:00";')
+    text = text.replace("timestep 60 s;", "timestep 7200 s;").replace("period 300 s;", "period 7200 s;")
+    return text.replace("interval 60 s;", "interval 7200 s;")
+
+
+# feeder_small.glm plus a second auction, A2, with two sellers of its own,
+# and one controller in each auction
+SECOND_AUCTION = (
+    "object auction { name A2; period 600 s; price_cap 0.5 $/kWh; init_price 0.2 $/kWh; }\n"
+    "object generator_seller { name g2; market A2; price 0.12 $/kWh; capacity 3 kW; }\n"
+    "object generator_seller { name g3; market A2; price 0.15 $/kWh; capacity 40 kW; }\n"
+    "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF; t_max 80 degF; k_ramp 2; }\n"
+    "object controller { name c3; house h3; market A2; t_min 65 degF; t_base 72 degF; t_max 80 degF; k_ramp 2; }\n"
+)
+
+
 def _ul1_entry(time: str) -> str:
     return f'schedule {{ entry "2013-07-01 {time}" UL1 status OPEN; }}\n'
 
@@ -65,6 +84,8 @@ UNRUNNABLE_EDITS = {
         lambda t: t.replace("rating 1 kW;\n    efficiency", "rating -1 kW;\n    efficiency"), "BAD_RANGE"),
     "schedule_negative_deadband": (
         lambda t: t + 'schedule { entry "2013-07-01 00:10:00" h1 deadband -2 degF; }\n', "BAD_RANGE"),
+    "schedule_internal_gains_above_range": (
+        lambda t: t + 'schedule { entry "2013-07-01 00:10:00" h1 internal_gains 1e8; }\n', "BAD_RANGE"),
     "schedule_negative_solar_rating": (
         lambda t: t + 'schedule { entry "2013-07-01 00:10:00" s1 rating -3 kW; }\n', "BAD_RANGE"),
     # the power flow divides by these; a negative voltage passed the
@@ -254,6 +275,22 @@ UNRUNNABLE_EDITS = {
     # validated clean and ran to exit 0; h1's recorder wrote 1e+308, then -inf, then nan
     "air_temperature_1e308": (
         lambda t: t.replace("air_temperature 80 degF;", "air_temperature 1e308 degF;", 1) + _RECORD_H1, "BAD_RANGE"),
+    # each validated clean and ran to exit 0 under both topologies with h1's
+    # `cooling_setpoint` at nan from 00:00: t_max - t_base overflowed to inf,
+    # which a round at the mean price multiplied by 0
+    "controller_temperatures_1e308": (
+        lambda t: t + "object controller { name c1; house h1; market A1; t_min -1.7e308 degF;"
+        " t_base -1e308 degF; t_max 1e308 degF; k_ramp 1; }\n"
+        + _RECORD_H1.replace("air_temperature", "cooling_setpoint"), "BAD_RANGE"),
+    # each validated clean and ran to exit 0 with h1's `air_temperature` at
+    # -inf from 00:01 and nan from 00:02, or at inf from 02:00 and nan from 04:00
+    "cop_1e308": (lambda t: t.replace("cop 3;", "cop 1e308;", 1) + _RECORD_H1, "BAD_RANGE"),
+    "thermal_capacitance_and_ua_5e-324": (
+        lambda t: t.replace("thermal_capacitance 2000;\n    ua 550;", "thermal_capacitance 5e-324;\n    ua 5e-324;", 1)
+        + _RECORD_H1, "BAD_RANGE"),
+    "internal_gains_1e308": (
+        lambda t: _two_hour_steps(t.replace("internal_gains 1800;", "internal_gains 1e308;", 1) + _RECORD_H1),
+        "BAD_RANGE"),
 }
 
 

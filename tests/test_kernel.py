@@ -18,7 +18,7 @@ from tesgrid import kernel
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
-from tesgrid.market import Controller, Market, SellerAgent
+from tesgrid.market import Bid, Controller, Market, SellerAgent
 from tesgrid.model import AttackConfig, RecorderConfig
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
@@ -43,7 +43,7 @@ def test_fencepost_row_count(small_text):
 def test_market_round_every_period(small_text):
     engine, _ = run_small(small_text)
     # 300 s period over [0, 3600] inclusive: rounds at 0, 5, ..., 60 min
-    assert engine.markets["A1"].current_period == 13
+    assert engine.auctions["A1"].market.current_period == 13
 
 
 def test_run_applies_passed_events_in_order(small_text):
@@ -281,13 +281,13 @@ def test_determinism_byte_identical(small_text, tmp_path):
 def test_direct_topology_runs(small_text):
     engine, result = run_small(small_text, topology="direct")
     assert result.complete
-    assert engine.aux_markets == {}
+    assert engine.auctions["A1"].mirror is None
 
 
 def test_auxiliary_creates_mirror_market(small_text):
     engine, _ = run_small(small_text, topology="auxiliary")
-    assert set(engine.aux_markets) == {"A1"}
-    assert engine.aux_markets["A1"].name == "A1_aux"
+    assert list(engine.auctions) == ["A1"]
+    assert engine.auctions["A1"].mirror.name == "A1_aux"
 
 
 def test_market_attack_under_direct_topology_rejected(small_text):
@@ -481,11 +481,13 @@ def test_defaults_of_bare_objects(topology):
     assert (house.ua, house.internal_gains, house.hvac_kw, house.cop) == (550.0, 1800.0, 4.0, 3.5)
     assert engine.appliances["z"].power_kw == 0.0
     assert engine.solars["s"].efficiency == 1.0
-    markets = [engine.markets["a"], *engine.aux_markets.values()]
+    auction = engine.auctions["a"]
+    markets = [m for m in (auction.market, auction.mirror) if m is not None]
     assert len(markets) == (2 if topology == "auxiliary" else 1)
-    for market in markets:
+    for market in markets:  # an auction without sellers warms up from its initial price
         assert (market.price_cap, market.last_clearing.price) == (0.63, 0.10)
-    assert [c.sigma_floor for c in engine.controllers["a"]] == [0.003]
+        assert (market.p_avg, market.p_std) == (0.10, 0.1 * 0.10)
+    assert [(c.sigma_floor, house) for c, house in auction.bidders] == [(0.003, engine.houses["h"])]
 
 
 # the run object each class's properties fill, by `Prop.field`
@@ -534,8 +536,10 @@ def test_every_field_reaches_the_engine(monkeypatch):
             specs = PROPERTIES[obj.cls].values()
             expected = {spec.field: spec.default for spec in specs if spec.field and not spec.required}
             expected.update(given[obj.name])
-            assert made[obj.name] == expected, obj.name
-            assert {f: type(v) for f, v in made[obj.name].items()} == {f: type(v) for f, v in expected.items()}
+            # the `PROPERTIES` fields; a market also takes its sellers
+            fields = {f: v for f, v in made[obj.name].items() if f in {spec.field for spec in specs}}
+            assert fields == expected, obj.name
+            assert {f: type(v) for f, v in fields.items()} == {f: type(v) for f, v in expected.items()}
 
 
 def test_property_table_is_consistent():
@@ -593,8 +597,10 @@ def test_readers_and_writers_are_partials_over_run_objects(small_text, tmp_path)
         assert all(getattr(g, "__closure__", None) is None for g in callables_in(f)), f
 
 
-# feeder_small plus a recorder on h1, schedule entries on h2 and UL1, and a market attack
+# feeder_small plus a controller and a recorder on h1, schedule entries on h2
+# and UL1, and a market attack
 FORKED = (
+    "object controller { name c1; house h1; market A1; t_min 65 degF; t_base 72 degF; t_max 80 degF; k_ramp 2; }\n"
     "recorder { name rh; target h1; property air_temperature, hvac_mode; interval 60 s; file rh.csv; }\n"
     'schedule { entry "2013-07-01 00:10:00" h2 cooling_setpoint 76 degF; '
     'entry "2013-07-01 00:20:00" UL1 status OPEN; entry "2013-07-01 00:40:00" UL1 status CLOSED; }\n'
@@ -624,6 +630,20 @@ def test_deep_copied_engine_runs_on_its_own_objects(small_text, tmp_path):
     assert probe._writers["UL1", "status"]("OPEN") == "CLOSED"
     assert probe.islands.live[tm3] is False
     assert twin.islands is islands and islands.live[tm3] and engine.islands.live[tm3]
+    # a round on a copy books, holds bids and rolls statistics in the copy's own record
+    auction = engine.auctions["A1"]
+    auction.market.submit(Bid("x", "BUY", 0.2, 1.0, auction.market.current_period))
+    before = auction_state(auction)
+    assert before[-1] and before[0][0]  # held bids, and a bid in the main book
+    probe._market_round(probe.auctions["A1"])
+    assert auction_state(auction) == before
+    assert probe.auctions["A1"].market.current_period == 1 and probe.auctions["A1"].held_bids
+
+
+def auction_state(auction):
+    """Copies of an auction's books and statistics, and its held bids."""
+    books = [(list(m.buys), list(m.sells), list(m.history), m.p_avg, m.p_std) for m in (auction.market, auction.mirror)]
+    return books + [list(auction.held_bids)]
 
 
 def test_flags_mark_the_rows_that_read_a_dead_targets_own_state(small_text):

@@ -163,7 +163,7 @@ def reference_load_read(engine, target, prop, irradiance):
 def reference_unresponsive_kw(engine):
     """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
     live, position, attach = engine.islands.live, engine.index.position, engine.index.attach_node
-    controlled = {c.house for ctls in engine.controllers.values() for c in ctls}
+    controlled = {obj.ref("house") for obj in engine.model.of_class("controller")}
     total = 0.0
     for name, app in engine.appliances.items():
         if live[position[attach[name]]]:
@@ -267,7 +267,7 @@ def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topolo
     assert reopened is not opened and reopened == opened and closed != opened
     assert len({id(plan) for _, plan in plans.values()}) == 3
     assert engine.appliances["z1"].power_kw == 0.45
-    assert "h5" not in {c.house for c in engine.controllers["A1"]}
+    assert "h5" not in {ctl.house for ctl, _ in engine.auctions["A1"].bidders}
 
 
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])

@@ -155,6 +155,7 @@ def test_clearing_walk_ends_on_nan_quantities(buy_spec, sell_spec):
 @example([0.1, 0.1])
 @example([0.0, -0.0, 0.0])
 @example([1e308, 1e308, -1e308])
+@example([math.inf, -math.inf])
 def test_statistics_match_generator_formula(window):
     market = Market("m", 300)
     market.history = deque(window, maxlen=len(window))
@@ -165,13 +166,14 @@ def test_statistics_match_generator_formula(window):
 
     def reference():
         n = len(window)
-        mean = sum(window) / n
-        return mean, math.sqrt(sum((p - mean) ** 2 for p in window) / n)
+        mean = math.fsum(window) / n
+        return mean, math.sqrt(math.fsum((p - mean) * (p - mean) for p in window) / n)
 
     def outcome(fn):
         try:
             return repr(fn())
-        except OverflowError as exc:  # float ** 2 past the largest float
+        # a partial sum past the largest float, or infinities of both signs
+        except (OverflowError, ValueError) as exc:
             return repr(exc)
 
     assert outcome(statistics) == outcome(reference)
@@ -248,29 +250,28 @@ def test_statistics_window_rolls():
     assert market.p_avg == pytest.approx(sum(window) / 24)
 
 
+def offering(*prices):
+    """Sellers offering `prices`."""
+    return [SellerAgent(f"g{i}", price, 5.0) for i, price in enumerate(prices)]
+
+
 def test_warmup_seeds_until_two_samples():
-    market = Market("m", 300)
-    market.seed_statistics(0.10)
-    assert market.p_avg == 0.10 and market.p_std == pytest.approx(0.01)
+    market = Market("m", 300, init_price=0.10, offers=offering(0.12))
+    assert market.p_avg == 0.12 and market.p_std == pytest.approx(0.012)
     market.clear()  # one (no-cross) sample: still seeded
-    assert market.p_avg == 0.10
+    assert market.p_avg == 0.12 and market.history[0] == 0.10
 
 
-def test_seeds_after_two_clearings_change_nothing():
-    # once the window holds two prices it never holds fewer, so late seeds
-    # would never be read: `seed_statistics` leaves the statistics alone
-    market = Market("m", 300, init_price=0.12)
-    market.seed_statistics(0.10)
-    for p in (0.11, 0.15):
-        market.submit(B(p, 1, period=market.current_period))
-        market.submit(B(p, 1, "SELL", period=market.current_period))
-        market.clear()
-    statistics = (market.p_avg, market.p_std)
-    assert statistics == pytest.approx((0.13, 0.02))
-    market.seed_statistics(0.50)
-    assert (market.p_avg, market.p_std) == statistics
-    market.clear()  # a third (no-cross) price keeps the window above two
-    assert len(market.history) == 3 and market.p_avg != 0.50
+def test_warmup_seeds_are_the_mean_offer_summed_left_to_right():
+    prices = (0.1, 0.2, 0.3, 1e-17)
+    total = 0.0
+    for price in prices:
+        total += price
+    market = Market("m", 300, init_price=0.5, offers=offering(*prices))
+    assert (market.p_avg, market.p_std) == (total / 4, 0.1 * (total / 4))
+    assert market.last_clearing.price == 0.5  # the prior price stays the initial price
+    bare = Market("m", 300, init_price=0.5)
+    assert (bare.p_avg, bare.p_std) == (0.5, 0.1 * 0.5)
 
 
 def house(t_in):
@@ -285,8 +286,7 @@ def controller(**overrides):
 
 
 def test_controller_ramp_bid():
-    market = Market("m", 300)
-    market.seed_statistics(0.10)
+    market = Market("m", 300, offers=offering(0.10))
     ctl = controller()
     bid = ctl.make_bid(house(80.0), market)
     # p_avg + (T - T_base) * k * sigma / (T_max - T_base), sigma floored
@@ -301,8 +301,7 @@ def test_controller_no_bid_when_cold():
 
 
 def test_controller_bid_clamped_to_cap():
-    market = Market("m", 300, price_cap=0.63)
-    market.seed_statistics(0.62)
+    market = Market("m", 300, price_cap=0.63, offers=offering(0.62))
     ctl = controller(k_ramp=100.0)
     bid = ctl.make_bid(house(84.0), market)
     assert bid.price == 0.63
@@ -320,8 +319,7 @@ def test_controller_sigma_floor():
 
 
 def test_respond_to_clearing_moves_setpoint():
-    market = Market("m", 300)
-    market.seed_statistics(0.10)
+    market = Market("m", 300, offers=offering(0.10))
     ctl = controller()
     h = house(76.0)
     respond_to_clearing([(ctl, h)], market, Clearing(0.63, 1.0, None, None, 0))

@@ -3,23 +3,28 @@
 `reference_round` is the market round written as a plain loop: ramp
 bids, setpoint re-centering, one-period-late forwarding and the attack
 transforms are spelled out from their formulas, without the kernel's
-compiled bidder lists or the controller and transform methods.  A
-generated 30-house day must clear every main and auxiliary market at
-the same (price, quantity, marginal buy, marginal sell, period) and end
-with the same setpoints, compared with ``==``.
+compiled bidder lists or the controller and transform methods, and each
+auction's sellers and controllers are read from the scenario.  A
+generated 30-house day, and an hour of a feeder with two auctions, must
+clear every main and auxiliary market at the same (price, quantity,
+marginal buy, marginal sell, period) and end with the same setpoints,
+compared with ``==``.
 """
 
+from collections import Counter
 from datetime import datetime
 from functools import partial
 
 import pytest
+from conftest import SECOND_AUCTION, load_fixture
 
 from tesgrid.errors import PriceCapViolation, StalePeriod
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
-from tesgrid.market import UNRESPONSIVE_TRADER, Bid, Market, seller_bids
+from tesgrid.market import DEFAULT_SIGMA_FLOOR, UNRESPONSIVE_TRADER, Bid, Controller, Market
 from tesgrid.model import AttackConfig
+from tesgrid.validate import validate
 
 ATTACKS = {
     "override": AttackConfig(
@@ -66,12 +71,27 @@ def transformed(engine, bid, kind, market_price, price_cap):
     return bid
 
 
-def reference_round(engine, held, market_name):
-    """One market round; `held` maps a controller to its last auxiliary bid."""
-    market = engine.markets[market_name]
-    ctls = engine.controllers[market_name]
+def number(obj, prop, default=None):
+    value = obj.properties.get(prop)
+    return default if value is None else float(value.canonical())
+
+
+def reference_round(engine, held, auction):
+    """One round of `auction`'s market and mirror, with the sellers and
+    controllers whose `market` names it; `held` maps a controller to its
+    last auxiliary bid."""
+    market, aux = auction.market, auction.mirror
+    traders = [obj for obj in engine.model.objects if obj.ref("market") == market.name]
+    ctls = [
+        Controller(obj.name, obj.ref("house"), market.name, number(obj, "t_min"), number(obj, "t_base"),
+                   number(obj, "t_max"), number(obj, "k_ramp"), number(obj, "sigma_floor", DEFAULT_SIGMA_FLOOR))
+        for obj in traders if obj.cls == "controller"
+    ]
     unresp_kw = engine._unresp_kw  # the loads phase's sum, checked in test_load_pass.py
-    offers = seller_bids(engine.sellers[market_name], market.current_period)
+    offers = [
+        Bid(obj.name, "SELL", number(obj, "price"), number(obj, "capacity"), market.current_period)
+        for obj in traders if obj.cls == "generator_seller"
+    ]
     for bid in offers:
         market.submit(bid)
     if engine.topology == "direct":
@@ -86,7 +106,6 @@ def reference_round(engine, held, market_name):
             recenter(ctl, engine.houses[ctl.house], market, clearing)
         return
 
-    aux = engine.aux_markets[market_name]
     for offer in offers:
         replica = Bid(offer.trader, "SELL", offer.price, offer.quantity, aux.current_period)
         aux.submit(transformed(engine, replica, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap))
@@ -111,8 +130,15 @@ def reference_round(engine, held, market_name):
         recenter(ctl, engine.houses[ctl.house], aux, clearing)
 
 
-def day_run(feeder_dir, topology, attack, reference):
-    model = parse_scenario(gen_feeder(30, 0))
+# each feeder's text, and the rounds of its run per market
+FEEDERS = {
+    "gen30": (lambda: gen_feeder(30, 0), 289),
+    "two_auctions": (lambda: load_fixture("feeder_small.glm") + SECOND_AUCTION, 13 + 7),
+}
+
+
+def day_run(feeder_dir, feeder, topology, attack, reference):
+    model = parse_scenario(FEEDERS[feeder][0]())
     if attack is not None:
         model.attacks.append(attack)
     engine = Engine(model, topology=topology, seed=0, base_dir=str(feeder_dir))
@@ -122,10 +148,14 @@ def day_run(feeder_dir, topology, attack, reference):
     return {name: house.t_set for name, house in engine.houses.items()}
 
 
-@pytest.mark.parametrize(
-    "topology, attack", [("auxiliary", "override"), ("auxiliary", "bidscale"), ("direct", None)]
-)
-def test_round_matches_plain_reference(feeder_dir, monkeypatch, topology, attack):
+@pytest.mark.parametrize("feeder, topology, attack", [
+    pytest.param("gen30", "auxiliary", "override", id="auxiliary-override"),
+    pytest.param("gen30", "auxiliary", "bidscale", id="auxiliary-bidscale"),
+    pytest.param("gen30", "direct", None, id="direct-None"),
+    pytest.param("two_auctions", "auxiliary", None, id="two_auctions-auxiliary"),
+    pytest.param("two_auctions", "direct", None, id="two_auctions-direct"),
+])
+def test_round_matches_plain_reference(feeder_dir, monkeypatch, feeder, topology, attack):
     clearings = []
     clear = Market.clear
 
@@ -136,11 +166,11 @@ def test_round_matches_plain_reference(feeder_dir, monkeypatch, topology, attack
 
     monkeypatch.setattr(Market, "clear", recording_clear)
     cfg = ATTACKS.get(attack)
-    set_points = day_run(feeder_dir, topology, cfg, reference=False)
+    set_points = day_run(feeder_dir, feeder, topology, cfg, reference=False)
     kernel_clearings = list(clearings)
     clearings.clear()
-    assert set_points == day_run(feeder_dir, topology, cfg, reference=True)
-    assert len(kernel_clearings) == (2 if topology == "auxiliary" else 1) * 289
+    assert set_points == day_run(feeder_dir, feeder, topology, cfg, reference=True)
+    assert len(kernel_clearings) == (2 if topology == "auxiliary" else 1) * FEEDERS[feeder][1]
     assert kernel_clearings == clearings
     assert any(c.quantity > 0 for _, c in clearings)
 
@@ -160,25 +190,26 @@ def _record_books(monkeypatch, record):
 
 def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch):
     engine = Engine(parse_scenario(gen_feeder(5, 0)), topology="auxiliary", base_dir=str(feeder_dir))
-    main = engine.markets["market"]
-    controllers = {ctl.name for ctl in engine.controllers["market"]}
+    auction = engine.auctions["market"]
+    main = auction.market
+    controllers = {ctl.name for ctl, _ in auction.bidders}
     submitted = []
     _record_books(monkeypatch, lambda market: submitted.extend(
         (market.name, market.current_period, bid) for bid in market.buys + market.sells))
-    engine._market_round("market")
+    engine._market_round(auction)
     assert not [bid for name, _, bid in submitted if name == "market" and bid.trader in controllers]
     submitted.clear()
-    engine._market_round("market")
+    engine._market_round(auction)
     forwarded = [(period, bid) for name, period, bid in submitted if name == "market" and bid.trader in controllers]
     assert len(forwarded) == len(controllers)
     assert all(bid.period == period == 1 for period, bid in forwarded)
 
     with pytest.raises(StalePeriod):
         main.submit(forwarded[0][1])  # the main market has moved on to period 2
-    held = engine._held_bids["market"]
+    held = auction.held_bids
     held[0] = held[0]._replace(price=main.price_cap + 0.01)
     with pytest.raises(PriceCapViolation):
-        engine._market_round("market")
+        engine._market_round(auction)
 
 
 def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypatch):
@@ -186,10 +217,11 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     model.attacks.append(ATTACKS["override"])
     engine = Engine(model, topology="auxiliary", base_dir=str(feeder_dir))
     override = engine.transforms["attack:ovr"]
-    books = {engine.markets["market"]: [], engine.aux_markets["market"]: []}
+    auction = engine.auctions["market"]
+    books = {auction.market: [], auction.mirror: []}
     main, aux = books.values()
     _record_books(monkeypatch, lambda market: books[market].extend(market.sells))
-    engine._market_round("market")
+    engine._market_round(auction)
     assert len(main) == len(aux) > 1
     assert all(replica is offer for offer, replica in zip(main, aux))
 
@@ -197,10 +229,41 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     assert 0 < len(override.compromised) < len(main)
     main.clear()
     aux.clear()
-    engine._market_round("market")
+    engine._market_round(auction)
     assert len(main) == len(aux)
     for offer, replica in zip(main, aux):
         if offer.trader in override.compromised:
             assert replica == offer._replace(price=override.params["price"]) != offer
         else:
             assert replica is offer
+
+
+# each auction of the two-auction feeder: its sellers, its controllers, and its sellers' mean offer
+OWN = {"A1": ({"g1"}, {"c1"}, 0.10), "A2": ({"g2", "g3"}, {"c3"}, (0.12 + 0.15) / 2)}
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_each_auction_books_its_own_traders_and_warms_up_from_its_own_offers(small_text, monkeypatch, topology):
+    model = parse_scenario(small_text + SECOND_AUCTION)
+    assert validate(model, topology).runnable
+    engine = Engine(model, topology=topology)
+    for name, (_, _, mean_offer) in OWN.items():
+        auction = engine.auctions[name]
+        markets = [auction.market] if topology == "direct" else [auction.market, auction.mirror]
+        assert [(m.p_avg, m.p_std) for m in markets] == [(mean_offer, 0.1 * mean_offer)] * len(markets)
+    # without its sellers, A2 warms up from its initial price
+    text = "".join(line for line in (small_text + SECOND_AUCTION).splitlines(True) if "market A2; price" not in line)
+    bare = Engine(parse_scenario(text), topology=topology).auctions["A2"]
+    assert bare.sellers == [] and (bare.market.p_avg, bare.market.p_std) == (0.2, 0.1 * 0.2)
+    assert bare.mirror is None or (bare.mirror.p_avg, bare.mirror.p_std) == (0.2, 0.1 * 0.2)
+
+    books = []
+    _record_books(monkeypatch, lambda market: books.append(
+        (market.name.removesuffix("_aux"), {bid.trader for bid in market.sells}, {bid.trader for bid in market.buys})))
+    assert engine.run().complete
+    copies = 1 if topology == "direct" else 2
+    assert Counter(name for name, _, _ in books) == {"A1": 13 * copies, "A2": 7 * copies}
+    for name, (sellers, controllers, _) in OWN.items():
+        assert all(sells == sellers for market, sells, _ in books if market == name)
+        bidders = set().union(*(buys for market, _, buys in books if market == name))
+        assert bidders == controllers | {UNRESPONSIVE_TRADER}
