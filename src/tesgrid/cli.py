@@ -50,17 +50,19 @@ def _load(path: str):
 
 def _compile(args) -> tuple[ValidationReport, Engine | None]:
     """The scenario's report under `args.topology`, and its engine when it
-    is runnable; an input file the engine cannot use is one more error."""
+    is runnable: an unusable input file is one more error, a dropped event one more warning."""
     model = _load(args.scenario)
     report = validate(model, args.topology)
     if not report.runnable:
         return report, None
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     try:
-        return report, Engine(model, topology=args.topology, seed=args.seed, base_dir=base_dir)
+        engine = Engine(model, topology=args.topology, seed=args.seed, base_dir=base_dir)
     except ConfigError as exc:
         report.errors.append(Diagnostic(exc.location, exc.code, exc.message))
         return report, None
+    report.warnings += [Diagnostic("<clock>", "OUT_OF_WINDOW", note) for note in engine.warnings]
+    return report, engine
 
 
 def _cmd_run(args) -> int:
@@ -75,8 +77,6 @@ def _cmd_run(args) -> int:
     except TesgridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for warning in result.metadata["event_warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
     for name in manifest:
         print(os.path.join(args.out, name))
     if not result.complete:

@@ -27,7 +27,12 @@ the one place switching happens, remakes with the islands on each change.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, seed): outputs are byte-identical across
-repeats.  Every applied event lands in an audit log.
+repeats.  Every applied event lands in an audit log.  The run's state,
+built in `Engine.__init__` and carried from step to step by `advance`,
+is `step` (the next step's index), the event stream and its pending
+event, the recorder `tables`, the stream's out-of-window `warnings` and
+the `summary` that `summary.txt` prints, so a deep copy taken between
+steps finishes the run as the original does.
 """
 
 from __future__ import annotations
@@ -384,16 +389,14 @@ def event_stream(
     on time; the merge is stable, so events at one time come in schedule
     entry (file) order, then attack events in compile order.  A repeating
     entry's stream starts at its first occurrence at or after t0 and holds
-    only its next event.  Each event outside [t0, tf] is dropped with an
-    OutOfWindow warning in `warnings`, all added before this returns; the
-    repeats of an entry dated before t0 share one.
+    only its next event.  Each event outside [t0, tf] is dropped with a
+    note in `warnings`, all added before this returns; the repeats of an
+    entry dated before t0 share one.
     """
     def kept(event: Event) -> bool:
         if t0 <= event.time <= tf:
             return True
-        warnings.append(
-            f"OutOfWindow: {event.origin} event at {event.time} for {event.target}.{event.prop} dropped"
-        )
+        warnings.append(f"{event.origin} event at {event.time} for {event.target}.{event.prop} dropped")
         return False
 
     streams: list[Iterable[Event]] = []
@@ -407,7 +410,7 @@ def event_stream(
             first = max(0, -((e.time - t0) // step))  # the repeats before t0
             if first:
                 warnings.append(
-                    f"OutOfWindow: schedule event at {e.time} for {e.target}.{e.prop} "
+                    f"schedule event at {e.time} for {e.target}.{e.prop} "
                     f"and its repeats before {t0} dropped ({first} events)"
                 )
             streams.append(_repeats(e, step, range(first, (tf - e.time) // step + 1)))
@@ -476,9 +479,7 @@ class Engine:
         if topology not in ("direct", "auxiliary"):
             raise ValueError(f"unknown topology '{topology}'")
         self.model = model
-        self.topology = topology
-        self.seed = seed
-        self.clock = model.clock
+        self.clock = clock = model.clock
         self.index = build_network_index(model)
         self.statuses = dict(self.index.switchable)  # each line's status now
 
@@ -545,7 +546,7 @@ class Engine:
         self.players = []
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
-            series = read_player(os.path.join(base_dir, cfg.file), self.clock.start)
+            series = read_player(os.path.join(base_dir, cfg.file), clock.start)
             spec = PROPERTIES[self._classes[cfg.target]][cfg.prop]
             for row, (_, value) in enumerate(series.rows, start=1):
                 problem = out_of_bounds(cfg.prop, spec, value)
@@ -553,18 +554,38 @@ class Engine:
                     raise ConfigError(series.name, f"row {row} holds {value:g}: {problem}", "BAD_RANGE")
             self.players.append((cfg, series, write))
         if model.weather_source is not None:
-            self.weather: TimeSeries = read_weather(os.path.join(base_dir, model.weather_source), self.clock.start)
+            self.weather: TimeSeries = read_weather(os.path.join(base_dir, model.weather_source), clock.start)
         else:
-            self.weather = constant_weather(self.clock.start)
+            self.weather = constant_weather(clock.start)
         # the loads at clock.start, for reads and market rounds before a step
-        self._phase_loads(self.clock.start, self.clock.timestep, first=True)
+        self._phase_loads(clock.start, clock.timestep, first=True)
 
         self.audit: list[AuditRow] = []
         self.network_state = None
         self._load_kw = 0.0  # the feeder's load total, set by each step's `build_load_injections`
-        self._pf_solves = 0
-        self._pf_max_iterations = 0
-        self._pf_worst_mismatch = 0.0
+        # the run state, which `advance` carries from step to step
+        self.step = 0  # the index of the next step
+        self.warnings: list[str] = []  # the event stream's out-of-window notes
+        self._events = event_stream(model.schedules, self.attacks, clock.start, clock.stop, self.warnings)
+        self._event = next(self._events, None)  # the one pending event
+        self.tables = {cfg.name: RecorderTable(cfg.file, ["time", *cfg.properties, "flags"]) for cfg in model.recorders}
+        self.summary = {  # what `summary.txt` prints, in its order; a divergence adds its keys
+            "start": format_time(clock.start),
+            "stop": format_time(clock.stop),
+            "timestep_s": clock.timestep,
+            "steps": int((clock.stop - clock.start).total_seconds()) // clock.timestep,
+            "seed": seed,
+            "topology": topology,
+            "attacks": ";".join(a.config.name for a in self.attacks) or "none",
+            "complete": 1,
+            "powerflow_solves": 0,  # the steps done: each solves once
+            "powerflow_max_iterations": 0,
+            "powerflow_worst_mismatch_pu": 0.0,
+            "max_clearing_price": 0.0,
+        }
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_events": None}  # a generator cannot be copied: `advance` makes it again
 
     def _bind(self, target: str, prop: str, write: bool = False):
         """Bind one (target, property) through `PROPERTIES`: its recorder
@@ -681,8 +702,7 @@ class Engine:
         # controllers observe only the market they trade in, cleared last
         respond_to_clearing(auction.bidders, local, clearing)
 
-    def _phase_market(self, t: datetime) -> None:
-        offset = int((t - self.clock.start).total_seconds())
+    def _phase_market(self, offset: int) -> None:
         for auction in self.auctions.values():
             if offset % auction.market.period_seconds == 0:
                 self._market_round(auction)
@@ -706,9 +726,9 @@ class Engine:
         self.network_state = state = solve_powerflow(
             self.index, demand, self.islands, start=self.network_state
         )
-        self._pf_solves += 1
-        self._pf_max_iterations = max(self._pf_max_iterations, state.iterations)
-        self._pf_worst_mismatch = max(self._pf_worst_mismatch, state.power_mismatch_pu())
+        summary = self.summary
+        summary["powerflow_max_iterations"] = max(summary["powerflow_max_iterations"], state.iterations)
+        summary["powerflow_worst_mismatch_pu"] = max(summary["powerflow_worst_mismatch_pu"], state.power_mismatch_pu())
 
     # -- recording ----------------------------------------------------------
 
@@ -718,27 +738,21 @@ class Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> SimulationResult:
-        """Step the clock from start to stop, applying the scenario's
-        schedules and attacks as their events fall due."""
-        clock = self.clock
+    def advance(self, until: datetime) -> None:
+        """Step the clock up to and including `until`, at most to its stop,
+        applying the scenario's schedules and attacks as their events fall
+        due.  A divergence ends the run: later calls do nothing."""
+        clock, summary, k = self.clock, self.summary, self.step
         dt = clock.timestep
-        warnings: list[str] = []
-        events = event_stream(self.model.schedules, self.attacks, clock.start, clock.stop, warnings)
-        event = next(events, None)  # the one pending event
-        steps = int((clock.stop - clock.start).total_seconds()) // dt
-
-        tables = {
-            cfg.name: RecorderTable(cfg.name, cfg.file, ["time", *cfg.properties, "flags"])
-            for cfg in self.model.recorders
-        }
-
+        last = min((until - clock.start) // timedelta(seconds=dt), summary["steps"])
+        if self._events is None:  # a copy's: made again from the next step on, its notes thrown away
+            t = clock.start + timedelta(seconds=k * dt)
+            self._events = event_stream(self.model.schedules, self.attacks, t, clock.stop, [])
+            self._event = next(self._events, None)
+        events, event, tables = self._events, self._event, self.tables
         markets = [m for auction in self.auctions.values() for m in (auction.market, auction.mirror) if m]
-        max_price = 0.0
-        complete = True
-        divergence = None
-        executed_steps = 0
-        for k in range(steps + 1):
+        max_price = summary["max_clearing_price"]
+        while k <= last and summary["complete"]:
             t = clock.start + timedelta(seconds=k * dt)
             while event is not None and event.time <= t:
                 self.apply_event(event)
@@ -746,42 +760,29 @@ class Engine:
             self._phase_players(t)
             # attack transforms are standing; activation happened via events
             self._phase_loads(t, dt, first=(k == 0))
-            self._phase_market(t)
+            offset = k * dt
+            self._phase_market(offset)
             try:
                 self._phase_powerflow()
             except SolverDivergence as exc:
-                complete = False
-                divergence = exc
-                divergence_time = t
+                summary.update(complete=0, divergence=str(exc), divergence_time=format_time(t),
+                               divergence_node=exc.node, incomplete_reason="solver_divergence")
                 break
-            offset, stamp = k * dt, None
+            stamp = None
             for cfg, powered in self._recorders:
                 if offset % cfg.interval == 0:
                     values = [self.read_property(cfg.target, prop) for prop in cfg.properties]
                     stamp = stamp or format_time(t)
                     tables[cfg.name].append(stamp, values, DEENERGIZED if powered and not powered() else "")
-            executed_steps = k
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)
+            k += 1
+        self.step, self._event = k, event
+        summary["powerflow_solves"], summary["max_clearing_price"] = k, max_price
 
-        summary = {
-            "start": format_time(clock.start),
-            "stop": format_time(clock.stop),
-            "timestep_s": dt,
-            "steps": steps,
-            "seed": self.seed,
-            "topology": self.topology,
-            "attacks": ";".join(a.config.name for a in self.attacks) or "none",
-            "complete": 1 if complete else 0,
-            "powerflow_solves": self._pf_solves,
-            "powerflow_max_iterations": self._pf_max_iterations,
-            "powerflow_worst_mismatch_pu": self._pf_worst_mismatch,
-            "max_clearing_price": max_price,
-        }
-        if divergence is not None:
-            summary["divergence"] = str(divergence)
-            summary["divergence_time"] = format_time(divergence_time)
-            summary["divergence_node"] = divergence.node
-            summary["incomplete_reason"] = "solver_divergence"
-        metadata = {"executed_steps": executed_steps, "event_warnings": warnings}
-        return SimulationResult(tables, self.audit, summary, metadata, complete)
+    def run(self) -> SimulationResult:
+        """Step on to the clock's stop and return the run's outputs; a
+        finished run does no more work."""
+        self.advance(self.clock.stop)
+        metadata = {"executed_steps": max(self.step - 1, 0)}
+        return SimulationResult(self.tables, self.audit, self.summary, metadata, self.summary["complete"] == 1)

@@ -121,7 +121,6 @@ def constant_weather(t0: datetime) -> TimeSeries:
 
 @dataclass
 class RecorderTable:
-    name: str
     file: str
     header: list[str]  # time, props..., flags
     # one CSV line per row: no recorded field holds a comma (numbers, modes and

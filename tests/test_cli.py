@@ -83,6 +83,18 @@ def test_run_missing_player_file_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_both_commands_report_events_outside_the_clock(tmp_path, capsys):
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        text = fh.read()
+    scenario.write_text(text + 'schedule { entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }\n')
+    line = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"
+    assert main(["validate", str(scenario)]) == 0
+    assert capsys.readouterr().out.splitlines() == [line, "runnable: 0 error(s), 1 warning(s)"]
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_run_divergence_is_runtime_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", fixture_path("two_bus_overload.glm"), "--out", str(out)]) == 3

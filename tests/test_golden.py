@@ -10,20 +10,25 @@ the two sellers, so the bid-transform path and the setpoint c1 derives
 from the prices are pinned too.  The sha256 of
 every recorder CSV and of `audit.csv` is pinned, so a change that moves
 any written number, even in its last printed digit, fails here and not
-only in the benchmark.
+only in the benchmark.  Each case is also stopped at 00:30, inside UL1's
+outage and the attack window, and deep-copied: the copy must finish the
+hour to the same pins.
 
 The runtime uses only the standard library, so the same pins must hold
 on every supported interpreter.  Without pytest, run it as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints each case's digests and exits 1 on any mismatch.
+which prints each case's digests, whole and resumed, and exits 1 on
+any mismatch.
 """
 
+import copy
 import hashlib
 import os
 import sys
 import tempfile
+from datetime import datetime
 
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
@@ -116,11 +121,18 @@ PINS = {
 }
 
 
-def digests(case: str) -> dict[str, str]:
-    """sha256 of each written CSV of one case's outage hour, by file name."""
+CUT = datetime(2013, 7, 1, 0, 30)
+
+
+def digests(case: str, cut: bool = False) -> dict[str, str]:
+    """sha256 of each written CSV of one case's outage hour, by file name;
+    with `cut`, of a deep copy of the engine stopped after the `CUT` step."""
     topology, extra = CASES[case]
     with open(FEEDER, encoding="utf-8") as fh:
         engine = Engine(parse_scenario(fh.read() + extra), topology=topology)
+    if cut:
+        engine.advance(CUT)
+        engine = copy.deepcopy(engine)
     with tempfile.TemporaryDirectory() as out:
         manifest = write_results(engine.run(), out)
         found = {}
@@ -143,12 +155,19 @@ def test_attacked_outputs_match_pins():
     assert digests("auxiliary_attacked") == PINS["auxiliary_attacked"]
 
 
+def test_resumed_copies_match_pins():
+    for case, pins in PINS.items():
+        assert digests(case, cut=True) == pins, case
+
+
 if __name__ == "__main__":
     failed = False
     for case, pins in PINS.items():
-        found = digests(case)
-        for name in sorted(found):
-            print(case, name, found[name], "ok" if pins.get(name) == found[name] else "MISMATCH")
-        failed |= found != pins
+        for cut in (False, True):
+            found = digests(case, cut)
+            for name in sorted(found):
+                print(case, "resumed" if cut else "whole", name, found[name],
+                      "ok" if pins.get(name) == found[name] else "MISMATCH")
+            failed |= found != pins
     print(f"Python {sys.version.split()[0]}: {'MISMATCH' if failed else 'all digests match'}")
     sys.exit(1 if failed else 0)

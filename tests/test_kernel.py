@@ -4,15 +4,19 @@ schedule application, outage/restore behavior, and determinism."""
 import copy
 import inspect
 import os
+import tempfile
 import tracemalloc
 from collections import deque
 from datetime import datetime, timedelta
 from functools import partial
 from itertools import islice
+from pathlib import Path
 from types import MethodType
 
 import pytest
 from conftest import load_fixture
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tesgrid import kernel
 from tesgrid.glm import parse_scenario
@@ -89,7 +93,7 @@ def test_out_of_window_warning():
     )
     warnings = []
     assert list(event_stream(model.schedules, [], START, START + timedelta(hours=1), warnings)) == []
-    assert warnings == ["OutOfWindow: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"]
+    assert warnings == ["schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"]
 
 
 def test_ties_keep_schedule_file_order_then_attacks(small_text):
@@ -109,13 +113,13 @@ def test_ties_keep_schedule_file_order_then_attacks(small_text):
 
 def test_repeats_before_start_give_one_warning(small_text):
     entry = 'schedule {{ entry "{}" h2 deadband 3 degF; repeat 60 s; }}\n'
-    _, early = run_small(small_text + entry.format("2012-07-01 00:00:00"))
-    _, at_start = run_small(small_text + entry.format("2013-07-01 00:00:00"))
-    assert early.metadata["event_warnings"] == [
-        "OutOfWindow: schedule event at 2012-07-01 00:00:00 for h2.deadband "
+    early_engine, early = run_small(small_text + entry.format("2012-07-01 00:00:00"))
+    at_start_engine, at_start = run_small(small_text + entry.format("2013-07-01 00:00:00"))
+    assert early_engine.warnings == [
+        "schedule event at 2012-07-01 00:00:00 for h2.deadband "
         "and its repeats before 2013-07-01 00:00:00 dropped (525600 events)"
     ]
-    assert at_start.metadata["event_warnings"] == []
+    assert at_start_engine.warnings == []
     assert early.audit == at_start.audit and len(early.audit) == 61
 
 
@@ -644,6 +648,70 @@ def auction_state(auction):
     """Copies of an auction's books and statistics, and its held bids."""
     books = [(list(m.buys), list(m.sells), list(m.history), m.p_avg, m.p_std) for m in (auction.market, auction.mirror)]
     return books + [list(auction.held_bids)]
+
+
+def test_a_second_run_does_no_more_work(small_text):
+    engine = Engine(parse_scenario(small_text + FORKED))
+    first = engine.run()
+    rows = {name: list(table.rows) for name, table in first.tables.items()}
+    audit, summary = len(first.audit), dict(first.summary)
+    second = engine.run()
+    assert {name: table.rows for name, table in second.tables.items()} == rows
+    assert len(second.audit) == audit == 5 and second.summary == summary
+    assert summary["powerflow_solves"] == 61 and second.metadata == {"executed_steps": 60}
+
+
+# feeder_small plus FORKED's controller and recorder, a schedule with a
+# repeating entry, a player and an attack that opens UL1 for 00:20-00:40
+RESUMED = FORKED[: FORKED.index("schedule")] + (
+    'schedule { entry "2013-07-01 00:10:00" h2 cooling_setpoint 76 degF; }\n'
+    'schedule { entry "2013-07-01 00:05:00" h3 deadband 3 degF; repeat 600 s; }\n'
+    "player { name p1; target z1; property base_power; file zip.csv; }\n"
+    'attack { name cut; kind LINE_STATUS; start "2013-07-01 00:20:00"; end "2013-07-01 00:40:00"; '
+    "lines UL1; status OPEN; }\n"
+)
+PLAYED = "time,value\n2013-07-01 00:00:00,1.5\n2013-07-01 00:25:00,0.5\n2013-07-01 00:50:00,2\n"
+
+
+def written(result) -> dict[str, bytes]:
+    """The bytes of each file `write_results` writes of `result`."""
+    with tempfile.TemporaryDirectory() as out:
+        return {name: Path(out, name).read_bytes() for name in write_results(result, out)}
+
+
+@pytest.fixture(scope="module")
+def resumable(small_text, tmp_path_factory):
+    """Per case, a maker of its fresh engine and the files of its uninterrupted run."""
+    base_dir = tmp_path_factory.mktemp("resumed")
+    (base_dir / "zip.csv").write_text(PLAYED)
+    cases = {
+        "auxiliary": ("auxiliary", small_text + RESUMED + ATTACK),  # the market attack runs 00:30-00:40
+        "direct": ("direct", small_text + RESUMED),
+        "diverged": ("auxiliary", load_fixture("two_bus_overload.glm")),  # at 00:05
+    }
+    made = {}
+    for case, (topology, text) in cases.items():
+        model = parse_scenario(text)
+        assert validate(model, topology).runnable
+        build = partial(Engine, model, topology, base_dir=str(base_dir))
+        made[case] = build, written(build().run())
+    return made
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(["auxiliary", "direct", "diverged"]), cut=st.integers(-1, 61))
+@example(case="auxiliary", cut=35).via("inside both attack windows")
+@example(case="direct", cut=30).via("inside the outage")
+@example(case="diverged", cut=3).via("before the divergence")
+@example(case="diverged", cut=7).via("after the divergence")
+def test_a_copy_taken_at_any_step_finishes_the_run(resumable, case, cut):
+    build, whole = resumable[case]
+    engine = build()
+    engine.advance(START + timedelta(minutes=cut))
+    assert engine.step == min(max(cut + 1, 0), 61 if case != "diverged" else 5)
+    twin = copy.deepcopy(engine)
+    assert written(twin.run()) == whole
+    assert written(engine.run()) == whole  # the original finishes after its copy
 
 
 def test_flags_mark_the_rows_that_read_a_dead_targets_own_state(small_text):

@@ -94,7 +94,7 @@ def reference_round(engine, held, auction):
     ]
     for bid in offers:
         market.submit(bid)
-    if engine.topology == "direct":
+    if engine.summary["topology"] == "direct":
         for ctl in ctls:
             bid = ramp_bid(ctl, engine.houses[ctl.house], market)
             if bid is not None:

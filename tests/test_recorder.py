@@ -150,7 +150,7 @@ def test_format_number():
 
 
 def test_recorder_table_serialize(tmp_path):
-    table = RecorderTable("r", "r.csv", ["time", "a", "flags"])
+    table = RecorderTable("r.csv", ["time", "a", "flags"])
     table.append("2013-07-01 00:00:00", [1.5], "")
     table.append("2013-07-01 00:01:00", [0.0], "DEENERGIZED")
     result = SimpleNamespace(tables={"r": table}, audit=[], summary={"complete": True})
