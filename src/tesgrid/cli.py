@@ -5,9 +5,9 @@ Subcommands:
     validate    compile a scenario file as `run` does and print the report
     gen-feeder  write the generated study feeder and its weather file
 
-Both compile alike: parse, validate for the topology (`validate` checks
-the default, auxiliary) and build the engine, which reads the input
-files relative to the scenario.  Exit codes: 0 success; 2 a problem with
+Both compile alike: parse, validate for the `--topology` (auxiliary
+unless given) and build the engine, which reads the input files
+relative to the scenario.  Exit codes: 0 success; 2 a problem with
 the scenario or an input file it names; 3 solver divergence or outputs
 that cannot be written.
 """
@@ -121,14 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario and write results")
     p_run.add_argument("scenario", help="scenario (.glm) file")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    p_run.add_argument("--topology", choices=("direct", "auxiliary"), default="auxiliary",
-                       help="market topology (default: auxiliary)")
     p_run.add_argument("--seed", type=int, default=0, help="run seed recorded in the summary")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a scenario without running it")
     p_val.add_argument("scenario", help="scenario (.glm) file")
-    p_val.set_defaults(func=_cmd_validate, topology="auxiliary", seed=0)  # as `run` compiles by default
+    p_val.set_defaults(func=_cmd_validate, seed=0)  # as `run` compiles by default
+    for command in (p_run, p_val):
+        command.add_argument("--topology", choices=("direct", "auxiliary"), default="auxiliary",
+                             help="market topology (default: auxiliary)")
 
     p_gen = sub.add_parser("gen-feeder", help="generate the study feeder")
     p_gen.add_argument("--houses", type=int, default=30)

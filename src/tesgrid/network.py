@@ -17,7 +17,7 @@ supernode, with the live supernodes' sweep rows; the engine's line
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import EDGE_CLASSES, LINE_CLASSES, NODE_CLASSES, GridObject, ScenarioModel
@@ -47,6 +47,8 @@ class NetworkIndex:
     attach_node: dict[str, str]  # load -> its node
     attachments: dict[str, list[str]]  # node -> its loads, in model order
     switchable: dict[str, str]  # line, switch or fuse -> its configured status, in walk order
+    # live flags -> the power-flow sweep compiled for them, on their first solve
+    sweeps: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class Feeder(NamedTuple):

@@ -14,19 +14,32 @@ per-supernode lists in which every node hung on a zero-impedance
 inputs are a per-supernode demand list and the `Islands` of the line
 statuses, which the engine's status writer computes once per change:
 the live flags, and the live supernodes' sweep rows in topological order
-(the backward pass walks them reversed).  Consecutive rows that feed one
-parent share its terms: the forward pass computes V_parent / n once for
-a run of rows with the same parent and ratio, and the backward pass sums
-their currents into the parent in a local, written back before another
-row reads it, so every sum takes the same additions in the same order.
-Dead demand entries are ignored.  A solution keeps per-supernode voltage
-and current lists and builds the name-keyed voltages only when read: a
-merged node (a meter, say) reports its supernode's voltage.
+(the backward pass walks them reversed).  Dead demand entries are
+ignored.  A solution keeps per-supernode voltage and current lists and
+builds the name-keyed voltages only when read: a merged node (a meter,
+say) reports its supernode's voltage.
+
+The iterations run in a `_Sweep`: Python source generated from the
+islands' rows, straight-line code with a few lines per row in each
+pass, in which every live supernode's voltage, current and demand and
+every row's ratio, impedance and nominal voltage is a local.  It is compiled on the first solve over
+a set of live supernodes and cached in the index's `sweeps` under the
+live flags, so a line that toggles back finds it there.  The source
+holds only supernode indices and fixed names: the rows' values arrive
+as a tuple, never as text, so no scenario name and no float's repr
+enters it.  The generated forward pass computes V_parent / n once for a
+run of rows with the same parent and ratio, and the backward pass sums
+each parent's child currents from 0j in reversed row order: the
+operations, in their order, of `sweep_reference` in tests/oracles.py,
+which every solve repeats bit for bit.
 
 A sweep has converged when no voltage step (per unit of nominal) reaches
 the tolerance; a NaN step never does.  Before the last allowed iteration
 the forward pass computes the steps only up to the first that reaches
-it; the last computes them all, so a divergence names the worst.  A
+it; the last computes them all, so a divergence names the worst, and is
+generated only when a solve first reaches it.  A tolerance that is not
+positive is never met: then every pass computes every step, and a pass
+in which no step moved keeps the worst node of the pass before.  A
 converged state with a voltage or current that is not finite, or a
 source power that is not, is a divergence too, at the first such
 supernode in index order (at the source for its power); one sum over
@@ -34,7 +47,7 @@ the voltages and the source power screens for it, so a finite solve
 pays no per-node check.
 
 Each solve can start from an earlier `NetworkState` (warm start), whose
-voltage list is copied over the same islands; otherwise a supernode that
+voltage list it reads as is over the same islands; otherwise a supernode that
 was dead there and is live now starts at its nominal voltage.  A
 warm-started solve of unchanged loads converges in one sweep, so the
 iteration counts of a run reflect how much the loads moved per step.
@@ -47,6 +60,7 @@ scope.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,7 +109,7 @@ def solve_powerflow(
     engine keeps its current one); None means every edge is closed.  The
     state's name-keyed `voltages` are built on first read.
     `start` is an earlier solution to iterate from; over the same
-    `islands` object its voltage list is copied as is.
+    `islands` object its voltage list is read as is.
 
     Raises SolverDivergence with the worst residual, and the node where it
     was, after `max_iterations`; and with a NaN residual, and the first
@@ -103,7 +117,10 @@ def solve_powerflow(
     """
     if islands is None:
         islands = compute_islands(index, {})
-    live, rows = islands
+    live = islands.live
+    sweep = index.sweeps.get(live)
+    if sweep is None:
+        sweep = index.sweeps[live] = _Sweep(islands)
     names, nominal = index.names, index.nominal
     n = len(names)
 
@@ -112,58 +129,25 @@ def solve_powerflow(
     if start is None:
         v = [complex(nominal[s]) if live[s] else 0j for s in range(n)]
     elif start.islands is islands:
-        v = start.v.copy()  # same islands: a dead entry is 0j there too
+        v = start.v  # same islands: a dead entry is 0j there too
     else:
         before, was_live = start.v, start.islands.live
         v = [
             (before[s] if was_live[s] else complex(nominal[s])) if live[s] else 0j
             for s in range(n)
         ]
-    cur = [0j] * n  # child-side current of each supernode's feeding edge
 
-    worst, worst_at = float("inf"), 0
-    for iteration in range(1, max_iterations + 1):
-        # backward: feeding-edge currents from the leaves up (`acc` is `into[held]`)
-        into = [0j] * n
-        held, acc = 0, 0j
-        for s, p, r, _, _ in reversed(rows):
-            if p != held:
-                into[held], held, acc = acc, p, into[p]
-            d, vs = demand[s], v[s]
-            total = into[s] + (d / vs).conjugate() if d and vs else into[s]
-            cur[s] = total
-            acc += total / r
-        into[held] = acc
-
-        # forward: voltage drops from the source down, `fed` is `v[held] / ratio` (a
-        # tolerance that is not positive is never met: then every pass computes every step)
-        held, ratio = -1, 0.0
-        if iteration < max_iterations and tolerance_pu > 0.0:
-            forward = iter(rows)
-            for s, p, r, z, nom in forward:
-                if p != held or r != ratio:
-                    held, ratio, fed = p, r, v[p] / r
-                new_v = fed - z * cur[s]
-                far = abs(new_v - v[s]) / nom >= tolerance_pu
-                v[s] = new_v
-                if far:
-                    break
-            else:
-                break  # no step reached the tolerance: converged
-            for s, p, r, z, _ in forward:
-                if p != held or r != ratio:
-                    held, ratio, fed = p, r, v[p] / r
-                v[s] = fed - z * cur[s]
-            continue
-        worst = 0.0
-        for s, p, r, z, nom in rows:
-            if p != held or r != ratio:
-                held, ratio, fed = p, r, v[p] / r
-            new_v = fed - z * cur[s]
-            step = abs(new_v - v[s]) / nom
-            if step > worst:
-                worst, worst_at = step, s
-            v[s] = new_v
+    # a tolerance that is not positive is never met: then each iteration is
+    # a last one, whose forward pass judges every step
+    worst, worst_at, iteration = float("inf"), 0, 0
+    last = max_iterations if tolerance_pu > 0.0 else 1
+    while iteration < max_iterations:
+        done, v, cur, into = sweep.run(v, demand, sweep.consts, tolerance_pu, last)
+        iteration += done
+        if done < last:
+            break  # a forward pass converged
+        worst, s, v = sweep.worst(v, cur, sweep.consts)
+        worst_at = s or worst_at  # where no step moved, the worst stays where it was
         if worst < tolerance_pu:
             break
     else:
@@ -174,7 +158,7 @@ def solve_powerflow(
             names[worst_at],
         )
 
-    source_current = into[0] + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
+    source_current = into + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
     source_power = v[0] * source_current.conjugate()
     # one C-level screen: a NaN or inf voltage makes the sum one, and so does
     # a current, which the backward pass adds up into the source power; an
@@ -186,9 +170,6 @@ def solve_powerflow(
             raise SolverDivergence(
                 f"power flow reached a voltage or current that is not finite (at {at})", float("nan"), at
             )
-    losses = 0j
-    for s, _, _, z, _ in rows:  # a dead edge carries no current
-        losses += z * (abs(cur[s]) ** 2)
     return NetworkState(
         index=index,
         v=v,
@@ -197,5 +178,108 @@ def solve_powerflow(
         iterations=iteration,
         source_power_va=source_power,
         load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),
-        loss_power_va=losses,
+        loss_power_va=sweep.losses(cur, sweep.consts),
     )
+
+
+def _compile(source: str, name: str):
+    """The function `name` that `source` defines."""
+    namespace: dict = {}
+    exec(compile(source, "<powerflow sweep>", "exec"), namespace)
+    return namespace[name]
+
+
+def _lines(lines: Iterable[str], depth: int) -> str:
+    """Each of `lines` on a line of its own, `depth` levels in."""
+    return "".join(f"\n{'    ' * depth}{line}" for line in lines)
+
+
+class _Sweep:
+    """The sweep over one set of live supernodes, as straight-line code.
+
+    `run` iterates until a forward pass converges, or up to the backward
+    pass of the last allowed iteration, and returns the iteration, the
+    voltage and current lists, and the sum of the currents into the
+    source.  `worst`, compiled when a solve first needs it, is that last
+    iteration's forward pass, judging every step; `losses` sums the edges'
+    losses.  Each takes the rows' ratios, impedances and nominal voltages
+    as `consts`."""
+
+    def __init__(self, islands: Islands):
+        self.live, self.rows = live, rows = islands
+        self.consts = tuple(x for _, _, r, z, nom in rows for x in (r, z, nom))
+        # three locals per row (no line without rows)
+        self._constants = "".join(f"r{s}, z{s}, n{s}, " for s, *_ in rows) + "= consts" if rows else ""
+        self._children: dict[int, list[int]] = {}  # in the backward pass's order
+        for s, p, _, _, _ in reversed(rows):
+            self._children.setdefault(p, []).append(s)
+        backward = []
+        for s, _, _, _, _ in reversed(rows):
+            lines, into = self._into(s)
+            backward += lines
+            backward.append(f"c{s} = {into} + (d{s} / v{s}).conjugate() if d{s} and v{s} else {into}")
+        checked = self._forward(["if not far:", "    far = abs(x - v{s}) / n{s} >= tol"])
+        source_lines, into = self._into(0)
+        self.run = _compile(f"""
+def run(v, demand, consts, tol, last):
+    {self._locals("v", "v")}
+    {self._locals("d", "demand")}
+    {self._constants}
+    iteration = 0
+    while True:
+        iteration += 1{_lines(backward, 2)}
+        if iteration == last:
+            break
+        far = False{_lines(checked, 2)}
+        if not far:
+            break{_lines(source_lines, 1)}
+    return iteration, {self._list("v", "v0")}, {self._list("c", "0j")}, {into}
+""", "run")
+        self.losses = _compile(f"""
+def losses(cur, consts):
+    {self._locals("c", "cur")}
+    {self._constants}
+    loss = 0j{_lines((f"loss += z{s} * abs(c{s}) ** 2" for s, *_ in rows), 1)}
+    return loss
+""", "losses")
+
+    @cached_property
+    def worst(self):
+        judge = ["step = abs(x - v{s}) / n{s}", "if step > worst:", "    worst, at = step, {s}"]
+        return _compile(f"""
+def worst(v, cur, consts):
+    {self._locals("v", "v")}
+    {self._locals("c", "cur")}
+    {self._constants}
+    worst, at = 0.0, 0{_lines(self._forward(judge), 1)}
+    return worst, at, {self._list("v", "v0")}
+""", "worst")
+
+    def _locals(self, x: str, arg: str) -> str:
+        """Unpack the per-supernode list `arg` into one local `x{s}` per live supernode."""
+        return "".join(f"{x}{s}, " if on else "_, " for s, on in enumerate(self.live)) + f"= {arg}"
+
+    def _list(self, x: str, source: str) -> str:
+        """A per-supernode list of the locals `x`: `source` for the source, 0j where dead."""
+        return "[" + ", ".join(source if not s else f"{x}{s}" if on else "0j" for s, on in enumerate(self.live)) + "]"
+
+    def _into(self, p: int) -> tuple[list[str], str]:
+        """The lines that sum `p`'s children's currents, each over its
+        ratio, from 0j into `i`; and the sum: `i`, or 0j for a leaf."""
+        children = self._children.get(p, [])
+        return [f"i = {'i' if k else '0j'} + c{s} / r{s}" for k, s in enumerate(children)], "i" if children else "0j"
+
+    def _forward(self, judge: list[str]) -> list[str]:
+        """A forward pass: each row's new voltage `x`, the `judge` lines on
+        its step (`{s}` is the supernode), and its store.  `f` is
+        V_parent / n, computed once per run of rows with the same parent
+        and ratio."""
+        lines, held, ratio = [], -1, 0.0
+        for s, p, r, _, _ in self.rows:
+            if p != held or r != ratio:
+                held, ratio = p, r
+                lines.append(f"f = v{p} / r{s}")
+            lines.append(f"x = f - z{s} * c{s}")
+            lines += [line.format(s=s) for line in judge]
+            lines.append(f"v{s} = x")
+        return lines

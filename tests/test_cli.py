@@ -144,6 +144,29 @@ def test_validate_failure(tmp_path, capsys):
     assert "not runnable" in capsys.readouterr().out
 
 
+MARKET_ATTACK = (
+    'attack { name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; '
+    "price 0.5 $/kWh; }\n"
+)
+
+
+def test_validate_checks_the_topology_run_is_given(tmp_path, capsys):
+    """A market attack needs the auxiliary market: `validate --topology
+    direct` rejects it as `run --topology direct` does, and the default passes it."""
+    scenario = tmp_path / "s.glm"
+    with open(fixture_path("feeder_small.glm")) as fh:
+        scenario.write_text(fh.read() + MARKET_ATTACK)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert _exit_code(command + [str(scenario), "--topology", "direct"]) == 2
+        captured = capsys.readouterr()
+        assert "error: a: BAD_TOPOLOGY: " in captured.out + captured.err
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+    assert _exit_code(["validate", str(scenario)]) == 0
+    assert _exit_code(["validate", str(scenario), "--topology", "auxiliary"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["runnable: 0 error(s), 0 warning(s)"] * 2
+
+
 def test_gen_feeder_writes_valid_scenario(tmp_path, capsys):
     out = tmp_path / "feeder"
     assert main(["gen-feeder", "--houses", "10", "--seed", "1", "--out", str(out)]) == 0

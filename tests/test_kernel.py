@@ -12,13 +12,14 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 from types import MethodType
+from unittest.mock import patch
 
 import pytest
 from conftest import load_fixture
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tesgrid import kernel
+from tesgrid import kernel, powerflow
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
@@ -712,6 +713,36 @@ def test_a_copy_taken_at_any_step_finishes_the_run(resumable, case, cut):
     twin = copy.deepcopy(engine)
     assert written(twin.run()) == whole
     assert written(engine.run()) == whole  # the original finishes after its copy
+
+
+# UL1 opens on every even minute and closes on every odd one, all hour
+TOGGLED = (
+    'schedule { entry "2013-07-01 00:00:00" UL1 status OPEN; repeat 120 s; }\n'
+    'schedule { entry "2013-07-01 00:01:00" UL1 status CLOSED; repeat 120 s; }\n'
+)
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_a_run_compiles_one_sweep_per_set_of_live_supernodes(small_text, topology):
+    """Validating and building compile no sweep; the run compiles one for
+    UL1 open and one for it closed, and reuses each as the line toggles
+    back; a copy taken mid-run reuses them too and finishes the run."""
+    model = parse_scenario(small_text + TOGGLED)
+    with patch.object(powerflow, "_Sweep", wraps=powerflow._Sweep) as compiled:
+        assert validate(model, topology).runnable
+        engine, cut = Engine(model, topology), Engine(model, topology)
+        assert compiled.call_count == 0
+        result = engine.run()
+        assert compiled.call_count == 2
+        cut.advance(START + timedelta(minutes=30))
+        twin = copy.deepcopy(cut)
+        twin_files = written(twin.run())
+        assert compiled.call_count == 4  # `cut`'s own two, none for its copy
+    assert [row.new_value for row in result.audit if row.target == "UL1"] == ["OPEN", "CLOSED"] * 30 + ["OPEN"]
+    assert set(engine.index.sweeps) == set(twin.index.sweeps) == {
+        kernel.compute_islands(engine.index, {"UL1": status}).live for status in ("OPEN", "CLOSED")
+    }
+    assert twin_files == written(result) == written(cut.run())
 
 
 def test_flags_mark_the_rows_that_read_a_dead_targets_own_state(small_text):

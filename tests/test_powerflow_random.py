@@ -10,16 +10,23 @@ configured status, which a run's statuses start from.  After each of a
 run's status writes its islands and load plan must be those of its
 statuses.  The sweep must also repeat `sweep_reference`, the sweep that
 scans every step of every pass, bit for bit: cold and warm starts,
-converged or diverged.
+converged or diverged; so must hand-made feeders at the edges of the
+generated code (more than 255 locals, signed-zero impedances, names that
+are not Python identifiers), whose source holds no scenario text.
 """
 
+import io
+import math
+import re
+import tokenize
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import demand_list, dense_powerflow_oracle, reachability_oracle, sweep_reference
 
-from tesgrid import kernel
+from tesgrid import kernel, powerflow
 from tesgrid.errors import SolverDivergence
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
@@ -260,3 +267,95 @@ def test_fan_out_sweep_matches_reference_bit_for_bit():
     moved = [d * 1.3 for d in demand]
     assert both(moved, state.islands, start=state)[0][3] > 1  # warm start over the same islands
     both(moved, state.islands, tolerance_pu=0.0, start=state)
+
+
+def _matches_reference(text, loads):
+    """Solve the feeder of `text` under `loads` from a flat start, with a
+    tolerance never met, in three, one and no iterations and warm from the
+    flat start's solution, each bit for bit as `sweep_reference`; returns
+    the index and the flat start's state."""
+    index = build_network_index(parse_scenario(text))
+    demand = demand_list(index, loads)
+
+    def both(*args, **kwargs):
+        got, state = _outcome(solve_powerflow, index, *args, **kwargs)
+        assert got == _outcome(sweep_reference, index, *args, **kwargs)[0]
+        return got, state
+
+    (_, _, _, iterations), state = both(demand)
+    assert 1 < iterations < 50
+    assert both(demand, tolerance_pu=0.0)[0][0] == "diverged"
+    for iterations in (3, 1, 0):
+        both(demand, max_iterations=iterations)
+    both([d * 1.3 for d in demand], state.islands, start=state)
+    return index, state
+
+
+def _feeder(edges, source="n0"):
+    """A SWING node `source` and, per (node, edge object, upstream node,
+    impedance), that node fed from its upstream one."""
+    lines = [f"object node {{ name {source}; bustype SWING; nominal_voltage 7200 V; }}"]
+    for node, edge, up, impedance in edges:
+        lines.append(f"object node {{ name {node}; }}")
+        lines.append(f"object {edge}; from {up}; to {node}; impedance {impedance}; }}")
+    return "\n".join(lines) + "\n"
+
+
+CHAIN = _feeder(
+    (f"n{i}", f"overhead_line {{ name l{i}", f"n{i - 1}", "0.01+0.02j Ohm") for i in range(1, 301)
+)
+# 300 siblings under p, fed by lines and transformers in runs of each
+SIBLINGS = _feeder(
+    [("p", "overhead_line { name lp", "n0", "0.2+0.4j Ohm")] + [
+        (f"c{i}", f"transformer {{ name t{i}; ratio 30" if i % 50 < 25 else f"underground_line {{ name u{i}",
+         "p", "0.01+0.02j Ohm")
+        for i in range(1, 301)
+    ]
+)
+
+
+@pytest.mark.parametrize("text, loaded", [(CHAIN, "n"), (SIBLINGS, "c")], ids=["chain", "siblings"])
+def test_sweeps_with_more_than_255_locals_match_reference(text, loaded):
+    index, state = _matches_reference(text, [(f"{loaded}{i}", 1e3 + 2e2j) for i in range(1, 301)])
+    assert index.sweeps[state.islands.live].run.__code__.co_nlocals > 255
+
+
+def test_zero_and_negative_zero_impedances_match_reference():
+    """l1's impedance has a -0.0 imaginary part (a unit would scale it to
+    +0.0) and sw has none.  The feeder is resistive and its loads real, so
+    every current's imaginary part is a zero whose sign the sweep must keep."""
+    text = _feeder([("a", "overhead_line { name l1", "n0", "0.3-0j"), ("b", "switch { name sw", "a", "0j"),
+                    ("c", "overhead_line { name l2", "b", "0.2 Ohm")])
+    index, state = _matches_reference(text, [("a", 5e3), ("b", 8e3), ("c", 3e3)])
+    assert math.copysign(1.0, index.impedance[1].imag) == -1.0 and index.impedance[2] == 0j
+    assert all(c.imag == 0.0 for c in state.cur)
+
+
+ODD_NAMES = _feeder([("lambda", "overhead_line { name def", "class", "0.3+0.6j Ohm"),
+                     ("n-1", "switch { name import", "lambda", "0.1+0.1j Ohm"),
+                     ("attack:a", "transformer { name x-y; ratio 30", "n-1", "0.01+0.02j Ohm"),
+                     ("return", "underground_line { name line:b", "lambda", "0.2+0.1j Ohm")], source="class")
+# the identifiers every generated sweep is written with
+SWEEP_WORDS = {"def", "run", "losses", "worst", "v", "demand", "cur", "consts", "tol", "last", "iteration",
+               "while", "True", "False", "if", "not", "and", "else", "break", "return", "abs", "conjugate",
+               "far", "i", "f", "x", "loss", "step", "at", "_"}
+
+
+def test_sweep_source_holds_no_scenario_name():
+    """Names that are Python keywords or no identifiers at all solve as
+    `sweep_reference` does, and no scenario text reaches the generated
+    source: only fixed words and one local per supernode and list."""
+    with patch.object(powerflow, "_compile", wraps=powerflow._compile) as compiled:
+        index, _ = _matches_reference(ODD_NAMES, [("lambda", 4e3 + 1e3j), ("attack:a", 2e3), ("return", 1e3)])
+    assert index.names == ["class", "lambda", "n-1", "return", "attack:a"]
+    sources = [call.args[0] for call in compiled.call_args_list]
+    assert [src.split("(")[0].split()[-1] for src in sources] == ["run", "losses", "worst"]
+    for src in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(src).readline))
+        kinds = {tokenize.tok_name[tok.type] for tok in tokens}
+        assert kinds <= {"NAME", "NUMBER", "OP", "NEWLINE", "NL", "INDENT", "DEDENT", "ENDMARKER"}
+        words = {tok.string for tok in tokens if tok.type == tokenize.NAME}
+        assert all(word in SWEEP_WORDS or re.fullmatch(r"[vcdrzn][0-9]+", word) for word in words), words
+        # a supernode index, or one of the zeros sums and steps start from: no value of a row
+        numbers = {tok.string for tok in tokens if tok.type == tokenize.NUMBER}
+        assert all(re.fullmatch(r"[0-9]+|0j|0\.0", number) for number in numbers), numbers
