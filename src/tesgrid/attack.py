@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .market import Bid
 from .model import LINE_CLASSES, LINE_STATUSES, AttackConfig, Event, ScenarioModel
@@ -37,11 +37,13 @@ def attacked_lines(cfg: AttackConfig) -> list[str]:
 
 def scale_buyer_bid(bid: Bid, params: dict, market_price: float, price_cap: float) -> Bid:
     """p_hat = p + lambda * p_m, clamped to the market's price cap."""
-    return bid._replace(price=min(bid.price + params["lambda"] * market_price, price_cap))
+    trader, side, price, quantity, period = bid
+    return tuple.__new__(Bid, (trader, side, min(price + params["lambda"] * market_price, price_cap), quantity, period))
 
 
 def seller_override(bid: Bid, params: dict, market_price: float, price_cap: float) -> Bid:
-    return bid._replace(price=params["price"])
+    trader, side, _, quantity, period = bid
+    return tuple.__new__(Bid, (trader, side, params["price"], quantity, period))
 
 
 class Param(NamedTuple):  # one parameter of an attack kind
@@ -82,9 +84,15 @@ class BidTransform:
 
     def apply(self, bid: Bid, market_price: float, price_cap: float) -> Bid:
         """The rewritten bid, or `bid` itself when it is left alone."""
-        if not self.active or bid.trader not in self.compromised:
-            return bid
-        return ATTACKS[self.kind].rewrite(bid, self.params, market_price, price_cap)
+        return self.apply_all((bid,), market_price, price_cap)[0]
+
+    def apply_all(self, bids: Sequence[Bid], market_price: float, price_cap: float) -> Sequence[Bid]:
+        """`bids` with each compromised trader's bid rewritten, in one pass;
+        an inactive transform returns `bids` itself."""
+        if not self.active:
+            return bids
+        rewrite, compromised, params = ATTACKS[self.kind].rewrite, self.compromised, self.params
+        return [rewrite(bid, params, market_price, price_cap) if bid[0] in compromised else bid for bid in bids]
 
 
 @dataclass

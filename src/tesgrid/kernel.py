@@ -10,10 +10,14 @@ order:
 
 Attack transforms are standing: events switch them on and off, and a
 market round applies only the transforms that are active then.  A round
-reads one `Auction` record (market, mirror, sellers, bidders, held bids),
-books each list of bids (offers, replicas, forwarded bids, the
-controllers' bids) with one `submit_all` call and re-centers its
-controllers from one price.
+reads one `Auction` record (market, mirror, offers, bidders, held bids)
+and copies a bid only where a transform rewrites it.  The sellers'
+offers are built once and stand in both markets; an active `replicas`
+transform's rewritten list replaces them in the mirror for the round.
+The mirror numbers each period as the main period its bids are forwarded
+into, so the held bids are booked in the main market as they are.  The
+round books each list of bids (forwarded bids, the controllers' bids)
+with one `submit_all` call and re-centers its controllers from one price.
 
 The loads phase is the one place a step's load kW is worked out.  It
 samples the weather once, steps the whole fleet with one `step_houses`
@@ -448,7 +452,7 @@ class Auction:
 
     market: Market
     mirror: Market | None  # the auxiliary market its controllers trade in; None under direct wiring
-    sellers: list[SellerAgent]
+    offers: list[Bid]  # its sellers' constant offers, in seller order: both markets' standing offers
     bidders: list[tuple[Controller, HouseState]]  # (controller, its house)
     held_bids: list[Bid]  # the controllers' last bids, which the auxiliary wiring forwards a round late
 
@@ -503,8 +507,10 @@ class Engine:
             bidders[ctl.market].append((ctl, self.houses[ctl.house]))
         self.auctions: dict[str, Auction] = {}
         for obj in model.of_class("auction"):
-            name, fields, offers = obj.name, _fields(obj), sellers[obj.name]
-            mirror = Market(f"{name}_aux", **fields, offers=offers) if topology == "auxiliary" else None
+            # built once, at period 0, which no check of a standing offer reads;
+            # the mirror numbers each period as the main period it forwards into
+            name, fields, offers = obj.name, _fields(obj), seller_bids(sellers[obj.name], 0)
+            mirror = Market(f"{name}_aux", **fields, offers=offers, first_period=1) if topology == "auxiliary" else None
             self.auctions[name] = Auction(Market(name, **fields, offers=offers), mirror, offers, bidders[name], [])
         controlled = {ctl.house for auction in self.auctions.values() for ctl, _ in auction.bidders}
 
@@ -668,36 +674,31 @@ class Engine:
     def _market_round(self, auction: Auction) -> None:
         market, aux = auction.market, auction.mirror
         local = aux or market  # where controllers trade: the main market under direct wiring
-        unresp_kw = self._unresp_kw
-        new, period, price = tuple.__new__, market.current_period, market.last_clearing.price  # once a round
+        unresp_kw, price = self._unresp_kw, market.last_clearing.price  # once a round
 
-        offers = seller_bids(auction.sellers, period)
-        market.submit_all(offers)
+        # the sellers' constant offers stand in the main market
         if aux:
-            # sellers' constant offers are replicated into the auxiliary market
-            # (the `replicas` rewrite point) with no bidder, as they are known
-            # exactly.  Last period's auxiliary bids are forwarded to the main
-            # market (the `forwarded` point): precise bids are not observable,
-            # so the estimate runs one period late
-            replicas, forwarded = offers, [
-                new(Bid, (trader, side, price, quantity, period))
-                for trader, side, price, quantity, _ in auction.held_bids
-            ]
-            # an inactive transform leaves every bid alone: apply the active ones
+            # and are replicated into the auxiliary market (the `replicas`
+            # rewrite point) with no bidder, as they are known exactly.
+            # Last period's auxiliary bids are forwarded to the main market
+            # (the `forwarded` point): precise bids are not observable, so
+            # the estimate runs one period late, and the mirror has numbered
+            # them for the main market's current period already
+            replicas, forwarded = auction.offers, auction.held_bids
+            # an inactive transform returns the list it is given
             for tr in self._rewriters["replicas"]:
-                if tr.active:
-                    replicas = [tr.apply(bid, price, aux.price_cap) for bid in replicas]
+                replicas = tr.apply_all(replicas, price, aux.price_cap)
             for tr in self._rewriters["forwarded"]:
-                if tr.active:
-                    forwarded = [tr.apply(bid, price, market.price_cap) for bid in forwarded]
-            aux.submit_all(replicas)
+                forwarded = tr.apply_all(forwarded, price, market.price_cap)
+            if replicas is not auction.offers:
+                aux.replace_offers(replicas)
             market.submit_all(forwarded)
         # then the controllers bid afresh
         auction.held_bids = held_bids = controller_bids(auction.bidders, local)
         local.submit_all(held_bids)
         for m in (market, aux) if aux else (market,):
             if unresp_kw > 0:
-                m.submit(new(Bid, (UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period)))
+                m.submit(tuple.__new__(Bid, (UNRESPONSIVE_TRADER, "BUY", m.price_cap, unresp_kw, m.current_period)))
             clearing = m.clear()
         # controllers observe only the market they trade in, cleared last
         respond_to_clearing(auction.bidders, local, clearing)

@@ -23,12 +23,25 @@ window never holds fewer than two samples again.  Controllers apply a
 small floor to p_std so a long run of identical prices does not make the
 ramp formulas degenerate.
 
-Bids are immutable tuples (`Bid` is a `NamedTuple`): a forwarded or
-rewritten bid is a new tuple, never an edited one, and an attack
-transform that does not rewrite a bid returns the very object it was
-given.  `controller_bids`, `seller_bids` and forwarding build one with
-`tuple.__new__(Bid, fields)`, skipping the `NamedTuple`'s Python-level
-`__new__`; the book and the clearing walk read its fields by index.
+Bids are immutable tuples (`Bid` is a `NamedTuple`): a rewritten bid is
+a new tuple, never an edited one, and an attack transform that does not
+rewrite a bid returns the very object it was given.  `controller_bids`,
+`seller_bids` and the transforms build one with `tuple.__new__(Bid,
+fields)`, skipping the `NamedTuple`'s Python-level `__new__`; the book and
+the clearing walk read its fields by index.
+
+A market's sellers make constant offers, so it holds them as standing
+offers: given as `SELL` bids when it is built, checked once as `submit`
+checks a bid's price and quantity, and sorted stably by price once.  Each
+period clears against them, as if they had been booked first, unless
+`replace_offers` books another list for the period alone (a rewritten
+copy of them, say); a standing offer's `period` is never checked, and
+`last_bid_counts` counts the offers the period cleared against as sells.
+
+A market numbers its periods from `first_period`.  An auxiliary market
+starts one ahead of its main market, numbering each period as the main
+period its bids are forwarded into, so a forwarded bid passes the main
+market's period check as it is and is booked there as the very object.
 
 A round works a list at a time: `controller_bids` builds every
 controller's ramp bid in one loop, reading the market's statistics, cap
@@ -44,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, mul, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadQuantity, PriceCapViolation, StalePeriod
 from .loads import HouseState
@@ -57,6 +70,7 @@ DEFAULT_SIGMA_FLOOR = 0.003  # $/kWh, keeps the setpoint ramp well-defined
 # its 86,400 squared deviations (each below MAX_PRICE ** 2) far below 1.8e308
 MAX_PRICE = 1e100
 UNRESPONSIVE_TRADER = "feeder_unresponsive"
+PRICE = itemgetter(2)  # a bid's price, the books' sort key
 
 
 class Bid(NamedTuple):
@@ -80,8 +94,13 @@ def clear_book(
     buys: list[Bid], sells: list[Bid], prior_price: float, period: int
 ) -> Clearing:
     """Pure clearing of one order book (see module docstring for the rule)."""
-    b = sorted(buys, key=itemgetter(2), reverse=True)  # stable: FIFO within a price
-    s = sorted(sells, key=itemgetter(2))
+    # stable: FIFO within a price
+    return clear_sorted(sorted(buys, key=PRICE, reverse=True), sorted(sells, key=PRICE), prior_price, period)
+
+
+def clear_sorted(b: list[Bid], s: list[Bid], prior_price: float, period: int) -> Clearing:
+    """`clear_book` of a book already sorted: buys by descending and sells
+    by ascending price, each stably."""
     nb, ns = len(b), len(s)
     i = j = 0
     remaining_b = b[0][3] if b else 0.0
@@ -111,8 +130,9 @@ def clear_book(
 
 
 class Market:
-    """Order book, clearing history, and rolling price statistics, seeded
-    from the constant offers of `offers`, the sellers attached to it."""
+    """Order book, standing offers, clearing history, and rolling price
+    statistics, seeded from `offers`, the constant `SELL` offers of the
+    sellers attached to it.  Its periods are numbered from `first_period`."""
 
     def __init__(
         self,
@@ -120,24 +140,46 @@ class Market:
         period_seconds: int,
         price_cap: float = DEFAULT_PRICE_CAP,
         init_price: float = DEFAULT_INIT_PRICE,
-        offers: Iterable[SellerAgent] = (),
+        offers: Sequence[Bid] = (),
+        first_period: int = 0,
     ):
         self.name = name
         self.period_seconds = period_seconds
         self.price_cap = price_cap
-        self.current_period = 0
+        self.current_period = first_period
         window = max(2, int(STATS_WINDOW_HOURS * 3600 / period_seconds))
         self.history: deque[float] = deque(maxlen=window)
         total, n = 0.0, 0
-        for seller in offers:  # left to right, as builtin `sum` is compensated on 3.12+
-            total += seller.price
+        for offer in offers:  # left to right, as builtin `sum` is compensated on 3.12+
+            total += offer[2]
             n += 1
         self.p_avg = seed = total / n if n else init_price
         self.p_std = 0.1 * seed
+        self.offers = self._checked_offers(offers)  # standing, sorted by price
+        self.round_offers = self.offers  # what the current period clears against
         self.buys: list[Bid] = []
         self.sells: list[Bid] = []
-        self.last_clearing = Clearing(init_price, 0.0, None, None, -1)
+        self.last_clearing = Clearing(init_price, 0.0, None, None, first_period - 1)
         self.last_bid_counts = (0, 0)
+
+    def _refuse(self, bid: Bid) -> None:
+        """Raise the error of the first check `bid` fails: a price above the
+        cap (or NaN), a quantity that is not a number >= 0, another period."""
+        _, _, price, quantity, period = bid
+        if not price <= self.price_cap:  # `not`: a NaN price is refused too
+            raise PriceCapViolation(f"{self.name}: bid price {price:g} exceeds cap {self.price_cap:g}")
+        if not quantity >= 0.0:
+            raise BadQuantity(f"{self.name}: bid quantity {quantity:g} is not a number >= 0")
+        raise StalePeriod(f"{self.name}: bid for period {period}, current is {self.current_period}")
+
+    def _checked_offers(self, offers: Sequence[Bid]) -> list[Bid]:
+        """`offers` sorted stably by price, each checked as `submit` checks
+        a bid's price and quantity."""
+        cap = self.price_cap
+        for offer in offers:
+            if not (offer[2] <= cap and offer[3] >= 0.0):
+                self._refuse(offer)
+        return sorted(offers, key=PRICE)
 
     def submit_all(self, bids: Iterable[Bid]) -> None:
         """Book `bids` in order.  A bid priced above the cap (or NaN), with a
@@ -146,23 +188,29 @@ class Market:
         cap, current, buy, sell = self.price_cap, self.current_period, self.buys.append, self.sells.append
         for bid in bids:
             _, side, price, quantity, period = bid
-            if not price <= cap:  # `not`: a NaN price is refused too
-                raise PriceCapViolation(f"{self.name}: bid price {price:g} exceeds cap {cap:g}")
-            if not quantity >= 0.0:
-                raise BadQuantity(f"{self.name}: bid quantity {quantity:g} is not a number >= 0")
-            if period != current:
-                raise StalePeriod(f"{self.name}: bid for period {period}, current is {current}")
+            if not (price <= cap and quantity >= 0.0 and period == current):
+                self._refuse(bid)
             (buy if side == "BUY" else sell)(bid)
 
     def submit(self, bid: Bid) -> None:
         self.submit_all((bid,))
 
+    def replace_offers(self, offers: Sequence[Bid]) -> None:
+        """Clear the current period against `offers` in place of the standing
+        offers, with the checks they had."""
+        self.round_offers = self._checked_offers(offers)
+
     def clear(self) -> Clearing:
         """Clear the current book, publish the price, roll statistics."""
-        clearing = clear_book(self.buys, self.sells, self.last_clearing.price, self.current_period)
-        self.last_bid_counts = (len(self.buys), len(self.sells))
+        sells = self.round_offers
+        if self.sells:  # booked after the offers: after them on a tie
+            sells = sorted([*sells, *self.sells], key=PRICE)
+        buys = sorted(self.buys, key=PRICE, reverse=True)
+        clearing = clear_sorted(buys, sells, self.last_clearing.price, self.current_period)
+        self.last_bid_counts = (len(buys), len(sells))
         self.buys = []
         self.sells = []
+        self.round_offers = self.offers
         self.last_clearing = clearing
         self.history.append(clearing.price)
         self._recompute_statistics()

@@ -79,7 +79,10 @@ class Value:
     def canonical(self) -> object:
         """Magnitude converted to the canonical unit of its unit class."""
         if self.kind in ("NUMBER", "COMPLEX") and self.unit is not None:
-            return self.value * UNIT_TABLE[self.unit][1]
+            factor = UNIT_TABLE[self.unit][1]
+            if self.kind == "COMPLEX":  # part by part: complex * float would lose a zero part's sign
+                return complex(self.value.real * factor, self.value.imag * factor)
+            return self.value * factor
         return self.value
 
 

@@ -125,7 +125,7 @@ UNRUNNABLE_EDITS = {
     "negative_solar_efficiency": (lambda t: t.replace("efficiency 0.9;", "efficiency -0.9;"), "BAD_RANGE"),
     "negative_seller_price": (
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price -0.10 $/kWh;\n    capacity"), "BAD_RANGE"),
-    # the market refuses these offers at the first round (exit 3)
+    # the market refuses these offers: a seller's when the engine is built, an override's at its first round
     "seller_price_above_cap": (
         lambda t: t.replace("price 0.10 $/kWh;\n    capacity", "price 0.9 $/kWh;\n    capacity"), "BAD_RANGE"),
     "override_price_above_cap": (

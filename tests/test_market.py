@@ -251,8 +251,8 @@ def test_statistics_window_rolls():
 
 
 def offering(*prices):
-    """Sellers offering `prices`."""
-    return [SellerAgent(f"g{i}", price, 5.0) for i, price in enumerate(prices)]
+    """The offers of sellers offering `prices`."""
+    return seller_bids([SellerAgent(f"g{i}", price, 5.0) for i, price in enumerate(prices)], 0)
 
 
 def test_warmup_seeds_until_two_samples():
@@ -272,6 +272,22 @@ def test_warmup_seeds_are_the_mean_offer_summed_left_to_right():
     assert market.last_clearing.price == 0.5  # the prior price stays the initial price
     bare = Market("m", 300, init_price=0.5)
     assert (bare.p_avg, bare.p_std) == (0.5, 0.1 * 0.5)
+
+
+@pytest.mark.parametrize("price, quantity, error", [
+    (0.64, 1.0, PriceCapViolation), (math.nan, 1.0, PriceCapViolation),
+    (0.10, math.nan, BadQuantity), (0.10, -1.0, BadQuantity),
+])
+def test_standing_offers_are_checked_once_given(price, quantity, error):
+    bad = B(price, quantity, "SELL", period=0)
+    with pytest.raises(error):
+        Market("m", 300, price_cap=0.63, offers=[bad])
+    market = Market("m", 300, price_cap=0.63, offers=offering(0.10))
+    with pytest.raises(error):
+        market.replace_offers([*market.offers, bad])
+    assert market.round_offers is market.offers
+    # an offer stands for every period: its own is not checked
+    Market("m", 300, offers=[B(0.10, 1.0, "SELL", period=7)]).clear()
 
 
 def house(t_in):

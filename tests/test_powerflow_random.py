@@ -331,6 +331,17 @@ def test_zero_and_negative_zero_impedances_match_reference():
     assert all(c.imag == 0.0 for c in state.cur)
 
 
+@pytest.mark.parametrize("impedance", ["0.3-0j", "-0.3+0j", "-0-0j", "0-0.2j", "-0.0+0.2j", "0.3+0.6j"])
+def test_impedance_keeps_its_signed_parts_with_or_without_a_unit(impedance):
+    reached = []
+    for spelled in (impedance, f"{impedance} Ohm"):
+        index = build_network_index(parse_scenario(_feeder([("a", "overhead_line { name l1", "n0", spelled)])))
+        z = index.impedance[index.position["a"]]
+        reached.append((z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
+    assert reached[0] == reached[1]
+    assert reached[0][0] == complex(impedance)
+
+
 ODD_NAMES = _feeder([("lambda", "overhead_line { name def", "class", "0.3+0.6j Ohm"),
                      ("n-1", "switch { name import", "lambda", "0.1+0.1j Ohm"),
                      ("attack:a", "transformer { name x-y; ratio 30", "n-1", "0.01+0.02j Ohm"),
