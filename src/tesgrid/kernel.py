@@ -11,13 +11,14 @@ order:
 Attack transforms are standing: events switch them on and off, and a
 market round applies only the transforms that are active then.  A round
 reads one `Auction` record (market, mirror, offers, bidders, held bids)
-and copies a bid only where a transform rewrites it.  The sellers'
-offers are built once and stand in both markets; an active `replicas`
-transform's rewritten list replaces them in the mirror for the round.
-The mirror numbers each period as the main period its bids are forwarded
-into, so the held bids are booked in the main market as they are.  The
-round books each list of bids (forwarded bids, the controllers' bids)
-with one `submit_all` call and re-centers its controllers from one price.
+and copies a bid only where a transform rewrites it.  A seller's run
+object is its offer, and a market's sells are its offers: built once,
+they stand in both markets, and an active `replicas` transform's
+rewritten list replaces them in the mirror for the round.  The mirror
+numbers each period as the main period its bids are forwarded into, so
+the held bids are booked in the main market as they are.  The round
+books each list of buys (forwarded bids, the controllers' bids) with
+one `submit_all` call and re-centers its controllers from one price.
 
 The loads phase is the one place a step's load kW is worked out.  It
 samples the weather once, steps the whole fleet with one `step_houses`
@@ -63,10 +64,8 @@ from .market import (
     Bid,
     Controller,
     Market,
-    SellerAgent,
     controller_bids,
     respond_to_clearing,
-    seller_bids,
 )
 from .model import DEGF_LIMITS, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
 from .network import build_network_index, compute_islands
@@ -82,14 +81,14 @@ class Prop(NamedTuple):
     `kind` is the unit class of a scenario input ("VOLTAGE", "POWER", ...),
     "ref" (an object name), "enum" (a bare word) or "number"
     (dimensionless); without one the property is not a scenario input.
-    `field` is the attribute of the run object (`HouseState`, `Market`,
-    ...) that `Engine` fills with an object's value of the property: a
-    number as a float, a "TIME" as an int and a ref as the name it holds;
-    `default` is what it takes when an object leaves the property out; a
-    `required` one has none.  `bound` is "positive" (> 0) or
-    "nonnegative" (>= 0), for object, schedule and player values alike; a
-    "PRICE" is at most `MAX_PRICE` besides, and a value with `limits`
-    (lowest, highest) lies in that closed range.
+    `field` is the attribute of the run object (`HouseState`, `Market`, a
+    seller's offer `Bid`, ...) that `Engine` fills with an object's value
+    of the property: a number as a float, a "TIME" as an int and a ref as
+    the name it holds; `default` is what it takes when an object leaves
+    the property out; a `required` one has none.  `bound` is "positive"
+    (> 0) or "nonnegative" (>= 0), for object, schedule and player values
+    alike; a "PRICE" is at most `MAX_PRICE` besides, and a value with
+    `limits` (lowest, highest) lies in that closed range.
 
     `read(engine, target)` binds the recorder read of one value; without it
     the property cannot be recorded.  A `flagged` read is of the target's
@@ -258,7 +257,7 @@ PROPERTIES: dict[str, dict[str, Prop]] = {
     "generator_seller": {
         "market": _REF,
         "price": Prop("PRICE", required=True, bound="nonnegative", field="price"),
-        "capacity": Prop("POWER", required=True, bound="nonnegative", field="capacity"),
+        "capacity": Prop("POWER", required=True, bound="nonnegative", field="quantity"),
     },
     "house": {
         "parent": _REF,
@@ -395,7 +394,8 @@ def event_stream(
     entry's stream starts at its first occurrence at or after t0 and holds
     only its next event.  Each event outside [t0, tf] is dropped with a
     note in `warnings`, all added before this returns; the repeats of an
-    entry dated before t0 share one.
+    entry dated before t0 share one, and an entry dated after tf, whose
+    repeats all fall after it too, has the note of a one-shot entry.
     """
     def kept(event: Event) -> bool:
         if t0 <= event.time <= tf:
@@ -406,7 +406,7 @@ def event_stream(
     streams: list[Iterable[Event]] = []
     for sched in schedules:
         for e in sched.entries:
-            if sched.repeat is None:
+            if sched.repeat is None or e.time > tf:
                 event = Event(e.time, e.target, e.prop, e.value, "schedule")
                 streams.append([event] if kept(event) else [])
                 continue
@@ -497,21 +497,21 @@ class Engine:
         }
         self.solars = {obj.name: _Solar(obj.name, **_fields(obj)) for obj in model.of_class("solar")}
 
-        # one record per auction; under the auxiliary topology each gets a mirror
-        sellers = {obj.name: [] for obj in model.of_class("auction")}
+        # one record per auction, with a mirror under the auxiliary topology; a
+        # seller is its offer, built once at period 0, which no check of an offer reads
+        offers = {obj.name: [] for obj in model.of_class("auction")}
         for obj in model.of_class("generator_seller"):
-            sellers[obj.ref("market")].append(SellerAgent(obj.name, **_fields(obj)))
-        bidders = {name: [] for name in sellers}
+            offers[obj.ref("market")].append(Bid(obj.name, "SELL", period=0, **_fields(obj)))
+        bidders = {name: [] for name in offers}
         for obj in model.of_class("controller"):
             ctl = Controller(obj.name, **_fields(obj))
             bidders[ctl.market].append((ctl, self.houses[ctl.house]))
         self.auctions: dict[str, Auction] = {}
         for obj in model.of_class("auction"):
-            # built once, at period 0, which no check of a standing offer reads;
             # the mirror numbers each period as the main period it forwards into
-            name, fields, offers = obj.name, _fields(obj), seller_bids(sellers[obj.name], 0)
-            mirror = Market(f"{name}_aux", **fields, offers=offers, first_period=1) if topology == "auxiliary" else None
-            self.auctions[name] = Auction(Market(name, **fields, offers=offers), mirror, offers, bidders[name], [])
+            name, fields, sells = obj.name, _fields(obj), offers[obj.name]
+            mirror = Market(f"{name}_aux", **fields, offers=sells, first_period=1) if topology == "auxiliary" else None
+            self.auctions[name] = Auction(Market(name, **fields, offers=sells), mirror, sells, bidders[name], [])
         controlled = {ctl.house for auction in self.auctions.values() for ctl, _ in auction.bidders}
 
         # a slot per load node, in the order first seen over houses,

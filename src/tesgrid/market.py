@@ -25,18 +25,18 @@ ramp formulas degenerate.
 
 Bids are immutable tuples (`Bid` is a `NamedTuple`): a rewritten bid is
 a new tuple, never an edited one, and an attack transform that does not
-rewrite a bid returns the very object it was given.  `controller_bids`,
-`seller_bids` and the transforms build one with `tuple.__new__(Bid,
-fields)`, skipping the `NamedTuple`'s Python-level `__new__`; the book and
-the clearing walk read its fields by index.
+rewrite a bid returns the very object it was given.  `controller_bids`
+and the transforms build one with `tuple.__new__(Bid, fields)`, skipping
+the `NamedTuple`'s Python-level `__new__`; the book and the clearing walk
+read its fields by index.
 
-A market's sellers make constant offers, so it holds them as standing
-offers: given as `SELL` bids when it is built, checked once as `submit`
-checks a bid's price and quantity, and sorted stably by price once.  Each
-period clears against them, as if they had been booked first, unless
-`replace_offers` books another list for the period alone (a rewritten
-copy of them, say); a standing offer's `period` is never checked, and
-`last_bid_counts` counts the offers the period cleared against as sells.
+A market's sells are its offers.  Its sellers make constant offers, given
+as `SELL` bids when it is built, checked once as `submit` checks a bid's
+price and quantity, and sorted stably by price once.  Each period clears
+its booked buys against these standing offers, or against the list
+`replace_offers` gives for that period alone (a rewritten copy of them,
+say); an offer's `period` is never checked, and `last_bid_counts` counts
+the offers the period cleared against as sells.
 
 A market numbers its periods from `first_period`.  An auxiliary market
 starts one ahead of its main market, numbering each period as the main
@@ -45,7 +45,7 @@ market's period check as it is and is booked there as the very object.
 
 A round works a list at a time: `controller_bids` builds every
 controller's ramp bid in one loop, reading the market's statistics, cap
-and period once, and `Market.submit_all` books a list of bids with the
+and period once, and `Market.submit_all` books a list of buys with the
 cap, quantity and period checks of `submit`.  `Controller.make_bid` and
 `Market.submit` are their one-item cases.
 """
@@ -130,7 +130,7 @@ def clear_sorted(b: list[Bid], s: list[Bid], prior_price: float, period: int) ->
 
 
 class Market:
-    """Order book, standing offers, clearing history, and rolling price
+    """Book of buys, standing offers, clearing history, and rolling price
     statistics, seeded from `offers`, the constant `SELL` offers of the
     sellers attached to it.  Its periods are numbered from `first_period`."""
 
@@ -158,7 +158,6 @@ class Market:
         self.offers = self._checked_offers(offers)  # standing, sorted by price
         self.round_offers = self.offers  # what the current period clears against
         self.buys: list[Bid] = []
-        self.sells: list[Bid] = []
         self.last_clearing = Clearing(init_price, 0.0, None, None, first_period - 1)
         self.last_bid_counts = (0, 0)
 
@@ -182,15 +181,15 @@ class Market:
         return sorted(offers, key=PRICE)
 
     def submit_all(self, bids: Iterable[Bid]) -> None:
-        """Book `bids` in order.  A bid priced above the cap (or NaN), with a
-        quantity that is not a number >= 0, or for another period is refused
-        with an error; the bids before it stay booked."""
-        cap, current, buy, sell = self.price_cap, self.current_period, self.buys.append, self.sells.append
+        """Book `bids`, buys, in order.  A bid priced above the cap (or NaN),
+        with a quantity that is not a number >= 0, or for another period is
+        refused with an error; the bids before it stay booked."""
+        cap, current, book = self.price_cap, self.current_period, self.buys.append
         for bid in bids:
-            _, side, price, quantity, period = bid
+            _, _, price, quantity, period = bid
             if not (price <= cap and quantity >= 0.0 and period == current):
                 self._refuse(bid)
-            (buy if side == "BUY" else sell)(bid)
+            book(bid)
 
     def submit(self, bid: Bid) -> None:
         self.submit_all((bid,))
@@ -201,15 +200,11 @@ class Market:
         self.round_offers = self._checked_offers(offers)
 
     def clear(self) -> Clearing:
-        """Clear the current book, publish the price, roll statistics."""
-        sells = self.round_offers
-        if self.sells:  # booked after the offers: after them on a tie
-            sells = sorted([*sells, *self.sells], key=PRICE)
-        buys = sorted(self.buys, key=PRICE, reverse=True)
+        """Clear the buys against the period's offers, publish the price, roll statistics."""
+        buys, sells = sorted(self.buys, key=PRICE, reverse=True), self.round_offers
         clearing = clear_sorted(buys, sells, self.last_clearing.price, self.current_period)
         self.last_bid_counts = (len(buys), len(sells))
         self.buys = []
-        self.sells = []
         self.round_offers = self.offers
         self.last_clearing = clearing
         self.history.append(clearing.price)
@@ -276,16 +271,4 @@ def respond_to_clearing(
         t_set = ctl.t_base + shift * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
         t_set = ctl.t_min if ctl.t_min > t_set else t_set
         house.t_set = ctl.t_max if ctl.t_max < t_set else t_set
-
-
-@dataclass(frozen=True)
-class SellerAgent:
-    name: str
-    price: float  # $/kWh, constant offer
-    capacity: float  # kW
-
-
-def seller_bids(sellers: list[SellerAgent], period: int) -> list[Bid]:
-    """One SELL bid per generator at its constant price and capacity."""
-    return [tuple.__new__(Bid, (s.name, "SELL", s.price, s.capacity, period)) for s in sellers]
 

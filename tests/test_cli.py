@@ -87,12 +87,18 @@ def test_both_commands_report_events_outside_the_clock(tmp_path, capsys):
     scenario = tmp_path / "s.glm"
     with open(fixture_path("feeder_small.glm")) as fh:
         text = fh.read()
-    scenario.write_text(text + 'schedule { entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }\n')
-    line = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"
-    assert main(["validate", str(scenario)]) == 0
-    assert capsys.readouterr().out.splitlines() == [line, "runnable: 0 error(s), 1 warning(s)"]
-    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
-    assert capsys.readouterr().err.splitlines() == [line]
+    early = 'schedule { entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }\n'
+    early_line = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"
+    # an entry after the stop is dropped with the same note whether it repeats or not
+    late = 'schedule { entry "2013-07-01 02:00:00" h2 deadband 3 degF;%s }\n'
+    late_line = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-07-01 02:00:00 for h2.deadband dropped"
+    cases = [(early, early_line), (late % "", late_line), (late % " repeat 60 s;", late_line)]
+    for i, (schedule, line) in enumerate(cases):
+        scenario.write_text(text + schedule)
+        assert main(["validate", str(scenario)]) == 0
+        assert capsys.readouterr().out.splitlines() == [line, "runnable: 0 error(s), 1 warning(s)"]
+        assert main(["run", str(scenario), "--out", str(tmp_path / f"out{i}")]) == 0
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_run_divergence_is_runtime_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from tesgrid import kernel, powerflow
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
-from tesgrid.market import Bid, Controller, Market, SellerAgent
+from tesgrid.market import Bid, Controller, Market
 from tesgrid.model import AttackConfig, RecorderConfig
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
@@ -503,7 +503,7 @@ RUN_OBJECTS = {
     "solar": kernel._Solar,
     "auction": Market,
     "controller": Controller,
-    "generator_seller": SellerAgent,
+    "generator_seller": Bid,
 }
 
 
@@ -521,7 +521,7 @@ def test_every_field_reaches_the_engine(monkeypatch):
         "s": {"rating_kw": 1.0},
         "a": {"period_seconds": 300},
         "c": {"house": "h", "market": "a", "t_min": 65.0, "t_base": 72.0, "t_max": 80.0, "k_ramp": 2.0},
-        "g": {"price": 0.1, "capacity": 5.0},
+        "g": {"price": 0.1, "quantity": 5.0},
     }
     made = {}
 
@@ -541,7 +541,7 @@ def test_every_field_reaches_the_engine(monkeypatch):
             specs = PROPERTIES[obj.cls].values()
             expected = {spec.field: spec.default for spec in specs if spec.field and not spec.required}
             expected.update(given[obj.name])
-            # the `PROPERTIES` fields; a market also takes its sellers
+            # the `PROPERTIES` fields; a market also takes its offers, an offer its side and period
             fields = {f: v for f, v in made[obj.name].items() if f in {spec.field for spec in specs}}
             assert fields == expected, obj.name
             assert {f: type(v) for f, v in fields.items()} == {f: type(v) for f, v in expected.items()}
@@ -647,7 +647,9 @@ def test_deep_copied_engine_runs_on_its_own_objects(small_text, tmp_path):
 
 def auction_state(auction):
     """Copies of an auction's books and statistics, and its held bids."""
-    books = [(list(m.buys), list(m.sells), list(m.history), m.p_avg, m.p_std) for m in (auction.market, auction.mirror)]
+    books = [
+        (list(m.buys), list(m.round_offers), list(m.history), m.p_avg, m.p_std) for m in (auction.market, auction.mirror)
+    ]
     return books + [list(auction.held_bids)]
 
 

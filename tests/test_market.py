@@ -1,7 +1,8 @@
 """Double-auction tests: worked midpoint examples, random books against
 the unit-expansion oracle and, bit for bit, against the earlier clearing
 walk, rolling statistics, controller formulas, and the book's checks
-applied a list of bids at a time."""
+applied a list of bids at a time.  A market's sells are its offers: these
+tests give them as `offers=` or through `replace_offers`."""
 
 import math
 import operator
@@ -12,20 +13,21 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import SECOND_AUCTION
 from oracles import auction_oracle, clear_book_reference
 
 from tesgrid.errors import BadQuantity, PriceCapViolation, StalePeriod
+from tesgrid.glm import parse_scenario
+from tesgrid.kernel import Engine
 from tesgrid.loads import HouseState
 from tesgrid.market import (
     Bid,
     Clearing,
     Controller,
     Market,
-    SellerAgent,
     clear_book,
     controller_bids,
     respond_to_clearing,
-    seller_bids,
 )
 
 
@@ -179,18 +181,22 @@ def test_statistics_match_generator_formula(window):
     assert outcome(statistics) == outcome(reference)
 
 
-def test_built_bids_are_bids():
+def test_built_bids_are_bids(small_text):
     h = house(80.0)
     bid = controller().make_bid(h, Market("m", 300))
     assert type(bid) is Bid and bid == Bid("c", "BUY", bid.price, h.hvac_kw, 0)
-    (offer,) = seller_bids([SellerAgent("g1", 0.10, 5.0)], 3)
-    assert type(offer) is Bid and offer == Bid("g1", "SELL", 0.10, 5.0, 3)
+    # `Engine` builds each seller as its offer, at period 0, in seller order per auction
+    auctions = Engine(parse_scenario(small_text + SECOND_AUCTION)).auctions
+    offers = [offer for auction in auctions.values() for offer in auction.offers]
+    assert all(type(offer) is Bid for offer in offers)
+    assert offers == [
+        Bid("g1", "SELL", 0.10, 50.0, 0), Bid("g2", "SELL", 0.12, 3.0, 0), Bid("g3", "SELL", 0.15, 40.0, 0)
+    ]
 
 
 def test_market_submit_clear_cycle():
-    market = Market("m", period_seconds=300, price_cap=0.63, init_price=0.10)
+    market = Market("m", period_seconds=300, price_cap=0.63, init_price=0.10, offers=[B(0.10, 10, "SELL")])
     market.submit(B(0.20, 10, period=0))
-    market.submit(B(0.10, 10, "SELL", period=0))
     clearing = market.clear()
     assert clearing.price == pytest.approx(0.15)
     assert market.current_period == 1
@@ -204,6 +210,7 @@ def test_price_cap_enforced():
     with pytest.raises(PriceCapViolation):
         market.submit(B(0.64, 1, period=0))
     market.submit(B(0.63, 1, period=0))  # exactly at the cap is legal
+    market.replace_offers([B(0.63, 1, "SELL")])  # for an offer too
 
 
 def test_nan_price_refused():
@@ -219,10 +226,10 @@ def test_nan_or_negative_quantity_refused(quantity):
     with pytest.raises(BadQuantity):
         market.submit(B(0.10, quantity, period=0))
     with pytest.raises(BadQuantity):
-        market.submit(B(0.10, quantity, "SELL", period=0))
-    assert market.buys == market.sells == []
+        market.replace_offers([B(0.10, quantity, "SELL", period=0)])
+    assert market.buys == [] and market.round_offers is market.offers == []
     market.submit(B(0.10, 0.0, period=0))  # an empty bid is legal
-    market.submit(B(0.10, -0.0, "SELL", period=0))
+    market.replace_offers([B(0.10, -0.0, "SELL", period=0)])  # and an empty offer
 
 
 def test_statistics_exact_recomputation():
@@ -230,7 +237,7 @@ def test_statistics_exact_recomputation():
     prices = [0.10, 0.12, 0.11, 0.15, 0.13]
     for p in prices:
         market.submit(B(p, 1, period=market.current_period))
-        market.submit(B(p, 1, "SELL", period=market.current_period))
+        market.replace_offers([B(p, 1, "SELL")])
         market.clear()
     mean = sum(prices) / len(prices)
     var = sum((p - mean) ** 2 for p in prices) / len(prices)
@@ -243,7 +250,7 @@ def test_statistics_window_rolls():
     for i in range(30):
         p = 0.10 + 0.001 * i
         market.submit(B(p, 1, period=market.current_period))
-        market.submit(B(p, 1, "SELL", period=market.current_period))
+        market.replace_offers([B(p, 1, "SELL")])
         market.clear()
     window = [0.10 + 0.001 * i for i in range(6, 30)]
     assert list(market.history) == pytest.approx(window)
@@ -252,7 +259,7 @@ def test_statistics_window_rolls():
 
 def offering(*prices):
     """The offers of sellers offering `prices`."""
-    return seller_bids([SellerAgent(f"g{i}", price, 5.0) for i, price in enumerate(prices)], 0)
+    return [B(price, 5.0, "SELL", trader=f"g{i}") for i, price in enumerate(prices)]
 
 
 def test_warmup_seeds_until_two_samples():
@@ -342,13 +349,6 @@ def test_respond_to_clearing_moves_setpoint():
     assert h.t_set == 85.0  # clamped at t_max for an extreme price
     respond_to_clearing([(ctl, h)], market, Clearing(0.0, 1.0, None, None, 0))
     assert h.t_set == 70.0  # clamped at t_min
-
-
-def test_seller_bids():
-    agents = [SellerAgent("g1", 0.10, 5.0), SellerAgent("g2", 0.11, 5.0)]
-    bids = seller_bids(agents, 3)
-    assert all(b.side == "SELL" and b.period == 3 for b in bids)
-    assert [b.price for b in bids] == [0.10, 0.11]
 
 
 def _reference_bid_price(ctl, house, market):
@@ -454,7 +454,7 @@ def test_controller_bids_match_the_clamp_oracle(bidders, p_avg, p_std, cap, peri
 _BOOKED = st.builds(
     Bid,
     trader=st.sampled_from(["a", "b"]),
-    side=st.sampled_from(["BUY", "SELL"]),
+    side=st.just("BUY"),
     price=st.sampled_from([0.1, 0.0, 0.63, 0.64, math.nan]),
     quantity=st.sampled_from([1.0, 0.0, -0.0, -1.0, math.nan]),
     period=st.sampled_from([2, 2, 2, 1]),
@@ -472,14 +472,13 @@ def test_submit_all_is_submit_in_turn(bids):
             error = None
         except (PriceCapViolation, BadQuantity, StalePeriod) as exc:
             error = (type(exc), str(exc))
-        return error, market.buys, market.sells
+        return error, market.buys
 
     def in_turn(market):
         for bid in bids:
             market.submit(bid)
 
-    error, buys, sells = book(lambda market: market.submit_all(bids))
-    ref_error, ref_buys, ref_sells = book(in_turn)
+    error, buys = book(lambda market: market.submit_all(bids))
+    ref_error, ref_buys = book(in_turn)
     assert error == ref_error
     assert len(buys) == len(ref_buys) and all(map(operator.is_, buys, ref_buys))
-    assert len(sells) == len(ref_sells) and all(map(operator.is_, sells, ref_sells))

@@ -4,13 +4,13 @@
 bids, setpoint re-centering, one-period-late forwarding and the attack
 transforms are spelled out from their formulas, without the kernel's
 compiled bidder lists, standing offers or the controller and transform
-methods.  It keeps books of its own, which book every seller's offer
-afresh each round and restamp every forwarded bid with the main market's
-period, and each auction's sellers and controllers are read from the
-scenario.  A generated 30-house day, and an hour of a feeder with two
-auctions, must clear every main and auxiliary market at the same (price,
-quantity, marginal buy, marginal sell, period) and end with the same
-setpoints, compared with ``==``.
+methods.  It keeps books of its own, which take every seller's offer
+afresh each round through `replace_offers` and restamp every forwarded
+bid with the main market's period, and each auction's sellers and
+controllers are read from the scenario.  A generated 30-house day, and
+an hour of a feeder with two auctions, must clear every main and
+auxiliary market at the same (price, quantity, marginal buy, marginal
+sell, period) and end with the same setpoints, compared with ``==``.
 """
 
 from collections import Counter
@@ -35,6 +35,7 @@ from tesgrid.market import (
     Bid,
     Controller,
     Market,
+    clear_book,
 )
 from tesgrid.model import AttackConfig
 from tesgrid.validate import validate
@@ -129,8 +130,7 @@ def reference_round(engine, state, auction):
         state[name] = own_books(engine, name, offers), {}
     books, held = state[name]
     market = books[0]
-    for offer in offers:
-        market.submit(Bid(offer.trader, "SELL", offer.price, offer.quantity, market.current_period))
+    market.replace_offers(offers)
     if engine.summary["topology"] == "direct":
         for ctl in ctls:
             bid = ramp_bid(ctl, engine.houses[ctl.house], market)
@@ -144,9 +144,10 @@ def reference_round(engine, state, auction):
         return
 
     aux = books[1]
-    for offer in offers:
-        replica = Bid(offer.trader, "SELL", offer.price, offer.quantity, aux.current_period)
-        aux.submit(transformed(engine, replica, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap))
+    aux.replace_offers([
+        transformed(engine, offer, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap)
+        for offer in offers
+    ])
     for ctl in ctls:
         last = held.get(ctl.name)
         if last is not None:
@@ -216,8 +217,8 @@ def test_round_matches_plain_reference(feeder_dir, monkeypatch, feeder, topology
 def _record_books(monkeypatch, record):
     """Call `record(market)` on each market's book just before it clears:
     the round books its bids a list at a time, so the books are the place
-    to observe what it submitted.  A market's sells are in two lists: the
-    offers the period clears against, and the sells booked besides them."""
+    to observe what it submitted.  A market's sells are the offers the
+    period clears against, `round_offers`."""
     clear = Market.clear
 
     def recording_clear(market):
@@ -234,7 +235,7 @@ def test_forwarded_bid_carries_new_period_and_is_checked(feeder_dir, monkeypatch
     controllers = {ctl.name for ctl, _ in auction.bidders}
     submitted = []
     _record_books(monkeypatch, lambda market: submitted.extend(
-        (market.name, market.current_period, bid) for bid in market.buys + market.round_offers + market.sells))
+        (market.name, market.current_period, bid) for bid in market.buys + market.round_offers))
     engine._market_round(auction)
     assert not [bid for name, _, bid in submitted if name == "market" and bid.trader in controllers]
     submitted.clear()
@@ -262,7 +263,7 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     auction = engine.auctions["market"]
     books = {auction.market: [], auction.mirror: []}
     main, aux = books.values()
-    _record_books(monkeypatch, lambda market: books[market].extend(market.round_offers + market.sells))
+    _record_books(monkeypatch, lambda market: books[market].extend(market.round_offers))
     engine._market_round(auction)
     assert len(main) == len(aux) > 1
     assert all(replica is offer for offer, replica in zip(main, aux))
@@ -306,7 +307,7 @@ def test_each_auction_books_its_own_traders_and_warms_up_from_its_own_offers(sma
     books = []
     _record_books(monkeypatch, lambda market: books.append((
         market.name.removesuffix("_aux"),
-        {bid.trader for bid in market.round_offers + market.sells},
+        {bid.trader for bid in market.round_offers},
         {bid.trader for bid in market.buys},
     )))
     assert engine.run().complete
@@ -332,11 +333,11 @@ CAPACITIES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0])
     ), min_size=1, max_size=4),
 )
 def test_standing_offers_clear_as_offers_booked_each_round(offers, rounds):
-    # the offers checked and sorted once, against the same offers booked and
-    # sorted every round; a rewritten list, in seller order as the round
-    # makes it, replaces them for its round alone
+    # the offers checked and sorted once, against `clear_book`, the pure
+    # clearing rule, given the round's buys and offers; a rewritten list, in
+    # seller order as the round makes it, replaces them for its round alone
     offers = [Bid(f"g{i}", "SELL", price, capacity, 0) for i, (price, capacity) in enumerate(offers)]
-    standing, booked = Market("m", 300, offers=offers), Market("m", 300)
+    standing = Market("m", 300, offers=offers)
     assert standing.offers == sorted(offers, key=PRICE)
     for buys, rewrite in rounds:
         replicas = offers
@@ -344,11 +345,11 @@ def test_standing_offers_clear_as_offers_booked_each_round(offers, rounds):
             hit, price = rewrite
             replicas = [offer._replace(price=price) if i in hit else offer for i, offer in enumerate(offers)]
             standing.replace_offers(replicas)
-        booked.submit_all([replica._replace(period=booked.current_period) for replica in replicas])
-        for market in (standing, booked):
-            market.submit_all([Bid(f"b{i}", "BUY", p, q, market.current_period) for i, (p, q) in enumerate(buys)])
-        assert repr(standing.clear()) == repr(booked.clear())
-        assert standing.last_bid_counts == booked.last_bid_counts == (len(buys), len(offers))
+        bids = [Bid(f"b{i}", "BUY", p, q, standing.current_period) for i, (p, q) in enumerate(buys)]
+        standing.submit_all(bids)
+        expected = clear_book(bids, replicas, standing.last_clearing.price, standing.current_period)
+        assert repr(standing.clear()) == repr(expected)
+        assert standing.last_bid_counts == (len(buys), len(offers))
         assert standing.round_offers is standing.offers
 
 

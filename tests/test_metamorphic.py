@@ -7,6 +7,11 @@ seller, a line set to the status it already has.  Its window, drawn on
 the step grid of the hour, opens and closes, so `audit.csv` and the
 summary's `attacks` line change, but every recorder CSV and every other
 summary line must be byte-identical to the run without it.
+
+An idle write is a schedule entry that writes the value a property
+already holds.  At times drawn on the step grid, it adds its row to
+`audit.csv`, and every recorder CSV and `summary.txt` must be
+byte-identical to the run without it.
 """
 
 from datetime import timedelta
@@ -81,3 +86,33 @@ def test_null_attacks_leave_every_recorder_alone(topology, market, line):
 
 def summary_but_attacks(files: dict[str, bytes]) -> list[bytes]:
     return [line for line in files["summary.txt"].splitlines() if not line.startswith(b"attacks ")]
+
+
+# (target, property, value) that a run of feeder_small plus EXTRA holds
+# constant, each written as it is held; EXTRA holds UL1 open from 00:20
+# until it closes it at 00:40, after an entry at that minute in file order
+IDLE_WRITES = {
+    ("z1", "base_power", "1.2 kW"): st.integers(0, 60),
+    ("h2", "deadband", "2 degF"): st.integers(0, 60),
+    ("h4", "internal_gains", "1800"): st.integers(0, 60),
+    ("UL1", "status", "CLOSED"): st.integers(0, 19) | st.integers(40, 60),
+}
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+@settings(max_examples=12, deadline=None)
+@given(minutes=st.tuples(*IDLE_WRITES.values()))
+@example(minutes=(10, 15, 0, 10)).via("the times checked by hand")
+@example(minutes=(60, 60, 60, 40)).via("at the stop, and as EXTRA closes UL1")
+def test_idle_writes_change_only_the_audit(topology, minutes):
+    baseline_files = baseline(topology)
+    entries = "".join(
+        f'schedule {{ entry "{format_time(START + timedelta(minutes=m))}" {target} {prop} {value}; }}\n'
+        for (target, prop, value), m in zip(IDLE_WRITES, minutes)
+    )
+    written_files = outputs(entries, topology)
+    assert written_files.keys() == baseline_files.keys()
+    audit, base_audit = written_files["audit.csv"].splitlines(), baseline_files["audit.csv"].splitlines()
+    assert len(audit) == len(base_audit) + len(IDLE_WRITES)
+    for name in baseline_files.keys() - {"audit.csv"}:
+        assert written_files[name] == baseline_files[name], name
