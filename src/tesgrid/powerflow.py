@@ -34,17 +34,17 @@ operations, in their order, of `sweep_reference` in tests/oracles.py,
 which every solve repeats bit for bit.
 
 A sweep has converged when no voltage step (per unit of nominal) reaches
-the tolerance; a NaN step never does.  Before the last allowed iteration
-the forward pass computes the steps only up to the first that reaches
-it; the last computes them all, so a divergence names the worst, and is
-generated only when a solve first reaches it.  A tolerance that is not
-positive is never met: then every pass computes every step, and a pass
-in which no step moved keeps the worst node of the pass before.  A
-converged state with a voltage or current that is not finite, or a
-source power that is not, is a divergence too, at the first such
-supernode in index order (at the source for its power); one sum over
-the voltages and the source power screens for it, so a finite solve
-pays no per-node check.
+the tolerance; a NaN step never does.  A solve is one call to the
+compiled `run`: each forward pass computes the steps only up to the
+first that reaches the tolerance, the iterations stop at a pass that
+converged or at the backward pass of the last allowed one, and the call
+ends with the losses sum.  Only that last allowed pass is judged step
+by step, by `worst`, generated when a solve first reaches it, so a
+divergence names the worst node.  A converged state with a voltage or
+current that is not finite, or a source power that is not, is a
+divergence too, at the first such supernode in index order (at the
+source for its power); one sum over the voltages and the source power
+screens for it, so a finite solve pays no per-node check.
 
 Each solve can start from an earlier `NetworkState` (warm start), whose
 voltage list it reads as is over the same islands; otherwise a supernode that
@@ -137,25 +137,15 @@ def solve_powerflow(
             for s in range(n)
         ]
 
-    # a tolerance that is not positive is never met: then each iteration is
-    # a last one, whose forward pass judges every step
-    worst, worst_at, iteration = float("inf"), 0, 0
-    last = max_iterations if tolerance_pu > 0.0 else 1
-    while iteration < max_iterations:
-        done, v, cur, into = sweep.run(v, demand, sweep.consts, tolerance_pu, last)
-        iteration += done
-        if done < last:
-            break  # a forward pass converged
-        worst, s, v = sweep.worst(v, cur, sweep.consts)
-        worst_at = s or worst_at  # where no step moved, the worst stays where it was
-        if worst < tolerance_pu:
-            break
-    else:
+    # one call to the sweep; only the last allowed pass is judged step by step
+    iteration, worst, at = 0, float("inf"), 0
+    if max_iterations > 0:
+        iteration, v, cur, into, losses = sweep.run(v, demand, sweep.consts, tolerance_pu, max_iterations)
+        if iteration == max_iterations:
+            worst, at, v = sweep.worst(v, cur, sweep.consts)
+    if iteration >= max_iterations and not worst < tolerance_pu:
         raise SolverDivergence(
-            f"power flow did not converge in {max_iterations} iterations "
-            f"(worst at {names[worst_at]})",
-            worst,
-            names[worst_at],
+            f"power flow did not converge in {max_iterations} iterations (worst at {names[at]})", worst, names[at]
         )
 
     source_current = into + ((demand[0] / v[0]).conjugate() if demand[0] else 0j)
@@ -178,7 +168,7 @@ def solve_powerflow(
         iterations=iteration,
         source_power_va=source_power,
         load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),
-        loss_power_va=sweep.losses(cur, sweep.consts),
+        loss_power_va=losses,
     )
 
 
@@ -199,11 +189,11 @@ class _Sweep:
 
     `run` iterates until a forward pass converges, or up to the backward
     pass of the last allowed iteration, and returns the iteration, the
-    voltage and current lists, and the sum of the currents into the
-    source.  `worst`, compiled when a solve first needs it, is that last
-    iteration's forward pass, judging every step; `losses` sums the edges'
-    losses.  Each takes the rows' ratios, impedances and nominal voltages
-    as `consts`."""
+    voltage and current lists, the sum of the currents into the source
+    and, summed after the iterations, the edges' losses.  `worst`,
+    compiled when a solve first needs it, is that last iteration's
+    forward pass, judging every step.  Each takes the rows' ratios,
+    impedances and nominal voltages as `consts`."""
 
     def __init__(self, islands: Islands):
         self.live, self.rows = live, rows = islands
@@ -233,15 +223,9 @@ def run(v, demand, consts, tol, last):
         far = False{_lines(checked, 2)}
         if not far:
             break{_lines(source_lines, 1)}
-    return iteration, {self._list("v", "v0")}, {self._list("c", "0j")}, {into}
-""", "run")
-        self.losses = _compile(f"""
-def losses(cur, consts):
-    {self._locals("c", "cur")}
-    {self._constants}
     loss = 0j{_lines((f"loss += z{s} * abs(c{s}) ** 2" for s, *_ in rows), 1)}
-    return loss
-""", "losses")
+    return iteration, {self._list("v", "v0")}, {self._list("c", "0j")}, {into}, loss
+""", "run")
 
     @cached_property
     def worst(self):

@@ -200,9 +200,12 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
         for key, param in spec.params.items():
             value = a.params[key]
             if param.kind == "lines":
-                for line_name in value:
+                # a repeat would apply each window event twice, or count twice in a `fraction` draw
+                for k, line_name in enumerate(value):
                     target = names.get(line_name)
-                    if target is None:
+                    if line_name in value[:k]:
+                        errors.append(Diagnostic(a.name, "BAD_PARAM", f"line '{line_name}' is listed twice"))
+                    elif target is None:
                         errors.append(Diagnostic(a.name, "DANGLING_REF", f"attacked line '{line_name}' does not resolve"))
                     elif target.cls not in param.bound:
                         message = f"'{line_name}' is a {target.cls}, not a line/switch/fuse"

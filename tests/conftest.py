@@ -187,6 +187,14 @@ UNRUNNABLE_EDITS = {
             f'attack {{ name a; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:{start}:00"; '
             f'end "2013-07-01 00:{start + 10}:00"; price {price} $/kWh; }}\n'
             for start, price in ((10, 0.5), (30, 0.3))), "DUPLICATE_NAME"),
+    # validated clean and ran to exit 0: each window event was applied twice
+    # (an idle row in `audit.csv`), and a `fraction` draw counted the repeat
+    "attack_line_listed_twice": (
+        lambda t: t + 'attack { name a1; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lines UL1,UL1; status OPEN; }\n', "BAD_PARAM"),
+    "attack_line_listed_twice_under_a_fraction": (
+        lambda t: t + 'attack { name a1; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lines UL1,UL1; status OPEN; fraction 0.5; }\n', "BAD_PARAM"),
     # validated clean, then h1's rated kW was bid twice every round and its
     # setpoint re-centered twice
     "second_controller_on_house": (

@@ -210,7 +210,9 @@ def test_run_rejects_unrunnable_values(tmp_path, capsys, case):
     reported = capsys.readouterr()
     assert code in reported.out + reported.err
     assert _exit_code(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    assert code in capsys.readouterr().err
+    ran = capsys.readouterr()
+    assert code in ran.err
+    assert "Traceback" not in reported.out + reported.err + ran.out + ran.err
 
 
 @pytest.mark.parametrize("case", sorted(UNRUNNABLE_INPUTS))

@@ -32,7 +32,7 @@ from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
 from tesgrid.model import Value
 from tesgrid.network import build_network_index, compute_islands, walk_feeder
-from tesgrid.powerflow import solve_powerflow
+from tesgrid.powerflow import MAX_ITERATIONS, solve_powerflow
 from tesgrid.validate import validate
 
 SOURCE_VOLTS = 7200.0
@@ -187,6 +187,16 @@ def _outcome(solve, *args, **kwargs):
     return (repr(state.v), repr(state.cur), repr(powers), state.iterations), state
 
 
+def _never_met(index, demand):
+    """A tolerance of 0.0 is never met: the solve raises after
+    `MAX_ITERATIONS` passes with the reference's worst step."""
+    with pytest.raises(SolverDivergence, match=f"did not converge in {MAX_ITERATIONS} iterations") as got:
+        solve_powerflow(index, demand, tolerance_pu=0.0)
+    with pytest.raises(SolverDivergence) as expected:
+        sweep_reference(index, demand, tolerance_pu=0.0)
+    assert repr(got.value.worst_residual) == repr(expected.value.worst_residual)
+
+
 @settings(max_examples=30, deadline=None)
 @given(radial_feeders(), st.data())
 def test_sweep_matches_reference_bit_for_bit(feeder, data):
@@ -195,7 +205,7 @@ def test_sweep_matches_reference_bit_for_bit(feeder, data):
     demand = demand_list(index, loads)
     if data.draw(st.booleans(), label="nan load") and loads:
         demand[index.position[loads[0][0]]] = complex("nan")  # its steps read NaN
-    tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3, 0.0]), label="tolerance")
+    tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3]), label="tolerance")
     statuses = {name: data.draw(st.sampled_from(["OPEN", "CLOSED"]), label=name) for name in lines}
     islands = compute_islands(index, statuses)
     scale = data.draw(st.floats(min_value=0.5, max_value=1.5), label="load scale")
@@ -263,17 +273,16 @@ def test_fan_out_sweep_matches_reference_bit_for_bit():
 
     (_, _, _, iterations), state = both(demand)
     assert 2 < iterations < 50
-    assert both(demand, tolerance_pu=0.0)[0][0] == "diverged"  # every pass scans every step
+    _never_met(index, demand)
     moved = [d * 1.3 for d in demand]
     assert both(moved, state.islands, start=state)[0][3] > 1  # warm start over the same islands
-    both(moved, state.islands, tolerance_pu=0.0, start=state)
 
 
 def _matches_reference(text, loads):
-    """Solve the feeder of `text` under `loads` from a flat start, with a
-    tolerance never met, in three, one and no iterations and warm from the
-    flat start's solution, each bit for bit as `sweep_reference`; returns
-    the index and the flat start's state."""
+    """Solve the feeder of `text` under `loads` from a flat start, in
+    three, one and no iterations and warm from the flat start's solution,
+    each bit for bit as `sweep_reference`, and with a tolerance never met;
+    returns the index and the flat start's state."""
     index = build_network_index(parse_scenario(text))
     demand = demand_list(index, loads)
 
@@ -284,7 +293,7 @@ def _matches_reference(text, loads):
 
     (_, _, _, iterations), state = both(demand)
     assert 1 < iterations < 50
-    assert both(demand, tolerance_pu=0.0)[0][0] == "diverged"
+    _never_met(index, demand)
     for iterations in (3, 1, 0):
         both(demand, max_iterations=iterations)
     both([d * 1.3 for d in demand], state.islands, start=state)
@@ -347,7 +356,7 @@ ODD_NAMES = _feeder([("lambda", "overhead_line { name def", "class", "0.3+0.6j O
                      ("attack:a", "transformer { name x-y; ratio 30", "n-1", "0.01+0.02j Ohm"),
                      ("return", "underground_line { name line:b", "lambda", "0.2+0.1j Ohm")], source="class")
 # the identifiers every generated sweep is written with
-SWEEP_WORDS = {"def", "run", "losses", "worst", "v", "demand", "cur", "consts", "tol", "last", "iteration",
+SWEEP_WORDS = {"def", "run", "worst", "v", "demand", "cur", "consts", "tol", "last", "iteration",
                "while", "True", "False", "if", "not", "and", "else", "break", "return", "abs", "conjugate",
                "far", "i", "f", "x", "loss", "step", "at", "_"}
 
@@ -360,7 +369,7 @@ def test_sweep_source_holds_no_scenario_name():
         index, _ = _matches_reference(ODD_NAMES, [("lambda", 4e3 + 1e3j), ("attack:a", 2e3), ("return", 1e3)])
     assert index.names == ["class", "lambda", "n-1", "return", "attack:a"]
     sources = [call.args[0] for call in compiled.call_args_list]
-    assert [src.split("(")[0].split()[-1] for src in sources] == ["run", "losses", "worst"]
+    assert [src.split("(")[0].split()[-1] for src in sources] == ["run", "worst"]
     for src in sources:
         tokens = list(tokenize.generate_tokens(io.StringIO(src).readline))
         kinds = {tokenize.tok_name[tok.type] for tok in tokens}

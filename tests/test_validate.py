@@ -280,6 +280,13 @@ PINNED_REPORTS = {
     "no_nodes": (lambda t: _NO_NODES, "error: <network>: NO_SOURCE: no node with bustype SWING"),
     "attack_window_off_step": (
         lambda t: t + OFF_STEP_ATTACK, "error: a: BAD_WINDOW: attack window must start and end on a step"),
+    # the repeat is reported once per repeat, and a dangling line once
+    "attack_lines_repeated": (
+        lambda t: t + 'attack { name a; kind LINE_STATUS; start "2013-07-01 00:10:00"; '
+        'end "2013-07-01 00:20:00"; lines UL1,ghost,UL1,ghost; status OPEN; }\n',
+        "error: a: BAD_PARAM: line 'UL1' is listed twice\n"
+        "error: a: BAD_PARAM: line 'ghost' is listed twice\n"
+        "error: a: DANGLING_REF: attacked line 'ghost' does not resolve"),
     # one diagnostic each, none dropped or doubled: the status entry on the
     # unresolved `ghost` is both dangling and undone as `cut` ends
     "faulty_blocks": (
