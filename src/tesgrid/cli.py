@@ -50,7 +50,7 @@ def _load(path: str):
 
 def _compile(args) -> tuple[ValidationReport, Engine | None]:
     """The scenario's report under `args.topology`, and its engine when it
-    is runnable: an unusable input file is one more error, a dropped event one more warning."""
+    is runnable: an unusable input file is one more error."""
     model = _load(args.scenario)
     report = validate(model, args.topology)
     if not report.runnable:
@@ -61,7 +61,6 @@ def _compile(args) -> tuple[ValidationReport, Engine | None]:
     except ConfigError as exc:
         report.errors.append(Diagnostic(exc.location, exc.code, exc.message))
         return report, None
-    report.warnings += [Diagnostic("<clock>", "OUT_OF_WINDOW", note) for note in engine.warnings]
     return report, engine
 
 

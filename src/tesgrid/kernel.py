@@ -34,10 +34,11 @@ The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, seed): outputs are byte-identical across
 repeats.  Every applied event lands in an audit log.  The run's state,
 built in `Engine.__init__` and carried from step to step by `advance`,
-is `step` (the next step's index), the event stream and its pending
-event, the recorder `tables`, the stream's out-of-window `warnings` and
-the `summary` that `summary.txt` prints, so a deep copy taken between
-steps finishes the run as the original does.
+is `step` (the next step's index), the recorder `tables`, the `audit`
+and the `summary` that `summary.txt` prints.  Each `advance` makes the
+event stream from its next step on, so a deep copy taken between steps
+finishes the run as the original does, and `Engine.arm` adds attacks to
+either from that step on.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ from .market import (
     controller_bids,
     respond_to_clearing,
 )
-from .model import DEGF_LIMITS, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value, format_time
+from .model import DEGF_LIMITS, AttackConfig, Event, GridObject, ScenarioModel, Schedule, ScheduleEntry, Value
+from .model import format_time
 from .network import build_network_index, compute_islands
 from .powerflow import solve_powerflow
 from .recorder import RecorderTable, TimeSeries, constant_weather, read_player, read_weather
@@ -383,7 +385,6 @@ def event_stream(
     attacks: list[CompiledAttack],
     t0: datetime,
     tf: datetime,
-    warnings: list[str],
 ) -> Iterator[Event]:
     """The events of schedules (with repeats) and compiled attacks within
     [t0, tf], in time order, each made when the iterator reaches it.
@@ -392,34 +393,20 @@ def event_stream(
     on time; the merge is stable, so events at one time come in schedule
     entry (file) order, then attack events in compile order.  A repeating
     entry's stream starts at its first occurrence at or after t0 and holds
-    only its next event.  Each event outside [t0, tf] is dropped with a
-    note in `warnings`, all added before this returns; the repeats of an
-    entry dated before t0 share one, and an entry dated after tf, whose
-    repeats all fall after it too, has the note of a one-shot entry.
+    only its next event.  Events outside [t0, tf] are left out: `validate`
+    notes those outside the clock.
     """
-    def kept(event: Event) -> bool:
-        if t0 <= event.time <= tf:
-            return True
-        warnings.append(f"{event.origin} event at {event.time} for {event.target}.{event.prop} dropped")
-        return False
-
     streams: list[Iterable[Event]] = []
     for sched in schedules:
         for e in sched.entries:
-            if sched.repeat is None or e.time > tf:
-                event = Event(e.time, e.target, e.prop, e.value, "schedule")
-                streams.append([event] if kept(event) else [])
-                continue
-            step = timedelta(seconds=sched.repeat)
-            first = max(0, -((e.time - t0) // step))  # the repeats before t0
-            if first:
-                warnings.append(
-                    f"schedule event at {e.time} for {e.target}.{e.prop} "
-                    f"and its repeats before {t0} dropped ({first} events)"
-                )
-            streams.append(_repeats(e, step, range(first, (tf - e.time) // step + 1)))
+            if sched.repeat is not None:
+                step = timedelta(seconds=sched.repeat)
+                first = max(0, -((e.time - t0) // step))  # the repeats before t0
+                streams.append(_repeats(e, step, range(first, (tf - e.time) // step + 1)))
+            elif t0 <= e.time <= tf:
+                streams.append([Event(e.time, e.target, e.prop, e.value, "schedule")])
     # a stable sort: attack events at one time stay in compile order
-    streams.append(sorted(filter(kept, [ev for c in attacks for ev in c.events]), key=_time))
+    streams.append(sorted([ev for c in attacks for ev in c.events if t0 <= ev.time <= tf], key=_time))
     return heapq.merge(*streams, key=_time)
 
 
@@ -468,10 +455,10 @@ class _LoadPlan(NamedTuple):
 
 class Engine:
     """One simulation run of a scenario model that `validate(model, topology)`
-    reports runnable: each target, property and attack is bound as given.
-    The input files are read here, once, relative to `base_dir`; a file the
-    run cannot use, or a player value out of its property's range, raises
-    `ConfigError`."""
+    reports runnable: each target and property is bound as given, and `arm`
+    binds the model's attacks.  The input files are read here, once, relative
+    to `base_dir`; a file the run cannot use, or a player value out of its
+    property's range, raises `ConfigError`."""
 
     def __init__(
         self,
@@ -526,17 +513,10 @@ class Engine:
         self._panel_at = [(panel, slot_of[attach[name]]) for name, panel in self.solars.items()]
         self._energize()
 
-        configured = self.index.switchable
-        self.attacks: list[CompiledAttack] = [compile_attack(cfg, model, configured) for cfg in model.attacks]
-        self.transforms = {f"attack:{c.config.name}": c.transform for c in self.attacks if c.transform is not None}
         # the transforms of each rewrite point, in attack order
         self._rewriters = {spec.point: [] for spec in ATTACKS.values() if spec.point}
-        for tr in self.transforms.values():
-            self._rewriters[ATTACKS[tr.kind].point].append(tr)
-
-        # every (target, property) the run reads or sets, bound once here: a
-        # market attack's switch `(attack:NAME, "active")` to its transform,
-        # the rest to scenario objects through `PROPERTIES`
+        # every (target, property) the run reads or sets, bound once through
+        # `PROPERTIES`: the recorders', schedules' and players' here, the attacks' in `arm`
         self._classes = {name: obj.cls for name, obj in model.by_name().items()}
         self._readers = {
             (cfg.target, prop): self._bind(cfg.target, prop) for cfg in model.recorders for prop in cfg.properties
@@ -544,11 +524,8 @@ class Engine:
         # each recorder, with its target's power check if it records a flagged property
         flagged = lambda cfg: any(PROPERTIES[self._classes[cfg.target]][p].flagged for p in cfg.properties)
         self._recorders = [(cfg, flagged(cfg) and _powered(self, cfg.target)) for cfg in model.recorders]
-        switch = _of("transforms", _set, "active", bool)
-        self._writers = {(name, "active"): switch(self, name) for name in self.transforms}
         pairs = [(e.target, e.prop) for sched in model.schedules for e in sched.entries]
-        pairs += [(ev.target, ev.prop) for c in self.attacks if c.transform is None for ev in c.events]
-        self._writers.update((pair, self._bind(*pair, write=True)) for pair in pairs)
+        self._writers = {pair: self._bind(*pair, write=True) for pair in pairs}
         self.players = []
         for cfg in model.players:
             write = self._bind(cfg.target, cfg.prop, write=True)
@@ -571,9 +548,6 @@ class Engine:
         self._load_kw = 0.0  # the feeder's load total, set by each step's `build_load_injections`
         # the run state, which `advance` carries from step to step
         self.step = 0  # the index of the next step
-        self.warnings: list[str] = []  # the event stream's out-of-window notes
-        self._events = event_stream(model.schedules, self.attacks, clock.start, clock.stop, self.warnings)
-        self._event = next(self._events, None)  # the one pending event
         self.tables = {cfg.name: RecorderTable(cfg.file, ["time", *cfg.properties, "flags"]) for cfg in model.recorders}
         self.summary = {  # what `summary.txt` prints, in its order; a divergence adds its keys
             "start": format_time(clock.start),
@@ -582,16 +556,39 @@ class Engine:
             "steps": int((clock.stop - clock.start).total_seconds()) // clock.timestep,
             "seed": seed,
             "topology": topology,
-            "attacks": ";".join(a.config.name for a in self.attacks) or "none",
+            "attacks": "none",
             "complete": 1,
             "powerflow_solves": 0,  # the steps done: each solves once
             "powerflow_max_iterations": 0,
             "powerflow_worst_mismatch_pu": 0.0,
             "max_clearing_price": 0.0,
         }
+        self.attacks: list[CompiledAttack] = []
+        self.arm(model.attacks)
 
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_events": None}  # a generator cannot be copied: `advance` makes it again
+    def arm(self, configs: Iterable[AttackConfig]) -> None:
+        """Compile and bind attacks of the engine's model, runnable under its
+        topology, from the next step on: a market attack's transform at its
+        rewrite point, with its switch `(attack:NAME, "active")`, and a line
+        attack's status writers.  An attack with an event at or after the
+        clock's start and before the next step, which has passed, raises
+        `ValueError`, and none of `configs` is armed."""
+        clock = self.clock
+        t = clock.start + timedelta(seconds=self.step * clock.timestep)
+        compiled = [compile_attack(cfg, self.model, self.index.switchable) for cfg in configs]
+        for c in compiled:
+            if any(clock.start <= ev.time < t for ev in c.events):
+                raise ValueError(f"attack '{c.config.name}' has an event before the next step, at {format_time(t)}")
+        for c in compiled:
+            tr = c.transform
+            if tr is None:
+                for ev in c.events:
+                    self._writers[ev.target, ev.prop] = self._bind(ev.target, ev.prop, write=True)
+            else:
+                self._rewriters[ATTACKS[tr.kind].point].append(tr)
+                self._writers[f"attack:{tr.name}", "active"] = partial(_set, tr, "active", bool)
+            self.attacks.append(c)
+        self.summary["attacks"] = ";".join(c.config.name for c in self.attacks) or "none"
 
     def _bind(self, target: str, prop: str, write: bool = False):
         """Bind one (target, property) through `PROPERTIES`: its recorder
@@ -746,11 +743,9 @@ class Engine:
         clock, summary, k = self.clock, self.summary, self.step
         dt = clock.timestep
         last = min((until - clock.start) // timedelta(seconds=dt), summary["steps"])
-        if self._events is None:  # a copy's: made again from the next step on, its notes thrown away
-            t = clock.start + timedelta(seconds=k * dt)
-            self._events = event_stream(self.model.schedules, self.attacks, t, clock.stop, [])
-            self._event = next(self._events, None)
-        events, event, tables = self._events, self._event, self.tables
+        # the events not yet applied: each falls on a step, so those from the next step on
+        events = event_stream(self.model.schedules, self.attacks, clock.start + timedelta(seconds=k * dt), clock.stop)
+        event, tables = next(events, None), self.tables
         markets = [m for auction in self.auctions.values() for m in (auction.market, auction.mirror) if m]
         max_price = summary["max_clearing_price"]
         while k <= last and summary["complete"]:
@@ -778,7 +773,7 @@ class Engine:
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)
             k += 1
-        self.step, self._event = k, event
+        self.step = k
         summary["powerflow_solves"], summary["max_clearing_price"] = k, max_price
 
     def run(self) -> SimulationResult:

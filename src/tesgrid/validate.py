@@ -144,9 +144,9 @@ def _check_objects(model: ScenarioModel, names: dict[str, GridObject], errors, w
                 errors.append(Diagnostic(loc, "BAD_PERIOD", "period must be a positive multiple of the clock timestep"))
 
 
-def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: str, errors):
+def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: str, errors, warnings):
     """The clock, then each attack, schedule, recorder and player, each one
-    with its target where it is read."""
+    with its target where it is read, noting each schedule entry outside the clock."""
     clock = model.clock
     if clock is None:
         errors.append(Diagnostic("<clock>", "NO_CLOCK", "scenario has no clock block"))
@@ -231,14 +231,20 @@ def _check_blocks(model: ScenarioModel, names: dict[str, GridObject], topology: 
             message = f"repeat must be at most {timedelta.max.days} days"
             errors.append(Diagnostic(sched.name, "BAD_SCHEDULE", message))
         for e in sched.entries:
-            if clock is not None and e.prop == "status":
+            if clock is not None:
+                # a run drops an entry outside the clock, but keeps the repeats of one before the start
+                offset, event = e.time - clock.start, f"schedule event at {e.time} for {e.target}.{e.prop}"
+                if offset < timedelta(0) and repeat is not None and 0 < repeat <= LONGEST_REPEAT_S:
+                    dropped = -(offset // timedelta(seconds=repeat))
+                    message = f"{event} and its repeats before {clock.start} dropped ({dropped} events)"
+                    warnings.append(Diagnostic("<clock>", "OUT_OF_WINDOW", message))
+                    offset %= timedelta(seconds=repeat)
+                elif not clock.start <= e.time <= clock.stop:
+                    warnings.append(Diagnostic("<clock>", "OUT_OF_WINDOW", f"{event} dropped"))
                 # an attack's end writes back the configured status too, so it undoes
                 # a status entry on its line, or the first repeat of it, applied by then
-                offset = e.time - clock.start  # a run drops an entry before the start, but not its repeats
-                if offset < timedelta(0) and repeat is not None and 0 < repeat <= LONGEST_REPEAT_S:
-                    offset %= timedelta(seconds=repeat)
                 for a, lines in line_attacks:
-                    if e.target in lines and timedelta(0) <= offset <= a.end - clock.start:
+                    if e.prop == "status" and e.target in lines and timedelta(0) <= offset <= a.end - clock.start:
                         message = f"entry at {format_time(e.time)} on '{e.target}' is undone as attack '{a.name}' ends"
                         errors.append(Diagnostic(sched.name, "BAD_WINDOW", message))
             target = names.get(e.target)
@@ -297,6 +303,6 @@ def validate(model: ScenarioModel, topology: str = "auxiliary") -> ValidationRep
     names = model.by_name()
     _check_objects(model, names, errors, warnings)
     errors.extend(Diagnostic(*problem) for problem in walk_feeder(model, names).problems)
-    _check_blocks(model, names, topology, errors)
+    _check_blocks(model, names, topology, errors, warnings)
     key = lambda d: (d.location, d.code, d.message)
     return ValidationReport(sorted(set(errors), key=key), sorted(set(warnings), key=key))

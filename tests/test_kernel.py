@@ -7,6 +7,7 @@ import os
 import tempfile
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from datetime import datetime, timedelta
 from functools import partial
 from itertools import islice
@@ -20,11 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tesgrid import kernel, powerflow
+from tesgrid.attack import ATTACKS
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
 from tesgrid.loads import HouseState
 from tesgrid.market import Bid, Controller, Market
-from tesgrid.model import AttackConfig, RecorderConfig
+from tesgrid.model import AttackConfig, Diagnostic, RecorderConfig
 from tesgrid.recorder import write_results
 from tesgrid.validate import NUMERIC_KINDS, validate
 
@@ -84,17 +86,18 @@ def test_schedule_repeat_expansion():
     model = parse_scenario(
         'schedule { name s; entry "2013-07-01 00:05:00" h1 cooling_setpoint 71 degF; repeat 1200 s; }'
     )
-    events = event_stream(model.schedules, [], START, START + timedelta(hours=1), [])
+    events = event_stream(model.schedules, [], START, START + timedelta(hours=1))
     assert [e.time for e in events] == [START + timedelta(minutes=m) for m in (5, 25, 45)]
 
 
-def test_out_of_window_warning():
+def test_out_of_window_warning(small_text):
     model = parse_scenario(
-        'schedule { name s; entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }'
+        small_text + 'schedule { name s; entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }'
     )
-    warnings = []
-    assert list(event_stream(model.schedules, [], START, START + timedelta(hours=1), warnings)) == []
-    assert warnings == ["schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"]
+    assert list(event_stream(model.schedules, [], START, START + timedelta(hours=1))) == []
+    assert validate(model).warnings == [
+        Diagnostic("<clock>", "OUT_OF_WINDOW", "schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped")
+    ]
 
 
 def test_ties_keep_schedule_file_order_then_attacks(small_text):
@@ -114,13 +117,15 @@ def test_ties_keep_schedule_file_order_then_attacks(small_text):
 
 def test_repeats_before_start_give_one_warning(small_text):
     entry = 'schedule {{ entry "{}" h2 deadband 3 degF; repeat 60 s; }}\n'
-    early_engine, early = run_small(small_text + entry.format("2012-07-01 00:00:00"))
-    at_start_engine, at_start = run_small(small_text + entry.format("2013-07-01 00:00:00"))
-    assert early_engine.warnings == [
+    early_text, at_start_text = (small_text + entry.format(t) for t in ("2012-07-01 00:00:00", "2013-07-01 00:00:00"))
+    _, early = run_small(early_text)
+    _, at_start = run_small(at_start_text)
+    assert validate(parse_scenario(early_text)).warnings == [Diagnostic(
+        "<clock>", "OUT_OF_WINDOW",
         "schedule event at 2012-07-01 00:00:00 for h2.deadband "
         "and its repeats before 2013-07-01 00:00:00 dropped (525600 events)"
-    ]
-    assert at_start_engine.warnings == []
+    )]
+    assert validate(parse_scenario(at_start_text)).warnings == []
     assert early.audit == at_start.audit and len(early.audit) == 61
 
 
@@ -129,7 +134,7 @@ def test_repeat_stream_holds_only_its_next_event():
     model = parse_scenario('schedule { entry "2013-07-01 00:00:00" h1 deadband 3 degF; repeat 1 s; }')
     tracemalloc.start()
     try:
-        events = event_stream(model.schedules, [], START, START + timedelta(days=30), [])
+        events = event_stream(model.schedules, [], START, START + timedelta(days=30))
         last = deque(islice(events, 1000), maxlen=1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -380,7 +385,7 @@ def test_every_settable_property_applies(small_text):
     assert validate(model).runnable
     engine = Engine(model)
     before = {pair: probe(engine, targets[pair[0]]) for pair, (_, _, probe) in SET_TO.items()}
-    for event in event_stream(model.schedules, [], START, engine.clock.stop, []):  # all at 00:10
+    for event in event_stream(model.schedules, [], START, engine.clock.stop):  # all at 00:10
         engine.apply_event(event)
     rows = {(row.target, row.prop): row for row in engine.audit if row.origin == "schedule"}
     assert len(rows) == len(engine.audit) == len(SET_TO)
@@ -390,7 +395,8 @@ def test_every_settable_property_applies(small_text):
         assert type(row.old_value) is type(row.new_value)
         assert probe(engine, targets[cls]) == new
     # a market attack's switch is its transform, set by the attack's own events
-    switch = engine.transforms["attack:a"]
+    switch = engine.attacks[0].transform
+    assert switch.name == "a"
     for event, active in zip(engine.attacks[0].events, (True, False)):
         engine.apply_event(event)
         assert switch.active is active
@@ -715,6 +721,93 @@ def test_a_copy_taken_at_any_step_finishes_the_run(resumable, case, cut):
     twin = copy.deepcopy(engine)
     assert written(twin.run()) == whole
     assert written(engine.run()) == whole  # the original finishes after its copy
+
+
+# a market attack of each other `ATTACKS` row inside RESUMED's outage `cut`
+# (00:20-00:40): `scale` at 00:25-00:45, and ATTACK's `a` at 00:30-00:40
+SCALE = (
+    'attack { name scale; kind BUYER_BID_SCALE; start "2013-07-01 00:25:00"; '
+    'end "2013-07-01 00:45:00"; lambda 0.2; }\n'
+)
+# each attack kind with each topology it runs under
+ARMABLE = [
+    (kind, topology) for kind, spec in ATTACKS.items() for topology in ("auxiliary", "direct")
+    if spec.point is None or topology == "auxiliary"
+]
+MINUTE = timedelta(minutes=1)
+
+
+@pytest.fixture(scope="module")
+def armable(small_text, tmp_path_factory):
+    """Per topology, RESUMED's model with every attack the topology allows,
+    and a maker of its engine built with only the given attacks."""
+    base_dir = tmp_path_factory.mktemp("armed")
+    (base_dir / "zip.csv").write_text(PLAYED)
+    made = {}
+    for topology, text in (("auxiliary", small_text + RESUMED + SCALE + ATTACK), ("direct", small_text + RESUMED)):
+        model = parse_scenario(text)
+        assert validate(model, topology).runnable
+        made[topology] = model, partial(built_with, model, topology, str(base_dir))
+    return made
+
+
+def built_with(model, topology, base_dir, attacks):
+    """The engine of `model` with only `attacks`."""
+    return Engine(replace(model, attacks=attacks), topology, base_dir=base_dir)
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["itself", "a-copy"])
+@pytest.mark.parametrize("first", [True, False], ids=["before-the-first-step", "at-its-start"])
+@pytest.mark.parametrize("kind, topology", ARMABLE)
+def test_an_armed_baseline_writes_the_attacked_run(armable, kind, topology, first, copied):
+    """The fork relation: the attack-free engine, advanced to any step up to
+    an attack's start and armed with it (or its copy armed), writes every
+    file of the attacked run, `summary.txt` included.  The repeating
+    schedule entry and the player are active across the arming step."""
+    model, build = armable[topology]
+    cfg = next(a for a in model.attacks if a.kind == kind)
+    engine = build([])
+    if not first:
+        engine.advance(cfg.start - MINUTE)  # the next step is the attack's first event's
+    assert engine.step == (0 if first else (cfg.start - START) // MINUTE)
+    fork = copy.deepcopy(engine) if copied else engine
+    fork.arm([cfg])
+    assert fork.summary["attacks"] == cfg.name and [c.config for c in fork.attacks] == [cfg]
+    assert written(fork.run()) == written(build([cfg]).run())
+    if copied:  # the original stays the baseline
+        assert engine.attacks == [] and written(engine.run()) == written(build([]).run())
+
+
+def test_overlapping_attacks_armed_at_different_steps(armable):
+    model, build = armable["auxiliary"]
+    cut, scale, override = model.attacks
+    assert [cut.kind, scale.kind, override.kind] == ["LINE_STATUS", "BUYER_BID_SCALE", "SELLER_PRICE_OVERRIDE"]
+    engine = build([])
+    engine.arm([cut])  # before the first step
+    engine.advance(scale.start - MINUTE)
+    fork = copy.deepcopy(engine)
+    fork.arm([scale])  # inside `cut`'s outage
+    fork.advance(override.start - MINUTE)
+    fork.arm([override])  # inside both
+    assert fork.summary["attacks"] == "cut;scale;a"
+    assert written(fork.run()) == written(build(model.attacks).run())
+    assert written(engine.run()) == written(build([cut]).run())
+
+
+@pytest.mark.parametrize("kind, topology", ARMABLE)
+def test_arming_after_an_attack_starts_raises(armable, kind, topology):
+    """An attack whose start has passed is refused, and so are the others
+    armed with it: the engine runs on as the baseline."""
+    model, build = armable[topology]
+    cfg = next(a for a in model.attacks if a.kind == kind)
+    pending = [a for a in model.attacks if a.start > cfg.start]  # each still armable alone
+    engine = build([])
+    engine.advance(cfg.start)  # one step after the one before its start
+    with pytest.raises(ValueError, match=f"attack '{cfg.name}' has an event before the next step"):
+        engine.arm([*pending, cfg])
+    assert engine.attacks == [] and engine.summary["attacks"] == "none"
+    assert all(not points for points in engine._rewriters.values())
+    assert written(engine.run()) == written(build([]).run())
 
 
 # UL1 opens on every even minute and closes on every odd one, all hour

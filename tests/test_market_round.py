@@ -75,7 +75,7 @@ def recenter(ctl, house, market, clearing):
 
 
 def transformed(engine, bid, kind, market_price, price_cap):
-    for tr in engine.transforms.values():
+    for tr in (c.transform for c in engine.attacks if c.transform is not None):
         if tr.kind == kind and tr.active and bid.trader in tr.compromised:
             if kind == "SELLER_PRICE_OVERRIDE":
                 price = tr.params["price"]
@@ -259,7 +259,8 @@ def test_aux_replicas_are_the_main_offers_unless_overridden(feeder_dir, monkeypa
     model = parse_scenario(gen_feeder(5, 0))
     model.attacks.append(ATTACKS["override"])
     engine = Engine(model, topology="auxiliary", base_dir=str(feeder_dir))
-    override = engine.transforms["attack:ovr"]
+    override = engine.attacks[0].transform
+    assert override.name == "ovr"
     auction = engine.auctions["market"]
     books = {auction.market: [], auction.mirror: []}
     main, aux = books.values()
@@ -384,7 +385,7 @@ def test_bid_counts_are_the_scenario_traders(feeder_dir, topology, attack):
 
     def counting_round(auction):
         nonlocal last, overridden
-        overridden += any(tr.active for tr in engine.transforms.values())
+        overridden += any(c.transform.active for c in engine.attacks)
         bidding = sum(engine.houses[house].t_in > t_min for t_min, house in ctls)
         unresp = int(engine._unresp_kw > 0)
         market_round(auction)

@@ -1,11 +1,15 @@
 """Validation-report tests: the fixture is clean, and each invariant
 violation produces the expected diagnostic without raising."""
 
+from dataclasses import replace
+
 import pytest
-from conftest import OFF_STEP_ATTACK, UNRUNNABLE_EDITS
+from conftest import OFF_STEP_ATTACK, UNRUNNABLE_EDITS, load_fixture
 
 from tesgrid.errors import ParseError
+from tesgrid.feedergen import gen_feeder
 from tesgrid.glm import parse_scenario
+from tesgrid.model import Diagnostic
 from tesgrid.network import build_network_index
 from tesgrid.validate import validate
 
@@ -362,3 +366,85 @@ def test_house_euler_step_takes_the_defaults(timestep, ok):
     assert report.runnable is ok
     if not ok:
         assert report.serialize() == "error: h: BAD_RANGE: timestep (h) * ua / thermal_capacitance is 1.1, above 1"
+
+
+_BEFORE = 'schedule { entry "2013-06-30 23:00:00" h1 cooling_setpoint 71 degF; }\n'
+_BEFORE_NOTE = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"
+_AFTER = 'schedule { entry "2013-07-01 02:00:00" h2 deadband 3 degF;%s }\n'
+_AFTER_NOTE = "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-07-01 02:00:00 for h2.deadband dropped"
+
+
+@pytest.mark.parametrize(
+    "extra, notes",
+    [
+        (_BEFORE, [_BEFORE_NOTE]),
+        # an entry after the stop repeats only after it too
+        (_AFTER % "", [_AFTER_NOTE]),
+        (_AFTER % " repeat 60 s;", [_AFTER_NOTE]),
+        # the repeats before the start are counted, however many: CI's year-early entry
+        ('schedule { entry "2012-07-01 00:00:00" h2 deadband 3 degF; repeat 60 s; }\n', [
+            "warning: <clock>: OUT_OF_WINDOW: schedule event at 2012-07-01 00:00:00 for h2.deadband "
+            "and its repeats before 2013-07-01 00:00:00 dropped (525600 events)"
+        ]),
+        ('schedule { entry "2013-06-30 23:50:00" h2 deadband 3 degF; repeat 1200 s; }\n', [
+            "warning: <clock>: OUT_OF_WINDOW: schedule event at 2013-06-30 23:50:00 for h2.deadband "
+            "and its repeats before 2013-07-01 00:00:00 dropped (1 events)"
+        ]),
+        # the clock's start and stop are inside it
+        ('schedule { entry "2013-07-01 00:00:00" h1 deadband 3 degF; '
+         'entry "2013-07-01 01:00:00" h1 deadband 2 degF; }\n'
+         'schedule { entry "2013-07-01 00:00:00" h2 deadband 3 degF; repeat 600 s; }\n'
+         'schedule { entry "2013-07-01 01:00:00" h3 deadband 3 degF; repeat 600 s; }\n', []),
+        # identical notes merge, as every diagnostic does
+        (_BEFORE + _BEFORE, [_BEFORE_NOTE]),
+    ],
+    ids=["before", "after", "after-repeating", "year-early", "repeats-before", "at-start-and-stop", "merged"],
+)
+def test_out_of_window_notes(small_text, extra, notes):
+    report = validate(parse_scenario(small_text + extra))
+    assert report.runnable
+    assert report.serialize().splitlines() == notes
+
+
+def test_out_of_window_notes_sort_with_the_other_warnings(small_text):
+    text = small_text.replace("cop 3;", "cop 3;\n    paint_color blue;", 1) + _BEFORE
+    assert validate(parse_scenario(text)).serialize().splitlines() == [
+        _BEFORE_NOTE, "warning: h1: UNKNOWN_PROP: property 'paint_color' not known for class house",
+    ]
+
+
+def test_an_unrunnable_scenario_lists_its_out_of_window_notes(small_text):
+    report = validate(parse_scenario(small_text.replace("period 300 s;", "period 90 s;") + _BEFORE))
+    assert codes(report) == {"BAD_PERIOD"}
+    assert report.warnings == [Diagnostic(
+        "<clock>", "OUT_OF_WINDOW", "schedule event at 2013-06-30 23:00:00 for h1.cooling_setpoint dropped"
+    )]
+
+
+# the UNRUNNABLE_EDITS cases that add an attack, and the attack days of
+# tools/market_days.sh: the generated 30-house day under each attack kind
+_ATTACK_EDITS = [
+    case for case, (edit, _) in UNRUNNABLE_EDITS.items() if "attack {" in edit(load_fixture("feeder_small.glm"))
+]
+_ATTACK_DAYS = {
+    f"attack{i}": 'attack { name a; start "2013-07-01 10:00:00"; end "2013-07-01 12:00:00"; %s }\n' % params
+    for i, params in enumerate(
+        ["kind SELLER_PRICE_OVERRIDE; fraction 0.2; price 0.5 $/kWh;", "kind BUYER_BID_SCALE; lambda 0.2;",
+         "kind LINE_STATUS; lines trunk; status OPEN;"], start=1,
+    )
+}
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+@pytest.mark.parametrize("case", [*_ATTACK_EDITS, *_ATTACK_DAYS])
+def test_removing_the_attacks_only_removes_errors(small_text, case, topology):
+    """A study's baseline is its scenario without the attacks: every error
+    of the baseline is one of the whole scenario's, so a runnable scenario
+    has a runnable baseline."""
+    text = UNRUNNABLE_EDITS[case][0](small_text) if case in UNRUNNABLE_EDITS else gen_feeder(30, 0) + _ATTACK_DAYS[case]
+    model = parse_scenario(text)
+    assert model.attacks
+    errors = set(validate(model, topology).errors)
+    assert set(validate(replace(model, attacks=[]), topology).errors) <= errors
+    if case in _ATTACK_DAYS:  # each day runs under the auxiliary topology, and a line attack under both
+        assert not errors or topology == "direct" and case != "attack3"
