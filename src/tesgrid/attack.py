@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .market import Bid
-from .model import LINE_CLASSES, LINE_STATUSES, AttackConfig, Event, ScenarioModel
+from .model import LINE_CLASSES, LINE_STATUSES, AttackConfig, Event
 
 
 def compromised_set(population: list[str], fraction: float, seed: int) -> frozenset[str]:
@@ -102,18 +102,18 @@ class CompiledAttack:
     transform: BidTransform | None = None
 
 
-def compile_attack(cfg: AttackConfig, model: ScenarioModel, configured: dict[str, str]) -> CompiledAttack:
-    """Draw the compromised set and emit window events for an attack of a
-    model that `validate` reports runnable under the run's topology.  A
-    LINE_STATUS attack's end writes back each line's status in
-    `configured`, the network index's `switchable` map."""
+def compile_attack(cfg: AttackConfig, classes: dict[str, str], configured: dict[str, str]) -> CompiledAttack:
+    """Draw the compromised set and emit window events for an attack that
+    `validate` reports runnable under the run's topology, from the run's
+    maps: `classes` (each name's class, in model order) and `configured`
+    (`switchable`: the status a LINE_STATUS attack's end writes back)."""
     spec, compiled = ATTACKS[cfg.kind], CompiledAttack(cfg)
     if spec.population is None:
         status = cfg.params["status"]
         # (target, property, value in the window, value after it)
         edges = [(line, "status", status, configured[line]) for line in attacked_lines(cfg)]
     else:
-        population = [obj.name for obj in model.of_class(spec.population)]
+        population = [name for name, cls in classes.items() if cls == spec.population]
         compromised = compromised_set(population, cfg.fraction, cfg.seed)
         compiled.transform = BidTransform(cfg.name, cfg.kind, compromised, cfg.params)
         edges = [(f"attack:{cfg.name}", "active", True, False)]

@@ -31,14 +31,14 @@ walks only the energized loads, in a plan that a line's `status` writer,
 the one place switching happens, remakes with the islands on each change.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
-function of (model, seed): outputs are byte-identical across
-repeats.  Every applied event lands in an audit log.  The run's state,
-built in `Engine.__init__` and carried from step to step by `advance`,
-is `step` (the next step's index), the recorder `tables`, the `audit`
-and the `summary` that `summary.txt` prints.  Each `advance` makes the
-event stream from its next step on, so a deep copy taken between steps
-finishes the run as the original does, and `Engine.arm` adds attacks to
-either from that step on.
+function of (model, seed): outputs are byte-identical across repeats.  Every
+applied event lands in an audit log.  A run reads its scenario only while
+`Engine.__init__` builds it.  The run's state, carried from step to step by
+`advance`, is `step` (the next step's index), the recorder `tables`, the
+`audit` and the `summary` that `summary.txt` prints.  Each `advance` makes
+the event stream from its next step on, so a deep copy taken between steps,
+which holds run state only, finishes the run as the original does, and
+`Engine.arm` adds attacks to either from that step on.
 """
 
 from __future__ import annotations
@@ -372,9 +372,9 @@ class AuditRow:
     origin: str
 
 
-def _repeats(e: ScheduleEntry, step: timedelta, ks: range) -> Iterator[Event]:
+def _repeats(e: ScheduleEntry, value: object, step: timedelta, ks: range) -> Iterator[Event]:
     for k in ks:
-        yield Event(e.time + k * step, e.target, e.prop, e.value, "schedule")
+        yield Event(e.time + k * step, e.target, e.prop, value, "schedule")
 
 
 _time = attrgetter("time")
@@ -387,7 +387,8 @@ def event_stream(
     tf: datetime,
 ) -> Iterator[Event]:
     """The events of schedules (with repeats) and compiled attacks within
-    [t0, tf], in time order, each made when the iterator reaches it.
+    [t0, tf], in time order, each made when the iterator reaches it; a
+    schedule event carries its entry's canonical value, worked out once.
 
     One stream per schedule entry, and one of the attack events, are merged
     on time; the merge is stable, so events at one time come in schedule
@@ -402,9 +403,9 @@ def event_stream(
             if sched.repeat is not None:
                 step = timedelta(seconds=sched.repeat)
                 first = max(0, -((e.time - t0) // step))  # the repeats before t0
-                streams.append(_repeats(e, step, range(first, (tf - e.time) // step + 1)))
+                streams.append(_repeats(e, e.value.canonical(), step, range(first, (tf - e.time) // step + 1)))
             elif t0 <= e.time <= tf:
-                streams.append([Event(e.time, e.target, e.prop, e.value, "schedule")])
+                streams.append([Event(e.time, e.target, e.prop, e.value.canonical(), "schedule")])
     # a stable sort: attack events at one time stay in compile order
     streams.append(sorted([ev for c in attacks for ev in c.events if t0 <= ev.time <= tf], key=_time))
     return heapq.merge(*streams, key=_time)
@@ -456,9 +457,9 @@ class _LoadPlan(NamedTuple):
 class Engine:
     """One simulation run of a scenario model that `validate(model, topology)`
     reports runnable: each target and property is bound as given, and `arm`
-    binds the model's attacks.  The input files are read here, once, relative
-    to `base_dir`; a file the run cannot use, or a player value out of its
-    property's range, raises `ConfigError`."""
+    binds the model's attacks.  The model and its input files (relative to
+    `base_dir`) are read here, once, and never after; a file the run cannot
+    use, or a player value out of its property's range, raises `ConfigError`."""
 
     def __init__(
         self,
@@ -469,7 +470,6 @@ class Engine:
     ):
         if topology not in ("direct", "auxiliary"):
             raise ValueError(f"unknown topology '{topology}'")
-        self.model = model
         self.clock = clock = model.clock
         self.index = build_network_index(model)
         self.statuses = dict(self.index.switchable)  # each line's status now
@@ -524,7 +524,8 @@ class Engine:
         # each recorder, with its target's power check if it records a flagged property
         flagged = lambda cfg: any(PROPERTIES[self._classes[cfg.target]][p].flagged for p in cfg.properties)
         self._recorders = [(cfg, flagged(cfg) and _powered(self, cfg.target)) for cfg in model.recorders]
-        pairs = [(e.target, e.prop) for sched in model.schedules for e in sched.entries]
+        self.schedules = list(model.schedules)  # `advance` makes their events from each next step on
+        pairs = [(e.target, e.prop) for sched in self.schedules for e in sched.entries]
         self._writers = {pair: self._bind(*pair, write=True) for pair in pairs}
         self.players = []
         for cfg in model.players:
@@ -567,15 +568,15 @@ class Engine:
         self.arm(model.attacks)
 
     def arm(self, configs: Iterable[AttackConfig]) -> None:
-        """Compile and bind attacks of the engine's model, runnable under its
-        topology, from the next step on: a market attack's transform at its
+        """Compile attacks from the engine's names, not the parsed model, and
+        bind them from the next step on: a market attack's transform at its
         rewrite point, with its switch `(attack:NAME, "active")`, and a line
-        attack's status writers.  An attack with an event at or after the
-        clock's start and before the next step, which has passed, raises
-        `ValueError`, and none of `configs` is armed."""
+        attack's status writers; each must be runnable under the topology.
+        An attack with an event at or after the clock's start and before the
+        next step, which has passed, raises `ValueError`, and none is armed."""
         clock = self.clock
         t = clock.start + timedelta(seconds=self.step * clock.timestep)
-        compiled = [compile_attack(cfg, self.model, self.index.switchable) for cfg in configs]
+        compiled = [compile_attack(cfg, self._classes, self.index.switchable) for cfg in configs]
         for c in compiled:
             if any(clock.start <= ev.time < t for ev in c.events):
                 raise ValueError(f"attack '{c.config.name}' has an event before the next step, at {format_time(t)}")
@@ -600,9 +601,8 @@ class Engine:
 
     def apply_event(self, event: Event) -> None:
         """Execute one property mutation; appends an audit record."""
-        value = event.value.canonical() if isinstance(event.value, Value) else event.value
-        old = self._writers[event.target, event.prop](value)
-        self.audit.append(AuditRow(event.time, event.target, event.prop, old, value, event.origin))
+        old = self._writers[event.target, event.prop](event.value)
+        self.audit.append(AuditRow(event.time, event.target, event.prop, old, event.value, event.origin))
 
     # -- per-step phases ----------------------------------------------------
 
@@ -744,7 +744,7 @@ class Engine:
         dt = clock.timestep
         last = min((until - clock.start) // timedelta(seconds=dt), summary["steps"])
         # the events not yet applied: each falls on a step, so those from the next step on
-        events = event_stream(self.model.schedules, self.attacks, clock.start + timedelta(seconds=k * dt), clock.stop)
+        events = event_stream(self.schedules, self.attacks, clock.start + timedelta(seconds=k * dt), clock.stop)
         event, tables = next(events, None), self.tables
         markets = [m for auction in self.auctions.values() for m in (auction.market, auction.mirror) if m]
         max_price = summary["max_clearing_price"]

@@ -84,6 +84,11 @@ def test_transform_only_touches_compromised_when_active():
         assert tr.apply(miss, 0.1, 0.63) is miss
 
 
+def _classes(model):
+    """The engine's name-to-class map, which `compile_attack` draws from."""
+    return {name: obj.cls for name, obj in model.by_name().items()}
+
+
 def _codes(model, cfg, topology="auxiliary"):
     """The codes of the errors `validate` reports at attack `cfg`, added to `model`."""
     if cfg not in model.attacks:
@@ -95,7 +100,7 @@ def test_compile_market_attack_needs_auxiliary(small_model):
     cfg = AttackConfig("a", "SELLER_PRICE_OVERRIDE", T0, T1, params={"price": 0.63})
     assert "BAD_TOPOLOGY" in _codes(small_model, cfg, "direct")
     assert "BAD_TOPOLOGY" not in _codes(small_model, cfg, "auxiliary")
-    compiled = compile_attack(cfg, small_model, {})
+    compiled = compile_attack(cfg, _classes(small_model), {})
     assert compiled.transform.compromised == {"g1"}
     assert [(e.time, e.value) for e in compiled.events] == [(T0, True), (T1, False)]
     assert compiled.events[0].target == "attack:a"
@@ -103,7 +108,7 @@ def test_compile_market_attack_needs_auxiliary(small_model):
 
 def test_compile_buyer_attack_targets_controllers(small_model):
     cfg = AttackConfig("a", "BUYER_BID_SCALE", T0, T1, fraction=0.5, params={"lambda": 0.1})
-    compiled = compile_attack(cfg, parse_scenario(gen_feeder(2)), {})
+    compiled = compile_attack(cfg, _classes(parse_scenario(gen_feeder(2))), {})
     assert len(compiled.transform.compromised) == 1
     assert compiled.transform.compromised <= {"ctl_0_0", "ctl_0_1"}
     assert "NO_TARGETS" in _codes(small_model, cfg)  # the fixture has no controller
@@ -111,7 +116,7 @@ def test_compile_buyer_attack_targets_controllers(small_model):
 
 def test_compile_line_status_window_events(small_model):
     cfg = AttackConfig("a", "LINE_STATUS", T0, T1, params={"lines": ["UL1"], "status": "OPEN"})
-    compiled = compile_attack(cfg, small_model, build_network_index(small_model).switchable)
+    compiled = compile_attack(cfg, _classes(small_model), build_network_index(small_model).switchable)
     assert compiled.transform is None
     events = [(e.time, e.target, e.value) for e in compiled.events]
     assert events == [(T0, "UL1", "OPEN"), (T1, "UL1", "CLOSED")]

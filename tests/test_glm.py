@@ -287,6 +287,7 @@ def test_schedule_with_repeat():
 
 
 _ATTACK = 'attack {{ kind {}; start "2013-07-01 00:10:00"; end "2013-07-01 00:20:00"; {} }}'
+_CLOCK = 'clock {{ start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep {}; }}'
 
 
 @pytest.mark.parametrize(
@@ -349,6 +350,18 @@ _ATTACK = 'attack {{ kind {}; start "2013-07-01 00:10:00"; end "2013-07-01 00:20
          "is not a number"),
         ("object node { name n; nominal_voltage \uff17\uff12\uff10\uff10 V; }", "is not a number"),
         ("object overhead_line { name l; impedance 0.5+\u0661j Ohm; }", "is not a number"),
+        # each placed at its line:column: an end of input at the last token, a
+        # clock or attack field at its block's keyword, an entry at its own
+        ("object", "1:1: unexpected end of input"),
+        ("object node", "1:8: unexpected end of input"),
+        ("object node x", "1:13: expected '{', got 'x'"),
+        ("object node { ; }", "1:15: expected property name, got ';'"),
+        (_CLOCK.format("60 s") + "\n" + _CLOCK.format("60 s"), "2:1: duplicate clock block"),
+        (_CLOCK.format("0 s"), "1:1: timestep must be a positive whole number of seconds"),
+        (_CLOCK.format("1.5 s"), "1:1: timestep must be a positive whole number of seconds"),
+        (_CLOCK.format("fast"), "1:1: expected a number"),
+        ('schedule {\n  entry "2013-07-01 00:10:00" h1;\n}', '2:3: entry needs: "time" target property value'),
+        (_ATTACK.format("LINE_STATUS", "lines UL1; status AJAR;"), "1:1: bad line status 'AJAR'"),
     ],
 )
 def test_parse_errors(text, fragment):

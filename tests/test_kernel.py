@@ -16,7 +16,7 @@ from types import MethodType
 from unittest.mock import patch
 
 import pytest
-from conftest import load_fixture
+from conftest import SECOND_AUCTION, load_fixture
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -808,6 +808,53 @@ def test_arming_after_an_attack_starts_raises(armable, kind, topology):
     assert engine.attacks == [] and engine.summary["attacks"] == "none"
     assert all(not points for points in engine._rewriters.values())
     assert written(engine.run()) == written(build([]).run())
+
+
+# feeder_small with SECOND_AUCTION's three sellers and two controllers, a
+# repeating schedule entry and a UL1 outage; under the auxiliary topology,
+# which alone runs market attacks, half the sellers and half the
+# controllers are drawn as well
+DETACHED = SECOND_AUCTION + (
+    'schedule { entry "2013-07-01 00:05:00" h3 deadband 3 degF; repeat 600 s; }\n'
+    'attack { name out; kind LINE_STATUS; start "2013-07-01 00:40:00"; end "2013-07-01 00:50:00"; '
+    "lines UL1; status OPEN; }\n"
+)
+DETACHED_MARKET = (
+    'attack { name ovr; kind SELLER_PRICE_OVERRIDE; start "2013-07-01 00:20:00"; end "2013-07-01 00:40:00"; '
+    "fraction 0.5; seed 3; price 0.5 $/kWh; }\n"
+    'attack { name bid; kind BUYER_BID_SCALE; start "2013-07-01 00:30:00"; end "2013-07-01 00:45:00"; '
+    "fraction 0.5; seed 1; lambda 0.2; }\n"
+)
+
+
+def drawn(engine):
+    """Each armed attack's draw: a market attack's compromised set, a line attack's lines."""
+    return [c.transform.compromised if c.transform else {ev.target for ev in c.events} for c in engine.attacks]
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_the_engine_reads_its_scenario_only_while_it_is_built(small_text, topology):
+    """With the model's objects, schedules and attacks rebound to empty
+    lists after `Engine(model)`, the run writes every file of an untouched
+    one, `summary.txt` included; and a deep copy of its attack-free
+    baseline, armed after the same rebinding, draws each compromised set
+    the untouched run draws and writes its files too."""
+    text = small_text + DETACHED + (DETACHED_MARKET if topology == "auxiliary" else "")
+    assert validate(parse_scenario(text), topology).runnable
+    untouched = Engine(parse_scenario(text), topology)
+    whole = written(untouched.run())
+    model = parse_scenario(text)
+    attacks, bare = model.attacks, replace(model, attacks=[])
+    engine, baseline = Engine(model, topology), Engine(bare, topology)
+    for built in (model, bare):
+        built.objects, built.schedules, built.attacks = [], [], []
+    assert written(engine.run()) == whole
+    baseline.advance(START + timedelta(minutes=19))  # the step before the first attack's start
+    fork = copy.deepcopy(baseline)
+    fork.arm(attacks)
+    assert drawn(fork) == drawn(untouched)
+    assert [len(s) for s in drawn(fork)] == ([1, 2, 1] if topology == "auxiliary" else [1])
+    assert written(fork.run()) == whole
 
 
 # UL1 opens on every even minute and closes on every odd one, all hour

@@ -160,10 +160,11 @@ def reference_load_read(engine, target, prop, irradiance):
     return (-kw if target in engine.solars else kw), ""
 
 
-def reference_unresponsive_kw(engine):
-    """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the plain way."""
+def reference_unresponsive_kw(engine, model):
+    """Appliances, uncontrolled HVAC, minus solar, over energized nodes, the
+    plain way; the controlled houses are read from `model`."""
     live, position, attach = engine.islands.live, engine.index.position, engine.index.attach_node
-    controlled = {obj.ref("house") for obj in engine.model.of_class("controller")}
+    controlled = {obj.ref("house") for obj in model.of_class("controller")}
     total = 0.0
     for name, app in engine.appliances.items():
         if live[position[attach[name]]]:
@@ -178,11 +179,11 @@ def reference_unresponsive_kw(engine):
     return max(total, 0.0)
 
 
-def run_against_reference(engine, monkeypatch):
-    """Run `engine`, checking every step's load pass, unresponsive kW and
-    load reads, and after the run each `oracle_*` row's flag; returns the
-    step count.  Every class of `LOAD_READS` in the scenario must be read,
-    and some reads must be unpowered."""
+def run_against_reference(engine, model, monkeypatch):
+    """Run `engine`, built from `model`, checking every step's load pass,
+    unresponsive kW and load reads, and after the run each `oracle_*` row's
+    flag; returns the step count.  Every class of `LOAD_READS` in the
+    scenario must be read, and some reads must be unpowered."""
     checked, reads, flags = [], {}, {}
     build = Engine.build_load_injections
     loads = Engine._phase_loads
@@ -191,7 +192,7 @@ def run_against_reference(engine, monkeypatch):
     def phase_loads(self, t, dt, first):
         self.step_time, (_, self.step_irradiance) = t, self.weather.sample(t)
         loads(self, t, dt, first)
-        assert self._unresp_kw == reference_unresponsive_kw(self), t
+        assert self._unresp_kw == reference_unresponsive_kw(self, model), t
 
     def checked_read(self, target, prop):
         got = read(self, target, prop)
@@ -219,9 +220,9 @@ def run_against_reference(engine, monkeypatch):
     assert len(checked) == len(reads) == result.metadata["executed_steps"] + 1
     assert any(checked) and not all(checked)  # steps with and without dead slots
     seen = set().union(*reads.values())
-    assert {cls for cls, _ in seen} == {obj.cls for obj in engine.model.objects if obj.cls in LOAD_READS}
+    assert {cls for cls, _ in seen} == {obj.cls for obj in model.objects if obj.cls in LOAD_READS}
     assert {flag for _, flag in seen} == {"", "DEENERGIZED"}
-    oracles = [cfg for cfg in engine.model.recorders if cfg.name.startswith("oracle_")]
+    oracles = [cfg for cfg in model.recorders if cfg.name.startswith("oracle_")]
     for cfg in oracles:
         for row in result.tables[cfg.name].rows:
             assert row[-1] == flags[row[0], cfg.target], (cfg.name, row[0])
@@ -234,15 +235,15 @@ def test_small_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topology
     (tmp_path / "w.csv").write_text(SMALL_WEATHER)
     model = parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + SMALL_EXTRA))
     engine = Engine(model, topology=topology, base_dir=str(tmp_path))
-    assert run_against_reference(engine, monkeypatch) == 61
+    assert run_against_reference(engine, model, monkeypatch) == 61
     assert engine.houses["h2"].mode == "COOL" and engine.houses["h2"].t_set == 81.0
 
 
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])
 def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topology):
     (tmp_path / "w.csv").write_text(SMALL_WEATHER)
-    engine = Engine(parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA)),
-                    topology=topology, base_dir=str(tmp_path))
+    model = parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + CONTROLLED_EXTRA))
+    engine = Engine(model, topology=topology, base_dir=str(tmp_path))
     plans = {}  # islands object -> the plan the step's load pass used
     remade = []  # per applied event: (whether it changed a line's status, whether the plan was remade)
     loads, apply = Engine._phase_loads, Engine.apply_event
@@ -260,7 +261,7 @@ def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topolo
 
     monkeypatch.setattr(Engine, "_phase_loads", phase_loads)  # runs inside the check's wrapper
     monkeypatch.setattr(Engine, "apply_event", apply_event)
-    assert run_against_reference(engine, monkeypatch) == 61
+    assert run_against_reference(engine, model, monkeypatch) == 61
     # UL1 opens, closes, z1 changes, UL1 opens again: remade at each status change only
     assert remade == [(True, True), (True, True), (False, False), (True, True)]
     opened, closed, reopened = [islands for islands, _ in plans.values()]
@@ -277,7 +278,7 @@ def test_generated_feeder_demand_matches_plain_build(tmp_path, monkeypatch, topo
     # reads of all 91 would make this test five times as long
     model = parse_scenario(with_load_recorders(gen_feeder(30, 0) + FEEDER_EXTRA, part="_0_"))
     engine = Engine(model, topology=topology, base_dir=str(tmp_path))
-    assert run_against_reference(engine, monkeypatch) == 1441
+    assert run_against_reference(engine, model, monkeypatch) == 1441
 
 
 @pytest.fixture()

@@ -90,12 +90,12 @@ def number(obj, prop, default=None):
     return default if value is None else float(value.canonical())
 
 
-def own_books(engine, name, offers):
-    """Auction `name`'s main market and, under the auxiliary topology, its
-    mirror, as books that hold no offer between rounds.  Each warms up from
+def own_books(engine, model, name, offers):
+    """Auction `name` of `model`: its main market and, under the auxiliary
+    topology, its mirror, as books that hold no offer between rounds.  Each warms up from
     the mean of `offers` summed left to right, and 10% of it; the mirror
     numbers each period as the main period its bids are forwarded into."""
-    obj = next(obj for obj in engine.model.objects if obj.name == name)
+    obj = next(obj for obj in model.objects if obj.name == name)
     cap, init = number(obj, "price_cap", DEFAULT_PRICE_CAP), number(obj, "init_price", DEFAULT_INIT_PRICE)
     total = 0.0
     for offer in offers:
@@ -109,13 +109,13 @@ def own_books(engine, name, offers):
     return books
 
 
-def reference_round(engine, state, auction):
+def reference_round(engine, model, state, auction):
     """One round of `auction`'s market and mirror, with the sellers and
-    controllers whose `market` names it, in books of the reference's own;
-    `state` maps an auction to those books and each of its controllers to
-    its last auxiliary bid."""
+    controllers of `model` whose `market` names it, in books of the
+    reference's own; `state` maps an auction to those books and each of its
+    controllers to its last auxiliary bid."""
     name = auction.market.name
-    traders = [obj for obj in engine.model.objects if obj.ref("market") == name]
+    traders = [obj for obj in model.objects if obj.ref("market") == name]
     ctls = [
         Controller(obj.name, obj.ref("house"), name, number(obj, "t_min"), number(obj, "t_base"),
                    number(obj, "t_max"), number(obj, "k_ramp"), number(obj, "sigma_floor", DEFAULT_SIGMA_FLOOR))
@@ -127,7 +127,7 @@ def reference_round(engine, state, auction):
         for obj in traders if obj.cls == "generator_seller"
     ]
     if name not in state:
-        state[name] = own_books(engine, name, offers), {}
+        state[name] = own_books(engine, model, name, offers), {}
     books, held = state[name]
     market = books[0]
     market.replace_offers(offers)
@@ -182,7 +182,7 @@ def day_run(feeder_dir, feeder, topology, attack, reference):
         model.attacks.append(attack)
     engine = Engine(model, topology=topology, seed=0, base_dir=str(feeder_dir))
     if reference:
-        engine._market_round = partial(reference_round, engine, {})
+        engine._market_round = partial(reference_round, engine, model, {})
     assert engine.run().complete
     return {name: house.t_set for name, house in engine.houses.items()}
 

@@ -6,9 +6,11 @@ from dataclasses import replace
 import pytest
 from conftest import OFF_STEP_ATTACK, UNRUNNABLE_EDITS, load_fixture
 
+from tesgrid.cli import main
 from tesgrid.errors import ParseError
 from tesgrid.feedergen import gen_feeder
 from tesgrid.glm import parse_scenario
+from tesgrid.kernel import Engine
 from tesgrid.model import Diagnostic
 from tesgrid.network import build_network_index
 from tesgrid.validate import validate
@@ -207,6 +209,8 @@ _HOUSE = ("air_temperature 80 degF; cooling_setpoint 70 degF; deadband 2 degF; "
           "thermal_capacitance 2000; ua 550; internal_gains 1800; hvac_rating 1 kW; cop 3;")
 _NO_NODES = ('clock { start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; timestep 60 s; }\n'
              "object auction { name A1; period 300 s; }\n")
+_CONTROLLER = ("object controller {{ name c1; house {}; market {}; "
+               "t_min 65 degF; t_base 72 degF; t_max 80 degF; k_ramp 2; }}\n")
 _CYCLE = "error: <network>: NOT_RADIAL: electrical network contains a cycle"
 _UNREACHED = "error: <network>: NOT_RADIAL: nodes not connected to the source: "
 
@@ -309,6 +313,31 @@ PINNED_REPORTS = {
         "error: s: BAD_WINDOW: entry at 2013-07-01 00:20:00 on 'ghost' is undone as attack 'cut' ends\n"
         "error: s: DANGLING_REF: schedule target 'ghost' does not resolve\n"
         "error: s: DANGLING_REF: schedule target 'phantom' does not resolve"),
+    "stop_at_start": (
+        lambda t: t.replace('stop "2013-07-01 01:00:00";', 'stop "2013-07-01 00:00:00";'),
+        "error: <clock>: BAD_CLOCK: start must precede stop"),
+    "stop_off_step": (
+        lambda t: t.replace('stop "2013-07-01 01:00:00";', 'stop "2013-07-01 00:59:30";'),
+        "error: <clock>: BAD_CLOCK: timestep must divide the simulated window"),
+    "controller_house_is_node": (
+        lambda t: t + _CONTROLLER.format("n2", "A1"),
+        "error: c1: BAD_REF: controller 'house' must reference a house"),
+    "controller_market_is_node": (
+        lambda t: t + _CONTROLLER.format("h1", "n2"),
+        "error: c1: BAD_REF: controller 'market' must reference an auction"),
+    "seller_market_is_node": (
+        lambda t: t + "object generator_seller { name g2; market n2; price 0.1 $/kWh; capacity 5 kW; }\n",
+        "error: g2: BAD_REF: seller 'market' must reference an auction"),
+    "schedule_unsorted": (
+        lambda t: t + 'schedule { name s; entry "2013-07-01 00:20:00" h1 deadband 3 degF; '
+        'entry "2013-07-01 00:10:00" h1 deadband 2 degF; }\n',
+        "error: s: BAD_SCHEDULE: entries must be sorted by time"),
+    "player_on_hvac_rating": (
+        lambda t: t + "player { name p; target h1; property hvac_rating; file p.csv; }\n",
+        "error: p: UNKNOWN_PROPERTY: 'hvac_rating' is not settable on house"),
+    "impedance_word": (
+        lambda t: t.replace("impedance 0.5+1j Ohm;", "impedance high;"),
+        "error: UL1: BAD_VALUE: property 'impedance' must be numeric"),
 }
 
 
@@ -318,6 +347,26 @@ def test_pinned_topology_reports(small_text, case):
     text = edit(small_text)
     assert text != small_text
     assert validate(parse_scenario(text)).serialize() == expected
+
+
+@pytest.mark.parametrize("case", sorted(case for case, (_, expected) in PINNED_REPORTS.items() if expected))
+def test_pinned_reports_exit_2_through_the_command_line(tmp_path, capsys, small_text, case):
+    edit, expected = PINNED_REPORTS[case]
+    scenario = tmp_path / "s.glm"
+    scenario.write_text(edit(small_text))
+    assert main(["validate", str(scenario)]) == 2
+    reported = capsys.readouterr()
+    assert reported.out.startswith(expected + "\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    ran = capsys.readouterr()
+    assert ran.err == expected + "\n"
+    assert "Traceback" not in reported.out + reported.err + ran.out + ran.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_topology_is_a_value_error(small_model):
+    with pytest.raises(ValueError, match="unknown topology 'mesh'"):
+        Engine(small_model, topology="mesh")
 
 
 def test_solar_parent_rule(small_text):
