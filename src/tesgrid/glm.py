@@ -29,7 +29,11 @@ error or an object's source line needs a position: bisect the index of each
 line's first token, then rescan that line.  A block's statements are read
 in one loop over the token list, one statement at a time, so errors come
 in source order.  A value is interpreted once per parse; a failure is not
-kept, so every error is placed at its token.  The clock, schedule,
+kept, so every error is placed at its token.  So is an error in what a
+block makes of a field: a bad value (a timestep that is not a positive
+whole number of seconds, a line status, a seed) at the value's first
+token, an unknown attack field at its name; only a missing field is
+placed at its block's keyword.  The clock, schedule,
 recorder, player and weather blocks reject a field they do not have, and
 their time fields a unit that is not a time.
 """
@@ -253,6 +257,16 @@ class _Parser:
                 read(key, i, raw, i + 1)
             i = end
 
+    def _value_starts(self, at: int) -> dict[str, int]:
+        """The index of the first token of each field's value in the block
+        whose keyword is token `at`, which `_read_block` has read: where an
+        error in what the block makes of the value is placed."""
+        tokens, starts, i = self.tokens, {}, at + 1  # the block's `{`
+        while tokens[i + 1] != "}":  # i is at the `{` or at the `;` before the next field
+            starts[tokens[i + 1]] = i + 2
+            i = tokens.index(";", i + 2)
+        return starts
+
     def _want(self, props: dict[str, Value], key: str, at: int) -> Value:
         if key not in props:
             raise self._error(f"missing '{key}'", at)
@@ -287,11 +301,12 @@ class _Parser:
         if model.clock is not None:
             raise self._error("duplicate clock block", at)
         pmap = self._read_block("clock")
-        start = self._as_time(self._want(pmap, "start", at), at)
-        stop = self._as_time(self._want(pmap, "stop", at), at)
-        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", at), at)
+        where = self._value_starts(at)
+        start = self._as_time(self._want(pmap, "start", at), where["start"])
+        stop = self._as_time(self._want(pmap, "stop", at), where["stop"])
+        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", at), where["timestep"])
         if step != int(step) or int(step) <= 0:
-            raise self._error("timestep must be a positive whole number of seconds", at)
+            raise self._error("timestep must be a positive whole number of seconds", where["timestep"])
         model.clock = ClockConfig(start, stop, int(step))
 
     def _parse_schedule(self, model: ScenarioModel, at: int) -> None:
@@ -307,35 +322,36 @@ class _Parser:
             elif key == "name":
                 sched.name = str(self._interpret(raw, start, key_at).value)
             else:  # repeat, kept as written; validate checks it
-                sched.repeat = self._as_number(key, "TIME", self._interpret(raw, start, key_at), key_at)
+                sched.repeat = self._as_number(key, "TIME", self._interpret(raw, start, key_at), start)
 
         self._read_block("schedule", statement)
         model.schedules.append(sched)
 
     def _parse_attack(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_block("attack")
+        where = self._value_starts(at)
         kind = str(self._want(pmap, "kind", at).value)
         spec = ATTACKS.get(kind)
         if spec is None:
-            raise self._error(f"unknown attack kind '{kind}'", at)
+            raise self._error(f"unknown attack kind '{kind}'", where["kind"])
         for key in pmap:
             if key not in ATTACK_FIELDS and key not in spec.params:
-                raise self._error(f"unknown attack field '{key}'", at)
+                raise self._error(f"unknown attack field '{key}'", where[key] - 1)  # at the field's name
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
-            start=self._as_time(self._want(pmap, "start", at), at),
-            end=self._as_time(self._want(pmap, "end", at), at),
+            start=self._as_time(self._want(pmap, "start", at), where["start"]),
+            end=self._as_time(self._want(pmap, "end", at), where["end"]),
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], at)
+            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], where["fraction"])
         if "seed" in pmap:
-            seed = self._as_number("seed", "number", pmap["seed"], at)
+            seed = self._as_number("seed", "number", pmap["seed"], where["seed"])
             if seed != int(seed) or seed < 0:
-                raise self._error("seed must be a nonnegative whole number", at)
+                raise self._error("seed must be a nonnegative whole number", where["seed"])
             cfg.seed = int(seed)
         for key, param in spec.params.items():
-            cfg.params[key] = self._attack_param(key, param, self._want(pmap, key, at), at)
+            cfg.params[key] = self._attack_param(key, param, self._want(pmap, key, at), where[key])
         model.attacks.append(cfg)
 
     def _attack_param(self, key: str, param: Param, v: Value, at: int) -> object:
@@ -350,12 +366,13 @@ class _Parser:
 
     def _parse_recorder(self, model: ScenarioModel, at: int) -> None:
         pmap = self._read_block("recorder")
+        where = self._value_starts(at)
         props_v = self._want(pmap, "property", at)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         target = str(self._want(pmap, "target", at).value)  # reported before the interval
-        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", at), at)
+        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", at), where["interval"])
         if interval != int(interval):
-            raise self._error("interval must be a whole number of seconds", at)
+            raise self._error("interval must be a whole number of seconds", where["interval"])
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",

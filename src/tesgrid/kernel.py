@@ -742,14 +742,16 @@ class Engine:
         due.  A divergence ends the run: later calls do nothing."""
         clock, summary, k = self.clock, self.summary, self.step
         dt = clock.timestep
-        last = min((until - clock.start) // timedelta(seconds=dt), summary["steps"])
+        step = timedelta(seconds=dt)
+        last = min((until - clock.start) // step, summary["steps"])
+        # the next step's time, moved on by one exact whole-second step each step
+        t = clock.start + k * step
         # the events not yet applied: each falls on a step, so those from the next step on
-        events = event_stream(self.schedules, self.attacks, clock.start + timedelta(seconds=k * dt), clock.stop)
+        events = event_stream(self.schedules, self.attacks, t, clock.stop)
         event, tables = next(events, None), self.tables
         markets = [m for auction in self.auctions.values() for m in (auction.market, auction.mirror) if m]
         max_price = summary["max_clearing_price"]
         while k <= last and summary["complete"]:
-            t = clock.start + timedelta(seconds=k * dt)
             while event is not None and event.time <= t:
                 self.apply_event(event)
                 event = next(events, None)
@@ -773,6 +775,7 @@ class Engine:
             for market in markets:
                 max_price = max(max_price, market.last_clearing.price)
             k += 1
+            t += step
         self.step = k
         summary["powerflow_solves"], summary["max_clearing_price"] = k, max_price
 

@@ -14,11 +14,16 @@ step.  Heating is not modeled (summer scenarios only).
 `step_houses` steps a whole fleet in one loop and sums its kW per load
 slot; `step_house` is its one-house case.  A house's kW is `hvac_power`
 of its state: nothing else holds it.
+
+A house's heat extraction while cooling, `extraction = hvac_kw * cop *
+BTU_PER_KWH` (Btu/h), is worked out once, in `__post_init__`.  It cannot
+go stale in a run: neither `hvac_rating` nor `cop` has a `write` in
+`kernel.PROPERTIES`, and a writer added for either must refresh it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 BTU_PER_KWH = 3412.142
 
@@ -35,6 +40,10 @@ class HouseState:
     hvac_kw: float  # electric draw while cooling
     cop: float
     mode: str = "OFF"  # OFF | COOL
+    extraction: float = field(init=False)  # Btu/h removed while cooling, derived once
+
+    def __post_init__(self):
+        self.extraction = self.hvac_kw * self.cop * BTU_PER_KWH
 
 
 def step_houses(
@@ -52,22 +61,22 @@ def step_houses(
     """
     hvac, hours = 0.0, dt_seconds / 3600.0
     for house, slot in fleet:
-        if slot < 0:
-            house.mode = "OFF"
-        cool = house.mode == "COOL"
-        cooling = house.hvac_kw * house.cop * BTU_PER_KWH if cool else 0.0  # extraction, Btu/h
-        flow = house.ua * (t_out - house.t_in) + house.internal_gains - cooling
-        house.t_in = t_in = house.t_in + hours * flow / house.capacitance
-        if slot < 0:
-            continue
-        if cool:
+        t_in = house.t_in
+        if slot >= 0 and house.mode == "COOL":
+            flow = house.ua * (t_out - t_in) + house.internal_gains - house.extraction
+            house.t_in = t_in = t_in + hours * flow / house.capacitance
             if t_in < house.t_set - house.deadband / 2.0:
                 house.mode = "OFF"
                 continue
-        elif t_in > house.t_set + house.deadband / 2.0:
+        else:  # idle or unpowered: no extraction term, as `x - 0.0` is x for every float
+            flow = house.ua * (t_out - t_in) + house.internal_gains
+            house.t_in = t_in = t_in + hours * flow / house.capacitance
+            if slot < 0:
+                house.mode = "OFF"
+                continue
+            if not t_in > house.t_set + house.deadband / 2.0:
+                continue
             house.mode = "COOL"
-        else:
-            continue
         # only a cooling house draws: a sum that starts at 0.0 is never -0.0,
         # so adding an idle house's 0.0 would leave it as it is
         kw = house.hvac_kw

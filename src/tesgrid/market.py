@@ -48,13 +48,19 @@ controller's ramp bid in one loop, reading the market's statistics, cap
 and period once, and `Market.submit_all` books a list of buys with the
 cap, quantity and period checks of `submit`.  `Controller.make_bid` and
 `Market.submit` are their one-item cases.
+
+A controller's setpoint span, `span = t_max - t_base`, which every bid
+and every re-centering uses, is worked out once, in `__post_init__`.  It
+cannot go stale in a run: no controller property has a `write` in
+`kernel.PROPERTIES`, and a writer added for `t_base` or `t_max` must
+refresh it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -236,6 +242,10 @@ class Controller:
     t_max: float
     k_ramp: float
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
+    span: float = field(init=False)  # degF, the setpoint ramp's width, derived once
+
+    def __post_init__(self):
+        self.span = self.t_max - self.t_base
 
     def make_bid(self, house: HouseState, market: Market) -> Bid | None:
         """Ramp bid around the market's mean price, or no bid when cold."""
@@ -254,7 +264,7 @@ def controller_bids(bidders: list[tuple[Controller, HouseState]], market: Market
             continue
         # max(p_std, floor) and min(max(price, 0.0), cap), the same operand on a tie
         sigma = ctl.sigma_floor if ctl.sigma_floor > p_std else p_std
-        price = p_avg + (t_in - ctl.t_base) * ctl.k_ramp * sigma / (ctl.t_max - ctl.t_base)
+        price = p_avg + (t_in - ctl.t_base) * ctl.k_ramp * sigma / ctl.span
         price = 0.0 if 0.0 > price else price
         price = cap if cap < price else price
         bids.append(new(Bid, (ctl.name, "BUY", price, house.hvac_kw, period)))
@@ -268,7 +278,7 @@ def respond_to_clearing(
     shift, p_std = clearing.price - market.p_avg, market.p_std
     for ctl, house in bidders:  # max(p_std, floor), clamps: the same operand on a tie
         sigma = ctl.sigma_floor if ctl.sigma_floor > p_std else p_std
-        t_set = ctl.t_base + shift * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
+        t_set = ctl.t_base + shift * ctl.span / (ctl.k_ramp * sigma)
         t_set = ctl.t_min if ctl.t_min > t_set else t_set
         house.t_set = ctl.t_max if ctl.t_max < t_set else t_set
 

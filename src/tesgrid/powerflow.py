@@ -63,6 +63,7 @@ import cmath
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .errors import SolverDivergence
 from .network import Islands, NetworkIndex, compute_islands
@@ -167,7 +168,7 @@ def solve_powerflow(
         islands=islands,
         iterations=iteration,
         source_power_va=source_power,
-        load_power_va=sum([d for d, on in zip(demand, live) if on], 0j),
+        load_power_va=sum(compress(demand, live), 0j),
         loss_power_va=losses,
     )
 

@@ -5,6 +5,10 @@ column.  All lookups are step-hold: the value at t is the last sample at
 or before t.  A reader returns only a series a run can sample from its
 start on, and raises `ConfigError` for any other file.
 
+A series keeps its timestamps as a column, `times`, built once from its
+rows in `__post_init__`, so a lookup bisects a plain list with no key
+function.  It cannot go stale: a series' rows are never changed.
+
 Output CSVs print numbers with six significant digits so reruns are
 byte-identical across platforms.
 """
@@ -39,10 +43,14 @@ def format_number(x) -> str:
 class TimeSeries:
     name: str
     rows: list[tuple[datetime, object]]  # strictly increasing timestamps, the first at or before the run's start
+    times: list[datetime] = field(init=False, repr=False)  # each row's timestamp, derived once
+
+    def __post_init__(self):
+        self.times = [t for t, _ in self.rows]
 
     def sample(self, t: datetime):
         """Step-hold value at t, which is at or after the first row."""
-        return self.rows[bisect_right(self.rows, t, key=lambda row: row[0]) - 1][1]
+        return self.rows[bisect_right(self.times, t) - 1][1]
 
 
 def _read_series(path: str, start: datetime, fields: int, value: Callable) -> TimeSeries:

@@ -533,22 +533,26 @@ class _TupleParser:
 
     # -- block parsing ------------------------------------------------------
 
-    def _read_props(self, block: str = "object", fields: tuple[str, ...] | None = None) -> dict[str, Value]:
-        """Parse `{ key value; ... }` into a dict in source order; a key
-        outside `fields`, when given, is an unknown `block` field."""
+    def _read_props(self, block: str = "object", fields: tuple[str, ...] | None = None):
+        """Parse `{ key value; ... }` into a dict in source order, and a dict
+        of each key's name token and its value's first token; a key outside
+        `fields`, when given, is an unknown `block` field."""
         self._expect("{")
         props: dict[str, Value] = {}
+        where: dict[str, tuple[_Token, _Token]] = {}
         while True:
             tok = self._next()
             if tok[0] == "}":
-                return props
+                return props, where
             if tok[0] != "atom":
                 raise _oracle_error(f"expected property name, got '{tok[1]}'", tok)
             if fields is not None and tok[1] not in fields:
                 raise _oracle_error(f"unknown {block} field '{tok[1]}'", tok)
             if tok[1] in props:
                 raise _oracle_error(f"duplicate property '{tok[1]}'", tok)
-            props[tok[1]] = self._interpret(*self._read_raw_value(), tok)
+            raw, listed = self._read_raw_value()
+            props[tok[1]] = self._interpret(raw, listed, tok)
+            where[tok[1]] = tok, raw[0]
 
     @staticmethod
     def _want(props: dict[str, Value], key: str, tok: _Token) -> Value:
@@ -576,7 +580,7 @@ class _TupleParser:
         cls = cls_tok[1]
         if cls not in PROPERTIES:
             raise _oracle_error(f"unknown class '{cls}'", cls_tok)
-        props = self._read_props()
+        props, _ = self._read_props()
         name_value = props.pop("name", None)
         name = str(name_value.value) if name_value is not None else None
         model.objects.append(GridObject(cls, name, props, cls_tok[2]))
@@ -584,12 +588,12 @@ class _TupleParser:
     def _parse_clock(self, model: ScenarioModel, tok: _Token) -> None:
         if model.clock is not None:
             raise _oracle_error("duplicate clock block", tok)
-        pmap = self._read_props("clock", ("start", "stop", "timestep"))
-        start = self._as_time(self._want(pmap, "start", tok), tok)
-        stop = self._as_time(self._want(pmap, "stop", tok), tok)
-        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", tok), tok)
+        pmap, where = self._read_props("clock", ("start", "stop", "timestep"))
+        start = self._as_time(self._want(pmap, "start", tok), where["start"][1])
+        stop = self._as_time(self._want(pmap, "stop", tok), where["stop"][1])
+        step = self._as_number("timestep", "TIME", self._want(pmap, "timestep", tok), where["timestep"][1])
         if step != int(step) or int(step) <= 0:
-            raise _oracle_error("timestep must be a positive whole number of seconds", tok)
+            raise _oracle_error("timestep must be a positive whole number of seconds", where["timestep"][1])
         model.clock = ClockConfig(start, stop, int(step))
 
     def _parse_schedule(self, model: ScenarioModel, tok: _Token) -> None:
@@ -615,58 +619,61 @@ class _TupleParser:
             elif key == "name":
                 name = str(self._interpret(*self._read_raw_value(), key_tok).value)
             elif key == "repeat":
-                v = self._interpret(*self._read_raw_value(), key_tok)
-                repeat = self._as_number("repeat", "TIME", v, key_tok)  # as written; validate checks it
+                raw, listed = self._read_raw_value()
+                v = self._interpret(raw, listed, key_tok)
+                repeat = self._as_number("repeat", "TIME", v, raw[0])  # as written; validate checks it
             else:
                 raise _oracle_error(f"unknown schedule field '{key}'", key_tok)
         model.schedules.append(Schedule(name, entries, repeat))
 
     def _parse_attack(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props()
+        pmap, where = self._read_props()
         kind = str(self._want(pmap, "kind", tok).value)
         kind_fields = {
             "SELLER_PRICE_OVERRIDE": ("price",), "BUYER_BID_SCALE": ("lambda",), "LINE_STATUS": ("lines", "status"),
         }
         if kind not in kind_fields:
-            raise _oracle_error(f"unknown attack kind '{kind}'", tok)
+            raise _oracle_error(f"unknown attack kind '{kind}'", where["kind"][1])
         for key in pmap:
             if key not in ("name", "kind", "start", "end", "fraction", "seed") + kind_fields[kind]:
-                raise _oracle_error(f"unknown attack field '{key}'", tok)
+                raise _oracle_error(f"unknown attack field '{key}'", where[key][0])
         cfg = AttackConfig(
             name=str(pmap["name"].value) if "name" in pmap else f"attack_{len(model.attacks)}",
             kind=kind,
-            start=self._as_time(self._want(pmap, "start", tok), tok),
-            end=self._as_time(self._want(pmap, "end", tok), tok),
+            start=self._as_time(self._want(pmap, "start", tok), where["start"][1]),
+            end=self._as_time(self._want(pmap, "end", tok), where["end"][1]),
         )
         if "fraction" in pmap:
-            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], tok)
+            cfg.fraction = self._as_number("fraction", "number", pmap["fraction"], where["fraction"][1])
         if "seed" in pmap:
-            seed = self._as_number("seed", "number", pmap["seed"], tok)
+            seed = self._as_number("seed", "number", pmap["seed"], where["seed"][1])
             if seed != int(seed) or seed < 0:
-                raise _oracle_error("seed must be a nonnegative whole number", tok)
+                raise _oracle_error("seed must be a nonnegative whole number", where["seed"][1])
             cfg.seed = int(seed)
         if kind == "SELLER_PRICE_OVERRIDE":
-            cfg.params["price"] = self._as_number("price", "PRICE", self._want(pmap, "price", tok), tok)
+            price = self._want(pmap, "price", tok)
+            cfg.params["price"] = self._as_number("price", "PRICE", price, where["price"][1])
         elif kind == "BUYER_BID_SCALE":
-            cfg.params["lambda"] = self._as_number("lambda", "number", self._want(pmap, "lambda", tok), tok)
+            scale = self._want(pmap, "lambda", tok)
+            cfg.params["lambda"] = self._as_number("lambda", "number", scale, where["lambda"][1])
         else:
             lines_v = self._want(pmap, "lines", tok)
             items = lines_v.value if lines_v.kind == "LIST" else (lines_v,)
             cfg.params["lines"] = [str(item.value) for item in items]
             status = str(self._want(pmap, "status", tok).value)
             if status not in ("OPEN", "CLOSED"):
-                raise _oracle_error(f"bad line status '{status}'", tok)
+                raise _oracle_error(f"bad line status '{status}'", where["status"][1])
             cfg.params["status"] = status
         model.attacks.append(cfg)
 
     def _parse_recorder(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props("recorder", ("name", "target", "property", "interval", "file"))
+        pmap, where = self._read_props("recorder", ("name", "target", "property", "interval", "file"))
         props_v = self._want(pmap, "property", tok)
         items = props_v.value if props_v.kind == "LIST" else (props_v,)
         target = str(self._want(pmap, "target", tok).value)  # reported before the interval
-        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", tok), tok)
+        interval = self._as_number("interval", "TIME", self._want(pmap, "interval", tok), where["interval"][1])
         if interval != int(interval):
-            raise _oracle_error("interval must be a whole number of seconds", tok)
+            raise _oracle_error("interval must be a whole number of seconds", where["interval"][1])
         model.recorders.append(
             RecorderConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"recorder_{len(model.recorders)}",
@@ -678,7 +685,7 @@ class _TupleParser:
         )
 
     def _parse_player(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props("player", ("name", "target", "property", "file"))
+        pmap, _ = self._read_props("player", ("name", "target", "property", "file"))
         model.players.append(
             PlayerConfig(
                 name=str(pmap["name"].value) if "name" in pmap else f"player_{len(model.players)}",
@@ -689,7 +696,7 @@ class _TupleParser:
         )
 
     def _parse_weather(self, model: ScenarioModel, tok: _Token) -> None:
-        pmap = self._read_props("weather", ("file",))
+        pmap, _ = self._read_props("weather", ("file",))
         model.weather_source = str(self._want(pmap, "file", tok).value)
 
     def parse(self) -> ScenarioModel:
@@ -720,5 +727,7 @@ class _TupleParser:
 
 def parse_oracle(text):
     """`parse_scenario` as it was when every token was a `(kind, text,
-    line, col)` tuple and every value was interpreted where it appeared."""
+    line, col)` tuple and every value was interpreted where it appeared.
+    A block's error about a field it has is placed at the field's value,
+    or at its name for an unknown attack field, as the parser places it."""
     return _TupleParser(text).parse()

@@ -351,17 +351,31 @@ _CLOCK = 'clock {{ start "2013-07-01 00:00:00"; stop "2013-07-01 01:00:00"; time
         ("object node { name n; nominal_voltage \uff17\uff12\uff10\uff10 V; }", "is not a number"),
         ("object overhead_line { name l; impedance 0.5+\u0661j Ohm; }", "is not a number"),
         # each placed at its line:column: an end of input at the last token, a
-        # clock or attack field at its block's keyword, an entry at its own
+        # bad field value at the value, an unknown attack field at its name, an entry at its own
         ("object", "1:1: unexpected end of input"),
         ("object node", "1:8: unexpected end of input"),
         ("object node x", "1:13: expected '{', got 'x'"),
         ("object node { ; }", "1:15: expected property name, got ';'"),
         (_CLOCK.format("60 s") + "\n" + _CLOCK.format("60 s"), "2:1: duplicate clock block"),
-        (_CLOCK.format("0 s"), "1:1: timestep must be a positive whole number of seconds"),
-        (_CLOCK.format("1.5 s"), "1:1: timestep must be a positive whole number of seconds"),
-        (_CLOCK.format("fast"), "1:1: expected a number"),
+        (_CLOCK.format("0 s"), "1:75: timestep must be a positive whole number of seconds"),
+        (_CLOCK.format("1.5 s"), "1:75: timestep must be a positive whole number of seconds"),
+        (_CLOCK.format("fast"), "1:75: expected a number"),
+        ('clock {\n  start "2013-07-01 00:00:00";\n  stop 5;\n  timestep 60 s;\n}',
+         "3:8: expected timestamp 'YYYY-MM-DD HH:MM:SS'"),
         ('schedule {\n  entry "2013-07-01 00:10:00" h1;\n}', '2:3: entry needs: "time" target property value'),
-        (_ATTACK.format("LINE_STATUS", "lines UL1; status AJAR;"), "1:1: bad line status 'AJAR'"),
+        ('schedule { entry "2013-07-01 00:10:00" h1 deadband 3 degF; repeat 3600 kW; }',
+         "1:67: 'repeat' has unit kW, expected TIME"),
+        (_ATTACK.format("LINE_STATUS", "lines UL1; status AJAR;"), "1:102: bad line status 'AJAR'"),
+        ('attack {\n  kind LINE_STATUS;\n  start "2013-07-01 00:10:00";\n  end "2013-07-01 00:20:00";\n'
+         "  lines UL1;\n  status AJAR;\n}", "6:10: bad line status 'AJAR'"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; fraction 0.5 kW;"), "1:107: 'fraction' has unit kW, expected number"),
+        (_ATTACK.format("BUYER_BID_SCALE", "lambda 2; seed 1.5;"), "1:103: seed must be a nonnegative whole number"),
+        (_ATTACK.format("SELLER_PRICE_OVERRIDE", "price 0.5 kW;"), "1:100: 'price' has unit kW, expected PRICE"),
+        (_ATTACK.format("SELLER_PRICE_OVERRIDE", "fracton 0.2; price 0.5 $/kWh;"), "1:94: unknown attack field 'fracton'"),
+        ('attack { kind BAD_KIND; start "2013-07-01 00:00:00"; end "2013-07-01 01:00:00"; }',
+         "1:15: unknown attack kind 'BAD_KIND'"),
+        ("recorder { target n1; property voltage_mag; interval 60.5 s; file r.csv; }",
+         "1:54: interval must be a whole number of seconds"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -24,7 +24,7 @@ from tesgrid import kernel, powerflow
 from tesgrid.attack import ATTACKS
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import PROPERTIES, Engine, event_stream, out_of_bounds
-from tesgrid.loads import HouseState
+from tesgrid.loads import BTU_PER_KWH, HouseState
 from tesgrid.market import Bid, Controller, Market
 from tesgrid.model import AttackConfig, Diagnostic, RecorderConfig
 from tesgrid.recorder import write_results
@@ -567,6 +567,29 @@ def test_property_table_is_consistent():
             assert spec.bound in (None, "positive", "nonnegative"), (cls, prop)
             if spec.flagged:  # a flagged property is recorded
                 assert spec.read is not None, (cls, prop)
+
+
+# each value a run object works out once when it is built, with its class
+# and the properties it derives from: a writer for any of them would leave it stale
+RUN_CONSTANTS = {
+    "extraction": ("house", ("hvac_rating", "cop")),
+    "span": ("controller", tuple(PROPERTIES["controller"])),
+}
+
+
+def test_no_property_a_run_constant_derives_from_is_settable():
+    for derived, (cls, props) in RUN_CONSTANTS.items():
+        settable = [prop for prop in props if PROPERTIES[cls][prop].write is not None]
+        assert not settable, f"{cls} {settable} has a writer, which leaves `{derived}` stale"
+
+
+def test_a_replaced_or_copied_run_object_derives_its_constants_again():
+    house = HouseState("h", 75.0, 75.0, 2.0, 2000.0, 550.0, 1800.0, hvac_kw=4.5, cop=3.2)
+    ctl = Controller("c", "h", "m", t_min=65.0, t_base=72.0, t_max=80.5, k_ramp=2.0)
+    for copied in (replace(house), replace(house, hvac_kw=2.5, cop=4.1), copy.deepcopy(house)):
+        assert copied.extraction == copied.hvac_kw * copied.cop * BTU_PER_KWH, "extraction"
+    for copied in (replace(ctl), replace(ctl, t_base=70.0, t_max=79.3), copy.deepcopy(ctl)):
+        assert copied.span == copied.t_max - copied.t_base, "span"
 
 
 def callables_in(bound):

@@ -3,6 +3,7 @@ thermostat hysteresis and unpowered-drift behavior, and the fleet step
 bit for bit against one house stepped at a time."""
 
 import dataclasses
+import math
 import struct
 
 import pytest
@@ -131,13 +132,17 @@ def _state(house):
     return [_bits(v) for v in dataclasses.astuple(house)]
 
 
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 @st.composite
 def _house_in_fleet(draw):
     t_set = draw(st.one_of(st.sampled_from([75.0, 72.5]), st.floats(60.0, 90.0)))
     deadband = draw(st.one_of(st.sampled_from([2.0, 0.5, 3.0]), st.floats(0.1, 5.0)))
-    # on either threshold, where the thermostat's strict comparisons decide
+    # on either threshold, where the thermostat's strict comparisons decide; or
+    # not finite, where NaN fails every comparison
     t_in = draw(st.one_of(
-        st.sampled_from([t_set + deadband / 2.0, t_set - deadband / 2.0]), st.floats(60.0, 100.0)
+        st.sampled_from([t_set + deadband / 2.0, t_set - deadband / 2.0]), st.floats(60.0, 100.0), _NON_FINITE
     ))
     house = HouseState(
         "h", t_in, t_set, deadband,
@@ -154,7 +159,7 @@ def _house_in_fleet(draw):
 @settings(max_examples=100, deadline=None)
 @given(
     fleet=st.lists(_house_in_fleet(), max_size=8),
-    t_out=st.one_of(st.sampled_from([95.0, 60.0, 0.0, -0.0]), st.floats(-20.0, 120.0)),
+    t_out=st.one_of(st.sampled_from([95.0, 60.0, 0.0, -0.0]), st.floats(-20.0, 120.0), _NON_FINITE),
     dt=st.sampled_from([0.0, 1.0, 60.0, 300.0]),  # 0: t_in stays on its threshold
 )
 def test_step_houses_matches_one_house_at_a_time(fleet, t_out, dt):
