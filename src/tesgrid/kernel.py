@@ -22,13 +22,19 @@ one `submit_all` call and re-centers its controllers from one price.
 
 The loads phase is the one place a step's load kW is worked out.  It
 samples the weather once, steps the whole fleet with one `step_houses`
-call (its slot sums and the HVAC total), then adds each live appliance
-into its slot and subtracts each live panel's output, summing the
-unresponsive kW as it goes.  The market round bids that total, the power
-flow scales the slot sums into supernode demand, and the recorders read
-each load's kW as the phase left it, a house's from its HVAC mode.  It
-walks only the energized loads, in a plan that a line's `status` writer,
-the one place switching happens, remakes with the islands on each change.
+call (the HVAC total, and the slots of the houses whose mode flipped),
+works out each live panel's output and sums the unresponsive kW, which
+the market round bids.  The per-slot kW, the per-supernode demand, the
+load total and the appliances' share of the unresponsive kW carry over
+from step to step: a slot is re-summed only when a house of it flips
+mode or its panel's output moves, and only those slots' supernodes and
+then the load total are summed again.  A new load plan, the first step,
+and every applied event or changed player value mark every slot
+changed, so a full pass is the same code with every slot listed.  The
+recorders read each load's kW as the phase left it, a house's from its
+HVAC mode.  It walks only the energized loads, in a plan that a line's
+`status` writer, the one place switching happens, remakes with the
+islands on each change.
 
 The fixed ordering plus insertion-ordered containers make a run a pure
 function of (model, seed): outputs are byte-identical across repeats.  Every
@@ -48,8 +54,8 @@ import heapq
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from functools import partial
-from operator import attrgetter, getitem
+from functools import partial, reduce
+from operator import add, attrgetter, getitem
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .attack import ATTACKS, CompiledAttack, Param, compile_attack
@@ -511,6 +517,18 @@ class Engine:
         self._uncontrolled_at = [(house, slot) for house, slot in self._house_at if house.name not in controlled]
         self._appliance_at = [(app, slot_of[attach[name]]) for name, app in self.appliances.items()]
         self._panel_at = [(panel, slot_of[attach[name]]) for name, panel in self.solars.items()]
+        # per slot, its houses, appliances and panels in the order its sum takes
+        # them; per loaded supernode, its slots in slot order
+        self._slot_loads = [([], [], []) for _ in slot_of]
+        for group, loads in enumerate((self._house_at, self._appliance_at, self._panel_at)):
+            for load, slot in loads:
+                self._slot_loads[slot][group].append(load)
+        self._supernode_slots: dict[int, list[int]] = {}
+        for slot, s in enumerate(self._slot_supernode):
+            self._supernode_slots.setdefault(s, []).append(slot)
+        # the sums the loads phase and the injections carry from step to step
+        self._slot_kw = [0.0] * len(slot_of)
+        self._demand = [0j] * len(self.index.names)
         self._energize()
 
         # the transforms of each rewrite point, in attack order
@@ -600,9 +618,11 @@ class Engine:
     # -- event application --------------------------------------------------
 
     def apply_event(self, event: Event) -> None:
-        """Execute one property mutation; appends an audit record."""
+        """Execute one property mutation; appends an audit record and marks
+        every load slot changed."""
         old = self._writers[event.target, event.prop](event.value)
         self.audit.append(AuditRow(event.time, event.target, event.prop, old, event.value, event.origin))
+        self._stale = True
 
     # -- per-step phases ----------------------------------------------------
 
@@ -612,9 +632,11 @@ class Engine:
             old = write(value)
             if old != value:
                 self.audit.append(AuditRow(t, cfg.target, cfg.prop, old, value, "player"))
+                self._stale = True
 
     def _energize(self) -> None:
-        """Compute the islands of the line statuses, and the loads they energize."""
+        """Compute the islands of the line statuses, and the loads they
+        energize; marks every load slot changed."""
         self.islands = islands = compute_islands(self.index, self.statuses)
         live = [islands.live[s] for s in self._slot_supernode]
         self._plan = _LoadPlan(
@@ -623,6 +645,7 @@ class Engine:
             [(app, slot) for app, slot in self._appliance_at if live[slot]],
             [(panel, slot) for panel, slot in self._panel_at if live[slot]],
         )
+        self._stale = True
 
     def _set_status(self, line: str, status: str) -> str:
         """Store `status` as `line`'s; returns the status it replaced.  Only a
@@ -637,35 +660,59 @@ class Engine:
         """Work out every load's kW for the step, once.
 
         Sample the weather and step the houses (the first step only reads
-        them), summing each live house's kW into its slot and the HVAC
-        total; then add each live appliance into its slot and subtract each
-        live panel's output.  The same loops sum the unresponsive kW the
-        market bids: appliances, uncontrolled houses, minus panels, at
-        least 0.0.  A dead slot holds exactly 0.0."""
+        them) for the HVAC total, and work out each live panel's output.
+        A slot whose house flipped mode or whose panel's output moved is
+        re-summed; when every slot is marked changed (`_stale`), each one
+        is, and so is the appliances' share of the unresponsive kW.  A
+        slot sums its cooling houses in fleet order from 0.0, adds its
+        appliances and subtracts its panels; a dead slot holds exactly
+        0.0.  The unresponsive kW the market bids is that share, plus the
+        uncontrolled houses, minus the panels, at least 0.0."""
         t_out, irradiance = self.weather.sample(t)
         plan = self._plan
-        fleet, slot_kw = plan.houses, [0.0] * len(self._slot_supernode)
+        changed: list[int] | range = []  # the slots whose kW moved
         if first:
+            self._stale = True
             hvac = 0.0
-            for house, slot in fleet:
+            for house, slot in plan.houses:
                 if slot >= 0:
-                    kw = hvac_power(house)
-                    slot_kw[slot] += kw
-                    hvac += kw
+                    hvac += hvac_power(house)
         else:
-            hvac = step_houses(fleet, t_out, dt, slot_kw)
-        unresp = 0.0
-        for app, slot in plan.appliances:
-            kw = app.power_kw
-            slot_kw[slot] += kw
-            unresp += kw
+            hvac = step_houses(plan.houses, t_out, dt, changed)
+        for panel, slot in plan.panels:
+            kw = solar_output(panel.rating_kw, panel.efficiency, irradiance)
+            # an equal output, 0.0 for -0.0 too, leaves the slot sum (never -0.0)
+            # as it is; NaN equals nothing, so it marks its slot
+            if kw != panel.power_kw:
+                changed.append(slot)
+            panel.power_kw = kw
+        slot_kw = self._slot_kw
+        if self._stale:
+            self._stale = False
+            changed = range(len(slot_kw))
+            share = 0.0
+            for app, _ in plan.appliances:
+                share += app.power_kw
+            self._appliance_kw = share
+        live, supernode, members = self.islands.live, self._slot_supernode, self._slot_loads
+        for slot in changed:
+            kw = 0.0
+            if live[supernode[slot]]:
+                houses, apps, panels = members[slot]
+                for house in houses:
+                    if house.mode == "COOL":  # an idle house's 0.0 would leave the sum as it is
+                        kw += house.hvac_kw
+                for app in apps:
+                    kw += app.power_kw
+                for panel in panels:
+                    kw -= panel.power_kw
+            slot_kw[slot] = kw
+        unresp = self._appliance_kw
         for house in plan.uncontrolled:
             unresp += hvac_power(house)
-        for panel, slot in plan.panels:
-            panel.power_kw = kw = solar_output(panel.rating_kw, panel.efficiency, irradiance)
-            slot_kw[slot] -= kw
-            unresp -= kw
-        self._slot_kw, self._hvac_kw = slot_kw, hvac
+        for panel, _ in plan.panels:
+            unresp -= panel.power_kw
+        self._changed, self._hvac_kw = changed, hvac
         self._unresp_kw = max(unresp, 0.0)
 
     def _market_round(self, auction: Auction) -> None:
@@ -708,16 +755,22 @@ class Engine:
     def build_load_injections(self) -> list[complex]:
         """Per-supernode demand (VA) of the step's loads.
 
-        Each slot's kW from the loads phase is scaled to VA and added into
-        its supernode, in slot order; the load total `_load_kw` sums the
-        slots left to right in the same loop.  A dead slot holds exactly
-        0.0, which leaves its (dead) supernode and the total as they are."""
-        va, load = [0.0] * len(self.index.names), 0.0
-        for kw, s in zip(self._slot_kw, self._slot_supernode):
-            va[s] += kw * 1000.0
-            load += kw
-        self._load_kw = load
-        return list(map(complex, va))
+        The demand list and the load total `_load_kw` carry over from the
+        step before: only the supernodes of the slots the loads phase
+        re-summed are summed again, each one's slots scaled to VA and added
+        in slot order from 0.0, and then, if any slot was, the load total,
+        every slot added left to right (builtin `sum` compensates on
+        Python 3.12+).  A dead slot holds exactly 0.0, which leaves its
+        (dead) supernode and the total as they are.  Returns a copy."""
+        slot_kw, demand, changed = self._slot_kw, self._demand, self._changed
+        if changed:
+            for s in {self._slot_supernode[slot] for slot in changed}:
+                va = 0.0
+                for slot in self._supernode_slots[s]:
+                    va += slot_kw[slot] * 1000.0
+                demand[s] = complex(va)
+            self._load_kw = reduce(add, slot_kw, 0.0)
+        return demand[:]
 
     def _phase_powerflow(self) -> None:
         demand = self.build_load_injections()

@@ -11,9 +11,13 @@ followed by the thermostat: COOL engages above T_set + deadband/2 and
 releases below T_set - deadband/2, so the mode changes at most once per
 step.  Heating is not modeled (summer scenarios only).
 
-`step_houses` steps a whole fleet in one loop and sums its kW per load
-slot; `step_house` is its one-house case.  A house's kW is `hvac_power`
-of its state: nothing else holds it.
+`step_houses` steps a whole fleet in one loop, sums its HVAC total and
+lists the slot of each powered house whose mode flipped; `step_house` is
+its one-house case.  A house's kW is `hvac_power` of its state: nothing
+else holds it.  A house's kW changes only with its mode (`hvac_rating`
+has no writer), so the kernel carries its per-slot sums from step to
+step and re-sums only the slots that list names, with those whose panel
+output moved, and every slot after a write or a new load plan.
 
 A house's heat extraction while cooling, `extraction = hvac_kw * cop *
 BTU_PER_KWH` (Btu/h), is worked out once, in `__post_init__`.  It cannot
@@ -47,17 +51,18 @@ class HouseState:
 
 
 def step_houses(
-    fleet: list[tuple[HouseState, int]], t_out: float, dt_seconds: float, slot_kw: list[float]
+    fleet: list[tuple[HouseState, int]], t_out: float, dt_seconds: float, toggled: list[int]
 ) -> float:
     """Advance every house of `fleet` one timestep in place: Euler update,
     then thermostat.
 
-    `fleet` pairs each house with the slot its kW adds into, or -1 for an
-    unpowered house (de-energized node), which cannot run its HVAC: its
-    mode is forced OFF and its mass drifts passively toward ambient.
-    Returns the HVAC total in kW: each powered house's electric demand
-    after the thermostat (`hvac_power`) adds into `slot_kw[slot]` (which
-    starts at 0.0) and into the total, in fleet order.
+    `fleet` pairs each house with its load slot, or -1 for an unpowered
+    house (de-energized node), which cannot run its HVAC: its mode is
+    forced OFF and its mass drifts passively toward ambient.  Each
+    powered house whose mode flips appends its slot to `toggled`, in
+    fleet order: only those slots' kW moved.  Returns the HVAC total in
+    kW, each powered house's electric demand after the thermostat
+    (`hvac_power`) added in fleet order from 0.0.
     """
     hvac, hours = 0.0, dt_seconds / 3600.0
     for house, slot in fleet:
@@ -67,6 +72,7 @@ def step_houses(
             house.t_in = t_in = t_in + hours * flow / house.capacitance
             if t_in < house.t_set - house.deadband / 2.0:
                 house.mode = "OFF"
+                toggled.append(slot)
                 continue
         else:  # idle or unpowered: no extraction term, as `x - 0.0` is x for every float
             flow = house.ua * (t_out - t_in) + house.internal_gains
@@ -77,17 +83,16 @@ def step_houses(
             if not t_in > house.t_set + house.deadband / 2.0:
                 continue
             house.mode = "COOL"
+            toggled.append(slot)
         # only a cooling house draws: a sum that starts at 0.0 is never -0.0,
         # so adding an idle house's 0.0 would leave it as it is
-        kw = house.hvac_kw
-        slot_kw[slot] += kw
-        hvac += kw
+        hvac += house.hvac_kw
     return hvac
 
 
 def step_house(house: HouseState, t_out: float, dt_seconds: float, powered: bool = True) -> float:
     """`step_houses` for one house; returns its kW after the thermostat."""
-    return step_houses([(house, 0 if powered else -1)], t_out, dt_seconds, [0.0])
+    return step_houses([(house, 0 if powered else -1)], t_out, dt_seconds, [])
 
 
 def hvac_power(house: HouseState) -> float:

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import importlib.util
 import os
+import re
 import sys
 from datetime import datetime
 
@@ -564,23 +565,41 @@ def test_parser_matches_oracle_on_scenarios(name):
 
 
 # the characters that end, open or split a statement, a string or a line
-_MUTATION_PIECES = ["", " ", "\n", '"', "{", "}", ";", ",", "//", "x"]
+_MUTATION_PIECES = [
+    "", " ", "\n", '"', "{", "}", ";", ",", "//", "x",
+    # and, at a field's value, what keeps a block parseable but makes the
+    # value bad: a zero, a fraction, a negative, a bare word, a unit
+    "0", "1.5", "-1", "AJAR", " kW",
+]
+# the blocks whose errors about a field's value the parser places at the
+# value, and in one of them each field whose value it checks, after its `{` or `;`
+_CHECKED_BLOCK = re.compile(r"^(?:clock|attack|recorder|schedule)\b[^}]*", re.MULTILINE)
+_FIELD_NAME = re.compile(r"[{;]\s*(?:start|stop|timestep|kind|fraction|seed|price|lambda|status|interval|repeat)[ \t]+")
+
+
+def _value_starts(text):
+    """Where each checked field's value starts in `text`'s checked blocks."""
+    return [field.end() for block in _CHECKED_BLOCK.finditer(text)
+            for field in _FIELD_NAME.finditer(text, block.start(), block.end())]
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(list(_SCENARIOS)),
     st.lists(
-        st.tuples(st.floats(0.0, 1.0), st.sampled_from(_MUTATION_PIECES), st.integers(0, 2)),
+        st.tuples(st.floats(0.0, 1.0), st.booleans(), st.sampled_from(_MUTATION_PIECES), st.integers(0, 2)),
         min_size=1,
         max_size=3,
     ),
 )
 def test_parser_matches_oracle_on_mutations(name, edits):
-    """At a fraction of the text, replace up to two characters with a piece."""
+    """At a fraction of the text, or of the field values of its clock,
+    attack, recorder and schedule blocks, replace up to two characters
+    with a piece."""
     text = _scenario(name)
-    for where, piece, cut in edits:
-        at = int(where * len(text))
+    for where, at_value, piece, cut in edits:
+        starts = _value_starts(text) if at_value else []
+        at = starts[int(where * (len(starts) - 1))] if starts else int(where * len(text))
         text = text[:at] + piece + text[at + cut:]
     _assert_parses_as_oracle(text)
 

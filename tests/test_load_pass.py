@@ -15,6 +15,12 @@ the plain way in this file from the loads' own state:
   (which on tm1 of the small feeder is not the slot order), powered and
   unpowered.
 
+The pass carries its sums from step to step and re-sums only what
+changed, so the reference runs also write loads between steps: a player
+on an appliance's ``base_power``, a schedule entry on a panel's
+``rating``, and a ``deadband`` write after which a house flips mode
+every few steps.
+
 Also checked: a load plan made for each new islands object, the lazily
 built ``voltages`` and ``currents`` dicts, the warm start by list copy,
 and one weather sample per step.
@@ -67,6 +73,31 @@ CONTROLLED_EXTRA = (
     '    entry "2013-07-01 00:20:00" UL1 status CLOSED;\n'
     '    entry "2013-07-01 00:30:00" z1 base_power 0.45 kW;\n'
     '    entry "2013-07-01 00:40:00" UL1 status OPEN;\n'
+    "}\n"
+)
+# feeder_small under writes that change loads between steps: a player on
+# z1's base_power, whose rows fall on steps with no event (00:07 and
+# 00:52), s1's rating raised at 00:17, and h2, on the panel's supernode
+# but in a slot of its own, moved to 80 degF with a 0.05 degF deadband,
+# so that it flips mode every few steps until the afternoon heat of 00:31
+# holds it cooling; UL1 is open 00:20-00:40, and the irradiance moves at
+# 00:13, 00:31 and 00:47
+WRITES_PLAYER = (
+    "time,value\n"
+    "2013-07-01 00:00:00,1.2\n"
+    "2013-07-01 00:07:00,3.5\n"
+    "2013-07-01 00:25:00,0.6\n"
+    "2013-07-01 00:52:00,2.25\n"
+)
+WRITES_EXTRA = (
+    "weather { file w.csv; }\n"
+    "player { name p1; target z1; property base_power; file z1.csv; }\n"
+    "schedule {\n"
+    '    entry "2013-07-01 00:05:00" h2 cooling_setpoint 80 degF;\n'
+    '    entry "2013-07-01 00:05:00" h2 deadband 0.05 degF;\n'
+    '    entry "2013-07-01 00:17:00" s1 rating 2.5 kW;\n'
+    '    entry "2013-07-01 00:20:00" UL1 status OPEN;\n'
+    '    entry "2013-07-01 00:40:00" UL1 status CLOSED;\n'
     "}\n"
 )
 # the generated 30-house day with its trunk open over the noon hour
@@ -269,6 +300,23 @@ def test_load_plan_is_made_for_each_islands_object(tmp_path, monkeypatch, topolo
     assert len({id(plan) for _, plan in plans.values()}) == 3
     assert engine.appliances["z1"].power_kw == 0.45
     assert "h5" not in {ctl.house for ctl, _ in engine.auctions["A1"].bidders}
+
+
+@pytest.mark.parametrize("topology", ["auxiliary", "direct"])
+def test_writes_between_steps_match_plain_build(tmp_path, monkeypatch, topology):
+    (tmp_path / "w.csv").write_text(SMALL_WEATHER)
+    (tmp_path / "z1.csv").write_text(WRITES_PLAYER)
+    model = parse_scenario(with_load_recorders(load_fixture("feeder_small.glm") + WRITES_EXTRA))
+    engine = Engine(model, topology=topology, base_dir=str(tmp_path))
+    assert run_against_reference(engine, model, monkeypatch) == 61
+    players = [(format_time(row.time), row.new_value) for row in engine.audit if row.origin == "player"]
+    assert players == [("2013-07-01 00:07:00", 3.5), ("2013-07-01 00:25:00", 0.6), ("2013-07-01 00:52:00", 2.25)]
+    assert engine.solars["s1"].rating_kw == 2.5
+    h2_kw = [row[1] for row in engine.tables["oracle_h2"].rows]
+    # the steps, one a minute, at which h2 flipped mode: from the writes at
+    # 00:05 on, and mostly at steps with no event, player write or new irradiance
+    flips = {i for i in range(1, len(h2_kw)) if h2_kw[i] != h2_kw[i - 1]}
+    assert min(flips) == 5 and len(flips - {5, 7, 13, 17, 20, 25, 31, 40, 47, 52}) >= 8
 
 
 @pytest.mark.parametrize("topology", ["auxiliary", "direct"])

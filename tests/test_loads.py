@@ -164,18 +164,21 @@ def _house_in_fleet(draw):
 )
 def test_step_houses_matches_one_house_at_a_time(fleet, t_out, dt):
     reference = [(dataclasses.replace(house), slot) for house, slot in fleet]
-    ref_kws, ref_slot_kw, ref_hvac = [], [0.0] * 3, 0.0
+    ref_kws, ref_toggled, ref_hvac = [], [], 0.0
     for house, slot in reference:
+        mode = house.mode
         kw = step_house_reference(house, t_out, dt, powered=slot >= 0)
         ref_kws.append(kw)
         if slot >= 0:
-            ref_slot_kw[slot] += kw
             ref_hvac += kw
+            if house.mode != mode:
+                ref_toggled.append(slot)
 
-    slot_kw = [0.0] * 3
-    hvac = step_houses(fleet, t_out, dt, slot_kw)
+    toggled = []
+    hvac = step_houses(fleet, t_out, dt, toggled)
     assert [_state(h) for h, _ in fleet] == [_state(h) for h, _ in reference]
     # each house's kW is `hvac_power` of its state
     assert [_bits(hvac_power(h)) for h, _ in fleet] == list(map(_bits, ref_kws))
-    assert list(map(_bits, slot_kw)) == list(map(_bits, ref_slot_kw))
     assert _bits(hvac) == _bits(ref_hvac)
+    # the slots of the powered houses whose mode flipped, in fleet order
+    assert toggled == ref_toggled

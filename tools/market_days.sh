@@ -4,8 +4,11 @@
 #   DIR/feeder30/attack{1,2,3}.glm     that day under SELLER_PRICE_OVERRIDE, BUYER_BID_SCALE
 #                                      and LINE_STATUS, 10:00-12:00
 #   DIR/feeder30/schedules.glm         that day with a repeating setpoint entry, a one-shot
-#                                      entry, the trunk opened and closed by schedule, and a
-#                                      player (DIR/feeder30/zl.csv) on a zipload's base_power
+#                                      deadband entry, a one-shot entry on the panel roof_pv's
+#                                      rating at midday, the trunk opened and closed by
+#                                      schedule, and a player (DIR/feeder30/zl.csv) on a
+#                                      zipload's base_power; it records the zipload's and the
+#                                      panel's kW
 #   DIR/two-auctions.glm               tests/fixtures/feeder_small.glm over a whole day, with a
 #                                      second auction and one controller in each
 # Run from the repository root with the tree's sources on the path:
@@ -24,9 +27,11 @@ done
 { cat "$out/feeder30/feeder.glm"
   echo 'schedule { entry "2013-07-01 06:00:00" house_0_0 cooling_setpoint 73 degF; repeat 7200 s; }'
   echo 'schedule { entry "2013-07-01 13:00:00" house_0_1 deadband 3 degF; }'
+  echo 'schedule { entry "2013-07-01 12:00:00" roof_pv rating 4.5 kW; }'
   echo 'schedule { entry "2013-07-01 15:00:00" trunk status OPEN; entry "2013-07-01 15:30:00" trunk status CLOSED; }'
   echo 'player { name p1; target zl_0_0; property base_power; file zl.csv; }'
   echo 'recorder { name rec_zl; target zl_0_0; property power_kw; interval 60 s; file zl_power.csv; }'
+  echo 'recorder { name rec_pv; target roof_pv; property power_kw; interval 60 s; file pv_power.csv; }'
   echo 'recorder { name rec_h01; target house_0_1; property air_temperature, hvac_load_kw; interval 60 s; file h01.csv; }'
 } > "$out/feeder30/schedules.glm"
 printf 'time,value\n2013-07-01 00:00:00,3.5\n2013-07-01 08:00:00,5\n2013-07-01 18:30:00,1.5\n' > "$out/feeder30/zl.csv"
