@@ -15,7 +15,9 @@ curve; without it a supply-side price manipulation could never clear.
 
 Price statistics: a rolling 24 h window of clearing prices gives p_avg
 and p_std, recomputed after every clearing from correctly rounded sums
-(`math.fsum`), so every interpreter computes the same floats.  Until the
+(`math.fsum`), so every interpreter computes the same floats: the mean
+sums the window, and the variance sums each price's squared deviation
+from it, built in one pass over the window.  Until the
 window holds two samples they hold warm-up seeds, which a market works
 out when it is built from the sellers it is given: their mean offer and
 10% of it, or without sellers its initial price and 10% of that; the
@@ -23,9 +25,10 @@ window never holds fewer than two samples again.  Controllers apply a
 small floor to p_std so a long run of identical prices does not make the
 ramp formulas degenerate.
 
-Bids are immutable tuples (`Bid` is a `NamedTuple`): a rewritten bid is
-a new tuple, never an edited one, and an attack transform that does not
-rewrite a bid returns the very object it was given.  `controller_bids`
+Bids and clearings are immutable tuples (`Bid` and `Clearing` are
+`NamedTuple`s).  A rewritten bid is a new tuple, never an edited one,
+and an attack transform that does not rewrite a bid returns the very
+object it was given.  `controller_bids`
 and the transforms build one with `tuple.__new__(Bid, fields)`, skipping
 the `NamedTuple`'s Python-level `__new__`; the book and the clearing walk
 read its fields by index.
@@ -37,6 +40,22 @@ its booked buys against these standing offers, or against the list
 `replace_offers` gives for that period alone (a rewritten copy of them,
 say); an offer's `period` is never checked, and `last_bid_counts` counts
 the offers the period cleared against as sells.
+
+A clear against the standing offers resumes a remembered walk.  The
+first buy in the sorted book, the top buy (in a run, the unresponsive
+bid at the price cap, or a bid at the cap booked before it), uses up the
+same offers the same way whenever its price and quantity are the same.
+So the market keeps one memo: the walk's state where the top buy is used
+up, or where the walk ended inside it, keyed by the `repr`s of its price
+and quantity, which are exact (-0.0 is not 0.0, nor 1 1.0).  A clear
+whose top buy has that key runs the same walk loop on from that state; a
+new key walks the top buy alone from the start and replaces the memo.
+A period that clears against a `replace_offers` list walks from the
+start and leaves the memo as it is.  The memo cannot go stale in a run:
+the standing offers never change, since no seller property has a `write`
+in `kernel.PROPERTIES`, and a writer added for a seller's `price` or
+`capacity` must rebuild the offers and drop the memo (a kernel test that
+names the memo fails until then).
 
 A market numbers its periods from `first_period`.  An auxiliary market
 starts one ahead of its main market, numbering each period as the main
@@ -61,8 +80,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter, mul, sub
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadQuantity, PriceCapViolation, StalePeriod
@@ -87,8 +105,7 @@ class Bid(NamedTuple):
     period: int
 
 
-@dataclass(frozen=True)
-class Clearing:
+class Clearing(NamedTuple):
     price: float
     quantity: float
     marginal_buy: float | None
@@ -101,18 +118,24 @@ def clear_book(
 ) -> Clearing:
     """Pure clearing of one order book (see module docstring for the rule)."""
     # stable: FIFO within a price
-    return clear_sorted(sorted(buys, key=PRICE, reverse=True), sorted(sells, key=PRICE), prior_price, period)
+    b, s = sorted(buys, key=PRICE, reverse=True), sorted(sells, key=PRICE)
+    return _clearing(_walk(b, s, *_start(b, s)), prior_price, period)
 
 
-def clear_sorted(b: list[Bid], s: list[Bid], prior_price: float, period: int) -> Clearing:
-    """`clear_book` of a book already sorted: buys by descending and sells
-    by ascending price, each stably."""
+def _start(b: list[Bid], s: list[Bid]) -> tuple:
+    """The state the clearing walk of a book starts from: buys sorted by
+    descending and sells by ascending price, each stably."""
+    return 0, 0, b[0][3] if b else 0.0, s[0][3] if s else 0.0, 0.0, None, None
+
+
+def _walk(
+    b: Sequence[Bid], s: Sequence[Bid], i: int, j: int, remaining_b: float, remaining_s: float,
+    quantity: float, marginal_buy: float | None, marginal_sell: float | None,
+) -> tuple:
+    """The clearing walk of a sorted book, from buy `i` and sell `j` with
+    what remains of each, the quantity so far and the marginal prices;
+    returns that state where the walk ends."""
     nb, ns = len(b), len(s)
-    i = j = 0
-    remaining_b = b[0][3] if b else 0.0
-    remaining_s = s[0][3] if s else 0.0
-    quantity = 0.0
-    marginal_buy = marginal_sell = None
     while i < nb and j < ns:
         buy_price, sell_price = b[i][2], s[j][2]
         if not buy_price >= sell_price:  # `not`: a NaN price ends the walk too
@@ -130,6 +153,12 @@ def clear_sorted(b: list[Bid], s: list[Bid], prior_price: float, period: int) ->
         if not remaining_s > 0.0:
             j += 1
             remaining_s = s[j][3] if j < ns else 0.0
+    return i, j, remaining_b, remaining_s, quantity, marginal_buy, marginal_sell
+
+
+def _clearing(state: tuple, prior_price: float, period: int) -> Clearing:
+    """The clearing of a walk that ended in `state`."""
+    _, _, _, _, quantity, marginal_buy, marginal_sell = state
     if quantity <= 0.0:
         return Clearing(prior_price, 0.0, None, None, period)
     return Clearing((marginal_buy + marginal_sell) / 2.0, quantity, marginal_buy, marginal_sell, period)
@@ -163,6 +192,8 @@ class Market:
         self.p_std = 0.1 * seed
         self.offers = self._checked_offers(offers)  # standing, sorted by price
         self.round_offers = self.offers  # what the current period clears against
+        # (key, state): the walk of the standing offers by the last top buy
+        self._walk_memo: tuple = (None, None)
         self.buys: list[Bid] = []
         self.last_clearing = Clearing(init_price, 0.0, None, None, first_period - 1)
         self.last_bid_counts = (0, 0)
@@ -208,7 +239,15 @@ class Market:
     def clear(self) -> Clearing:
         """Clear the buys against the period's offers, publish the price, roll statistics."""
         buys, sells = sorted(self.buys, key=PRICE, reverse=True), self.round_offers
-        clearing = clear_sorted(buys, sells, self.last_clearing.price, self.current_period)
+        start = _start(buys, sells)
+        if buys and sells is self.offers:  # resume where the top buy's walk ended
+            key = repr(buys[0][2]), repr(buys[0][3])  # exact: -0.0 is not 0.0, nor 1 1.0
+            if self._walk_memo[0] != key:
+                self._walk_memo = key, _walk(buys[:1], sells, *start)
+            start = self._walk_memo[1]
+            if start[0]:  # the top buy is used up: the walk goes on at the next one
+                start = (1, start[1], buys[1][3] if len(buys) > 1 else 0.0, *start[3:])
+        clearing = _clearing(_walk(buys, sells, *start), self.last_clearing.price, self.current_period)
         self.last_bid_counts = (len(buys), len(sells))
         self.buys = []
         self.round_offers = self.offers
@@ -223,8 +262,7 @@ class Market:
         if n < 2:  # the warm-up seeds stand
             return
         mean = math.fsum(self.history) / n
-        deviations = list(map(sub, self.history, repeat(mean)))  # without a generator frame
-        var = math.fsum(map(mul, deviations, deviations)) / n
+        var = math.fsum([(d := x - mean) * d for x in self.history]) / n
         self.p_avg = mean
         self.p_std = math.sqrt(var)
 

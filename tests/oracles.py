@@ -20,6 +20,12 @@ step as its own call, each bit for bit; and `parse_oracle`, the parser
 whose tokens were `(kind, text, line, col)` tuples and which interpreted
 every value where it appeared, for an equal model or the same error at
 the same place.
+
+`reference_round` is one auction's market round as a plain loop, from
+the controller and attack formulas, over books of its own that take the
+scenario's offers afresh each round.  It reads the run only through what
+it is given: the houses, the round's unresponsive kW, the topology and
+the attack transforms, not the engine.
 """
 
 import cmath
@@ -33,7 +39,16 @@ import numpy as np
 from tesgrid.errors import ParseError, SolverDivergence
 from tesgrid.kernel import PROPERTIES
 from tesgrid.loads import BTU_PER_KWH
-from tesgrid.market import Clearing
+from tesgrid.market import (
+    DEFAULT_INIT_PRICE,
+    DEFAULT_PRICE_CAP,
+    DEFAULT_SIGMA_FLOOR,
+    UNRESPONSIVE_TRADER,
+    Bid,
+    Clearing,
+    Controller,
+    Market,
+)
 from tesgrid.model import (
     TIME_FORMAT,
     UNIT_TABLE,
@@ -388,6 +403,124 @@ def clear_book_reference(buys, sells, prior_price, period):
     if quantity <= 0.0:
         return Clearing(prior_price, 0.0, None, None, period)
     return Clearing((marginal_buy + marginal_sell) / 2.0, quantity, marginal_buy, marginal_sell, period)
+
+
+# -- the market round as a plain loop -----------------------------------------
+
+
+def ramp_bid(ctl, house, market):
+    if house.t_in <= ctl.t_min:
+        return None
+    sigma = max(market.p_std, ctl.sigma_floor)
+    price = market.p_avg + (house.t_in - ctl.t_base) * ctl.k_ramp * sigma / (ctl.t_max - ctl.t_base)
+    price = min(max(price, 0.0), market.price_cap)
+    return Bid(ctl.name, "BUY", price, house.hvac_kw, market.current_period)
+
+
+def recenter(ctl, house, market, clearing):
+    sigma = max(market.p_std, ctl.sigma_floor)
+    t_set = ctl.t_base + (clearing.price - market.p_avg) * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
+    house.t_set = min(max(t_set, ctl.t_min), ctl.t_max)
+
+
+def transformed(transforms, bid, kind, market_price, price_cap):
+    """`bid` as each active `kind` transform of `transforms` that has its
+    trader compromised rewrites it, from the attack's formula."""
+    for tr in transforms:
+        if tr.kind == kind and tr.active and bid.trader in tr.compromised:
+            if kind == "SELLER_PRICE_OVERRIDE":
+                price = tr.params["price"]
+            else:
+                price = min(bid.price + tr.params["lambda"] * market_price, price_cap)
+            bid = Bid(bid.trader, bid.side, price, bid.quantity, bid.period)
+    return bid
+
+
+def number(obj, prop, default=None):
+    value = obj.properties.get(prop)
+    return default if value is None else float(value.canonical())
+
+
+def own_books(model, name, offers, topology):
+    """Auction `name` of `model`: its main market and, under the auxiliary
+    topology, its mirror, as books that hold no offer between rounds.  Each warms up from
+    the mean of `offers` summed left to right, and 10% of it; the mirror
+    numbers each period as the main period its bids are forwarded into."""
+    obj = next(obj for obj in model.objects if obj.name == name)
+    cap, init = number(obj, "price_cap", DEFAULT_PRICE_CAP), number(obj, "init_price", DEFAULT_INIT_PRICE)
+    total = 0.0
+    for offer in offers:
+        total += offer.price
+    seed = total / len(offers) if offers else init
+    books = [Market(name, number(obj, "period"), cap, init)]
+    if topology == "auxiliary":
+        books.append(Market(f"{name}_aux", number(obj, "period"), cap, init, first_period=1))
+    for book in books:
+        book.p_avg, book.p_std = seed, 0.1 * seed
+    return books
+
+
+def reference_round(model, state, name, houses, unresp_kw, topology, transforms):
+    """One round of auction `name`'s market and, under the auxiliary
+    `topology`, its mirror, with the sellers and controllers of `model`
+    whose `market` names it, in books of the reference's own.  `houses` maps
+    a house's name to its state, `unresp_kw` is the round's unresponsive
+    load and `transforms` the run's attack transforms, read as they stand;
+    `state` maps an auction to its books and each of its controllers to its
+    last auxiliary bid.  The books take every seller's offer afresh each
+    round through `replace_offers`, so no clear walks from a remembered
+    state."""
+    traders = [obj for obj in model.objects if obj.ref("market") == name]
+    ctls = [
+        Controller(obj.name, obj.ref("house"), name, number(obj, "t_min"), number(obj, "t_base"),
+                   number(obj, "t_max"), number(obj, "k_ramp"), number(obj, "sigma_floor", DEFAULT_SIGMA_FLOOR))
+        for obj in traders if obj.cls == "controller"
+    ]
+    offers = [
+        Bid(obj.name, "SELL", number(obj, "price"), number(obj, "capacity"), 0)
+        for obj in traders if obj.cls == "generator_seller"
+    ]
+    if name not in state:
+        state[name] = own_books(model, name, offers, topology), {}
+    books, held = state[name]
+    market = books[0]
+    market.replace_offers(offers)
+    if topology == "direct":
+        for ctl in ctls:
+            bid = ramp_bid(ctl, houses[ctl.house], market)
+            if bid is not None:
+                market.submit(bid)
+        if unresp_kw > 0:
+            market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
+        clearing = market.clear()
+        for ctl in ctls:
+            recenter(ctl, houses[ctl.house], market, clearing)
+        return
+
+    aux = books[1]
+    aux.replace_offers([
+        transformed(transforms, offer, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap)
+        for offer in offers
+    ])
+    for ctl in ctls:
+        last = held.get(ctl.name)
+        if last is not None:
+            forwarded = Bid(last.trader, last.side, last.price, last.quantity, market.current_period)
+            market.submit(
+                transformed(transforms, forwarded, "BUYER_BID_SCALE", market.last_clearing.price, market.price_cap)
+            )
+    for ctl in ctls:
+        bid = ramp_bid(ctl, houses[ctl.house], aux)
+        if bid is not None:
+            aux.submit(bid)
+        held[ctl.name] = bid
+    if unresp_kw > 0:
+        market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
+        aux.submit(Bid(UNRESPONSIVE_TRADER, "BUY", aux.price_cap, unresp_kw, aux.current_period))
+    market.clear()
+    clearing = aux.clear()
+    for ctl in ctls:
+        recenter(ctl, houses[ctl.house], aux, clearing)
 
 
 # -- the parser with tuple tokens ---------------------------------------------

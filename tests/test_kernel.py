@@ -574,6 +574,8 @@ def test_property_table_is_consistent():
 RUN_CONSTANTS = {
     "extraction": ("house", ("hvac_rating", "cop")),
     "span": ("controller", tuple(PROPERTIES["controller"])),
+    # a market's standing offers and the walk it remembers through them
+    "walk memo": ("generator_seller", ("price", "capacity")),
 }
 
 

@@ -152,6 +152,56 @@ def test_clearing_walk_ends_on_nan_quantities(buy_spec, sell_spec):
     assert clear_book(buys, sells, 0.09, 4).period == 4
 
 
+# signed zeros and ints beside equal floats, which a memo keyed with `==` would confuse
+_MEMO_PRICE = st.sampled_from([-0.0, 0.0, 0, 0.1, 0.2, 0.5, 1, 1.0])
+_MEMO_QUANTITY = st.sampled_from([-0.0, 0.0, 0, 1.0, 2.5, 10, 10.0])
+_MEMO_BOOK = st.lists(st.tuples(_MEMO_PRICE, _MEMO_QUANTITY), max_size=6)
+# the top buys: few values, so that two of the three are often equal but not the same
+_MEMO_TOP = st.tuples(st.sampled_from([-0.0, 0.0, 0, 0.5, 1, 1.0]), st.sampled_from([-0.0, 0.0, 0, 2.5, 10, 10.0]))
+_QUIET = ([], 2, None)  # a period with the third top buy alone against the standing offers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    offers=_MEMO_BOOK,
+    pool=st.lists(_MEMO_TOP, min_size=3, max_size=3),
+    periods=st.lists(st.tuples(
+        st.lists(st.tuples(st.none() | _MEMO_PRICE, _MEMO_QUANTITY), max_size=5),  # None: at the top price
+        st.integers(0, 2),  # the period's top buy, from the pool
+        st.none() | _MEMO_BOOK,  # the offers `replace_offers` gives, if any
+    ), min_size=8, max_size=8),
+)
+@example(  # 0.0 then -0.0 at the top: an `==` key would resume the first one's walk
+    offers=[(-0.0, 5.0)], pool=[(0.0, 1.0), (-0.0, 1.0), (0.1, 1.0)],
+    periods=[([], 0, None), ([], 1, None)] + [_QUIET] * 6,
+)
+@example(  # 1 then 1.0: the marginal buy price shows which
+    offers=[(0.1, 20.0)], pool=[(1, 10.0), (1.0, 10.0), (0.1, 1.0)],
+    periods=[([], 0, None), ([], 1, None)] + [_QUIET] * 6,
+)
+@example(  # the same top buy against the standing offers and then against replaced ones
+    offers=[(0.1, 5.0)], pool=[(0.5, 1.0), (0.2, 1.0), (0.1, 1.0)],
+    periods=[([], 0, None), ([], 0, [(0.2, 5.0)])] + [_QUIET] * 6,
+)
+def test_remembered_walk_clears_as_the_reference(offers, pool, periods):
+    # one market over 8 periods, each booking drawn buys and then its top
+    # buy, which takes the memo's hit, miss and replacement in turn; a bid
+    # drawn at the top price is booked before it, and so sorts first
+    offers = [B(p, q, "SELL", trader=f"g{i}") for i, (p, q) in enumerate(offers)]
+    market = Market("m", 300, price_cap=1.0, offers=offers)
+    for buys, top, replaced in periods:
+        period, (top_price, top_quantity) = market.current_period, pool[top]
+        book = [B(top_price if p is None else p, q, trader=f"b{i}", period=period) for i, (p, q) in enumerate(buys)]
+        book.append(B(top_price, top_quantity, trader="top", period=period))
+        sells = offers
+        if replaced is not None:
+            sells = [B(p, q, "SELL", trader=f"r{i}") for i, (p, q) in enumerate(replaced)]
+            market.replace_offers(sells)
+        market.submit_all(book)
+        expected = clear_book_reference(book, sells, market.last_clearing.price, period)
+        assert list(map(repr, market.clear())) == list(map(repr, expected))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=300))
 @example([0.1, 0.1])

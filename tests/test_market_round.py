@@ -1,24 +1,24 @@
 """The kernel's market round against a plain reference round.
 
-`reference_round` is the market round written as a plain loop: ramp
-bids, setpoint re-centering, one-period-late forwarding and the attack
-transforms are spelled out from their formulas, without the kernel's
-compiled bidder lists, standing offers or the controller and transform
-methods.  It keeps books of its own, which take every seller's offer
-afresh each round through `replace_offers` and restamp every forwarded
-bid with the main market's period, and each auction's sellers and
-controllers are read from the scenario.  A generated 30-house day, and
-an hour of a feeder with two auctions, must clear every main and
+`reference_round` (in `oracles.py`) is the market round written as a
+plain loop: ramp bids, setpoint re-centering, one-period-late forwarding
+and the attack transforms are spelled out from their formulas, without
+the kernel's compiled bidder lists, standing offers or the controller
+and transform methods.  It keeps books of its own, which take every
+seller's offer afresh each round through `replace_offers` and restamp
+every forwarded bid with the main market's period, and each auction's
+sellers and controllers are read from the scenario.  A generated 30-house
+day, and an hour of a feeder with two auctions, must clear every main and
 auxiliary market at the same (price, quantity, marginal buy, marginal
 sell, period) and end with the same setpoints, compared with ``==``.
 """
 
 from collections import Counter
 from datetime import datetime
-from functools import partial
 
 import pytest
 from conftest import SECOND_AUCTION, load_fixture
+from oracles import number, reference_round
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,17 +26,7 @@ from tesgrid.errors import PriceCapViolation, StalePeriod
 from tesgrid.feedergen import gen_feeder, gen_weather
 from tesgrid.glm import parse_scenario
 from tesgrid.kernel import Engine
-from tesgrid.market import (
-    DEFAULT_INIT_PRICE,
-    DEFAULT_PRICE_CAP,
-    DEFAULT_SIGMA_FLOOR,
-    PRICE,
-    UNRESPONSIVE_TRADER,
-    Bid,
-    Controller,
-    Market,
-    clear_book,
-)
+from tesgrid.market import PRICE, UNRESPONSIVE_TRADER, Bid, Market, clear_book
 from tesgrid.model import AttackConfig
 from tesgrid.validate import validate
 
@@ -59,116 +49,6 @@ def feeder_dir(tmp_path_factory):
     return d
 
 
-def ramp_bid(ctl, house, market):
-    if house.t_in <= ctl.t_min:
-        return None
-    sigma = max(market.p_std, ctl.sigma_floor)
-    price = market.p_avg + (house.t_in - ctl.t_base) * ctl.k_ramp * sigma / (ctl.t_max - ctl.t_base)
-    price = min(max(price, 0.0), market.price_cap)
-    return Bid(ctl.name, "BUY", price, house.hvac_kw, market.current_period)
-
-
-def recenter(ctl, house, market, clearing):
-    sigma = max(market.p_std, ctl.sigma_floor)
-    t_set = ctl.t_base + (clearing.price - market.p_avg) * (ctl.t_max - ctl.t_base) / (ctl.k_ramp * sigma)
-    house.t_set = min(max(t_set, ctl.t_min), ctl.t_max)
-
-
-def transformed(engine, bid, kind, market_price, price_cap):
-    for tr in (c.transform for c in engine.attacks if c.transform is not None):
-        if tr.kind == kind and tr.active and bid.trader in tr.compromised:
-            if kind == "SELLER_PRICE_OVERRIDE":
-                price = tr.params["price"]
-            else:
-                price = min(bid.price + tr.params["lambda"] * market_price, price_cap)
-            bid = Bid(bid.trader, bid.side, price, bid.quantity, bid.period)
-    return bid
-
-
-def number(obj, prop, default=None):
-    value = obj.properties.get(prop)
-    return default if value is None else float(value.canonical())
-
-
-def own_books(engine, model, name, offers):
-    """Auction `name` of `model`: its main market and, under the auxiliary
-    topology, its mirror, as books that hold no offer between rounds.  Each warms up from
-    the mean of `offers` summed left to right, and 10% of it; the mirror
-    numbers each period as the main period its bids are forwarded into."""
-    obj = next(obj for obj in model.objects if obj.name == name)
-    cap, init = number(obj, "price_cap", DEFAULT_PRICE_CAP), number(obj, "init_price", DEFAULT_INIT_PRICE)
-    total = 0.0
-    for offer in offers:
-        total += offer.price
-    seed = total / len(offers) if offers else init
-    books = [Market(name, number(obj, "period"), cap, init)]
-    if engine.summary["topology"] == "auxiliary":
-        books.append(Market(f"{name}_aux", number(obj, "period"), cap, init, first_period=1))
-    for book in books:
-        book.p_avg, book.p_std = seed, 0.1 * seed
-    return books
-
-
-def reference_round(engine, model, state, auction):
-    """One round of `auction`'s market and mirror, with the sellers and
-    controllers of `model` whose `market` names it, in books of the
-    reference's own; `state` maps an auction to those books and each of its
-    controllers to its last auxiliary bid."""
-    name = auction.market.name
-    traders = [obj for obj in model.objects if obj.ref("market") == name]
-    ctls = [
-        Controller(obj.name, obj.ref("house"), name, number(obj, "t_min"), number(obj, "t_base"),
-                   number(obj, "t_max"), number(obj, "k_ramp"), number(obj, "sigma_floor", DEFAULT_SIGMA_FLOOR))
-        for obj in traders if obj.cls == "controller"
-    ]
-    unresp_kw = engine._unresp_kw  # the loads phase's sum, checked in test_load_pass.py
-    offers = [
-        Bid(obj.name, "SELL", number(obj, "price"), number(obj, "capacity"), 0)
-        for obj in traders if obj.cls == "generator_seller"
-    ]
-    if name not in state:
-        state[name] = own_books(engine, model, name, offers), {}
-    books, held = state[name]
-    market = books[0]
-    market.replace_offers(offers)
-    if engine.summary["topology"] == "direct":
-        for ctl in ctls:
-            bid = ramp_bid(ctl, engine.houses[ctl.house], market)
-            if bid is not None:
-                market.submit(bid)
-        if unresp_kw > 0:
-            market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
-        clearing = market.clear()
-        for ctl in ctls:
-            recenter(ctl, engine.houses[ctl.house], market, clearing)
-        return
-
-    aux = books[1]
-    aux.replace_offers([
-        transformed(engine, offer, "SELLER_PRICE_OVERRIDE", market.last_clearing.price, aux.price_cap)
-        for offer in offers
-    ])
-    for ctl in ctls:
-        last = held.get(ctl.name)
-        if last is not None:
-            forwarded = Bid(last.trader, last.side, last.price, last.quantity, market.current_period)
-            market.submit(
-                transformed(engine, forwarded, "BUYER_BID_SCALE", market.last_clearing.price, market.price_cap)
-            )
-    for ctl in ctls:
-        bid = ramp_bid(ctl, engine.houses[ctl.house], aux)
-        if bid is not None:
-            aux.submit(bid)
-        held[ctl.name] = bid
-    if unresp_kw > 0:
-        market.submit(Bid(UNRESPONSIVE_TRADER, "BUY", market.price_cap, unresp_kw, market.current_period))
-        aux.submit(Bid(UNRESPONSIVE_TRADER, "BUY", aux.price_cap, unresp_kw, aux.current_period))
-    market.clear()
-    clearing = aux.clear()
-    for ctl in ctls:
-        recenter(ctl, engine.houses[ctl.house], aux, clearing)
-
-
 # each feeder's text, and the rounds of its run per market
 FEEDERS = {
     "gen30": (lambda: gen_feeder(30, 0), 289),
@@ -182,7 +62,9 @@ def day_run(feeder_dir, feeder, topology, attack, reference):
         model.attacks.append(attack)
     engine = Engine(model, topology=topology, seed=0, base_dir=str(feeder_dir))
     if reference:
-        engine._market_round = partial(reference_round, engine, model, {})
+        state, transforms = {}, [c.transform for c in engine.attacks if c.transform is not None]
+        engine._market_round = lambda auction: reference_round(
+            model, state, auction.market.name, engine.houses, engine._unresp_kw, topology, transforms)
     assert engine.run().complete
     return {name: house.t_set for name, house in engine.houses.items()}
 
@@ -195,6 +77,10 @@ def day_run(feeder_dir, feeder, topology, attack, reference):
     pytest.param("two_auctions", "direct", None, id="two_auctions-direct"),
 ])
 def test_round_matches_plain_reference(feeder_dir, monkeypatch, feeder, topology, attack):
+    """The kernel's main market clears every period against its standing
+    offers, resuming the walk its top buy remembers, while the reference's
+    books take their offers through `replace_offers` and walk from the
+    start: each case compares the remembered walk with the plain one."""
     clearings = []
     clear = Market.clear
 

@@ -8,8 +8,9 @@ get the same inputs) and every seed, both trees run the scenario through
 `python -m tesgrid run` with their own `src/` on the path.  The recorder
 CSVs and `audit.csv` must be byte-identical; `summary.txt` holds the
 solver's iteration counts, which a warm-start change may legitimately
-move, so a difference there is printed but does not fail.  Exits 1 on
-any failing difference or failed run, 0 otherwise.
+move, so each of its keys whose value differs is printed, with both
+values, but does not fail.  Exits 1 on any failing difference or failed
+run, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def run_tree(tree: str, inputs: str, topology: str, seed: int, out: str) -> list
 def read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def summary_differences(base: bytes, head: bytes) -> list[str]:
+    """`key: base -> head` for each `summary.txt` key whose value differs,
+    a key missing on one side reading `(none)`, in the base's key order."""
+    sides = [dict(line.partition(" ")[::2] for line in text.decode().splitlines()) for text in (base, head)]
+    keys = list(sides[0]) + [key for key in sides[1] if key not in sides[0]]
+    return [f"{key}: {sides[0].get(key, '(none)')} -> {sides[1].get(key, '(none)')}"
+            for key in keys if sides[0].get(key) != sides[1].get(key)]
 
 
 def main() -> int:
@@ -79,10 +89,12 @@ def main() -> int:
                     problems.append(f"file lists differ: {files['base']} != {files['head']}")
                 for file in files["base"]:
                     if file in files["head"]:
-                        same = read(os.path.join(outs["base"], file)) == read(os.path.join(outs["head"], file))
-                        if not same and file in NOT_COMPARED:
-                            print(f"note {name} seed {seed}: {file} differs")
-                        elif not same:
+                        base, head = (read(os.path.join(outs[side], file)) for side in ("base", "head"))
+                        if base != head and file in NOT_COMPARED:
+                            differences = summary_differences(base, head) or ["differs, every key's value the same"]
+                            for difference in differences:
+                                print(f"note {name} seed {seed}: {file} {difference}")
+                        elif base != head:
                             problems.append(f"{file} differs")
                 failures += bool(problems)
                 print(f"{'FAIL' if problems else 'ok  '} {name} seed {seed}: {len(files['base'])} files"
